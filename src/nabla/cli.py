@@ -3,8 +3,8 @@
 Subcommands: ``check`` (exit 0 accepted, 1 rejected, 2 parse error),
 ``corpus`` (exit 0 iff every bundled expectation holds), ``translate``,
 ``taut``, ``eval`` and ``fuzz`` (exit 3 with a counterexample on a
-falsified lemma).  ``NABLA_SEED`` overrides the default fuzz seed; an
-explicit ``--seed`` wins over both.
+falsified lemma).  ``NABLA_SEED`` overrides the default fuzz seed and must
+be an integer; an explicit ``--seed`` wins over both.
 """
 
 from __future__ import annotations
@@ -16,10 +16,10 @@ import sys
 from pathlib import Path
 
 from . import corpus as corpus_mod
-from .derived import NotATautology, NotPropositional, expand
+from .derived import NotATautology, NotPropositional, SchemaMismatch, expand
 from .formulas import ParseError, format_formula, parse_h, parse_ltl
 from .fuzz import LEMMAS, report_to_json, run_lemma
-from .kernel import check, format_generic
+from .kernel import SHAPE_MISMATCH, CheckReport, check, format_generic
 from .scripts import ScriptError, parse_script, serialize
 from .semantics import ModelFormatError, eval_h, eval_ltl, parse_model
 from .translate import translate
@@ -30,14 +30,6 @@ EXIT_PARSE = 2
 EXIT_FALSIFIED = 3
 
 
-def _default_seed() -> int:
-    env = os.environ.get("NABLA_SEED")
-    try:
-        return int(env) if env else 0
-    except ValueError:
-        return 0
-
-
 def cmd_check(args) -> int:
     try:
         text = Path(args.file).read_text(encoding="utf-8")
@@ -45,11 +37,17 @@ def cmd_check(args) -> int:
     except (OSError, ScriptError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_PARSE
-    root = expand(root)
-    if args.emit_primitive:
-        print(serialize(root), end="")
-        return EXIT_OK
-    report = check(root)
+    try:
+        root = expand(root)
+    except SchemaMismatch as e:
+        # A derived rule applied to premises of the wrong shape: the script
+        # parses, its derivation is what is wrong.
+        report = CheckReport(accepted=False, node_id=e.node_id, reason=SHAPE_MISMATCH, message=str(e))
+    else:
+        if args.emit_primitive:
+            print(serialize(root), end="")
+            return EXIT_OK
+        report = check(root)
     if args.json:
         print(json.dumps(report.to_dict(), sort_keys=True, indent=2))
     elif report.accepted:
@@ -135,7 +133,15 @@ def cmd_eval(args) -> int:
 
 
 def cmd_fuzz(args) -> int:
-    report = run_lemma(args.lemma, args.samples, args.seed, args.max_size, args.inject_bug)
+    seed = args.seed
+    if seed is None:
+        env = os.environ.get("NABLA_SEED")
+        try:
+            seed = int(env) if env else 0
+        except ValueError:
+            print(f"error: NABLA_SEED must be an integer, got {env!r}", file=sys.stderr)
+            return EXIT_PARSE
+    report = run_lemma(args.lemma, args.samples, seed, args.max_size, args.inject_bug)
     if args.json:
         print(report_to_json(report), end="")
     elif report.ok:
@@ -185,7 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fuzz", help="sample a semantic lemma on random models (falsifier, not a prover)")
     p.add_argument("--lemma", required=True, choices=LEMMAS)
     p.add_argument("--samples", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=int, help="default: NABLA_SEED, else 0")
     p.add_argument("--max-size", type=int, default=6)
     p.add_argument("--json", action="store_true")
     p.add_argument("--inject-bug", choices=["valuation-shift"], help="testing only: make one evaluation route wrong")

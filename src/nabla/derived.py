@@ -65,7 +65,10 @@ DERIVED_RULES = frozenset({"andI", "andE1", "andE2", "orIl", "orIr", "orE", "FI"
 
 
 class SchemaMismatch(ValueError):
-    pass
+    """A derived rule's premises do not fit its schema.  ``expand`` sets
+    ``node_id`` to the script node that applies the rule."""
+
+    node_id: int | None = None
 
 
 class ShapeMismatch(ValueError):
@@ -326,10 +329,14 @@ def expand(root: Node) -> Node:
         prems = tuple(memo[id(p)] for p in n.premises)
         disch = tuple(memo[id(a)] for a in n.discharges)
         if n.rule in _TEMPLATES:
-            if len(prems) != _ARITY[n.rule]:
-                raise SchemaMismatch(f"rule {n.rule} takes {_ARITY[n.rule]} premises, got {len(prems)}")
-            staged = Apply(n.id, n.rule, n.conclusion, prems, disch, n.subst)
-            memo[id(n)] = _TEMPLATES[n.rule](staged, prems, ids)
+            try:
+                if len(prems) != _ARITY[n.rule]:
+                    raise SchemaMismatch(f"rule {n.rule} takes {_ARITY[n.rule]} premises, got {len(prems)}")
+                staged = Apply(n.id, n.rule, n.conclusion, prems, disch, n.subst)
+                memo[id(n)] = _TEMPLATES[n.rule](staged, prems, ids)
+            except SchemaMismatch as e:
+                e.node_id = n.id
+                raise
         else:
             memo[id(n)] = Apply(n.id, n.rule, n.conclusion, prems, disch, n.subst)
     return memo[id(root)]

@@ -43,7 +43,6 @@ __all__ = [
     "random_local_formula",
     "random_hist_tier_formula",
     "random_obs_sequence",
-    "random_interpretation",
     "DerivationSampler",
 ]
 
@@ -133,10 +132,6 @@ def random_hist_tier_formula(rng: random.Random, budget: int, symbols=DEFAULT_SY
 
 def random_obs_sequence(rng: random.Random, max_len: int = 4, max_value: int = 10, min_len: int = 1) -> tuple[int, ...]:
     return tuple(rng.randint(0, max_value) for _ in range(rng.randint(min_len, max_len)))
-
-
-def random_interpretation(rng: random.Random, labels, max_value: int = 12) -> dict[str, int]:
-    return {lab: rng.randint(0, max_value) for lab in sorted(labels)}
 
 
 class DerivationSampler:

@@ -13,6 +13,31 @@ the last sequence element.  ``eval_h`` truncates that quantifier at
 so an interval containing two full periods decides the quantifier.  The
 bound is validated empirically against ``eval_h_oracle``, a literal
 transcription with a caller-chosen horizon.
+
+``eval_h`` never builds the sequence it recurses on; it evaluates on a
+canonical pair, by three rules:
+
+* Last-pair locality.  Every truth clause reads at most the last two
+  elements of a sequence and extends or replaces only the last one, so by
+  induction on the formula the truth at ``sigma`` is a function of
+  ``(sigma[-2], sigma[-1])``.  This is the locality behind the paper's
+  ``last`` lemma and its corollary (translated formulas need only the last
+  element) and clause (ii) of ``last-local``; ``quantifier-bound`` and
+  that clause of ``last-local`` check it against the whole-sequence
+  oracle.
+* A one-element sequence ``(n)`` is the pair ``(n, n)``.  The ``H`` clause
+  at a singleton is the singleton's own truth, and ``H`` at ``(n, n)``
+  ranges over ``[n, n]`` alone, so no formula tells them apart.
+* Period shift.  A pair with both elements at or past ``s + p`` reads only
+  loop positions, and every clause's positions, the ``G`` window included,
+  move with the pair; so it shifts back by whole periods until its smaller
+  element lies in ``[s, s + p)``.  This is the periodicity that also backs
+  the two-period truncation, and ``quantifier-bound`` checks it.
+
+The memo is keyed on the canonical pair, so the entries per subformula are
+bounded by the lasso's size and the entry pair rather than by the path
+taken, and the cost is polynomial in the nesting depth of ``G``.
+``eval_h_oracle`` keeps the literal whole-sequence memo.
 """
 
 from __future__ import annotations
@@ -207,43 +232,49 @@ def _check_sequence(seq) -> tuple[int, ...]:
 
 
 def eval_h(m: LassoModel, seq, a: Formula) -> bool:
-    """Truth of a history-language formula at an observation sequence."""
+    """Truth of a history-language formula at an observation sequence.
+
+    Evaluates on the canonical last pair of the sequence (see the module
+    docstring): ``X`` moves ``(i, n)`` to ``(n, n+1)``, ``G`` to ``(n, mm)``
+    for ``mm`` in ``[n, max(n, s) + 2p]``, and ``H`` to ``(i, mm)`` for
+    ``mm`` in ``[i, n]``.  Pairs past ``s + p`` shift back by whole periods.
+    """
     sigma = _check_sequence(seq)
     if not in_history_language(a):
         raise ValueError(f"not a history-language formula: {format_formula(a)}")
     g = desugar(a)
     s, p = m.stem_len, m.period
-    memo: dict[tuple[int, tuple[int, ...]], bool] = {}
+    window = s + p
+    memo: dict[tuple[int, int, int], bool] = {}
 
-    def ev(sig: tuple[int, ...], x: Formula) -> bool:
-        key = (id(x), sig)
+    def ev(i: int, n: int, x: Formula) -> bool:
+        if i >= window and n >= window:
+            shift = (min(i, n) - s) // p * p
+            i -= shift
+            n -= shift
+        key = (id(x), i, n)
         cached = memo.get(key)
         if cached is not None:
             return cached
         if isinstance(x, Atom):
-            v = x.name in m.valuation(sig[-1])
+            v = x.name in m.valuation(n)
         elif isinstance(x, Bottom):
             v = False
         elif isinstance(x, Implies):
-            v = (not ev(sig, x.left)) or ev(sig, x.right)
+            v = (not ev(i, n, x.left)) or ev(i, n, x.right)
         elif isinstance(x, Next):
-            v = ev(sig + (sig[-1] + 1,), x.operand)
+            v = ev(n, n + 1, x.operand)
         elif isinstance(x, Always):
-            nk = sig[-1]
-            hi = max(nk, s) + 2 * p
-            v = all(ev(sig + (mm,), x.operand) for mm in range(nk, hi + 1))
+            hi = max(n, s) + 2 * p
+            v = all(ev(n, mm, x.operand) for mm in range(n, hi + 1))
         elif isinstance(x, Hist):
-            if len(sig) == 1:
-                v = ev(sig, x.operand)
-            else:
-                prev = sig[:-1]
-                v = all(ev(prev + (mm,), x.operand) for mm in range(sig[-2], sig[-1] + 1))
+            v = all(ev(i, mm, x.operand) for mm in range(i, n + 1))
         else:
             raise TypeError(f"not a core formula: {x!r}")
         memo[key] = v
         return v
 
-    return ev(sigma, g)
+    return ev(sigma[-2] if len(sigma) > 1 else sigma[0], sigma[-1], g)
 
 
 def eval_h_oracle(m: LassoModel, seq, a: Formula, horizon: int) -> bool:

@@ -27,7 +27,7 @@ from .formulas import (
     in_until_language,
 )
 
-__all__ = ["translate", "translate_core", "translate_set", "matches_translation"]
+__all__ = ["translate", "translate_set", "matches_translation"]
 
 
 def translate(a: Formula) -> Formula:
@@ -35,11 +35,6 @@ def translate(a: Formula) -> Formula:
     if not in_until_language(a):
         raise ValueError(f"not an until-language formula: {a}")
     return _tr(a)
-
-
-def translate_core(a: Formula) -> Formula:
-    """Desugared companion of :func:`translate`."""
-    return desugar(translate(a))
 
 
 def _tr(a: Formula) -> Formula:

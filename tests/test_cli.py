@@ -110,9 +110,42 @@ def test_fuzz_canary_detects_injected_bug(capsys):
 
 
 def test_nabla_seed_env(capsys, monkeypatch):
-    import nabla.cli as cli_module
-
     monkeypatch.setenv("NABLA_SEED", "123")
-    parser = cli_module.build_parser()
-    args = parser.parse_args(["fuzz", "--lemma", "translation"])
-    assert args.seed == 123
+    code, out = run(capsys, "fuzz", "--lemma", "translation", "--samples", "5", "--json")
+    assert code == 0
+    assert json.loads(out)["seed"] == 123
+    code, out = run(capsys, "fuzz", "--lemma", "translation", "--samples", "5", "--seed", "4", "--json")
+    assert code == 0
+    assert json.loads(out)["seed"] == 4
+
+
+def test_nabla_seed_env_rejects_non_integer(capsys, monkeypatch, tmp_path):
+    monkeypatch.setenv("NABLA_SEED", "abc")
+    code = main(["fuzz", "--lemma", "translation", "--samples", "5"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "NABLA_SEED" in captured.err and "'abc'" in captured.err
+    # An explicit seed never reads the variable, and check ignores it.
+    assert main(["fuzz", "--lemma", "translation", "--samples", "5", "--seed", "1"]) == 0
+    script = tmp_path / "id.ndp"
+    script.write_text("assume 1 lwff b : p\nnode 2 impI concl b : (p -> p) prem 1 disch 1\nroot 2\n", encoding="utf-8")
+    assert main(["check", str(script)]) == 0
+
+
+def test_check_schema_mismatch_is_rejection(capsys, tmp_path):
+    # andE1 on an atom: the derived-rule expansion finds no conjunction.
+    bad = tmp_path / "and_e1.ndp"
+    bad.write_text("assume 1 lwff b : p\nnode 2 andE1 concl b : p prem 1\nroot 2\n", encoding="utf-8")
+    code, out = run(capsys, "check", str(bad), "--json")
+    assert code == 1
+    assert json.loads(out) == {
+        "verdict": "rejected",
+        "node": 2,
+        "reason": "ShapeMismatch",
+        "message": "not a conjunction: p",
+    }
+    code, out = run(capsys, "check", str(bad))
+    assert code == 1
+    assert out.startswith("Rejected at node 2: ShapeMismatch")
+    assert main(["check", str(bad), "--emit-primitive"]) == 1

@@ -1,5 +1,6 @@
 import pytest
 
+from nabla import fuzz, semantics
 from nabla.fuzz import LEMMAS, report_to_json, run_lemma
 
 
@@ -28,6 +29,19 @@ def test_injected_bug_is_found_and_shrunk():
     assert cx is not None and "formula" in cx and "model" in cx
     # greedy shrinking keeps the witness small
     assert len(cx["formula"]) < 60
+
+
+def test_last_local_hist_tier_catches_a_last_element_collapse(monkeypatch):
+    # An eval_h that keeps only the last element satisfies the local tier
+    # but not the wider one; the wider tier's right-hand side comes from
+    # the whole-sequence oracle, so the lemma must notice.
+    def last_only(m, seq, f):
+        return semantics.eval_h(m, tuple(seq)[-1:], f)
+
+    monkeypatch.setattr(fuzz, "eval_h", last_only)
+    report = run_lemma("last-local", samples=1000, seed=42)
+    assert not report.ok
+    assert report.counterexample["clause"] == "hist-tier"
 
 
 def test_unknown_lemma_rejected():

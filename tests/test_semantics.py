@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from nabla.corpus import ENTRIES
 from nabla.formulas import Always, Atom, Bottom, Hist, Until, desugar, parse_h
 from nabla.gen import random_history_formula, random_obs_sequence, random_until_formula
 from nabla.translate import translate
@@ -141,6 +142,36 @@ def test_oracle_agrees_on_random_grid():
         sigma = random_obs_sequence(rng, max_len=3, max_value=6)
         horizon = max(sigma) + 4 * (m.stem_len + m.period)
         assert eval_h(m, sigma, f) == eval_h_oracle(m, sigma, f, horizon)
+
+
+def test_oracle_agrees_past_the_loop():
+    # Long sequences whose last pair sits at or past s + p, where eval_h
+    # shifts the pair back by whole periods before looking up its memo.
+    rng = random.Random(7)
+    shifted = 0
+    for _ in range(600):
+        m = random_lasso(rng, ["p", "q"], max_stem=3, max_period=3)
+        window = m.stem_len + m.period
+        f = random_history_formula(rng, rng.randint(0, 6), max_temporal_depth=2)
+        sigma = random_obs_sequence(rng, max_len=5, max_value=window + 8)
+        shifted += min(sigma[-2:]) >= window
+        horizon = max(sigma) + 3 * window
+        assert eval_h(m, sigma, f) == eval_h_oracle(m, sigma, f, horizon)
+    assert shifted >= 150
+
+
+def test_eval_h_nested_always_on_axioms():
+    # G^5 of every translated corpus axiom: valid, so no short-circuit cuts
+    # the nested G windows short.
+    cells = [frozenset(), frozenset({"p"}), frozenset({"q"}), frozenset({"p", "q"})]
+    m = LassoModel(tuple(cells), (cells[2], cells[1], cells[3], cells[0]))
+    for entry in ENTRIES:
+        f = entry.source
+        for _ in range(5):
+            f = Always(f)
+        image = translate(f)
+        for sigma in [(0,), (3, 6), (9, 2, 13)]:
+            assert eval_h(m, sigma, image) is True, (entry.name, sigma)
 
 
 def test_oracle_horizon_precondition():
