@@ -4,7 +4,11 @@ Subcommands: ``check`` (exit 0 accepted, 1 rejected, 2 parse error),
 ``corpus`` (exit 0 iff every bundled expectation holds), ``translate``,
 ``taut``, ``eval`` and ``fuzz`` (exit 3 with a counterexample on a
 falsified lemma).  ``NABLA_SEED`` overrides the default fuzz seed and must
-be an integer; an explicit ``--seed`` wins over both.
+be an integer; an explicit ``--seed`` wins over both.  Formulas nested
+deeper than ``formulas.MAX_NESTING`` are parse errors (exit 2).  Any other
+exception that escapes a subcommand is an internal error: ``main`` prints
+``internal error: <type>: <message>`` to stderr and exits 4, never 1, which
+means rejected.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ EXIT_OK = 0
 EXIT_REJECTED = 1
 EXIT_PARSE = 2
 EXIT_FALSIFIED = 3
+EXIT_INTERNAL = 4
 
 
 def cmd_check(args) -> int:
@@ -202,7 +207,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except Exception as e:  # SystemExit and KeyboardInterrupt pass through
+        print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -9,6 +9,13 @@ Two closely related languages share one node hierarchy:
 both languages; :func:`desugar` expands them.  Language membership is
 checked by :func:`in_until_language` / :func:`in_history_language`, and the
 two parsers reject the foreign operator (``H`` resp. ``U``).
+
+The parsers reject a formula whose parentheses nest deeper than
+:data:`MAX_NESTING`.  Every operator application is one parenthesized
+level; ``translate`` and :func:`desugar` deepen a formula (one level of
+``U`` becomes about 9 core levels, ``&`` about 4), and the recursive
+evaluators, comparisons and hashes downstream must stay within Python's
+recursion limit on the result.
 """
 
 from __future__ import annotations
@@ -31,6 +38,7 @@ __all__ = [
     "Sometime",
     "LocalClass",
     "ParseError",
+    "MAX_NESTING",
     "parse_ltl",
     "parse_h",
     "format_formula",
@@ -145,6 +153,8 @@ class ParseError(ValueError):
         self.expected = expected
 
 
+MAX_NESTING = 32
+
 RESERVED = frozenset({"bot", "G", "X", "F", "H", "U"})
 
 _UNARY = {"G": Always, "X": Next, "F": Sometime, "H": Hist, "~": Not}
@@ -190,6 +200,7 @@ class _Parser:
     def __init__(self, text: str, allow_until: bool, allow_hist: bool, partial: bool = False):
         self.tokens = _tokenize(text, partial)
         self.pos = 0
+        self.depth = 0
         self.allow_until = allow_until
         self.allow_hist = allow_hist
 
@@ -210,7 +221,12 @@ class _Parser:
         if tok == "bot":
             return Bottom()
         if tok == "(":
-            return self.parenthesized()
+            if self.depth == MAX_NESTING:
+                raise ParseError(f"formula nested deeper than {MAX_NESTING} levels", off, frozenset({"identifier", "bot"}))
+            self.depth += 1
+            f = self.parenthesized()
+            self.depth -= 1
+            return f
         if tok.isidentifier() and tok not in RESERVED:
             return Atom(tok)
         self.pos -= 1

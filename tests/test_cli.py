@@ -1,12 +1,15 @@
 import json
+from importlib import resources
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from nabla.cli import main
-from nabla.formulas import desugar, parse_ltl
-from nabla.kernel import check
+from nabla.formulas import MAX_NESTING, Implies, desugar, parse_ltl
+from nabla.kernel import Apply, Assume, Lwff, check
 from nabla.scripts import parse_script
-from nabla.semantics import format_model, LassoModel
+from nabla.semantics import format_model, LassoModel, eval_h, eval_ltl
+from nabla.translate import translate
 
 
 @pytest.fixture
@@ -149,3 +152,115 @@ def test_check_schema_mismatch_is_rejection(capsys, tmp_path):
     assert code == 1
     assert out.startswith("Rejected at node 2: ShapeMismatch")
     assert main(["check", str(bad), "--emit-primitive"]) == 1
+
+
+def test_internal_error_exits_4(capsys, tmp_path, monkeypatch):
+    def boom(root):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr("nabla.cli.check", boom)
+    script = tmp_path / "id.ndp"
+    script.write_text("assume 1 lwff b : p\nroot 1\n", encoding="utf-8")
+    assert main(["check", str(script)]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "internal error: RuntimeError: boom\n"
+
+
+def nested(op, depth):
+    # Binary operators nest on the left, the side that desugaring and
+    # translation deepen most.
+    text = "p"
+    for _ in range(depth):
+        text = f"({op} {text})" if op in "~GXHF" else f"({text} {op} q)"
+    return text
+
+
+@pytest.mark.parametrize("op", ["~", "G", "X", "H", "F", "&", "|", "->", "U"])
+def test_formula_at_the_nesting_limit(capsys, tmp_path, model_file, op):
+    text = nested(op, MAX_NESTING)
+    m = LassoModel((frozenset({"p"}),), (frozenset({"q"}),))
+    script = tmp_path / "deep.ndp"
+    if op != "U":
+        script.write_text(f"assume 1 lwff b : {text}\nnode 2 reflLe concl b : {text} prem 1\nroot 2\n", encoding="utf-8")
+        code, out = run(capsys, "check", str(script), "--json")
+        assert code == 0 and json.loads(out)["verdict"] == "accepted"
+        assert main(["eval", "--model", str(model_file), "--seq", "0,1", text]) == 0
+    if op != "H":
+        assert main(["translate", text]) == 0
+        assert main(["eval", "--model", str(model_file), "--pos", "0", text]) == 0
+        # The image is about 9 levels deep per U: it must still check and evaluate.
+        source = parse_ltl(text)
+        image = translate(source)
+        leaf = Assume(1, Lwff(("b",), image))
+        assert check(Apply(2, "impI", Lwff(("b",), Implies(image, image)), (leaf,), (leaf,))).accepted
+        assert eval_h(m, (0, 1), image) == eval_ltl(m, 1, source)
+    capsys.readouterr()
+
+    past = nested(op, MAX_NESTING + 1)
+    script.write_text(f"assume 1 lwff b : {past}\nroot 1\n", encoding="utf-8")
+    code, out = run(capsys, "check", str(script), "--json")
+    assert (code, out) == (2, "")
+    assert main(["translate", past]) == 2
+    assert main(["eval", "--model", str(model_file), "--pos", "0", past]) == 2
+    assert main(["eval", "--model", str(model_file), "--seq", "0,1", past]) == 2
+
+
+_SCRIPTS = sorted(
+    f.read_text(encoding="utf-8")
+    for d in ("corpus", "corpus/mutations")
+    for f in resources.files("nabla").joinpath(d).iterdir()
+    if f.name.endswith(".ndp")
+)
+_MODELS = [
+    format_model(LassoModel((frozenset({"p"}),), (frozenset({"q"}),))),
+    format_model(LassoModel((), (frozenset({"p", "q"}), frozenset()))),
+]
+_EDITS = st.lists(st.tuples(st.sampled_from(["delete", "duplicate", "truncate"]), st.integers(0, 10**6)), max_size=4)
+
+
+def mutate(text, edits):
+    lines = text.splitlines()
+    for kind, k in edits:
+        if not lines:
+            break
+        i = k % len(lines)
+        if kind == "delete":
+            del lines[i]
+        elif kind == "duplicate":
+            lines.insert(i, lines[i])
+        else:
+            lines[i] = lines[i][: k % (len(lines[i]) + 1)]
+    return "\n".join(lines) + "\n"
+
+
+def assert_total(capsys, argv, codes):
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert code in codes, err
+    assert "Traceback" not in out + err and "internal error" not in err
+
+
+_TOTALITY = settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+@_TOTALITY
+@given(
+    st.one_of(
+        st.tuples(st.sampled_from(_SCRIPTS), _EDITS).map(lambda t: mutate(*t)),
+        st.text(st.characters(min_codepoint=32, max_codepoint=126) | st.just("\n"), max_size=200),
+        st.sampled_from(["~", "G", "&", "U"]).map(lambda op: f"assume 1 lwff b : {nested(op, MAX_NESTING + 1)}\nroot 1\n"),
+    )
+)
+def test_check_total_on_damaged_input(capsys, tmp_path, text):
+    path = tmp_path / "damaged.ndp"
+    path.write_text(text, encoding="utf-8")
+    assert_total(capsys, ["check", str(path), "--json"], {0, 1, 2})
+
+
+@_TOTALITY
+@given(st.sampled_from(_MODELS), _EDITS, st.sampled_from([("--pos", "0", "(p U q)"), ("--seq", "0,2", "(H (G p))")]))
+def test_eval_total_on_damaged_model(capsys, tmp_path, model, edits, query):
+    path = tmp_path / "damaged.lasso"
+    path.write_text(mutate(model, edits), encoding="utf-8")
+    assert_total(capsys, ["eval", "--model", str(path), *query], {0, 2})

@@ -2,8 +2,9 @@ import random
 
 import pytest
 
-from nabla.corpus import entry_by_name, load_entry
-from nabla.formulas import Always, Atom, Bottom, Hist, Implies
+from nabla.corpus import ENTRIES, MUTATIONS, TAUTOLOGY_INSTANCES, entry_by_name, load_entry, load_script
+from nabla.derived import derive_tautology, expand
+from nabla.formulas import Always, Atom, Bottom, Hist, Implies, parse_ltl
 from nabla.gen import DerivationSampler
 from nabla.kernel import (
     BAD_DISCHARGE,
@@ -18,10 +19,13 @@ from nabla.kernel import (
     MissingAnnotation,
     NonInjectiveRenaming,
     Succ,
+    _open_sets,
+    _postorder,
     check,
     is_ltl_derivation,
     labels_of_derivation,
     normalize_generic,
+    open_assumption_classes,
     open_assumptions,
     rename_labels,
     renumber,
@@ -382,3 +386,101 @@ def test_ind_shape_rejections():
         (Assume(9, Le("b0", "u1")), Assume(10, Succ("u2", "bj"))),
     )
     assert check(mixed_bi).reason == BAD_DISCHARGE
+
+
+# ---------------------------------------------------------------------------
+# Open-assumption bookkeeping against the plain per-node computation
+
+
+def reference_opens(order):
+    """Every node's open classes as a fresh frozenset, copied from its premises."""
+    opens = {}
+    for n in order:
+        if isinstance(n, Assume):
+            opens[id(n)] = frozenset((n,))
+        else:
+            acc = set()
+            for p in n.premises:
+                acc |= opens[id(p)]
+            acc -= set(n.discharges)
+            opens[id(n)] = frozenset(acc)
+    return opens
+
+
+def assert_opens_agree(root):
+    order = _postorder(root)
+    ref = reference_opens(order)
+    opens = {}
+    for n in _open_sets(order, opens):
+        # What a validator sees of each premise is the reference set.
+        for p in getattr(n, "premises", ()):
+            assert opens[id(p)] == ref[id(p)], (n.id, p.id)
+    assert set(opens) == {id(root)}  # every other set is dropped after its last parent
+    assert opens[id(root)] == ref[id(root)]
+    assert open_assumption_classes(root) == ref[id(root)]
+    report = check(root)
+    if report.accepted:
+        assert report.open_assumptions == frozenset(normalize_generic(a.formula) for a in ref[id(root)])
+
+
+def test_open_sets_agree_on_corpus_and_mutations():
+    for entry in ENTRIES:
+        assert_opens_agree(expand(load_script(entry.script)))
+    for fix in MUTATIONS:
+        assert_opens_agree(expand(load_script(fix.script, mutation=True)))
+    for _, text in TAUTOLOGY_INSTANCES:
+        assert_opens_agree(derive_tautology(parse_ltl(text), "b"))
+
+
+def test_open_sets_agree_on_sampled_derivations():
+    rng = random.Random(2024)
+    for _ in range(300):
+        assert_opens_agree(DerivationSampler(random.Random(rng.randrange(2**32))).sample(steps=rng.randint(2, 9)))
+
+
+def test_premise_referenced_twice_by_one_node():
+    # splitLe's (r1, phi, d, d) shape; d is used once more afterwards, so
+    # its set must outlive the node that names it twice.
+    m = Assume(1, Lwff(("c",), Implies(P, Implies(Q, Q))))
+    n = Assume(2, Lwff(("c",), P))
+    d = Apply(3, "impE", Lwff(("c",), Implies(Q, Q)), (m, n))
+    r1, phi = Assume(4, Le("b", "c")), Assume(5, Lwff(("b",), P))
+    twice = Apply(6, "splitLe", Lwff(("c",), Implies(Q, Q)), (r1, phi, d, d))
+    minor = Assume(7, Lwff(("c",), Q))
+    again = Apply(8, "impE", Lwff(("c",), Q), (d, minor))
+    root = Apply(9, "impE", Lwff(("c",), Q), (twice, again))
+    assert_opens_agree(root)
+    report = check(root)
+    assert report.accepted
+    assert report.open_assumptions == {normalize_generic(a.formula) for a in (m, n, r1, phi, minor)}
+
+
+def test_subderivation_shared_by_two_discharging_parents():
+    imp, a = Assume(1, Lwff(("b",), Implies(P, Q))), Assume(2, Lwff(("b",), P))
+    shared = Apply(3, "impE", Lwff(("b",), Q), (imp, a))
+    drop_a = Apply(4, "impI", Lwff(("b",), Implies(P, Q)), (shared,), (a,))
+    drop_imp = Apply(5, "impI", Lwff(("b",), Implies(Implies(P, Q), Q)), (shared,), (imp,))
+    root = Apply(6, "impE", Lwff(("b",), Q), (drop_imp, drop_a))
+    assert_opens_agree(root)
+    report = check(root)
+    assert report.accepted
+    assert report.open_assumptions == {normalize_generic(imp.formula), normalize_generic(a.formula)}
+
+
+def test_discharge_outside_the_hypothetical_premise_in_a_shared_subtree():
+    # The equality-case class e sits in ``shared``, which is both inside the
+    # hypothetical premise and, again, the strict-case premise.
+    m, e = Assume(1, Lwff(("c",), Implies(P, Q))), Assume(2, Lwff(("c",), P))
+    shared = Apply(3, "impE", Lwff(("c",), Q), (m, e))
+    mq = Assume(4, Lwff(("c",), Implies(Q, Q)))
+    hyp = Apply(5, "impE", Lwff(("c",), Q), (mq, shared))
+    r1, phi = Assume(6, Le("b", "c")), Assume(7, Lwff(("b",), P))
+    root = Apply(8, "splitLe", Lwff(("c",), Q), (r1, phi, hyp, shared), (e,))
+    assert_opens_agree(root)
+    report = check(root)
+    assert (report.reason, report.node_id) == (BAD_DISCHARGE, 8)
+    assert report.message == "assumption 2 occurs outside the hypothetical premise of splitLe"
+    # Confined to the hypothetical premise, the same discharge is accepted.
+    ok = Apply(8, "splitLe", Lwff(("c",), Q), (r1, phi, hyp, Assume(9, Lwff(("c",), Q))), (e,))
+    assert_opens_agree(ok)
+    assert check(ok).accepted
