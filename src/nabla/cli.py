@@ -5,7 +5,9 @@ Subcommands: ``check`` (exit 0 accepted, 1 rejected, 2 parse error),
 ``taut``, ``eval`` and ``fuzz`` (exit 3 with a counterexample on a
 falsified lemma).  ``NABLA_SEED`` overrides the default fuzz seed and must
 be an integer; an explicit ``--seed`` wins over both.  Formulas nested
-deeper than ``formulas.MAX_NESTING`` are parse errors (exit 2).  Any other
+deeper than ``formulas.MAX_NESTING`` are parse errors (exit 2), and so is
+a formula whose image ``translate`` would print longer than
+``MAX_IMAGE_LENGTH`` characters (1 MiB).  Any other
 exception that escapes a subcommand is an internal error: ``main`` prints
 ``internal error: <type>: <message>`` to stderr and exits 4, never 1, which
 means rejected.
@@ -21,7 +23,7 @@ from pathlib import Path
 
 from . import corpus as corpus_mod
 from .derived import NotATautology, NotPropositional, SchemaMismatch, expand
-from .formulas import ParseError, format_formula, parse_h, parse_ltl
+from .formulas import ParseError, format_formula, format_length, parse_h, parse_ltl
 from .fuzz import LEMMAS, report_to_json, run_lemma
 from .kernel import SHAPE_MISMATCH, CheckReport, check, format_generic
 from .scripts import ScriptError, parse_script, serialize
@@ -33,6 +35,12 @@ EXIT_REJECTED = 1
 EXIT_PARSE = 2
 EXIT_FALSIFIED = 3
 EXIT_INTERNAL = 4
+
+# Longest image ``translate`` prints.  The image shares ``tr(b)`` between
+# the two places an until clause uses it, so its text doubles with each
+# ``U`` nested on the right: 15 levels print about 786 KB, 16 would exceed
+# this limit and 32, the parser's nesting limit, about 10^11 bytes.
+MAX_IMAGE_LENGTH = 1 << 20
 
 
 def cmd_check(args) -> int:
@@ -87,6 +95,11 @@ def cmd_translate(args) -> int:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_PARSE
     image = translate(f)
+    length = format_length(image)
+    if length > MAX_IMAGE_LENGTH:
+        limit = f"more than the limit of {MAX_IMAGE_LENGTH}"
+        print(f"error: the image would print {length} characters, {limit}", file=sys.stderr)
+        return EXIT_PARSE
     if args.json:
         print(json.dumps({"source": format_formula(f), "image": format_formula(image)}, sort_keys=True))
     else:

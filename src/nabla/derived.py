@@ -143,10 +143,6 @@ def _split_sometime(f: Formula) -> Formula:
     raise SchemaMismatch(f"not a sometime formula: {format_formula(f)}")
 
 
-def _norm(f: Formula) -> Formula:
-    return desugar(f)
-
-
 def _concl_of(n: Node) -> Lwff:
     if isinstance(n, Assume):
         if not isinstance(n.formula, Lwff):
@@ -173,7 +169,7 @@ def _expand_andI(node: Apply, prems, ids: _Ids) -> Node:
     a, b = _split_and(node.conclusion.formula)
     seq = node.conclusion.seq
     _require(w1.seq == seq and w2.seq == seq, "andI premises must share the conclusion sequence")
-    _require(_norm(w1.formula) == _norm(a) and _norm(w2.formula) == _norm(b), "andI premises must prove the conjuncts")
+    _require(desugar(w1.formula) == desugar(a) and desugar(w2.formula) == desugar(b), "andI premises must prove the conjuncts")
     _require(not node.discharges, "andI discharges nothing")
     phi = Implies(Implies(_not_f(a), Bottom()), _not_f(b))
     h = Assume(ids.next(), Lwff(seq, phi))
@@ -192,7 +188,7 @@ def _expand_andE(node: Apply, prems, ids: _Ids, first: bool) -> Node:
     seq = node.conclusion.seq
     _require(w.seq == seq, "andE premise must share the conclusion sequence")
     want = a if first else b
-    _require(_norm(node.conclusion.formula) == _norm(want), "andE conclusion must be the selected conjunct")
+    _require(desugar(node.conclusion.formula) == desugar(want), "andE conclusion must be the selected conjunct")
     _require(not node.discharges, "andE discharges nothing")
     if first:
         hx = Assume(ids.next(), Lwff(seq, _not_f(a)))
@@ -213,7 +209,7 @@ def _expand_orIl(node: Apply, prems, ids: _Ids) -> Node:
     a, b = _split_or(node.conclusion.formula)
     seq = node.conclusion.seq
     _require(w.seq == seq, "orIl premise must share the conclusion sequence")
-    _require(_norm(w.formula) == _norm(a), "orIl premise must prove the left disjunct")
+    _require(desugar(w.formula) == desugar(a), "orIl premise must prove the left disjunct")
     _require(not node.discharges, "orIl discharges nothing")
     h = Assume(ids.next(), Lwff(seq, _not_f(a)))
     n1 = Apply(ids.next(), "impE", Lwff(seq, Bottom()), (h, d))
@@ -227,7 +223,7 @@ def _expand_orIr(node: Apply, prems, ids: _Ids) -> Node:
     a, b = _split_or(node.conclusion.formula)
     seq = node.conclusion.seq
     _require(w.seq == seq, "orIr premise must share the conclusion sequence")
-    _require(_norm(w.formula) == _norm(b), "orIr premise must prove the right disjunct")
+    _require(desugar(w.formula) == desugar(b), "orIr premise must prove the right disjunct")
     _require(not node.discharges, "orIr discharges nothing")
     return Apply(ids.next(), "impI", node.conclusion, (d,))
 
@@ -237,8 +233,8 @@ def _expand_orE(node: Apply, prems, ids: _Ids) -> Node:
     w0 = _concl_of(d0)
     a, b = _split_or(w0.formula)
     goal = node.conclusion
-    _require(_norm(_concl_of(da).formula) == _norm(goal.formula) and _concl_of(da).seq == goal.seq, "orE first case must prove the conclusion")
-    _require(_norm(_concl_of(db).formula) == _norm(goal.formula) and _concl_of(db).seq == goal.seq, "orE second case must prove the conclusion")
+    _require(desugar(_concl_of(da).formula) == desugar(goal.formula) and _concl_of(da).seq == goal.seq, "orE first case must prove the conclusion")
+    _require(desugar(_concl_of(db).formula) == desugar(goal.formula) and _concl_of(db).seq == goal.seq, "orE second case must prove the conclusion")
     ha = [x for x in node.discharges if normalize_generic(x.formula) == normalize_generic(Lwff(w0.seq, a))]
     hb = [x for x in node.discharges if x not in ha and normalize_generic(x.formula) == normalize_generic(Lwff(w0.seq, b))]
     _require(len(ha) + len(hb) == len(node.discharges), "orE discharges case assumptions only")
@@ -260,7 +256,7 @@ def _expand_FI(node: Apply, prems, ids: _Ids) -> Node:
     a = _split_sometime(node.conclusion.formula)
     seq = node.conclusion.seq
     _require(len(w.seq) == len(seq) + 1 and w.seq[:-1] == seq, "FI premise must extend the conclusion sequence by one label")
-    _require(_norm(w.formula) == _norm(a), "FI premise must prove the operand")
+    _require(desugar(w.formula) == desugar(a), "FI premise must prove the operand")
     rw = r.formula if isinstance(r, Assume) else None
     _require(isinstance(rw, Le) and rw == Le(seq[-1], w.seq[-1]), "FI needs le(last, new) as its relational premise")
     _require(not node.discharges, "FI discharges nothing")
@@ -277,7 +273,7 @@ def _expand_FE(node: Apply, prems, ids: _Ids) -> Node:
     a = _split_sometime(w0.formula)
     goal = node.conclusion
     wh = _concl_of(dh)
-    _require(wh.seq == goal.seq and _norm(wh.formula) == _norm(goal.formula), "FE hypothetical premise must prove the conclusion")
+    _require(wh.seq == goal.seq and desugar(wh.formula) == desugar(goal.formula), "FE hypothetical premise must prove the conclusion")
     b1 = w0.seq[-1]
     hr = [x for x in node.discharges if isinstance(x.formula, Le) and x.formula.a == b1]
     b2s = {x.formula.b for x in hr}
@@ -287,7 +283,7 @@ def _expand_FE(node: Apply, prems, ids: _Ids) -> Node:
         if isinstance(x.formula, Lwff)
         and len(x.formula.seq) == len(w0.seq) + 1
         and x.formula.seq[:-1] == w0.seq
-        and _norm(x.formula.formula) == _norm(a)
+        and desugar(x.formula.formula) == desugar(a)
     ]
     b2s |= {x.formula.seq[-1] for x in hall}
     _require(len(hr) + len(hall) == len(node.discharges), "FE discharges its witness assumptions only")

@@ -10,6 +10,11 @@ both languages; :func:`desugar` expands them.  Language membership is
 checked by :func:`in_until_language` / :func:`in_history_language`, and the
 two parsers reject the foreign operator (``H`` resp. ``U``).
 
+The parsers intern the nodes of one text (see ``_Parser``), so equal
+subformulas of a parsed formula are one object; :func:`desugar` keeps
+that sharing for core subformulas.  Formulas built by constructors share
+only what their builder shares.
+
 The parsers reject a formula whose parentheses nest deeper than
 :data:`MAX_NESTING`.  Every operator application is one parenthesized
 level; ``translate`` and :func:`desugar` deepen a formula (one level of
@@ -42,6 +47,7 @@ __all__ = [
     "parse_ltl",
     "parse_h",
     "format_formula",
+    "format_length",
     "desugar",
     "is_desugared",
     "complexity",
@@ -197,12 +203,28 @@ def _tokenize(text: str, partial: bool = False) -> list[tuple[str, int]]:
 
 
 class _Parser:
-    def __init__(self, text: str, allow_until: bool, allow_hist: bool, partial: bool = False):
+    """Recursive-descent parser over one text.
+
+    Nodes are interned in ``shared``, keyed on the atom name or on the
+    operator and the ``id`` of each child, so structurally equal
+    subformulas come back as one object.  A caller may pass one table to
+    several parsers to share across texts; the table holds every node its
+    keys name, so no ``id`` in it can be reused while it lives.
+    """
+
+    def __init__(self, text: str, allow_until: bool, allow_hist: bool, partial: bool = False, shared=None):
         self.tokens = _tokenize(text, partial)
         self.pos = 0
         self.depth = 0
         self.allow_until = allow_until
         self.allow_hist = allow_hist
+        self.shared: dict[tuple, Formula] = {} if shared is None else shared
+
+    def make(self, key: tuple, cls: type, *args) -> Formula:
+        f = self.shared.get(key)
+        if f is None:
+            f = self.shared[key] = cls(*args)
+        return f
 
     def peek(self) -> tuple[str, int]:
         return self.tokens[self.pos]
@@ -219,7 +241,7 @@ class _Parser:
     def formula(self) -> Formula:
         tok, off = self.next()
         if tok == "bot":
-            return Bottom()
+            return self.make(("bot",), Bottom)
         if tok == "(":
             if self.depth == MAX_NESTING:
                 raise ParseError(f"formula nested deeper than {MAX_NESTING} levels", off, frozenset({"identifier", "bot"}))
@@ -228,7 +250,7 @@ class _Parser:
             self.depth -= 1
             return f
         if tok.isidentifier() and tok not in RESERVED:
-            return Atom(tok)
+            return self.make((tok,), Atom, tok)
         self.pos -= 1
         raise self.fail({"identifier", "bot", "("})
 
@@ -240,7 +262,7 @@ class _Parser:
             self.next()
             operand = self.formula()
             self.expect(")")
-            return _UNARY[tok](operand)
+            return self.make((tok, id(operand)), _UNARY[tok], operand)
         left = self.formula()
         op, op_off = self.next()
         if op == "U" and not self.allow_until:
@@ -251,7 +273,7 @@ class _Parser:
             raise self.fail(ops)
         right = self.formula()
         self.expect(")")
-        return _BINARY[op](left, right)
+        return self.make((op, id(left), id(right)), _BINARY[op], left, right)
 
     def expect(self, tok: str) -> None:
         got, off = self.next()
@@ -304,25 +326,54 @@ def format_formula(f: Formula) -> str:
     raise TypeError(f"not a formula: {f!r}")
 
 
+def format_length(f: Formula) -> int:
+    """``len(format_formula(f))``, counted once per object, so a formula
+    that shares subformulas is measured in time linear in its objects."""
+    lengths: dict[int, tuple[Formula, int]] = {}
+
+    def length(x: Formula) -> int:
+        hit = lengths.get(id(x))
+        if hit is not None:
+            return hit[1]
+        match x:
+            case Atom(name):
+                n = len(name)
+            case Bottom():
+                n = 3
+            case Implies(a, b):
+                n = length(a) + length(b) + 6
+            case Or(a, b) | And(a, b) | Until(a, b):
+                n = length(a) + length(b) + 5
+            case Always(a) | Next(a) | Sometime(a) | Hist(a) | Not(a):
+                n = length(a) + 4
+            case _:
+                raise TypeError(f"not a formula: {x!r}")
+        lengths[id(x)] = (x, n)
+        return n
+
+    return length(f)
+
+
 def desugar(f: Formula) -> Formula:
     """Expand ``~``, ``|``, ``&`` and ``F`` into the core connectives.
 
     Uses exactly: ``~a = a -> bot``, ``a | b = (~a) -> b``,
     ``a & b = ~(~a | ~b)`` and ``F a = ~(G (~a))``.
+
+    Sharing: a subformula with no abbreviation below it comes back as the
+    very object passed in, so a core formula keeps its identity and shared
+    core subformulas stay shared.  Nodes built for an abbreviation are new
+    on every call; no result is cached.
     """
     match f:
         case Atom() | Bottom():
             return f
-        case Implies(a, b):
-            return Implies(desugar(a), desugar(b))
-        case Always(a):
-            return Always(desugar(a))
-        case Next(a):
-            return Next(desugar(a))
-        case Until(a, b):
-            return Until(desugar(a), desugar(b))
-        case Hist(a):
-            return Hist(desugar(a))
+        case Implies(a, b) | Until(a, b):
+            da, db = desugar(a), desugar(b)
+            return f if da is a and db is b else type(f)(da, db)
+        case Always(a) | Next(a) | Hist(a):
+            da = desugar(a)
+            return f if da is a else type(f)(da)
         case Not(a):
             return Implies(desugar(a), Bottom())
         case Or(a, b):

@@ -18,6 +18,13 @@ set that no other premise reference still needs and unions the others
 into it, copying only sets that are still shared.  An ``impE`` chain over
 N open assumptions thus adds O(1) elements per node instead of copying
 O(N), which keeps ``check`` linear in the number of open assumptions.
+
+Formulas are compared up to desugaring.  ``check`` desugars and
+language-checks each formula object once per call, in a memo keyed on its
+``id`` that holds the object and dies with the call; nothing is cached
+between calls.  Since ``desugar`` returns a core formula itself, and
+``parse_script`` makes equal formulas one object, the equality tests of
+the rules mostly meet identical children and stop there.
 """
 
 from __future__ import annotations
@@ -188,21 +195,37 @@ class _Err(Exception):
         self.message = message
 
 
-_NORM_CACHE: dict[Formula, Formula] = {}
-
-
-def _norm(f: Formula) -> Formula:
-    g = _NORM_CACHE.get(f)
-    if g is None:
-        g = desugar(f)
-        _NORM_CACHE[f] = g
-    return g
-
-
 def normalize_generic(phi: GenericFormula) -> GenericFormula:
     if isinstance(phi, Lwff):
-        return Lwff(phi.seq, _norm(phi.formula))
+        return Lwff(phi.seq, desugar(phi.formula))
     return phi
+
+
+class _Scope:
+    """State of one ``check`` call: the open sets, and the desugared form
+    and proof-language test of each formula object, memoised on its ``id``.
+    Each entry holds its formula, so no ``id`` is reused while the entry
+    lives; the memo dies with the call."""
+
+    def __init__(self) -> None:
+        self.opens: dict[int, set[Assume]] = {}
+        self._norms: dict[int, tuple[Formula, Formula]] = {}
+        self._langs: dict[int, tuple[Formula, bool]] = {}
+
+    def norm(self, f: Formula) -> Formula:
+        hit = self._norms.get(id(f))
+        if hit is None:
+            hit = self._norms[id(f)] = (f, desugar(f))
+        return hit[1]
+
+    def generic(self, phi: GenericFormula) -> GenericFormula:
+        return Lwff(phi.seq, self.norm(phi.formula)) if isinstance(phi, Lwff) else phi
+
+    def in_language(self, f: Formula) -> bool:
+        hit = self._langs.get(id(f))
+        if hit is None:
+            hit = self._langs[id(f)] = (f, in_history_language(f))
+        return hit[1]
 
 
 def labels_of_generic(phi: GenericFormula) -> frozenset[str]:
@@ -387,17 +410,17 @@ def _no_discharge(node: Apply) -> None:
 
 def _validate_discharges(
     node: Apply,
-    opens: dict[int, set[Assume]],
+    k: _Scope,
     slots: list[tuple[GenericFormula, int]],
 ) -> None:
     """Each discharged class must match a slot formula and be confined to
     the slot's designated premise subtree (zero occurrences is fine)."""
     assignment: dict[int, int] = {}
     for a in node.discharges:
-        g = normalize_generic(a.formula)
+        g = k.generic(a.formula)
         target = None
         for slot_formula, prem_index in slots:
-            if g == normalize_generic(slot_formula):
+            if g == k.generic(slot_formula):
                 target = prem_index
                 break
         if target is None:
@@ -408,7 +431,7 @@ def _validate_discharges(
         assignment[id(a)] = target
     for a in node.discharges:
         for j, p in enumerate(node.premises):
-            if j != assignment[id(a)] and a in opens[id(p)]:
+            if j != assignment[id(a)] and a in k.opens[id(p)]:
                 raise _Err(
                     BAD_DISCHARGE,
                     f"assumption {a.id} occurs outside the hypothetical premise of {node.rule}",
@@ -420,7 +443,7 @@ def _check_fresh(
     label: str | None,
     named: tuple[str, ...],
     hyp: Node,
-    opens: dict[int, set[Assume]],
+    k: _Scope,
 ) -> None:
     if label is None:
         return
@@ -430,7 +453,7 @@ def _check_fresh(
                 FRESHNESS_VIOLATION,
                 f"eigenlabel {label!r} of {node.rule} must differ from the rule's label {other!r}",
             )
-    remaining = opens[id(hyp)] - set(node.discharges)
+    remaining = k.opens[id(hyp)] - set(node.discharges)
     for a in sorted(remaining, key=lambda x: x.id):
         if label in labels_of_generic(a.formula):
             raise _Err(
@@ -439,11 +462,11 @@ def _check_fresh(
             )
 
 
-def _same_judgment(node: Apply, w: Lwff, where: str) -> None:
+def _same_judgment(node: Apply, k: _Scope, w: Lwff, where: str) -> None:
     c = node.conclusion
     if w.seq != c.seq:
         raise _Err(SEQUENCE_MISMATCH, f"{where} of {node.rule} has sequence {' '.join(w.seq)}, expected {' '.join(c.seq)}")
-    if _norm(w.formula) != _norm(c.formula):
+    if k.norm(w.formula) != k.norm(c.formula):
         raise _Err(SHAPE_MISMATCH, f"{where} of {node.rule} proves a different formula than the conclusion")
 
 
@@ -455,59 +478,59 @@ def _check_subst(node: Apply, frm: str, to: str) -> None:
         )
 
 
-def _check_botE(node: Apply, opens) -> None:
+def _check_botE(node: Apply, k: _Scope) -> None:
     _need(1, node)
     w = _need_lwff(node, 0)
-    if _norm(w.formula) != Bottom():
+    if k.norm(w.formula) != Bottom():
         raise _Err(SHAPE_MISMATCH, "premise of botE must prove bot")
-    slot = Lwff(node.conclusion.seq, Implies(_norm(node.conclusion.formula), Bottom()))
-    _validate_discharges(node, opens, [(slot, 0)])
+    slot = Lwff(node.conclusion.seq, Implies(k.norm(node.conclusion.formula), Bottom()))
+    _validate_discharges(node, k, [(slot, 0)])
 
 
-def _check_impI(node: Apply, opens) -> None:
+def _check_impI(node: Apply, k: _Scope) -> None:
     _need(1, node)
-    f = _norm(node.conclusion.formula)
+    f = k.norm(node.conclusion.formula)
     if not isinstance(f, Implies):
         raise _Err(SHAPE_MISMATCH, "conclusion of impI must be an implication")
     w = _need_lwff(node, 0)
     if w.seq != node.conclusion.seq:
         raise _Err(SEQUENCE_MISMATCH, "impI premise and conclusion must share one sequence")
-    if _norm(w.formula) != f.right:
+    if k.norm(w.formula) != f.right:
         raise _Err(SHAPE_MISMATCH, "impI premise must prove the consequent")
-    _validate_discharges(node, opens, [(Lwff(node.conclusion.seq, f.left), 0)])
+    _validate_discharges(node, k, [(Lwff(node.conclusion.seq, f.left), 0)])
 
 
-def _check_impE(node: Apply, opens) -> None:
+def _check_impE(node: Apply, k: _Scope) -> None:
     _need(2, node)
     w1 = _need_lwff(node, 0)
     w2 = _need_lwff(node, 1)
     cs = node.conclusion.seq
     if w1.seq != cs or w2.seq != cs:
         raise _Err(SEQUENCE_MISMATCH, "impE premises and conclusion must share one sequence")
-    f1 = _norm(w1.formula)
-    if not isinstance(f1, Implies) or f1.left != _norm(w2.formula) or f1.right != _norm(node.conclusion.formula):
+    f1 = k.norm(w1.formula)
+    if not isinstance(f1, Implies) or f1.left != k.norm(w2.formula) or f1.right != k.norm(node.conclusion.formula):
         raise _Err(SHAPE_MISMATCH, "impE premises do not fit A -> B and A")
     _no_discharge(node)
 
 
-def _check_univ_intro(node: Apply, opens, op, rel) -> None:
+def _check_univ_intro(node: Apply, k: _Scope, op, rel) -> None:
     # GI and XI share one shape over (Always, Le) resp. (Next, Succ).
     _need(1, node)
-    f = _norm(node.conclusion.formula)
+    f = k.norm(node.conclusion.formula)
     if not isinstance(f, op):
         raise _Err(SHAPE_MISMATCH, f"conclusion of {node.rule} has the wrong outer operator")
     w = _need_lwff(node, 0)
     cs = node.conclusion.seq
     if len(w.seq) != len(cs) + 1 or w.seq[:-1] != cs:
         raise _Err(SEQUENCE_MISMATCH, f"premise of {node.rule} must extend the conclusion sequence by one label")
-    if _norm(w.formula) != f.operand:
+    if k.norm(w.formula) != f.operand:
         raise _Err(SHAPE_MISMATCH, f"premise of {node.rule} must prove the operand")
     b1, b2 = cs[-1], w.seq[-1]
-    _validate_discharges(node, opens, [(rel(b1, b2), 0)])
-    _check_fresh(node, b2, (b1,), node.premises[0], opens)
+    _validate_discharges(node, k, [(rel(b1, b2), 0)])
+    _check_fresh(node, b2, (b1,), node.premises[0], k)
 
 
-def _check_univ_elim(node: Apply, opens, op, rel) -> None:
+def _check_univ_elim(node: Apply, k: _Scope, op, rel) -> None:
     _need(2, node)
     cs = node.conclusion.seq
     if len(cs) < 2:
@@ -516,8 +539,8 @@ def _check_univ_elim(node: Apply, opens, op, rel) -> None:
     w = _need_lwff(node, 0)
     if w.seq != cs[:-1]:
         raise _Err(SEQUENCE_MISMATCH, f"premise of {node.rule} must carry the conclusion sequence minus its last label")
-    f = _norm(w.formula)
-    if not isinstance(f, op) or f.operand != _norm(node.conclusion.formula):
+    f = k.norm(w.formula)
+    if not isinstance(f, op) or f.operand != k.norm(node.conclusion.formula):
         raise _Err(SHAPE_MISMATCH, f"premise of {node.rule} has the wrong formula")
     kind = Le if rel is Le else Succ
     r = _need_rwff(node, 1, kind)
@@ -526,9 +549,9 @@ def _check_univ_elim(node: Apply, opens, op, rel) -> None:
     _no_discharge(node)
 
 
-def _check_histI(node: Apply, opens) -> None:
+def _check_histI(node: Apply, k: _Scope) -> None:
     _need(1, node)
-    f = _norm(node.conclusion.formula)
+    f = k.norm(node.conclusion.formula)
     if not isinstance(f, Hist):
         raise _Err(SHAPE_MISMATCH, "conclusion of histI must be a history formula")
     cs = node.conclusion.seq
@@ -538,14 +561,14 @@ def _check_histI(node: Apply, opens) -> None:
     w = _need_lwff(node, 0)
     if len(w.seq) != len(cs) or w.seq[:-1] != cs[:-1]:
         raise _Err(SEQUENCE_MISMATCH, "premise of histI must differ from the conclusion sequence in the last label only")
-    if _norm(w.formula) != f.operand:
+    if k.norm(w.formula) != f.operand:
         raise _Err(SHAPE_MISMATCH, "premise of histI must prove the operand")
     b2 = w.seq[-1]
-    _validate_discharges(node, opens, [(Le(b1, b2), 0), (Le(b2, b3), 0)])
-    _check_fresh(node, b2, (b1, b3), node.premises[0], opens)
+    _validate_discharges(node, k, [(Le(b1, b2), 0), (Le(b2, b3), 0)])
+    _check_fresh(node, b2, (b1, b3), node.premises[0], k)
 
 
-def _check_histE(node: Apply, opens) -> None:
+def _check_histE(node: Apply, k: _Scope) -> None:
     _need(3, node)
     cs = node.conclusion.seq
     if len(cs) < 2:
@@ -554,8 +577,8 @@ def _check_histE(node: Apply, opens) -> None:
     w = _need_lwff(node, 0)
     if len(w.seq) != len(cs) or w.seq[:-1] != cs[:-1]:
         raise _Err(SEQUENCE_MISMATCH, "major premise of histE must differ from the conclusion sequence in the last label only")
-    f = _norm(w.formula)
-    if not isinstance(f, Hist) or f.operand != _norm(node.conclusion.formula):
+    f = k.norm(w.formula)
+    if not isinstance(f, Hist) or f.operand != k.norm(node.conclusion.formula):
         raise _Err(SHAPE_MISMATCH, "major premise of histE must prove the history of the conclusion formula")
     b3 = w.seq[-1]
     r1 = _need_rwff(node, 1, Le)
@@ -565,35 +588,35 @@ def _check_histE(node: Apply, opens) -> None:
     _no_discharge(node)
 
 
-def _check_last(node: Apply, opens) -> None:
+def _check_last(node: Apply, k: _Scope) -> None:
     _need(1, node)
     w = _need_lwff(node, 0)
     if w.seq[-1] != node.conclusion.seq[-1]:
         raise _Err(SEQUENCE_MISMATCH, "last must keep the final label")
-    fc = _norm(node.conclusion.formula)
-    if _norm(w.formula) != fc:
+    fc = k.norm(node.conclusion.formula)
+    if k.norm(w.formula) != fc:
         raise _Err(SHAPE_MISMATCH, "last must keep the formula")
     if classify_local(fc) is not LocalClass.LOCAL:
         raise _Err(NOT_LOCAL_FORMULA, f"last applies to local formulas only, got {format_formula(node.conclusion.formula)}")
     _no_discharge(node)
 
 
-def _check_serS(node: Apply, opens) -> None:
+def _check_serS(node: Apply, k: _Scope) -> None:
     _need(1, node)
     w = _need_lwff(node, 0)
-    _same_judgment(node, w, "premise")
+    _same_judgment(node, k, w, "premise")
     pair: Succ | None = None
     for a in node.discharges:
-        g = normalize_generic(a.formula)
+        g = k.generic(a.formula)
         if not isinstance(g, Succ) or (pair is not None and g != pair):
             raise _Err(BAD_DISCHARGE, "serS discharges one successor assumption")
         pair = g
-    _validate_discharges(node, opens, [(pair, 0)] if pair else [])
+    _validate_discharges(node, k, [(pair, 0)] if pair else [])
     if pair is not None:
-        _check_fresh(node, pair.b, (pair.a,), node.premises[0], opens)
+        _check_fresh(node, pair.b, (pair.a,), node.premises[0], k)
 
 
-def _check_linS(node: Apply, opens) -> None:
+def _check_linS(node: Apply, k: _Scope) -> None:
     _need(4, node)
     r1 = _need_rwff(node, 0, Succ)
     r2 = _need_rwff(node, 1, Succ)
@@ -602,43 +625,43 @@ def _check_linS(node: Apply, opens) -> None:
     b2, b3 = r1.b, r2.b
     phi = _generic_of(node.premises[2])
     w = _need_lwff(node, 3)
-    _same_judgment(node, w, "hypothetical premise")
+    _same_judgment(node, k, w, "hypothetical premise")
     _check_subst(node, b2, b3)
-    slot = subst_label(normalize_generic(phi), b2, b3)
-    _validate_discharges(node, opens, [(slot, 3)])
+    slot = subst_label(k.generic(phi), b2, b3)
+    _validate_discharges(node, k, [(slot, 3)])
 
 
-def _check_reflLe(node: Apply, opens) -> None:
+def _check_reflLe(node: Apply, k: _Scope) -> None:
     _need(1, node)
     w = _need_lwff(node, 0)
-    _same_judgment(node, w, "premise")
+    _same_judgment(node, k, w, "premise")
     pair: Le | None = None
     for a in node.discharges:
-        g = normalize_generic(a.formula)
+        g = k.generic(a.formula)
         if not isinstance(g, Le) or g.a != g.b or (pair is not None and g != pair):
             raise _Err(BAD_DISCHARGE, "reflLe discharges one reflexive order assumption")
         pair = g
-    _validate_discharges(node, opens, [(pair, 0)] if pair else [])
+    _validate_discharges(node, k, [(pair, 0)] if pair else [])
 
 
-def _check_transLe(node: Apply, opens) -> None:
+def _check_transLe(node: Apply, k: _Scope) -> None:
     _need(3, node)
     r1 = _need_rwff(node, 0, Le)
     r2 = _need_rwff(node, 1, Le)
     if r1.b != r2.a:
         raise _Err(SHAPE_MISMATCH, "transLe premises must chain")
     w = _need_lwff(node, 2)
-    _same_judgment(node, w, "hypothetical premise")
-    _validate_discharges(node, opens, [(Le(r1.a, r2.b), 2)])
+    _same_judgment(node, k, w, "hypothetical premise")
+    _validate_discharges(node, k, [(Le(r1.a, r2.b), 2)])
 
 
-def _check_eqLe(node: Apply, opens) -> None:
+def _check_eqLe(node: Apply, k: _Scope) -> None:
     _need(3, node)
     cs = node.conclusion.seq
     w = _need_lwff(node, 2)
     if len(w.seq) != len(cs) or w.seq[:-1] != cs[:-1]:
         raise _Err(SEQUENCE_MISMATCH, "eqLe premise must differ from the conclusion sequence in the last label only")
-    if _norm(w.formula) != _norm(node.conclusion.formula):
+    if k.norm(w.formula) != k.norm(node.conclusion.formula):
         raise _Err(SHAPE_MISMATCH, "eqLe must keep the formula")
     b1, b2 = w.seq[-1], cs[-1]
     r1 = _need_rwff(node, 0, Le)
@@ -649,21 +672,21 @@ def _check_eqLe(node: Apply, opens) -> None:
     _no_discharge(node)
 
 
-def _check_splitLe(node: Apply, opens) -> None:
+def _check_splitLe(node: Apply, k: _Scope) -> None:
     _need(4, node)
     r1 = _need_rwff(node, 0, Le)
     b1, b2 = r1.a, r1.b
     phi = _generic_of(node.premises[1])
     w_eq = _need_lwff(node, 2)
     w_lt = _need_lwff(node, 3)
-    _same_judgment(node, w_eq, "equality-case premise")
-    _same_judgment(node, w_lt, "strict-case premise")
+    _same_judgment(node, k, w_eq, "equality-case premise")
+    _same_judgment(node, k, w_lt, "strict-case premise")
     _check_subst(node, b1, b2)
-    eq_slot = subst_label(normalize_generic(phi), b1, b2)
+    eq_slot = subst_label(k.generic(phi), b1, b2)
     bp: str | None = None
     slots: list[tuple[GenericFormula, int]] = [(eq_slot, 2)]
     for a in node.discharges:
-        g = normalize_generic(a.formula)
+        g = k.generic(a.formula)
         if g == eq_slot:
             continue
         if isinstance(g, Succ) and g.a == b1:
@@ -677,27 +700,27 @@ def _check_splitLe(node: Apply, opens) -> None:
         bp = cand
     if bp is not None:
         slots += [(Succ(b1, bp), 3), (Le(bp, b2), 3)]
-    _validate_discharges(node, opens, slots)
-    _check_fresh(node, bp, (b1, b2), node.premises[3], opens)
+    _validate_discharges(node, k, slots)
+    _check_fresh(node, bp, (b1, b2), node.premises[3], k)
 
 
-def _check_baseLe(node: Apply, opens) -> None:
+def _check_baseLe(node: Apply, k: _Scope) -> None:
     _need(2, node)
     r1 = _need_rwff(node, 0, Succ)
     w = _need_lwff(node, 1)
-    _same_judgment(node, w, "hypothetical premise")
-    _validate_discharges(node, opens, [(Le(r1.a, r1.b), 1)])
+    _same_judgment(node, k, w, "hypothetical premise")
+    _validate_discharges(node, k, [(Le(r1.a, r1.b), 1)])
 
 
-def _check_ind(node: Apply, opens) -> None:
+def _check_ind(node: Apply, k: _Scope) -> None:
     _need(3, node)
     cs = node.conclusion.seq
     alpha, b = cs[:-1], cs[-1]
-    fc = _norm(node.conclusion.formula)
+    fc = k.norm(node.conclusion.formula)
     w0 = _need_lwff(node, 0)
     if len(w0.seq) != len(cs) or w0.seq[:-1] != alpha:
         raise _Err(SEQUENCE_MISMATCH, "base premise of ind must differ from the conclusion sequence in the last label only")
-    if _norm(w0.formula) != fc:
+    if k.norm(w0.formula) != fc:
         raise _Err(SHAPE_MISMATCH, "base premise of ind must prove the conclusion formula")
     b0 = w0.seq[-1]
     r = _need_rwff(node, 1, Le)
@@ -706,12 +729,12 @@ def _check_ind(node: Apply, opens) -> None:
     wh = _need_lwff(node, 2)
     if len(wh.seq) != len(cs) or wh.seq[:-1] != alpha:
         raise _Err(SEQUENCE_MISMATCH, "step premise of ind must differ from the conclusion sequence in the last label only")
-    if _norm(wh.formula) != fc:
+    if k.norm(wh.formula) != fc:
         raise _Err(SHAPE_MISMATCH, "step premise of ind must prove the conclusion formula")
     bj = wh.seq[-1]
     bi: str | None = None
     for a in node.discharges:
-        g = normalize_generic(a.formula)
+        g = k.generic(a.formula)
         if isinstance(g, Le) and g.a == b0:
             cand = g.b
         elif isinstance(g, Succ) and g.b == bj:
@@ -726,21 +749,21 @@ def _check_ind(node: Apply, opens) -> None:
     slots: list[tuple[GenericFormula, int]] = []
     if bi is not None:
         slots = [(Le(b0, bi), 2), (Succ(bi, bj), 2), (Lwff(alpha + (bi,), fc), 2)]
-    _validate_discharges(node, opens, slots)
+    _validate_discharges(node, k, slots)
     named = (b, b0) if bi is None else (b, b0, bi)
-    _check_fresh(node, bj, named, node.premises[2], opens)
+    _check_fresh(node, bj, named, node.premises[2], k)
     if bi is not None:
-        _check_fresh(node, bi, (b, b0, bj), node.premises[2], opens)
+        _check_fresh(node, bi, (b, b0, bj), node.premises[2], k)
 
 
 _VALIDATORS = {
     "botE": _check_botE,
     "impI": _check_impI,
     "impE": _check_impE,
-    "GI": lambda n, o: _check_univ_intro(n, o, Always, Le),
-    "GE": lambda n, o: _check_univ_elim(n, o, Always, Le),
-    "XI": lambda n, o: _check_univ_intro(n, o, Next, Succ),
-    "XE": lambda n, o: _check_univ_elim(n, o, Next, Succ),
+    "GI": lambda n, k: _check_univ_intro(n, k, Always, Le),
+    "GE": lambda n, k: _check_univ_elim(n, k, Always, Le),
+    "XI": lambda n, k: _check_univ_intro(n, k, Next, Succ),
+    "XE": lambda n, k: _check_univ_elim(n, k, Next, Succ),
     "histI": _check_histI,
     "histE": _check_histE,
     "last": _check_last,
@@ -756,16 +779,21 @@ _VALIDATORS = {
 
 
 def check(root: Node) -> CheckReport:
-    """Validate a derivation; total and deterministic, never raises on bad input."""
-    opens: dict[int, set[Assume]] = {}
+    """Validate a derivation; total and deterministic, never raises on bad input.
+
+    Each formula object is desugared and language-checked once per call,
+    however many nodes state it (see ``_Scope``), so shared formulas, such
+    as those ``parse_script`` returns, cost once.
+    """
+    k = _Scope()
     discharged_by: dict[int, int] = {}
-    for n in _open_sets(_postorder(root), opens):
+    for n in _open_sets(_postorder(root), k.opens):
         try:
             if isinstance(n, Assume):
-                if isinstance(n.formula, Lwff) and not in_history_language(n.formula.formula):
+                if isinstance(n.formula, Lwff) and not k.in_language(n.formula.formula):
                     raise _Err(SHAPE_MISMATCH, "assumption formula is not in the proof language")
                 continue
-            if not in_history_language(n.conclusion.formula):
+            if not k.in_language(n.conclusion.formula):
                 raise _Err(SHAPE_MISMATCH, "conclusion formula is not in the proof language")
             validator = _VALIDATORS.get(n.rule)
             if validator is None:
@@ -775,7 +803,7 @@ def check(root: Node) -> CheckReport:
                 if prev is not None and prev != n.id:
                     raise _Err(BAD_DISCHARGE, f"assumption {a.id} is discharged twice")
                 discharged_by[id(a)] = n.id
-            validator(n, opens)
+            validator(n, k)
         except _Err as e:
             return CheckReport(accepted=False, node_id=n.id, reason=e.reason, message=e.message)
     if isinstance(root, Assume) and not isinstance(root.formula, Lwff):
@@ -783,7 +811,7 @@ def check(root: Node) -> CheckReport:
             accepted=False, node_id=root.id, reason=SHAPE_MISMATCH, message="a derivation concludes a labeled formula"
         )
     conclusion = root.formula if isinstance(root, Assume) else root.conclusion
-    opens_root = frozenset(normalize_generic(a.formula) for a in opens[id(root)])
+    opens_root = frozenset(k.generic(a.formula) for a in k.opens[id(root)])
     return CheckReport(accepted=True, conclusion=conclusion, open_assumptions=opens_root)
 
 

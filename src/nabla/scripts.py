@@ -14,6 +14,12 @@ earlier lines positionally, in the order the rule schema lists them; rule
 names may be primitive or derived (the loader expands derived rules before
 checking).  Exit-code convention for the checker CLI: 0 accepted,
 1 rejected, 2 parse error.
+
+Every line restates a whole formula, so a script repeats a few large
+formulas many times.  ``parse_script`` parses each distinct formula text
+once and interns every node, so equal formulas and subformulas of one
+script are one object; ``serialize`` prints each formula object once.
+Each memo belongs to one call and is dropped when it returns.
 """
 
 from __future__ import annotations
@@ -35,44 +41,69 @@ class ScriptError(ValueError):
         self.line = line
 
 
-def _parse_formula_prefix(text: str, line: int) -> tuple[Formula, str]:
-    parser = _Parser(text, allow_until=False, allow_hist=True, partial=True)
+class _Formulas:
+    """The formulas of one script: each distinct formula text is parsed
+    once, and every node goes through one intern table."""
+
+    def __init__(self) -> None:
+        self.texts: dict[str, Formula] = {}
+        self.shared: dict[tuple, Formula] = {}
+
+    def prefix(self, text: str, line: int) -> tuple[Formula, str]:
+        """The formula at the start of ``text`` and the rest of the line.
+
+        A node line's formula is most likely everything before its last
+        `` prem ``.  When that text is one already parsed, it is a whole
+        formula followed by whitespace, so parsing ``text`` would stop at
+        the same token: the memo answers.  Otherwise ``text`` is parsed and
+        the exact text of its formula is remembered."""
+        head, sep, tail = text.rpartition(" prem ")
+        key = (head if sep else text).strip()
+        f = self.texts.get(key) or self.shared.get((key,))  # an atom or bot seen before
+        if f is not None:
+            return f, "prem " + tail if sep else ""
+        parser = _Parser(text, allow_until=False, allow_hist=True, partial=True, shared=self.shared)
+        try:
+            f = parser.formula()
+        except ParseError as e:
+            raise ScriptError(f"bad formula: {e}", line)
+        tok, off = parser.tokens[parser.pos - 1]
+        self.texts[text[parser.tokens[0][1] : off + len(tok)]] = f
+        return f, text[parser.peek()[1] :]
+
+    def labelled(self, text: str, line: int) -> tuple[Lwff, str]:
+        head, colon, rest = text.partition(":")
+        if not colon:
+            raise ScriptError("expected '<label>+ : <formula>'", line)
+        labels = tuple(head.split())
+        if not labels or not all(_LABEL_RE.match(x) for x in labels):
+            raise ScriptError(f"bad label sequence {head.strip()!r}", line)
+        f, tail = self.prefix(rest, line)
+        return Lwff(labels, f), tail
+
+
+def _parse_id(word: str, line: int) -> int:
     try:
-        f = parser.formula()
-    except ParseError as e:
-        raise ScriptError(f"bad formula: {e}", line)
-    rest_offset = parser.peek()[1]
-    return f, text[rest_offset:]
-
-
-def _parse_labelled(text: str, line: int) -> Lwff:
-    head, colon, rest = text.partition(":")
-    if not colon:
-        raise ScriptError("expected '<label>+ : <formula>'", line)
-    labels = tuple(head.split())
-    if not labels or not all(_LABEL_RE.match(x) for x in labels):
-        raise ScriptError(f"bad label sequence {head.strip()!r}", line)
-    f, tail = _parse_formula_prefix(rest, line)
-    if tail.strip():
-        raise ScriptError(f"trailing input after formula: {tail.strip()!r}", line)
-    return Lwff(labels, f)
+        return int(word)
+    except ValueError:
+        raise ScriptError(f"bad id {word!r}", line)
 
 
 def _parse_ids(text: str, line: int) -> list[int]:
-    out = []
-    for part in text.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        try:
-            out.append(int(part))
-        except ValueError:
-            raise ScriptError(f"bad id {part!r}", line)
-    return out
+    return [_parse_id(part.strip(), line) for part in text.split(",") if part.strip()]
+
+
+_USAGE = {"assume": "assume needs '<id> lwff|rwff ...'", "node": "node needs '<id> <rule> concl ...'"}
 
 
 def parse_script(text: str) -> Node:
-    """Parse a script into its root derivation node."""
+    """Parse a script into its root derivation node.
+
+    Sharing: within one call, structurally equal formulas and subformulas
+    are one object, and each distinct formula text is parsed once.  Both
+    tables live only for the call; two calls share nothing.
+    """
+    formulas = _Formulas()
     nodes: dict[int, Node] = {}
     root_id: int | None = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -80,18 +111,19 @@ def parse_script(text: str) -> Node:
         if not line:
             continue
         words = line.split(None, 2)
-        if words[0] == "assume":
+        if words[0] in _USAGE:
             if len(words) < 3:
-                raise ScriptError("assume needs '<id> lwff|rwff ...'", lineno)
-            try:
-                nid = int(words[1])
-            except ValueError:
-                raise ScriptError(f"bad id {words[1]!r}", lineno)
+                raise ScriptError(_USAGE[words[0]], lineno)
+            nid = _parse_id(words[1], lineno)
             if nid in nodes:
                 raise ScriptError(f"duplicate id {nid}", lineno)
             kind, _, rest = words[2].partition(" ")
+        if words[0] == "assume":
             if kind == "lwff":
-                nodes[nid] = Assume(nid, _parse_labelled(rest, lineno))
+                w, tail = formulas.labelled(rest, lineno)
+                if tail.strip():
+                    raise ScriptError(f"trailing input after formula: {tail.strip()!r}", lineno)
+                nodes[nid] = Assume(nid, w)
             elif kind == "rwff":
                 m = _RWFF_RE.match(rest.strip())
                 if not m:
@@ -101,26 +133,9 @@ def parse_script(text: str) -> Node:
             else:
                 raise ScriptError(f"expected 'lwff' or 'rwff', got {kind!r}", lineno)
         elif words[0] == "node":
-            if len(words) < 3:
-                raise ScriptError("node needs '<id> <rule> concl ...'", lineno)
-            try:
-                nid = int(words[1])
-            except ValueError:
-                raise ScriptError(f"bad id {words[1]!r}", lineno)
-            if nid in nodes:
-                raise ScriptError(f"duplicate id {nid}", lineno)
-            rule, _, rest = words[2].partition(" ")
             if not rest.startswith("concl"):
                 raise ScriptError("expected 'concl' after the rule name", lineno)
-            rest = rest[len("concl"):]
-            head, colon, tail = rest.partition(":")
-            if not colon:
-                raise ScriptError("expected '<label>+ : <formula>'", lineno)
-            labels = tuple(head.split())
-            if not labels or not all(_LABEL_RE.match(x) for x in labels):
-                raise ScriptError(f"bad label sequence {head.strip()!r}", lineno)
-            formula, tail = _parse_formula_prefix(tail, lineno)
-            conclusion = Lwff(labels, formula)
+            conclusion, tail = formulas.labelled(rest[len("concl") :], lineno)
             fields = tail.split()
             prem_ids: list[int] = []
             disch_ids: list[int] = []
@@ -157,16 +172,13 @@ def parse_script(text: str) -> Node:
                 if not isinstance(nodes[did], Assume):
                     raise ScriptError(f"discharged id {did} is not an assumption", lineno)
                 discharges.append(nodes[did])
-            nodes[nid] = Apply(nid, rule, conclusion, tuple(premises), tuple(discharges), subst)
+            nodes[nid] = Apply(nid, kind, conclusion, tuple(premises), tuple(discharges), subst)
         elif words[0] == "root":
             if root_id is not None:
                 raise ScriptError("duplicate root line", lineno)
             if len(words) != 2:
                 raise ScriptError("root needs exactly one id", lineno)
-            try:
-                root_id = int(words[1])
-            except ValueError:
-                raise ScriptError(f"bad id {words[1]!r}", lineno)
+            root_id = _parse_id(words[1], lineno)
             if root_id not in nodes:
                 raise ScriptError(f"root {root_id} is not defined", lineno)
         else:
@@ -176,27 +188,31 @@ def parse_script(text: str) -> Node:
     return nodes[root_id]
 
 
-def _format_assume(a: Assume) -> str:
-    if isinstance(a.formula, Lwff):
-        return f"assume {a.id} lwff {' '.join(a.formula.seq)} : {format_formula(a.formula.formula)}"
-    rel = "le" if isinstance(a.formula, Le) else "succ"
-    return f"assume {a.id} rwff {rel}({a.formula.a},{a.formula.b})"
-
-
 def serialize(root: Node) -> str:
-    """Render a derivation as a script (ids renumbered in definition order)."""
+    """Render a derivation as a script (ids renumbered in definition order).
+
+    Each formula object is printed once per call; the memo is keyed on its
+    ``id`` and holds the object, and is dropped when the call returns.
+    """
     root = renumber(root)
+    printed: dict[int, tuple[Formula, str]] = {}
+
+    def lwff(w: Lwff) -> str:
+        hit = printed.get(id(w.formula))
+        if hit is None:
+            hit = printed[id(w.formula)] = (w.formula, format_formula(w.formula))
+        return f"{' '.join(w.seq)} : {hit[1]}"
+
     lines: list[str] = []
     for n in _postorder(root):
         if isinstance(n, Assume):
-            lines.append(_format_assume(n))
+            if isinstance(n.formula, Lwff):
+                lines.append(f"assume {n.id} lwff {lwff(n.formula)}")
+            else:
+                rel = "le" if isinstance(n.formula, Le) else "succ"
+                lines.append(f"assume {n.id} rwff {rel}({n.formula.a},{n.formula.b})")
         else:
-            parts = [
-                f"node {n.id} {n.rule} concl {' '.join(n.conclusion.seq)} :",
-                format_formula(n.conclusion.formula),
-                "prem",
-                ",".join(str(p.id) for p in n.premises),
-            ]
+            parts = [f"node {n.id} {n.rule} concl {lwff(n.conclusion)}", "prem", ",".join(str(p.id) for p in n.premises)]
             if n.discharges:
                 parts += ["disch", ",".join(str(a.id) for a in n.discharges)]
             if n.subst is not None:

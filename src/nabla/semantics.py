@@ -268,7 +268,17 @@ def eval_h(m: LassoModel, seq, a: Formula) -> bool:
             hi = max(n, s) + 2 * p
             v = all(ev(n, mm, x.operand) for mm in range(n, hi + 1))
         elif isinstance(x, Hist):
-            v = all(ev(i, mm, x.operand) for mm in range(i, n + 1))
+            # H A at (i, mm) is H A at (i, mm - 1) and A at (i, mm): start
+            # after the nearest memoised prefix and fill the memo upward, so
+            # nested H costs linear in the gap and the recursion stays flat.
+            # Pairs (i, mm) with i <= mm are canonical: i is below s + p.
+            lo = n
+            while lo > i and (id(x), i, lo - 1) not in memo:
+                lo -= 1
+            v = memo[id(x), i, lo - 1] if lo > i else True
+            for mm in range(max(lo, i), n + 1):
+                v = v and ev(i, mm, x.operand)
+                memo[id(x), i, mm] = v
         else:
             raise TypeError(f"not a core formula: {x!r}")
         memo[key] = v

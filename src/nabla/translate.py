@@ -6,6 +6,10 @@ Atoms, bot, ``->``, ``G`` and ``X`` map homomorphically; the until clause is
 
 Abbreviation nodes also map homomorphically, which commutes with
 desugaring because both languages define the abbreviations identically.
+
+The image of an until clause holds one object for both occurrences of
+``tr(b)``, so the image is a DAG whose node count grows linearly with the
+source; printed as text, it doubles with each ``U`` nested on the right.
 """
 
 from __future__ import annotations
@@ -48,7 +52,8 @@ def _tr(a: Formula) -> Formula:
         case Next(x):
             return Next(_tr(x))
         case Until(x, y):
-            return Or(_tr(y), Sometime(And(Next(_tr(y)), Hist(_tr(x)))))
+            b = _tr(y)
+            return Or(b, Sometime(And(Next(b), Hist(_tr(x)))))
         case Not(x):
             return Not(_tr(x))
         case Or(x, y):

@@ -4,7 +4,7 @@ from importlib import resources
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from nabla.cli import main
+from nabla.cli import MAX_IMAGE_LENGTH, main
 from nabla.formulas import MAX_NESTING, Implies, desugar, parse_ltl
 from nabla.kernel import Apply, Assume, Lwff, check
 from nabla.scripts import parse_script
@@ -72,6 +72,22 @@ def test_translate_paper_example(capsys):
     assert code == 0
     assert out.strip() == "(q | (F ((X q) & (H p))))"
     assert main(["translate", "(H p)"]) == 2
+
+
+def test_translate_limits_the_printed_image(capsys):
+    def right_nested(levels):
+        text = "p"
+        for _ in range(levels):
+            text = f"(q U {text})"
+        return text
+
+    code, out = run(capsys, "translate", right_nested(15))
+    assert code == 0 and len(out) == 786410 <= MAX_IMAGE_LENGTH
+    for levels in (16, MAX_NESTING):
+        for argv in (["translate", right_nested(levels)], ["translate", right_nested(levels), "--json"]):
+            assert main(argv) == 2
+            out, err = capsys.readouterr()
+            assert out == "" and err.startswith("error: the image would print ")
 
 
 def test_taut_emits_checkable_script(capsys):

@@ -20,6 +20,7 @@ from nabla.formulas import (
     complexity,
     desugar,
     format_formula,
+    format_length,
     in_until_language,
     is_desugared,
     parse_h,
@@ -118,6 +119,7 @@ def test_roundtrip_print_parse(f):
     text = format_formula(f)
     parser = parse_ltl if in_until_language(f) else parse_h
     assert parser(text) == f
+    assert format_length(f) == len(text)
 
 
 @settings(max_examples=300)
@@ -125,7 +127,7 @@ def test_roundtrip_print_parse(f):
 def test_desugar_idempotent_and_monotone(f):
     g = desugar(f)
     assert is_desugared(g)
-    assert desugar(g) == g
+    assert desugar(g) is g  # a core formula keeps its identity
     assert _size(g) >= _size(f)
 
 

@@ -1,10 +1,13 @@
+import gc
 import random
+import weakref
 
 import pytest
 
 from nabla.corpus import ENTRIES, MUTATIONS, TAUTOLOGY_INSTANCES, entry_by_name, load_entry, load_script
 from nabla.derived import derive_tautology, expand
-from nabla.formulas import Always, Atom, Bottom, Hist, Implies, parse_ltl
+from nabla import kernel
+from nabla.formulas import Always, Atom, Bottom, Formula, Hist, Implies, parse_ltl
 from nabla.gen import DerivationSampler
 from nabla.kernel import (
     BAD_DISCHARGE,
@@ -31,6 +34,7 @@ from nabla.kernel import (
     renumber,
     subst_label,
 )
+from nabla.scripts import parse_script, serialize
 
 P, Q = Atom("p"), Atom("q")
 
@@ -484,3 +488,76 @@ def test_discharge_outside_the_hypothetical_premise_in_a_shared_subtree():
     ok = Apply(8, "splitLe", Lwff(("c",), Q), (r1, phi, hyp, Assume(9, Lwff(("c",), Q))), (e,))
     assert_opens_agree(ok)
     assert check(ok).accepted
+
+
+# --- formulas shared within a derivation -------------------------------------
+
+
+def fresh_formula(f):
+    """A copy of ``f`` that shares no object with it or with itself."""
+    return type(f)(*(fresh_formula(x) if isinstance(x, Formula) else x for x in vars(f).values()))
+
+
+def unshared(root):
+    """The derivation rebuilt with a fresh copy of every formula occurrence."""
+    def generic(phi):
+        return Lwff(phi.seq, fresh_formula(phi.formula)) if isinstance(phi, Lwff) else phi
+
+    memo = {}
+    for n in _postorder(root):
+        if isinstance(n, Assume):
+            memo[id(n)] = Assume(n.id, generic(n.formula))
+        else:
+            memo[id(n)] = Apply(
+                n.id,
+                n.rule,
+                generic(n.conclusion),
+                tuple(memo[id(p)] for p in n.premises),
+                tuple(memo[id(a)] for a in n.discharges),
+                n.subst,
+            )
+    return memo[id(root)]
+
+
+def _derivations():
+    yield from (expand(load_script(e.script)) for e in ENTRIES)
+    yield from (expand(load_script(m.script, mutation=True)) for m in MUTATIONS)
+    for _, text in TAUTOLOGY_INSTANCES + (("", "((((p & q) -> r) -> (p & q)) -> (p & q))"),):
+        yield parse_script(serialize(derive_tautology(parse_ltl(text), "b")))
+    rng = random.Random(77)
+    for _ in range(200):
+        yield DerivationSampler(random.Random(rng.randrange(2**32))).sample(steps=rng.randint(2, 9))
+
+
+def test_check_agrees_on_shared_and_unshared_formulas():
+    verdicts = set()
+    for root in _derivations():
+        shared, copied = check(root), check(unshared(root))
+        assert shared == copied
+        assert shared.to_dict() == copied.to_dict()
+        verdicts.add(shared.reason)
+    assert len(verdicts) > 3
+
+
+def test_check_works_per_formula_object(monkeypatch):
+    seen = {"desugar": [], "in_history_language": []}
+    for name, calls in seen.items():
+        real = getattr(kernel, name)
+        monkeypatch.setattr(kernel, name, lambda f, real=real, calls=calls: calls.append(f) or real(f))
+    root = parse_script(serialize(derive_tautology(parse_ltl("((((p & q) -> r) -> (p & q)) -> (p & q))"), "b")))
+    assert check(root).accepted
+    nodes = len(_postorder(root))
+    for calls in seen.values():
+        assert len({id(f) for f in calls}) == len(calls)  # once per object
+        assert 0 < len(calls) < nodes / 10  # not once per occurrence
+
+
+def test_check_keeps_no_formula_after_it_returns(monkeypatch):
+    made = []
+    real = kernel.desugar
+    monkeypatch.setattr(kernel, "desugar", lambda f: made.append(weakref.ref(g := real(f))) or g)
+    root = load_entry("A3")  # abbreviations: desugaring builds new objects
+    assert check(root).accepted and not check(root).open_assumptions
+    del root
+    gc.collect()
+    assert made and all(r() is None for r in made)

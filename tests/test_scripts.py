@@ -1,8 +1,17 @@
-import pytest
+import gc
+import re
+import sys
+import weakref
+from importlib import resources
 
-from nabla.corpus import ENTRIES, load_script
-from nabla.derived import expand
-from nabla.kernel import check, open_assumptions
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from nabla.cli import main
+from nabla.corpus import ENTRIES, MUTATIONS, load_script
+from nabla.derived import derive_tautology, expand
+from nabla.formulas import Formula, ParseError, _Parser, format_formula, parse_ltl
+from nabla.kernel import Apply, Assume, Le, Lwff, Succ, _postorder, check, open_assumptions
 from nabla.scripts import ScriptError, parse_script, serialize
 
 
@@ -61,3 +70,305 @@ def test_subst_clause_parses():
     assert check(root).accepted
     assert open_assumptions(root) == {a for a in open_assumptions(root)}
     assert serialize(root).count("subst c d") == 1
+
+
+# --- formula sharing ---------------------------------------------------------
+#
+# The parser before sharing, kept as the reference: each line's formula is
+# parsed on its own, so equal formulas of a script are separate objects.
+
+_RWFF_RE = re.compile(r"^(le|succ)\(\s*(\w+)\s*,\s*(\w+)\s*\)$")
+_LABEL_RE = re.compile(r"^[A-Za-z][A-Za-z0-9_]*$")
+
+
+def _ref_formula_prefix(text, line):
+    parser = _Parser(text, allow_until=False, allow_hist=True, partial=True)
+    try:
+        f = parser.formula()
+    except ParseError as e:
+        raise ScriptError(f"bad formula: {e}", line)
+    return f, text[parser.peek()[1]:]
+
+
+def _ref_labelled(text, line):
+    head, colon, rest = text.partition(":")
+    if not colon:
+        raise ScriptError("expected '<label>+ : <formula>'", line)
+    labels = tuple(head.split())
+    if not labels or not all(_LABEL_RE.match(x) for x in labels):
+        raise ScriptError(f"bad label sequence {head.strip()!r}", line)
+    f, tail = _ref_formula_prefix(rest, line)
+    if tail.strip():
+        raise ScriptError(f"trailing input after formula: {tail.strip()!r}", line)
+    return Lwff(labels, f)
+
+
+def _ref_ids(text, line):
+    out = []
+    for part in text.split(","):
+        part = part.strip()
+        if not part:
+            continue
+        try:
+            out.append(int(part))
+        except ValueError:
+            raise ScriptError(f"bad id {part!r}", line)
+    return out
+
+
+def reference_parse_script(text):
+    nodes = {}
+    root_id = None
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        words = line.split(None, 2)
+        if words[0] == "assume":
+            if len(words) < 3:
+                raise ScriptError("assume needs '<id> lwff|rwff ...'", lineno)
+            try:
+                nid = int(words[1])
+            except ValueError:
+                raise ScriptError(f"bad id {words[1]!r}", lineno)
+            if nid in nodes:
+                raise ScriptError(f"duplicate id {nid}", lineno)
+            kind, _, rest = words[2].partition(" ")
+            if kind == "lwff":
+                nodes[nid] = Assume(nid, _ref_labelled(rest, lineno))
+            elif kind == "rwff":
+                m = _RWFF_RE.match(rest.strip())
+                if not m:
+                    raise ScriptError(f"bad relational formula {rest.strip()!r}", lineno)
+                ctor = Le if m.group(1) == "le" else Succ
+                nodes[nid] = Assume(nid, ctor(m.group(2), m.group(3)))
+            else:
+                raise ScriptError(f"expected 'lwff' or 'rwff', got {kind!r}", lineno)
+        elif words[0] == "node":
+            if len(words) < 3:
+                raise ScriptError("node needs '<id> <rule> concl ...'", lineno)
+            try:
+                nid = int(words[1])
+            except ValueError:
+                raise ScriptError(f"bad id {words[1]!r}", lineno)
+            if nid in nodes:
+                raise ScriptError(f"duplicate id {nid}", lineno)
+            rule, _, rest = words[2].partition(" ")
+            if not rest.startswith("concl"):
+                raise ScriptError("expected 'concl' after the rule name", lineno)
+            rest = rest[len("concl"):]
+            head, colon, tail = rest.partition(":")
+            if not colon:
+                raise ScriptError("expected '<label>+ : <formula>'", lineno)
+            labels = tuple(head.split())
+            if not labels or not all(_LABEL_RE.match(x) for x in labels):
+                raise ScriptError(f"bad label sequence {head.strip()!r}", lineno)
+            formula, tail = _ref_formula_prefix(tail, lineno)
+            conclusion = Lwff(labels, formula)
+            fields = tail.split()
+            prem_ids, disch_ids, subst = [], [], None
+            i = 0
+            if i < len(fields) and fields[i] == "prem":
+                if i + 1 >= len(fields):
+                    raise ScriptError("prem needs a comma-separated id list", lineno)
+                prem_ids = _ref_ids(fields[i + 1], lineno)
+                i += 2
+            else:
+                raise ScriptError("node needs a 'prem' clause", lineno)
+            if i < len(fields) and fields[i] == "disch":
+                if i + 1 >= len(fields):
+                    raise ScriptError("disch needs a comma-separated id list", lineno)
+                disch_ids = _ref_ids(fields[i + 1], lineno)
+                i += 2
+            if i < len(fields) and fields[i] == "subst":
+                if len(fields) - i < 3:
+                    raise ScriptError("subst needs two labels", lineno)
+                subst = (fields[i + 1], fields[i + 2])
+                i += 3
+            if i != len(fields):
+                raise ScriptError(f"unexpected trailing input {' '.join(fields[i:])!r}", lineno)
+            premises = []
+            for pid in prem_ids:
+                if pid not in nodes:
+                    raise ScriptError(f"premise {pid} is not defined yet", lineno)
+                premises.append(nodes[pid])
+            discharges = []
+            for did in disch_ids:
+                if did not in nodes:
+                    raise ScriptError(f"discharged assumption {did} is not defined yet", lineno)
+                if not isinstance(nodes[did], Assume):
+                    raise ScriptError(f"discharged id {did} is not an assumption", lineno)
+                discharges.append(nodes[did])
+            nodes[nid] = Apply(nid, rule, conclusion, tuple(premises), tuple(discharges), subst)
+        elif words[0] == "root":
+            if root_id is not None:
+                raise ScriptError("duplicate root line", lineno)
+            if len(words) != 2:
+                raise ScriptError("root needs exactly one id", lineno)
+            try:
+                root_id = int(words[1])
+            except ValueError:
+                raise ScriptError(f"bad id {words[1]!r}", lineno)
+            if root_id not in nodes:
+                raise ScriptError(f"root {root_id} is not defined", lineno)
+        else:
+            raise ScriptError(f"unknown directive {words[0]!r}", lineno)
+    if root_id is None:
+        raise ScriptError("missing root line", len(text.splitlines()) + 1)
+    return nodes[root_id]
+
+
+def derivation_shape(root):
+    """Every node with its formula, compared structurally, and its references."""
+    out = []
+    for n in _postorder(root):
+        if isinstance(n, Assume):
+            out.append(("assume", n.id, n.formula))
+        else:
+            refs = (tuple(p.id for p in n.premises), tuple(a.id for a in n.discharges))
+            out.append(("node", n.id, n.rule, n.conclusion, refs, n.subst))
+    return out
+
+
+def outcome(parse, text):
+    try:
+        return derivation_shape(parse(text))
+    except ScriptError as e:
+        return ("error", e.line, str(e))
+
+
+_CORPUS = [
+    resources.files("nabla").joinpath(f"{d}/{name}").read_text(encoding="utf-8")
+    for d, names in (("corpus", [e.script for e in ENTRIES]), ("corpus/mutations", [m.script for m in MUTATIONS]))
+    for name in names
+]
+_TAUT = [
+    serialize(derive_tautology(parse_ltl(f), label))
+    for f, label in [
+        ("(((p -> q) -> p) -> p)", "b"),
+        ("(((prem -> disch) -> prem) -> prem)", "subst"),
+        ("((((a & b) -> c) -> (a & b)) -> (a & b))", "prem"),
+    ]
+]
+# Every operator over the same operands, and each formula twice.
+_OPERATORS = (
+    "assume 1 lwff b : ((p -> q) -> ((p | q) -> ((p & q) -> ((G p) -> ((X p) -> ((F p) -> ((H p) -> (~ p))))))))\n"
+    "assume 2 lwff b : ((p & q) | ((H p) -> ((X p) & (G p))))\n"
+    "node 3 reflLe concl b : ((p & q) | ((H p) -> ((X p) & (G p)))) prem 2\n"
+    "root 3\n"
+)
+# Names a script's tail uses as keywords, as atoms and as labels.
+_KEYWORD_NAMES = {"p": "prem", "q": "disch", "r": "subst", "b": "prem", "c": "subst", "d": "disch"}
+
+
+def keyword_names(text):
+    return re.sub(r"(?<=[ (,:])([bcdpqr])(?=[ ),]|$)", lambda m: _KEYWORD_NAMES[m.group(1)], text, flags=re.M)
+
+
+@st.composite
+def scripts(draw):
+    text = draw(st.sampled_from(_CORPUS + _TAUT + [_OPERATORS]))
+    if draw(st.booleans()):
+        text = keyword_names(text)
+    lines = text.splitlines()
+    edit = st.tuples(st.integers(0, 5), st.integers(0, 10**6), st.sampled_from(" \t()->:,pXH#0"))
+    for kind, k, ch in draw(st.one_of(st.just([]), st.lists(edit, max_size=3))):
+        if not lines:
+            break
+        i = k % len(lines)
+        line = lines[i]
+        j = k % (len(line) + 1)
+        if kind == 0:
+            del lines[i]
+        elif kind == 1:
+            lines.insert(i, line)
+        elif kind == 2:
+            lines[i] = line[:j]
+        elif kind == 3:
+            lines[i] = line[:j] + ch + line[j:]
+        elif kind == 4:
+            lines[i] = line[:j] + line[j + 1:]
+        else:
+            lines[i] = line.replace(" ", "  ", 1 + k % 3)
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(scripts())
+def test_shared_parse_agrees_with_the_reference(text):
+    assert outcome(parse_script, text) == outcome(reference_parse_script, text)
+
+
+def test_keyword_names_parse_as_before():
+    # Atoms and labels named like the keywords of a node line's tail.
+    texts = [
+        "assume 1 lwff prem : prem\nnode 2 impI concl prem : (prem -> prem) prem 1 disch 1\nroot 2\n",
+        "assume 1 lwff subst : (disch -> prem)\nassume 2 lwff subst : disch\n"
+        "node 3 impE concl subst : prem prem 1,2\nroot 3\n",
+        "assume 1 rwff succ(prem,subst)\nassume 2 rwff succ(prem,disch)\nassume 3 lwff prem subst : prem\n"
+        "assume 4 lwff prem disch : prem\nnode 5 linS concl prem disch : prem prem 1,2,3,4 disch 4 subst subst disch\nroot 5\n",
+        "assume 1 lwff b : prem\nnode 2 impI concl b : (prem -> prem) prem 1 prem 1\nroot 2\n",
+        "assume 1 lwff b : prem\nnode 2 impI concl b : (prem -> prem)\tprem 1\nroot 2\n",
+        "assume 1 lwff b : (prem -> (prem -> prem))\nnode 2 impI concl b : prem prem prem 1\nroot 2\n",
+    ]
+    for text in texts + _TAUT[1:]:
+        assert outcome(parse_script, text) == outcome(reference_parse_script, text)
+    assert check(parse_script(texts[2])).accepted
+    for text in _CORPUS:
+        renamed = keyword_names(text)
+        assert renamed != text and outcome(parse_script, renamed) == outcome(reference_parse_script, renamed)
+        reasons = [check(expand(parse_script(t))).reason for t in (text, renamed)]
+        assert reasons[0] == reasons[1]
+
+
+def _formula_objects(root):
+    """Every formula object reachable from the derivation's judgments."""
+    seen, stack = {}, []
+    for n in _postorder(root):
+        w = n.formula if isinstance(n, Assume) else n.conclusion
+        if isinstance(w, Lwff):
+            stack.append(w.formula)
+    while stack:
+        f = stack.pop()
+        if id(f) not in seen:
+            seen[id(f)] = f
+            stack.extend(x for x in vars(f).values() if isinstance(x, Formula))
+    return list(seen.values())
+
+
+def test_equal_formulas_of_one_script_are_one_object():
+    for text in _CORPUS + _TAUT + [_OPERATORS]:
+        assert outcome(parse_script, text) == outcome(reference_parse_script, text)
+        objects = _formula_objects(parse_script(text))
+        by_text = {}
+        for f in objects:
+            assert by_text.setdefault(format_formula(f), f) is f
+        assert len(by_text) == len(objects) > 1
+    # Two calls share nothing.
+    a, b = parse_script(_TAUT[0]), parse_script(_TAUT[0])
+    assert not {id(f) for f in _formula_objects(a)} & {id(f) for f in _formula_objects(b)}
+
+
+def _module_containers():
+    return {
+        (name, key): len(value)
+        for name, module in sys.modules.items()
+        if name == "nabla" or name.startswith("nabla.")
+        for key, value in vars(module).items()
+        if isinstance(value, (dict, list, set))
+    }
+
+
+def test_no_formula_memo_outlives_its_call(tmp_path):
+    path = tmp_path / "t.ndp"
+    path.write_text(_TAUT[2], encoding="utf-8")
+    before = _module_containers()
+    root = parse_script(_TAUT[2])
+    report = check(expand(root))
+    assert report.accepted and serialize(root) == _TAUT[2]
+    assert main(["check", str(path), "--json"]) == 0
+    refs = [weakref.ref(f) for f in _formula_objects(root)]
+    del root, report
+    gc.collect()
+    assert refs and all(r() is None for r in refs)
+    assert _module_containers() == before

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from nabla.corpus import ENTRIES
-from nabla.formulas import Always, Atom, Bottom, Hist, Until, desugar, parse_h
+from nabla.formulas import Always, Atom, Bottom, Hist, Implies, Until, desugar, parse_h
 from nabla.gen import random_history_formula, random_obs_sequence, random_until_formula
 from nabla.translate import translate
 from nabla.kernel import Le, Lwff, Succ
@@ -158,6 +158,40 @@ def test_oracle_agrees_past_the_loop():
         horizon = max(sigma) + 3 * window
         assert eval_h(m, sigma, f) == eval_h_oracle(m, sigma, f, horizon)
     assert shifted >= 150
+
+
+def test_nested_hist_walks_its_range_once():
+    # H (H p) at (i, n) holds iff p holds at every position in [i, n].  A
+    # range walked once per outer step made this quadratic in the gap and
+    # recursed once per position.
+    hh, hhh = parse_h("(H (H p))"), parse_h("(H (H (H p)))")
+    cells = [frozenset({"p"})] * 5
+    for m in (LOOP_P, LassoModel(tuple(cells), (frozenset(),)), LassoModel(tuple(cells), (frozenset({"p"}),))):
+        for seq in [(0, 3000), (4, 3000), (0, 4), (2, 3), (3000,), (7, 0, 3000)]:
+            want = all("p" in m.valuation(k) for k in range(seq[-2] if len(seq) > 1 else seq[0], seq[-1] + 1))
+            assert eval_h(m, seq, hh) is want, (m, seq)
+            assert eval_h(m, seq, hhh) is want, (m, seq)
+
+
+def test_oracle_agrees_on_wide_hist_gaps():
+    # The last pair lies 20 or more positions apart, so every H walks a
+    # long range, often one a nested H has partly walked already.
+    rng = random.Random(8)
+    for _ in range(300):
+        m = random_lasso(rng, ["p", "q"], max_stem=3, max_period=3)
+        f = random_history_formula(rng, rng.randint(1, 6), max_temporal_depth=2)
+        shape = rng.randrange(3)
+        if shape == 1:
+            f = Hist(Hist(f) if rng.random() < 0.5 else f)
+        elif shape == 2:
+            # One H object read twice: the second read starts from the
+            # memo entries the first walk left, at ends short of its own.
+            h = Hist(random_history_formula(rng, rng.randint(0, 3), max_temporal_depth=1))
+            f = Implies(Implies(h, Bottom()), Hist(Implies(h, f)))
+        i = rng.randint(0, 8)
+        sigma = random_obs_sequence(rng, max_len=2, max_value=8) + (i, i + rng.randint(20, 30))
+        horizon = max(sigma) + 3 * (m.stem_len + m.period) * 2
+        assert eval_h(m, sigma, f) == eval_h_oracle(m, sigma, f, horizon), (m, sigma, f)
 
 
 def test_eval_h_nested_always_on_axioms():

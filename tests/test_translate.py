@@ -16,6 +16,8 @@ from nabla.formulas import (
     Until,
     classify_local,
     desugar,
+    format_formula,
+    format_length,
     in_history_language,
 )
 from nabla.gen import random_until_formula
@@ -30,6 +32,17 @@ def test_until_clause_exact():
     assert translate(Until(P, Q)) == UNTIL_IMAGE
     assert translate(P) == P
     assert translate(Always(Until(P, Q))) == Always(UNTIL_IMAGE)
+
+
+def test_until_image_shares_the_right_operand():
+    # tr(b) is built once: the image stays linear in the source however
+    # deep U nests on the right, though its text doubles per level.
+    f = P
+    for _ in range(10):
+        f = Until(Q, f)
+    image = translate(f)
+    assert image.left is image.right.operand.left.operand
+    assert format_length(image) == len(format_formula(image)) > 2**10
 
 
 def test_translate_rejects_history_input():
