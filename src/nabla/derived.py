@@ -433,6 +433,34 @@ def derive_tautology(f: Formula, label: str = "b") -> Node:
             raise NotATautology(f"falsified by {dict(zip(names, bits))}")
     ids = _Ids(1)
     seq = (label,)
+    # One object per formula and per judgement for the whole proof, the
+    # source's own subformulas included: check and serialize memoise per
+    # object, so each is then handled once.
+    bot = Bottom()
+    atoms = {a: Atom(a) for a in names}
+    made: dict[tuple[int, int], Implies] = {}
+    judged: dict[int, Lwff] = {}
+
+    def imp(x: Formula, y: Formula) -> Implies:
+        f = made.get((id(x), id(y)))
+        if f is None:
+            f = made[id(x), id(y)] = Implies(x, y)
+        return f
+
+    def lw(f: Formula) -> Lwff:
+        w = judged.get(id(f))
+        if w is None:
+            w = judged[id(f)] = Lwff(seq, f)
+        return w
+
+    def share(x: Formula) -> Formula:
+        if isinstance(x, Atom):
+            return atoms[x.name]
+        if isinstance(x, Bottom):
+            return bot
+        return imp(share(x.left), share(x.right))
+
+    g = share(g)
 
     def prove(phi: Formula, v: dict[str, bool], env: dict[str, Assume]) -> Node:
         # Derives `phi` when it holds under v, `phi -> bot` when it fails;
@@ -440,42 +468,43 @@ def derive_tautology(f: Formula, label: str = "b") -> Node:
         if isinstance(phi, Atom):
             return env[phi.name]
         if isinstance(phi, Bottom):
-            hb = Assume(ids.next(), Lwff(seq, Bottom()))
-            return Apply(ids.next(), "impI", Lwff(seq, Implies(Bottom(), Bottom())), (hb,), (hb,))
+            hb = Assume(ids.next(), lw(bot))
+            return Apply(ids.next(), "impI", lw(imp(bot, bot)), (hb,), (hb,))
         assert isinstance(phi, Implies)
         x, y = phi.left, phi.right
         if not _eval_prop(x, v):
             dx = prove(x, v, env)  # proves x -> bot
-            h = Assume(ids.next(), Lwff(seq, x))
-            n1 = Apply(ids.next(), "impE", Lwff(seq, Bottom()), (dx, h))
-            n2 = Apply(ids.next(), "botE", Lwff(seq, y), (n1,))
-            return Apply(ids.next(), "impI", Lwff(seq, phi), (n2,), (h,))
+            h = Assume(ids.next(), lw(x))
+            n1 = Apply(ids.next(), "impE", lw(bot), (dx, h))
+            n2 = Apply(ids.next(), "botE", lw(y), (n1,))
+            return Apply(ids.next(), "impI", lw(phi), (n2,), (h,))
         if _eval_prop(y, v):
-            return Apply(ids.next(), "impI", Lwff(seq, phi), (prove(y, v, env),))
+            return Apply(ids.next(), "impI", lw(phi), (prove(y, v, env),))
         dx, dy = prove(x, v, env), prove(y, v, env)  # x holds, y -> bot
-        h = Assume(ids.next(), Lwff(seq, phi))
-        n1 = Apply(ids.next(), "impE", Lwff(seq, y), (h, dx))
-        n2 = Apply(ids.next(), "impE", Lwff(seq, Bottom()), (dy, n1))
-        return Apply(ids.next(), "impI", Lwff(seq, _not_f(phi)), (n2,), (h,))
+        h = Assume(ids.next(), lw(phi))
+        n1 = Apply(ids.next(), "impE", lw(y), (h, dx))
+        n2 = Apply(ids.next(), "impE", lw(bot), (dy, n1))
+        return Apply(ids.next(), "impI", lw(imp(phi, bot)), (n2,), (h,))
 
     def build(v: dict[str, bool], env: dict[str, Assume], remaining: list[str]) -> Node:
         if not remaining:
             return prove(g, v, env)
         a, rest = remaining[0], remaining[1:]
-        atom = Atom(a)
-        lit_true = Assume(ids.next(), Lwff(seq, atom))
-        lit_false = Assume(ids.next(), Lwff(seq, _not_f(atom)))
+        atom = atoms[a]
+        not_atom = imp(atom, bot)
+        lit_true = Assume(ids.next(), lw(atom))
+        lit_false = Assume(ids.next(), lw(not_atom))
         d_true = build({**v, a: True}, {**env, a: lit_true}, rest)
         d_false = build({**v, a: False}, {**env, a: lit_false}, rest)
-        d1 = Apply(ids.next(), "impI", Lwff(seq, Implies(atom, g)), (d_true,), (lit_true,))
-        d2 = Apply(ids.next(), "impI", Lwff(seq, Implies(_not_f(atom), g)), (d_false,), (lit_false,))
-        hf = Assume(ids.next(), Lwff(seq, _not_f(g)))
-        ha = Assume(ids.next(), Lwff(seq, atom))
-        m1 = Apply(ids.next(), "impE", Lwff(seq, g), (d1, ha))
-        m2 = Apply(ids.next(), "impE", Lwff(seq, Bottom()), (hf, m1))
-        m3 = Apply(ids.next(), "impI", Lwff(seq, _not_f(atom)), (m2,), (ha,))
-        m4 = Apply(ids.next(), "impE", Lwff(seq, g), (d2, m3))
-        m5 = Apply(ids.next(), "impE", Lwff(seq, Bottom()), (hf, m4))
-        return Apply(ids.next(), "botE", Lwff(seq, g), (m5,), (hf,))
+        d1 = Apply(ids.next(), "impI", lw(imp(atom, g)), (d_true,), (lit_true,))
+        d2 = Apply(ids.next(), "impI", lw(imp(not_atom, g)), (d_false,), (lit_false,))
+        hf = Assume(ids.next(), lw(imp(g, bot)))
+        ha = Assume(ids.next(), lw(atom))
+        m1 = Apply(ids.next(), "impE", lw(g), (d1, ha))
+        m2 = Apply(ids.next(), "impE", lw(bot), (hf, m1))
+        m3 = Apply(ids.next(), "impI", lw(not_atom), (m2,), (ha,))
+        m4 = Apply(ids.next(), "impE", lw(g), (d2, m3))
+        m5 = Apply(ids.next(), "impE", lw(bot), (hf, m4))
+        return Apply(ids.next(), "botE", lw(g), (m5,), (hf,))
 
     return build({}, {}, names)

@@ -458,18 +458,20 @@ def in_history_language(f: Formula) -> bool:
     return False
 
 
-def _is_local(f: Formula) -> bool:
+def _is_local(f: Formula, memo: dict[int, bool]) -> bool:
     # Local grammar: H may only occur under G or X.  G/X bodies are
-    # unconstrained (any history-language formula qualifies there).
-    match f:
-        case Atom() | Bottom():
-            return True
-        case Implies(a, b):
-            return _is_local(a) and _is_local(b)
-        case Always(_) | Next(_):
-            return True
-        case Hist(_):
-            return False
+    # unconstrained (any history-language formula qualifies there).  The
+    # verdict on each -> node is kept in memo under its id, so the caller
+    # must keep f alive while memo lives.
+    if isinstance(f, Implies):
+        v = memo.get(id(f))
+        if v is None:
+            v = memo[id(f)] = _is_local(f.left, memo) and _is_local(f.right, memo)
+        return v
+    if isinstance(f, Hist):
+        return False
+    if isinstance(f, (Atom, Bottom, Always, Next)):
+        return True
     raise TypeError(f"not a desugared history formula: {f!r}")
 
 
@@ -483,7 +485,7 @@ def classify_local(f: Formula) -> LocalClass:
     g = desugar(f)
     if not in_history_language(g):
         raise ValueError(f"not a history-language formula: {format_formula(f)}")
-    if _is_local(g):
+    if _is_local(g, {}):
         return LocalClass.LOCAL
     assert in_history_language(g)  # NEITHER unreachable on desugared input
     return LocalClass.HIST_ONLY

@@ -35,12 +35,12 @@ __all__ = ["LEMMAS", "FuzzReport", "run_lemma", "report_to_json"]
 
 LEMMAS = ("translation", "last", "corollary", "last-local", "soundness", "quantifier-bound")
 
-# last-local checks its wider tier against eval_h_oracle only up to this
-# temporal depth.  The oracle's whole-tuple memo grows as its window to the
-# power of the G nesting: past depth 2, a sample drawn about once in 30000
-# took 2 s and 185 MiB, so a run's time and peak memory hung on whether it
-# drew one.  Deeper samples compare two eval_h calls instead.
-_LAST_LOCAL_ORACLE_DEPTH = 2
+# last and last-local read their right-hand side off eval_h_oracle only up
+# to this temporal depth.  The oracle's whole-tuple memo grows as its window
+# to the power of the G nesting: past depth 2, a sample drawn about once in
+# 30000 took 2 s and 185 MiB, so a run's time and peak memory hung on
+# whether it drew one.  Deeper samples compare two eval_h calls instead.
+_ORACLE_DEPTH = 2
 
 
 @dataclass
@@ -75,6 +75,22 @@ def _shift_valuation(m: LassoModel) -> LassoModel:
     stem = tuple(m.valuation(i + 1) for i in range(s))
     loop = tuple(m.loop[(j + 1) % p] for j in range(p))
     return LassoModel(stem, loop)
+
+
+def _reference(m: LassoModel, seq, f: Formula) -> bool:
+    """Truth at ``seq`` by a route independent of ``eval_h``'s pair collapse,
+    up to ``_ORACLE_DEPTH``.
+
+    ``eval_h`` enters ``seq`` at its canonical last pair, and a local
+    formula at its last element alone, so two ``eval_h`` calls on sequences
+    a lemma equates would start from the same memo entry and could not
+    disagree.  The oracle gets its documented minimum horizon, whose ``G``
+    windows already cover ``s + p`` positions.
+    """
+    td = temporal_depth(f)
+    if td > _ORACLE_DEPTH:
+        return eval_h(m, seq, f)
+    return eval_h_oracle(m, seq, f, max(seq) + (m.stem_len + m.period) * td + 1)
 
 
 def _subformulas(f: Formula) -> list[Formula]:
@@ -177,7 +193,7 @@ class _LemmaRun:
 
     def _prefix_fails(self, m: LassoModel, sigma, prefix, a: Formula) -> bool:
         f = desugar(translate(a))
-        return eval_h(m, sigma, f) != eval_h(m, prefix + (sigma[-1],), f)
+        return eval_h(m, sigma, f) != _reference(m, prefix + (sigma[-1],), f)
 
     def _prefix(self, i: int) -> dict | None:
         a = random_until_formula(self.rng, self.rng.randint(0, self.max_size))
@@ -209,14 +225,14 @@ class _LemmaRun:
             "sequence": list(sigma),
             "prefix": list(prefix),
             "lhs": eval_h(m, sigma, f),
-            "rhs": eval_h(m, prefix + (sigma[-1],), f),
+            "rhs": _reference(m, prefix + (sigma[-1],), f),
         }
 
-    # -- corollary: only the last element matters for translated formulas
+    # -- corollary: only the last element matters for translated formulas;
+    # the right-hand side takes the translation lemma's route to (sigma[-1],)
 
     def _corollary_fails(self, m: LassoModel, sigma, a: Formula) -> bool:
-        f = desugar(translate(a))
-        return eval_h(m, sigma, f) != eval_h(m, (sigma[-1],), f)
+        return eval_h(m, sigma, desugar(translate(a))) != eval_ltl(m, sigma[-1], a)
 
     def _corollary(self, i: int) -> dict | None:
         a = random_until_formula(self.rng, self.rng.randint(0, self.max_size))
@@ -237,14 +253,13 @@ class _LemmaRun:
                     yield (m1, s0, a0)
 
         m, sigma, a = _shrink((m, sigma, a), variants)
-        f = desugar(translate(a))
         return {
             "sample": i,
             "formula": format_formula(a),
             "model": m.to_dict(),
             "sequence": list(sigma),
-            "lhs": eval_h(m, sigma, f),
-            "rhs": eval_h(m, (sigma[-1],), f),
+            "lhs": eval_h(m, sigma, desugar(translate(a))),
+            "rhs": eval_ltl(m, sigma[-1], a),
         }
 
     # -- last-local: clause (i) for the local tier, clause (ii) for the wider tier
@@ -262,18 +277,8 @@ class _LemmaRun:
             sigma = random_obs_sequence(self.rng, max_len=4, max_value=8, min_len=2)
             keep = 2
 
-        def rhs(m0, s0, p0, f0):
-            # eval_h enters sigma and prefix + sigma[-2:] at the same last
-            # pair, so the wider tier is read off the whole-sequence oracle,
-            # up to the depth where the oracle's cost stays small.
-            seq = p0 + s0[-keep:]
-            if local_clause or temporal_depth(f0) > _LAST_LOCAL_ORACLE_DEPTH:
-                return eval_h(m0, seq, f0)
-            horizon = max(s0 + p0) + (m0.stem_len + m0.period) * (temporal_depth(f0) + 1)
-            return eval_h_oracle(m0, seq, f0, horizon)
-
         def fails(m0, s0, p0, f0):
-            return eval_h(m0, s0, f0) != rhs(m0, s0, p0, f0)
+            return eval_h(m0, s0, f0) != _reference(m0, p0 + s0[-keep:], f0)
 
         if not fails(m, sigma, prefix, f):
             return None
@@ -304,7 +309,7 @@ class _LemmaRun:
             "prefix": list(prefix),
             "kept": list(sigma[-keep:]),
             "lhs": eval_h(m, sigma, f),
-            "rhs": rhs(m, sigma, prefix, f),
+            "rhs": _reference(m, prefix + sigma[-keep:], f),
         }
 
     # -- soundness: accepted derivations have no falsifying structure

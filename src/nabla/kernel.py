@@ -74,7 +74,6 @@ __all__ = [
     "all_nodes",
     "max_node_id",
     "rename_labels",
-    "renumber",
     "labels_of_derivation",
     "is_ltl_derivation",
 ]
@@ -847,26 +846,6 @@ def rename_labels(root: Node, mapping: dict[str, str]) -> Node:
                 tuple(memo[id(a)] for a in n.discharges),
                 subst,
             )
-    return memo[id(root)]
-
-
-def renumber(root: Node, start: int = 1) -> Node:
-    """Rebuild with fresh sequential ids (needed before serializing composites)."""
-    memo: dict[int, Node] = {}
-    counter = start
-    for n in _postorder(root):
-        if isinstance(n, Assume):
-            memo[id(n)] = Assume(counter, n.formula)
-        else:
-            memo[id(n)] = Apply(
-                counter,
-                n.rule,
-                n.conclusion,
-                tuple(memo[id(p)] for p in n.premises),
-                tuple(memo[id(a)] for a in n.discharges),
-                n.subst,
-            )
-        counter += 1
     return memo[id(root)]
 
 

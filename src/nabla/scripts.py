@@ -27,7 +27,7 @@ from __future__ import annotations
 import re
 
 from .formulas import Formula, ParseError, _Parser, format_formula
-from .kernel import Apply, Assume, Le, Lwff, Node, Succ, _postorder, renumber
+from .kernel import Apply, Assume, Le, Lwff, Node, Succ, _postorder
 
 __all__ = ["ScriptError", "parse_script", "serialize"]
 
@@ -191,11 +191,12 @@ def parse_script(text: str) -> Node:
 def serialize(root: Node) -> str:
     """Render a derivation as a script (ids renumbered in definition order).
 
-    Each formula object is printed once per call; the memo is keyed on its
-    ``id`` and holds the object, and is dropped when the call returns.
+    One postorder walk numbers and prints each node.  Each formula object
+    is printed once per call; the memo is keyed on its ``id`` and holds the
+    object, and is dropped when the call returns.
     """
-    root = renumber(root)
     printed: dict[int, tuple[Formula, str]] = {}
+    num: dict[int, int] = {}
 
     def lwff(w: Lwff) -> str:
         hit = printed.get(id(w.formula))
@@ -205,18 +206,19 @@ def serialize(root: Node) -> str:
 
     lines: list[str] = []
     for n in _postorder(root):
+        k = num[id(n)] = len(num) + 1
         if isinstance(n, Assume):
             if isinstance(n.formula, Lwff):
-                lines.append(f"assume {n.id} lwff {lwff(n.formula)}")
+                lines.append(f"assume {k} lwff {lwff(n.formula)}")
             else:
                 rel = "le" if isinstance(n.formula, Le) else "succ"
-                lines.append(f"assume {n.id} rwff {rel}({n.formula.a},{n.formula.b})")
+                lines.append(f"assume {k} rwff {rel}({n.formula.a},{n.formula.b})")
         else:
-            parts = [f"node {n.id} {n.rule} concl {lwff(n.conclusion)}", "prem", ",".join(str(p.id) for p in n.premises)]
+            parts = [f"node {k} {n.rule} concl {lwff(n.conclusion)}", "prem", ",".join(str(num[id(p)]) for p in n.premises)]
             if n.discharges:
-                parts += ["disch", ",".join(str(a.id) for a in n.discharges)]
+                parts += ["disch", ",".join(str(num[id(a)]) for a in n.discharges)]
             if n.subst is not None:
                 parts += ["subst", n.subst[0], n.subst[1]]
             lines.append(" ".join(parts))
-    lines.append(f"root {root.id}")
+    lines.append(f"root {num[id(root)]}")
     return "\n".join(lines) + "\n"

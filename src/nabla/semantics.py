@@ -15,7 +15,7 @@ bound is validated empirically against ``eval_h_oracle``, a literal
 transcription with a caller-chosen horizon.
 
 ``eval_h`` never builds the sequence it recurses on; it evaluates on a
-canonical pair, by three rules:
+canonical pair, by four rules:
 
 * Last-pair locality.  Every truth clause reads at most the last two
   elements of a sequence and extends or replaces only the last one, so by
@@ -33,6 +33,17 @@ canonical pair, by three rules:
   move with the pair; so it shifts back by whole periods until its smaller
   element lies in ``[s, s + p)``.  This is the periodicity that also backs
   the two-period truncation, and ``quantifier-bound`` checks it.
+* Local subformulas read the last element alone.  The clauses for atoms,
+  ``bot``, ``G`` and ``X`` never read the first element of the pair, and
+  ``->`` reads it only through its sides; so a local subformula, one where
+  ``H`` occurs only under ``G`` or ``X`` (the grammar of
+  ``formulas.classify_local``), has the same truth at ``(i, n)`` and at
+  ``(n, n)``.  This is the paper's ``last`` lemma.  Such a subformula is
+  evaluated at ``(n, n)``, which the period shift folds onto ``canon(n)``,
+  so a ``G`` window costs one memo entry per position instead of one per
+  pair of outer position and position.  ``last``, ``corollary`` and the
+  local clause of ``last-local`` check it against ``eval_ltl`` and the
+  oracle.
 
 The memo is keyed on the canonical pair, so the entries per subformula are
 bounded by the lasso's size and the entry pair rather than by the path
@@ -54,6 +65,7 @@ from .formulas import (
     Implies,
     Next,
     Until,
+    _is_local,
     desugar,
     format_formula,
     in_history_language,
@@ -237,7 +249,12 @@ def eval_h(m: LassoModel, seq, a: Formula) -> bool:
     Evaluates on the canonical last pair of the sequence (see the module
     docstring): ``X`` moves ``(i, n)`` to ``(n, n+1)``, ``G`` to ``(n, mm)``
     for ``mm`` in ``[n, max(n, s) + 2p]``, and ``H`` to ``(i, mm)`` for
-    ``mm`` in ``[i, n]``.  Pairs past ``s + p`` shift back by whole periods.
+    ``mm`` in ``[i, n]``, with ``n`` clamped to ``max(i, s+p) + p(k+1)``
+    where ``k`` bounds the operand's ``H`` nesting: past
+    ``max(i, s+p) + pk`` the operand is periodic in ``mm``, so one more
+    period has shown every value it takes.  Local subformulas are
+    evaluated at ``(n, n)``, and pairs past ``s + p`` shift back by whole
+    periods.
     """
     sigma = _check_sequence(seq)
     if not in_history_language(a):
@@ -246,8 +263,14 @@ def eval_h(m: LassoModel, seq, a: Formula) -> bool:
     s, p = m.stem_len, m.period
     window = s + p
     memo: dict[tuple[int, int, int], bool] = {}
+    # Per object, filled on first use: whether an -> node is local, and the
+    # temporal depth of an H node's operand.
+    local: dict[int, bool] = {}
+    depth: dict[int, int] = {}
 
     def ev(i: int, n: int, x: Formula) -> bool:
+        if i != n and _is_local(x, local):
+            i = n
         if i >= window and n >= window:
             shift = (min(i, n) - s) // p * p
             i -= shift
@@ -272,11 +295,19 @@ def eval_h(m: LassoModel, seq, a: Formula) -> bool:
             # after the nearest memoised prefix and fill the memo upward, so
             # nested H costs linear in the gap and the recursion stays flat.
             # Pairs (i, mm) with i <= mm are canonical: i is below s + p.
-            lo = n
+            # The clamp is never below max(i, s + p) + p, so the operand's
+            # depth is looked up only for walks that reach past it.
+            top = n
+            if n > max(i, window) + p:
+                k = depth.get(id(x))
+                if k is None:
+                    k = depth[id(x)] = temporal_depth(x.operand)
+                top = min(n, max(i, window) + p * (k + 1))
+            lo = top
             while lo > i and (id(x), i, lo - 1) not in memo:
                 lo -= 1
             v = memo[id(x), i, lo - 1] if lo > i else True
-            for mm in range(max(lo, i), n + 1):
+            for mm in range(max(lo, i), top + 1):
                 v = v and ev(i, mm, x.operand)
                 memo[id(x), i, mm] = v
         else:

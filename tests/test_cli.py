@@ -1,9 +1,15 @@
 import json
+import os
+import resource
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import nabla
 from nabla.cli import MAX_IMAGE_LENGTH, main
 from nabla.formulas import MAX_NESTING, Implies, desugar, parse_ltl
 from nabla.kernel import Apply, Assume, Lwff, check
@@ -106,6 +112,25 @@ def test_eval_positions_and_sequences(capsys, model_file):
     code, out = run(capsys, "eval", "--model", str(model_file), "--seq", "0,2", "(H p)")
     assert code == 0 and out.strip() == "false"
     assert main(["eval", "--model", str(model_file), "--pos", "0", "(H p)"]) == 2
+
+
+def test_eval_hist_across_a_gap_of_a_billion(tmp_path):
+    # Each formula holds at (0, n) iff p holds on [0, n] (or [0, n + 1]).
+    # Past a few periods the operand of H repeats, so the walk over [0, n]
+    # stops there instead of visiting 10^9 positions.  Each query runs in a
+    # child limited to 1 GiB of address space and 30 s, so a walk over
+    # every position fails the test instead of exhausting the machine.
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(Path(nabla.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
+    path = tmp_path / "m.lasso"
+    for loop, want in [((frozenset({"p"}),), "true"), ((frozenset({"p"}), frozenset({"q"})), "false")]:
+        path.write_text(format_model(LassoModel((frozenset({"p"}),), loop)), encoding="utf-8")
+        for text in ("(H (H p))", "(H (X (H p)))"):
+            argv = [sys.executable, "-m", "nabla.cli", "eval", "--model", str(path), "--seq", "0,1000000000", text]
+            done = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=30, preexec_fn=limit_memory)
+            assert (done.returncode, done.stdout.strip()) == (0, want), (loop, text, done.stderr[-300:])
 
 
 def test_fuzz_exit_codes_and_determinism(capsys):

@@ -185,6 +185,20 @@ def test_derive_tautology_examples():
         derive_tautology(parse_ltl("((X p) -> (X p))"), "b")
 
 
+def test_derive_tautology_builds_each_formula_once():
+    # check and serialize work once per formula object, so the proof holds
+    # one object per formula and one judgement per object.
+    from nabla.kernel import all_nodes
+
+    root = derive_tautology(parse_ltl("((((p & q) -> r) -> (p & q)) -> (p & q))"), "b")
+    judgements = [n.formula if isinstance(n, Assume) else n.conclusion for n in all_nodes(root)]
+    objects: dict = {}
+    for w in judgements:
+        objects.setdefault(w.formula, set()).add(id(w.formula))
+    assert all(len(ids) == 1 for ids in objects.values())
+    assert len({id(w) for w in judgements}) == len({id(w.formula) for w in judgements})
+
+
 def test_derive_tautology_enumerated_small_tautologies():
     from nabla.gen import random_until_formula
     from nabla.formulas import atoms_of

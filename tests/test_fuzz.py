@@ -44,6 +44,22 @@ def test_last_local_hist_tier_catches_a_last_element_collapse(monkeypatch):
     assert report.counterexample["clause"] == "hist-tier"
 
 
+def test_locality_lemmas_catch_an_evaluator_that_ignores_the_sequence(monkeypatch):
+    # eval_h enters the two sides of last, corollary and last-local's local
+    # clause at one memo entry, so each right-hand side must come from an
+    # independent route for the lemma to notice an eval_h that reads the
+    # wrong position.
+    def next_position(m, seq, f):
+        return semantics.eval_h(m, (seq[-1] + 1,), f)
+
+    monkeypatch.setattr(fuzz, "eval_h", next_position)
+    assert not run_lemma("last", samples=1000, seed=42).ok
+    assert not run_lemma("corollary", samples=1000, seed=42).ok
+    report = run_lemma("last-local", samples=1000, seed=42)
+    assert not report.ok
+    assert report.counterexample["clause"] == "local"
+
+
 def test_unknown_lemma_rejected():
     with pytest.raises(ValueError):
         run_lemma("nonsense", samples=1, seed=0)

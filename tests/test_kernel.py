@@ -31,7 +31,6 @@ from nabla.kernel import (
     open_assumption_classes,
     open_assumptions,
     rename_labels,
-    renumber,
     subst_label,
 )
 from nabla.scripts import parse_script, serialize
@@ -174,16 +173,6 @@ def test_rename_bijection_preserves_verdict_on_random_derivations():
         mapping = dict(zip(labs, (f"z{k}_{v}" for k, v in enumerate(shuffled))))
         renamed = rename_labels(d, mapping)
         assert check(renamed).accepted
-
-
-def test_renumber_keeps_verdict():
-    from nabla.kernel import all_nodes
-
-    root = load_entry("A8")
-    again = renumber(root)
-    assert check(again).accepted
-    ids = [n.id for n in all_nodes(again)]
-    assert len(ids) == len(set(ids))
 
 
 def test_is_ltl_derivation_paper_example():

@@ -19,6 +19,10 @@ def test_serialize_roundtrip_on_corpus():
     for entry in ENTRIES:
         root = load_script(entry.script)
         text = serialize(root)
+        # Ids run 1, 2, ... in definition order (parse_script rejects a
+        # duplicate), and the renumbered script keeps the verdict.
+        ids = [int(line.split()[1]) for line in text.splitlines()[:-1]]
+        assert ids == list(range(1, len(ids) + 1))
         again = parse_script(text)
         r1 = check(expand(root))
         r2 = check(expand(again))

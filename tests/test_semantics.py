@@ -175,7 +175,8 @@ def test_nested_hist_walks_its_range_once():
 
 def test_oracle_agrees_on_wide_hist_gaps():
     # The last pair lies 20 or more positions apart, so every H walks a
-    # long range, often one a nested H has partly walked already.
+    # long range, often one a nested H has partly walked already.  Gaps of
+    # up to 150 lie well past the point where eval_h clamps the walk.
     rng = random.Random(8)
     for _ in range(300):
         m = random_lasso(rng, ["p", "q"], max_stem=3, max_period=3)
@@ -189,8 +190,26 @@ def test_oracle_agrees_on_wide_hist_gaps():
             h = Hist(random_history_formula(rng, rng.randint(0, 3), max_temporal_depth=1))
             f = Implies(Implies(h, Bottom()), Hist(Implies(h, f)))
         i = rng.randint(0, 8)
-        sigma = random_obs_sequence(rng, max_len=2, max_value=8) + (i, i + rng.randint(20, 30))
+        gap = rng.randint(20, 30) if rng.random() < 0.5 else rng.randint(31, 150)
+        sigma = random_obs_sequence(rng, max_len=2, max_value=8) + (i, i + gap)
         horizon = max(sigma) + 3 * (m.stem_len + m.period) * 2
+        assert eval_h(m, sigma, f) == eval_h_oracle(m, sigma, f, horizon), (m, sigma, f)
+
+
+def test_oracle_agrees_on_hist_staircases():
+    # H (q -> H (p -> H (q -> ... p))): the first position where a level
+    # fails can lie up to a period past the first failure of the level
+    # below, so how far eval_h must walk an H range grows with the nesting.
+    # A walk clamped at a fixed number of periods answers true too often.
+    rng = random.Random(9)
+    for _ in range(600):
+        m = random_lasso(rng, ["p", "q"], max_stem=2, max_period=4)
+        f = P
+        for level in range(rng.randint(3, 8)):
+            f = Hist(Implies(Q if level % 2 == 0 else P, f))
+        i = rng.randint(0, 4)
+        sigma = (i, i + rng.randint(12, 60))
+        horizon = max(sigma) + (m.stem_len + m.period) * 9
         assert eval_h(m, sigma, f) == eval_h_oracle(m, sigma, f, horizon), (m, sigma, f)
 
 
