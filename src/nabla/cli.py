@@ -7,7 +7,8 @@ falsified lemma).  ``NABLA_SEED`` overrides the default fuzz seed and must
 be an integer; an explicit ``--seed`` wins over both.  Formulas nested
 deeper than ``formulas.MAX_NESTING`` are parse errors (exit 2), and so is
 a formula whose image ``translate`` would print longer than
-``MAX_IMAGE_LENGTH`` characters (1 MiB).  Any other
+``MAX_IMAGE_LENGTH`` characters (1 MiB), and ``fuzz`` refuses
+``--samples`` below 1 and ``--max-size`` below 0 with exit 2.  Any other
 exception that escapes a subcommand is an internal error: ``main`` prints
 ``internal error: <type>: <message>`` to stderr and exits 4, never 1, which
 means rejected.
@@ -158,6 +159,10 @@ def cmd_fuzz(args) -> int:
             seed = int(env) if env else 0
         except ValueError:
             print(f"error: NABLA_SEED must be an integer, got {env!r}", file=sys.stderr)
+            return EXIT_PARSE
+    for flag, value, least in (("--samples", args.samples, 1), ("--max-size", args.max_size, 0)):
+        if value < least:
+            print(f"error: {flag} must be at least {least}, got {value}", file=sys.stderr)
             return EXIT_PARSE
     report = run_lemma(args.lemma, args.samples, seed, args.max_size, args.inject_bug)
     if args.json:

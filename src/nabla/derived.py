@@ -313,12 +313,15 @@ _ARITY = {"andI": 2, "andE1": 1, "andE2": 1, "orIl": 1, "orIr": 1, "orE": 3, "FI
 
 
 def expand(root: Node) -> Node:
-    """Rewrite derived-rule applications into primitive derivations."""
+    """Rewrite derived-rule applications into primitive derivations; ``root`` itself if it has none."""
     from .kernel import _postorder
 
-    ids = _Ids(max_node_id(root) + 1)
+    order = _postorder(root)
+    if not any(isinstance(n, Apply) and n.rule in _TEMPLATES for n in order):
+        return root
+    ids = _Ids(max(n.id for n in order) + 1)
     memo: dict[int, Node] = {}
-    for n in _postorder(root):
+    for n in order:
         if isinstance(n, Assume):
             memo[id(n)] = n
             continue

@@ -28,7 +28,7 @@ from .gen import (
     random_until_formula,
 )
 from .kernel import check, format_generic
-from .semantics import LassoModel, eval_h, eval_h_oracle, eval_ltl, falsify_consequence, random_lasso
+from .semantics import LassoModel, _eval_h, _eval_h_oracle, eval_ltl, falsify_consequence, random_lasso
 from .translate import translate
 
 __all__ = ["LEMMAS", "FuzzReport", "run_lemma", "report_to_json"]
@@ -89,8 +89,8 @@ def _reference(m: LassoModel, seq, f: Formula) -> bool:
     """
     td = temporal_depth(f)
     if td > _ORACLE_DEPTH:
-        return eval_h(m, seq, f)
-    return eval_h_oracle(m, seq, f, max(seq) + (m.stem_len + m.period) * td + 1)
+        return _eval_h(m, seq, f)
+    return _eval_h_oracle(m, seq, f, max(seq) + (m.stem_len + m.period) * td + 1)
 
 
 def _subformulas(f: Formula) -> list[Formula]:
@@ -147,7 +147,7 @@ class _LemmaRun:
     def _translation_fails(self, m: LassoModel, n: int, a: Formula) -> bool:
         model_ltl = _shift_valuation(m) if self.inject_bug == "valuation-shift" else m
         lhs = eval_ltl(model_ltl, n, a)
-        rhs = eval_h(m, (n,), desugar(translate(a)))
+        rhs = _eval_h(m, (n,), desugar(translate(a)))
         return lhs != rhs
 
     def _translation(self, i: int) -> dict | None:
@@ -180,7 +180,7 @@ class _LemmaRun:
             "model": m.to_dict(),
             "position": n,
             "eval_ltl": eval_ltl(_shift_valuation(m) if self.inject_bug == "valuation-shift" else m, n, a),
-            "eval_h_on_translation": eval_h(m, (n,), desugar(translate(a))),
+            "eval_h_on_translation": _eval_h(m, (n,), desugar(translate(a))),
         }
 
     def _model_variants(self, m: LassoModel):
@@ -193,7 +193,7 @@ class _LemmaRun:
 
     def _prefix_fails(self, m: LassoModel, sigma, prefix, a: Formula) -> bool:
         f = desugar(translate(a))
-        return eval_h(m, sigma, f) != _reference(m, prefix + (sigma[-1],), f)
+        return _eval_h(m, sigma, f) != _reference(m, prefix + (sigma[-1],), f)
 
     def _prefix(self, i: int) -> dict | None:
         a = random_until_formula(self.rng, self.rng.randint(0, self.max_size))
@@ -224,7 +224,7 @@ class _LemmaRun:
             "model": m.to_dict(),
             "sequence": list(sigma),
             "prefix": list(prefix),
-            "lhs": eval_h(m, sigma, f),
+            "lhs": _eval_h(m, sigma, f),
             "rhs": _reference(m, prefix + (sigma[-1],), f),
         }
 
@@ -232,7 +232,7 @@ class _LemmaRun:
     # the right-hand side takes the translation lemma's route to (sigma[-1],)
 
     def _corollary_fails(self, m: LassoModel, sigma, a: Formula) -> bool:
-        return eval_h(m, sigma, desugar(translate(a))) != eval_ltl(m, sigma[-1], a)
+        return _eval_h(m, sigma, desugar(translate(a))) != eval_ltl(m, sigma[-1], a)
 
     def _corollary(self, i: int) -> dict | None:
         a = random_until_formula(self.rng, self.rng.randint(0, self.max_size))
@@ -258,7 +258,7 @@ class _LemmaRun:
             "formula": format_formula(a),
             "model": m.to_dict(),
             "sequence": list(sigma),
-            "lhs": eval_h(m, sigma, desugar(translate(a))),
+            "lhs": _eval_h(m, sigma, desugar(translate(a))),
             "rhs": eval_ltl(m, sigma[-1], a),
         }
 
@@ -278,7 +278,7 @@ class _LemmaRun:
             keep = 2
 
         def fails(m0, s0, p0, f0):
-            return eval_h(m0, s0, f0) != _reference(m0, p0 + s0[-keep:], f0)
+            return _eval_h(m0, s0, f0) != _reference(m0, p0 + s0[-keep:], f0)
 
         if not fails(m, sigma, prefix, f):
             return None
@@ -308,7 +308,7 @@ class _LemmaRun:
             "sequence": list(sigma),
             "prefix": list(prefix),
             "kept": list(sigma[-keep:]),
-            "lhs": eval_h(m, sigma, f),
+            "lhs": _eval_h(m, sigma, f),
             "rhs": _reference(m, prefix + sigma[-keep:], f),
         }
 
@@ -334,10 +334,10 @@ class _LemmaRun:
     def _bound_fails(self, m: LassoModel, sigma, f: Formula) -> bool:
         fast_model = _shift_valuation(m) if self.inject_bug == "valuation-shift" else m
         horizon = max(sigma) + 4 * (m.stem_len + m.period)
-        return eval_h(fast_model, sigma, f) != eval_h_oracle(m, sigma, f, horizon)
+        return _eval_h(fast_model, sigma, f) != _eval_h_oracle(m, sigma, f, horizon)
 
     def _quantifier_bound(self, i: int) -> dict | None:
-        f = random_history_formula(self.rng, self.rng.randint(0, min(self.max_size, 6)), max_temporal_depth=3)
+        f = desugar(random_history_formula(self.rng, self.rng.randint(0, min(self.max_size, 6)), max_temporal_depth=3))
         m = random_lasso(self.rng, sorted({"p", "q", "r"}))
         sigma = random_obs_sequence(self.rng, max_len=3, max_value=6)
         if not self._bound_fails(m, sigma, f):
@@ -363,8 +363,8 @@ class _LemmaRun:
             "model": m.to_dict(),
             "sequence": list(sigma),
             "horizon": horizon,
-            "eval_h": eval_h(fast_model, sigma, f),
-            "oracle": eval_h_oracle(m, sigma, f, horizon),
+            "eval_h": _eval_h(fast_model, sigma, f),
+            "oracle": _eval_h_oracle(m, sigma, f, horizon),
         }
 
 
@@ -377,4 +377,6 @@ def run_lemma(
 ) -> FuzzReport:
     if lemma not in LEMMAS:
         raise ValueError(f"unknown lemma {lemma!r}; pick one of {', '.join(LEMMAS)}")
+    if samples < 1 or max_size < 0:
+        raise ValueError(f"need samples >= 1 and max_size >= 0, got {samples} and {max_size}")
     return _LemmaRun(lemma, samples, seed, max_size, inject_bug).run()

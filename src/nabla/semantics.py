@@ -49,6 +49,16 @@ The memo is keyed on the canonical pair, so the entries per subformula are
 bounded by the lasso's size and the entry pair rather than by the path
 taken, and the cost is polynomial in the nesting depth of ``G``.
 ``eval_h_oracle`` keeps the literal whole-sequence memo.
+
+The public evaluators check their input: ``ValueError`` on an empty
+sequence, a negative position or a formula of the other language, and
+``HorizonTooSmall`` below the oracle's minimum horizon.  ``eval_h`` and
+``eval_h_oracle`` then pass the desugared formula to the private bodies
+``_eval_h`` and ``_eval_h_oracle``, which check nothing and require a
+nonempty tuple of naturals, a formula ``g`` with ``desugar(g) is g`` and
+``in_history_language(g)``, and for the oracle that minimum horizon.
+``fuzz``'s lemma runners and ``falsify_consequence``, which check their
+formulas once, call the bodies directly.
 """
 
 from __future__ import annotations
@@ -243,6 +253,12 @@ def _check_sequence(seq) -> tuple[int, ...]:
     return sigma
 
 
+def _core_history(a: Formula) -> Formula:
+    if not in_history_language(a):
+        raise ValueError(f"not a history-language formula: {format_formula(a)}")
+    return desugar(a)
+
+
 def eval_h(m: LassoModel, seq, a: Formula) -> bool:
     """Truth of a history-language formula at an observation sequence.
 
@@ -256,12 +272,13 @@ def eval_h(m: LassoModel, seq, a: Formula) -> bool:
     evaluated at ``(n, n)``, and pairs past ``s + p`` shift back by whole
     periods.
     """
-    sigma = _check_sequence(seq)
-    if not in_history_language(a):
-        raise ValueError(f"not a history-language formula: {format_formula(a)}")
-    g = desugar(a)
+    return _eval_h(m, _check_sequence(seq), _core_history(a))
+
+
+def _eval_h(m: LassoModel, sigma: tuple[int, ...], g: Formula) -> bool:
     s, p = m.stem_len, m.period
     window = s + p
+    vals = m.stem + m.loop
     memo: dict[tuple[int, int, int], bool] = {}
     # Per object, filled on first use: whether an -> node is local, and the
     # temporal depth of an H node's operand.
@@ -280,7 +297,8 @@ def eval_h(m: LassoModel, seq, a: Formula) -> bool:
         if cached is not None:
             return cached
         if isinstance(x, Atom):
-            v = x.name in m.valuation(n)
+            # An atom is local, so the period shift above put n below s + p.
+            v = x.name in vals[n]
         elif isinstance(x, Bottom):
             v = False
         elif isinstance(x, Implies):
@@ -329,13 +347,17 @@ def eval_h_oracle(m: LassoModel, seq, a: Formula, horizon: int) -> bool:
     generous headroom instead of sharing one absolute cutoff.
     """
     sigma = _check_sequence(seq)
-    if not in_history_language(a):
-        raise ValueError(f"not a history-language formula: {format_formula(a)}")
-    need = max(sigma) + (m.stem_len + m.period) * temporal_depth(a) + 1
+    g = _core_history(a)
+    need = max(sigma) + (m.stem_len + m.period) * temporal_depth(g) + 1
     if horizon < need:
         raise HorizonTooSmall(f"horizon {horizon} < required {need}")
+    return _eval_h_oracle(m, sigma, g, horizon)
+
+
+def _eval_h_oracle(m: LassoModel, sigma: tuple[int, ...], g: Formula, horizon: int) -> bool:
     slack = horizon - max(sigma)
-    g = desugar(a)
+    s, p = m.stem_len, m.period
+    vals = m.stem + m.loop
     memo: dict[tuple[int, tuple[int, ...]], bool] = {}
 
     def ev(sig: tuple[int, ...], x: Formula) -> bool:
@@ -344,7 +366,8 @@ def eval_h_oracle(m: LassoModel, seq, a: Formula, horizon: int) -> bool:
         if cached is not None:
             return cached
         if isinstance(x, Atom):
-            v = x.name in m.valuation(sig[-1])
+            n = sig[-1]
+            v = x.name in vals[n if n < s + p else s + (n - s) % p]
         elif isinstance(x, Bottom):
             v = False
         elif isinstance(x, Implies):
@@ -446,15 +469,22 @@ def falsify_consequence(
     """Search random (model, interpretation) pairs for one satisfying every
     premise but not the goal.  A falsifier, never a prover: finding nothing
     does not establish the consequence.  Deterministic for a fixed seed.
+    Premises are checked once per call; the goal is evaluated where every
+    premise holds.
     """
     premises = list(premises)
     every = premises + [goal]
-    labels = _labels_in(every)
-    symbols = _symbols_in(every)
+    labels, symbols = _labels_in(every), _symbols_in(every)
+    rels = [r for r in premises if not isinstance(r, Lwff)]
+    hists = [(w.seq, _core_history(w.formula)) for w in premises if isinstance(w, Lwff)]
     rng = random.Random(seed)
     for i in range(samples):
         model = random_lasso(rng, symbols)
         interp = {lab: rng.randint(0, max_label_value) for lab in labels}
-        if all(eval_generic(model, interp, phi) for phi in premises) and not eval_generic(model, interp, goal):
+        if (
+            all(eval_rwff(model, interp, r) for r in rels)
+            and all(_eval_h(model, tuple(interp[x] for x in seq), g) for seq, g in hists)
+            and not eval_generic(model, interp, goal)
+        ):
             return Counterexample(model, interp, i, format_generic(goal))
     return None

@@ -153,6 +153,44 @@ def test_fuzz_canary_detects_injected_bug(capsys):
     assert payload["counterexample"] is not None
 
 
+GOLDEN = Path(__file__).parent / "golden"
+
+# tests/golden/<name>.json holds the stdout of `nabla fuzz ARGS --json --seed 1`.
+# A change that moves any random draw or any verdict shows here.
+FUZZ_GOLDENS = {
+    "fuzz_translation": ("--lemma", "translation"),
+    "fuzz_last": ("--lemma", "last"),
+    "fuzz_corollary": ("--lemma", "corollary"),
+    "fuzz_last-local": ("--lemma", "last-local"),
+    "fuzz_soundness": ("--lemma", "soundness", "--samples", "100"),
+    "fuzz_quantifier-bound": ("--lemma", "quantifier-bound"),
+    "fuzz_translation_valuation-shift": ("--lemma", "translation", "--inject-bug", "valuation-shift"),
+    "fuzz_quantifier-bound_valuation-shift": ("--lemma", "quantifier-bound", "--inject-bug", "valuation-shift"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FUZZ_GOLDENS))
+def test_seeded_fuzz_report_matches_golden(capsys, name):
+    code, out = run(capsys, "fuzz", *FUZZ_GOLDENS[name], "--json", "--seed", "1")
+    assert out == (GOLDEN / f"{name}.json").read_text(encoding="utf-8")
+    assert code == (3 if "--inject-bug" in FUZZ_GOLDENS[name] else 0)
+
+
+@pytest.mark.parametrize(
+    "flag, values",
+    [("--samples", ["0", "-5"]), ("--max-size", ["-1", "-3"])],
+)
+def test_fuzz_rejects_bad_sizes(capsys, flag, values):
+    for value in values:
+        code = main(["fuzz", "--lemma", "last", flag, value])
+        captured = capsys.readouterr()
+        assert code == 2, (flag, value)
+        assert captured.out == ""
+        assert flag in captured.err and "internal error" not in captured.err
+    # The smallest accepted values still run.
+    assert main(["fuzz", "--lemma", "last", "--samples", "1", "--max-size", "0"]) == 0
+
+
 def test_nabla_seed_env(capsys, monkeypatch):
     monkeypatch.setenv("NABLA_SEED", "123")
     code, out = run(capsys, "fuzz", "--lemma", "translation", "--samples", "5", "--json")

@@ -1,6 +1,7 @@
 import pytest
 
 from nabla import fuzz, semantics
+from nabla.formulas import desugar, in_history_language, temporal_depth
 from nabla.fuzz import LEMMAS, report_to_json, run_lemma
 
 
@@ -38,7 +39,7 @@ def test_last_local_hist_tier_catches_a_last_element_collapse(monkeypatch):
     def last_only(m, seq, f):
         return semantics.eval_h(m, tuple(seq)[-1:], f)
 
-    monkeypatch.setattr(fuzz, "eval_h", last_only)
+    monkeypatch.setattr(fuzz, "_eval_h", last_only)
     report = run_lemma("last-local", samples=1000, seed=42)
     assert not report.ok
     assert report.counterexample["clause"] == "hist-tier"
@@ -52,7 +53,7 @@ def test_locality_lemmas_catch_an_evaluator_that_ignores_the_sequence(monkeypatc
     def next_position(m, seq, f):
         return semantics.eval_h(m, (seq[-1] + 1,), f)
 
-    monkeypatch.setattr(fuzz, "eval_h", next_position)
+    monkeypatch.setattr(fuzz, "_eval_h", next_position)
     assert not run_lemma("last", samples=1000, seed=42).ok
     assert not run_lemma("corollary", samples=1000, seed=42).ok
     report = run_lemma("last-local", samples=1000, seed=42)
@@ -63,3 +64,37 @@ def test_locality_lemmas_catch_an_evaluator_that_ignores_the_sequence(monkeypatc
 def test_unknown_lemma_rejected():
     with pytest.raises(ValueError):
         run_lemma("nonsense", samples=1, seed=0)
+
+
+def test_bad_sizes_rejected():
+    for samples, max_size in [(0, 6), (-5, 6), (10, -1)]:
+        with pytest.raises(ValueError):
+            run_lemma("last", samples=samples, seed=0, max_size=max_size)
+
+
+@pytest.mark.parametrize(
+    "lemma, inject",
+    [(lemma, None) for lemma in LEMMAS] + [("translation", "valuation-shift"), ("quantifier-bound", "valuation-shift")],
+)
+def test_runners_meet_the_bodies_precondition(monkeypatch, lemma, inject):
+    # The runners and the falsifier skip the public checks, so every call
+    # must hand the bodies a nonempty tuple of naturals, a desugared
+    # history formula and, for the oracle, at least its minimum horizon.
+    seen = []
+
+    def guard(body):
+        def checked(m, sigma, g, *horizon):
+            assert type(sigma) is tuple and sigma and min(sigma) >= 0
+            assert desugar(g) is g and in_history_language(g)
+            if horizon:
+                assert horizon[0] >= max(sigma) + (m.stem_len + m.period) * temporal_depth(g) + 1
+            seen.append(g)
+            return body(m, sigma, g, *horizon)
+
+        return checked
+
+    monkeypatch.setattr(fuzz, "_eval_h", guard(semantics._eval_h))
+    monkeypatch.setattr(semantics, "_eval_h", guard(semantics._eval_h))
+    monkeypatch.setattr(fuzz, "_eval_h_oracle", guard(semantics._eval_h_oracle))
+    run_lemma(lemma, samples=10 if lemma == "soundness" else 200, seed=11, inject_bug=inject)
+    assert seen

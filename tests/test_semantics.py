@@ -3,7 +3,8 @@ import random
 import pytest
 
 from nabla.corpus import ENTRIES
-from nabla.formulas import Always, Atom, Bottom, Hist, Implies, Until, desugar, parse_h
+from nabla import semantics
+from nabla.formulas import Always, Atom, Bottom, Hist, Implies, Or, Until, desugar, parse_h
 from nabla.gen import random_history_formula, random_obs_sequence, random_until_formula
 from nabla.translate import translate
 from nabla.kernel import Le, Lwff, Succ
@@ -231,6 +232,11 @@ def test_oracle_horizon_precondition():
     f = parse_h("(G (G (G p)))")
     with pytest.raises(HorizonTooSmall):
         eval_h_oracle(LOOP_P, (5,), f, 7)
+    # The minimum is max(seq) + (s + p) * depth + 1.
+    f = parse_h("(G (X (H p)))")
+    with pytest.raises(HorizonTooSmall):
+        eval_h_oracle(STEM_P_LOOP_Q, (4, 1), f, 10)
+    assert eval_h_oracle(STEM_P_LOOP_Q, (4, 1), f, 11) == eval_h(STEM_P_LOOP_Q, (4, 1), f)
 
 
 def test_falsify_examples():
@@ -278,7 +284,48 @@ def test_eval_generic_dispatch():
 def test_eval_rejects_wrong_language():
     with pytest.raises(ValueError):
         eval_ltl(LOOP_P, 0, Hist(P))
+    for seq, f in [((0,), Until(P, Q)), ((), P), ((3, -1), P), ((-2,), Hist(P))]:
+        with pytest.raises(ValueError):
+            eval_h(LOOP_P, seq, f)
+        with pytest.raises(ValueError):
+            eval_h_oracle(LOOP_P, seq, f, 100)
+
+
+def test_public_evaluators_desugar_abbreviations():
+    g = parse_h("((H q) | (F p))")
+    for seq in [(0,), (2, 5), (1, 0, 3)]:
+        want = eval_h(STEM_P_LOOP_Q, seq, desugar(g))
+        assert eval_h(STEM_P_LOOP_Q, seq, g) == want
+        assert eval_h_oracle(STEM_P_LOOP_Q, seq, g, max(seq) + 10) == want
+
+
+def test_falsify_rejects_a_premise_outside_the_history_language():
     with pytest.raises(ValueError):
-        eval_h(LOOP_P, (0,), Until(P, Q))
-    with pytest.raises(ValueError):
-        eval_h(LOOP_P, (), P)
+        falsify_consequence([Le("b", "c"), Lwff(("b",), Until(P, Q))], Lwff(("b",), P), 10, seed=1)
+
+
+def test_falsify_evaluates_the_goal_once_per_sample_where_the_premises_hold(monkeypatch):
+    # The goal goes through eval_generic exactly on the samples where every
+    # premise holds; the premises, checked once per call, must agree with the
+    # public route on each sample.  Replaying the draws gives those samples.
+    premises = [Lwff(("b",), P), Le("b", "c"), Lwff(("b", "c"), Or(Hist(Q), P))]
+    goal = Lwff(("b",), Or(Q, P))
+    real = semantics.eval_generic
+    calls = []
+
+    def counting(m, interp, phi):
+        if phi is goal:
+            calls.append((m, dict(interp)))
+        return real(m, interp, phi)
+
+    monkeypatch.setattr(semantics, "eval_generic", counting)
+    assert falsify_consequence(premises, goal, 300, seed=5) is None
+    rng = random.Random(5)
+    useful = []
+    for _ in range(300):
+        m = random_lasso(rng, ["p", "q"])
+        interp = {lab: rng.randint(0, 12) for lab in ["b", "c"]}
+        if all(real(m, interp, phi) for phi in premises):
+            useful.append((m, interp))
+    assert 0 < len(useful) < 300
+    assert calls == useful
