@@ -8,10 +8,10 @@ be an integer; an explicit ``--seed`` wins over both.  Formulas nested
 deeper than ``formulas.MAX_NESTING`` are parse errors (exit 2), and so is
 a formula whose image ``translate`` would print longer than
 ``MAX_IMAGE_LENGTH`` characters (1 MiB), and ``fuzz`` refuses
-``--samples`` below 1 and ``--max-size`` below 0 with exit 2.  Any other
-exception that escapes a subcommand is an internal error: ``main`` prints
-``internal error: <type>: <message>`` to stderr and exits 4, never 1, which
-means rejected.
+``--samples`` below 1, ``--max-size`` below 0 and ``--inject-bug`` with
+``--lemma soundness`` with exit 2.  Any other exception that escapes a
+subcommand is an internal error: ``main`` prints ``internal error: <type>:
+<message>`` to stderr and exits 4, never 1, which means rejected.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import sys
 from pathlib import Path
 
 from . import corpus as corpus_mod
-from .derived import NotATautology, NotPropositional, SchemaMismatch, expand
+from .derived import NotATautology, NotPropositional, SchemaMismatch, derive_tautology, expand
 from .formulas import ParseError, format_formula, format_length, parse_h, parse_ltl
 from .fuzz import LEMMAS, report_to_json, run_lemma
 from .kernel import SHAPE_MISMATCH, CheckReport, check, format_generic
@@ -114,8 +114,6 @@ def cmd_taut(args) -> int:
     except ParseError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_PARSE
-    from .derived import derive_tautology
-
     try:
         d = derive_tautology(f, args.label)
     except (NotATautology, NotPropositional) as e:
@@ -164,6 +162,9 @@ def cmd_fuzz(args) -> int:
         if value < least:
             print(f"error: {flag} must be at least {least}, got {value}", file=sys.stderr)
             return EXIT_PARSE
+    if args.inject_bug and args.lemma == "soundness":
+        print("error: --inject-bug breaks the left-hand side of a comparison lemma, not soundness", file=sys.stderr)
+        return EXIT_PARSE
     report = run_lemma(args.lemma, args.samples, seed, args.max_size, args.inject_bug)
     if args.json:
         print(report_to_json(report), end="")
@@ -217,7 +218,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, help="default: NABLA_SEED, else 0")
     p.add_argument("--max-size", type=int, default=6)
     p.add_argument("--json", action="store_true")
-    p.add_argument("--inject-bug", choices=["valuation-shift"], help="testing only: make one evaluation route wrong")
+    p.add_argument(
+        "--inject-bug",
+        choices=["valuation-shift"],
+        help="testing only: make the left-hand side of a comparison lemma wrong; refused for soundness",
+    )
     p.set_defaults(func=cmd_fuzz)
 
     return ap

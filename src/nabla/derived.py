@@ -39,6 +39,7 @@ from .kernel import (
     Lwff,
     Node,
     Succ,
+    _postorder,
     check,
     labels_of_derivation,
     max_node_id,
@@ -314,8 +315,6 @@ _ARITY = {"andI": 2, "andE1": 1, "andE2": 1, "orIl": 1, "orIr": 1, "orE": 3, "FI
 
 def expand(root: Node) -> Node:
     """Rewrite derived-rule applications into primitive derivations; ``root`` itself if it has none."""
-    from .kernel import _postorder
-
     order = _postorder(root)
     if not any(isinstance(n, Apply) and n.rule in _TEMPLATES for n in order):
         return root

@@ -49,7 +49,6 @@ __all__ = [
     "format_formula",
     "format_length",
     "desugar",
-    "is_desugared",
     "complexity",
     "temporal_depth",
     "classify_local",
@@ -383,17 +382,6 @@ def desugar(f: Formula) -> Formula:
         case Sometime(a):
             return Implies(Always(Implies(desugar(a), Bottom())), Bottom())
     raise TypeError(f"not a formula: {f!r}")
-
-
-def is_desugared(f: Formula) -> bool:
-    match f:
-        case Atom() | Bottom():
-            return True
-        case Implies(a, b) | Until(a, b):
-            return is_desugared(a) and is_desugared(b)
-        case Always(a) | Next(a) | Hist(a):
-            return is_desugared(a)
-    return False
 
 
 def complexity(f: Formula) -> int:

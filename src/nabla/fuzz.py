@@ -6,17 +6,20 @@ fuzzer is a falsifier, never a prover: a clean run raises confidence but
 establishes nothing.  Failures are shrunk greedily and reported with the
 witnessing model.
 
-``inject_bug="valuation-shift"`` evaluates one side of the translation
-and quantifier-bound lemmas against a model whose valuation is shifted by
-one position; it exists so tests can confirm the fuzzer actually detects
-divergence.
+A comparison lemma (every lemma but soundness) evaluates two sides of a
+sampled case.  ``inject_bug="valuation-shift"`` evaluates the left-hand
+side against a model whose valuation is shifted by one position; it exists
+so tests can confirm the fuzzer actually detects divergence.  Soundness,
+whose falsifier draws its own models, refuses it.
 """
 
 from __future__ import annotations
 
 import json
 import random
+from collections.abc import Callable
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .formulas import Formula, LocalClass, classify_local, desugar, format_formula, temporal_depth
 from .gen import (
@@ -27,13 +30,11 @@ from .gen import (
     random_obs_sequence,
     random_until_formula,
 )
-from .kernel import check, format_generic
+from .kernel import GenericFormula, check, format_generic
 from .semantics import LassoModel, _eval_h, _eval_h_oracle, eval_ltl, falsify_consequence, random_lasso
 from .translate import translate
 
 __all__ = ["LEMMAS", "FuzzReport", "run_lemma", "report_to_json"]
-
-LEMMAS = ("translation", "last", "corollary", "last-local", "soundness", "quantifier-bound")
 
 # last and last-local read their right-hand side off eval_h_oracle only up
 # to this temporal depth.  The oracle's whole-tuple memo grows as its window
@@ -41,6 +42,8 @@ LEMMAS = ("translation", "last", "corollary", "last-local", "soundness", "quanti
 # 30000 took 2 s and 185 MiB, so a run's time and peak memory hung on
 # whether it drew one.  Deeper samples compare two eval_h calls instead.
 _ORACLE_DEPTH = 2
+
+_ATOMS = ("p", "q", "r")
 
 
 @dataclass
@@ -93,279 +96,193 @@ def _reference(m: LassoModel, seq, f: Formula) -> bool:
     return _eval_h_oracle(m, seq, f, max(seq) + (m.stem_len + m.period) * td + 1)
 
 
-def _subformulas(f: Formula) -> list[Formula]:
-    out = []
-    for name in ("left", "right", "operand"):
-        sub = getattr(f, name, None)
-        if sub is not None:
-            out.append(sub)
-    return out
+class _Case(NamedTuple):
+    """One sample of a comparison lemma.
 
+    ``at`` is a position for translation and an observation sequence for
+    the other lemmas; ``prefix`` is None where a lemma draws none.
+    last-local's ``clause`` is "local" or "hist-tier"; its right-hand side
+    keeps the sequence's last ``keep`` elements.
+    """
 
-def _shrink(failing, variants):
-    """Greedy shrink: keep applying the first variant that still fails."""
-    sample = failing
-    for _ in range(200):
-        for cand in variants(sample):
-            sample = cand
-            break
-        else:
-            return sample
-    return sample
+    model: LassoModel
+    at: int | tuple[int, ...]
+    prefix: tuple[int, ...] | None
+    formula: Formula
+    clause: str | None = None
 
+    @property
+    def keep(self) -> int:
+        return 2 if self.clause == "hist-tier" else 1
 
-class _LemmaRun:
-    def __init__(self, lemma: str, samples: int, seed: int, max_size: int, inject_bug: str | None):
-        self.lemma = lemma
-        self.samples = samples
-        self.seed = seed
-        self.max_size = max_size
-        self.inject_bug = inject_bug
-        self.rng = random.Random(seed)
-
-    def run(self) -> FuzzReport:
-        report = FuzzReport(self.lemma, self.samples, self.seed, self.max_size)
-        step = {
-            "translation": self._translation,
-            "last": self._prefix,
-            "corollary": self._corollary,
-            "last-local": self._last_local,
-            "soundness": self._soundness,
-            "quantifier-bound": self._quantifier_bound,
-        }[self.lemma]
-        for i in range(self.samples):
-            witness = step(i)
-            report.checked = i + 1
-            if witness is not None:
-                report.ok = False
-                report.counterexample = witness
-                return report
-        return report
-
-    # -- translation: position truth equals singleton-sequence truth of the image
-
-    def _translation_fails(self, m: LassoModel, n: int, a: Formula) -> bool:
-        model_ltl = _shift_valuation(m) if self.inject_bug == "valuation-shift" else m
-        lhs = eval_ltl(model_ltl, n, a)
-        rhs = _eval_h(m, (n,), desugar(translate(a)))
-        return lhs != rhs
-
-    def _translation(self, i: int) -> dict | None:
-        a = random_until_formula(self.rng, self.rng.randint(0, self.max_size))
-        m = random_lasso(self.rng, sorted({"p", "q", "r"}))
-        n = self.rng.randint(0, 10)
-        if not self._translation_fails(m, n, a):
-            return None
-
-        def variants(sample):
-            m0, n0, a0 = sample
-            for sub in _subformulas(a0):
-                if self._translation_fails(m0, n0, sub):
-                    yield (m0, n0, sub)
-            if n0 > 0 and self._translation_fails(m0, n0 - 1, a0):
-                yield (m0, n0 - 1, a0)
-            if m0.stem_len > 0:
-                m1 = LassoModel(m0.stem[:-1], m0.loop)
-                if self._translation_fails(m1, n0, a0):
-                    yield (m1, n0, a0)
-            if m0.period > 1:
-                m1 = LassoModel(m0.stem, m0.loop[:-1])
-                if self._translation_fails(m1, n0, a0):
-                    yield (m1, n0, a0)
-
-        m, n, a = _shrink((m, n, a), variants)
-        return {
-            "sample": i,
-            "formula": format_formula(a),
-            "model": m.to_dict(),
-            "position": n,
-            "eval_ltl": eval_ltl(_shift_valuation(m) if self.inject_bug == "valuation-shift" else m, n, a),
-            "eval_h_on_translation": _eval_h(m, (n,), desugar(translate(a))),
-        }
-
-    def _model_variants(self, m: LassoModel):
+    def moves(self):
+        """Smaller cases, in the order the shrinker tries them."""
+        for name in ("left", "right", "operand"):
+            sub = getattr(self.formula, name, None)
+            if sub is not None and (self.clause != "local" or classify_local(sub) is LocalClass.LOCAL):
+                yield self._replace(formula=sub)
+        if type(self.at) is int:
+            if self.at > 0:
+                yield self._replace(at=self.at - 1)
+        elif len(self.at) > self.keep:
+            yield self._replace(at=self.at[1:])
+        if self.prefix:
+            yield self._replace(prefix=self.prefix[1:])
+        m = self.model
         if m.stem_len > 0:
-            yield LassoModel(m.stem[:-1], m.loop)
+            yield self._replace(model=LassoModel(m.stem[:-1], m.loop))
         if m.period > 1:
-            yield LassoModel(m.stem, m.loop[:-1])
+            yield self._replace(model=LassoModel(m.stem, m.loop[:-1]))
 
-    # -- last: prefixes do not matter for translated formulas
-
-    def _prefix_fails(self, m: LassoModel, sigma, prefix, a: Formula) -> bool:
-        f = desugar(translate(a))
-        return _eval_h(m, sigma, f) != _reference(m, prefix + (sigma[-1],), f)
-
-    def _prefix(self, i: int) -> dict | None:
-        a = random_until_formula(self.rng, self.rng.randint(0, self.max_size))
-        m = random_lasso(self.rng, sorted({"p", "q", "r"}))
-        sigma = random_obs_sequence(self.rng, max_len=4, max_value=8)
-        prefix = random_obs_sequence(self.rng, max_len=3, max_value=8, min_len=0)
-        if not self._prefix_fails(m, sigma, prefix, a):
-            return None
-
-        def variants(sample):
-            m0, s0, p0, a0 = sample
-            for sub in _subformulas(a0):
-                if self._prefix_fails(m0, s0, p0, sub):
-                    yield (m0, s0, p0, sub)
-            if len(s0) > 1 and self._prefix_fails(m0, s0[1:], p0, a0):
-                yield (m0, s0[1:], p0, a0)
-            if p0 and self._prefix_fails(m0, s0, p0[1:], a0):
-                yield (m0, s0, p0[1:], a0)
-            for m1 in self._model_variants(m0):
-                if self._prefix_fails(m1, s0, p0, a0):
-                    yield (m1, s0, p0, a0)
-
-        m, sigma, prefix, a = _shrink((m, sigma, prefix, a), variants)
-        f = desugar(translate(a))
-        return {
-            "sample": i,
-            "formula": format_formula(a),
-            "model": m.to_dict(),
-            "sequence": list(sigma),
-            "prefix": list(prefix),
-            "lhs": _eval_h(m, sigma, f),
-            "rhs": _reference(m, prefix + (sigma[-1],), f),
-        }
-
-    # -- corollary: only the last element matters for translated formulas;
-    # the right-hand side takes the translation lemma's route to (sigma[-1],)
-
-    def _corollary_fails(self, m: LassoModel, sigma, a: Formula) -> bool:
-        return _eval_h(m, sigma, desugar(translate(a))) != eval_ltl(m, sigma[-1], a)
-
-    def _corollary(self, i: int) -> dict | None:
-        a = random_until_formula(self.rng, self.rng.randint(0, self.max_size))
-        m = random_lasso(self.rng, sorted({"p", "q", "r"}))
-        sigma = random_obs_sequence(self.rng, max_len=4, max_value=8)
-        if not self._corollary_fails(m, sigma, a):
-            return None
-
-        def variants(sample):
-            m0, s0, a0 = sample
-            for sub in _subformulas(a0):
-                if self._corollary_fails(m0, s0, sub):
-                    yield (m0, s0, sub)
-            if len(s0) > 1 and self._corollary_fails(m0, s0[1:], a0):
-                yield (m0, s0[1:], a0)
-            for m1 in self._model_variants(m0):
-                if self._corollary_fails(m1, s0, a0):
-                    yield (m1, s0, a0)
-
-        m, sigma, a = _shrink((m, sigma, a), variants)
-        return {
-            "sample": i,
-            "formula": format_formula(a),
-            "model": m.to_dict(),
-            "sequence": list(sigma),
-            "lhs": _eval_h(m, sigma, desugar(translate(a))),
-            "rhs": eval_ltl(m, sigma[-1], a),
-        }
-
-    # -- last-local: clause (i) for the local tier, clause (ii) for the wider tier
-
-    def _last_local(self, i: int) -> dict | None:
-        m = random_lasso(self.rng, sorted({"p", "q", "r"}))
-        prefix = random_obs_sequence(self.rng, max_len=3, max_value=8, min_len=0)
-        local_clause = i % 2 == 0
-        if local_clause:
-            f = desugar(random_local_formula(self.rng, self.rng.randint(0, self.max_size)))
-            sigma = random_obs_sequence(self.rng, max_len=4, max_value=8)
-            keep = 1
+    def shown(self) -> dict:
+        out = {"formula": format_formula(self.formula), "model": self.model.to_dict()}
+        if type(self.at) is int:
+            out["position"] = self.at
         else:
-            f = desugar(random_hist_tier_formula(self.rng, self.rng.randint(0, self.max_size)))
-            sigma = random_obs_sequence(self.rng, max_len=4, max_value=8, min_len=2)
-            keep = 2
+            out["sequence"] = list(self.at)
+        if self.prefix is not None:
+            out["prefix"] = list(self.prefix)
+        if self.clause is not None:
+            out["clause"] = self.clause
+            out["kept"] = list(self.at[-self.keep :])
+        return out
 
-        def fails(m0, s0, p0, f0):
-            return _eval_h(m0, s0, f0) != _reference(m0, p0 + s0[-keep:], f0)
 
-        if not fails(m, sigma, prefix, f):
-            return None
-        wanted = LocalClass.LOCAL if local_clause else None
+class _Derivation(NamedTuple):
+    """One soundness sample: an accepted derivation and the falsifier's seed."""
 
-        def variants(sample):
-            m0, s0, p0, f0 = sample
-            for sub in _subformulas(f0):
-                if wanted is not None and classify_local(sub) is not wanted:
-                    continue
-                if fails(m0, s0, p0, sub):
-                    yield (m0, s0, p0, sub)
-            if len(s0) > keep and fails(m0, s0[1:], p0, f0):
-                yield (m0, s0[1:], p0, f0)
-            if p0 and fails(m0, s0, p0[1:], f0):
-                yield (m0, s0, p0[1:], f0)
-            for m1 in self._model_variants(m0):
-                if fails(m1, s0, p0, f0):
-                    yield (m1, s0, p0, f0)
+    open_assumptions: frozenset[GenericFormula]
+    conclusion: GenericFormula
+    seed: int
 
-        m, sigma, prefix, f = _shrink((m, sigma, prefix, f), variants)
+    model = None  # nothing to shift
+
+    def moves(self):
+        return ()
+
+    def shown(self) -> dict:
         return {
-            "sample": i,
-            "clause": "local" if local_clause else "hist-tier",
-            "formula": format_formula(f),
-            "model": m.to_dict(),
-            "sequence": list(sigma),
-            "prefix": list(prefix),
-            "kept": list(sigma[-keep:]),
-            "lhs": _eval_h(m, sigma, f),
-            "rhs": _reference(m, prefix + sigma[-keep:], f),
+            "conclusion": format_generic(self.conclusion),
+            "open_assumptions": sorted(format_generic(a) for a in self.open_assumptions),
         }
 
-    # -- soundness: accepted derivations have no falsifying structure
 
-    def _soundness(self, i: int) -> dict | None:
-        sampler = DerivationSampler(random.Random(self.rng.randrange(2**32)))
-        d = sampler.sample(steps=self.rng.randint(3, 7))
-        report = check(d)
-        assert report.accepted
-        cx = falsify_consequence(report.open_assumptions, report.conclusion, 200, self.rng.randrange(2**32))
-        if cx is None:
-            return None
-        return {
-            "sample": i,
-            "conclusion": format_generic(report.conclusion),
-            "open_assumptions": sorted(format_generic(a) for a in report.open_assumptions),
-            "counterexample": cx.to_dict(),
-        }
+class _Lemma(NamedTuple):
+    # (rng, sample index, max_size) -> case; each lemma draws in a fixed order
+    draw: Callable
+    # (model for the left-hand side, case) -> (lhs, rhs, *more); the case
+    # falsifies the lemma when lhs != rhs
+    sides: Callable
+    # the report's names for lhs, rhs and more, in order; soundness names
+    # only its lhs, as its rhs is always None
+    keys: tuple[str, ...]
 
-    # -- quantifier bound: the 2p truncation agrees with a generous horizon
 
-    def _bound_fails(self, m: LassoModel, sigma, f: Formula) -> bool:
-        fast_model = _shift_valuation(m) if self.inject_bug == "valuation-shift" else m
-        horizon = max(sigma) + 4 * (m.stem_len + m.period)
-        return _eval_h(fast_model, sigma, f) != _eval_h_oracle(m, sigma, f, horizon)
+# The draws and sides read the evaluators and generators as module globals
+# when they run, so a test or a tracer can rebind them here.
 
-    def _quantifier_bound(self, i: int) -> dict | None:
-        f = desugar(random_history_formula(self.rng, self.rng.randint(0, min(self.max_size, 6)), max_temporal_depth=3))
-        m = random_lasso(self.rng, sorted({"p", "q", "r"}))
-        sigma = random_obs_sequence(self.rng, max_len=3, max_value=6)
-        if not self._bound_fails(m, sigma, f):
-            return None
 
-        def variants(sample):
-            m0, s0, f0 = sample
-            for sub in _subformulas(f0):
-                if self._bound_fails(m0, s0, sub):
-                    yield (m0, s0, sub)
-            if len(s0) > 1 and self._bound_fails(m0, s0[1:], f0):
-                yield (m0, s0[1:], f0)
-            for m1 in self._model_variants(m0):
-                if self._bound_fails(m1, s0, f0):
-                    yield (m1, s0, f0)
+def _draw_translation(rng: random.Random, i: int, max_size: int) -> _Case:
+    a = random_until_formula(rng, rng.randint(0, max_size))
+    m = random_lasso(rng, _ATOMS)
+    return _Case(m, rng.randint(0, 10), None, a)
 
-        m, sigma, f = _shrink((m, sigma, f), variants)
-        fast_model = _shift_valuation(m) if self.inject_bug == "valuation-shift" else m
-        horizon = max(sigma) + 4 * (m.stem_len + m.period)
-        return {
-            "sample": i,
-            "formula": format_formula(f),
-            "model": m.to_dict(),
-            "sequence": list(sigma),
-            "horizon": horizon,
-            "eval_h": _eval_h(fast_model, sigma, f),
-            "oracle": _eval_h_oracle(m, sigma, f, horizon),
-        }
+
+def _translation_sides(lm: LassoModel, c: _Case):
+    """Position truth equals singleton-sequence truth of the image."""
+    return eval_ltl(lm, c.at, c.formula), _eval_h(c.model, (c.at,), desugar(translate(c.formula)))
+
+
+def _draw_last(rng: random.Random, i: int, max_size: int) -> _Case:
+    a = random_until_formula(rng, rng.randint(0, max_size))
+    m = random_lasso(rng, _ATOMS)
+    sigma = random_obs_sequence(rng, max_len=4, max_value=8)
+    return _Case(m, sigma, random_obs_sequence(rng, max_len=3, max_value=8, min_len=0), a)
+
+
+def _last_sides(lm: LassoModel, c: _Case):
+    """Prefixes do not matter for translated formulas: last-local's
+    comparison, keeping the last element, on the image."""
+    return _last_local_sides(lm, c._replace(formula=desugar(translate(c.formula))))
+
+
+def _draw_corollary(rng: random.Random, i: int, max_size: int) -> _Case:
+    a = random_until_formula(rng, rng.randint(0, max_size))
+    m = random_lasso(rng, _ATOMS)
+    return _Case(m, random_obs_sequence(rng, max_len=4, max_value=8), None, a)
+
+
+def _corollary_sides(lm: LassoModel, c: _Case):
+    """Only the last element matters for translated formulas; the right-hand
+    side takes the translation lemma's route to ``(sigma[-1],)``."""
+    return _eval_h(lm, c.at, desugar(translate(c.formula))), eval_ltl(c.model, c.at[-1], c.formula)
+
+
+def _draw_last_local(rng: random.Random, i: int, max_size: int) -> _Case:
+    """Even samples test clause (i) on the local tier, odd ones clause (ii)
+    on the wider tier."""
+    m = random_lasso(rng, _ATOMS)
+    prefix = random_obs_sequence(rng, max_len=3, max_value=8, min_len=0)
+    if i % 2 == 0:
+        f = desugar(random_local_formula(rng, rng.randint(0, max_size)))
+        return _Case(m, random_obs_sequence(rng, max_len=4, max_value=8), prefix, f, "local")
+    f = desugar(random_hist_tier_formula(rng, rng.randint(0, max_size)))
+    return _Case(m, random_obs_sequence(rng, max_len=4, max_value=8, min_len=2), prefix, f, "hist-tier")
+
+
+def _last_local_sides(lm: LassoModel, c: _Case):
+    return _eval_h(lm, c.at, c.formula), _reference(c.model, c.prefix + c.at[-c.keep :], c.formula)
+
+
+def _draw_derivation(rng: random.Random, i: int, max_size: int) -> _Derivation:
+    sampler = DerivationSampler(random.Random(rng.randrange(2**32)))
+    report = check(sampler.sample(steps=rng.randint(3, 7)))
+    assert report.accepted
+    return _Derivation(report.open_assumptions, report.conclusion, rng.randrange(2**32))
+
+
+def _soundness_sides(_, d: _Derivation):
+    """Accepted derivations have no falsifying structure: the falsifier's
+    counterexample, or None, against None."""
+    cx = falsify_consequence(d.open_assumptions, d.conclusion, 200, d.seed)
+    return (None if cx is None else cx.to_dict()), None
+
+
+def _draw_bound(rng: random.Random, i: int, max_size: int) -> _Case:
+    f = desugar(random_history_formula(rng, rng.randint(0, min(max_size, 6)), max_temporal_depth=3))
+    m = random_lasso(rng, _ATOMS)
+    return _Case(m, random_obs_sequence(rng, max_len=3, max_value=6), None, f)
+
+
+def _bound_sides(lm: LassoModel, c: _Case):
+    """The 2p truncation agrees with a generous horizon."""
+    horizon = max(c.at) + 4 * (c.model.stem_len + c.model.period)
+    return _eval_h(lm, c.at, c.formula), _eval_h_oracle(c.model, c.at, c.formula, horizon), horizon
+
+
+_LEMMAS = {
+    "translation": _Lemma(_draw_translation, _translation_sides, ("eval_ltl", "eval_h_on_translation")),
+    "last": _Lemma(_draw_last, _last_sides, ("lhs", "rhs")),
+    "corollary": _Lemma(_draw_corollary, _corollary_sides, ("lhs", "rhs")),
+    "last-local": _Lemma(_draw_last_local, _last_local_sides, ("lhs", "rhs")),
+    "soundness": _Lemma(_draw_derivation, _soundness_sides, ("counterexample",)),
+    "quantifier-bound": _Lemma(_draw_bound, _bound_sides, ("eval_h", "oracle", "horizon")),
+}
+LEMMAS = tuple(_LEMMAS)
+
+
+def _shrink(case, found, sides):
+    """Greedy shrink: keep the first smaller case that still fails, for at
+    most 200 rounds.  Returns the last failing case and its sides."""
+    for _ in range(200):
+        for smaller in case.moves():
+            out = sides(smaller)
+            if out[0] != out[1]:
+                case, found = smaller, out
+                break
+        else:
+            break
+    return case, found
 
 
 def run_lemma(
@@ -379,4 +296,24 @@ def run_lemma(
         raise ValueError(f"unknown lemma {lemma!r}; pick one of {', '.join(LEMMAS)}")
     if samples < 1 or max_size < 0:
         raise ValueError(f"need samples >= 1 and max_size >= 0, got {samples} and {max_size}")
-    return _LemmaRun(lemma, samples, seed, max_size, inject_bug).run()
+    if inject_bug not in (None, "valuation-shift"):
+        raise ValueError(f"unknown bug {inject_bug!r}; the only one is 'valuation-shift'")
+    if inject_bug and lemma == "soundness":
+        raise ValueError("soundness draws its models inside the falsifier; inject_bug has nothing to shift")
+    row = _LEMMAS[lemma]
+    rng = random.Random(seed)
+
+    def sides(case):
+        return row.sides(_shift_valuation(case.model) if inject_bug else case.model, case)
+
+    report = FuzzReport(lemma, samples, seed, max_size)
+    for i in range(samples):
+        case = row.draw(rng, i, max_size)
+        found = sides(case)
+        report.checked = i + 1
+        if found[0] != found[1]:
+            case, found = _shrink(case, found, sides)
+            report.ok = False
+            report.counterexample = {"sample": i, **case.shown(), **dict(zip(row.keys, found))}
+            return report
+    return report

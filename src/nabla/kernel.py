@@ -45,6 +45,7 @@ from .formulas import (
     format_formula,
     in_history_language,
 )
+from .translate import matches_translation
 
 __all__ = [
     "Lwff",
@@ -852,8 +853,6 @@ def rename_labels(root: Node, mapping: dict[str, str]) -> Node:
 def is_ltl_derivation(root: Node, sources: dict[Lwff, Formula]) -> bool:
     """True iff conclusion and open assumptions are all ``b : tr(source)``
     for one shared label ``b`` and the annotated until-language sources."""
-    from .translate import matches_translation
-
     report = check(root)
     if not report.accepted:
         raise ValueError("is_ltl_derivation requires an accepted derivation")

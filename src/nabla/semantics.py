@@ -76,6 +76,7 @@ from .formulas import (
     Next,
     Until,
     _is_local,
+    atoms_of,
     desugar,
     format_formula,
     in_history_language,
@@ -441,8 +442,6 @@ def _labels_in(formulas) -> list[str]:
 
 
 def _symbols_in(formulas) -> list[str]:
-    from .formulas import atoms_of
-
     syms: set[str] = set()
     for phi in formulas:
         if isinstance(phi, Lwff):

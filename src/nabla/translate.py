@@ -31,7 +31,7 @@ from .formulas import (
     in_until_language,
 )
 
-__all__ = ["translate", "translate_set", "matches_translation"]
+__all__ = ["translate", "matches_translation"]
 
 
 def translate(a: Formula) -> Formula:
@@ -63,10 +63,6 @@ def _tr(a: Formula) -> Formula:
         case Sometime(x):
             return Sometime(_tr(x))
     raise TypeError(f"not a formula: {a!r}")
-
-
-def translate_set(formulas: frozenset[Formula] | set[Formula]) -> frozenset[Formula]:
-    return frozenset(translate(a) for a in formulas)
 
 
 def matches_translation(source: Formula, candidate: Formula) -> bool:

@@ -16,6 +16,7 @@ from nabla.kernel import Apply, Assume, Lwff, check
 from nabla.scripts import parse_script
 from nabla.semantics import format_model, LassoModel, eval_h, eval_ltl
 from nabla.translate import translate
+from tests.test_fuzz import SHRINK_GOLDENS
 
 
 @pytest.fixture
@@ -153,6 +154,14 @@ def test_fuzz_canary_detects_injected_bug(capsys):
     assert payload["counterexample"] is not None
 
 
+def test_fuzz_refuses_inject_bug_on_soundness(capsys):
+    code = main(["fuzz", "--lemma", "soundness", "--samples", "1", "--inject-bug", "valuation-shift"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "--inject-bug" in captured.err and "internal error" not in captured.err
+
+
 GOLDEN = Path(__file__).parent / "golden"
 
 # tests/golden/<name>.json holds the stdout of `nabla fuzz ARGS --json --seed 1`.
@@ -174,6 +183,11 @@ def test_seeded_fuzz_report_matches_golden(capsys, name):
     code, out = run(capsys, "fuzz", *FUZZ_GOLDENS[name], "--json", "--seed", "1")
     assert out == (GOLDEN / f"{name}.json").read_text(encoding="utf-8")
     assert code == (3 if "--inject-bug" in FUZZ_GOLDENS[name] else 0)
+
+
+def test_every_golden_file_is_checked():
+    named = {f"{name}.json" for name in [*FUZZ_GOLDENS, *SHRINK_GOLDENS]}
+    assert sorted(p.name for p in GOLDEN.iterdir()) == sorted(named)
 
 
 @pytest.mark.parametrize(

@@ -1,11 +1,28 @@
+from pathlib import Path
+
 import pytest
 
 from nabla import fuzz, semantics
 from nabla.formulas import desugar, in_history_language, temporal_depth
 from nabla.fuzz import LEMMAS, report_to_json, run_lemma
 
+GOLDEN = Path(__file__).parent / "golden"
 
-@pytest.mark.parametrize("lemma", [l for l in LEMMAS if l != "soundness"])
+
+def next_position(m, seq, f):
+    """A buggy eval_h that reads the position after the sequence's last element."""
+    return semantics.eval_h(m, (seq[-1] + 1,), f)
+
+
+def last_only(m, seq, f):
+    """A buggy eval_h that keeps only the sequence's last element."""
+    return semantics.eval_h(m, tuple(seq)[-1:], f)
+
+
+COMPARISONS = [lemma for lemma in LEMMAS if lemma != "soundness"]
+
+
+@pytest.mark.parametrize("lemma", COMPARISONS)
 def test_lemmas_hold_on_modest_samples(lemma):
     report = run_lemma(lemma, samples=150, seed=42)
     assert report.ok, report.counterexample
@@ -36,9 +53,6 @@ def test_last_local_hist_tier_catches_a_last_element_collapse(monkeypatch):
     # An eval_h that keeps only the last element satisfies the local tier
     # but not the wider one; the wider tier's right-hand side comes from
     # the whole-sequence oracle, so the lemma must notice.
-    def last_only(m, seq, f):
-        return semantics.eval_h(m, tuple(seq)[-1:], f)
-
     monkeypatch.setattr(fuzz, "_eval_h", last_only)
     report = run_lemma("last-local", samples=1000, seed=42)
     assert not report.ok
@@ -50,9 +64,6 @@ def test_locality_lemmas_catch_an_evaluator_that_ignores_the_sequence(monkeypatc
     # clause at one memo entry, so each right-hand side must come from an
     # independent route for the lemma to notice an eval_h that reads the
     # wrong position.
-    def next_position(m, seq, f):
-        return semantics.eval_h(m, (seq[-1] + 1,), f)
-
     monkeypatch.setattr(fuzz, "_eval_h", next_position)
     assert not run_lemma("last", samples=1000, seed=42).ok
     assert not run_lemma("corollary", samples=1000, seed=42).ok
@@ -61,9 +72,39 @@ def test_locality_lemmas_catch_an_evaluator_that_ignores_the_sequence(monkeypatc
     assert report.counterexample["clause"] == "local"
 
 
+# tests/golden/<name>.json holds report_to_json(run_lemma(LEMMA, 1000, 42))
+# with fuzz._eval_h replaced by EVALUATOR.  The shrunk counterexample pins
+# the order in which the shrinker tries its moves.
+SHRINK_GOLDENS = {
+    "shrink_last_next-position": ("last", next_position),
+    "shrink_corollary_next-position": ("corollary", next_position),
+    "shrink_last-local_next-position": ("last-local", next_position),
+    "shrink_last-local_last-only": ("last-local", last_only),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SHRINK_GOLDENS))
+def test_shrunk_counterexample_matches_golden(monkeypatch, name):
+    lemma, evaluator = SHRINK_GOLDENS[name]
+    monkeypatch.setattr(fuzz, "_eval_h", evaluator)
+    out = report_to_json(run_lemma(lemma, samples=1000, seed=42))
+    assert out == (GOLDEN / f"{name}.json").read_text(encoding="utf-8")
+
+
 def test_unknown_lemma_rejected():
     with pytest.raises(ValueError):
         run_lemma("nonsense", samples=1, seed=0)
+    # An unknown bug, and any bug on soundness, which has no side to shift.
+    for lemma, bug in [("last", "nonsense"), ("soundness", "valuation-shift")]:
+        with pytest.raises(ValueError):
+            run_lemma(lemma, samples=1, seed=0, inject_bug=bug)
+
+
+@pytest.mark.parametrize("lemma", COMPARISONS)
+def test_valuation_shift_falsifies_every_comparison_lemma(lemma):
+    for seed in range(5):
+        report = run_lemma(lemma, samples=50, seed=seed, inject_bug="valuation-shift")
+        assert not report.ok, seed
 
 
 def test_bad_sizes_rejected():
@@ -74,7 +115,7 @@ def test_bad_sizes_rejected():
 
 @pytest.mark.parametrize(
     "lemma, inject",
-    [(lemma, None) for lemma in LEMMAS] + [("translation", "valuation-shift"), ("quantifier-bound", "valuation-shift")],
+    [(lemma, None) for lemma in LEMMAS] + [(lemma, "valuation-shift") for lemma in COMPARISONS],
 )
 def test_runners_meet_the_bodies_precondition(monkeypatch, lemma, inject):
     # The runners and the falsifier skip the public checks, so every call

@@ -50,14 +50,6 @@ def test_translate_rejects_history_input():
         translate(Hist(P))
 
 
-def test_translate_set():
-    from nabla.translate import translate_set
-
-    assert translate_set(set()) == frozenset()
-    assert translate_set({P, Until(P, Q)}) == frozenset({P, UNTIL_IMAGE})
-    assert translate_set({P, Atom("p")}) == frozenset({P})
-
-
 def test_matches_translation_examples():
     assert matches_translation(Until(P, Q), UNTIL_IMAGE)
     assert not matches_translation(P, Q)
