@@ -19,18 +19,16 @@ from .formulas import (
     Atom,
     Bottom,
     Formula,
-    Hist,
     Implies,
     LocalClass,
     Next,
-    Not,
     Or,
     Sometime,
-    Until,
     atoms_of,
     classify_local,
     desugar,
     format_formula,
+    temporal_depth,
 )
 from .kernel import (
     Apply,
@@ -397,16 +395,6 @@ def nec_x(d: Node) -> Node:
 # --- tautology proofs --------------------------------------------------------
 
 
-def _is_propositional(f: Formula) -> bool:
-    if isinstance(f, (Always, Next, Hist, Until, Sometime)):
-        return False
-    if isinstance(f, (Implies, Or, And)):
-        return _is_propositional(f.left) and _is_propositional(f.right)
-    if isinstance(f, Not):
-        return _is_propositional(f.operand)
-    return True
-
-
 def _eval_prop(f: Formula, v: dict[str, bool]) -> bool:
     if isinstance(f, Atom):
         return v[f.name]
@@ -426,7 +414,7 @@ def derive_tautology(f: Formula, label: str = "b") -> Node:
     excluded-middle reasoning built from botE.  Output uses only impI,
     impE and botE.
     """
-    if not _is_propositional(f):
+    if temporal_depth(f) > 0:
         raise NotPropositional(f"temporal operators in {format_formula(f)}")
     g = desugar(f)
     names = sorted(atoms_of(g))

@@ -11,9 +11,14 @@ checked by :func:`in_until_language` / :func:`in_history_language`, and the
 two parsers reject the foreign operator (``H`` resp. ``U``).
 
 The parsers intern the nodes of one text (see ``_Parser``), so equal
-subformulas of a parsed formula are one object; :func:`desugar` keeps
-that sharing for core subformulas.  Formulas built by constructors share
-only what their builder shares.
+subformulas of a parsed formula are one object.  Formulas built by
+constructors share only what their builder shares.  The walks here
+(printing, desugaring, the measures and language membership) each fold
+one table of per-class rules over the formula and visit each distinct
+object once, so they are linear in distinct objects however much the
+formula shares.  Within one call, :func:`desugar` and ``translate`` map
+each input object to one output object, so a result keeps the sharing of
+its input.
 
 The parsers reject a formula whose parentheses nest deeper than
 :data:`MAX_NESTING`.  Every operator application is one parenthesized
@@ -297,60 +302,111 @@ def parse_h(text: str) -> Formula:
     return _Parser(text, allow_until=False, allow_hist=True).run()
 
 
+# Structural walks: one table of per-class rules each, folded by _fold.
+
+_SYMBOL = {cls: sym for sym, cls in (_UNARY | _BINARY).items()}
+_UNARY_NODES = frozenset(_UNARY.values())
+_BINARY_NODES = frozenset(_BINARY.values())
+
+
+def _fold(f: Formula, rules: dict):
+    """Fold ``f`` children first: ``rules[type(x)]`` maps a node ``x`` and
+    the folded values of its ``left`` and ``right``, or of its ``operand``,
+    to the value of ``x``.
+
+    Each object is folded once.  The memo is keyed on ``id``, which is safe
+    because the caller holds ``f`` and every key is reachable from it.
+    Atoms and bot are not memoised: their rules are cheap, and they are
+    half the nodes of the small formulas the fuzzers walk most.
+    """
+    return _fold_from(f, rules, {})
+
+
+def _fold_from(x: Formula, rules: dict, memo: dict[int, object]):
+    # One module-level function with its state in arguments: a closure per
+    # call made the fuzzers' many walks of small formulas markedly slower.
+    cls = type(x)
+    if cls is Atom or cls is Bottom:
+        return rules[cls](x)
+    v = memo.get(id(x))
+    if v is None:
+        if cls in _BINARY_NODES:
+            v = rules[cls](x, _fold_from(x.left, rules, memo), _fold_from(x.right, rules, memo))
+        elif cls in _UNARY_NODES:
+            v = rules[cls](x, _fold_from(x.operand, rules, memo))
+        else:
+            raise TypeError(f"not a formula: {x!r}")
+        memo[id(x)] = v
+    return v
+
+
+def _table(leaf, unary, binary, special=None) -> dict:
+    """Rules for :func:`_fold`: ``leaf`` for atoms and bot, ``unary`` and
+    ``binary`` for every operator of that arity, then ``special`` over them."""
+    rules = {Atom: leaf, Bottom: leaf, **dict.fromkeys(_UNARY_NODES, unary), **dict.fromkeys(_BINARY_NODES, binary)}
+    return rules | (special or {})
+
+
+# Each node over its mapped children, and the very node when they map to
+# themselves.  desugar and translate override the nodes they rewrite.
+_HOMOMORPHIC = _table(
+    lambda x: x,
+    lambda x, a: x if a is x.operand else type(x)(a),
+    lambda x, a, b: x if a is x.left and b is x.right else type(x)(a, b),
+)
+
+_BOT = Bottom()
+
+
+def _not(a: Formula) -> Implies:
+    return Implies(a, _BOT)
+
+
+_DESUGAR = {
+    **_HOMOMORPHIC,
+    Not: lambda x, a: _not(a),
+    Or: lambda x, a, b: Implies(_not(a), b),
+    And: lambda x, a, b: _not(Implies(_not(_not(a)), _not(b))),
+    Sometime: lambda x, a: _not(Always(_not(a))),
+}
+# An abbreviation counts the nodes of its expansion in _DESUGAR.
+_COMPLEXITY = _table(
+    lambda x: 0,
+    lambda x, a: a + 1,
+    lambda x, a, b: a + b + 1,
+    {Or: lambda x, a, b: a + b + 2, And: lambda x, a, b: a + b + 5, Sometime: lambda x, a: a + 3},
+)
+_DEPTH = _table(
+    lambda x: 0,
+    lambda x, a: a + 1,
+    lambda x, a, b: max(a, b),
+    {Not: lambda x, a: a, Until: lambda x, a, b: max(a, b) + 1},
+)
+_FORMAT = _table(
+    lambda x: x.name,
+    lambda x, a: f"({_SYMBOL[type(x)]} {a})",
+    lambda x, a, b: f"({a} {_SYMBOL[type(x)]} {b})",
+    {Bottom: lambda x: "bot"},
+)
+_LENGTH = _table(
+    lambda x: len(x.name),
+    lambda x, a: a + len(_SYMBOL[type(x)]) + 3,
+    lambda x, a, b: a + b + len(_SYMBOL[type(x)]) + 4,
+    {Bottom: lambda x: 3},
+)
+_IN_UNTIL = _table(lambda x: True, lambda x, a: a, lambda x, a, b: a and b, {Hist: lambda x, a: False})
+_IN_HISTORY = _table(lambda x: True, lambda x, a: a, lambda x, a, b: a and b, {Until: lambda x, a, b: False})
+_ATOMS = _table(lambda x: frozenset((x.name,)), lambda x, a: a, lambda x, a, b: a | b, {Bottom: lambda x: frozenset()})
+
+
 def format_formula(f: Formula) -> str:
     """Concrete syntax; inverse of the parsers on every AST."""
-    match f:
-        case Atom(name):
-            return name
-        case Bottom():
-            return "bot"
-        case Implies(a, b):
-            return f"({format_formula(a)} -> {format_formula(b)})"
-        case Or(a, b):
-            return f"({format_formula(a)} | {format_formula(b)})"
-        case And(a, b):
-            return f"({format_formula(a)} & {format_formula(b)})"
-        case Until(a, b):
-            return f"({format_formula(a)} U {format_formula(b)})"
-        case Always(a):
-            return f"(G {format_formula(a)})"
-        case Next(a):
-            return f"(X {format_formula(a)})"
-        case Sometime(a):
-            return f"(F {format_formula(a)})"
-        case Hist(a):
-            return f"(H {format_formula(a)})"
-        case Not(a):
-            return f"(~ {format_formula(a)})"
-    raise TypeError(f"not a formula: {f!r}")
+    return _fold(f, _FORMAT)
 
 
 def format_length(f: Formula) -> int:
-    """``len(format_formula(f))``, counted once per object, so a formula
-    that shares subformulas is measured in time linear in its objects."""
-    lengths: dict[int, tuple[Formula, int]] = {}
-
-    def length(x: Formula) -> int:
-        hit = lengths.get(id(x))
-        if hit is not None:
-            return hit[1]
-        match x:
-            case Atom(name):
-                n = len(name)
-            case Bottom():
-                n = 3
-            case Implies(a, b):
-                n = length(a) + length(b) + 6
-            case Or(a, b) | And(a, b) | Until(a, b):
-                n = length(a) + length(b) + 5
-            case Always(a) | Next(a) | Sometime(a) | Hist(a) | Not(a):
-                n = length(a) + 4
-            case _:
-                raise TypeError(f"not a formula: {x!r}")
-        lengths[id(x)] = (x, n)
-        return n
-
-    return length(f)
+    """``len(format_formula(f))``, without building the text."""
+    return _fold(f, _LENGTH)
 
 
 def desugar(f: Formula) -> Formula:
@@ -359,91 +415,44 @@ def desugar(f: Formula) -> Formula:
     Uses exactly: ``~a = a -> bot``, ``a | b = (~a) -> b``,
     ``a & b = ~(~a | ~b)`` and ``F a = ~(G (~a))``.
 
-    Sharing: a subformula with no abbreviation below it comes back as the
-    very object passed in, so a core formula keeps its identity and shared
-    core subformulas stay shared.  Nodes built for an abbreviation are new
-    on every call; no result is cached.
+    Sharing: within one call each input object maps to one output object,
+    so shared subformulas stay shared and the walk is linear in distinct
+    objects.  A subformula with no abbreviation below it comes back as the
+    very object passed in, so a core formula keeps its identity.  No
+    result is kept across calls.
     """
-    match f:
-        case Atom() | Bottom():
-            return f
-        case Implies(a, b) | Until(a, b):
-            da, db = desugar(a), desugar(b)
-            return f if da is a and db is b else type(f)(da, db)
-        case Always(a) | Next(a) | Hist(a):
-            da = desugar(a)
-            return f if da is a else type(f)(da)
-        case Not(a):
-            return Implies(desugar(a), Bottom())
-        case Or(a, b):
-            return Implies(Implies(desugar(a), Bottom()), desugar(b))
-        case And(a, b):
-            return desugar(Not(Or(Not(a), Not(b))))
-        case Sometime(a):
-            return Implies(Always(Implies(desugar(a), Bottom())), Bottom())
-    raise TypeError(f"not a formula: {f!r}")
+    return _fold(f, _DESUGAR)
 
 
 def complexity(f: Formula) -> int:
-    """Number of connective/temporal-operator nodes after desugaring."""
-    g = desugar(f)
-
-    def count(x: Formula) -> int:
-        match x:
-            case Atom() | Bottom():
-                return 0
-            case Implies(a, b) | Until(a, b):
-                return 1 + count(a) + count(b)
-            case Always(a) | Next(a) | Hist(a):
-                return 1 + count(a)
-        raise TypeError(f"not a core formula: {x!r}")
-
-    return count(g)
+    """Number of connective/temporal-operator nodes of ``desugar(f)``,
+    counting a shared subformula at each of its occurrences."""
+    return _fold(f, _COMPLEXITY)
 
 
 def temporal_depth(f: Formula) -> int:
-    """Maximum nesting depth of temporal operators, after desugaring."""
-    g = desugar(f)
+    """Maximum nesting depth of temporal operators.
 
-    def depth(x: Formula) -> int:
-        match x:
-            case Atom() | Bottom():
-                return 0
-            case Implies(a, b) | Until(a, b):
-                return max(depth(a), depth(b))
-            case Always(a) | Next(a) | Hist(a):
-                return 1 + depth(a)
-        raise TypeError(f"not a core formula: {x!r}")
-
-    return depth(g)
+    ``G``, ``X``, ``H``, ``U`` and ``F`` add one level each; ``->``, ``~``,
+    ``|`` and ``&`` add none.  This is the depth of ``desugar(f)`` too.
+    """
+    return _fold(f, _DEPTH)
 
 
 def in_until_language(f: Formula) -> bool:
-    """True iff no history node occurs anywhere in ``f``."""
-    match f:
-        case Atom() | Bottom():
-            return True
-        case Hist(_):
-            return False
-        case Implies(a, b) | Until(a, b) | Or(a, b) | And(a, b):
-            return in_until_language(a) and in_until_language(b)
-        case Always(a) | Next(a) | Not(a) | Sometime(a):
-            return in_until_language(a)
-    return False
+    """True iff ``f`` is a formula with no history node anywhere in it."""
+    try:
+        return _fold(f, _IN_UNTIL)
+    except TypeError:
+        return False
 
 
 def in_history_language(f: Formula) -> bool:
-    """True iff no until node occurs anywhere in ``f``."""
-    match f:
-        case Atom() | Bottom():
-            return True
-        case Until(_, _):
-            return False
-        case Implies(a, b) | Or(a, b) | And(a, b):
-            return in_history_language(a) and in_history_language(b)
-        case Always(a) | Next(a) | Not(a) | Sometime(a) | Hist(a):
-            return in_history_language(a)
-    return False
+    """True iff ``f`` is a formula with no until node anywhere in it."""
+    try:
+        return _fold(f, _IN_HISTORY)
+    except TypeError:
+        return False
 
 
 def _is_local(f: Formula, memo: dict[int, bool]) -> bool:
@@ -480,13 +489,5 @@ def classify_local(f: Formula) -> LocalClass:
 
 
 def atoms_of(f: Formula) -> frozenset[str]:
-    match f:
-        case Atom(name):
-            return frozenset({name})
-        case Bottom():
-            return frozenset()
-        case Implies(a, b) | Until(a, b) | Or(a, b) | And(a, b):
-            return atoms_of(a) | atoms_of(b)
-        case Always(a) | Next(a) | Not(a) | Sometime(a) | Hist(a):
-            return atoms_of(a)
-    raise TypeError(f"not a formula: {f!r}")
+    """Names of the atoms that occur in ``f``."""
+    return _fold(f, _ATOMS)

@@ -27,6 +27,7 @@ from nabla.formulas import (
     Sometime,
     Always,
     desugar,
+    parse_h,
     parse_ltl,
 )
 from nabla.kernel import Apply, Assume, Le, Lwff, check, normalize_generic
@@ -181,8 +182,12 @@ def test_derive_tautology_examples():
         assert desugar(report.conclusion.formula) == desugar(f)
     with pytest.raises(NotATautology):
         derive_tautology(parse_ltl("(p -> q)"), "b")
-    with pytest.raises(NotPropositional):
-        derive_tautology(parse_ltl("((X p) -> (X p))"), "b")
+    # Each temporal operator is refused, also around a tautology and under
+    # a propositional connective.
+    refused = [parse_ltl(text) for text in ("((X p) -> (X p))", "((G p) -> (G p))", "((p U q) -> (p U q))", "(p | (~ (F p)))")]
+    for f in refused + [parse_h("((H p) -> (H p))")]:
+        with pytest.raises(NotPropositional):
+            derive_tautology(f, "b")
 
 
 def test_derive_tautology_builds_each_formula_once():

@@ -1,6 +1,14 @@
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import nabla
+from nabla import formulas, translate as translate_module
 from nabla.formulas import (
     Always,
     And,
@@ -16,17 +24,22 @@ from nabla.formulas import (
     ParseError,
     Sometime,
     Until,
+    atoms_of,
     classify_local,
     complexity,
     desugar,
     format_formula,
     format_length,
+    in_history_language,
     in_until_language,
     parse_h,
     parse_ltl,
+    temporal_depth,
 )
+from nabla.translate import translate
 
 P, Q = Atom("p"), Atom("q")
+NODE_CLASSES = {Atom, Bottom, Implies, Always, Next, Until, Hist, Not, Or, And, Sometime}
 
 
 def is_desugared(f: Formula) -> bool:
@@ -140,12 +153,87 @@ def test_desugar_idempotent_and_monotone(f):
     assert is_desugared(g)
     assert desugar(g) is g  # a core formula keeps its identity
     assert _size(g) >= _size(f)
+    # Both measures read abbreviations without desugaring them.
+    assert (complexity(f), temporal_depth(f)) == (complexity(g), temporal_depth(g))
 
 
 def test_complexity_examples():
     assert complexity(P) == 0
     assert complexity(Implies(Always(P), Next(Until(P, Bottom())))) == 4
     assert complexity(Hist(P)) == 1
+
+
+def test_temporal_depth_counts_every_temporal_operator():
+    for text, depth in [("(p U q)", 1), ("(F p)", 1), ("((p U (X q)) & r)", 2), ("(~ ((F (G p)) | q))", 2), ("((p -> q) & (~ r))", 0)]:
+        assert temporal_depth(parse_ltl(text)) == depth, text
+    assert temporal_depth(parse_h("(H (p | (X q)))")) == 2
+
+
+def test_every_walk_folds_a_table_of_all_node_classes(monkeypatch):
+    fold, tables = formulas._fold, []
+
+    def recording(f, rules):
+        tables.append(rules)
+        return fold(f, rules)
+
+    monkeypatch.setattr(formulas, "_fold", recording)
+    monkeypatch.setattr(translate_module, "_fold", recording)
+    f = parse_ltl("((p U (~ q)) & (F (G (X (p | bot)))))")
+    for walk in (format_formula, format_length, desugar, complexity, temporal_depth, in_until_language, in_history_language, atoms_of, translate):
+        tables.clear()
+        walk(f)
+        assert tables and all(set(rules) == NODE_CLASSES for rules in tables), walk.__name__
+
+
+@pytest.mark.parametrize("junk", ["p", 3, None, Implies(P, "q"), Always(Or(P, 3))])
+def test_walks_reject_a_non_formula(junk):
+    for walk in (desugar, format_formula, format_length, atoms_of):
+        with pytest.raises(TypeError):
+            walk(junk)
+    assert not in_until_language(junk) and not in_history_language(junk)
+
+
+def _check_shared_walks():
+    """Walk two formulas of about 2^40 and 2^30 tree nodes but few objects,
+    and compare with recurrences over their levels."""
+    # x(k+1) = (x(k) & (F x(k))), one object per level.
+    x, length, size = Hist(P), 5, 1
+    for _ in range(40):
+        x = And(x, Sometime(x))
+        length, size = 2 * length + 9, 2 * size + 8
+    g = desugar(x)
+    assert desugar(g) is g
+    assert format_length(x) == length
+    for f in (x, g):
+        assert (complexity(f), temporal_depth(f)) == (size, 41)
+        assert atoms_of(f) == {"p"} and in_history_language(f)
+    assert classify_local(x) is LocalClass.HIST_ONLY
+    # y(k+1) = (q U y(k)); its image is t(k+1) = (t | (F ((X t) & (H q)))),
+    # with t = t(k) one object.
+    y, length, size = P, 1, 0
+    for _ in range(30):
+        y = Until(Q, y)
+        length, size = 2 * length + 23, 2 * size + 12
+    t = translate(y)
+    g = desugar(t)
+    assert desugar(g) is g
+    assert temporal_depth(y) == 30 and not in_history_language(y)
+    assert (format_length(t), complexity(t), temporal_depth(t), complexity(g), temporal_depth(g)) == (length, size, 60, size, 60)
+    assert atoms_of(t) == {"p", "q"} and in_history_language(t)
+    assert classify_local(t) is LocalClass.LOCAL
+
+
+def test_walks_are_linear_in_shared_objects():
+    # A walk of the tree instead of the objects cannot finish; the child's
+    # 30 s and 1 GiB of address space bound it.
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    paths = [str(Path(nabla.__file__).parents[1]), str(Path(__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+    argv = [sys.executable, "-c", "from tests.test_formulas import _check_shared_walks; _check_shared_walks()"]
+    done = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=30, preexec_fn=limit_memory)
+    assert done.returncode == 0, done.stderr[-500:]
 
 
 def test_classify_local_examples():
