@@ -46,7 +46,6 @@ from .kernel import (
 )
 
 __all__ = [
-    "DERIVED_RULES",
     "SchemaMismatch",
     "ShapeMismatch",
     "NotLocalFormula",
@@ -59,8 +58,6 @@ __all__ = [
     "nec_x",
     "derive_tautology",
 ]
-
-DERIVED_RULES = frozenset({"andI", "andE1", "andE2", "orIl", "orIr", "orE", "FI", "FE"})
 
 
 class SchemaMismatch(ValueError):

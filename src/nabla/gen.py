@@ -1,7 +1,7 @@
 """Seeded random generators for formulas, models and derivations.
 
-Formula generators pick constructors with equal weight under a complexity
-budget.  The derivation generator builds kernel-accepted derivations by
+Formula generators draw from one grammar table, picking productions with
+equal weight under a complexity budget.  The derivation generator builds kernel-accepted derivations by
 forward chaining: every rule application satisfies the side conditions by
 construction (eigenlabels come from a global fresh supply), and the result
 is asserted Accepted.
@@ -10,6 +10,7 @@ is asserted Accepted.
 from __future__ import annotations
 
 import random
+from functools import partialmethod
 
 from .formulas import (
     Always,
@@ -54,84 +55,73 @@ def _split(rng: random.Random, budget: int) -> tuple[int, int]:
     return left, budget - left
 
 
-def random_until_formula(rng: random.Random, budget: int, symbols=DEFAULT_SYMBOLS) -> Formula:
+# Grammar name -> productions.  A production is a constructor with the
+# grammar of each operand, or a bare grammar name drawn at the same budget.
+_GRAMMARS = {
+    "until": ((Atom,), (Bottom,), (Implies, "until", "until"), (Always, "until"), (Next, "until"), (Until, "until", "until")),
+    "history": ((Atom,), (Bottom,), (Implies, "history", "history"), (Always, "history"), (Next, "history"), (Hist, "history")),
+    # history only under G/X
+    "local": ((Atom,), (Bottom,), (Implies, "local", "local"), (Always, "hist-tier"), (Next, "hist-tier")),
+    # history also at top or under implication
+    "hist-tier": ("local", (Implies, "hist-tier", "hist-tier"), (Hist, "hist-tier")),
+}
+
+
+def _draw(rng: random.Random, grammar: str, budget: int, symbols) -> Formula:
+    """A formula of ``grammar`` with complexity at most ``budget``: a leaf
+    once the budget is spent, else a production of equal weight, a binary
+    one splitting the budget left to its operands."""
     if budget <= 0:
         return Atom(rng.choice(symbols)) if rng.random() < 0.8 else Bottom()
-    kind = rng.randrange(6)
-    if kind == 0:
+    productions = _GRAMMARS[grammar]
+    prod = productions[rng.randrange(len(productions))]
+    if type(prod) is str:
+        return _draw(rng, prod, budget, symbols)
+    cls = prod[0]
+    if cls is Atom:
         return Atom(rng.choice(symbols))
-    if kind == 1:
+    if cls is Bottom:
         return Bottom()
-    if kind == 2:
+    if len(prod) == 3:
         lb, rb = _split(rng, budget - 1)
-        return Implies(random_until_formula(rng, lb, symbols), random_until_formula(rng, rb, symbols))
-    if kind == 3:
-        return Always(random_until_formula(rng, budget - 1, symbols))
-    if kind == 4:
-        return Next(random_until_formula(rng, budget - 1, symbols))
-    lb, rb = _split(rng, budget - 1)
-    return Until(random_until_formula(rng, lb, symbols), random_until_formula(rng, rb, symbols))
+        return cls(_draw(rng, prod[1], lb, symbols), _draw(rng, prod[2], rb, symbols))
+    return cls(_draw(rng, prod[1], budget - 1, symbols))
+
+
+def random_until_formula(rng: random.Random, budget: int, symbols=DEFAULT_SYMBOLS) -> Formula:
+    return _draw(rng, "until", budget, symbols)
 
 
 def random_history_formula(
     rng: random.Random, budget: int, symbols=DEFAULT_SYMBOLS, max_temporal_depth: int | None = None
 ) -> Formula:
-    def gen(b: int) -> Formula:
-        if b <= 0:
-            return Atom(rng.choice(symbols)) if rng.random() < 0.8 else Bottom()
-        kind = rng.randrange(6)
-        if kind == 0:
-            return Atom(rng.choice(symbols))
-        if kind == 1:
-            return Bottom()
-        if kind == 2:
-            lb, rb = _split(rng, b - 1)
-            return Implies(gen(lb), gen(rb))
-        if kind == 3:
-            return Always(gen(b - 1))
-        if kind == 4:
-            return Next(gen(b - 1))
-        return Hist(gen(b - 1))
-
-    f = gen(budget)
+    f = _draw(rng, "history", budget, symbols)
     if max_temporal_depth is not None:
         while temporal_depth(f) > max_temporal_depth:
-            f = gen(budget)
+            f = _draw(rng, "history", budget, symbols)
     return f
 
 
 def random_local_formula(rng: random.Random, budget: int, symbols=DEFAULT_SYMBOLS) -> Formula:
     """Sample from the local tier of the grammar (history only under G/X)."""
-    if budget <= 0:
-        return Atom(rng.choice(symbols)) if rng.random() < 0.8 else Bottom()
-    kind = rng.randrange(5)
-    if kind == 0:
-        return Atom(rng.choice(symbols))
-    if kind == 1:
-        return Bottom()
-    if kind == 2:
-        lb, rb = _split(rng, budget - 1)
-        return Implies(random_local_formula(rng, lb, symbols), random_local_formula(rng, rb, symbols))
-    if kind == 3:
-        return Always(random_hist_tier_formula(rng, budget - 1, symbols))
-    return Next(random_hist_tier_formula(rng, budget - 1, symbols))
+    return _draw(rng, "local", budget, symbols)
 
 
 def random_hist_tier_formula(rng: random.Random, budget: int, symbols=DEFAULT_SYMBOLS) -> Formula:
     """Sample from the wider tier (history also at top or under implication)."""
-    if budget <= 0:
-        return random_local_formula(rng, 0, symbols)
-    kind = rng.randrange(3)
-    if kind == 0:
-        return random_local_formula(rng, budget, symbols)
-    if kind == 1:
-        lb, rb = _split(rng, budget - 1)
-        return Implies(random_hist_tier_formula(rng, lb, symbols), random_hist_tier_formula(rng, rb, symbols))
-    return Hist(random_hist_tier_formula(rng, budget - 1, symbols))
+    return _draw(rng, "hist-tier", budget, symbols)
 
 
 def random_obs_sequence(rng: random.Random, max_len: int = 4, max_value: int = 10, min_len: int = 1) -> tuple[int, ...]:
     return tuple(rng.randint(0, max_value) for _ in range(rng.randint(min_len, max_len)))
+
+
+# The moves of DerivationSampler.sample, one per primitive rule, each drawn
+# with equal weight; a move ``name`` is the method ``_step_name``.
+_STEPS = (
+    "impI", "impE", "botE", "GE", "XE", "histE", "GI", "XI", "histI",
+    "last", "reflLe", "transLe", "baseLe", "eqLe", "serS", "linS", "splitLe", "ind",
+)
 
 
 class DerivationSampler:
@@ -179,11 +169,14 @@ class DerivationSampler:
 
     def _seed(self) -> Node:
         seq = tuple(self._fresh_label() for _ in range(self.rng.randint(1, 2)))
-        f = random_history_formula(self.rng, self.rng.randint(0, 2), self.symbols)
-        return self._assume(Lwff(seq, f))
+        return self._assume(Lwff(seq, self._small_formula()))
 
     def _small_formula(self) -> Formula:
-        return random_history_formula(self.rng, self.rng.randint(0, 2), self.symbols)
+        return _draw(self.rng, "history", self.rng.randint(0, 2), self.symbols)
+
+    def _falsum(self, d: Node, w: Lwff) -> Apply:
+        leaf = self._assume(Lwff(w.seq, Implies(w.formula, Bottom())))
+        return Apply(self._id(), "impE", Lwff(w.seq, Bottom()), (leaf, d))
 
     # Each step returns a new node or None when the chosen move does not fit.
 
@@ -207,27 +200,22 @@ class DerivationSampler:
         return Apply(self._id(), "impE", Lwff(w.seq, target), (leaf, d))
 
     def _step_botE(self, d: Node) -> Node | None:
-        w = self._concl(d)
-        leaf = self._assume(Lwff(w.seq, Implies(w.formula, Bottom())))
-        falsum = Apply(self._id(), "impE", Lwff(w.seq, Bottom()), (leaf, d))
+        falsum = self._falsum(d, self._concl(d))
         seq = tuple(self._fresh_label() for _ in range(self.rng.randint(1, 2)))
         return Apply(self._id(), "botE", Lwff(seq, self._small_formula()), (falsum,))
 
-    def _step_GE(self, d: Node) -> Node | None:
+    # GE and XE, and GI and XI, share one body over (Always, Le) resp.
+    # (Next, Succ), as the kernel's validators do.
+    def _univ_elim(self, rule: str, op, rel, d: Node) -> Node | None:
         w = self._concl(d)
-        if not isinstance(w.formula, Always):
+        if not isinstance(w.formula, op):
             return None
         b2 = self._some_label(d)
-        leaf = self._assume(Le(w.seq[-1], b2))
-        return Apply(self._id(), "GE", Lwff(w.seq + (b2,), w.formula.operand), (d, leaf))
+        leaf = self._assume(rel(w.seq[-1], b2))
+        return Apply(self._id(), rule, Lwff(w.seq + (b2,), w.formula.operand), (d, leaf))
 
-    def _step_XE(self, d: Node) -> Node | None:
-        w = self._concl(d)
-        if not isinstance(w.formula, Next):
-            return None
-        b2 = self._some_label(d)
-        leaf = self._assume(Succ(w.seq[-1], b2))
-        return Apply(self._id(), "XE", Lwff(w.seq + (b2,), w.formula.operand), (d, leaf))
+    _step_GE = partialmethod(_univ_elim, "GE", Always, Le)
+    _step_XE = partialmethod(_univ_elim, "XE", Next, Succ)
 
     def _step_histE(self, d: Node) -> Node | None:
         w = self._concl(d)
@@ -243,25 +231,18 @@ class DerivationSampler:
         rem = open_assumption_classes(d) - set(disch)
         return all(label not in labels_of_generic(a.formula) for a in rem)
 
-    def _step_GI(self, d: Node) -> Node | None:
+    def _univ_intro(self, rule: str, op, rel, d: Node) -> Node | None:
         w = self._concl(d)
         if len(w.seq) < 2:
             return None
         b1, b2 = w.seq[-2], w.seq[-1]
-        disch = self._matching_opens(d, Le(b1, b2))
+        disch = self._matching_opens(d, rel(b1, b2))
         if b2 == b1 or not self._fresh_ok(d, b2, disch):
             return None
-        return Apply(self._id(), "GI", Lwff(w.seq[:-1], Always(w.formula)), (d,), disch)
+        return Apply(self._id(), rule, Lwff(w.seq[:-1], op(w.formula)), (d,), disch)
 
-    def _step_XI(self, d: Node) -> Node | None:
-        w = self._concl(d)
-        if len(w.seq) < 2:
-            return None
-        b1, b2 = w.seq[-2], w.seq[-1]
-        disch = self._matching_opens(d, Succ(b1, b2))
-        if b2 == b1 or not self._fresh_ok(d, b2, disch):
-            return None
-        return Apply(self._id(), "XI", Lwff(w.seq[:-1], Next(w.formula)), (d,), disch)
+    _step_GI = partialmethod(_univ_intro, "GI", Always, Le)
+    _step_XI = partialmethod(_univ_intro, "XI", Next, Succ)
 
     def _step_histI(self, d: Node) -> Node | None:
         w = self._concl(d)
@@ -365,36 +346,13 @@ class DerivationSampler:
         if b == b0 or b == bj:
             return None
         rel = self._assume(Le(b0, b))
-        neg = self._assume(Lwff(w.seq, Implies(w.formula, Bottom())))
-        falsum = Apply(self._id(), "impE", Lwff(w.seq, Bottom()), (neg, d))
-        hyp = Apply(self._id(), "botE", Lwff(alpha + (bj,), w.formula), (falsum,))
+        hyp = Apply(self._id(), "botE", Lwff(alpha + (bj,), w.formula), (self._falsum(d, w),))
         return Apply(self._id(), "ind", Lwff(alpha + (b,), w.formula), (d, rel, hyp), ())
 
     def sample(self, steps: int = 6) -> Node:
         d = self._seed()
-        ops = [
-            self._step_impI,
-            self._step_impE,
-            self._step_botE,
-            self._step_GE,
-            self._step_XE,
-            self._step_histE,
-            self._step_GI,
-            self._step_XI,
-            self._step_histI,
-            self._step_last,
-            self._step_reflLe,
-            self._step_transLe,
-            self._step_baseLe,
-            self._step_eqLe,
-            self._step_serS,
-            self._step_linS,
-            self._step_splitLe,
-            self._step_ind,
-        ]
         for _ in range(steps):
-            op = self.rng.choice(ops)
-            out = op(d)
+            out = getattr(self, "_step_" + self.rng.choice(_STEPS))(d)
             if out is not None:
                 d = out
         report = check(d)

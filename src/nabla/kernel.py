@@ -20,11 +20,12 @@ N open assumptions thus adds O(1) elements per node instead of copying
 O(N), which keeps ``check`` linear in the number of open assumptions.
 
 Formulas are compared up to desugaring.  ``check`` desugars and
-language-checks each formula object once per call, in a memo keyed on its
-``id`` that holds the object and dies with the call; nothing is cached
-between calls.  Since ``desugar`` returns a core formula itself, and
-``parse_script`` makes equal formulas one object, the equality tests of
-the rules mostly meet identical children and stop there.
+language-checks each formula object once per call, in memos keyed on
+``id`` that hold the objects and die with the call; nothing is cached
+between calls.  One desugaring memo serves the whole call, so a
+subformula object shared by two formulas has one core image, and a core
+formula is its own image; the equality tests of the rules therefore meet
+identical children and stop there.
 """
 
 from __future__ import annotations
@@ -40,6 +41,8 @@ from .formulas import (
     Implies,
     LocalClass,
     Next,
+    _DESUGAR,
+    _fold_from,
     classify_local,
     desugar,
     format_formula,
@@ -56,7 +59,6 @@ __all__ = [
     "Apply",
     "Node",
     "CheckReport",
-    "PRIMITIVE_RULES",
     "SHAPE_MISMATCH",
     "FRESHNESS_VIOLATION",
     "NOT_LOCAL_FORMULA",
@@ -71,7 +73,6 @@ __all__ = [
     "labels_of_generic",
     "format_generic",
     "open_assumption_classes",
-    "open_assumptions",
     "all_nodes",
     "max_node_id",
     "rename_labels",
@@ -132,30 +133,6 @@ BAD_DISCHARGE = "BadDischarge"
 UNKNOWN_RULE = "UnknownRule"
 SEQUENCE_MISMATCH = "SequenceMismatch"
 
-PRIMITIVE_RULES = frozenset(
-    {
-        "botE",
-        "impI",
-        "impE",
-        "GI",
-        "GE",
-        "XI",
-        "XE",
-        "histI",
-        "histE",
-        "last",
-        "serS",
-        "linS",
-        "reflLe",
-        "transLe",
-        "eqLe",
-        "splitLe",
-        "baseLe",
-        "ind",
-    }
-)
-
-
 @dataclass(frozen=True)
 class CheckReport:
     accepted: bool
@@ -204,19 +181,25 @@ def normalize_generic(phi: GenericFormula) -> GenericFormula:
 class _Scope:
     """State of one ``check`` call: the open sets, and the desugared form
     and proof-language test of each formula object, memoised on its ``id``.
-    Each entry holds its formula, so no ``id`` is reused while the entry
-    lives; the memo dies with the call."""
+
+    Every formula is desugared through one fold memo for the whole call, so
+    a subformula object shared by several formulas gets one core object,
+    and the rules' equality tests stop at identity there.  The scope holds
+    each formula passed in, so no ``id`` in a memo is reused while the memo
+    lives; the memos die with the call."""
 
     def __init__(self) -> None:
         self.opens: dict[int, set[Assume]] = {}
-        self._norms: dict[int, tuple[Formula, Formula]] = {}
+        self._held: list[Formula] = []
+        self._norms: dict[int, Formula] = {}
         self._langs: dict[int, tuple[Formula, bool]] = {}
 
     def norm(self, f: Formula) -> Formula:
         hit = self._norms.get(id(f))
         if hit is None:
-            hit = self._norms[id(f)] = (f, desugar(f))
-        return hit[1]
+            self._held.append(f)
+            hit = self._norms[id(f)] = _fold_from(f, _DESUGAR, self._norms)
+        return hit
 
     def generic(self, phi: GenericFormula) -> GenericFormula:
         return Lwff(phi.seq, self.norm(phi.formula)) if isinstance(phi, Lwff) else phi
@@ -340,11 +323,6 @@ def open_assumption_classes(root: Node) -> frozenset[Assume]:
     for _ in _open_sets(_postorder(root), opens):
         pass
     return frozenset(opens[id(root)])
-
-
-def open_assumptions(root: Node) -> frozenset[GenericFormula]:
-    """Open assumptions as a set of (desugared) generic formulas."""
-    return frozenset(normalize_generic(a.formula) for a in open_assumption_classes(root))
 
 
 def max_node_id(root: Node) -> int:
@@ -542,8 +520,7 @@ def _check_univ_elim(node: Apply, k: _Scope, op, rel) -> None:
     f = k.norm(w.formula)
     if not isinstance(f, op) or f.operand != k.norm(node.conclusion.formula):
         raise _Err(SHAPE_MISMATCH, f"premise of {node.rule} has the wrong formula")
-    kind = Le if rel is Le else Succ
-    r = _need_rwff(node, 1, kind)
+    r = _need_rwff(node, 1, rel)
     if r != rel(b1, b2):
         raise _Err(SHAPE_MISMATCH, f"relational premise of {node.rule} must relate the last two labels")
     _no_discharge(node)

@@ -1,13 +1,6 @@
-import os
-import resource
-import subprocess
-import sys
-from pathlib import Path
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import nabla
 from nabla import formulas, translate as translate_module
 from nabla.formulas import (
     Always,
@@ -223,17 +216,8 @@ def _check_shared_walks():
     assert classify_local(t) is LocalClass.LOCAL
 
 
-def test_walks_are_linear_in_shared_objects():
-    # A walk of the tree instead of the objects cannot finish; the child's
-    # 30 s and 1 GiB of address space bound it.
-    def limit_memory():
-        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
-
-    paths = [str(Path(nabla.__file__).parents[1]), str(Path(__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
-    argv = [sys.executable, "-c", "from tests.test_formulas import _check_shared_walks; _check_shared_walks()"]
-    done = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=30, preexec_fn=limit_memory)
-    assert done.returncode == 0, done.stderr[-500:]
+def test_walks_are_linear_in_shared_objects(run_in_child):
+    run_in_child("test_formulas", "_check_shared_walks")
 
 
 def test_classify_local_examples():

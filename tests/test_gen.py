@@ -1,0 +1,48 @@
+import random
+
+from nabla.formulas import (
+    Always,
+    Atom,
+    Bottom,
+    Hist,
+    Implies,
+    LocalClass,
+    Next,
+    Until,
+    classify_local,
+    complexity,
+    in_history_language,
+    in_until_language,
+    temporal_depth,
+)
+from nabla.gen import random_hist_tier_formula, random_history_formula, random_local_formula, random_until_formula
+
+CORE = {Atom, Bottom, Implies, Always, Next}
+
+
+def test_generators_stay_in_their_tiers():
+    roots = {"until": set(), "history": set(), "local": set(), "hist-tier": set()}
+    for seed in range(150):
+        rng = random.Random(seed)
+        for budget in range(7):
+            depth = budget % 3
+            draws = {
+                "until": random_until_formula(rng, budget),
+                "history": random_history_formula(rng, budget, max_temporal_depth=depth),
+                "local": random_local_formula(rng, budget),
+                "hist-tier": random_hist_tier_formula(rng, budget),
+            }
+            assert in_until_language(draws["until"])
+            assert in_history_language(draws["history"]) and temporal_depth(draws["history"]) <= depth
+            assert classify_local(draws["local"]) is LocalClass.LOCAL
+            assert in_history_language(draws["hist-tier"])
+            for grammar, f in draws.items():
+                assert complexity(f) <= budget, (grammar, budget)
+                roots[grammar].add(type(f))
+    # Every production of each grammar is drawn at the root.
+    assert roots == {
+        "until": CORE | {Until},
+        "history": CORE | {Hist},
+        "local": CORE,
+        "hist-tier": CORE | {Hist},
+    }

@@ -6,8 +6,8 @@ import pytest
 
 from nabla.corpus import ENTRIES, MUTATIONS, TAUTOLOGY_INSTANCES, entry_by_name, load_entry, load_script
 from nabla.derived import derive_tautology, expand
-from nabla import kernel
-from nabla.formulas import Always, Atom, Bottom, Formula, Hist, Implies, parse_ltl
+from nabla import formulas, kernel
+from nabla.formulas import Always, Atom, Bottom, Formula, Hist, Implies, Until, parse_ltl
 from nabla.gen import DerivationSampler
 from nabla.kernel import (
     BAD_DISCHARGE,
@@ -29,11 +29,11 @@ from nabla.kernel import (
     labels_of_derivation,
     normalize_generic,
     open_assumption_classes,
-    open_assumptions,
     rename_labels,
     subst_label,
 )
 from nabla.scripts import parse_script, serialize
+from nabla.translate import translate
 
 P, Q = Atom("p"), Atom("q")
 
@@ -46,15 +46,15 @@ def test_subst_label_examples():
 
 def test_open_assumptions_basics():
     leaf = Assume(1, Lwff(("b",), P))
-    assert open_assumptions(leaf) == frozenset({Lwff(("b",), P)})
+    assert check(leaf).open_assumptions == frozenset({Lwff(("b",), P)})
     # impI discharging the leaf
     closed = Apply(2, "impI", Lwff(("b",), Implies(P, P)), (leaf,), (leaf,))
-    assert open_assumptions(closed) == frozenset()
+    assert check(closed).open_assumptions == frozenset()
     # vacuous discharge keeps an unrelated leaf open
     other = Assume(3, Lwff(("b",), Q))
     vac = Assume(4, Lwff(("b",), P))
     node = Apply(5, "impI", Lwff(("b",), Implies(P, Q)), (other,), (vac,))
-    assert open_assumptions(node) == frozenset({Lwff(("b",), Q)})
+    assert check(node).open_assumptions == frozenset({Lwff(("b",), Q)})
     assert check(node).accepted
 
 
@@ -487,10 +487,10 @@ def fresh_formula(f):
     return type(f)(*(fresh_formula(x) if isinstance(x, Formula) else x for x in vars(f).values()))
 
 
-def unshared(root):
-    """The derivation rebuilt with a fresh copy of every formula occurrence."""
+def map_formulas(root, fn):
+    """The derivation rebuilt with ``fn`` applied to every formula occurrence."""
     def generic(phi):
-        return Lwff(phi.seq, fresh_formula(phi.formula)) if isinstance(phi, Lwff) else phi
+        return Lwff(phi.seq, fn(phi.formula)) if isinstance(phi, Lwff) else phi
 
     memo = {}
     for n in _postorder(root):
@@ -521,7 +521,7 @@ def _derivations():
 def test_check_agrees_on_shared_and_unshared_formulas():
     verdicts = set()
     for root in _derivations():
-        shared, copied = check(root), check(unshared(root))
+        shared, copied = check(root), check(map_formulas(root, fresh_formula))
         assert shared == copied
         assert shared.to_dict() == copied.to_dict()
         verdicts.add(shared.reason)
@@ -529,10 +529,12 @@ def test_check_agrees_on_shared_and_unshared_formulas():
 
 
 def test_check_works_per_formula_object(monkeypatch):
-    seen = {"desugar": [], "in_history_language": []}
+    # The kernel desugars through formulas._fold_from, which recurses inside
+    # its own module, so the patched name sees one call per top-level formula.
+    seen = {"_fold_from": [], "in_history_language": []}
     for name, calls in seen.items():
         real = getattr(kernel, name)
-        monkeypatch.setattr(kernel, name, lambda f, real=real, calls=calls: calls.append(f) or real(f))
+        monkeypatch.setattr(kernel, name, lambda f, *rest, real=real, calls=calls: calls.append(f) or real(f, *rest))
     root = parse_script(serialize(derive_tautology(parse_ltl("((((p & q) -> r) -> (p & q)) -> (p & q))"), "b")))
     assert check(root).accepted
     nodes = len(_postorder(root))
@@ -543,10 +545,36 @@ def test_check_works_per_formula_object(monkeypatch):
 
 def test_check_keeps_no_formula_after_it_returns(monkeypatch):
     made = []
-    real = kernel.desugar
-    monkeypatch.setattr(kernel, "desugar", lambda f: made.append(weakref.ref(g := real(f))) or g)
+    real = kernel._fold_from
+    monkeypatch.setattr(kernel, "_fold_from", lambda f, *rest: made.append(weakref.ref(g := real(f, *rest))) or g)
     root = load_entry("A3")  # abbreviations: desugaring builds new objects
     assert check(root).accepted and not check(root).open_assumptions
     del root
     gc.collect()
     assert made and all(r() is None for r in made)
+
+
+def _check_substituted_a7l(k=20):
+    """Check A7L with ``p := tr(r U (r U ... s))``, ``k`` levels of ``U``.
+    The image doubles its subformula per level, about 2^k tree nodes over
+    a few objects per level, and every judgement names it."""
+    y = Atom("s")
+    for _ in range(k):
+        y = Until(Atom("r"), y)
+    t = translate(y)
+    rules = {**formulas._HOMOMORPHIC, Atom: lambda x: t if x.name == "p" else x}
+    report = check(map_formulas(load_entry("A7L"), lambda f: formulas._fold(f, rules)))
+    assert report.accepted and not report.open_assumptions, report.message
+
+
+def test_check_is_linear_in_shared_formula_objects(run_in_child):
+    # Equal desugared copies of the substituted formula would be compared
+    # node by node.
+    run_in_child("test_kernel", "_check_substituted_a7l")
+
+
+def test_kernel_has_eighteen_rules():
+    assert set(kernel._VALIDATORS) == {
+        "botE", "impI", "impE", "GI", "GE", "XI", "XE", "histI", "histE",
+        "last", "serS", "linS", "reflLe", "transLe", "eqLe", "splitLe", "baseLe", "ind",
+    }

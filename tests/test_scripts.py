@@ -10,8 +10,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from nabla.cli import main
 from nabla.corpus import ENTRIES, MUTATIONS, load_script
 from nabla.derived import derive_tautology, expand
-from nabla.formulas import Formula, ParseError, _Parser, format_formula, parse_ltl
-from nabla.kernel import Apply, Assume, Le, Lwff, Succ, _postorder, check, open_assumptions
+from nabla.formulas import Atom, Formula, ParseError, _Parser, format_formula, parse_ltl
+from nabla.kernel import Apply, Assume, Le, Lwff, Succ, _postorder, check
 from nabla.scripts import ScriptError, parse_script, serialize
 
 
@@ -72,7 +72,7 @@ def test_subst_clause_parses():
     )
     root = parse_script(text)
     assert check(root).accepted
-    assert open_assumptions(root) == {a for a in open_assumptions(root)}
+    assert check(root).open_assumptions == {Succ("b", "c"), Succ("b", "d"), Lwff(("b", "c"), Atom("p"))}
     assert serialize(root).count("subst c d") == 1
 
 
