@@ -176,7 +176,7 @@ def _check_entry(entry: CorpusEntry) -> CorpusResult:
     if report.open_assumptions:
         return CorpusResult(entry.name, "axiom", False, "proof is not closed")
     sources = {normalize_generic(report.conclusion): entry.source}
-    if not is_ltl_derivation(root, sources):
+    if not is_ltl_derivation(report, sources):
         return CorpusResult(entry.name, "axiom", False, "conclusion is not the translation of the source")
     if entry.simplified_core is not None and not _core_agrees(entry):
         return CorpusResult(entry.name, "axiom", False, "simplified core disagrees with the translation semantically")
@@ -203,7 +203,7 @@ def _check_tautology(name: str, text: str) -> CorpusResult:
     report = check(root)
     if not report.accepted or report.open_assumptions:
         return CorpusResult(name, "tautology", False, "tautology proof rejected or open")
-    if not is_ltl_derivation(root, {normalize_generic(report.conclusion): source}):
+    if not is_ltl_derivation(report, {normalize_generic(report.conclusion): source}):
         return CorpusResult(name, "tautology", False, "tautology proof is not an LTL-derivation")
     return CorpusResult(name, "tautology", True, f"accepted, closed: {text}")
 

@@ -12,6 +12,7 @@ propositional tautology by case-splitting on its atoms.
 from __future__ import annotations
 
 import itertools
+from dataclasses import fields
 
 from .formulas import (
     And,
@@ -24,6 +25,7 @@ from .formulas import (
     Next,
     Or,
     Sometime,
+    _not,
     atoms_of,
     classify_local,
     desugar,
@@ -33,11 +35,12 @@ from .formulas import (
 from .kernel import (
     Apply,
     Assume,
+    CheckReport,
     Le,
     Lwff,
     Node,
     Succ,
-    _postorder,
+    all_nodes,
     check,
     labels_of_derivation,
     max_node_id,
@@ -95,55 +98,36 @@ class _Ids:
         return next(self.counter)
 
 
-def _split_or(f: Formula) -> tuple[Formula, Formula]:
-    if isinstance(f, Or):
-        return f.left, f.right
-    g = desugar(f)
-    if isinstance(g, Implies) and isinstance(g.left, Implies) and g.left.right == Bottom():
-        return g.left.left, g.right
-    raise SchemaMismatch(f"not a disjunction: {format_formula(f)}")
+_NOUNS = {Or: "disjunction", And: "conjunction", Sometime: "sometime formula"}
 
 
-def _split_and(f: Formula) -> tuple[Formula, Formula]:
-    if isinstance(f, And):
-        return f.left, f.right
-    g = desugar(f)
-    # (((a -> bot) -> bot) -> (b -> bot)) -> bot
-    if (
-        isinstance(g, Implies)
-        and g.right == Bottom()
-        and isinstance(g.left, Implies)
-        and isinstance(g.left.left, Implies)
-        and g.left.left.right == Bottom()
-        and isinstance(g.left.left.left, Implies)
-        and g.left.left.left.right == Bottom()
-        and isinstance(g.left.right, Implies)
-        and g.left.right.right == Bottom()
-    ):
-        return g.left.left.left.left, g.left.right.left
-    raise SchemaMismatch(f"not a conjunction: {format_formula(f)}")
+def _split(f: Formula, cls: type) -> tuple[Formula, ...]:
+    """The operands of ``f`` as an abbreviation ``cls``, written or desugared.
 
+    A desugared ``f`` is matched against ``desugar`` of ``cls`` over fresh
+    placeholder atoms; the placeholders, known by identity, bind to the
+    operands."""
+    if isinstance(f, cls):
+        return tuple(getattr(f, x.name) for x in fields(cls))
+    holes = tuple(Atom(x.name) for x in fields(cls))
+    bound: dict[int, Formula] = {}
 
-def _split_sometime(f: Formula) -> Formula:
-    if isinstance(f, Sometime):
-        return f.operand
-    g = desugar(f)
-    if (
-        isinstance(g, Implies)
-        and g.right == Bottom()
-        and isinstance(g.left, Always)
-        and isinstance(g.left.operand, Implies)
-        and g.left.operand.right == Bottom()
-    ):
-        return g.left.operand.left
-    raise SchemaMismatch(f"not a sometime formula: {format_formula(f)}")
+    def match(t: Formula, g: Formula) -> bool:
+        if any(t is h for h in holes):
+            bound[id(t)] = g
+            return True
+        if type(t) is not type(g):
+            return False
+        return all(match(getattr(t, x.name), getattr(g, x.name)) for x in fields(t))
+
+    if match(desugar(cls(*holes)), desugar(f)):
+        return tuple(bound[id(h)] for h in holes)
+    raise SchemaMismatch(f"not a {_NOUNS[cls]}: {format_formula(f)}")
 
 
 def _concl_of(n: Node) -> Lwff:
-    if isinstance(n, Assume):
-        if not isinstance(n.formula, Lwff):
-            raise SchemaMismatch("expected a labeled premise")
-        return n.formula
+    if not isinstance(n.conclusion, Lwff):
+        raise SchemaMismatch("expected a labeled premise")
     return n.conclusion
 
 
@@ -152,27 +136,23 @@ def _require(cond: bool, message: str) -> None:
         raise SchemaMismatch(message)
 
 
-def _not_f(f: Formula) -> Formula:
-    return Implies(f, Bottom())
-
-
 # --- templates -------------------------------------------------------------
 
 
 def _expand_andI(node: Apply, prems, ids: _Ids) -> Node:
     d1, d2 = prems
     w1, w2 = _concl_of(d1), _concl_of(d2)
-    a, b = _split_and(node.conclusion.formula)
+    a, b = _split(node.conclusion.formula, And)
     seq = node.conclusion.seq
     _require(w1.seq == seq and w2.seq == seq, "andI premises must share the conclusion sequence")
     _require(desugar(w1.formula) == desugar(a) and desugar(w2.formula) == desugar(b), "andI premises must prove the conjuncts")
     _require(not node.discharges, "andI discharges nothing")
-    phi = Implies(Implies(_not_f(a), Bottom()), _not_f(b))
+    phi = Implies(_not(_not(a)), _not(b))
     h = Assume(ids.next(), Lwff(seq, phi))
-    ha = Assume(ids.next(), Lwff(seq, _not_f(a)))
+    ha = Assume(ids.next(), Lwff(seq, _not(a)))
     n1 = Apply(ids.next(), "impE", Lwff(seq, Bottom()), (ha, d1))
-    n2 = Apply(ids.next(), "impI", Lwff(seq, Implies(_not_f(a), Bottom())), (n1,), (ha,))
-    n3 = Apply(ids.next(), "impE", Lwff(seq, _not_f(b)), (h, n2))
+    n2 = Apply(ids.next(), "impI", Lwff(seq, _not(_not(a))), (n1,), (ha,))
+    n3 = Apply(ids.next(), "impE", Lwff(seq, _not(b)), (h, n2))
     n4 = Apply(ids.next(), "impE", Lwff(seq, Bottom()), (n3, d2))
     return Apply(ids.next(), "impI", node.conclusion, (n4,), (h,))
 
@@ -180,21 +160,21 @@ def _expand_andI(node: Apply, prems, ids: _Ids) -> Node:
 def _expand_andE(node: Apply, prems, ids: _Ids, first: bool) -> Node:
     (d,) = prems
     w = _concl_of(d)
-    a, b = _split_and(w.formula)
+    a, b = _split(w.formula, And)
     seq = node.conclusion.seq
     _require(w.seq == seq, "andE premise must share the conclusion sequence")
     want = a if first else b
     _require(desugar(node.conclusion.formula) == desugar(want), "andE conclusion must be the selected conjunct")
     _require(not node.discharges, "andE discharges nothing")
     if first:
-        hx = Assume(ids.next(), Lwff(seq, _not_f(a)))
-        h1 = Assume(ids.next(), Lwff(seq, Implies(_not_f(a), Bottom())))
+        hx = Assume(ids.next(), Lwff(seq, _not(a)))
+        h1 = Assume(ids.next(), Lwff(seq, _not(_not(a))))
         n1 = Apply(ids.next(), "impE", Lwff(seq, Bottom()), (h1, hx))
-        n2 = Apply(ids.next(), "impI", Lwff(seq, _not_f(b)), (n1,))
-        n3 = Apply(ids.next(), "impI", Lwff(seq, Implies(Implies(_not_f(a), Bottom()), _not_f(b))), (n2,), (h1,))
+        n2 = Apply(ids.next(), "impI", Lwff(seq, _not(b)), (n1,))
+        n3 = Apply(ids.next(), "impI", Lwff(seq, Implies(_not(_not(a)), _not(b))), (n2,), (h1,))
     else:
-        hx = Assume(ids.next(), Lwff(seq, _not_f(b)))
-        n3 = Apply(ids.next(), "impI", Lwff(seq, Implies(Implies(_not_f(a), Bottom()), _not_f(b))), (hx,))
+        hx = Assume(ids.next(), Lwff(seq, _not(b)))
+        n3 = Apply(ids.next(), "impI", Lwff(seq, Implies(_not(_not(a)), _not(b))), (hx,))
     n4 = Apply(ids.next(), "impE", Lwff(seq, Bottom()), (d, n3))
     return Apply(ids.next(), "botE", node.conclusion, (n4,), (hx,))
 
@@ -202,12 +182,12 @@ def _expand_andE(node: Apply, prems, ids: _Ids, first: bool) -> Node:
 def _expand_orIl(node: Apply, prems, ids: _Ids) -> Node:
     (d,) = prems
     w = _concl_of(d)
-    a, b = _split_or(node.conclusion.formula)
+    a, b = _split(node.conclusion.formula, Or)
     seq = node.conclusion.seq
     _require(w.seq == seq, "orIl premise must share the conclusion sequence")
     _require(desugar(w.formula) == desugar(a), "orIl premise must prove the left disjunct")
     _require(not node.discharges, "orIl discharges nothing")
-    h = Assume(ids.next(), Lwff(seq, _not_f(a)))
+    h = Assume(ids.next(), Lwff(seq, _not(a)))
     n1 = Apply(ids.next(), "impE", Lwff(seq, Bottom()), (h, d))
     n2 = Apply(ids.next(), "botE", Lwff(seq, b), (n1,))
     return Apply(ids.next(), "impI", node.conclusion, (n2,), (h,))
@@ -216,7 +196,7 @@ def _expand_orIl(node: Apply, prems, ids: _Ids) -> Node:
 def _expand_orIr(node: Apply, prems, ids: _Ids) -> Node:
     (d,) = prems
     w = _concl_of(d)
-    a, b = _split_or(node.conclusion.formula)
+    a, b = _split(node.conclusion.formula, Or)
     seq = node.conclusion.seq
     _require(w.seq == seq, "orIr premise must share the conclusion sequence")
     _require(desugar(w.formula) == desugar(b), "orIr premise must prove the right disjunct")
@@ -227,21 +207,21 @@ def _expand_orIr(node: Apply, prems, ids: _Ids) -> Node:
 def _expand_orE(node: Apply, prems, ids: _Ids) -> Node:
     d0, da, db = prems
     w0 = _concl_of(d0)
-    a, b = _split_or(w0.formula)
+    a, b = _split(w0.formula, Or)
     goal = node.conclusion
     _require(desugar(_concl_of(da).formula) == desugar(goal.formula) and _concl_of(da).seq == goal.seq, "orE first case must prove the conclusion")
     _require(desugar(_concl_of(db).formula) == desugar(goal.formula) and _concl_of(db).seq == goal.seq, "orE second case must prove the conclusion")
     ha = [x for x in node.discharges if normalize_generic(x.formula) == normalize_generic(Lwff(w0.seq, a))]
     hb = [x for x in node.discharges if x not in ha and normalize_generic(x.formula) == normalize_generic(Lwff(w0.seq, b))]
     _require(len(ha) + len(hb) == len(node.discharges), "orE discharges case assumptions only")
-    hc = Assume(ids.next(), Lwff(goal.seq, _not_f(goal.formula)))
+    hc = Assume(ids.next(), Lwff(goal.seq, _not(goal.formula)))
     n1 = Apply(ids.next(), "impE", Lwff(goal.seq, Bottom()), (hc, da))
     n2 = Apply(ids.next(), "botE", Lwff(w0.seq, Bottom()), (n1,))
-    n3 = Apply(ids.next(), "impI", Lwff(w0.seq, _not_f(a)), (n2,), tuple(ha))
+    n3 = Apply(ids.next(), "impI", Lwff(w0.seq, _not(a)), (n2,), tuple(ha))
     n4 = Apply(ids.next(), "impE", Lwff(w0.seq, b), (d0, n3))
     n5 = Apply(ids.next(), "impE", Lwff(goal.seq, Bottom()), (hc, db))
     n6 = Apply(ids.next(), "botE", Lwff(w0.seq, Bottom()), (n5,))
-    n7 = Apply(ids.next(), "impI", Lwff(w0.seq, _not_f(b)), (n6,), tuple(hb))
+    n7 = Apply(ids.next(), "impI", Lwff(w0.seq, _not(b)), (n6,), tuple(hb))
     n8 = Apply(ids.next(), "impE", Lwff(w0.seq, Bottom()), (n7, n4))
     return Apply(ids.next(), "botE", goal, (n8,), (hc,))
 
@@ -249,15 +229,14 @@ def _expand_orE(node: Apply, prems, ids: _Ids) -> Node:
 def _expand_FI(node: Apply, prems, ids: _Ids) -> Node:
     d1, r = prems
     w = _concl_of(d1)
-    a = _split_sometime(node.conclusion.formula)
+    (a,) = _split(node.conclusion.formula, Sometime)
     seq = node.conclusion.seq
     _require(len(w.seq) == len(seq) + 1 and w.seq[:-1] == seq, "FI premise must extend the conclusion sequence by one label")
     _require(desugar(w.formula) == desugar(a), "FI premise must prove the operand")
-    rw = r.formula if isinstance(r, Assume) else None
-    _require(isinstance(rw, Le) and rw == Le(seq[-1], w.seq[-1]), "FI needs le(last, new) as its relational premise")
+    _require(r.conclusion == Le(seq[-1], w.seq[-1]), "FI needs le(last, new) as its relational premise")
     _require(not node.discharges, "FI discharges nothing")
-    h = Assume(ids.next(), Lwff(seq, Always(_not_f(a))))
-    n1 = Apply(ids.next(), "GE", Lwff(w.seq, _not_f(a)), (h, r))
+    h = Assume(ids.next(), Lwff(seq, Always(_not(a))))
+    n1 = Apply(ids.next(), "GE", Lwff(w.seq, _not(a)), (h, r))
     n2 = Apply(ids.next(), "impE", Lwff(w.seq, Bottom()), (n1, d1))
     n3 = Apply(ids.next(), "botE", Lwff(seq, Bottom()), (n2,))
     return Apply(ids.next(), "impI", node.conclusion, (n3,), (h,))
@@ -266,7 +245,7 @@ def _expand_FI(node: Apply, prems, ids: _Ids) -> Node:
 def _expand_FE(node: Apply, prems, ids: _Ids) -> Node:
     d0, dh = prems
     w0 = _concl_of(d0)
-    a = _split_sometime(w0.formula)
+    (a,) = _split(w0.formula, Sometime)
     goal = node.conclusion
     wh = _concl_of(dh)
     _require(wh.seq == goal.seq and desugar(wh.formula) == desugar(goal.formula), "FE hypothetical premise must prove the conclusion")
@@ -285,32 +264,31 @@ def _expand_FE(node: Apply, prems, ids: _Ids) -> Node:
     _require(len(hr) + len(hall) == len(node.discharges), "FE discharges its witness assumptions only")
     _require(len(b2s) == 1, "FE witness assumptions must name one fresh label")
     b2 = b2s.pop()
-    hc = Assume(ids.next(), Lwff(goal.seq, _not_f(goal.formula)))
+    hc = Assume(ids.next(), Lwff(goal.seq, _not(goal.formula)))
     n1 = Apply(ids.next(), "impE", Lwff(goal.seq, Bottom()), (hc, dh))
     n2 = Apply(ids.next(), "botE", Lwff(w0.seq + (b2,), Bottom()), (n1,))
-    n3 = Apply(ids.next(), "impI", Lwff(w0.seq + (b2,), _not_f(a)), (n2,), tuple(hall))
-    n4 = Apply(ids.next(), "GI", Lwff(w0.seq, Always(_not_f(a))), (n3,), tuple(hr))
+    n3 = Apply(ids.next(), "impI", Lwff(w0.seq + (b2,), _not(a)), (n2,), tuple(hall))
+    n4 = Apply(ids.next(), "GI", Lwff(w0.seq, Always(_not(a))), (n3,), tuple(hr))
     n5 = Apply(ids.next(), "impE", Lwff(w0.seq, Bottom()), (d0, n4))
     return Apply(ids.next(), "botE", goal, (n5,), (hc,))
 
 
+# Derived rule name -> (premise count, template).
 _TEMPLATES = {
-    "andI": _expand_andI,
-    "andE1": lambda n, p, i: _expand_andE(n, p, i, True),
-    "andE2": lambda n, p, i: _expand_andE(n, p, i, False),
-    "orIl": _expand_orIl,
-    "orIr": _expand_orIr,
-    "orE": _expand_orE,
-    "FI": _expand_FI,
-    "FE": _expand_FE,
+    "andI": (2, _expand_andI),
+    "andE1": (1, lambda n, p, i: _expand_andE(n, p, i, True)),
+    "andE2": (1, lambda n, p, i: _expand_andE(n, p, i, False)),
+    "orIl": (1, _expand_orIl),
+    "orIr": (1, _expand_orIr),
+    "orE": (3, _expand_orE),
+    "FI": (2, _expand_FI),
+    "FE": (2, _expand_FE),
 }
-
-_ARITY = {"andI": 2, "andE1": 1, "andE2": 1, "orIl": 1, "orIr": 1, "orE": 3, "FI": 2, "FE": 2}
 
 
 def expand(root: Node) -> Node:
     """Rewrite derived-rule applications into primitive derivations; ``root`` itself if it has none."""
-    order = _postorder(root)
+    order = all_nodes(root)
     if not any(isinstance(n, Apply) and n.rule in _TEMPLATES for n in order):
         return root
     ids = _Ids(max(n.id for n in order) + 1)
@@ -322,11 +300,12 @@ def expand(root: Node) -> Node:
         prems = tuple(memo[id(p)] for p in n.premises)
         disch = tuple(memo[id(a)] for a in n.discharges)
         if n.rule in _TEMPLATES:
+            arity, template = _TEMPLATES[n.rule]
             try:
-                if len(prems) != _ARITY[n.rule]:
-                    raise SchemaMismatch(f"rule {n.rule} takes {_ARITY[n.rule]} premises, got {len(prems)}")
+                if len(prems) != arity:
+                    raise SchemaMismatch(f"rule {n.rule} takes {arity} premises, got {len(prems)}")
                 staged = Apply(n.id, n.rule, n.conclusion, prems, disch, n.subst)
-                memo[id(n)] = _TEMPLATES[n.rule](staged, prems, ids)
+                memo[id(n)] = template(staged, prems, ids)
             except SchemaMismatch as e:
                 e.node_id = n.id
                 raise
@@ -338,8 +317,7 @@ def expand(root: Node) -> Node:
 # --- Hilbert closure transformers -------------------------------------------
 
 
-def _closed_single_label(d: Node, what: str) -> tuple[str, Formula]:
-    report = check(d)
+def _closed_single_label(report: CheckReport, what: str) -> tuple[str, Formula]:
     if not report.accepted:
         raise ShapeMismatch(f"{what} requires an accepted derivation: {report.message}")
     if report.open_assumptions:
@@ -351,8 +329,8 @@ def _closed_single_label(d: Node, what: str) -> tuple[str, Formula]:
 
 def mp_compose(d1: Node, d2: Node) -> Node:
     """From closed proofs of ``b : A`` and ``b : A -> B`` build ``b : B``."""
-    b1, f1 = _closed_single_label(d1, "mp_compose")
-    b2, f2 = _closed_single_label(d2, "mp_compose")
+    b1, f1 = _closed_single_label(check(d1), "mp_compose")
+    b2, f2 = _closed_single_label(check(d2), "mp_compose")
     if b1 != b2:
         raise ShapeMismatch(f"mp_compose labels differ: {b1!r} vs {b2!r}")
     g2 = desugar(f2)
@@ -365,11 +343,9 @@ def mp_compose(d1: Node, d2: Node) -> Node:
 
 def _nec(d: Node, op, rel, rule: str, name: str) -> Node:
     report = check(d)
-    if not report.accepted:
-        raise ShapeMismatch(f"{name} requires an accepted derivation: {report.message}")
-    if classify_local(report.conclusion.formula) is not LocalClass.LOCAL:
+    if report.accepted and classify_local(report.conclusion.formula) is not LocalClass.LOCAL:
         raise NotLocalFormula(f"{name} requires a local formula, got {format_formula(report.conclusion.formula)}")
-    b, f = _closed_single_label(d, name)
+    b, f = _closed_single_label(report, name)
     used = labels_of_derivation(d)
     c = next(f"w{i}" for i in itertools.count(1) if f"w{i}" not in used and f"w{i}" != b)
     renamed = rename_labels(d, {b: c})

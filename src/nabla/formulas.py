@@ -141,13 +141,11 @@ class LocalClass(enum.Enum):
 
     LOCAL formulas keep their truth value under replacement of every
     observation-sequence element but the last; HIST_ONLY formulas need the
-    last two.  NEITHER is unreachable for desugared history-language input
-    (asserted in :func:`classify_local`).
+    last two.  Every desugared history-language formula is one of the two.
     """
 
     LOCAL = "local"
     HIST_ONLY = "hist-only"
-    NEITHER = "neither"
 
 
 class ParseError(ValueError):
@@ -475,16 +473,14 @@ def _is_local(f: Formula, memo: dict[int, bool]) -> bool:
 def classify_local(f: Formula) -> LocalClass:
     """Classify a history-language formula against the local grammar.
 
-    Input is desugared first.  Every desugared history-language formula
-    belongs to the history tier of the grammar, so NEITHER is unreachable;
-    this is asserted rather than returned.
+    Input is desugared first.  A history-language formula that is not
+    local belongs to the history tier of the grammar.
     """
     g = desugar(f)
     if not in_history_language(g):
         raise ValueError(f"not a history-language formula: {format_formula(f)}")
     if _is_local(g, {}):
         return LocalClass.LOCAL
-    assert in_history_language(g)  # NEITHER unreachable on desugared input
     return LocalClass.HIST_ONLY
 
 

@@ -132,7 +132,6 @@ class DerivationSampler:
         self.symbols = symbols
         self._ids = 0
         self._labels = 0
-        self.pool: list[Node] = []
 
     def _id(self) -> int:
         self._ids += 1
@@ -143,9 +142,7 @@ class DerivationSampler:
         return f"u{self._labels}"
 
     def _known_labels(self, node: Node) -> list[str]:
-        labs: set[str] = set()
-        if isinstance(node, Apply):
-            labs |= set(node.conclusion.seq)
+        labs = set(labels_of_generic(node.conclusion))
         for a in open_assumption_classes(node):
             labs |= labels_of_generic(a.formula)
         return sorted(labs)
@@ -155,9 +152,6 @@ class DerivationSampler:
         if labs and self.rng.random() < 0.7:
             return self.rng.choice(labs)
         return self._fresh_label()
-
-    def _concl(self, node: Node) -> Lwff:
-        return node.formula if isinstance(node, Assume) else node.conclusion  # type: ignore[return-value]
 
     def _assume(self, formula) -> Assume:
         return Assume(self._id(), formula)
@@ -181,7 +175,7 @@ class DerivationSampler:
     # Each step returns a new node or None when the chosen move does not fit.
 
     def _step_impI(self, d: Node) -> Node | None:
-        w = self._concl(d)
+        w = d.conclusion
         opens = open_assumption_classes(d)
         same_seq = [a for a in opens if isinstance(a.formula, Lwff) and a.formula.seq == w.seq]
         if same_seq and self.rng.random() < 0.7:
@@ -194,20 +188,20 @@ class DerivationSampler:
         return Apply(self._id(), "impI", Lwff(w.seq, Implies(ante, w.formula)), (d,), disch)
 
     def _step_impE(self, d: Node) -> Node | None:
-        w = self._concl(d)
+        w = d.conclusion
         target = self._small_formula()
         leaf = self._assume(Lwff(w.seq, Implies(w.formula, target)))
         return Apply(self._id(), "impE", Lwff(w.seq, target), (leaf, d))
 
     def _step_botE(self, d: Node) -> Node | None:
-        falsum = self._falsum(d, self._concl(d))
+        falsum = self._falsum(d, d.conclusion)
         seq = tuple(self._fresh_label() for _ in range(self.rng.randint(1, 2)))
         return Apply(self._id(), "botE", Lwff(seq, self._small_formula()), (falsum,))
 
     # GE and XE, and GI and XI, share one body over (Always, Le) resp.
     # (Next, Succ), as the kernel's validators do.
     def _univ_elim(self, rule: str, op, rel, d: Node) -> Node | None:
-        w = self._concl(d)
+        w = d.conclusion
         if not isinstance(w.formula, op):
             return None
         b2 = self._some_label(d)
@@ -218,7 +212,7 @@ class DerivationSampler:
     _step_XE = partialmethod(_univ_elim, "XE", Next, Succ)
 
     def _step_histE(self, d: Node) -> Node | None:
-        w = self._concl(d)
+        w = d.conclusion
         if not isinstance(w.formula, Hist) or len(w.seq) < 2:
             return None
         b1, b3 = w.seq[-2], w.seq[-1]
@@ -232,7 +226,7 @@ class DerivationSampler:
         return all(label not in labels_of_generic(a.formula) for a in rem)
 
     def _univ_intro(self, rule: str, op, rel, d: Node) -> Node | None:
-        w = self._concl(d)
+        w = d.conclusion
         if len(w.seq) < 2:
             return None
         b1, b2 = w.seq[-2], w.seq[-1]
@@ -245,7 +239,7 @@ class DerivationSampler:
     _step_XI = partialmethod(_univ_intro, "XI", Next, Succ)
 
     def _step_histI(self, d: Node) -> Node | None:
-        w = self._concl(d)
+        w = d.conclusion
         if len(w.seq) < 2:
             return None
         b1, b2 = w.seq[-2], w.seq[-1]
@@ -256,20 +250,20 @@ class DerivationSampler:
         return Apply(self._id(), "histI", Lwff(w.seq[:-1] + (b3,), Hist(w.formula)), (d,), disch)
 
     def _step_last(self, d: Node) -> Node | None:
-        w = self._concl(d)
+        w = d.conclusion
         if classify_local(w.formula) is not LocalClass.LOCAL:
             return None
         prefix = tuple(self._some_label(d) for _ in range(self.rng.randint(0, 2)))
         return Apply(self._id(), "last", Lwff(prefix + (w.seq[-1],), w.formula), (d,))
 
     def _step_reflLe(self, d: Node) -> Node | None:
-        w = self._concl(d)
+        w = d.conclusion
         x = self._some_label(d)
         disch = self._matching_opens(d, Le(x, x))
         return Apply(self._id(), "reflLe", Lwff(w.seq, w.formula), (d,), disch)
 
     def _step_transLe(self, d: Node) -> Node | None:
-        w = self._concl(d)
+        w = d.conclusion
         x, y, z = (self._some_label(d) for _ in range(3))
         l1 = self._assume(Le(x, y))
         l2 = self._assume(Le(y, z))
@@ -277,14 +271,14 @@ class DerivationSampler:
         return Apply(self._id(), "transLe", Lwff(w.seq, w.formula), (l1, l2, d), disch)
 
     def _step_baseLe(self, d: Node) -> Node | None:
-        w = self._concl(d)
+        w = d.conclusion
         x, y = self._some_label(d), self._some_label(d)
         l1 = self._assume(Succ(x, y))
         disch = self._matching_opens(d, Le(x, y))
         return Apply(self._id(), "baseLe", Lwff(w.seq, w.formula), (l1, d), disch)
 
     def _step_eqLe(self, d: Node) -> Node | None:
-        w = self._concl(d)
+        w = d.conclusion
         b1 = w.seq[-1]
         b2 = self._some_label(d)
         l1 = self._assume(Le(b1, b2))
@@ -292,7 +286,7 @@ class DerivationSampler:
         return Apply(self._id(), "eqLe", Lwff(w.seq[:-1] + (b2,), w.formula), (l1, l2, d))
 
     def _step_serS(self, d: Node) -> Node | None:
-        w = self._concl(d)
+        w = d.conclusion
         x = self._some_label(d)
         y = self._fresh_label()
         leaf = self._assume(Succ(x, y))
@@ -300,7 +294,7 @@ class DerivationSampler:
         return Apply(self._id(), "serS", Lwff(w.seq, w.formula), (used,), (leaf,))
 
     def _step_linS(self, d: Node) -> Node | None:
-        w = self._concl(d)
+        w = d.conclusion
         if isinstance(w.formula, Always):
             # uniqueness moves the instantiation point of GE between the
             # two successors of a shared base label
@@ -321,7 +315,7 @@ class DerivationSampler:
         return Apply(self._id(), "linS", Lwff(w.seq, w.formula), (r1, r2, phi, d), (ghost,), (y, z))
 
     def _step_splitLe(self, d: Node) -> Node | None:
-        w = self._concl(d)
+        w = d.conclusion
         x, y = self._some_label(d), self._some_label(d)
         r1 = self._assume(Le(x, y))
         phi = self._assume(Le(x, x))
@@ -339,7 +333,7 @@ class DerivationSampler:
         )
 
     def _step_ind(self, d: Node) -> Node | None:
-        w = self._concl(d)
+        w = d.conclusion
         alpha, b0 = w.seq[:-1], w.seq[-1]
         b = self._some_label(d)
         bj = self._fresh_label()

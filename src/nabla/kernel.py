@@ -10,7 +10,11 @@ premise positions and are closed by the discharging rule application.
 ``check`` validates every node against the 18 primitive rules, including
 sequence shapes, discharge bookkeeping and eigenlabel freshness, and never
 grows beyond that rule set: derived rules are expanded elsewhere and
-re-checked here.
+re-checked here.  The rules are one table, ``_VALIDATORS``, that maps each
+rule name to its premise count, whether it may discharge assumptions, and
+the validator of its side conditions; ``check`` tests the count before the
+validator runs, and that a rule which may not discharge discharges
+nothing after it.
 
 Each node's set of open assumption classes is built once, in the same
 postorder pass that validates it: the node takes over the largest premise
@@ -112,6 +116,11 @@ class Assume:
 
     id: int
     formula: GenericFormula
+
+    @property
+    def conclusion(self) -> GenericFormula:
+        """What the node asserts: the assumed formula, as for ``Apply``."""
+        return self.formula
 
 
 @dataclass(frozen=True, eq=False)
@@ -238,23 +247,9 @@ def subst_label(phi: GenericFormula, frm: str, to: str) -> GenericFormula:
 
 
 def all_nodes(root: Node) -> list[Node]:
-    """Every node reachable through premises or discharge references."""
-    seen: dict[int, Node] = {}
-    order: list[Node] = []
-    stack = [root]
-    while stack:
-        n = stack.pop()
-        if id(n) in seen:
-            continue
-        seen[id(n)] = n
-        order.append(n)
-        if isinstance(n, Apply):
-            stack.extend(n.premises)
-            stack.extend(n.discharges)
-    return order
-
-
-def _postorder(root: Node) -> list[Node]:
+    """Every node reachable through premises or discharge references, once,
+    in postorder: first a node's discharged assumptions (the last listed
+    first), then its premises (in order), then the node; the root last."""
     out: list[Node] = []
     visited: set[int] = set()
     stack: list[tuple[Node, bool]] = [(root, False)]
@@ -320,7 +315,7 @@ def _open_sets(order: list[Node], opens: dict[int, set[Assume]]) -> Iterator[Nod
 
 def open_assumption_classes(root: Node) -> frozenset[Assume]:
     opens: dict[int, set[Assume]] = {}
-    for _ in _open_sets(_postorder(root), opens):
+    for _ in _open_sets(all_nodes(root), opens):
         pass
     return frozenset(opens[id(root)])
 
@@ -332,12 +327,9 @@ def max_node_id(root: Node) -> int:
 def labels_of_derivation(root: Node) -> frozenset[str]:
     labs: set[str] = set()
     for n in all_nodes(root):
-        if isinstance(n, Assume):
-            labs |= labels_of_generic(n.formula)
-        else:
-            labs |= labels_of_generic(n.conclusion)
-            if n.subst is not None:
-                labs.update(n.subst)
+        labs |= labels_of_generic(n.conclusion)
+        if isinstance(n, Apply) and n.subst is not None:
+            labs.update(n.subst)
     return frozenset(labs)
 
 
@@ -345,45 +337,19 @@ def labels_of_derivation(root: Node) -> frozenset[str]:
 # Rule validation
 
 
-def _lwff_of(n: Node) -> Lwff | None:
-    if isinstance(n, Assume):
-        return n.formula if isinstance(n.formula, Lwff) else None
-    return n.conclusion
-
-
-def _rwff_of(n: Node) -> Le | Succ | None:
-    if isinstance(n, Assume) and isinstance(n.formula, (Le, Succ)):
-        return n.formula
-    return None
-
-
-def _generic_of(n: Node) -> GenericFormula:
-    return n.formula if isinstance(n, Assume) else n.conclusion
-
-
-def _need(count: int, node: Apply) -> None:
-    if len(node.premises) != count:
-        raise _Err(SHAPE_MISMATCH, f"rule {node.rule} takes {count} premises, got {len(node.premises)}")
-
-
 def _need_lwff(node: Apply, i: int) -> Lwff:
-    w = _lwff_of(node.premises[i])
-    if w is None:
+    w = node.premises[i].conclusion
+    if not isinstance(w, Lwff):
         raise _Err(SHAPE_MISMATCH, f"premise {i + 1} of {node.rule} must be a labeled formula")
     return w
 
 
 def _need_rwff(node: Apply, i: int, kind: type) -> Le | Succ:
-    r = _rwff_of(node.premises[i])
-    if r is None or not isinstance(r, kind):
+    r = node.premises[i].conclusion
+    if not isinstance(r, kind):
         name = "le" if kind is Le else "succ"
         raise _Err(SHAPE_MISMATCH, f"premise {i + 1} of {node.rule} must be a {name}(...) assumption")
     return r
-
-
-def _no_discharge(node: Apply) -> None:
-    if node.discharges:
-        raise _Err(BAD_DISCHARGE, f"rule {node.rule} discharges nothing")
 
 
 def _validate_discharges(
@@ -457,7 +423,6 @@ def _check_subst(node: Apply, frm: str, to: str) -> None:
 
 
 def _check_botE(node: Apply, k: _Scope) -> None:
-    _need(1, node)
     w = _need_lwff(node, 0)
     if k.norm(w.formula) != Bottom():
         raise _Err(SHAPE_MISMATCH, "premise of botE must prove bot")
@@ -466,7 +431,6 @@ def _check_botE(node: Apply, k: _Scope) -> None:
 
 
 def _check_impI(node: Apply, k: _Scope) -> None:
-    _need(1, node)
     f = k.norm(node.conclusion.formula)
     if not isinstance(f, Implies):
         raise _Err(SHAPE_MISMATCH, "conclusion of impI must be an implication")
@@ -479,7 +443,6 @@ def _check_impI(node: Apply, k: _Scope) -> None:
 
 
 def _check_impE(node: Apply, k: _Scope) -> None:
-    _need(2, node)
     w1 = _need_lwff(node, 0)
     w2 = _need_lwff(node, 1)
     cs = node.conclusion.seq
@@ -488,12 +451,10 @@ def _check_impE(node: Apply, k: _Scope) -> None:
     f1 = k.norm(w1.formula)
     if not isinstance(f1, Implies) or f1.left != k.norm(w2.formula) or f1.right != k.norm(node.conclusion.formula):
         raise _Err(SHAPE_MISMATCH, "impE premises do not fit A -> B and A")
-    _no_discharge(node)
 
 
 def _check_univ_intro(node: Apply, k: _Scope, op, rel) -> None:
     # GI and XI share one shape over (Always, Le) resp. (Next, Succ).
-    _need(1, node)
     f = k.norm(node.conclusion.formula)
     if not isinstance(f, op):
         raise _Err(SHAPE_MISMATCH, f"conclusion of {node.rule} has the wrong outer operator")
@@ -509,7 +470,6 @@ def _check_univ_intro(node: Apply, k: _Scope, op, rel) -> None:
 
 
 def _check_univ_elim(node: Apply, k: _Scope, op, rel) -> None:
-    _need(2, node)
     cs = node.conclusion.seq
     if len(cs) < 2:
         raise _Err(SEQUENCE_MISMATCH, f"conclusion of {node.rule} needs at least two labels")
@@ -523,11 +483,9 @@ def _check_univ_elim(node: Apply, k: _Scope, op, rel) -> None:
     r = _need_rwff(node, 1, rel)
     if r != rel(b1, b2):
         raise _Err(SHAPE_MISMATCH, f"relational premise of {node.rule} must relate the last two labels")
-    _no_discharge(node)
 
 
 def _check_histI(node: Apply, k: _Scope) -> None:
-    _need(1, node)
     f = k.norm(node.conclusion.formula)
     if not isinstance(f, Hist):
         raise _Err(SHAPE_MISMATCH, "conclusion of histI must be a history formula")
@@ -546,7 +504,6 @@ def _check_histI(node: Apply, k: _Scope) -> None:
 
 
 def _check_histE(node: Apply, k: _Scope) -> None:
-    _need(3, node)
     cs = node.conclusion.seq
     if len(cs) < 2:
         raise _Err(SEQUENCE_MISMATCH, "conclusion of histE needs at least two labels")
@@ -562,11 +519,9 @@ def _check_histE(node: Apply, k: _Scope) -> None:
     r2 = _need_rwff(node, 2, Le)
     if r1 != Le(b1, b2) or r2 != Le(b2, b3):
         raise _Err(SHAPE_MISMATCH, "relational premises of histE must place the new label inside the interval")
-    _no_discharge(node)
 
 
 def _check_last(node: Apply, k: _Scope) -> None:
-    _need(1, node)
     w = _need_lwff(node, 0)
     if w.seq[-1] != node.conclusion.seq[-1]:
         raise _Err(SEQUENCE_MISMATCH, "last must keep the final label")
@@ -575,11 +530,9 @@ def _check_last(node: Apply, k: _Scope) -> None:
         raise _Err(SHAPE_MISMATCH, "last must keep the formula")
     if classify_local(fc) is not LocalClass.LOCAL:
         raise _Err(NOT_LOCAL_FORMULA, f"last applies to local formulas only, got {format_formula(node.conclusion.formula)}")
-    _no_discharge(node)
 
 
 def _check_serS(node: Apply, k: _Scope) -> None:
-    _need(1, node)
     w = _need_lwff(node, 0)
     _same_judgment(node, k, w, "premise")
     pair: Succ | None = None
@@ -594,13 +547,12 @@ def _check_serS(node: Apply, k: _Scope) -> None:
 
 
 def _check_linS(node: Apply, k: _Scope) -> None:
-    _need(4, node)
     r1 = _need_rwff(node, 0, Succ)
     r2 = _need_rwff(node, 1, Succ)
     if r1.a != r2.a:
         raise _Err(SHAPE_MISMATCH, "linS successor premises must start from one label")
     b2, b3 = r1.b, r2.b
-    phi = _generic_of(node.premises[2])
+    phi = node.premises[2].conclusion
     w = _need_lwff(node, 3)
     _same_judgment(node, k, w, "hypothetical premise")
     _check_subst(node, b2, b3)
@@ -609,7 +561,6 @@ def _check_linS(node: Apply, k: _Scope) -> None:
 
 
 def _check_reflLe(node: Apply, k: _Scope) -> None:
-    _need(1, node)
     w = _need_lwff(node, 0)
     _same_judgment(node, k, w, "premise")
     pair: Le | None = None
@@ -622,7 +573,6 @@ def _check_reflLe(node: Apply, k: _Scope) -> None:
 
 
 def _check_transLe(node: Apply, k: _Scope) -> None:
-    _need(3, node)
     r1 = _need_rwff(node, 0, Le)
     r2 = _need_rwff(node, 1, Le)
     if r1.b != r2.a:
@@ -633,7 +583,6 @@ def _check_transLe(node: Apply, k: _Scope) -> None:
 
 
 def _check_eqLe(node: Apply, k: _Scope) -> None:
-    _need(3, node)
     cs = node.conclusion.seq
     w = _need_lwff(node, 2)
     if len(w.seq) != len(cs) or w.seq[:-1] != cs[:-1]:
@@ -646,14 +595,12 @@ def _check_eqLe(node: Apply, k: _Scope) -> None:
     if r1 != Le(b1, b2) or r2 != Le(b2, b1):
         raise _Err(SHAPE_MISMATCH, "eqLe relational premises must assert equality of the swapped labels")
     _check_subst(node, b1, b2)
-    _no_discharge(node)
 
 
 def _check_splitLe(node: Apply, k: _Scope) -> None:
-    _need(4, node)
     r1 = _need_rwff(node, 0, Le)
     b1, b2 = r1.a, r1.b
-    phi = _generic_of(node.premises[1])
+    phi = node.premises[1].conclusion
     w_eq = _need_lwff(node, 2)
     w_lt = _need_lwff(node, 3)
     _same_judgment(node, k, w_eq, "equality-case premise")
@@ -682,7 +629,6 @@ def _check_splitLe(node: Apply, k: _Scope) -> None:
 
 
 def _check_baseLe(node: Apply, k: _Scope) -> None:
-    _need(2, node)
     r1 = _need_rwff(node, 0, Succ)
     w = _need_lwff(node, 1)
     _same_judgment(node, k, w, "hypothetical premise")
@@ -690,7 +636,6 @@ def _check_baseLe(node: Apply, k: _Scope) -> None:
 
 
 def _check_ind(node: Apply, k: _Scope) -> None:
-    _need(3, node)
     cs = node.conclusion.seq
     alpha, b = cs[:-1], cs[-1]
     fc = k.norm(node.conclusion.formula)
@@ -733,25 +678,26 @@ def _check_ind(node: Apply, k: _Scope) -> None:
         _check_fresh(node, bi, (b, b0, bj), node.premises[2], k)
 
 
+# Rule name -> (premise count, may discharge, validator).
 _VALIDATORS = {
-    "botE": _check_botE,
-    "impI": _check_impI,
-    "impE": _check_impE,
-    "GI": lambda n, k: _check_univ_intro(n, k, Always, Le),
-    "GE": lambda n, k: _check_univ_elim(n, k, Always, Le),
-    "XI": lambda n, k: _check_univ_intro(n, k, Next, Succ),
-    "XE": lambda n, k: _check_univ_elim(n, k, Next, Succ),
-    "histI": _check_histI,
-    "histE": _check_histE,
-    "last": _check_last,
-    "serS": _check_serS,
-    "linS": _check_linS,
-    "reflLe": _check_reflLe,
-    "transLe": _check_transLe,
-    "eqLe": _check_eqLe,
-    "splitLe": _check_splitLe,
-    "baseLe": _check_baseLe,
-    "ind": _check_ind,
+    "botE": (1, True, _check_botE),
+    "impI": (1, True, _check_impI),
+    "impE": (2, False, _check_impE),
+    "GI": (1, True, lambda n, k: _check_univ_intro(n, k, Always, Le)),
+    "GE": (2, False, lambda n, k: _check_univ_elim(n, k, Always, Le)),
+    "XI": (1, True, lambda n, k: _check_univ_intro(n, k, Next, Succ)),
+    "XE": (2, False, lambda n, k: _check_univ_elim(n, k, Next, Succ)),
+    "histI": (1, True, _check_histI),
+    "histE": (3, False, _check_histE),
+    "last": (1, False, _check_last),
+    "serS": (1, True, _check_serS),
+    "linS": (4, True, _check_linS),
+    "reflLe": (1, True, _check_reflLe),
+    "transLe": (3, True, _check_transLe),
+    "eqLe": (3, False, _check_eqLe),
+    "splitLe": (4, True, _check_splitLe),
+    "baseLe": (2, True, _check_baseLe),
+    "ind": (3, True, _check_ind),
 }
 
 
@@ -764,7 +710,7 @@ def check(root: Node) -> CheckReport:
     """
     k = _Scope()
     discharged_by: dict[int, int] = {}
-    for n in _open_sets(_postorder(root), k.opens):
+    for n in _open_sets(all_nodes(root), k.opens):
         try:
             if isinstance(n, Assume):
                 if isinstance(n.formula, Lwff) and not k.in_language(n.formula.formula):
@@ -772,24 +718,28 @@ def check(root: Node) -> CheckReport:
                 continue
             if not k.in_language(n.conclusion.formula):
                 raise _Err(SHAPE_MISMATCH, "conclusion formula is not in the proof language")
-            validator = _VALIDATORS.get(n.rule)
-            if validator is None:
+            rule = _VALIDATORS.get(n.rule)
+            if rule is None:
                 raise _Err(UNKNOWN_RULE, f"unknown rule {n.rule!r}")
+            arity, may_discharge, validator = rule
             for a in n.discharges:
                 prev = discharged_by.get(id(a))
                 if prev is not None and prev != n.id:
                     raise _Err(BAD_DISCHARGE, f"assumption {a.id} is discharged twice")
                 discharged_by[id(a)] = n.id
+            if len(n.premises) != arity:
+                raise _Err(SHAPE_MISMATCH, f"rule {n.rule} takes {arity} premises, got {len(n.premises)}")
             validator(n, k)
+            if n.discharges and not may_discharge:
+                raise _Err(BAD_DISCHARGE, f"rule {n.rule} discharges nothing")
         except _Err as e:
             return CheckReport(accepted=False, node_id=n.id, reason=e.reason, message=e.message)
-    if isinstance(root, Assume) and not isinstance(root.formula, Lwff):
+    if not isinstance(root.conclusion, Lwff):
         return CheckReport(
             accepted=False, node_id=root.id, reason=SHAPE_MISMATCH, message="a derivation concludes a labeled formula"
         )
-    conclusion = root.formula if isinstance(root, Assume) else root.conclusion
     opens_root = frozenset(k.generic(a.formula) for a in k.opens[id(root)])
-    return CheckReport(accepted=True, conclusion=conclusion, open_assumptions=opens_root)
+    return CheckReport(accepted=True, conclusion=root.conclusion, open_assumptions=opens_root)
 
 
 def rename_labels(root: Node, mapping: dict[str, str]) -> Node:
@@ -811,7 +761,7 @@ def rename_labels(root: Node, mapping: dict[str, str]) -> Node:
         return Succ(full.get(phi.a, phi.a), full.get(phi.b, phi.b))
 
     memo: dict[int, Node] = {}
-    for n in _postorder(root):
+    for n in all_nodes(root):
         if isinstance(n, Assume):
             memo[id(n)] = Assume(n.id, ren_generic(n.formula))
         else:
@@ -827,10 +777,10 @@ def rename_labels(root: Node, mapping: dict[str, str]) -> Node:
     return memo[id(root)]
 
 
-def is_ltl_derivation(root: Node, sources: dict[Lwff, Formula]) -> bool:
-    """True iff conclusion and open assumptions are all ``b : tr(source)``
-    for one shared label ``b`` and the annotated until-language sources."""
-    report = check(root)
+def is_ltl_derivation(report: CheckReport, sources: dict[Lwff, Formula]) -> bool:
+    """True iff the accepted derivation that ``report`` describes has a
+    conclusion and open assumptions that are all ``b : tr(source)`` for one
+    shared label ``b`` and the annotated until-language sources."""
     if not report.accepted:
         raise ValueError("is_ltl_derivation requires an accepted derivation")
     normalized_sources = {normalize_generic(k): v for k, v in sources.items()}

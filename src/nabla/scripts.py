@@ -27,7 +27,7 @@ from __future__ import annotations
 import re
 
 from .formulas import Formula, ParseError, _Parser, format_formula
-from .kernel import Apply, Assume, Le, Lwff, Node, Succ, _postorder
+from .kernel import Apply, Assume, Le, Lwff, Node, Succ, all_nodes, format_generic
 
 __all__ = ["ScriptError", "parse_script", "serialize"]
 
@@ -205,14 +205,13 @@ def serialize(root: Node) -> str:
         return f"{' '.join(w.seq)} : {hit[1]}"
 
     lines: list[str] = []
-    for n in _postorder(root):
+    for n in all_nodes(root):
         k = num[id(n)] = len(num) + 1
         if isinstance(n, Assume):
             if isinstance(n.formula, Lwff):
                 lines.append(f"assume {k} lwff {lwff(n.formula)}")
             else:
-                rel = "le" if isinstance(n.formula, Le) else "succ"
-                lines.append(f"assume {k} rwff {rel}({n.formula.a},{n.formula.b})")
+                lines.append(f"assume {k} rwff {format_generic(n.formula)}")
         else:
             parts = [f"node {k} {n.rule} concl {lwff(n.conclusion)}", "prem", ",".join(str(num[id(p)]) for p in n.premises)]
             if n.discharges:

@@ -83,7 +83,7 @@ from .formulas import (
     in_until_language,
     temporal_depth,
 )
-from .kernel import GenericFormula, Le, Lwff, Succ, format_generic
+from .kernel import GenericFormula, Le, Lwff, Succ, format_generic, labels_of_generic
 
 __all__ = [
     "LassoModel",
@@ -431,16 +431,6 @@ class Counterexample:
         }
 
 
-def _labels_in(formulas) -> list[str]:
-    labs: set[str] = set()
-    for phi in formulas:
-        if isinstance(phi, Lwff):
-            labs |= set(phi.seq)
-        else:
-            labs |= {phi.a, phi.b}
-    return sorted(labs)
-
-
 def _symbols_in(formulas) -> list[str]:
     syms: set[str] = set()
     for phi in formulas:
@@ -458,13 +448,11 @@ def random_lasso(rng: random.Random, symbols, max_stem: int = 4, max_period: int
     return LassoModel(tuple(cells[:s]), tuple(cells[s:]))
 
 
-def falsify_consequence(
-    premises,
-    goal: GenericFormula,
-    samples: int,
-    seed: int,
-    max_label_value: int = 12,
-) -> Counterexample | None:
+# Labels are interpreted as positions in [0, _MAX_LABEL_VALUE].
+_MAX_LABEL_VALUE = 12
+
+
+def falsify_consequence(premises, goal: GenericFormula, samples: int, seed: int) -> Counterexample | None:
     """Search random (model, interpretation) pairs for one satisfying every
     premise but not the goal.  A falsifier, never a prover: finding nothing
     does not establish the consequence.  Deterministic for a fixed seed.
@@ -473,13 +461,13 @@ def falsify_consequence(
     """
     premises = list(premises)
     every = premises + [goal]
-    labels, symbols = _labels_in(every), _symbols_in(every)
+    labels, symbols = sorted({x for phi in every for x in labels_of_generic(phi)}), _symbols_in(every)
     rels = [r for r in premises if not isinstance(r, Lwff)]
     hists = [(w.seq, _core_history(w.formula)) for w in premises if isinstance(w, Lwff)]
     rng = random.Random(seed)
     for i in range(samples):
         model = random_lasso(rng, symbols)
-        interp = {lab: rng.randint(0, max_label_value) for lab in labels}
+        interp = {lab: rng.randint(0, _MAX_LABEL_VALUE) for lab in labels}
         if (
             all(eval_rwff(model, interp, r) for r in rels)
             and all(_eval_h(model, tuple(interp[x] for x in seq), g) for seq, g in hists)

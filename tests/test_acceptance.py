@@ -37,7 +37,7 @@ def test_criterion_1_corpus_reproduction():
         root = load_entry(entry.name)
         report = check(root)
         ok = ok and report.accepted and not report.open_assumptions
-        ok = ok and is_ltl_derivation(root, {normalize_generic(report.conclusion): entry.source})
+        ok = ok and is_ltl_derivation(report, {normalize_generic(report.conclusion): entry.source})
     _verdict(1, ok, f"8 axiom derivations + 3 tautology instances accepted, closed, LTL-derivations in {elapsed:.2f}s (< 2s)")
 
 

@@ -17,6 +17,7 @@ from nabla.scripts import parse_script
 from nabla.semantics import format_model, LassoModel, eval_h, eval_ltl
 from nabla.translate import translate
 from tests.test_fuzz import SHRINK_GOLDENS
+from tests.test_proof_goldens import PROOF_GOLDENS
 
 
 @pytest.fixture
@@ -186,7 +187,7 @@ def test_seeded_fuzz_report_matches_golden(capsys, name):
 
 
 def test_every_golden_file_is_checked():
-    named = {f"{name}.json" for name in [*FUZZ_GOLDENS, *SHRINK_GOLDENS]}
+    named = {f"{name}.json" for name in [*FUZZ_GOLDENS, *SHRINK_GOLDENS, *PROOF_GOLDENS]}
     assert sorted(p.name for p in GOLDEN.iterdir()) == sorted(named)
 
 

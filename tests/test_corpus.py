@@ -21,7 +21,7 @@ def test_every_entry_accepted_closed_and_ltl():
         report = check(root)
         assert report.accepted, f"{entry.name}: {report.message}"
         assert not report.open_assumptions, entry.name
-        assert is_ltl_derivation(root, {normalize_generic(report.conclusion): entry.source}), entry.name
+        assert is_ltl_derivation(report, {normalize_generic(report.conclusion): entry.source}), entry.name
         assert matches_translation(entry.source, report.conclusion.formula), entry.name
 
 

@@ -196,7 +196,7 @@ def test_derive_tautology_builds_each_formula_once():
     from nabla.kernel import all_nodes
 
     root = derive_tautology(parse_ltl("((((p & q) -> r) -> (p & q)) -> (p & q))"), "b")
-    judgements = [n.formula if isinstance(n, Assume) else n.conclusion for n in all_nodes(root)]
+    judgements = [n.conclusion for n in all_nodes(root)]
     objects: dict = {}
     for w in judgements:
         objects.setdefault(w.formula, set()).add(id(w.formula))

@@ -23,7 +23,7 @@ from nabla.kernel import (
     NonInjectiveRenaming,
     Succ,
     _open_sets,
-    _postorder,
+    all_nodes,
     check,
     is_ltl_derivation,
     labels_of_derivation,
@@ -178,32 +178,34 @@ def test_rename_bijection_preserves_verdict_on_random_derivations():
 def test_is_ltl_derivation_paper_example():
     entry = entry_by_name("A6")
     root = load_entry("A6")
-    concl = normalize_generic(check(root).conclusion)
-    assert is_ltl_derivation(root, {concl: entry.source})
+    report = check(root)
+    assert is_ltl_derivation(report, {normalize_generic(report.conclusion): entry.source})
 
 
 def test_is_ltl_derivation_accepts_shared_label_with_annotations():
     imp = Assume(1, Lwff(("b",), Implies(P, P)))
     minor = Assume(2, Lwff(("b",), P))
     node = Apply(3, "impE", Lwff(("b",), P), (imp, minor))
-    assert check(node).accepted
+    report = check(node)
+    assert report.accepted
     sources = {
         normalize_generic(Lwff(("b",), P)): P,
         normalize_generic(Lwff(("b",), Implies(P, P))): Implies(P, P),
     }
-    assert is_ltl_derivation(node, sources)
+    assert is_ltl_derivation(report, sources)
 
 
 def test_is_ltl_derivation_rejects_mixed_labels():
     leaf = Assume(1, Lwff(("c",), Bottom()))
     two_labels = Apply(2, "botE", Lwff(("b",), P), (leaf,))
     # open assumption c : bot, conclusion b : p
-    assert check(two_labels).accepted
+    report = check(two_labels)
+    assert report.accepted
     sources = {
         normalize_generic(Lwff(("c",), Bottom())): Bottom(),
         normalize_generic(Lwff(("b",), P)): P,
     }
-    assert not is_ltl_derivation(two_labels, sources)
+    assert not is_ltl_derivation(report, sources)
 
 
 def test_is_ltl_derivation_rejects_open_rwff():
@@ -211,18 +213,19 @@ def test_is_ltl_derivation_rejects_open_rwff():
     r = Assume(2, Le("b", "b"))
     ge = Apply(3, "GE", Lwff(("b", "b"), P), (a, r))
     last = Apply(4, "last", Lwff(("b",), P), (ge,))
-    assert check(last).accepted
+    report = check(last)
+    assert report.accepted
     sources = {
         normalize_generic(Lwff(("b",), P)): P,
         normalize_generic(Lwff(("b",), Always(P))): Always(P),
     }
-    assert not is_ltl_derivation(last, sources)
+    assert not is_ltl_derivation(report, sources)
 
 
 def test_is_ltl_derivation_missing_annotation():
     leaf = Assume(1, Lwff(("b",), P))
     with pytest.raises(MissingAnnotation):
-        is_ltl_derivation(leaf, {})
+        is_ltl_derivation(check(leaf), {})
 
 
 def test_structural_audit_on_corpus():
@@ -401,7 +404,7 @@ def reference_opens(order):
 
 
 def assert_opens_agree(root):
-    order = _postorder(root)
+    order = all_nodes(root)
     ref = reference_opens(order)
     opens = {}
     for n in _open_sets(order, opens):
@@ -493,7 +496,7 @@ def map_formulas(root, fn):
         return Lwff(phi.seq, fn(phi.formula)) if isinstance(phi, Lwff) else phi
 
     memo = {}
-    for n in _postorder(root):
+    for n in all_nodes(root):
         if isinstance(n, Assume):
             memo[id(n)] = Assume(n.id, generic(n.formula))
         else:
@@ -537,7 +540,7 @@ def test_check_works_per_formula_object(monkeypatch):
         monkeypatch.setattr(kernel, name, lambda f, *rest, real=real, calls=calls: calls.append(f) or real(f, *rest))
     root = parse_script(serialize(derive_tautology(parse_ltl("((((p & q) -> r) -> (p & q)) -> (p & q))"), "b")))
     assert check(root).accepted
-    nodes = len(_postorder(root))
+    nodes = len(all_nodes(root))
     for calls in seen.values():
         assert len({id(f) for f in calls}) == len(calls)  # once per object
         assert 0 < len(calls) < nodes / 10  # not once per occurrence

@@ -1,0 +1,280 @@
+"""Byte-for-byte goldens for the proof layer.
+
+``tests/golden/proof_check.json`` holds the stdout and exit code of
+``nabla check --json`` and ``nabla check --emit-primitive`` on every bundled
+script and on derived-rule probes, each probe written once with
+abbreviations and once desugared.  ``proof_taut.json`` holds ``nabla taut``
+on the three A1 instances, ``proof_corpus.json`` the stdout of
+``nabla corpus --json``, and ``mutation_sweep.json`` the
+``check(...).to_dict()`` of seeded mutations of corpus and sampled
+derivations.  A refactor of the proof layer keeps all four unchanged.
+
+``python -m tests.test_proof_goldens`` rewrites the four files from the
+code as it stands.
+"""
+
+import contextlib
+import io
+import json
+import random
+import tempfile
+from pathlib import Path
+
+import pytest
+
+import nabla
+from nabla.cli import main
+from nabla.corpus import ENTRIES, TAUTOLOGY_INSTANCES, load_entry
+from nabla.derived import derive_tautology
+from nabla.formulas import Always, Atom, Bottom, Hist, Implies, Next, desugar, format_formula, parse_h, parse_ltl
+from nabla.gen import DerivationSampler
+from nabla.kernel import Apply, Assume, Lwff, check, labels_of_generic
+
+GOLDEN = Path(__file__).parent / "golden"
+CORPUS = Path(nabla.__file__).parent / "corpus"
+
+# Derived-rule probes, written with abbreviations; ``desugared`` gives the
+# second spelling.
+PROBES = {
+    "andE1_on_atom": """
+assume 1 lwff b : p
+node 2 andE1 concl b : p prem 1
+root 2
+""",
+    "andI": """
+assume 1 lwff b : p
+assume 2 lwff b : (X q)
+node 3 andI concl b : (p & (X q)) prem 1,2
+root 3
+""",
+    "andE2": """
+assume 1 lwff b : (p & (X q))
+node 2 andE2 concl b : (X q) prem 1
+root 2
+""",
+    "orIl": """
+assume 1 lwff b : p
+node 2 orIl concl b : (p | (G q)) prem 1
+root 2
+""",
+    "orIl_not_a_disjunction": """
+assume 1 lwff b : p
+node 2 orIl concl b : (p -> q) prem 1
+root 2
+""",
+    "orE": """
+assume 1 lwff b : (p | q)
+assume 2 lwff b : p
+assume 3 lwff b : q
+node 4 orIr concl b : (q | p) prem 2
+node 5 orIl concl b : (q | p) prem 3
+node 6 orE concl b : (q | p) prem 1,4,5 disch 2,3
+root 6
+""",
+    "FI": """
+assume 1 lwff b c : (p & q)
+assume 2 rwff le(b,c)
+node 3 FI concl b : (F (p & q)) prem 1,2
+root 3
+""",
+    "FI_not_sometime": """
+assume 1 lwff b c : p
+assume 2 rwff le(b,c)
+node 3 FI concl b : (G p) prem 1,2
+root 3
+""",
+}
+
+
+def desugared(script: str) -> str:
+    """``script`` with every formula printed desugared."""
+    lines = []
+    for line in script.strip().splitlines():
+        head, colon, rest = line.partition(" : ")
+        if colon:
+            formula, prem, tail = rest.partition(" prem ")
+            line = f"{head} : {format_formula(desugar(parse_h(formula)))}{prem}{tail}"
+        lines.append(line)
+    return "\n".join(lines) + "\n"
+
+
+def cli(*argv) -> dict:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(list(argv))
+    return {"code": code, "stdout": out.getvalue()}
+
+
+def check_outputs() -> dict:
+    scripts = {p.stem: p.read_text(encoding="utf-8") for p in sorted(CORPUS.glob("*.ndp"))}
+    scripts |= {f"mutations/{p.stem}": p.read_text(encoding="utf-8") for p in sorted(CORPUS.glob("mutations/*.ndp"))}
+    for name, text in PROBES.items():
+        scripts[f"probe/{name}"] = text.lstrip()
+        scripts[f"probe/{name}/desugared"] = desugared(text)
+    out = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "script.ndp"
+        for name, text in scripts.items():
+            path.write_text(text, encoding="utf-8")
+            out[name] = {"json": cli("check", str(path), "--json"), "emit-primitive": cli("check", str(path), "--emit-primitive")}
+    return out
+
+
+def taut_outputs() -> dict:
+    return {name: cli("taut", text) for name, text in TAUTOLOGY_INSTANCES}
+
+
+# --- mutation sweep ----------------------------------------------------------
+
+RULES = (
+    "botE", "impI", "impE", "GI", "GE", "XI", "XE", "histI", "histE",
+    "last", "serS", "linS", "reflLe", "transLe", "eqLe", "splitLe", "baseLe", "ind",
+    "andI", "nope",
+)
+KINDS = ("rule", "drop", "add", "shuffle", "discharge", "label", "formula")
+SWEEP = 2000
+
+
+def postorder(root) -> list:
+    """Every node once, premises then discharges before their node.  The
+    sweep walks with this order of its own, so that its mutations do not
+    depend on any walk of the code under test."""
+    out, seen, stack = [], set(), [(root, False)]
+    while stack:
+        n, done = stack.pop()
+        if done:
+            out.append(n)
+        elif id(n) not in seen:
+            seen.add(id(n))
+            stack.append((n, True))
+            if isinstance(n, Apply):
+                stack.extend((m, False) for m in reversed(n.premises + n.discharges))
+    return out
+
+
+def judgement(n):
+    return n.formula if isinstance(n, Assume) else n.conclusion
+
+
+def changed_formula(f, rng):
+    options = [Implies(f, Bottom()), Always(f), Next(f), Hist(f), Bottom(), Atom("p"), Implies(Atom("q"), f)]
+    options += [v for v in vars(f).values() if not isinstance(v, str)]  # an operand
+    return rng.choice(options)
+
+
+def changed_labels(phi, labels, rng):
+    if isinstance(phi, Lwff):
+        seq = list(phi.seq)
+        seq[rng.randrange(len(seq))] = rng.choice(labels)
+        return Lwff(tuple(seq), phi.formula)
+    a, b = (rng.choice(labels), phi.b) if rng.random() < 0.5 else (phi.a, rng.choice(labels))
+    return type(phi)(a, b)
+
+
+def mutate(root, rng):
+    """One seeded mutation of ``root``: the mutation's kind, the id of the
+    node it changes, and the rebuilt derivation."""
+    order = postorder(root)
+    assumes = [n for n in order if isinstance(n, Assume)]
+    labels = sorted({x for n in order for x in labels_of_generic(judgement(n))}) + ["z"]
+    while True:
+        kind = rng.choice(KINDS)
+        if kind in ("label", "formula"):
+            picks = [i for i, n in enumerate(order) if kind == "label" or isinstance(judgement(n), Lwff)]
+        else:
+            least = {"drop": 1, "shuffle": 2}.get(kind, 0)
+            picks = [i for i, n in enumerate(order) if isinstance(n, Apply) and len(n.premises) >= least]
+        if picks:
+            break
+    i = rng.choice(picks)
+    memo = {}
+
+    def new(x):
+        return memo.get(id(x), x)
+
+    for j, n in enumerate(order):
+        if isinstance(n, Assume):
+            if j == i:
+                phi = n.formula
+                if kind == "label":
+                    phi = changed_labels(phi, labels, rng)
+                else:
+                    phi = Lwff(phi.seq, changed_formula(phi.formula, rng))
+                memo[id(n)] = Assume(n.id, phi)
+            continue
+        rule, concl, prems, disch = n.rule, n.conclusion, [new(p) for p in n.premises], [new(a) for a in n.discharges]
+        if j == i:
+            if kind == "rule":
+                rule = rng.choice([r for r in RULES if r != rule])
+            elif kind == "drop":
+                del prems[rng.randrange(len(prems))]
+            elif kind == "add":
+                prems.insert(rng.randrange(len(prems) + 1), new(rng.choice(order[:i])))
+            elif kind == "shuffle":
+                a, b = rng.sample(range(len(prems)), 2)
+                prems[a], prems[b] = prems[b], prems[a]
+            elif kind == "discharge":
+                disch.append(new(rng.choice(assumes)))
+            elif kind == "label":
+                concl = changed_labels(concl, labels, rng)
+            else:
+                concl = Lwff(concl.seq, changed_formula(concl.formula, rng))
+        memo[id(n)] = Apply(n.id, rule, concl, tuple(prems), tuple(disch), n.subst)
+    return kind, order[i].id, new(root)
+
+
+def bases() -> list:
+    out = [(e.name, load_entry(e.name)) for e in ENTRIES]
+    out += [(name, derive_tautology(parse_ltl(text), "b")) for name, text in TAUTOLOGY_INSTANCES]
+    rng = random.Random(1010)
+    for k in range(40):
+        out.append((f"sampled-{k}", DerivationSampler(random.Random(rng.randrange(2**32))).sample(steps=rng.randint(2, 9))))
+    return out
+
+
+def sweep_outputs() -> list:
+    derivations = bases()
+    rng = random.Random(2024)
+    out = []
+    for k in range(SWEEP):
+        name, root = derivations[k % len(derivations)]
+        kind, node, mutant = mutate(root, rng)
+        try:
+            verdict = check(mutant).to_dict()
+        except Exception as e:  # check is total; a raise would be recorded here
+            verdict = {"raised": type(e).__name__}
+        out.append({"base": name, "kind": kind, "node": node, "check": verdict})
+    return out
+
+
+def dump(value) -> str:
+    if isinstance(value, list):
+        return "[\n" + ",\n".join(json.dumps(x, sort_keys=True) for x in value) + "\n]\n"
+    return json.dumps(value, sort_keys=True, indent=1) + "\n"
+
+
+PROOF_GOLDENS = {
+    "proof_check": check_outputs,
+    "proof_taut": taut_outputs,
+    "proof_corpus": lambda: cli("corpus", "--json"),
+    "mutation_sweep": sweep_outputs,
+}
+
+
+@pytest.mark.parametrize("name", sorted(PROOF_GOLDENS))
+def test_proof_layer_matches_golden(name):
+    assert dump(PROOF_GOLDENS[name]()) == (GOLDEN / f"{name}.json").read_text(encoding="utf-8")
+
+
+def test_mutation_sweep_reaches_every_reason():
+    sweep = json.loads((GOLDEN / "mutation_sweep.json").read_text(encoding="utf-8"))
+    assert len(sweep) == SWEEP
+    assert {m["kind"] for m in sweep} == set(KINDS)
+    reasons = {m["check"].get("reason") for m in sweep}
+    assert {"ShapeMismatch", "FreshnessViolation", "NotLocalFormula", "BadDischarge", "UnknownRule", "SequenceMismatch"} <= reasons
+    assert None in reasons  # some mutations are accepted
+
+
+if __name__ == "__main__":
+    for name, make in PROOF_GOLDENS.items():
+        (GOLDEN / f"{name}.json").write_text(dump(make()), encoding="utf-8")

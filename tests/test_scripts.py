@@ -11,7 +11,7 @@ from nabla.cli import main
 from nabla.corpus import ENTRIES, MUTATIONS, load_script
 from nabla.derived import derive_tautology, expand
 from nabla.formulas import Atom, Formula, ParseError, _Parser, format_formula, parse_ltl
-from nabla.kernel import Apply, Assume, Le, Lwff, Succ, _postorder, check
+from nabla.kernel import Apply, Assume, Le, Lwff, Succ, all_nodes, check
 from nabla.scripts import ScriptError, parse_script, serialize
 
 
@@ -225,7 +225,7 @@ def reference_parse_script(text):
 def derivation_shape(root):
     """Every node with its formula, compared structurally, and its references."""
     out = []
-    for n in _postorder(root):
+    for n in all_nodes(root):
         if isinstance(n, Assume):
             out.append(("assume", n.id, n.formula))
         else:
@@ -328,8 +328,8 @@ def test_keyword_names_parse_as_before():
 def _formula_objects(root):
     """Every formula object reachable from the derivation's judgments."""
     seen, stack = {}, []
-    for n in _postorder(root):
-        w = n.formula if isinstance(n, Assume) else n.conclusion
+    for n in all_nodes(root):
+        w = n.conclusion
         if isinstance(w, Lwff):
             stack.append(w.formula)
     while stack:
