@@ -152,9 +152,8 @@ def entry_by_name(name: str) -> CorpusEntry:
     raise KeyError(name)
 
 
-def load_entry(name: str, expanded: bool = True) -> Node:
-    root = load_script(entry_by_name(name).script)
-    return expand(root) if expanded else root
+def load_entry(name: str) -> Node:
+    return expand(load_script(entry_by_name(name).script))
 
 
 @dataclass(frozen=True)
@@ -183,13 +182,13 @@ def _check_entry(entry: CorpusEntry) -> CorpusResult:
     return CorpusResult(entry.name, "axiom", True, f"accepted, closed: {format_formula(report.conclusion.formula)}")
 
 
-def _core_agrees(entry: CorpusEntry, samples: int = 60, seed: int = 20240) -> bool:
+def _core_agrees(entry: CorpusEntry) -> bool:
     """Seeded spot check: the simplified core and the full translated axiom
-    hold together on random models and positions."""
-    rng = random.Random(seed)
+    hold together on 60 random models and positions."""
+    rng = random.Random(20240)
     core = desugar(entry.simplified_core)
     full = desugar(translate(entry.source))
-    for _ in range(samples):
+    for _ in range(60):
         model = random_lasso(rng, ["p", "q"])
         n = rng.randint(0, 8)
         if not eval_h(model, (n,), core) or not eval_h(model, (n,), full):

@@ -12,6 +12,7 @@ propositional tautology by case-splitting on its atoms.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterator
 from dataclasses import fields
 
 from .formulas import (
@@ -21,14 +22,13 @@ from .formulas import (
     Bottom,
     Formula,
     Implies,
-    LocalClass,
     Next,
     Or,
     Sometime,
     _not,
     atoms_of,
-    classify_local,
     desugar,
+    is_local,
     format_formula,
     temporal_depth,
 )
@@ -90,14 +90,6 @@ class NotPropositional(ValueError):
     pass
 
 
-class _Ids:
-    def __init__(self, start: int):
-        self.counter = itertools.count(start)
-
-    def next(self) -> int:
-        return next(self.counter)
-
-
 _NOUNS = {Or: "disjunction", And: "conjunction", Sometime: "sometime formula"}
 
 
@@ -139,7 +131,7 @@ def _require(cond: bool, message: str) -> None:
 # --- templates -------------------------------------------------------------
 
 
-def _expand_andI(node: Apply, prems, ids: _Ids) -> Node:
+def _expand_andI(node: Apply, prems, ids: Iterator[int]) -> Node:
     d1, d2 = prems
     w1, w2 = _concl_of(d1), _concl_of(d2)
     a, b = _split(node.conclusion.formula, And)
@@ -148,16 +140,16 @@ def _expand_andI(node: Apply, prems, ids: _Ids) -> Node:
     _require(desugar(w1.formula) == desugar(a) and desugar(w2.formula) == desugar(b), "andI premises must prove the conjuncts")
     _require(not node.discharges, "andI discharges nothing")
     phi = Implies(_not(_not(a)), _not(b))
-    h = Assume(ids.next(), Lwff(seq, phi))
-    ha = Assume(ids.next(), Lwff(seq, _not(a)))
-    n1 = Apply(ids.next(), "impE", Lwff(seq, Bottom()), (ha, d1))
-    n2 = Apply(ids.next(), "impI", Lwff(seq, _not(_not(a))), (n1,), (ha,))
-    n3 = Apply(ids.next(), "impE", Lwff(seq, _not(b)), (h, n2))
-    n4 = Apply(ids.next(), "impE", Lwff(seq, Bottom()), (n3, d2))
-    return Apply(ids.next(), "impI", node.conclusion, (n4,), (h,))
+    h = Assume(next(ids), Lwff(seq, phi))
+    ha = Assume(next(ids), Lwff(seq, _not(a)))
+    n1 = Apply(next(ids), "impE", Lwff(seq, Bottom()), (ha, d1))
+    n2 = Apply(next(ids), "impI", Lwff(seq, _not(_not(a))), (n1,), (ha,))
+    n3 = Apply(next(ids), "impE", Lwff(seq, _not(b)), (h, n2))
+    n4 = Apply(next(ids), "impE", Lwff(seq, Bottom()), (n3, d2))
+    return Apply(next(ids), "impI", node.conclusion, (n4,), (h,))
 
 
-def _expand_andE(node: Apply, prems, ids: _Ids, first: bool) -> Node:
+def _expand_andE(node: Apply, prems, ids: Iterator[int], first: bool) -> Node:
     (d,) = prems
     w = _concl_of(d)
     a, b = _split(w.formula, And)
@@ -167,19 +159,19 @@ def _expand_andE(node: Apply, prems, ids: _Ids, first: bool) -> Node:
     _require(desugar(node.conclusion.formula) == desugar(want), "andE conclusion must be the selected conjunct")
     _require(not node.discharges, "andE discharges nothing")
     if first:
-        hx = Assume(ids.next(), Lwff(seq, _not(a)))
-        h1 = Assume(ids.next(), Lwff(seq, _not(_not(a))))
-        n1 = Apply(ids.next(), "impE", Lwff(seq, Bottom()), (h1, hx))
-        n2 = Apply(ids.next(), "impI", Lwff(seq, _not(b)), (n1,))
-        n3 = Apply(ids.next(), "impI", Lwff(seq, Implies(_not(_not(a)), _not(b))), (n2,), (h1,))
+        hx = Assume(next(ids), Lwff(seq, _not(a)))
+        h1 = Assume(next(ids), Lwff(seq, _not(_not(a))))
+        n1 = Apply(next(ids), "impE", Lwff(seq, Bottom()), (h1, hx))
+        n2 = Apply(next(ids), "impI", Lwff(seq, _not(b)), (n1,))
+        n3 = Apply(next(ids), "impI", Lwff(seq, Implies(_not(_not(a)), _not(b))), (n2,), (h1,))
     else:
-        hx = Assume(ids.next(), Lwff(seq, _not(b)))
-        n3 = Apply(ids.next(), "impI", Lwff(seq, Implies(_not(_not(a)), _not(b))), (hx,))
-    n4 = Apply(ids.next(), "impE", Lwff(seq, Bottom()), (d, n3))
-    return Apply(ids.next(), "botE", node.conclusion, (n4,), (hx,))
+        hx = Assume(next(ids), Lwff(seq, _not(b)))
+        n3 = Apply(next(ids), "impI", Lwff(seq, Implies(_not(_not(a)), _not(b))), (hx,))
+    n4 = Apply(next(ids), "impE", Lwff(seq, Bottom()), (d, n3))
+    return Apply(next(ids), "botE", node.conclusion, (n4,), (hx,))
 
 
-def _expand_orIl(node: Apply, prems, ids: _Ids) -> Node:
+def _expand_orIl(node: Apply, prems, ids: Iterator[int]) -> Node:
     (d,) = prems
     w = _concl_of(d)
     a, b = _split(node.conclusion.formula, Or)
@@ -187,13 +179,13 @@ def _expand_orIl(node: Apply, prems, ids: _Ids) -> Node:
     _require(w.seq == seq, "orIl premise must share the conclusion sequence")
     _require(desugar(w.formula) == desugar(a), "orIl premise must prove the left disjunct")
     _require(not node.discharges, "orIl discharges nothing")
-    h = Assume(ids.next(), Lwff(seq, _not(a)))
-    n1 = Apply(ids.next(), "impE", Lwff(seq, Bottom()), (h, d))
-    n2 = Apply(ids.next(), "botE", Lwff(seq, b), (n1,))
-    return Apply(ids.next(), "impI", node.conclusion, (n2,), (h,))
+    h = Assume(next(ids), Lwff(seq, _not(a)))
+    n1 = Apply(next(ids), "impE", Lwff(seq, Bottom()), (h, d))
+    n2 = Apply(next(ids), "botE", Lwff(seq, b), (n1,))
+    return Apply(next(ids), "impI", node.conclusion, (n2,), (h,))
 
 
-def _expand_orIr(node: Apply, prems, ids: _Ids) -> Node:
+def _expand_orIr(node: Apply, prems, ids: Iterator[int]) -> Node:
     (d,) = prems
     w = _concl_of(d)
     a, b = _split(node.conclusion.formula, Or)
@@ -201,10 +193,10 @@ def _expand_orIr(node: Apply, prems, ids: _Ids) -> Node:
     _require(w.seq == seq, "orIr premise must share the conclusion sequence")
     _require(desugar(w.formula) == desugar(b), "orIr premise must prove the right disjunct")
     _require(not node.discharges, "orIr discharges nothing")
-    return Apply(ids.next(), "impI", node.conclusion, (d,))
+    return Apply(next(ids), "impI", node.conclusion, (d,))
 
 
-def _expand_orE(node: Apply, prems, ids: _Ids) -> Node:
+def _expand_orE(node: Apply, prems, ids: Iterator[int]) -> Node:
     d0, da, db = prems
     w0 = _concl_of(d0)
     a, b = _split(w0.formula, Or)
@@ -214,19 +206,19 @@ def _expand_orE(node: Apply, prems, ids: _Ids) -> Node:
     ha = [x for x in node.discharges if normalize_generic(x.formula) == normalize_generic(Lwff(w0.seq, a))]
     hb = [x for x in node.discharges if x not in ha and normalize_generic(x.formula) == normalize_generic(Lwff(w0.seq, b))]
     _require(len(ha) + len(hb) == len(node.discharges), "orE discharges case assumptions only")
-    hc = Assume(ids.next(), Lwff(goal.seq, _not(goal.formula)))
-    n1 = Apply(ids.next(), "impE", Lwff(goal.seq, Bottom()), (hc, da))
-    n2 = Apply(ids.next(), "botE", Lwff(w0.seq, Bottom()), (n1,))
-    n3 = Apply(ids.next(), "impI", Lwff(w0.seq, _not(a)), (n2,), tuple(ha))
-    n4 = Apply(ids.next(), "impE", Lwff(w0.seq, b), (d0, n3))
-    n5 = Apply(ids.next(), "impE", Lwff(goal.seq, Bottom()), (hc, db))
-    n6 = Apply(ids.next(), "botE", Lwff(w0.seq, Bottom()), (n5,))
-    n7 = Apply(ids.next(), "impI", Lwff(w0.seq, _not(b)), (n6,), tuple(hb))
-    n8 = Apply(ids.next(), "impE", Lwff(w0.seq, Bottom()), (n7, n4))
-    return Apply(ids.next(), "botE", goal, (n8,), (hc,))
+    hc = Assume(next(ids), Lwff(goal.seq, _not(goal.formula)))
+    n1 = Apply(next(ids), "impE", Lwff(goal.seq, Bottom()), (hc, da))
+    n2 = Apply(next(ids), "botE", Lwff(w0.seq, Bottom()), (n1,))
+    n3 = Apply(next(ids), "impI", Lwff(w0.seq, _not(a)), (n2,), tuple(ha))
+    n4 = Apply(next(ids), "impE", Lwff(w0.seq, b), (d0, n3))
+    n5 = Apply(next(ids), "impE", Lwff(goal.seq, Bottom()), (hc, db))
+    n6 = Apply(next(ids), "botE", Lwff(w0.seq, Bottom()), (n5,))
+    n7 = Apply(next(ids), "impI", Lwff(w0.seq, _not(b)), (n6,), tuple(hb))
+    n8 = Apply(next(ids), "impE", Lwff(w0.seq, Bottom()), (n7, n4))
+    return Apply(next(ids), "botE", goal, (n8,), (hc,))
 
 
-def _expand_FI(node: Apply, prems, ids: _Ids) -> Node:
+def _expand_FI(node: Apply, prems, ids: Iterator[int]) -> Node:
     d1, r = prems
     w = _concl_of(d1)
     (a,) = _split(node.conclusion.formula, Sometime)
@@ -235,14 +227,14 @@ def _expand_FI(node: Apply, prems, ids: _Ids) -> Node:
     _require(desugar(w.formula) == desugar(a), "FI premise must prove the operand")
     _require(r.conclusion == Le(seq[-1], w.seq[-1]), "FI needs le(last, new) as its relational premise")
     _require(not node.discharges, "FI discharges nothing")
-    h = Assume(ids.next(), Lwff(seq, Always(_not(a))))
-    n1 = Apply(ids.next(), "GE", Lwff(w.seq, _not(a)), (h, r))
-    n2 = Apply(ids.next(), "impE", Lwff(w.seq, Bottom()), (n1, d1))
-    n3 = Apply(ids.next(), "botE", Lwff(seq, Bottom()), (n2,))
-    return Apply(ids.next(), "impI", node.conclusion, (n3,), (h,))
+    h = Assume(next(ids), Lwff(seq, Always(_not(a))))
+    n1 = Apply(next(ids), "GE", Lwff(w.seq, _not(a)), (h, r))
+    n2 = Apply(next(ids), "impE", Lwff(w.seq, Bottom()), (n1, d1))
+    n3 = Apply(next(ids), "botE", Lwff(seq, Bottom()), (n2,))
+    return Apply(next(ids), "impI", node.conclusion, (n3,), (h,))
 
 
-def _expand_FE(node: Apply, prems, ids: _Ids) -> Node:
+def _expand_FE(node: Apply, prems, ids: Iterator[int]) -> Node:
     d0, dh = prems
     w0 = _concl_of(d0)
     (a,) = _split(w0.formula, Sometime)
@@ -264,13 +256,13 @@ def _expand_FE(node: Apply, prems, ids: _Ids) -> Node:
     _require(len(hr) + len(hall) == len(node.discharges), "FE discharges its witness assumptions only")
     _require(len(b2s) == 1, "FE witness assumptions must name one fresh label")
     b2 = b2s.pop()
-    hc = Assume(ids.next(), Lwff(goal.seq, _not(goal.formula)))
-    n1 = Apply(ids.next(), "impE", Lwff(goal.seq, Bottom()), (hc, dh))
-    n2 = Apply(ids.next(), "botE", Lwff(w0.seq + (b2,), Bottom()), (n1,))
-    n3 = Apply(ids.next(), "impI", Lwff(w0.seq + (b2,), _not(a)), (n2,), tuple(hall))
-    n4 = Apply(ids.next(), "GI", Lwff(w0.seq, Always(_not(a))), (n3,), tuple(hr))
-    n5 = Apply(ids.next(), "impE", Lwff(w0.seq, Bottom()), (d0, n4))
-    return Apply(ids.next(), "botE", goal, (n5,), (hc,))
+    hc = Assume(next(ids), Lwff(goal.seq, _not(goal.formula)))
+    n1 = Apply(next(ids), "impE", Lwff(goal.seq, Bottom()), (hc, dh))
+    n2 = Apply(next(ids), "botE", Lwff(w0.seq + (b2,), Bottom()), (n1,))
+    n3 = Apply(next(ids), "impI", Lwff(w0.seq + (b2,), _not(a)), (n2,), tuple(hall))
+    n4 = Apply(next(ids), "GI", Lwff(w0.seq, Always(_not(a))), (n3,), tuple(hr))
+    n5 = Apply(next(ids), "impE", Lwff(w0.seq, Bottom()), (d0, n4))
+    return Apply(next(ids), "botE", goal, (n5,), (hc,))
 
 
 # Derived rule name -> (premise count, template).
@@ -291,7 +283,7 @@ def expand(root: Node) -> Node:
     order = all_nodes(root)
     if not any(isinstance(n, Apply) and n.rule in _TEMPLATES for n in order):
         return root
-    ids = _Ids(max(n.id for n in order) + 1)
+    ids = itertools.count(max(n.id for n in order) + 1)
     memo: dict[int, Node] = {}
     for n in order:
         if isinstance(n, Assume):
@@ -337,22 +329,21 @@ def mp_compose(d1: Node, d2: Node) -> Node:
     if not isinstance(g2, Implies) or g2.left != desugar(f1):
         raise ShapeMismatch("mp_compose needs proofs of A and A -> B")
     consequent = f2.right if isinstance(f2, Implies) else g2.right
-    ids = _Ids(max_node_id(d1) + max_node_id(d2) + 1)
-    return Apply(ids.next(), "impE", Lwff((b1,), consequent), (d2, d1))
+    return Apply(max_node_id(d1) + max_node_id(d2) + 1, "impE", Lwff((b1,), consequent), (d2, d1))
 
 
 def _nec(d: Node, op, rel, rule: str, name: str) -> Node:
     report = check(d)
-    if report.accepted and classify_local(report.conclusion.formula) is not LocalClass.LOCAL:
+    if report.accepted and not is_local(report.conclusion.formula):
         raise NotLocalFormula(f"{name} requires a local formula, got {format_formula(report.conclusion.formula)}")
     b, f = _closed_single_label(report, name)
     used = labels_of_derivation(d)
     c = next(f"w{i}" for i in itertools.count(1) if f"w{i}" not in used and f"w{i}" != b)
     renamed = rename_labels(d, {b: c})
-    ids = _Ids(max_node_id(d) + 1)
-    lifted = Apply(ids.next(), "last", Lwff((b, c), f), (renamed,))
-    hyp = Assume(ids.next(), rel(b, c))
-    return Apply(ids.next(), rule, Lwff((b,), op(f)), (lifted,), (hyp,))
+    ids = itertools.count(max_node_id(d) + 1)
+    lifted = Apply(next(ids), "last", Lwff((b, c), f), (renamed,))
+    hyp = Assume(next(ids), rel(b, c))
+    return Apply(next(ids), rule, Lwff((b,), op(f)), (lifted,), (hyp,))
 
 
 def nec_g(d: Node) -> Node:
@@ -394,7 +385,7 @@ def derive_tautology(f: Formula, label: str = "b") -> Node:
     for bits in itertools.product([False, True], repeat=len(names)):
         if not _eval_prop(g, dict(zip(names, bits))):
             raise NotATautology(f"falsified by {dict(zip(names, bits))}")
-    ids = _Ids(1)
+    ids = itertools.count(1)
     seq = (label,)
     # One object per formula and per judgement for the whole proof, the
     # source's own subformulas included: check and serialize memoise per
@@ -431,23 +422,23 @@ def derive_tautology(f: Formula, label: str = "b") -> Node:
         if isinstance(phi, Atom):
             return env[phi.name]
         if isinstance(phi, Bottom):
-            hb = Assume(ids.next(), lw(bot))
-            return Apply(ids.next(), "impI", lw(imp(bot, bot)), (hb,), (hb,))
+            hb = Assume(next(ids), lw(bot))
+            return Apply(next(ids), "impI", lw(imp(bot, bot)), (hb,), (hb,))
         assert isinstance(phi, Implies)
         x, y = phi.left, phi.right
         if not _eval_prop(x, v):
             dx = prove(x, v, env)  # proves x -> bot
-            h = Assume(ids.next(), lw(x))
-            n1 = Apply(ids.next(), "impE", lw(bot), (dx, h))
-            n2 = Apply(ids.next(), "botE", lw(y), (n1,))
-            return Apply(ids.next(), "impI", lw(phi), (n2,), (h,))
+            h = Assume(next(ids), lw(x))
+            n1 = Apply(next(ids), "impE", lw(bot), (dx, h))
+            n2 = Apply(next(ids), "botE", lw(y), (n1,))
+            return Apply(next(ids), "impI", lw(phi), (n2,), (h,))
         if _eval_prop(y, v):
-            return Apply(ids.next(), "impI", lw(phi), (prove(y, v, env),))
+            return Apply(next(ids), "impI", lw(phi), (prove(y, v, env),))
         dx, dy = prove(x, v, env), prove(y, v, env)  # x holds, y -> bot
-        h = Assume(ids.next(), lw(phi))
-        n1 = Apply(ids.next(), "impE", lw(y), (h, dx))
-        n2 = Apply(ids.next(), "impE", lw(bot), (dy, n1))
-        return Apply(ids.next(), "impI", lw(imp(phi, bot)), (n2,), (h,))
+        h = Assume(next(ids), lw(phi))
+        n1 = Apply(next(ids), "impE", lw(y), (h, dx))
+        n2 = Apply(next(ids), "impE", lw(bot), (dy, n1))
+        return Apply(next(ids), "impI", lw(imp(phi, bot)), (n2,), (h,))
 
     def build(v: dict[str, bool], env: dict[str, Assume], remaining: list[str]) -> Node:
         if not remaining:
@@ -455,19 +446,19 @@ def derive_tautology(f: Formula, label: str = "b") -> Node:
         a, rest = remaining[0], remaining[1:]
         atom = atoms[a]
         not_atom = imp(atom, bot)
-        lit_true = Assume(ids.next(), lw(atom))
-        lit_false = Assume(ids.next(), lw(not_atom))
+        lit_true = Assume(next(ids), lw(atom))
+        lit_false = Assume(next(ids), lw(not_atom))
         d_true = build({**v, a: True}, {**env, a: lit_true}, rest)
         d_false = build({**v, a: False}, {**env, a: lit_false}, rest)
-        d1 = Apply(ids.next(), "impI", lw(imp(atom, g)), (d_true,), (lit_true,))
-        d2 = Apply(ids.next(), "impI", lw(imp(not_atom, g)), (d_false,), (lit_false,))
-        hf = Assume(ids.next(), lw(imp(g, bot)))
-        ha = Assume(ids.next(), lw(atom))
-        m1 = Apply(ids.next(), "impE", lw(g), (d1, ha))
-        m2 = Apply(ids.next(), "impE", lw(bot), (hf, m1))
-        m3 = Apply(ids.next(), "impI", lw(not_atom), (m2,), (ha,))
-        m4 = Apply(ids.next(), "impE", lw(g), (d2, m3))
-        m5 = Apply(ids.next(), "impE", lw(bot), (hf, m4))
-        return Apply(ids.next(), "botE", lw(g), (m5,), (hf,))
+        d1 = Apply(next(ids), "impI", lw(imp(atom, g)), (d_true,), (lit_true,))
+        d2 = Apply(next(ids), "impI", lw(imp(not_atom, g)), (d_false,), (lit_false,))
+        hf = Assume(next(ids), lw(imp(g, bot)))
+        ha = Assume(next(ids), lw(atom))
+        m1 = Apply(next(ids), "impE", lw(g), (d1, ha))
+        m2 = Apply(next(ids), "impE", lw(bot), (hf, m1))
+        m3 = Apply(next(ids), "impI", lw(not_atom), (m2,), (ha,))
+        m4 = Apply(next(ids), "impE", lw(g), (d2, m3))
+        m5 = Apply(next(ids), "impE", lw(bot), (hf, m4))
+        return Apply(next(ids), "botE", lw(g), (m5,), (hf,))
 
     return build({}, {}, names)

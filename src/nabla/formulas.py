@@ -30,7 +30,6 @@ recursion limit on the result.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 __all__ = [
@@ -46,7 +45,6 @@ __all__ = [
     "Or",
     "And",
     "Sometime",
-    "LocalClass",
     "ParseError",
     "MAX_NESTING",
     "parse_ltl",
@@ -56,7 +54,7 @@ __all__ = [
     "desugar",
     "complexity",
     "temporal_depth",
-    "classify_local",
+    "is_local",
     "in_until_language",
     "in_history_language",
     "atoms_of",
@@ -64,47 +62,66 @@ __all__ = [
 
 
 class Formula:
-    """Base class; all nodes are immutable and hashable."""
+    """Base class; all nodes are immutable and hashable.
 
-    __slots__ = ()
+    ``==`` is structural and true at identity.  A node computes its hash
+    once, from its children's stored hashes, into the ``_hash`` slot,
+    outside the instance ``__dict__``.
+    """
+
+    __slots__ = ("_hash",)
+
+    def __eq__(self, other) -> bool:
+        if self is other:
+            return True
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.__dict__ == other.__dict__
+
+    def __hash__(self) -> int:
+        h = getattr(self, "_hash", None)
+        if h is None:
+            h = hash((type(self), *self.__dict__.values()))
+            object.__setattr__(self, "_hash", h)
+        return h
 
     def __str__(self) -> str:
         return format_formula(self)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Atom(Formula):
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Bottom(Formula):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Implies(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Always(Formula):
     operand: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Next(Formula):
     operand: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Until(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Hist(Formula):
     """The history operator (written ``H`` in concrete syntax)."""
 
@@ -114,38 +131,26 @@ class Hist(Formula):
 # Abbreviations.  desugar() removes them; printers keep them for readability.
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Not(Formula):
     operand: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Or(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class And(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Sometime(Formula):
     operand: Formula
-
-
-class LocalClass(enum.Enum):
-    """Position of a history-language formula in the local grammar.
-
-    LOCAL formulas keep their truth value under replacement of every
-    observation-sequence element but the last; HIST_ONLY formulas need the
-    last two.  Every desugared history-language formula is one of the two.
-    """
-
-    LOCAL = "local"
-    HIST_ONLY = "hist-only"
 
 
 class ParseError(ValueError):
@@ -470,18 +475,17 @@ def _is_local(f: Formula, memo: dict[int, bool]) -> bool:
     raise TypeError(f"not a desugared history formula: {f!r}")
 
 
-def classify_local(f: Formula) -> LocalClass:
-    """Classify a history-language formula against the local grammar.
+def is_local(f: Formula) -> bool:
+    """True iff ``H`` occurs in ``desugar(f)`` only under ``G`` or ``X``.
 
-    Input is desugared first.  A history-language formula that is not
-    local belongs to the history tier of the grammar.
+    A local formula keeps its truth value under replacement of every
+    observation-sequence element but the last; any other history-language
+    formula may need the last two.  ``ValueError`` outside that language.
     """
     g = desugar(f)
     if not in_history_language(g):
         raise ValueError(f"not a history-language formula: {format_formula(f)}")
-    if _is_local(g, {}):
-        return LocalClass.LOCAL
-    return LocalClass.HIST_ONLY
+    return _is_local(g, {})
 
 
 def atoms_of(f: Formula) -> frozenset[str]:

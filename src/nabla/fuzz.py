@@ -21,8 +21,9 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .formulas import Formula, LocalClass, classify_local, desugar, format_formula, temporal_depth
+from .formulas import Formula, desugar, format_formula, is_local, temporal_depth
 from .gen import (
+    SYMBOLS,
     DerivationSampler,
     random_hist_tier_formula,
     random_history_formula,
@@ -42,8 +43,6 @@ __all__ = ["LEMMAS", "FuzzReport", "run_lemma", "report_to_json"]
 # 30000 took 2 s and 185 MiB, so a run's time and peak memory hung on
 # whether it drew one.  Deeper samples compare two eval_h calls instead.
 _ORACLE_DEPTH = 2
-
-_ATOMS = ("p", "q", "r")
 
 
 @dataclass
@@ -119,7 +118,7 @@ class _Case(NamedTuple):
         """Smaller cases, in the order the shrinker tries them."""
         for name in ("left", "right", "operand"):
             sub = getattr(self.formula, name, None)
-            if sub is not None and (self.clause != "local" or classify_local(sub) is LocalClass.LOCAL):
+            if sub is not None and (self.clause != "local" or is_local(sub)):
                 yield self._replace(formula=sub)
         if type(self.at) is int:
             if self.at > 0:
@@ -184,7 +183,7 @@ class _Lemma(NamedTuple):
 
 def _draw_translation(rng: random.Random, i: int, max_size: int) -> _Case:
     a = random_until_formula(rng, rng.randint(0, max_size))
-    m = random_lasso(rng, _ATOMS)
+    m = random_lasso(rng, SYMBOLS)
     return _Case(m, rng.randint(0, 10), None, a)
 
 
@@ -195,7 +194,7 @@ def _translation_sides(lm: LassoModel, c: _Case):
 
 def _draw_last(rng: random.Random, i: int, max_size: int) -> _Case:
     a = random_until_formula(rng, rng.randint(0, max_size))
-    m = random_lasso(rng, _ATOMS)
+    m = random_lasso(rng, SYMBOLS)
     sigma = random_obs_sequence(rng, max_len=4, max_value=8)
     return _Case(m, sigma, random_obs_sequence(rng, max_len=3, max_value=8, min_len=0), a)
 
@@ -208,7 +207,7 @@ def _last_sides(lm: LassoModel, c: _Case):
 
 def _draw_corollary(rng: random.Random, i: int, max_size: int) -> _Case:
     a = random_until_formula(rng, rng.randint(0, max_size))
-    m = random_lasso(rng, _ATOMS)
+    m = random_lasso(rng, SYMBOLS)
     return _Case(m, random_obs_sequence(rng, max_len=4, max_value=8), None, a)
 
 
@@ -221,7 +220,7 @@ def _corollary_sides(lm: LassoModel, c: _Case):
 def _draw_last_local(rng: random.Random, i: int, max_size: int) -> _Case:
     """Even samples test clause (i) on the local tier, odd ones clause (ii)
     on the wider tier."""
-    m = random_lasso(rng, _ATOMS)
+    m = random_lasso(rng, SYMBOLS)
     prefix = random_obs_sequence(rng, max_len=3, max_value=8, min_len=0)
     if i % 2 == 0:
         f = desugar(random_local_formula(rng, rng.randint(0, max_size)))
@@ -250,7 +249,7 @@ def _soundness_sides(_, d: _Derivation):
 
 def _draw_bound(rng: random.Random, i: int, max_size: int) -> _Case:
     f = desugar(random_history_formula(rng, rng.randint(0, min(max_size, 6)), max_temporal_depth=3))
-    m = random_lasso(rng, _ATOMS)
+    m = random_lasso(rng, SYMBOLS)
     return _Case(m, random_obs_sequence(rng, max_len=3, max_value=6), None, f)
 
 

@@ -19,10 +19,9 @@ from .formulas import (
     Formula,
     Hist,
     Implies,
-    LocalClass,
     Next,
     Until,
-    classify_local,
+    is_local,
     temporal_depth,
 )
 from .kernel import (
@@ -47,7 +46,7 @@ __all__ = [
     "DerivationSampler",
 ]
 
-DEFAULT_SYMBOLS = ("p", "q", "r")
+SYMBOLS = ("p", "q", "r")  # DerivationSampler draws over the first two
 
 
 def _split(rng: random.Random, budget: int) -> tuple[int, int]:
@@ -88,28 +87,26 @@ def _draw(rng: random.Random, grammar: str, budget: int, symbols) -> Formula:
     return cls(_draw(rng, prod[1], budget - 1, symbols))
 
 
-def random_until_formula(rng: random.Random, budget: int, symbols=DEFAULT_SYMBOLS) -> Formula:
-    return _draw(rng, "until", budget, symbols)
+def random_until_formula(rng: random.Random, budget: int) -> Formula:
+    return _draw(rng, "until", budget, SYMBOLS)
 
 
-def random_history_formula(
-    rng: random.Random, budget: int, symbols=DEFAULT_SYMBOLS, max_temporal_depth: int | None = None
-) -> Formula:
-    f = _draw(rng, "history", budget, symbols)
+def random_history_formula(rng: random.Random, budget: int, max_temporal_depth: int | None = None) -> Formula:
+    f = _draw(rng, "history", budget, SYMBOLS)
     if max_temporal_depth is not None:
         while temporal_depth(f) > max_temporal_depth:
-            f = _draw(rng, "history", budget, symbols)
+            f = _draw(rng, "history", budget, SYMBOLS)
     return f
 
 
-def random_local_formula(rng: random.Random, budget: int, symbols=DEFAULT_SYMBOLS) -> Formula:
+def random_local_formula(rng: random.Random, budget: int) -> Formula:
     """Sample from the local tier of the grammar (history only under G/X)."""
-    return _draw(rng, "local", budget, symbols)
+    return _draw(rng, "local", budget, SYMBOLS)
 
 
-def random_hist_tier_formula(rng: random.Random, budget: int, symbols=DEFAULT_SYMBOLS) -> Formula:
+def random_hist_tier_formula(rng: random.Random, budget: int) -> Formula:
     """Sample from the wider tier (history also at top or under implication)."""
-    return _draw(rng, "hist-tier", budget, symbols)
+    return _draw(rng, "hist-tier", budget, SYMBOLS)
 
 
 def random_obs_sequence(rng: random.Random, max_len: int = 4, max_value: int = 10, min_len: int = 1) -> tuple[int, ...]:
@@ -127,9 +124,8 @@ _STEPS = (
 class DerivationSampler:
     """Forward-chaining generator of small kernel-accepted derivations."""
 
-    def __init__(self, rng: random.Random, symbols=("p", "q")):
+    def __init__(self, rng: random.Random):
         self.rng = rng
-        self.symbols = symbols
         self._ids = 0
         self._labels = 0
 
@@ -166,7 +162,7 @@ class DerivationSampler:
         return self._assume(Lwff(seq, self._small_formula()))
 
     def _small_formula(self) -> Formula:
-        return _draw(self.rng, "history", self.rng.randint(0, 2), self.symbols)
+        return _draw(self.rng, "history", self.rng.randint(0, 2), SYMBOLS[:2])
 
     def _falsum(self, d: Node, w: Lwff) -> Apply:
         leaf = self._assume(Lwff(w.seq, Implies(w.formula, Bottom())))
@@ -251,7 +247,7 @@ class DerivationSampler:
 
     def _step_last(self, d: Node) -> Node | None:
         w = d.conclusion
-        if classify_local(w.formula) is not LocalClass.LOCAL:
+        if not is_local(w.formula):
             return None
         prefix = tuple(self._some_label(d) for _ in range(self.rng.randint(0, 2)))
         return Apply(self._id(), "last", Lwff(prefix + (w.seq[-1],), w.formula), (d,))

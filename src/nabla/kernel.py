@@ -43,11 +43,10 @@ from .formulas import (
     Formula,
     Hist,
     Implies,
-    LocalClass,
     Next,
     _DESUGAR,
     _fold_from,
-    classify_local,
+    _is_local,
     desugar,
     format_formula,
     in_history_language,
@@ -236,14 +235,11 @@ def format_generic(phi: GenericFormula | None) -> str:
     return f"succ({phi.a},{phi.b})"
 
 
-def subst_label(phi: GenericFormula, frm: str, to: str) -> GenericFormula:
-    """Replace every occurrence of ``frm`` by ``to`` in the labels of ``phi``."""
+def subst_label(phi: GenericFormula, mapping: dict[str, str]) -> GenericFormula:
+    """``phi`` with each label ``x`` replaced by ``mapping.get(x, x)``."""
     if isinstance(phi, Lwff):
-        return Lwff(tuple(to if x == frm else x for x in phi.seq), phi.formula)
-    swap = lambda x: to if x == frm else x
-    if isinstance(phi, Le):
-        return Le(swap(phi.a), swap(phi.b))
-    return Succ(swap(phi.a), swap(phi.b))
+        return Lwff(tuple(mapping.get(x, x) for x in phi.seq), phi.formula)
+    return type(phi)(mapping.get(phi.a, phi.a), mapping.get(phi.b, phi.b))
 
 
 def all_nodes(root: Node) -> list[Node]:
@@ -528,7 +524,7 @@ def _check_last(node: Apply, k: _Scope) -> None:
     fc = k.norm(node.conclusion.formula)
     if k.norm(w.formula) != fc:
         raise _Err(SHAPE_MISMATCH, "last must keep the formula")
-    if classify_local(fc) is not LocalClass.LOCAL:
+    if not _is_local(fc, {}):
         raise _Err(NOT_LOCAL_FORMULA, f"last applies to local formulas only, got {format_formula(node.conclusion.formula)}")
 
 
@@ -556,7 +552,7 @@ def _check_linS(node: Apply, k: _Scope) -> None:
     w = _need_lwff(node, 3)
     _same_judgment(node, k, w, "hypothetical premise")
     _check_subst(node, b2, b3)
-    slot = subst_label(k.generic(phi), b2, b3)
+    slot = subst_label(k.generic(phi), {b2: b3})
     _validate_discharges(node, k, [(slot, 3)])
 
 
@@ -606,7 +602,7 @@ def _check_splitLe(node: Apply, k: _Scope) -> None:
     _same_judgment(node, k, w_eq, "equality-case premise")
     _same_judgment(node, k, w_lt, "strict-case premise")
     _check_subst(node, b1, b2)
-    eq_slot = subst_label(k.generic(phi), b1, b2)
+    eq_slot = subst_label(k.generic(phi), {b1: b2})
     bp: str | None = None
     slots: list[tuple[GenericFormula, int]] = [(eq_slot, 2)]
     for a in node.discharges:
@@ -712,6 +708,8 @@ def check(root: Node) -> CheckReport:
     discharged_by: dict[int, int] = {}
     for n in _open_sets(all_nodes(root), k.opens):
         try:
+            if not isinstance(n.conclusion, Lwff) and (isinstance(n, Apply) or n is root):
+                raise _Err(SHAPE_MISMATCH, "a derivation concludes a labeled formula")
             if isinstance(n, Assume):
                 if isinstance(n.formula, Lwff) and not k.in_language(n.formula.formula):
                     raise _Err(SHAPE_MISMATCH, "assumption formula is not in the proof language")
@@ -734,10 +732,6 @@ def check(root: Node) -> CheckReport:
                 raise _Err(BAD_DISCHARGE, f"rule {n.rule} discharges nothing")
         except _Err as e:
             return CheckReport(accepted=False, node_id=n.id, reason=e.reason, message=e.message)
-    if not isinstance(root.conclusion, Lwff):
-        return CheckReport(
-            accepted=False, node_id=root.id, reason=SHAPE_MISMATCH, message="a derivation concludes a labeled formula"
-        )
     opens_root = frozenset(k.generic(a.formula) for a in k.opens[id(root)])
     return CheckReport(accepted=True, conclusion=root.conclusion, open_assumptions=opens_root)
 
@@ -749,27 +743,16 @@ def rename_labels(root: Node, mapping: dict[str, str]) -> Node:
     full = {lab: mapping.get(lab, lab) for lab in present}
     if len(set(full.values())) != len(full):
         raise NonInjectiveRenaming(f"renaming is not injective on {sorted(present)}")
-
-    def ren_seq(seq: tuple[str, ...]) -> tuple[str, ...]:
-        return tuple(full.get(x, x) for x in seq)
-
-    def ren_generic(phi: GenericFormula) -> GenericFormula:
-        if isinstance(phi, Lwff):
-            return Lwff(ren_seq(phi.seq), phi.formula)
-        if isinstance(phi, Le):
-            return Le(full.get(phi.a, phi.a), full.get(phi.b, phi.b))
-        return Succ(full.get(phi.a, phi.a), full.get(phi.b, phi.b))
-
     memo: dict[int, Node] = {}
     for n in all_nodes(root):
         if isinstance(n, Assume):
-            memo[id(n)] = Assume(n.id, ren_generic(n.formula))
+            memo[id(n)] = Assume(n.id, subst_label(n.formula, full))
         else:
-            subst = None if n.subst is None else (full.get(n.subst[0], n.subst[0]), full.get(n.subst[1], n.subst[1]))
+            subst = None if n.subst is None else (full[n.subst[0]], full[n.subst[1]])
             memo[id(n)] = Apply(
                 n.id,
                 n.rule,
-                ren_generic(n.conclusion),
+                subst_label(n.conclusion, full),
                 tuple(memo[id(p)] for p in n.premises),
                 tuple(memo[id(a)] for a in n.discharges),
                 subst,

@@ -37,7 +37,7 @@ canonical pair, by four rules:
   ``bot``, ``G`` and ``X`` never read the first element of the pair, and
   ``->`` reads it only through its sides; so a local subformula, one where
   ``H`` occurs only under ``G`` or ``X`` (the grammar of
-  ``formulas.classify_local``), has the same truth at ``(i, n)`` and at
+  ``formulas.is_local``), has the same truth at ``(i, n)`` and at
   ``(n, n)``.  This is the paper's ``last`` lemma.  Such a subformula is
   evaluated at ``(n, n)``, which the period shift folds onto ``canon(n)``,
   so a ``G`` window costs one memo entry per position instead of one per
@@ -83,7 +83,7 @@ from .formulas import (
     in_until_language,
     temporal_depth,
 )
-from .kernel import GenericFormula, Le, Lwff, Succ, format_generic, labels_of_generic
+from .kernel import GenericFormula, Le, Lwff, format_generic, labels_of_generic
 
 __all__ = [
     "LassoModel",
@@ -96,8 +96,6 @@ __all__ = [
     "eval_ltl",
     "eval_h",
     "eval_h_oracle",
-    "eval_rwff",
-    "eval_lwff",
     "eval_generic",
     "random_lasso",
     "falsify_consequence",
@@ -391,28 +389,19 @@ def _eval_h_oracle(m: LassoModel, sigma: tuple[int, ...], g: Formula, horizon: i
     return ev(sigma, g)
 
 
-def eval_rwff(m: LassoModel, interp: dict[str, int], r: Le | Succ) -> bool:
-    try:
-        va, vb = interp[r.a], interp[r.b]
-    except KeyError as e:
-        raise UnboundLabel(str(e))
-    if isinstance(r, Le):
-        return va <= vb
-    return vb == va + 1
-
-
-def eval_lwff(m: LassoModel, interp: dict[str, int], w: Lwff) -> bool:
-    try:
-        sigma = tuple(interp[x] for x in w.seq)
-    except KeyError as e:
-        raise UnboundLabel(str(e))
-    return eval_h(m, sigma, w.formula)
-
-
 def eval_generic(m: LassoModel, interp: dict[str, int], phi: GenericFormula) -> bool:
+    """Truth of the judgement ``phi`` in ``m`` with its labels read as the
+    positions ``interp`` gives them: ``eval_h`` at the label sequence of an
+    lwff, the order or successor relation for an rwff.  ``UnboundLabel``
+    for a label that ``interp`` lacks."""
+    labels = phi.seq if isinstance(phi, Lwff) else (phi.a, phi.b)
+    try:
+        at = tuple(interp[x] for x in labels)
+    except KeyError as e:
+        raise UnboundLabel(str(e))
     if isinstance(phi, Lwff):
-        return eval_lwff(m, interp, phi)
-    return eval_rwff(m, interp, phi)
+        return eval_h(m, at, phi.formula)
+    return at[0] <= at[1] if isinstance(phi, Le) else at[1] == at[0] + 1
 
 
 @dataclass(frozen=True)
@@ -439,11 +428,12 @@ def _symbols_in(formulas) -> list[str]:
     return sorted(syms)
 
 
-def random_lasso(rng: random.Random, symbols, max_stem: int = 4, max_period: int = 3) -> LassoModel:
-    """Each valuation cell is an independent fair coin per symbol."""
+def random_lasso(rng: random.Random, symbols) -> LassoModel:
+    """A stem of 0 to 4 cells and a loop of 1 to 3; each valuation cell is
+    an independent fair coin per symbol."""
     syms = list(symbols) if symbols else ["p"]
-    s = rng.randint(0, max_stem)
-    p = rng.randint(1, max_period)
+    s = rng.randint(0, 4)
+    p = rng.randint(1, 3)
     cells = [frozenset(x for x in syms if rng.random() < 0.5) for _ in range(s + p)]
     return LassoModel(tuple(cells[:s]), tuple(cells[s:]))
 
@@ -469,7 +459,7 @@ def falsify_consequence(premises, goal: GenericFormula, samples: int, seed: int)
         model = random_lasso(rng, symbols)
         interp = {lab: rng.randint(0, _MAX_LABEL_VALUE) for lab in labels}
         if (
-            all(eval_rwff(model, interp, r) for r in rels)
+            all(eval_generic(model, interp, r) for r in rels)
             and all(_eval_h(model, tuple(interp[x] for x in seq), g) for seq, g in hists)
             and not eval_generic(model, interp, goal)
         ):

@@ -213,7 +213,7 @@ def test_derive_tautology_enumerated_small_tautologies():
     while found < 25:
         from nabla.formulas import Until
 
-        f = random_until_formula(rng, rng.randint(1, 5), symbols=("p", "q", "r"))
+        f = random_until_formula(rng, rng.randint(1, 5))
         g = desugar(f)
         if any(isinstance(x, (Always, Next, Until)) for x in _walk(g)):
             continue

@@ -10,7 +10,6 @@ from nabla.formulas import (
     Formula,
     Hist,
     Implies,
-    LocalClass,
     Next,
     Not,
     Or,
@@ -18,13 +17,13 @@ from nabla.formulas import (
     Sometime,
     Until,
     atoms_of,
-    classify_local,
     complexity,
     desugar,
     format_formula,
     format_length,
     in_history_language,
     in_until_language,
+    is_local,
     parse_h,
     parse_ltl,
     temporal_depth,
@@ -200,7 +199,7 @@ def _check_shared_walks():
     for f in (x, g):
         assert (complexity(f), temporal_depth(f)) == (size, 41)
         assert atoms_of(f) == {"p"} and in_history_language(f)
-    assert classify_local(x) is LocalClass.HIST_ONLY
+    assert not is_local(x)
     # y(k+1) = (q U y(k)); its image is t(k+1) = (t | (F ((X t) & (H q)))),
     # with t = t(k) one object.
     y, length, size = P, 1, 0
@@ -213,23 +212,38 @@ def _check_shared_walks():
     assert temporal_depth(y) == 30 and not in_history_language(y)
     assert (format_length(t), complexity(t), temporal_depth(t), complexity(g), temporal_depth(g)) == (length, size, 60, size, 60)
     assert atoms_of(t) == {"p", "q"} and in_history_language(t)
-    assert classify_local(t) is LocalClass.LOCAL
+    assert is_local(t)
 
 
 def test_walks_are_linear_in_shared_objects(run_in_child):
     run_in_child("test_formulas", "_check_shared_walks")
 
 
-def test_classify_local_examples():
-    assert classify_local(Always(Hist(P))) is LocalClass.LOCAL
-    assert classify_local(Hist(P)) is LocalClass.HIST_ONLY
-    assert classify_local(Implies(P, Hist(Q))) is LocalClass.HIST_ONLY
+def test_is_local_examples():
+    assert is_local(Always(Hist(P))) is True
+    assert is_local(Hist(P)) is False
+    assert is_local(Implies(P, Hist(Q))) is False
+    assert is_local(Next(And(P, Hist(Q)))) is True
+    assert is_local(Or(P, Hist(Q))) is False  # desugared first: H under ->
+    with pytest.raises(ValueError):
+        is_local(Until(P, Q))
+
+
+def hist_only_under_g_or_x(f: Formula) -> bool:
+    """Reference for is_local on a desugared history formula."""
+    match f:
+        case Hist():
+            return False
+        case Implies(a, b):
+            return hist_only_under_g_or_x(a) and hist_only_under_g_or_x(b)
+    return True
 
 
 @settings(max_examples=300)
 @given(history_formulas())
 def test_classify_never_neither(f):
-    assert classify_local(f) in (LocalClass.LOCAL, LocalClass.HIST_ONLY)
+    # Every history formula is classified, local or not, as the grammar says.
+    assert is_local(f) is hist_only_under_g_or_x(desugar(f))
 
 
 @settings(max_examples=200)

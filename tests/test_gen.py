@@ -6,13 +6,12 @@ from nabla.formulas import (
     Bottom,
     Hist,
     Implies,
-    LocalClass,
     Next,
     Until,
-    classify_local,
     complexity,
     in_history_language,
     in_until_language,
+    is_local,
     temporal_depth,
 )
 from nabla.gen import random_hist_tier_formula, random_history_formula, random_local_formula, random_until_formula
@@ -34,7 +33,7 @@ def test_generators_stay_in_their_tiers():
             }
             assert in_until_language(draws["until"])
             assert in_history_language(draws["history"]) and temporal_depth(draws["history"]) <= depth
-            assert classify_local(draws["local"]) is LocalClass.LOCAL
+            assert is_local(draws["local"])
             assert in_history_language(draws["hist-tier"])
             for grammar, f in draws.items():
                 assert complexity(f) <= budget, (grammar, budget)

@@ -7,11 +7,12 @@ import pytest
 from nabla.corpus import ENTRIES, MUTATIONS, TAUTOLOGY_INSTANCES, entry_by_name, load_entry, load_script
 from nabla.derived import derive_tautology, expand
 from nabla import formulas, kernel
-from nabla.formulas import Always, Atom, Bottom, Formula, Hist, Implies, Until, parse_ltl
+from nabla.formulas import Always, And, Atom, Bottom, Formula, Hist, Implies, Or, Until, desugar, parse_ltl
 from nabla.gen import DerivationSampler
 from nabla.kernel import (
     BAD_DISCHARGE,
     FRESHNESS_VIOLATION,
+    NOT_LOCAL_FORMULA,
     SEQUENCE_MISMATCH,
     SHAPE_MISMATCH,
     UNKNOWN_RULE,
@@ -39,9 +40,11 @@ P, Q = Atom("p"), Atom("q")
 
 
 def test_subst_label_examples():
-    assert subst_label(Lwff(("b", "c"), P), "c", "d") == Lwff(("b", "d"), P)
-    assert subst_label(Le("b", "c"), "b", "d") == Le("d", "c")
-    assert subst_label(Lwff(("b", "b"), P), "b", "d") == Lwff(("d", "d"), P)
+    assert subst_label(Lwff(("b", "c"), P), {"c": "d"}) == Lwff(("b", "d"), P)
+    assert subst_label(Le("b", "c"), {"b": "d"}) == Le("d", "c")
+    assert subst_label(Succ("b", "c"), {"c": "d"}) == Succ("b", "d")
+    assert subst_label(Lwff(("b", "b"), P), {"b": "d"}) == Lwff(("d", "d"), P)
+    assert subst_label(Lwff(("b", "c"), P), {"b": "c", "c": "b"}) == Lwff(("c", "b"), P)
 
 
 def test_open_assumptions_basics():
@@ -77,6 +80,21 @@ def test_single_assumption_is_a_derivation():
     assert report.accepted and report.conclusion == leaf.formula
     bad = Assume(1, Le("b", "c"))
     assert not check(bad).accepted
+
+
+def test_rule_concluding_a_relational_formula_is_rejected():
+    leaf = Assume(2, Lwff(("a",), P))
+    report = check(Apply(1, "botE", Le("a", "b"), (leaf,)))
+    assert (report.accepted, report.reason, report.node_id) == (False, SHAPE_MISMATCH, 1)
+
+
+def test_last_on_formulas_written_with_abbreviations():
+    local = Always(And(P, Hist(Q)))
+    d = Assume(1, Lwff(("b",), local))
+    assert check(Apply(2, "last", Lwff(("c", "b"), local), (d,))).accepted
+    hist = Or(P, Hist(Q))  # desugars to (~p) -> (H q): H not under G or X
+    d = Assume(1, Lwff(("b",), hist))
+    assert check(Apply(2, "last", Lwff(("c", "b"), hist), (d,))).reason == NOT_LOCAL_FORMULA
 
 
 def test_kernel_rejects_until_in_judgments():
@@ -574,6 +592,22 @@ def test_check_is_linear_in_shared_formula_objects(run_in_child):
     # Equal desugared copies of the substituted formula would be compared
     # node by node.
     run_in_child("test_kernel", "_check_substituted_a7l")
+
+
+def _check_open_deep_assumption(k=20):
+    """Check one open assumption over ``tr(r U (r U ... s))``, ``k`` levels
+    of ``U``: about 4^k tree nodes over a few objects per level.  The
+    report's open set hashes it."""
+    y = Atom("s")
+    for _ in range(k):
+        y = Until(Atom("r"), y)
+    w = Lwff(("b",), desugar(translate(y)))
+    report = check(Assume(1, w))
+    assert report.accepted and report.open_assumptions == {w}
+
+
+def test_formula_hash_is_linear_in_shared_objects(run_in_child):
+    run_in_child("test_kernel", "_check_open_deep_assumption")
 
 
 def test_kernel_has_eighteen_rules():

@@ -1,0 +1,34 @@
+import importlib
+import importlib.util
+import pkgutil
+from pathlib import Path
+
+import nabla
+
+TRACER = Path(__file__).parents[1] / "perfbench" / "tracer.py"
+
+
+def _resolve(module: str, attr: str):
+    obj = importlib.import_module(module)
+    for part in attr.split("."):
+        obj = getattr(obj, part)
+    return obj
+
+
+def test_every_traced_name_resolves():
+    # The tracer skips a name it cannot find, so a rename would silently
+    # drop that layer's metrics.  install() also wraps eval_generic, which
+    # counts the falsifier's goal evaluations.
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    targets = [(module, attr) for module, attr, _, _ in tracer.TARGETS] + [("nabla.semantics", "eval_generic")]
+    for module, attr in targets:
+        assert callable(_resolve(module, attr)), (module, attr)
+
+
+def test_every_exported_name_exists():
+    for info in pkgutil.iter_modules(nabla.__path__):
+        module = importlib.import_module(f"nabla.{info.name}")
+        for name in getattr(module, "__all__", ()):
+            assert hasattr(module, name), (info.name, name)

@@ -17,8 +17,6 @@ from nabla.semantics import (
     eval_h,
     eval_h_oracle,
     eval_ltl,
-    eval_lwff,
-    eval_rwff,
     falsify_consequence,
     format_model,
     parse_model,
@@ -29,6 +27,13 @@ P, Q = Atom("p"), Atom("q")
 
 STEM_P_LOOP_Q = LassoModel((frozenset({"p"}),), (frozenset({"q"}),))
 LOOP_P = LassoModel((), (frozenset({"p"}),))
+
+
+def bounded_lasso(rng, symbols, max_stem, max_period):
+    """random_lasso's draws, with other bounds on the stem and the loop."""
+    s, p = rng.randint(0, max_stem), rng.randint(1, max_period)
+    cells = [frozenset(x for x in symbols if rng.random() < 0.5) for _ in range(s + p)]
+    return LassoModel(tuple(cells[:s]), tuple(cells[s:]))
 
 
 def until_by_unrolling(m, n, a, b, horizon=10):
@@ -96,26 +101,27 @@ def test_eval_h_nonmonotone_sequences_allowed():
     assert eval_h(m, (5, 0), Hist(P)) is True  # empty interval: vacuous
 
 
-def test_eval_rwff_examples():
+def test_eval_generic_relational_examples():
     i = {"b": 2, "c": 3}
     m = LOOP_P
-    assert eval_rwff(m, i, Le("b", "c")) is True
-    assert eval_rwff(m, i, Succ("b", "c")) is True
-    assert eval_rwff(m, {"b": 2, "c": 2}, Succ("b", "c")) is False
+    assert eval_generic(m, i, Le("b", "c")) is True
+    assert eval_generic(m, i, Le("c", "b")) is False
+    assert eval_generic(m, i, Succ("b", "c")) is True
+    assert eval_generic(m, {"b": 2, "c": 2}, Succ("b", "c")) is False
     with pytest.raises(UnboundLabel):
-        eval_rwff(m, i, Le("b", "z"))
+        eval_generic(m, i, Le("b", "z"))
 
 
-def test_eval_lwff_examples():
-    assert eval_lwff(LOOP_P, {"b": 0}, Lwff(("b",), P)) is True
+def test_eval_generic_labelled_examples():
+    assert eval_generic(LOOP_P, {"b": 0}, Lwff(("b",), P)) is True
     rng = random.Random(4)
     for _ in range(30):
         m = random_lasso(rng, ["p"])
         i = {"a": rng.randint(0, 9)}
-        assert eval_lwff(m, i, Lwff(("a",), Bottom())) is False
-    assert eval_lwff(STEM_P_LOOP_Q, {"b": 0, "c": 2}, Lwff(("b", "c"), Hist(P))) is False
+        assert eval_generic(m, i, Lwff(("a",), Bottom())) is False
+    assert eval_generic(STEM_P_LOOP_Q, {"b": 0, "c": 2}, Lwff(("b", "c"), Hist(P))) is False
     with pytest.raises(UnboundLabel):
-        eval_lwff(LOOP_P, {}, Lwff(("b",), P))
+        eval_generic(LOOP_P, {}, Lwff(("b",), P))
 
 
 def test_model_level_consequence_agrees_with_translation():
@@ -151,7 +157,7 @@ def test_oracle_agrees_past_the_loop():
     rng = random.Random(7)
     shifted = 0
     for _ in range(600):
-        m = random_lasso(rng, ["p", "q"], max_stem=3, max_period=3)
+        m = bounded_lasso(rng, ["p", "q"], 3, 3)
         window = m.stem_len + m.period
         f = random_history_formula(rng, rng.randint(0, 6), max_temporal_depth=2)
         sigma = random_obs_sequence(rng, max_len=5, max_value=window + 8)
@@ -180,7 +186,7 @@ def test_oracle_agrees_on_wide_hist_gaps():
     # up to 150 lie well past the point where eval_h clamps the walk.
     rng = random.Random(8)
     for _ in range(300):
-        m = random_lasso(rng, ["p", "q"], max_stem=3, max_period=3)
+        m = bounded_lasso(rng, ["p", "q"], 3, 3)
         f = random_history_formula(rng, rng.randint(1, 6), max_temporal_depth=2)
         shape = rng.randrange(3)
         if shape == 1:
@@ -204,7 +210,7 @@ def test_oracle_agrees_on_hist_staircases():
     # A walk clamped at a fixed number of periods answers true too often.
     rng = random.Random(9)
     for _ in range(600):
-        m = random_lasso(rng, ["p", "q"], max_stem=2, max_period=4)
+        m = bounded_lasso(rng, ["p", "q"], 2, 4)
         f = P
         for level in range(rng.randint(3, 8)):
             f = Hist(Implies(Q if level % 2 == 0 else P, f))

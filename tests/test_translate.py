@@ -8,17 +8,16 @@ from nabla.formulas import (
     Atom,
     Bottom,
     Hist,
-    LocalClass,
     Next,
     Or,
     Sometime,
     Always,
     Until,
-    classify_local,
     desugar,
     format_formula,
     format_length,
     in_history_language,
+    is_local,
 )
 from nabla.gen import random_until_formula
 from nabla.translate import matches_translation, translate
@@ -63,7 +62,7 @@ def test_matches_translation_examples():
 def test_image_is_local_and_history_language(f):
     image = translate(f)
     assert in_history_language(image)
-    assert classify_local(image) is LocalClass.LOCAL
+    assert is_local(image)
 
 
 @settings(max_examples=300)
