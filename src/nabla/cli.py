@@ -9,9 +9,11 @@ deeper than ``formulas.MAX_NESTING`` are parse errors (exit 2), and so is
 a formula whose image ``translate`` would print longer than
 ``MAX_IMAGE_LENGTH`` characters (1 MiB), and ``fuzz`` refuses
 ``--samples`` below 1, ``--max-size`` below 0 and ``--inject-bug`` with
-``--lemma soundness`` with exit 2.  Any other exception that escapes a
-subcommand is an internal error: ``main`` prints ``internal error: <type>:
-<message>`` to stderr and exits 4, never 1, which means rejected.
+``--lemma soundness`` with exit 2.  ``taut`` checks its proof before
+printing it and exits 4 with nothing on stdout if the kernel rejects it or
+finds it open.  Any other exception that escapes a subcommand is an
+internal error: ``main`` prints ``internal error: <type>: <message>`` to
+stderr and exits 4, never 1, which means rejected.
 """
 
 from __future__ import annotations
@@ -120,7 +122,10 @@ def cmd_taut(args) -> int:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_REJECTED
     report = check(d)
-    assert report.accepted and not report.open_assumptions
+    if not report.accepted or report.open_assumptions:
+        why = report.message if not report.accepted else "it has open assumptions"
+        print(f"internal error: the tautology proof does not check: {why}", file=sys.stderr)
+        return EXIT_INTERNAL
     print(serialize(d), end="")
     return EXIT_OK
 

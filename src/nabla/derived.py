@@ -6,7 +6,9 @@ those applications into primitive derivations, and every expansion is
 re-checked by the kernel downstream.  ``mp_compose``, ``nec_g`` and
 ``nec_x`` make the Hilbert closure rules executable over closed proofs,
 and ``derive_tautology`` builds a closed proof for any classical
-propositional tautology by case-splitting on its atoms.
+propositional tautology by case-splitting on its atoms.  A branch stops
+splitting once its partial valuation decides the formula, and each
+subproof is built once and shared by every branch that needs it.
 """
 
 from __future__ import annotations
@@ -359,24 +361,39 @@ def nec_x(d: Node) -> Node:
 # --- tautology proofs --------------------------------------------------------
 
 
-def _eval_prop(f: Formula, v: dict[str, bool]) -> bool:
+def _eval_prop(f: Formula, v: dict[str, bool]) -> bool | None:
+    """Value of a core propositional formula under the partial valuation
+    ``v``, in Kleene's strong three-valued logic: ``x -> y`` is true when
+    ``x`` is false or ``y`` true, false when ``x`` is true and ``y`` false,
+    and otherwise ``None``, undetermined.  On a total valuation this is the
+    classical value."""
     if isinstance(f, Atom):
-        return v[f.name]
+        return v.get(f.name)
     if isinstance(f, Bottom):
         return False
     if isinstance(f, Implies):
-        return (not _eval_prop(f.left, v)) or _eval_prop(f.right, v)
+        x = _eval_prop(f.left, v)
+        if x is False:
+            return True
+        y = _eval_prop(f.right, v)
+        if y is True:
+            return True
+        return False if x is True and y is False else None
     raise TypeError(f"not a core propositional formula: {f!r}")
 
 
 def derive_tautology(f: Formula, label: str = "b") -> Node:
     """Closed proof of ``label : f`` for a classical propositional tautology.
 
-    Case-split construction: under each valuation of the atoms the formula
-    (or the refuted side of each subformula) is derived from the literal
-    assumptions, then the literals are eliminated atom by atom through
-    excluded-middle reasoning built from botE.  Output uses only impI,
-    impE and botE.
+    Case-split construction (Kalmár): the atoms are split in name order,
+    each branch assuming a literal for the atom, and a branch stops
+    splitting as soon as its partial valuation decides the formula.  There
+    the formula (or the refuted side of each subformula it needs) is
+    derived from the branch's literal assumptions, and the literals are
+    eliminated atom by atom through excluded-middle reasoning built from
+    botE.  Each subformula is derived once per choice of literal
+    assumptions for its atoms, and every place and branch that needs it
+    shares that subproof.  Output uses only impI, impE and botE.
     """
     if temporal_depth(f) > 0:
         raise NotPropositional(f"temporal operators in {format_formula(f)}")
@@ -415,25 +432,40 @@ def derive_tautology(f: Formula, label: str = "b") -> Node:
         return imp(share(x.left), share(x.right))
 
     g = share(g)
+    atoms_in: dict[int, list[str]] = {}
+    proved: dict[tuple, Node] = {}
 
     def prove(phi: Formula, v: dict[str, bool], env: dict[str, Assume]) -> Node:
-        # Derives `phi` when it holds under v, `phi -> bot` when it fails;
-        # env holds this branch's literal assumption classes.
+        # Derives `phi` when v makes it true, `phi -> bot` when v makes it
+        # false; v decides every formula this is called on, so each atom
+        # reached has its literal assumption in env.  The subproof depends
+        # only on the literal classes of phi's atoms, so it is built once per
+        # those classes and shared: they are discharged above every use.
         if isinstance(phi, Atom):
             return env[phi.name]
+        own = atoms_in.get(id(phi))
+        if own is None:
+            own = atoms_in[id(phi)] = sorted(atoms_of(phi))
+        key = (id(phi), *(env.get(a) for a in own))
+        d = proved.get(key)
+        if d is None:
+            d = proved[key] = derive(phi, v, env)
+        return d
+
+    def derive(phi: Formula, v: dict[str, bool], env: dict[str, Assume]) -> Node:
         if isinstance(phi, Bottom):
             hb = Assume(next(ids), lw(bot))
             return Apply(next(ids), "impI", lw(imp(bot, bot)), (hb,), (hb,))
         assert isinstance(phi, Implies)
         x, y = phi.left, phi.right
-        if not _eval_prop(x, v):
+        if _eval_prop(y, v):  # tried first: one node over y's proof
+            return Apply(next(ids), "impI", lw(phi), (prove(y, v, env),))
+        if _eval_prop(x, v) is False:
             dx = prove(x, v, env)  # proves x -> bot
             h = Assume(next(ids), lw(x))
             n1 = Apply(next(ids), "impE", lw(bot), (dx, h))
             n2 = Apply(next(ids), "botE", lw(y), (n1,))
             return Apply(next(ids), "impI", lw(phi), (n2,), (h,))
-        if _eval_prop(y, v):
-            return Apply(next(ids), "impI", lw(phi), (prove(y, v, env),))
         dx, dy = prove(x, v, env), prove(y, v, env)  # x holds, y -> bot
         h = Assume(next(ids), lw(phi))
         n1 = Apply(next(ids), "impE", lw(y), (h, dx))
@@ -441,7 +473,8 @@ def derive_tautology(f: Formula, label: str = "b") -> Node:
         return Apply(next(ids), "impI", lw(imp(phi, bot)), (n2,), (h,))
 
     def build(v: dict[str, bool], env: dict[str, Assume], remaining: list[str]) -> Node:
-        if not remaining:
+        # A tautology is true or undetermined under every partial valuation.
+        if _eval_prop(g, v):
             return prove(g, v, env)
         a, rest = remaining[0], remaining[1:]
         atom = atoms[a]

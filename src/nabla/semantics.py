@@ -204,10 +204,12 @@ def eval_ltl(m: LassoModel, n: int, a: Formula) -> bool:
     s, p = m.stem_len, m.period
     size = s + p
     succ = [i + 1 if i + 1 < size else s for i in range(size)]
-    tables: dict[Formula, list[bool]] = {}
+    # Keyed on id, so no node is hashed: g holds every key's object while
+    # the memo lives, and the memo dies with the call.
+    tables: dict[int, list[bool]] = {}
 
     def table(x: Formula) -> list[bool]:
-        t = tables.get(x)
+        t = tables.get(id(x))
         if t is not None:
             return t
         if isinstance(x, Atom):
@@ -237,7 +239,7 @@ def eval_ltl(m: LassoModel, n: int, a: Formula) -> bool:
                         changed = True
         else:
             raise TypeError(f"not a core formula: {x!r}")
-        tables[x] = t
+        tables[id(x)] = t
         return t
 
     return table(g)[m.canon(n)]

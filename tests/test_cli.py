@@ -261,6 +261,20 @@ def test_internal_error_exits_4(capsys, tmp_path, monkeypatch):
     assert captured.err == "internal error: RuntimeError: boom\n"
 
 
+@pytest.mark.parametrize("kind", ["rejected", "open"])
+def test_taut_refuses_a_proof_the_kernel_does_not_accept(capsys, monkeypatch, kind):
+    # An explicit test, not an assert, so that it also holds under python -O.
+    def broken(f, label):
+        leaf = Assume(1, Lwff((label,), f))
+        return leaf if kind == "open" else Apply(2, "impI", Lwff((label,), f), (leaf,))
+
+    monkeypatch.setattr("nabla.cli.derive_tautology", broken)
+    assert main(["taut", "(p -> p)"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("internal error: the tautology proof does not check: ")
+
+
 def nested(op, depth):
     # Binary operators nest on the left, the side that desugaring and
     # translation deepen most.

@@ -1,7 +1,11 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nabla.derived import (
     NonParametricLabel,
@@ -26,11 +30,13 @@ from nabla.formulas import (
     Or,
     Sometime,
     Always,
+    atoms_of,
     desugar,
     parse_h,
     parse_ltl,
 )
-from nabla.kernel import Apply, Assume, Le, Lwff, check, normalize_generic
+from nabla.kernel import Apply, Assume, Le, Lwff, all_nodes, check, normalize_generic
+from nabla.scripts import serialize
 
 P, Q, R = Atom("p"), Atom("q"), Atom("r")
 
@@ -193,8 +199,6 @@ def test_derive_tautology_examples():
 def test_derive_tautology_builds_each_formula_once():
     # check and serialize work once per formula object, so the proof holds
     # one object per formula and one judgement per object.
-    from nabla.kernel import all_nodes
-
     root = derive_tautology(parse_ltl("((((p & q) -> r) -> (p & q)) -> (p & q))"), "b")
     judgements = [n.conclusion for n in all_nodes(root)]
     objects: dict = {}
@@ -206,7 +210,6 @@ def test_derive_tautology_builds_each_formula_once():
 
 def test_derive_tautology_enumerated_small_tautologies():
     from nabla.gen import random_until_formula
-    from nabla.formulas import atoms_of
 
     rng = random.Random(12)
     found = 0
@@ -217,16 +220,93 @@ def test_derive_tautology_enumerated_small_tautologies():
         g = desugar(f)
         if any(isinstance(x, (Always, Next, Until)) for x in _walk(g)):
             continue
-        names = sorted(atoms_of(g))
-        if len(names) > 3:
-            continue
-        if not all(_eval(g, dict(zip(names, bits))) for bits in itertools.product([False, True], repeat=len(names))):
+        if len(atoms_of(g)) > 3 or not _is_tautology(g):
             continue
         d = derive_tautology(f, "w")
         report = check(d)
         assert report.accepted and not report.open_assumptions
         assert desugar(report.conclusion.formula) == g
         found += 1
+
+
+def _props(atoms="pqrs"):
+    """Propositional formulas over ``atoms`` with every connective."""
+    leaves = st.sampled_from([Atom(a) for a in atoms] + [Bottom()])
+    return st.recursive(
+        leaves,
+        lambda sub: st.one_of(
+            st.builds(Implies, sub, sub), st.builds(And, sub, sub), st.builds(Or, sub, sub),
+            st.builds(lambda x: Implies(x, Bottom()), sub),
+        ),
+        max_leaves=6,
+    )
+
+
+def _is_tautology(g):
+    names = sorted(atoms_of(g))
+    return all(_eval(g, dict(zip(names, bits))) for bits in itertools.product([False, True], repeat=len(names)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_props(), _props(), _props())
+def test_derive_tautology_proves_tautologies_over_four_atoms(a, b, c):
+    # a itself, then instances of tautology schemata, which are tautologies
+    # whatever a, b and c are.
+    candidates = [
+        a,
+        Implies(a, Implies(b, a)),
+        Implies(Implies(Implies(a, b), a), a),
+        Implies(Implies(a, Implies(b, c)), Implies(Implies(a, b), Implies(a, c))),
+        Implies(Implies(a, b), Implies(Implies(b, c), Or(Implies(a, Bottom()), c))),
+        Or(And(a, b), Or(Implies(a, Bottom()), Implies(b, Bottom()))),
+    ]
+    for f in candidates:
+        g = desugar(f)
+        if not _is_tautology(g):
+            with pytest.raises(NotATautology):
+                derive_tautology(f, "b")
+            continue
+        report = check(derive_tautology(f, "b"))
+        assert report.accepted and not report.open_assumptions, report.message
+        assert report.conclusion == Lwff(("b",), g)
+
+
+# A 5-atom instance of Peirce's law.  Its proof had 2098 nodes when every
+# branch split every atom and re-derived every subformula; the bound keeps
+# it from growing back.
+_A = "(((p & q) | r) -> (s & t))"
+PEIRCE5 = f"((({_A} -> p) -> {_A}) -> {_A})"
+PEIRCE5_NODES = 688
+
+
+def test_derive_tautology_stays_small():
+    root = derive_tautology(parse_ltl(PEIRCE5), "b")
+    report = check(root)
+    assert report.accepted and not report.open_assumptions
+    assert len(all_nodes(root)) <= PEIRCE5_NODES
+
+
+def test_derive_tautology_is_deterministic():
+    text = serialize(derive_tautology(parse_ltl(PEIRCE5), "b"))
+    assert serialize(derive_tautology(parse_ltl(PEIRCE5), "b")) == text
+    # Also under another string hash, which would reorder any set walked.
+    code = f"from nabla.derived import derive_tautology; from nabla.formulas import parse_ltl; from nabla.scripts import serialize; print(serialize(derive_tautology(parse_ltl({PEIRCE5!r}), 'b')), end='')"
+    env = dict(os.environ, PYTHONHASHSEED="12345", PYTHONPATH=os.pathsep.join(sys.path))
+    assert subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True).stdout == text
+
+
+def test_not_a_tautology_names_the_first_falsifying_valuation():
+    # Valuations are tried in product order over the sorted atoms, False
+    # before True; (q -> (p & r)) fails first at p=F, q=T, r=F.
+    cases = {
+        "(p -> q)": "{'p': True, 'q': False}",
+        "(q -> (p & r))": "{'p': False, 'q': True, 'r': False}",
+        "bot": "{}",
+    }
+    for text, valuation in cases.items():
+        with pytest.raises(NotATautology) as e:
+            derive_tautology(parse_ltl(text), "b")
+        assert str(e.value) == f"falsified by {valuation}"
 
 
 def _walk(f):

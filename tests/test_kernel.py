@@ -556,12 +556,20 @@ def test_check_works_per_formula_object(monkeypatch):
     for name, calls in seen.items():
         real = getattr(kernel, name)
         monkeypatch.setattr(kernel, name, lambda f, *rest, real=real, calls=calls: calls.append(f) or real(f, *rest))
-    root = parse_script(serialize(derive_tautology(parse_ltl("((((p & q) -> r) -> (p & q)) -> (p & q))"), "b")))
+    # 200 rounds of impI and impE over two formulas; the parser makes one
+    # object per formula, so each object occurs in 200 judgements or more.
+    lines = ["assume 1 lwff b : p"]
+    for i in range(200):
+        h, d, e = 3 * i + 2, 3 * i + 3, 3 * i + 4
+        lines += [f"assume {h} lwff b : p", f"node {d} impI concl b : (p -> p) prem {h} disch {h}", f"node {e} impE concl b : p prem {d},{e - 3}"]
+    root = parse_script("\n".join(lines + [f"root {e}"]) + "\n")
     assert check(root).accepted
-    nodes = len(all_nodes(root))
+    occurrences = [n.conclusion.formula for n in all_nodes(root)]
+    objects = {id(f) for f in occurrences}
+    assert len(objects) == 2 and len(occurrences) == 601
     for calls in seen.values():
         assert len({id(f) for f in calls}) == len(calls)  # once per object
-        assert 0 < len(calls) < nodes / 10  # not once per occurrence
+        assert 0 < len(calls) <= len(objects)  # not once per occurrence
 
 
 def test_check_keeps_no_formula_after_it_returns(monkeypatch):
