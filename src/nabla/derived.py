@@ -8,7 +8,9 @@ re-checked by the kernel downstream.  ``mp_compose``, ``nec_g`` and
 and ``derive_tautology`` builds a closed proof for any classical
 propositional tautology by case-splitting on its atoms.  A branch stops
 splitting once its partial valuation decides the formula, and each
-subproof is built once and shared by every branch that needs it.
+subproof is built once and shared by every branch that needs it; its
+three-valued value in a branch is memoised on the same key, so a formula
+that shares subformulas costs time linear in its objects, not its tree.
 """
 
 from __future__ import annotations
@@ -27,8 +29,10 @@ from .formulas import (
     Next,
     Or,
     Sometime,
+    _ATOMS,
+    _fold,
+    _fold_from,
     _not,
-    atoms_of,
     desugar,
     is_local,
     format_formula,
@@ -361,25 +365,12 @@ def nec_x(d: Node) -> Node:
 # --- tautology proofs --------------------------------------------------------
 
 
-def _eval_prop(f: Formula, v: dict[str, bool]) -> bool | None:
-    """Value of a core propositional formula under the partial valuation
-    ``v``, in Kleene's strong three-valued logic: ``x -> y`` is true when
-    ``x`` is false or ``y`` true, false when ``x`` is true and ``y`` false,
-    and otherwise ``None``, undetermined.  On a total valuation this is the
-    classical value."""
-    if isinstance(f, Atom):
-        return v.get(f.name)
-    if isinstance(f, Bottom):
-        return False
-    if isinstance(f, Implies):
-        x = _eval_prop(f.left, v)
-        if x is False:
-            return True
-        y = _eval_prop(f.right, v)
-        if y is True:
-            return True
-        return False if x is True and y is False else None
-    raise TypeError(f"not a core propositional formula: {f!r}")
+def _kleene_implies(_: Formula, x: bool | None, y: bool | None) -> bool | None:
+    """Fold rule for ``x -> y`` in Kleene's strong three-valued logic, where
+    ``None`` is undetermined; classical implication on classical values."""
+    if x is False or y is True:
+        return True
+    return False if x is True and y is False else None
 
 
 def derive_tautology(f: Formula, label: str = "b") -> Node:
@@ -391,25 +382,21 @@ def derive_tautology(f: Formula, label: str = "b") -> Node:
     the formula (or the refuted side of each subformula it needs) is
     derived from the branch's literal assumptions, and the literals are
     eliminated atom by atom through excluded-middle reasoning built from
-    botE.  Each subformula is derived once per choice of literal
-    assumptions for its atoms, and every place and branch that needs it
-    shares that subproof.  Output uses only impI, impE and botE.
+    botE.  Each subformula is evaluated, and derived, once per choice of
+    literal assumptions for its atoms, and every place and branch that
+    needs it shares that value and subproof.  Output uses only impI, impE
+    and botE.
     """
     if temporal_depth(f) > 0:
         raise NotPropositional(f"temporal operators in {format_formula(f)}")
-    g = desugar(f)
-    names = sorted(atoms_of(g))
-    for bits in itertools.product([False, True], repeat=len(names)):
-        if not _eval_prop(g, dict(zip(names, bits))):
-            raise NotATautology(f"falsified by {dict(zip(names, bits))}")
     ids = itertools.count(1)
     seq = (label,)
     # One object per formula and per judgement for the whole proof, the
     # source's own subformulas included: check and serialize memoise per
-    # object, so each is then handled once.
+    # object, so each is then handled once.  made is keyed on an atom's
+    # name or on the ids of an implication's sides.
     bot = Bottom()
-    atoms = {a: Atom(a) for a in names}
-    made: dict[tuple[int, int], Implies] = {}
+    made: dict[str | tuple[int, int], Formula] = {}
     judged: dict[int, Lwff] = {}
 
     def imp(x: Formula, y: Formula) -> Implies:
@@ -424,29 +411,43 @@ def derive_tautology(f: Formula, label: str = "b") -> Node:
             w = judged[id(f)] = Lwff(seq, f)
         return w
 
-    def share(x: Formula) -> Formula:
-        if isinstance(x, Atom):
-            return atoms[x.name]
-        if isinstance(x, Bottom):
-            return bot
-        return imp(share(x.left), share(x.right))
+    g = _fold(desugar(f), {Atom: lambda x: made.setdefault(x.name, x), Bottom: lambda x: bot, Implies: lambda x, a, b: imp(a, b)})
+    atom_sets: dict[int, frozenset[str]] = {}
+    names = sorted(_fold_from(g, _ATOMS, atom_sets))
+    for bits in itertools.product([False, True], repeat=len(names)):
+        v = dict(zip(names, bits))
+        # No value is None here, so _fold_from memoises every object.
+        if not _fold_from(g, {Atom: lambda x: v[x.name], Bottom: lambda x: False, Implies: _kleene_implies}, {}):
+            raise NotATautology(f"falsified by {v}")
 
-    g = share(g)
-    atoms_in: dict[int, list[str]] = {}
+    def literals(phi: Formula, env: dict[str, Assume]) -> tuple:
+        # phi's value and subproof depend only on the literal assumptions of
+        # its atoms; env holds one exactly where the valuation is defined.
+        return (id(phi), *map(env.get, atom_sets.get(id(phi), ())))
+
+    values: dict[tuple, bool | None] = {}
     proved: dict[tuple, Node] = {}
+
+    def value(phi: Formula, v: dict[str, bool], env: dict[str, Assume]) -> bool | None:
+        # The Kleene value of phi under the partial valuation v.
+        if isinstance(phi, Atom):
+            return v.get(phi.name)
+        if isinstance(phi, Bottom):
+            return False
+        key = literals(phi, env)
+        if key not in values:
+            values[key] = _kleene_implies(phi, value(phi.left, v, env), value(phi.right, v, env))
+        return values[key]
 
     def prove(phi: Formula, v: dict[str, bool], env: dict[str, Assume]) -> Node:
         # Derives `phi` when v makes it true, `phi -> bot` when v makes it
         # false; v decides every formula this is called on, so each atom
-        # reached has its literal assumption in env.  The subproof depends
-        # only on the literal classes of phi's atoms, so it is built once per
-        # those classes and shared: they are discharged above every use.
+        # reached has its literal assumption in env.  The subproof is built
+        # once per literal classes of phi's atoms and shared: they are
+        # discharged above every use.
         if isinstance(phi, Atom):
             return env[phi.name]
-        own = atoms_in.get(id(phi))
-        if own is None:
-            own = atoms_in[id(phi)] = sorted(atoms_of(phi))
-        key = (id(phi), *(env.get(a) for a in own))
+        key = literals(phi, env)
         d = proved.get(key)
         if d is None:
             d = proved[key] = derive(phi, v, env)
@@ -458,9 +459,9 @@ def derive_tautology(f: Formula, label: str = "b") -> Node:
             return Apply(next(ids), "impI", lw(imp(bot, bot)), (hb,), (hb,))
         assert isinstance(phi, Implies)
         x, y = phi.left, phi.right
-        if _eval_prop(y, v):  # tried first: one node over y's proof
+        if value(y, v, env):  # tried first: one node over y's proof
             return Apply(next(ids), "impI", lw(phi), (prove(y, v, env),))
-        if _eval_prop(x, v) is False:
+        if value(x, v, env) is False:
             dx = prove(x, v, env)  # proves x -> bot
             h = Assume(next(ids), lw(x))
             n1 = Apply(next(ids), "impE", lw(bot), (dx, h))
@@ -474,10 +475,10 @@ def derive_tautology(f: Formula, label: str = "b") -> Node:
 
     def build(v: dict[str, bool], env: dict[str, Assume], remaining: list[str]) -> Node:
         # A tautology is true or undetermined under every partial valuation.
-        if _eval_prop(g, v):
+        if value(g, v, env):
             return prove(g, v, env)
         a, rest = remaining[0], remaining[1:]
-        atom = atoms[a]
+        atom = made[a]
         not_atom = imp(atom, bot)
         lit_true = Assume(next(ids), lw(atom))
         lit_false = Assume(next(ids), lw(not_atom))

@@ -13,10 +13,10 @@ two parsers reject the foreign operator (``H`` resp. ``U``).
 The parsers intern the nodes of one text (see ``_Parser``), so equal
 subformulas of a parsed formula are one object.  Formulas built by
 constructors share only what their builder shares.  The walks here
-(printing, desugaring, the measures and language membership) each fold
-one table of per-class rules over the formula and visit each distinct
-object once, so they are linear in distinct objects however much the
-formula shares.  Within one call, :func:`desugar` and ``translate`` map
+(printing, desugaring, the measures, language membership and locality)
+each fold one table of per-class rules over the formula and visit each
+distinct object once, so they are linear in distinct objects however much
+the formula shares.  Within one call, :func:`desugar` and ``translate`` map
 each input object to one output object, so a result keeps the sharing of
 its input.
 
@@ -458,21 +458,9 @@ def in_history_language(f: Formula) -> bool:
         return False
 
 
-def _is_local(f: Formula, memo: dict[int, bool]) -> bool:
-    # Local grammar: H may only occur under G or X.  G/X bodies are
-    # unconstrained (any history-language formula qualifies there).  The
-    # verdict on each -> node is kept in memo under its id, so the caller
-    # must keep f alive while memo lives.
-    if isinstance(f, Implies):
-        v = memo.get(id(f))
-        if v is None:
-            v = memo[id(f)] = _is_local(f.left, memo) and _is_local(f.right, memo)
-        return v
-    if isinstance(f, Hist):
-        return False
-    if isinstance(f, (Atom, Bottom, Always, Next)):
-        return True
-    raise TypeError(f"not a desugared history formula: {f!r}")
+# Local grammar, for desugared history formulas: H may only occur under G or
+# X, whose bodies are unconstrained.  Callers may fold it with their own memo.
+_LOCAL = _table(lambda x: True, lambda x, a: True, lambda x, a, b: a and b, {Hist: lambda x, a: False})
 
 
 def is_local(f: Formula) -> bool:
@@ -485,7 +473,7 @@ def is_local(f: Formula) -> bool:
     g = desugar(f)
     if not in_history_language(g):
         raise ValueError(f"not a history-language formula: {format_formula(f)}")
-    return _is_local(g, {})
+    return _fold(g, _LOCAL)
 
 
 def atoms_of(f: Formula) -> frozenset[str]:

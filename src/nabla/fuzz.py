@@ -32,7 +32,7 @@ from .gen import (
     random_until_formula,
 )
 from .kernel import GenericFormula, check, format_generic
-from .semantics import LassoModel, _eval_h, _eval_h_oracle, eval_ltl, falsify_consequence, random_lasso
+from .semantics import LassoModel, _eval_h, _eval_h_oracle, _min_horizon, eval_ltl, falsify_consequence, random_lasso
 from .translate import translate
 
 __all__ = ["LEMMAS", "FuzzReport", "run_lemma", "report_to_json"]
@@ -89,10 +89,9 @@ def _reference(m: LassoModel, seq, f: Formula) -> bool:
     disagree.  The oracle gets its documented minimum horizon, whose ``G``
     windows already cover ``s + p`` positions.
     """
-    td = temporal_depth(f)
-    if td > _ORACLE_DEPTH:
+    if temporal_depth(f) > _ORACLE_DEPTH:
         return _eval_h(m, seq, f)
-    return _eval_h_oracle(m, seq, f, max(seq) + (m.stem_len + m.period) * td + 1)
+    return _eval_h_oracle(m, seq, f, _min_horizon(m, seq, f))
 
 
 class _Case(NamedTuple):
@@ -254,8 +253,8 @@ def _draw_bound(rng: random.Random, i: int, max_size: int) -> _Case:
 
 
 def _bound_sides(lm: LassoModel, c: _Case):
-    """The 2p truncation agrees with a generous horizon."""
-    horizon = max(c.at) + 4 * (c.model.stem_len + c.model.period)
+    """The 2p truncation agrees with the oracle at its minimum horizon."""
+    horizon = _min_horizon(c.model, c.at, c.formula)
     return _eval_h(lm, c.at, c.formula), _eval_h_oracle(c.model, c.at, c.formula, horizon), horizon
 
 

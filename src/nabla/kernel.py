@@ -23,13 +23,13 @@ into it, copying only sets that are still shared.  An ``impE`` chain over
 N open assumptions thus adds O(1) elements per node instead of copying
 O(N), which keeps ``check`` linear in the number of open assumptions.
 
-Formulas are compared up to desugaring.  ``check`` desugars and
-language-checks each formula object once per call, in memos keyed on
-``id`` that hold the objects and die with the call; nothing is cached
-between calls.  One desugaring memo serves the whole call, so a
-subformula object shared by two formulas has one core image, and a core
-formula is its own image; the equality tests of the rules therefore meet
-identical children and stop there.
+Formulas are compared up to desugaring.  ``check`` folds each formula
+object once per call, and that one fold both desugars and language-checks
+it, in a memo keyed on ``id`` that holds the objects and dies with the
+call; nothing is cached between calls.  The memo serves the whole call,
+so a subformula object shared by two formulas has one core image, and a
+core formula is its own image; the equality tests of the rules therefore
+meet identical children and stop there.
 """
 
 from __future__ import annotations
@@ -44,12 +44,12 @@ from .formulas import (
     Hist,
     Implies,
     Next,
+    Until,
     _DESUGAR,
+    _LOCAL,
     _fold_from,
-    _is_local,
     desugar,
     format_formula,
-    in_history_language,
 )
 from .translate import matches_translation
 
@@ -186,37 +186,40 @@ def normalize_generic(phi: GenericFormula) -> GenericFormula:
     return phi
 
 
+# _DESUGAR without U: the fold fails on an until node or a non-formula.
+_PROOF_DESUGAR = {cls: rule for cls, rule in _DESUGAR.items() if cls is not Until}
+
+
 class _Scope:
     """State of one ``check`` call: the open sets, and the desugared form
-    and proof-language test of each formula object, memoised on its ``id``.
+    and locality of each formula object, memoised on its ``id``.
 
-    Every formula is desugared through one fold memo for the whole call, so
-    a subformula object shared by several formulas gets one core object,
-    and the rules' equality tests stop at identity there.  The scope holds
-    each formula passed in, so no ``id`` in a memo is reused while the memo
-    lives; the memos die with the call."""
+    One fold per formula object both desugars it and language-checks it:
+    ``norm`` is ``None`` outside the proof language, the history language.
+    The fold memo serves the whole call, so a subformula object shared by
+    several formulas gets one core object, and the rules' equality tests
+    stop at identity there.  The scope holds each formula passed in, so no
+    ``id`` in a memo is reused while the memo lives; the memos die with
+    the call."""
 
     def __init__(self) -> None:
         self.opens: dict[int, set[Assume]] = {}
+        self.locals: dict[int, bool] = {}
         self._held: list[Formula] = []
         self._norms: dict[int, Formula] = {}
-        self._langs: dict[int, tuple[Formula, bool]] = {}
 
-    def norm(self, f: Formula) -> Formula:
+    def norm(self, f: Formula) -> Formula | None:
         hit = self._norms.get(id(f))
         if hit is None:
             self._held.append(f)
-            hit = self._norms[id(f)] = _fold_from(f, _DESUGAR, self._norms)
+            try:
+                hit = self._norms[id(f)] = _fold_from(f, _PROOF_DESUGAR, self._norms)
+            except (KeyError, TypeError):
+                return None
         return hit
 
     def generic(self, phi: GenericFormula) -> GenericFormula:
         return Lwff(phi.seq, self.norm(phi.formula)) if isinstance(phi, Lwff) else phi
-
-    def in_language(self, f: Formula) -> bool:
-        hit = self._langs.get(id(f))
-        if hit is None:
-            hit = self._langs[id(f)] = (f, in_history_language(f))
-        return hit[1]
 
 
 def labels_of_generic(phi: GenericFormula) -> frozenset[str]:
@@ -524,7 +527,7 @@ def _check_last(node: Apply, k: _Scope) -> None:
     fc = k.norm(node.conclusion.formula)
     if k.norm(w.formula) != fc:
         raise _Err(SHAPE_MISMATCH, "last must keep the formula")
-    if not _is_local(fc, {}):
+    if not _fold_from(fc, _LOCAL, k.locals):
         raise _Err(NOT_LOCAL_FORMULA, f"last applies to local formulas only, got {format_formula(node.conclusion.formula)}")
 
 
@@ -700,9 +703,9 @@ _VALIDATORS = {
 def check(root: Node) -> CheckReport:
     """Validate a derivation; total and deterministic, never raises on bad input.
 
-    Each formula object is desugared and language-checked once per call,
-    however many nodes state it (see ``_Scope``), so shared formulas, such
-    as those ``parse_script`` returns, cost once.
+    One fold per formula object and call, however many nodes state it,
+    both desugars and language-checks it (see ``_Scope``), so shared
+    formulas, such as those ``parse_script`` returns, cost once.
     """
     k = _Scope()
     discharged_by: dict[int, int] = {}
@@ -711,10 +714,10 @@ def check(root: Node) -> CheckReport:
             if not isinstance(n.conclusion, Lwff) and (isinstance(n, Apply) or n is root):
                 raise _Err(SHAPE_MISMATCH, "a derivation concludes a labeled formula")
             if isinstance(n, Assume):
-                if isinstance(n.formula, Lwff) and not k.in_language(n.formula.formula):
+                if isinstance(n.formula, Lwff) and k.norm(n.formula.formula) is None:
                     raise _Err(SHAPE_MISMATCH, "assumption formula is not in the proof language")
                 continue
-            if not k.in_language(n.conclusion.formula):
+            if k.norm(n.conclusion.formula) is None:
                 raise _Err(SHAPE_MISMATCH, "conclusion formula is not in the proof language")
             rule = _VALIDATORS.get(n.rule)
             if rule is None:

@@ -75,7 +75,8 @@ from .formulas import (
     Implies,
     Next,
     Until,
-    _is_local,
+    _LOCAL,
+    _fold_from,
     atoms_of,
     desugar,
     format_formula,
@@ -281,13 +282,13 @@ def _eval_h(m: LassoModel, sigma: tuple[int, ...], g: Formula) -> bool:
     window = s + p
     vals = m.stem + m.loop
     memo: dict[tuple[int, int, int], bool] = {}
-    # Per object, filled on first use: whether an -> node is local, and the
-    # temporal depth of an H node's operand.
+    # Per object, filled on first use: whether a node is local (the fold of
+    # formulas._LOCAL), and the temporal depth of an H node's operand.
     local: dict[int, bool] = {}
     depth: dict[int, int] = {}
 
     def ev(i: int, n: int, x: Formula) -> bool:
-        if i != n and _is_local(x, local):
+        if i != n and _fold_from(x, _LOCAL, local):
             i = n
         if i >= window and n >= window:
             shift = (min(i, n) - s) // p * p
@@ -349,10 +350,15 @@ def eval_h_oracle(m: LassoModel, seq, a: Formula, horizon: int) -> bool:
     """
     sigma = _check_sequence(seq)
     g = _core_history(a)
-    need = max(sigma) + (m.stem_len + m.period) * temporal_depth(g) + 1
+    need = _min_horizon(m, sigma, g)
     if horizon < need:
         raise HorizonTooSmall(f"horizon {horizon} < required {need}")
     return _eval_h_oracle(m, sigma, g, horizon)
+
+
+def _min_horizon(m: LassoModel, sigma: tuple[int, ...], g: Formula) -> int:
+    """The least horizon ``eval_h_oracle`` accepts for ``g`` at ``sigma``."""
+    return max(sigma) + (m.stem_len + m.period) * temporal_depth(g) + 1
 
 
 def _eval_h_oracle(m: LassoModel, sigma: tuple[int, ...], g: Formula, horizon: int) -> bool:

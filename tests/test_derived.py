@@ -32,6 +32,7 @@ from nabla.formulas import (
     Always,
     atoms_of,
     desugar,
+    format_length,
     parse_h,
     parse_ltl,
 )
@@ -293,6 +294,27 @@ def test_derive_tautology_is_deterministic():
     code = f"from nabla.derived import derive_tautology; from nabla.formulas import parse_ltl; from nabla.scripts import serialize; print(serialize(derive_tautology(parse_ltl({PEIRCE5!r}), 'b')), end='')"
     env = dict(os.environ, PYTHONHASHSEED="12345", PYTHONPATH=os.pathsep.join(sys.path))
     assert subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True).stdout == text
+
+
+def _check_shared_tautologies(k=40):
+    """Prove two tautologies of about 2^k tree nodes but few objects: k
+    nested ``(x -> x)`` over one atom, and Peirce's law whose operand is k
+    nested ``(x | x)`` over one atom, one object per level."""
+    x = a = P
+    for _ in range(k):
+        x, a = Implies(x, x), Or(a, a)
+    for f in (x, Implies(Implies(Implies(a, Q), a), a)):
+        report = check(derive_tautology(f, "b"))
+        assert report.accepted and not report.open_assumptions, report.message
+        # == would compare the proof's copy of desugar(f) node by node; the
+        # stored hash and the printed length are folds over objects.
+        got, want = report.conclusion.formula, desugar(f)
+        assert report.conclusion.seq == ("b",)
+        assert (hash(got), format_length(got)) == (hash(want), format_length(want))
+
+
+def test_derive_tautology_is_linear_in_shared_objects(run_in_child):
+    run_in_child("test_derived", "_check_shared_tautologies")
 
 
 def test_not_a_tautology_names_the_first_falsifying_valuation():

@@ -7,7 +7,7 @@ import pytest
 from nabla.corpus import ENTRIES, MUTATIONS, TAUTOLOGY_INSTANCES, entry_by_name, load_entry, load_script
 from nabla.derived import derive_tautology, expand
 from nabla import formulas, kernel
-from nabla.formulas import Always, And, Atom, Bottom, Formula, Hist, Implies, Or, Until, desugar, parse_ltl
+from nabla.formulas import Always, And, Atom, Bottom, Formula, Hist, Implies, Next, Or, Until, desugar, parse_ltl
 from nabla.gen import DerivationSampler
 from nabla.kernel import (
     BAD_DISCHARGE,
@@ -98,11 +98,26 @@ def test_last_on_formulas_written_with_abbreviations():
 
 
 def test_kernel_rejects_until_in_judgments():
-    from nabla.formulas import Until
-
-    leaf = Assume(1, Lwff(("b",), Until(P, Q)))
-    report = check(leaf)
-    assert not report.accepted and report.reason == SHAPE_MISMATCH
+    # Each case: a derivation, the node that states a formula outside the
+    # proof language, and what that node states it as.  check rejects it
+    # there and never raises.
+    u = Until(P, Q)
+    leaf = Assume(1, Lwff(("b",), P))
+    uses = (Assume(1, Lwff(("b",), Implies(Next(u), P))), Assume(2, Lwff(("b",), Next(u))))
+    cases = [
+        (Assume(1, Lwff(("b",), u)), 1, "assumption"),
+        (Assume(4, Lwff(("b",), Hist(u))), 4, "assumption"),
+        (Apply(2, "impI", Lwff(("b",), Implies(Always(u), P)), (leaf,)), 2, "conclusion"),
+        # One until object in two judgements: the first in postorder is rejected.
+        (Apply(3, "impE", Lwff(("b",), P), uses), 1, "assumption"),
+        # Children that are not formulas.
+        (Assume(4, Lwff(("b",), Implies(P, "q"))), 4, "assumption"),
+        (Apply(2, "impI", Lwff(("b",), Always(Or(P, 3))), (leaf,)), 2, "conclusion"),
+    ]
+    for root, node_id, what in cases:
+        report = check(root)
+        assert (report.accepted, report.node_id, report.reason) == (False, node_id, SHAPE_MISMATCH)
+        assert report.message == f"{what} formula is not in the proof language"
 
 
 def test_gi_freshness_constructed():
@@ -550,12 +565,12 @@ def test_check_agrees_on_shared_and_unshared_formulas():
 
 
 def test_check_works_per_formula_object(monkeypatch):
-    # The kernel desugars through formulas._fold_from, which recurses inside
-    # its own module, so the patched name sees one call per top-level formula.
-    seen = {"_fold_from": [], "in_history_language": []}
-    for name, calls in seen.items():
-        real = getattr(kernel, name)
-        monkeypatch.setattr(kernel, name, lambda f, *rest, real=real, calls=calls: calls.append(f) or real(f, *rest))
+    # The kernel desugars and language-checks in one fold through
+    # formulas._fold_from, which recurses inside its own module, so the
+    # patched name sees one call per top-level formula.
+    calls = []
+    real = kernel._fold_from
+    monkeypatch.setattr(kernel, "_fold_from", lambda f, *rest: calls.append(f) or real(f, *rest))
     # 200 rounds of impI and impE over two formulas; the parser makes one
     # object per formula, so each object occurs in 200 judgements or more.
     lines = ["assume 1 lwff b : p"]
@@ -567,9 +582,8 @@ def test_check_works_per_formula_object(monkeypatch):
     occurrences = [n.conclusion.formula for n in all_nodes(root)]
     objects = {id(f) for f in occurrences}
     assert len(objects) == 2 and len(occurrences) == 601
-    for calls in seen.values():
-        assert len({id(f) for f in calls}) == len(calls)  # once per object
-        assert 0 < len(calls) <= len(objects)  # not once per occurrence
+    assert len({id(f) for f in calls}) == len(calls)  # once per object
+    assert 0 < len(calls) <= len(objects)  # not once per occurrence
 
 
 def test_check_keeps_no_formula_after_it_returns(monkeypatch):
