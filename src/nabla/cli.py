@@ -7,7 +7,8 @@ falsified lemma).  ``NABLA_SEED`` overrides the default fuzz seed and must
 be an integer; an explicit ``--seed`` wins over both.  Formulas nested
 deeper than ``formulas.MAX_NESTING`` are parse errors (exit 2), and so is
 a formula whose image ``translate`` would print longer than
-``MAX_IMAGE_LENGTH`` characters (1 MiB), and ``fuzz`` refuses
+``MAX_IMAGE_LENGTH`` characters (1 MiB), and so is a script or model file
+that cannot be read or is not UTF-8; ``fuzz`` refuses
 ``--samples`` below 1, ``--max-size`` below 0 and ``--inject-bug`` with
 ``--lemma soundness`` with exit 2.  ``taut`` checks its proof before
 printing it and exits 4 with nothing on stdout if the kernel rejects it or
@@ -50,7 +51,7 @@ def cmd_check(args) -> int:
     try:
         text = Path(args.file).read_text(encoding="utf-8")
         root = parse_script(text)
-    except (OSError, ScriptError) as e:
+    except (OSError, UnicodeDecodeError, ScriptError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_PARSE
     try:
@@ -133,7 +134,7 @@ def cmd_taut(args) -> int:
 def cmd_eval(args) -> int:
     try:
         model = parse_model(Path(args.model).read_text(encoding="utf-8"))
-    except (OSError, ModelFormatError) as e:
+    except (OSError, UnicodeDecodeError, ModelFormatError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_PARSE
     try:

@@ -144,7 +144,6 @@ def _expand_andI(node: Apply, prems, ids: Iterator[int]) -> Node:
     seq = node.conclusion.seq
     _require(w1.seq == seq and w2.seq == seq, "andI premises must share the conclusion sequence")
     _require(desugar(w1.formula) == desugar(a) and desugar(w2.formula) == desugar(b), "andI premises must prove the conjuncts")
-    _require(not node.discharges, "andI discharges nothing")
     phi = Implies(_not(_not(a)), _not(b))
     h = Assume(next(ids), Lwff(seq, phi))
     ha = Assume(next(ids), Lwff(seq, _not(a)))
@@ -163,7 +162,6 @@ def _expand_andE(node: Apply, prems, ids: Iterator[int], first: bool) -> Node:
     _require(w.seq == seq, "andE premise must share the conclusion sequence")
     want = a if first else b
     _require(desugar(node.conclusion.formula) == desugar(want), "andE conclusion must be the selected conjunct")
-    _require(not node.discharges, "andE discharges nothing")
     if first:
         hx = Assume(next(ids), Lwff(seq, _not(a)))
         h1 = Assume(next(ids), Lwff(seq, _not(_not(a))))
@@ -184,7 +182,6 @@ def _expand_orIl(node: Apply, prems, ids: Iterator[int]) -> Node:
     seq = node.conclusion.seq
     _require(w.seq == seq, "orIl premise must share the conclusion sequence")
     _require(desugar(w.formula) == desugar(a), "orIl premise must prove the left disjunct")
-    _require(not node.discharges, "orIl discharges nothing")
     h = Assume(next(ids), Lwff(seq, _not(a)))
     n1 = Apply(next(ids), "impE", Lwff(seq, Bottom()), (h, d))
     n2 = Apply(next(ids), "botE", Lwff(seq, b), (n1,))
@@ -198,7 +195,6 @@ def _expand_orIr(node: Apply, prems, ids: Iterator[int]) -> Node:
     seq = node.conclusion.seq
     _require(w.seq == seq, "orIr premise must share the conclusion sequence")
     _require(desugar(w.formula) == desugar(b), "orIr premise must prove the right disjunct")
-    _require(not node.discharges, "orIr discharges nothing")
     return Apply(next(ids), "impI", node.conclusion, (d,))
 
 
@@ -232,7 +228,6 @@ def _expand_FI(node: Apply, prems, ids: Iterator[int]) -> Node:
     _require(len(w.seq) == len(seq) + 1 and w.seq[:-1] == seq, "FI premise must extend the conclusion sequence by one label")
     _require(desugar(w.formula) == desugar(a), "FI premise must prove the operand")
     _require(r.conclusion == Le(seq[-1], w.seq[-1]), "FI needs le(last, new) as its relational premise")
-    _require(not node.discharges, "FI discharges nothing")
     h = Assume(next(ids), Lwff(seq, Always(_not(a))))
     n1 = Apply(next(ids), "GE", Lwff(w.seq, _not(a)), (h, r))
     n2 = Apply(next(ids), "impE", Lwff(w.seq, Bottom()), (n1, d1))
@@ -271,16 +266,16 @@ def _expand_FE(node: Apply, prems, ids: Iterator[int]) -> Node:
     return Apply(next(ids), "botE", goal, (n5,), (hc,))
 
 
-# Derived rule name -> (premise count, template).
+# Derived rule name -> (premise count, whether it may discharge, template).
 _TEMPLATES = {
-    "andI": (2, _expand_andI),
-    "andE1": (1, lambda n, p, i: _expand_andE(n, p, i, True)),
-    "andE2": (1, lambda n, p, i: _expand_andE(n, p, i, False)),
-    "orIl": (1, _expand_orIl),
-    "orIr": (1, _expand_orIr),
-    "orE": (3, _expand_orE),
-    "FI": (2, _expand_FI),
-    "FE": (2, _expand_FE),
+    "andI": (2, False, _expand_andI),
+    "andE1": (1, False, lambda n, p, i: _expand_andE(n, p, i, True)),
+    "andE2": (1, False, lambda n, p, i: _expand_andE(n, p, i, False)),
+    "orIl": (1, False, _expand_orIl),
+    "orIr": (1, False, _expand_orIr),
+    "orE": (3, True, _expand_orE),
+    "FI": (2, False, _expand_FI),
+    "FE": (2, True, _expand_FE),
 }
 
 
@@ -298,12 +293,17 @@ def expand(root: Node) -> Node:
         prems = tuple(memo[id(p)] for p in n.premises)
         disch = tuple(memo[id(a)] for a in n.discharges)
         if n.rule in _TEMPLATES:
-            arity, template = _TEMPLATES[n.rule]
+            arity, may_discharge, template = _TEMPLATES[n.rule]
             try:
                 if len(prems) != arity:
                     raise SchemaMismatch(f"rule {n.rule} takes {arity} premises, got {len(prems)}")
                 staged = Apply(n.id, n.rule, n.conclusion, prems, disch, n.subst)
                 memo[id(n)] = template(staged, prems, ids)
+                # After the template, so that a premise fault is reported
+                # first.  andE1 and andE2 report as andE, as in their other
+                # messages.
+                if disch and not may_discharge:
+                    raise SchemaMismatch(f"{n.rule.rstrip('12')} discharges nothing")
             except SchemaMismatch as e:
                 e.node_id = n.id
                 raise

@@ -6,14 +6,17 @@ Two closely related languages share one node hierarchy:
 * the "history" language: atoms, bot, ``->``, ``G``, ``X``, ``H``.
 
 ``~``, ``|``, ``&`` and ``F`` are definitional abbreviations available in
-both languages; :func:`desugar` expands them.  Language membership is
-checked by :func:`in_until_language` / :func:`in_history_language`, and the
-two parsers reject the foreign operator (``H`` resp. ``U``).
+both languages; :func:`desugar` expands them.  Each language is defined
+once, by its core table: ``_UNTIL_CORE`` and ``_HISTORY_CORE`` are the
+desugaring rules without the foreign operator (``H`` resp. ``U``), and
+``_fold_checked`` folds a formula with such a table and raises
+``ValueError`` outside its language, so one walk both checks and
+desugars (or translates).  The two parsers reject the foreign operator.
 
 The parsers intern the nodes of one text (see ``_Parser``), so equal
 subformulas of a parsed formula are one object.  Formulas built by
 constructors share only what their builder shares.  The walks here
-(printing, desugaring, the measures, language membership and locality)
+(printing, desugaring, the measures, the language checks and locality)
 each fold one table of per-class rules over the formula and visit each
 distinct object once, so they are linear in distinct objects however much
 the formula shares.  Within one call, :func:`desugar` and ``translate`` map
@@ -55,8 +58,6 @@ __all__ = [
     "complexity",
     "temporal_depth",
     "is_local",
-    "in_until_language",
-    "in_history_language",
     "atoms_of",
 ]
 
@@ -219,12 +220,11 @@ class _Parser:
     keys name, so no ``id`` in it can be reused while it lives.
     """
 
-    def __init__(self, text: str, allow_until: bool, allow_hist: bool, partial: bool = False, shared=None):
+    def __init__(self, text: str, foreign: str, partial: bool = False, shared=None):
         self.tokens = _tokenize(text, partial)
         self.pos = 0
         self.depth = 0
-        self.allow_until = allow_until
-        self.allow_hist = allow_hist
+        self.foreign = foreign  # the other language's operator, "U" or "H"
         self.shared: dict[tuple, Formula] = {} if shared is None else shared
 
     def make(self, key: tuple, cls: type, *args) -> Formula:
@@ -264,19 +264,19 @@ class _Parser:
     def parenthesized(self) -> Formula:
         tok, off = self.peek()
         if tok in _UNARY:
-            if tok == "H" and not self.allow_hist:
-                raise ParseError("operator 'H' not in this language", off, frozenset({"identifier", "bot", "("}))
+            if tok == self.foreign:
+                raise ParseError(f"operator {tok!r} not in this language", off, frozenset({"identifier", "bot", "("}))
             self.next()
             operand = self.formula()
             self.expect(")")
             return self.make((tok, id(operand)), _UNARY[tok], operand)
         left = self.formula()
         op, op_off = self.next()
-        if op == "U" and not self.allow_until:
-            raise ParseError("operator 'U' not in this language", op_off, frozenset({"->", "|", "&"}))
-        if op not in _BINARY:
+        if op not in _BINARY or op == self.foreign:
+            ops = _BINARY.keys() - {self.foreign}
+            if op in _BINARY:
+                raise ParseError(f"operator {op!r} not in this language", op_off, frozenset(ops))
             self.pos -= 1
-            ops = {"->", "|", "&"} | ({"U"} if self.allow_until else set())
             raise self.fail(ops)
         right = self.formula()
         self.expect(")")
@@ -297,12 +297,12 @@ class _Parser:
 
 def parse_ltl(text: str) -> Formula:
     """Parse a formula of the until language (``U`` allowed, ``H`` rejected)."""
-    return _Parser(text, allow_until=True, allow_hist=False).run()
+    return _Parser(text, "H").run()
 
 
 def parse_h(text: str) -> Formula:
     """Parse a formula of the history language (``H`` allowed, ``U`` rejected)."""
-    return _Parser(text, allow_until=False, allow_hist=True).run()
+    return _Parser(text, "U").run()
 
 
 # Structural walks: one table of per-class rules each, folded by _fold.
@@ -397,8 +397,6 @@ _LENGTH = _table(
     lambda x, a, b: a + b + len(_SYMBOL[type(x)]) + 4,
     {Bottom: lambda x: 3},
 )
-_IN_UNTIL = _table(lambda x: True, lambda x, a: a, lambda x, a, b: a and b, {Hist: lambda x, a: False})
-_IN_HISTORY = _table(lambda x: True, lambda x, a: a, lambda x, a, b: a and b, {Until: lambda x, a, b: False})
 _ATOMS = _table(lambda x: frozenset((x.name,)), lambda x, a: a, lambda x, a, b: a | b, {Bottom: lambda x: frozenset()})
 
 
@@ -442,20 +440,22 @@ def temporal_depth(f: Formula) -> int:
     return _fold(f, _DEPTH)
 
 
-def in_until_language(f: Formula) -> bool:
-    """True iff ``f`` is a formula with no history node anywhere in it."""
-    try:
-        return _fold(f, _IN_UNTIL)
-    except TypeError:
-        return False
+# A language's core table: _DESUGAR without the other language's operator.
+# A fold over one fails with KeyError on a foreign node and with TypeError
+# on a non-formula.
+_UNTIL_CORE = {cls: rule for cls, rule in _DESUGAR.items() if cls is not Hist}
+_HISTORY_CORE = {cls: rule for cls, rule in _DESUGAR.items() if cls is not Until}
 
 
-def in_history_language(f: Formula) -> bool:
-    """True iff ``f`` is a formula with no until node anywhere in it."""
+def _fold_checked(f: Formula, rules: dict):
+    """``_fold(f, rules)`` for a table that lacks ``Hist`` (the until
+    language) or ``Until`` (the history language); ``ValueError`` when
+    ``f`` is not a formula of that language."""
     try:
-        return _fold(f, _IN_HISTORY)
-    except TypeError:
-        return False
+        return _fold(f, rules)
+    except (KeyError, TypeError):
+        language = "an until-language" if Hist not in rules else "a history-language"
+        raise ValueError(f"not {language} formula: {format_formula(f)}") from None
 
 
 # Local grammar, for desugared history formulas: H may only occur under G or
@@ -470,10 +470,7 @@ def is_local(f: Formula) -> bool:
     observation-sequence element but the last; any other history-language
     formula may need the last two.  ``ValueError`` outside that language.
     """
-    g = desugar(f)
-    if not in_history_language(g):
-        raise ValueError(f"not a history-language formula: {format_formula(f)}")
-    return _fold(g, _LOCAL)
+    return _fold(_fold_checked(f, _HISTORY_CORE), _LOCAL)
 
 
 def atoms_of(f: Formula) -> frozenset[str]:

@@ -44,8 +44,7 @@ from .formulas import (
     Hist,
     Implies,
     Next,
-    Until,
-    _DESUGAR,
+    _HISTORY_CORE,
     _LOCAL,
     _fold_from,
     desugar,
@@ -186,21 +185,17 @@ def normalize_generic(phi: GenericFormula) -> GenericFormula:
     return phi
 
 
-# _DESUGAR without U: the fold fails on an until node or a non-formula.
-_PROOF_DESUGAR = {cls: rule for cls, rule in _DESUGAR.items() if cls is not Until}
-
-
 class _Scope:
     """State of one ``check`` call: the open sets, and the desugared form
     and locality of each formula object, memoised on its ``id``.
 
-    One fold per formula object both desugars it and language-checks it:
-    ``norm`` is ``None`` outside the proof language, the history language.
-    The fold memo serves the whole call, so a subformula object shared by
-    several formulas gets one core object, and the rules' equality tests
-    stop at identity there.  The scope holds each formula passed in, so no
-    ``id`` in a memo is reused while the memo lives; the memos die with
-    the call."""
+    One ``_HISTORY_CORE`` fold per formula object both desugars it and
+    language-checks it: ``norm`` is ``None`` outside the proof language,
+    the history language.  The fold memo serves the whole call, so a
+    subformula object shared by several formulas gets one core object, and
+    the rules' equality tests stop at identity there.  The scope holds each
+    formula passed in, so no ``id`` in a memo is reused while the memo
+    lives; the memos die with the call."""
 
     def __init__(self) -> None:
         self.opens: dict[int, set[Assume]] = {}
@@ -213,7 +208,7 @@ class _Scope:
         if hit is None:
             self._held.append(f)
             try:
-                hit = self._norms[id(f)] = _fold_from(f, _PROOF_DESUGAR, self._norms)
+                hit = self._norms[id(f)] = _fold_from(f, _HISTORY_CORE, self._norms)
             except (KeyError, TypeError):
                 return None
         return hit

@@ -62,7 +62,7 @@ class _Formulas:
         f = self.texts.get(key) or self.shared.get((key,))  # an atom or bot seen before
         if f is not None:
             return f, "prem " + tail if sep else ""
-        parser = _Parser(text, allow_until=False, allow_hist=True, partial=True, shared=self.shared)
+        parser = _Parser(text, "U", partial=True, shared=self.shared)
         try:
             f = parser.formula()
         except ParseError as e:

@@ -55,8 +55,8 @@ sequence, a negative position or a formula of the other language, and
 ``HorizonTooSmall`` below the oracle's minimum horizon.  ``eval_h`` and
 ``eval_h_oracle`` then pass the desugared formula to the private bodies
 ``_eval_h`` and ``_eval_h_oracle``, which check nothing and require a
-nonempty tuple of naturals, a formula ``g`` with ``desugar(g) is g`` and
-``in_history_language(g)``, and for the oracle that minimum horizon.
+nonempty tuple of naturals, a formula ``g`` that is a ``_HISTORY_CORE``
+image, and for the oracle that minimum horizon.
 ``fuzz``'s lemma runners and ``falsify_consequence``, which check their
 formulas once, call the bodies directly.
 """
@@ -75,13 +75,12 @@ from .formulas import (
     Implies,
     Next,
     Until,
+    _HISTORY_CORE,
     _LOCAL,
+    _UNTIL_CORE,
+    _fold_checked,
     _fold_from,
     atoms_of,
-    desugar,
-    format_formula,
-    in_history_language,
-    in_until_language,
     temporal_depth,
 )
 from .kernel import GenericFormula, Le, Lwff, format_generic, labels_of_generic
@@ -199,9 +198,7 @@ def eval_ltl(m: LassoModel, n: int, a: Formula) -> bool:
     """
     if n < 0:
         raise ValueError("positions are natural numbers")
-    if not in_until_language(a):
-        raise ValueError(f"not an until-language formula: {format_formula(a)}")
-    g = desugar(a)
+    g = _fold_checked(a, _UNTIL_CORE)
     s, p = m.stem_len, m.period
     size = s + p
     succ = [i + 1 if i + 1 < size else s for i in range(size)]
@@ -255,12 +252,6 @@ def _check_sequence(seq) -> tuple[int, ...]:
     return sigma
 
 
-def _core_history(a: Formula) -> Formula:
-    if not in_history_language(a):
-        raise ValueError(f"not a history-language formula: {format_formula(a)}")
-    return desugar(a)
-
-
 def eval_h(m: LassoModel, seq, a: Formula) -> bool:
     """Truth of a history-language formula at an observation sequence.
 
@@ -274,7 +265,7 @@ def eval_h(m: LassoModel, seq, a: Formula) -> bool:
     evaluated at ``(n, n)``, and pairs past ``s + p`` shift back by whole
     periods.
     """
-    return _eval_h(m, _check_sequence(seq), _core_history(a))
+    return _eval_h(m, _check_sequence(seq), _fold_checked(a, _HISTORY_CORE))
 
 
 def _eval_h(m: LassoModel, sigma: tuple[int, ...], g: Formula) -> bool:
@@ -349,7 +340,7 @@ def eval_h_oracle(m: LassoModel, seq, a: Formula, horizon: int) -> bool:
     generous headroom instead of sharing one absolute cutoff.
     """
     sigma = _check_sequence(seq)
-    g = _core_history(a)
+    g = _fold_checked(a, _HISTORY_CORE)
     need = _min_horizon(m, sigma, g)
     if horizon < need:
         raise HorizonTooSmall(f"horizon {horizon} < required {need}")
@@ -461,7 +452,7 @@ def falsify_consequence(premises, goal: GenericFormula, samples: int, seed: int)
     every = premises + [goal]
     labels, symbols = sorted({x for phi in every for x in labels_of_generic(phi)}), _symbols_in(every)
     rels = [r for r in premises if not isinstance(r, Lwff)]
-    hists = [(w.seq, _core_history(w.formula)) for w in premises if isinstance(w, Lwff)]
+    hists = [(w.seq, _fold_checked(w.formula, _HISTORY_CORE)) for w in premises if isinstance(w, Lwff)]
     rng = random.Random(seed)
     for i in range(samples):
         model = random_lasso(rng, symbols)

@@ -24,22 +24,22 @@ from .formulas import (
     Or,
     Sometime,
     Until,
-    _fold,
+    _fold_checked,
     desugar,
-    in_until_language,
 )
 
 __all__ = ["translate", "matches_translation"]
 
 # The until clause above; every other node maps to itself over its images.
+# Without a Hist rule, the fold rejects the history language.
 _TR = {**_HOMOMORPHIC, Until: lambda x, a, b: Or(b, Sometime(And(Next(b), Hist(a))))}
+del _TR[Hist]
 
 
 def translate(a: Formula) -> Formula:
-    """Image of an until-language formula, with abbreviations preserved."""
-    if not in_until_language(a):
-        raise ValueError(f"not an until-language formula: {a}")
-    return _fold(a, _TR)
+    """Image of an until-language formula, with abbreviations preserved;
+    ``ValueError`` outside that language."""
+    return _fold_checked(a, _TR)
 
 
 def matches_translation(source: Formula, candidate: Formula) -> bool:

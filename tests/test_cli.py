@@ -248,6 +248,40 @@ def test_check_schema_mismatch_is_rejection(capsys, tmp_path):
     assert main(["check", str(bad), "--emit-primitive"]) == 1
 
 
+_NO_DISCHARGE = {
+    "andI": ("assume 1 lwff b : p\nassume 2 lwff b : q\n", "b : (p & q) prem 1,2", "andI"),
+    "andE1": ("assume 1 lwff b : (p & q)\n", "b : p prem 1", "andE"),
+    "andE2": ("assume 1 lwff b : (p & q)\n", "b : q prem 1", "andE"),
+    "orIl": ("assume 1 lwff b : p\n", "b : (p | q) prem 1", "orIl"),
+    "orIr": ("assume 1 lwff b : q\n", "b : (p | q) prem 1", "orIr"),
+    "FI": ("assume 1 lwff b c : p\nassume 2 rwff le(b,c)\n", "b : (F p) prem 1,2", "FI"),
+}
+
+
+@pytest.mark.parametrize("rule", sorted(_NO_DISCHARGE))
+def test_derived_rule_that_discharges_nothing_rejects_a_disch_clause(capsys, tmp_path, rule):
+    assumptions, conclusion, name = _NO_DISCHARGE[rule]
+    path = tmp_path / "disch.ndp"
+    path.write_text(f"{assumptions}node 9 {rule} concl {conclusion} disch 1\nroot 9\n", encoding="utf-8")
+    code, out = run(capsys, "check", str(path), "--json")
+    assert code == 1
+    assert json.loads(out) == {"verdict": "rejected", "node": 9, "reason": "ShapeMismatch", "message": f"{name} discharges nothing"}
+    # Without the clause the same script is accepted.
+    path.write_text(f"{assumptions}node 9 {rule} concl {conclusion}\nroot 9\n", encoding="utf-8")
+    assert run(capsys, "check", str(path))[0] == 0
+
+
+@pytest.mark.parametrize("command", ["check", "eval"])
+def test_file_that_is_not_utf8_is_a_parse_error(capsys, tmp_path, command):
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(b"assume 1 lwff b : p\xff\nroot 1\n")
+    argv = ["check", str(bad)] if command == "check" else ["eval", "--model", str(bad), "--pos", "0", "p"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: 'utf-8' codec can't decode byte 0xff"), captured.err
+
+
 def test_internal_error_exits_4(capsys, tmp_path, monkeypatch):
     def boom(root):
         raise RuntimeError("boom")

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nabla import formulas, translate as translate_module
+from nabla import formulas
 from nabla.formulas import (
     Always,
     And,
@@ -21,13 +21,14 @@ from nabla.formulas import (
     desugar,
     format_formula,
     format_length,
-    in_history_language,
-    in_until_language,
     is_local,
     parse_h,
     parse_ltl,
     temporal_depth,
 )
+from nabla.kernel import Lwff
+from nabla.scripts import ScriptError, parse_script
+from nabla.semantics import HorizonTooSmall, LassoModel, eval_h, eval_h_oracle, eval_ltl, falsify_consequence
 from nabla.translate import translate
 
 P, Q = Atom("p"), Atom("q")
@@ -44,6 +45,23 @@ def is_desugared(f: Formula) -> bool:
         case Always(a) | Next(a) | Hist(a):
             return is_desugared(a)
     return False
+
+
+def free_of(f: Formula, cls: type) -> bool:
+    """Reference for the language checks: no node of class ``cls`` in ``f``.
+
+    Visits each object once, so it stays linear on formulas of few objects
+    and a huge tree, such as those of ``_check_shared_walks``."""
+    seen, todo = set(), [f]
+    while todo:
+        x = todo.pop()
+        if id(x) in seen:
+            continue
+        seen.add(id(x))
+        if isinstance(x, cls):
+            return False
+        todo.extend(getattr(x, name) for name in ("left", "right", "operand") if hasattr(x, name))
+    return True
 
 
 def atoms():
@@ -112,6 +130,24 @@ def test_parse_error_carries_offset_and_expected():
     with pytest.raises(ParseError) as err:
         parse_h("(p U q)")
     assert err.value.offset == 3
+    # The foreign operator of each language, and a binary H, which is no
+    # operator of either language.
+    formula, binary = {"(", "bot", "identifier"}, {"&", "->", "|"}
+    for parse, text, message, offset, expected in [
+        (parse_ltl, "(G (H p))", "operator 'H' not in this language", 4, formula),
+        (parse_ltl, "(p H q)", "unexpected token 'H'", 3, binary | {"U"}),
+        (parse_h, "((p & q) U r)", "operator 'U' not in this language", 9, binary),
+        (parse_h, "(U p)", "unexpected token 'U'", 1, formula),
+    ]:
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        listed = ", ".join(sorted(expected))
+        assert (str(err.value), err.value.offset, err.value.expected) == (f"{message} at offset {offset} (expected one of: {listed})", offset, expected), text
+    with pytest.raises(ScriptError) as err:
+        parse_script("assume 1 lwff b : (p U q)\nroot 1\n")
+    cause = err.value.__context__
+    assert str(err.value) == "line 1: bad formula: operator 'U' not in this language at offset 4 (expected one of: &, ->, |)"
+    assert (cause.offset, cause.expected) == (4, binary)
 
 
 def test_whitespace_insensitive():
@@ -133,7 +169,7 @@ def _size(f: Formula) -> int:
 @given(st.one_of(until_formulas(), history_formulas()))
 def test_roundtrip_print_parse(f):
     text = format_formula(f)
-    parser = parse_ltl if in_until_language(f) else parse_h
+    parser = parse_ltl if free_of(f, Hist) else parse_h
     assert parser(text) == f
     assert format_length(f) == len(text)
 
@@ -162,6 +198,7 @@ def test_temporal_depth_counts_every_temporal_operator():
 
 
 def test_every_walk_folds_a_table_of_all_node_classes(monkeypatch):
+    # A language entry's table lacks exactly the other language's operator.
     fold, tables = formulas._fold, []
 
     def recording(f, rules):
@@ -169,20 +206,31 @@ def test_every_walk_folds_a_table_of_all_node_classes(monkeypatch):
         return fold(f, rules)
 
     monkeypatch.setattr(formulas, "_fold", recording)
-    monkeypatch.setattr(translate_module, "_fold", recording)
     f = parse_ltl("((p U (~ q)) & (F (G (X (p | bot)))))")
-    for walk in (format_formula, format_length, desugar, complexity, temporal_depth, in_until_language, in_history_language, atoms_of, translate):
+    h = parse_h("((H (~ q)) & (F (G (X (p | bot)))))")
+    m = LassoModel((), (frozenset({"p"}),))
+    until_entries = {"translate": translate, "eval_ltl": lambda g: eval_ltl(m, 0, g)}
+    history_entries = {
+        "is_local": is_local,
+        "eval_h": lambda g: eval_h(m, (0, 1), g),
+        "eval_h_oracle": lambda g: eval_h_oracle(m, (0,), g, 50),
+        "falsify_consequence": lambda g: falsify_consequence([Lwff(("b",), g)], Lwff(("b",), Bottom()), 3, 1),
+    }
+    walks = [(walk.__name__, walk, f, None) for walk in (format_formula, format_length, desugar, complexity, temporal_depth, atoms_of)]
+    walks += [(name, walk, f, Hist) for name, walk in until_entries.items()]
+    walks += [(name, walk, h, Until) for name, walk in history_entries.items()]
+    for name, walk, g, foreign in walks:
         tables.clear()
-        walk(f)
-        assert tables and all(set(rules) == NODE_CLASSES for rules in tables), walk.__name__
+        walk(g)
+        kinds, language = [set(rules) for rules in tables], NODE_CLASSES - {foreign}
+        assert language in kinds and all(k in (NODE_CLASSES, language) for k in kinds), name
 
 
 @pytest.mark.parametrize("junk", ["p", 3, None, Implies(P, "q"), Always(Or(P, 3))])
 def test_walks_reject_a_non_formula(junk):
-    for walk in (desugar, format_formula, format_length, atoms_of):
+    for walk in (desugar, format_formula, format_length, atoms_of, is_local, translate):
         with pytest.raises(TypeError):
             walk(junk)
-    assert not in_until_language(junk) and not in_history_language(junk)
 
 
 def _check_shared_walks():
@@ -198,7 +246,7 @@ def _check_shared_walks():
     assert format_length(x) == length
     for f in (x, g):
         assert (complexity(f), temporal_depth(f)) == (size, 41)
-        assert atoms_of(f) == {"p"} and in_history_language(f)
+        assert atoms_of(f) == {"p"} and free_of(f, Until)
     assert not is_local(x)
     # y(k+1) = (q U y(k)); its image is t(k+1) = (t | (F ((X t) & (H q)))),
     # with t = t(k) one object.
@@ -209,9 +257,9 @@ def _check_shared_walks():
     t = translate(y)
     g = desugar(t)
     assert desugar(g) is g
-    assert temporal_depth(y) == 30 and not in_history_language(y)
+    assert temporal_depth(y) == 30 and not free_of(y, Until)
     assert (format_length(t), complexity(t), temporal_depth(t), complexity(g), temporal_depth(g)) == (length, size, 60, size, 60)
-    assert atoms_of(t) == {"p", "q"} and in_history_language(t)
+    assert atoms_of(t) == {"p", "q"} and free_of(t, Until)
     assert is_local(t)
 
 
@@ -249,8 +297,55 @@ def test_classify_never_neither(f):
 @settings(max_examples=200)
 @given(until_formulas())
 def test_language_membership(f):
-    assert in_until_language(f)
-    assert in_until_language(desugar(f))
+    assert free_of(f, Hist)
+    assert free_of(desugar(f), Hist)
+
+
+def mixed_formulas(max_leaves=30):
+    return st.recursive(
+        atoms(),
+        lambda sub: st.one_of(
+            st.builds(Implies, sub, sub),
+            st.builds(Always, sub),
+            st.builds(Next, sub),
+            st.builds(Until, sub, sub),
+            st.builds(Hist, sub),
+            st.builds(Not, sub),
+            st.builds(Or, sub, sub),
+            st.builds(And, sub, sub),
+            st.builds(Sometime, sub),
+        ),
+        max_leaves=max_leaves,
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(mixed_formulas())
+def test_entries_reject_exactly_the_foreign_operator(f):
+    m = LassoModel((frozenset({"p"}),), (frozenset({"q"}), frozenset()))
+
+    def oracle(g):
+        # The language is checked before the horizon, and a horizon of 0
+        # stops the oracle there, whose cost grows as the horizon to the
+        # nesting of G.
+        with pytest.raises(HorizonTooSmall):
+            eval_h_oracle(m, (0, 1), g, 0)
+
+    until = {"translate": translate, "eval_ltl": lambda g: eval_ltl(m, 1, g)}
+    history = {
+        "is_local": is_local,
+        "eval_h": lambda g: eval_h(m, (0, 1), g),
+        "eval_h_oracle": oracle,
+        "falsify_consequence": lambda g: falsify_consequence([Lwff(("b", "c"), g)], Lwff(("b",), Bottom()), 3, 1),
+    }
+    for entries, foreign, language in ((until, Hist, "an until-language"), (history, Until, "a history-language")):
+        for name, entry in entries.items():
+            if free_of(f, foreign):
+                entry(f)
+            else:
+                with pytest.raises(ValueError) as err:
+                    entry(f)
+                assert str(err.value) == f"not {language} formula: {format_formula(f)}", name
 
 
 def test_reserved_words_are_not_atoms():

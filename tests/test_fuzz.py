@@ -3,8 +3,9 @@ from pathlib import Path
 import pytest
 
 from nabla import fuzz, semantics
-from nabla.formulas import desugar, in_history_language, temporal_depth
+from nabla.formulas import Until, desugar, temporal_depth
 from nabla.fuzz import LEMMAS, report_to_json, run_lemma
+from tests.test_formulas import free_of
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -126,7 +127,7 @@ def test_runners_meet_the_bodies_precondition(monkeypatch, lemma, inject):
     def guard(body):
         def checked(m, sigma, g, *horizon):
             assert type(sigma) is tuple and sigma and min(sigma) >= 0
-            assert desugar(g) is g and in_history_language(g)
+            assert desugar(g) is g and free_of(g, Until)
             if horizon:
                 assert horizon[0] >= max(sigma) + (m.stem_len + m.period) * temporal_depth(g) + 1
             seen.append(g)

@@ -9,12 +9,11 @@ from nabla.formulas import (
     Next,
     Until,
     complexity,
-    in_history_language,
-    in_until_language,
     is_local,
     temporal_depth,
 )
 from nabla.gen import random_hist_tier_formula, random_history_formula, random_local_formula, random_until_formula
+from tests.test_formulas import free_of
 
 CORE = {Atom, Bottom, Implies, Always, Next}
 
@@ -31,10 +30,10 @@ def test_generators_stay_in_their_tiers():
                 "local": random_local_formula(rng, budget),
                 "hist-tier": random_hist_tier_formula(rng, budget),
             }
-            assert in_until_language(draws["until"])
-            assert in_history_language(draws["history"]) and temporal_depth(draws["history"]) <= depth
+            assert free_of(draws["until"], Hist)
+            assert free_of(draws["history"], Until) and temporal_depth(draws["history"]) <= depth
             assert is_local(draws["local"])
-            assert in_history_language(draws["hist-tier"])
+            assert free_of(draws["hist-tier"], Until)
             for grammar, f in draws.items():
                 assert complexity(f) <= budget, (grammar, budget)
                 roots[grammar].add(type(f))

@@ -86,7 +86,7 @@ _LABEL_RE = re.compile(r"^[A-Za-z][A-Za-z0-9_]*$")
 
 
 def _ref_formula_prefix(text, line):
-    parser = _Parser(text, allow_until=False, allow_hist=True, partial=True)
+    parser = _Parser(text, "U", partial=True)
     try:
         f = parser.formula()
     except ParseError as e:

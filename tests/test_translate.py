@@ -16,12 +16,11 @@ from nabla.formulas import (
     desugar,
     format_formula,
     format_length,
-    in_history_language,
     is_local,
 )
 from nabla.gen import random_until_formula
 from nabla.translate import matches_translation, translate
-from tests.test_formulas import until_formulas
+from tests.test_formulas import free_of, until_formulas
 
 P, Q = Atom("p"), Atom("q")
 UNTIL_IMAGE = Or(Q, Sometime(And(Next(Q), Hist(P))))
@@ -61,7 +60,7 @@ def test_matches_translation_examples():
 @given(until_formulas())
 def test_image_is_local_and_history_language(f):
     image = translate(f)
-    assert in_history_language(image)
+    assert free_of(image, Until)
     assert is_local(image)
 
 
