@@ -420,70 +420,77 @@ def derive_tautology(f: Formula, label: str = "b") -> Node:
         if not _fold_from(g, {Atom: lambda x: v[x.name], Bottom: lambda x: False, Implies: _kleene_implies}, {}):
             raise NotATautology(f"falsified by {v}")
 
+    # A subformula's value and subproof depend only on the literal
+    # assumptions of its atoms, so both are memoised on its literals key;
+    # env holds an atom's literal exactly where the partial valuation
+    # defines the atom.  An atom is keyed on itself and its literal, and
+    # bot on itself alone; their entries are made where they are known.
+    for a in names:
+        atom_sets[id(made[a])] = frozenset((a,))
+
     def literals(phi: Formula, env: dict[str, Assume]) -> tuple:
-        # phi's value and subproof depend only on the literal assumptions of
-        # its atoms; env holds one exactly where the valuation is defined.
         return (id(phi), *map(env.get, atom_sets.get(id(phi), ())))
 
-    values: dict[tuple, bool | None] = {}
+    values: dict[tuple, bool | None] = {(id(bot),): False, **{(id(made[a]), None): None for a in names}}
     proved: dict[tuple, Node] = {}
 
-    def value(phi: Formula, v: dict[str, bool], env: dict[str, Assume]) -> bool | None:
-        # The Kleene value of phi under the partial valuation v.
-        if isinstance(phi, Atom):
-            return v.get(phi.name)
-        if isinstance(phi, Bottom):
-            return False
-        key = literals(phi, env)
+    # value and prove take phi's key from their caller, which builds it
+    # once per visit of phi.
+    def value(phi: Formula, key: tuple, env: dict[str, Assume]) -> bool | None:
+        # The Kleene value of phi under the partial valuation.
         if key not in values:
-            values[key] = _kleene_implies(phi, value(phi.left, v, env), value(phi.right, v, env))
+            x, y = phi.left, phi.right
+            values[key] = _kleene_implies(phi, value(x, literals(x, env), env), value(y, literals(y, env), env))
         return values[key]
 
-    def prove(phi: Formula, v: dict[str, bool], env: dict[str, Assume]) -> Node:
-        # Derives `phi` when v makes it true, `phi -> bot` when v makes it
-        # false; v decides every formula this is called on, so each atom
-        # reached has its literal assumption in env.  The subproof is built
-        # once per literal classes of phi's atoms and shared: they are
-        # discharged above every use.
-        if isinstance(phi, Atom):
-            return env[phi.name]
-        key = literals(phi, env)
+    def prove(phi: Formula, key: tuple, env: dict[str, Assume]) -> Node:
+        # Derives `phi` when the valuation makes it true, `phi -> bot` when
+        # it makes it false; it decides every formula this is called on, so
+        # each atom reached has its literal assumption in env.  The subproof
+        # is built once per literal classes of phi's atoms and shared: they
+        # are discharged above every use.
         d = proved.get(key)
         if d is None:
-            d = proved[key] = derive(phi, v, env)
+            d = proved[key] = derive(phi, env)
         return d
 
-    def derive(phi: Formula, v: dict[str, bool], env: dict[str, Assume]) -> Node:
+    def derive(phi: Formula, env: dict[str, Assume]) -> Node:
         if isinstance(phi, Bottom):
             hb = Assume(next(ids), lw(bot))
             return Apply(next(ids), "impI", lw(imp(bot, bot)), (hb,), (hb,))
         assert isinstance(phi, Implies)
         x, y = phi.left, phi.right
-        if value(y, v, env):  # tried first: one node over y's proof
-            return Apply(next(ids), "impI", lw(phi), (prove(y, v, env),))
-        if value(x, v, env) is False:
-            dx = prove(x, v, env)  # proves x -> bot
+        ky = literals(y, env)
+        if value(y, ky, env):  # tried first: one node over y's proof
+            return Apply(next(ids), "impI", lw(phi), (prove(y, ky, env),))
+        kx = literals(x, env)
+        if value(x, kx, env) is False:
+            dx = prove(x, kx, env)  # proves x -> bot
             h = Assume(next(ids), lw(x))
             n1 = Apply(next(ids), "impE", lw(bot), (dx, h))
             n2 = Apply(next(ids), "botE", lw(y), (n1,))
             return Apply(next(ids), "impI", lw(phi), (n2,), (h,))
-        dx, dy = prove(x, v, env), prove(y, v, env)  # x holds, y -> bot
+        dx, dy = prove(x, kx, env), prove(y, ky, env)  # x holds, y -> bot
         h = Assume(next(ids), lw(phi))
         n1 = Apply(next(ids), "impE", lw(y), (h, dx))
         n2 = Apply(next(ids), "impE", lw(bot), (dy, n1))
         return Apply(next(ids), "impI", lw(imp(phi, bot)), (n2,), (h,))
 
-    def build(v: dict[str, bool], env: dict[str, Assume], remaining: list[str]) -> Node:
+    def build(env: dict[str, Assume], remaining: list[str]) -> Node:
         # A tautology is true or undetermined under every partial valuation.
-        if value(g, v, env):
-            return prove(g, v, env)
+        key = literals(g, env)
+        if value(g, key, env):
+            return prove(g, key, env)
         a, rest = remaining[0], remaining[1:]
         atom = made[a]
         not_atom = imp(atom, bot)
         lit_true = Assume(next(ids), lw(atom))
         lit_false = Assume(next(ids), lw(not_atom))
-        d_true = build({**v, a: True}, {**env, a: lit_true}, rest)
-        d_false = build({**v, a: False}, {**env, a: lit_false}, rest)
+        for lit, holds in ((lit_true, True), (lit_false, False)):
+            values[id(atom), lit] = holds
+            proved[id(atom), lit] = lit
+        d_true = build({**env, a: lit_true}, rest)
+        d_false = build({**env, a: lit_false}, rest)
         d1 = Apply(next(ids), "impI", lw(imp(atom, g)), (d_true,), (lit_true,))
         d2 = Apply(next(ids), "impI", lw(imp(not_atom, g)), (d_false,), (lit_false,))
         hf = Assume(next(ids), lw(imp(g, bot)))
@@ -495,4 +502,4 @@ def derive_tautology(f: Formula, label: str = "b") -> Node:
         m5 = Apply(next(ids), "impE", lw(bot), (hf, m4))
         return Apply(next(ids), "botE", lw(g), (m5,), (hf,))
 
-    return build({}, {}, names)
+    return build({}, names)

@@ -13,7 +13,9 @@ desugaring rules without the foreign operator (``H`` resp. ``U``), and
 ``ValueError`` outside its language, so one walk both checks and
 desugars (or translates).  The two parsers reject the foreign operator.
 
-The parsers intern the nodes of one text (see ``_Parser``), so equal
+The parsers read the token strings of one compiled pattern, ``_TOKEN``,
+and recover each token's offset only for an error or for where a partial
+parse stops (see ``_Parser``).  They intern the nodes of one text, so equal
 subformulas of a parsed formula are one object.  Formulas built by
 constructors share only what their builder shares.  The walks here
 (printing, desugaring, the measures, the language checks and locality)
@@ -33,6 +35,7 @@ recursion limit on the result.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 __all__ = [
@@ -157,8 +160,9 @@ class Sometime(Formula):
 class ParseError(ValueError):
     """Raised on malformed concrete syntax.
 
-    ``offset`` is the byte offset of the offending token; ``expected`` is
-    the set of token descriptions that would have been accepted there.
+    ``offset`` is the index of the offending token in the text, counted
+    in characters, not bytes; ``expected`` is the set of token descriptions
+    that would have been accepted there.
     """
 
     def __init__(self, message: str, offset: int, expected: frozenset[str]):
@@ -175,43 +179,54 @@ _UNARY = {"G": Always, "X": Next, "F": Sometime, "H": Hist, "~": Not}
 _BINARY = {"->": Implies, "|": Or, "&": And, "U": Until}
 
 
-def _tokenize(text: str, partial: bool = False) -> list[tuple[str, int]]:
-    # partial: stop at the first non-formula character instead of raising,
-    # so one formula can be parsed out of a longer line.
+# The lexer: each match is one token, ``->``, a one-character operator or
+# parenthesis, a word, or any other non-space character; ``findall`` skips
+# the whitespace between matches.  ``\s`` is ``str.isspace`` and ``\w`` is
+# ``str.isalnum`` or ``_``.  A name starts with a letter (``str.isalpha``):
+# a word that does not (``_x``, ``1``, ``²x``, ``Ⅷ``) and any other lone
+# character are no tokens of the grammar, and a parse fails where they start.
+_TOKEN = re.compile(r"->|[()~|&]|\w+|\S")
+_SYMBOLS = frozenset({"->", "(", ")", "~", "|", "&"})
+_FORMULA_START = frozenset({"identifier", "bot", "("})
+
+
+def _positions(text: str, partial: bool) -> list[tuple[str, int]]:
+    """Every token of ``text`` with its offset, then ``("<end>", offset)``.
+
+    At the first character that starts no token, a partial scan ends the
+    list (so one formula can be parsed out of a longer line) and a whole
+    scan raises ``ParseError``."""
     tokens: list[tuple[str, int]] = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in "()~|&":
-            tokens.append((ch, i))
-            i += 1
-        elif ch == "-":
-            if text.startswith("->", i):
-                tokens.append(("->", i))
-                i += 2
-            elif partial:
-                break
-            else:
-                raise ParseError(f"stray {ch!r}", i, frozenset({"->"}))
-        elif ch.isalpha():
-            j = i + 1
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append((text[i:j], i))
-            i = j
+    for m in _TOKEN.finditer(text):
+        tok, off = m.group(), m.start()
+        if tok[0].isalpha() or tok in _SYMBOLS:
+            tokens.append((tok, off))
         elif partial:
-            break
+            tokens.append(("<end>", off))
+            return tokens
+        elif tok == "-":
+            raise ParseError("stray '-'", off, frozenset({"->"}))
         else:
-            raise ParseError(f"unexpected character {ch!r}", i, frozenset({"identifier", "("}))
-    tokens.append(("<end>", i if partial else n))
+            raise ParseError(f"unexpected character {tok[0]!r}", off, frozenset({"identifier", "("}))
+    tokens.append(("<end>", len(text)))
     return tokens
+
+
+class _Stop(Exception):
+    """A failed parse, found without offsets: its arguments are those of
+    ``_Parser.error`` after ``partial``."""
 
 
 class _Parser:
     """Recursive-descent parser over one text.
+
+    The parser reads the token strings of one ``_TOKEN.findall``; the
+    offset of each token is recovered by :func:`_positions` only when a
+    parse fails (``run`` and ``prefix`` raise ``ParseError``) or when
+    ``prefix`` reports where its formula stops.  A failure is found at a
+    token index and reported at that token's offset; in a whole parse a
+    character that starts no token is reported first, wherever it is, as
+    if the text were tokenized before parsing.
 
     Nodes are interned in ``shared``, keyed on the atom name or on the
     operator and the ``id`` of each child, so structurally equal
@@ -220,79 +235,85 @@ class _Parser:
     keys name, so no ``id`` in it can be reused while it lives.
     """
 
-    def __init__(self, text: str, foreign: str, partial: bool = False, shared=None):
-        self.tokens = _tokenize(text, partial)
+    def __init__(self, text: str, foreign: str, shared=None):
+        self.text = text
+        self.tokens = _TOKEN.findall(text)
+        self.tokens.append("<end>")
         self.pos = 0
         self.depth = 0
         self.foreign = foreign  # the other language's operator, "U" or "H"
         self.shared: dict[tuple, Formula] = {} if shared is None else shared
 
-    def make(self, key: tuple, cls: type, *args) -> Formula:
+    def error(self, partial: bool, k: int, expected, message: str | None = None) -> ParseError:
+        tok, off = _positions(self.text, partial)[k]
+        return ParseError(message or f"unexpected token {tok!r}", off, frozenset(expected))
+
+    def formula(self) -> Formula:
+        tokens, k = self.tokens, self.pos
+        tok = tokens[k]
+        self.pos = k + 1
+        if tok != "(":
+            f = self.shared.get((tok,))
+            if f is None:
+                # The first sight of bot or of an atom's name; any other token fails.
+                if tok == "bot":
+                    f = Bottom()
+                elif tok[0].isalpha() and tok.isidentifier() and tok not in RESERVED:
+                    f = Atom(tok)
+                else:
+                    raise _Stop(k, _FORMULA_START)
+                self.shared[(tok,)] = f
+            return f
+        if self.depth == MAX_NESTING:
+            raise _Stop(k, {"identifier", "bot"}, f"formula nested deeper than {MAX_NESTING} levels")
+        self.depth += 1
+        op = tokens[k + 1]
+        cls = _UNARY.get(op)
+        if cls is not None:
+            if op == self.foreign:
+                raise _Stop(k + 1, _FORMULA_START, f"operator {op!r} not in this language")
+            self.pos = k + 2
+            operand = self.formula()
+            key, args = (op, id(operand)), (operand,)
+        else:
+            left = self.formula()
+            j = self.pos
+            op = tokens[j]
+            cls = _BINARY.get(op)
+            if cls is None or op == self.foreign:
+                ops = _BINARY.keys() - {self.foreign}
+                raise _Stop(j, ops, None if cls is None else f"operator {op!r} not in this language")
+            self.pos = j + 1
+            right = self.formula()
+            key, args = (op, id(left), id(right)), (left, right)
+        j = self.pos
+        if tokens[j] != ")":
+            raise _Stop(j, {")"})
+        self.pos = j + 1
+        self.depth -= 1
         f = self.shared.get(key)
         if f is None:
             f = self.shared[key] = cls(*args)
         return f
 
-    def peek(self) -> tuple[str, int]:
-        return self.tokens[self.pos]
-
-    def next(self) -> tuple[str, int]:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def fail(self, expected: set[str]) -> ParseError:
-        tok, off = self.peek()
-        return ParseError(f"unexpected token {tok!r}", off, frozenset(expected))
-
-    def formula(self) -> Formula:
-        tok, off = self.next()
-        if tok == "bot":
-            return self.make(("bot",), Bottom)
-        if tok == "(":
-            if self.depth == MAX_NESTING:
-                raise ParseError(f"formula nested deeper than {MAX_NESTING} levels", off, frozenset({"identifier", "bot"}))
-            self.depth += 1
-            f = self.parenthesized()
-            self.depth -= 1
-            return f
-        if tok.isidentifier() and tok not in RESERVED:
-            return self.make((tok,), Atom, tok)
-        self.pos -= 1
-        raise self.fail({"identifier", "bot", "("})
-
-    def parenthesized(self) -> Formula:
-        tok, off = self.peek()
-        if tok in _UNARY:
-            if tok == self.foreign:
-                raise ParseError(f"operator {tok!r} not in this language", off, frozenset({"identifier", "bot", "("}))
-            self.next()
-            operand = self.formula()
-            self.expect(")")
-            return self.make((tok, id(operand)), _UNARY[tok], operand)
-        left = self.formula()
-        op, op_off = self.next()
-        if op not in _BINARY or op == self.foreign:
-            ops = _BINARY.keys() - {self.foreign}
-            if op in _BINARY:
-                raise ParseError(f"operator {op!r} not in this language", op_off, frozenset(ops))
-            self.pos -= 1
-            raise self.fail(ops)
-        right = self.formula()
-        self.expect(")")
-        return self.make((op, id(left), id(right)), _BINARY[op], left, right)
-
-    def expect(self, tok: str) -> None:
-        got, off = self.next()
-        if got != tok:
-            self.pos -= 1
-            raise self.fail({tok})
-
     def run(self) -> Formula:
-        f = self.formula()
-        if self.peek()[0] != "<end>":
-            raise self.fail({"<end>"})
+        """The formula that is the whole text."""
+        try:
+            f = self.formula()
+        except _Stop as stop:
+            raise self.error(False, *stop.args) from None
+        if self.tokens[self.pos] != "<end>":
+            raise self.error(False, self.pos, {"<end>"})
         return f
+
+    def prefix(self) -> tuple[Formula, int]:
+        """The formula at the start of the text, and the offset of the
+        first token after it (``len(text)`` at the end of the text)."""
+        try:
+            f = self.formula()
+        except _Stop as stop:
+            raise self.error(True, *stop.args) from None
+        return f, _positions(self.text, True)[self.pos][1]
 
 
 def parse_ltl(text: str) -> Formula:

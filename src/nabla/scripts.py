@@ -43,41 +43,51 @@ class ScriptError(ValueError):
 
 class _Formulas:
     """The formulas of one script: each distinct formula text is parsed
-    once, and every node goes through one intern table."""
+    once, each distinct label-sequence text is read once, and every node
+    goes through one intern table."""
 
     def __init__(self) -> None:
         self.texts: dict[str, Formula] = {}
+        self.labels: dict[str, tuple[str, ...]] = {}
         self.shared: dict[tuple, Formula] = {}
 
     def prefix(self, text: str, line: int) -> tuple[Formula, str]:
         """The formula at the start of ``text`` and the rest of the line.
 
-        A node line's formula is most likely everything before its last
-        `` prem ``.  When that text is one already parsed, it is a whole
-        formula followed by whitespace, so parsing ``text`` would stop at
-        the same token: the memo answers.  Otherwise ``text`` is parsed and
-        the exact text of its formula is remembered."""
+        The guess is that a node line's formula is everything before its
+        last `` prem `` (an assumption's, everything), stripped.  When the
+        guess parses as a whole formula, a parse of ``text`` would read the
+        same tokens and stop at that `` prem ``, so the guess is the answer,
+        found without the offsets of its tokens; each distinct guess is
+        parsed once.  Otherwise (an atom or a later field named ``prem``, or
+        no formula at all) the partial parse of ``text`` gives the split or
+        the exact error."""
         head, sep, tail = text.rpartition(" prem ")
         key = (head if sep else text).strip()
         f = self.texts.get(key) or self.shared.get((key,))  # an atom or bot seen before
+        if f is None:
+            try:
+                f = self.texts[key] = _Parser(key, "U", self.shared).run()
+            except ParseError:
+                pass
         if f is not None:
             return f, "prem " + tail if sep else ""
-        parser = _Parser(text, "U", partial=True, shared=self.shared)
         try:
-            f = parser.formula()
+            f, stop = _Parser(text, "U", self.shared).prefix()
         except ParseError as e:
             raise ScriptError(f"bad formula: {e}", line)
-        tok, off = parser.tokens[parser.pos - 1]
-        self.texts[text[parser.tokens[0][1] : off + len(tok)]] = f
-        return f, text[parser.peek()[1] :]
+        return f, text[stop:]
 
     def labelled(self, text: str, line: int) -> tuple[Lwff, str]:
         head, colon, rest = text.partition(":")
         if not colon:
             raise ScriptError("expected '<label>+ : <formula>'", line)
-        labels = tuple(head.split())
-        if not labels or not all(_LABEL_RE.match(x) for x in labels):
-            raise ScriptError(f"bad label sequence {head.strip()!r}", line)
+        labels = self.labels.get(head)
+        if labels is None:
+            labels = tuple(head.split())
+            if not labels or not all(_LABEL_RE.match(x) for x in labels):
+                raise ScriptError(f"bad label sequence {head.strip()!r}", line)
+            self.labels[head] = labels
         f, tail = self.prefix(rest, line)
         return Lwff(labels, f), tail
 
@@ -89,8 +99,15 @@ def _parse_id(word: str, line: int) -> int:
         raise ScriptError(f"bad id {word!r}", line)
 
 
-def _parse_ids(text: str, line: int) -> list[int]:
-    return [_parse_id(part.strip(), line) for part in text.split(",") if part.strip()]
+def _parse_ids(field: str, line: int) -> list[int]:
+    # A field of the node line holds no whitespace, so no part needs stripping.
+    parts = field.split(",")
+    try:
+        return [int(part) for part in parts if part]
+    except ValueError:
+        for part in filter(None, parts):
+            _parse_id(part, line)  # raises at the first bad part
+        raise
 
 
 _USAGE = {"assume": "assume needs '<id> lwff|rwff ...'", "node": "node needs '<id> <rule> concl ...'"}
@@ -107,7 +124,7 @@ def parse_script(text: str) -> Node:
     nodes: dict[int, Node] = {}
     root_id: int | None = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = (raw.split("#", 1)[0] if "#" in raw else raw).strip()
         if not line:
             continue
         words = line.split(None, 2)
@@ -160,11 +177,11 @@ def parse_script(text: str) -> Node:
                 i += 3
             if i != len(fields):
                 raise ScriptError(f"unexpected trailing input {' '.join(fields[i:])!r}", lineno)
-            premises = []
-            for pid in prem_ids:
-                if pid not in nodes:
-                    raise ScriptError(f"premise {pid} is not defined yet", lineno)
-                premises.append(nodes[pid])
+            try:
+                premises = tuple([nodes[pid] for pid in prem_ids])
+            except KeyError:
+                missing = next(pid for pid in prem_ids if pid not in nodes)
+                raise ScriptError(f"premise {missing} is not defined yet", lineno) from None
             discharges = []
             for did in disch_ids:
                 if did not in nodes:
@@ -172,7 +189,7 @@ def parse_script(text: str) -> Node:
                 if not isinstance(nodes[did], Assume):
                     raise ScriptError(f"discharged id {did} is not an assumption", lineno)
                 discharges.append(nodes[did])
-            nodes[nid] = Apply(nid, kind, conclusion, tuple(premises), tuple(discharges), subst)
+            nodes[nid] = Apply(nid, kind, conclusion, premises, tuple(discharges), subst)
         elif words[0] == "root":
             if root_id is not None:
                 raise ScriptError("duplicate root line", lineno)

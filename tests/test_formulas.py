@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from nabla import formulas
 from nabla.formulas import (
@@ -10,6 +10,7 @@ from nabla.formulas import (
     Formula,
     Hist,
     Implies,
+    MAX_NESTING,
     Next,
     Not,
     Or,
@@ -152,6 +153,184 @@ def test_parse_error_carries_offset_and_expected():
 
 def test_whitespace_insensitive():
     assert parse_ltl("( p ->   ( X q ) )") == Implies(P, Next(Q))
+
+
+# --- the parser against a reference -----------------------------------------
+#
+# The parser before its tokens came from one compiled pattern, kept as the
+# reference: a scan of the text one character at a time, then recursive
+# descent over (token, offset) pairs.
+
+
+def _ref_tokenize(text, partial=False):
+    tokens = []
+    i, n = 0, len(text)
+    while i < n:
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+            continue
+        if ch in "()~|&":
+            tokens.append((ch, i))
+            i += 1
+        elif ch == "-":
+            if text.startswith("->", i):
+                tokens.append(("->", i))
+                i += 2
+            elif partial:
+                break
+            else:
+                raise ParseError(f"stray {ch!r}", i, frozenset({"->"}))
+        elif ch.isalpha():
+            j = i + 1
+            while j < n and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            tokens.append((text[i:j], i))
+            i = j
+        elif partial:
+            break
+        else:
+            raise ParseError(f"unexpected character {ch!r}", i, frozenset({"identifier", "("}))
+    tokens.append(("<end>", i if partial else n))
+    return tokens
+
+
+class ReferenceParser:
+    def __init__(self, text, foreign, partial=False, shared=None):
+        self.tokens = _ref_tokenize(text, partial)
+        self.pos = 0
+        self.depth = 0
+        self.foreign = foreign
+        self.shared = {} if shared is None else shared
+
+    def make(self, key, cls, *args):
+        f = self.shared.get(key)
+        if f is None:
+            f = self.shared[key] = cls(*args)
+        return f
+
+    def peek(self):
+        return self.tokens[self.pos]
+
+    def next(self):
+        tok = self.tokens[self.pos]
+        self.pos += 1
+        return tok
+
+    def fail(self, expected):
+        tok, off = self.peek()
+        return ParseError(f"unexpected token {tok!r}", off, frozenset(expected))
+
+    def formula(self):
+        tok, off = self.next()
+        if tok == "bot":
+            return self.make(("bot",), Bottom)
+        if tok == "(":
+            if self.depth == MAX_NESTING:
+                raise ParseError(f"formula nested deeper than {MAX_NESTING} levels", off, frozenset({"identifier", "bot"}))
+            self.depth += 1
+            f = self.parenthesized()
+            self.depth -= 1
+            return f
+        if tok.isidentifier() and tok not in formulas.RESERVED:
+            return self.make((tok,), Atom, tok)
+        self.pos -= 1
+        raise self.fail({"identifier", "bot", "("})
+
+    def parenthesized(self):
+        tok, off = self.peek()
+        if tok in formulas._UNARY:
+            if tok == self.foreign:
+                raise ParseError(f"operator {tok!r} not in this language", off, frozenset({"identifier", "bot", "("}))
+            self.next()
+            operand = self.formula()
+            self.expect(")")
+            return self.make((tok, id(operand)), formulas._UNARY[tok], operand)
+        left = self.formula()
+        op, op_off = self.next()
+        if op not in formulas._BINARY or op == self.foreign:
+            ops = formulas._BINARY.keys() - {self.foreign}
+            if op in formulas._BINARY:
+                raise ParseError(f"operator {op!r} not in this language", op_off, frozenset(ops))
+            self.pos -= 1
+            raise self.fail(ops)
+        right = self.formula()
+        self.expect(")")
+        return self.make((op, id(left), id(right)), formulas._BINARY[op], left, right)
+
+    def expect(self, tok):
+        got, off = self.next()
+        if got != tok:
+            self.pos -= 1
+            raise self.fail({tok})
+
+    def run(self):
+        f = self.formula()
+        if self.peek()[0] != "<end>":
+            raise self.fail({"<end>"})
+        return f
+
+
+def reference_prefix(text, foreign):
+    """The reference's partial parse: the formula and the offset where it stops."""
+    parser = ReferenceParser(text, foreign, partial=True)
+    f = parser.formula()
+    return f, parser.peek()[1]
+
+
+def _distinct_objects(f):
+    seen, stack = set(), [f]
+    while stack:
+        x = stack.pop()
+        if id(x) not in seen:
+            seen.add(id(x))
+            stack.extend(y for y in vars(x).values() if isinstance(y, Formula))
+    return len(seen)
+
+
+def _parse_outcome(parse, text):
+    try:
+        f = parse(text)
+    except ParseError as e:
+        return ("error", str(e), e.offset, e.expected)
+    if isinstance(f, tuple):  # a partial parse: the formula and where it stops
+        f, stop = f
+        return ("ok", f, _distinct_objects(f), stop)
+    return ("ok", f, _distinct_objects(f))
+
+
+# Characters where a regular-expression class and a scan by str methods could
+# part: "_" and the digits are word characters but no letters, "²" is a digit
+# but no decimal, "Ⅷ" is numeric and an identifier but no letter, "é" is a
+# letter beyond ASCII; "-" and ">" alone are no tokens.
+_PARSE_ALPHABET = "()~|&->pqboxtGXFHU01_$é²Ⅷ \t\n"
+_PARSE_PIECES = ["(", ")", "~ ", " | ", " & ", " -> ", " U ", "H ", "G ", "X ", "F ", "p", "q", "bot", " ", "²", "Ⅷ", "_", "é", "$", "-", ">", "1", "prem"]
+
+
+@settings(max_examples=600, deadline=None)
+@given(st.one_of(st.text(_PARSE_ALPHABET, max_size=30), st.lists(st.sampled_from(_PARSE_PIECES), max_size=24).map("".join)))
+@example("²x")
+@example("Ⅷ")
+@example("_")
+@example("p²")
+@example("(p²x -> é) Ⅷ")
+@example("(p -> (H q)) prem 1,2")
+def test_parser_agrees_with_the_reference(text):
+    assert_parses_as_the_reference(text)
+
+
+def assert_parses_as_the_reference(text):
+    for foreign, parse in (("H", parse_ltl), ("U", parse_h)):
+        assert _parse_outcome(parse, text) == _parse_outcome(lambda t: ReferenceParser(t, foreign).run(), text)
+        assert _parse_outcome(lambda t: formulas._Parser(t, foreign).prefix(), text) == _parse_outcome(
+            lambda t: reference_prefix(t, foreign), text
+        )
+
+
+def test_parser_agrees_with_the_reference_at_the_nesting_limit():
+    for depth in (MAX_NESTING, MAX_NESTING + 1):
+        for text in ("(G " * depth + "p" + ")" * depth, "(X " * depth + "p" + ")" * depth + " $", "(~ " * depth + "p"):
+            assert_parses_as_the_reference(text)
 
 
 def test_desugar_paper_abbreviations():

@@ -10,9 +10,11 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from nabla.cli import main
 from nabla.corpus import ENTRIES, MUTATIONS, load_script
 from nabla.derived import derive_tautology, expand
-from nabla.formulas import Atom, Formula, ParseError, _Parser, format_formula, parse_ltl
+from nabla import formulas
+from nabla.formulas import Atom, Formula, ParseError, format_formula, parse_ltl
 from nabla.kernel import Apply, Assume, Le, Lwff, Succ, all_nodes, check
 from nabla.scripts import ScriptError, parse_script, serialize
+from tests.test_formulas import ReferenceParser, reference_prefix
 
 
 def test_serialize_roundtrip_on_corpus():
@@ -86,12 +88,11 @@ _LABEL_RE = re.compile(r"^[A-Za-z][A-Za-z0-9_]*$")
 
 
 def _ref_formula_prefix(text, line):
-    parser = _Parser(text, "U", partial=True)
     try:
-        f = parser.formula()
+        f, stop = reference_prefix(text, "U")
     except ParseError as e:
         raise ScriptError(f"bad formula: {e}", line)
-    return f, text[parser.peek()[1]:]
+    return f, text[stop:]
 
 
 def _ref_labelled(text, line):
@@ -275,7 +276,7 @@ def scripts(draw):
     if draw(st.booleans()):
         text = keyword_names(text)
     lines = text.splitlines()
-    edit = st.tuples(st.integers(0, 5), st.integers(0, 10**6), st.sampled_from(" \t()->:,pXH#0"))
+    edit = st.tuples(st.integers(0, 5), st.integers(0, 10**6), st.sampled_from(" \t()->:,pXH#0$_é²"))
     for kind, k, ch in draw(st.one_of(st.just([]), st.lists(edit, max_size=3))):
         if not lines:
             break
@@ -323,6 +324,66 @@ def test_keyword_names_parse_as_before():
         assert renamed != text and outcome(parse_script, renamed) == outcome(reference_parse_script, renamed)
         reasons = [check(expand(parse_script(t))).reason for t in (text, renamed)]
         assert reasons[0] == reasons[1]
+
+
+def _wide_chain(n):
+    """An impE chain over n open implications, closed by transLe, serS and
+    impI, in the shape of the check-wide benchmark's scripts."""
+    lines = ["assume 1 lwff b : a0"]
+    for i in range(1, n + 1):
+        lines += [f"assume {2 * i} lwff b : (a{i - 1} -> a{i})", f"node {2 * i + 1} impE concl b : a{i} prem {2 * i},{2 * i - 1}"]
+    k = 2 * n + 1
+    lines += [
+        f"assume {k + 1} rwff le(b,d)",
+        f"assume {k + 2} rwff le(d,b)",
+        f"node {k + 3} transLe concl b : a{n} prem {k + 1},{k + 2},{k}",
+        f"assume {k + 4} rwff succ(b,c)",
+        f"node {k + 5} serS concl b : a{n} prem {k + 3} disch {k + 4}",
+        f"node {k + 6} impI concl b : (a0 -> a{n}) prem {k + 5} disch 1",
+        f"root {k + 6}",
+    ]
+    return "\n".join(lines) + "\n"
+
+
+def _guess_fails(text):
+    """Whether some labelled line's formula is not everything between its
+    first ':' and its last ' prem ' (or the line's end), stripped."""
+    for line in text.splitlines():
+        line = line.split("#", 1)[0]
+        if " lwff " in line or " concl " in line:
+            rest = line.partition(":")[2]
+            head, sep, _ = rest.rpartition(" prem ")
+            try:
+                ReferenceParser((head if sep else rest).strip(), "U").run()
+            except ParseError:
+                return True
+    return False
+
+
+def test_well_formed_scripts_take_the_fast_path(monkeypatch):
+    # Counts the scans that recover token offsets; parsing a script whose
+    # every formula is where the guess puts it needs none.
+    scans = []
+    positions = formulas._positions
+    monkeypatch.setattr(formulas, "_positions", lambda text, partial: scans.append(text) or positions(text, partial))
+    wide = _wide_chain(2000)
+    assert len(_CORPUS) == len(ENTRIES) + len(MUTATIONS) == 19
+    for text in _CORPUS + _TAUT + [wide]:
+        scans.clear()
+        parse_script(text)
+        assert scans == []
+    assert outcome(parse_script, wide) == outcome(reference_parse_script, wide)
+    assert check(parse_script(wide)).accepted
+    # Atoms and labels named like the keywords: where a guess fails, the
+    # partial parse finds the formula's end, and the scan runs.
+    guesses_failed = 0
+    for text in _CORPUS:
+        renamed = keyword_names(text)
+        scans.clear()
+        parse_script(renamed)
+        assert bool(scans) == _guess_fails(renamed)
+        guesses_failed += bool(scans)
+    assert guesses_failed
 
 
 def _formula_objects(root):
