@@ -10,7 +10,8 @@ a formula whose image ``translate`` would print longer than
 ``MAX_IMAGE_LENGTH`` characters (1 MiB), and so is a script or model file
 that cannot be read or is not UTF-8; ``fuzz`` refuses
 ``--samples`` below 1, ``--max-size`` below 0 and ``--inject-bug`` with
-``--lemma soundness`` with exit 2.  ``taut`` checks its proof before
+``--lemma soundness`` with exit 2, and ``taut`` a ``--label`` that scripts
+cannot read as one label.  ``taut`` checks its proof before
 printing it and exits 4 with nothing on stdout if the kernel rejects it or
 finds it open.  Any other exception that escapes a subcommand is an
 internal error: ``main`` prints ``internal error: <type>: <message>`` to
@@ -30,7 +31,7 @@ from .derived import NotATautology, NotPropositional, SchemaMismatch, derive_tau
 from .formulas import ParseError, format_formula, format_length, parse_h, parse_ltl
 from .fuzz import LEMMAS, report_to_json, run_lemma
 from .kernel import SHAPE_MISMATCH, CheckReport, check, format_generic
-from .scripts import ScriptError, parse_script, serialize
+from .scripts import _LABEL_RE, ScriptError, parse_script, serialize
 from .semantics import ModelFormatError, eval_h, eval_ltl, parse_model
 from .translate import translate
 
@@ -112,6 +113,9 @@ def cmd_translate(args) -> int:
 
 
 def cmd_taut(args) -> int:
+    if not _LABEL_RE.fullmatch(args.label):
+        print(f"error: --label {args.label!r} is not a script label: a letter, then letters, digits or _", file=sys.stderr)
+        return EXIT_PARSE
     try:
         f = parse_ltl(args.formula)
     except ParseError as e:

@@ -235,7 +235,7 @@ def _last_local_sides(lm: LassoModel, c: _Case):
 def _draw_derivation(rng: random.Random, i: int, max_size: int) -> _Derivation:
     sampler = DerivationSampler(random.Random(rng.randrange(2**32)))
     report = check(sampler.sample(steps=rng.randint(3, 7)))
-    assert report.accepted
+    assert report.accepted, f"the sampler built a derivation the kernel rejects: {report.message}"
     return _Derivation(report.open_assumptions, report.conclusion, rng.randrange(2**32))
 
 

@@ -3,8 +3,9 @@
 Formula generators draw from one grammar table, picking productions with
 equal weight under a complexity budget.  The derivation generator builds kernel-accepted derivations by
 forward chaining: every rule application satisfies the side conditions by
-construction (eigenlabels come from a global fresh supply), and the result
-is asserted Accepted.
+construction (eigenlabels come from a global fresh supply).  It does not
+check its result; the soundness lemma asserts that the kernel accepts each
+derivation it draws.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from .kernel import (
     Lwff,
     Node,
     Succ,
-    check,
     labels_of_generic,
     normalize_generic,
     open_assumption_classes,
@@ -345,6 +345,4 @@ class DerivationSampler:
             out = getattr(self, "_step_" + self.rng.choice(_STEPS))(d)
             if out is not None:
                 d = out
-        report = check(d)
-        assert report.accepted, f"generator produced a rejected derivation: {report.message}"
         return d

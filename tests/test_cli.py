@@ -56,6 +56,27 @@ def test_check_rejected_and_parse_error(capsys, tmp_path):
     assert main(["check", str(garbled)]) == 2
 
 
+def test_check_rejects_gi_whose_premise_proves_another_formula(capsys, tmp_path):
+    # Without the operand check this closed derivation would conclude
+    # b : (G q) from a proof of b c : (p -> p).
+    script = tmp_path / "gi.ndp"
+    script.write_text(
+        "assume 1 lwff b c : p\n"
+        "node 2 impI concl b c : (p -> p) prem 1 disch 1\n"
+        "node 3 GI concl b : (G q) prem 2\n"
+        "root 3\n",
+        encoding="utf-8",
+    )
+    code, out = run(capsys, "check", str(script), "--json")
+    assert code == 1
+    assert json.loads(out) == {
+        "verdict": "rejected",
+        "node": 3,
+        "reason": "ShapeMismatch",
+        "message": "premise of GI must prove the operand",
+    }
+
+
 def test_check_emit_primitive(capsys, tmp_path):
     from importlib import resources
 
@@ -106,6 +127,14 @@ def test_taut_emits_checkable_script(capsys):
     assert report.accepted and not report.open_assumptions
     assert desugar(report.conclusion.formula) == desugar(parse_ltl("(((p -> q) -> p) -> p)"))
     assert main(["taut", "(p -> q)"]) == 1
+
+
+@pytest.mark.parametrize("label", ["", "1x", "b:", "le(b,c)", "a b", "b\n"])
+def test_taut_refuses_a_label_scripts_cannot_read(capsys, label):
+    assert main(["taut", "(p -> p)", "--label", label]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
 
 
 def test_eval_positions_and_sequences(capsys, model_file):

@@ -12,7 +12,8 @@ from nabla.formulas import (
     is_local,
     temporal_depth,
 )
-from nabla.gen import random_hist_tier_formula, random_history_formula, random_local_formula, random_until_formula
+from nabla.gen import DerivationSampler, random_hist_tier_formula, random_history_formula, random_local_formula, random_until_formula
+from nabla.kernel import check
 from tests.test_formulas import free_of
 
 CORE = {Atom, Bottom, Implies, Always, Next}
@@ -44,3 +45,13 @@ def test_generators_stay_in_their_tiers():
         "local": CORE,
         "hist-tier": CORE | {Hist},
     }
+
+
+def test_sampled_derivations_are_accepted():
+    # The sampler meets every side condition by construction and does not
+    # check its result itself.
+    rng = random.Random(5)
+    for _ in range(200):
+        d = DerivationSampler(random.Random(rng.randrange(2**32))).sample(steps=rng.randint(1, 9))
+        report = check(d)
+        assert report.accepted, report.message

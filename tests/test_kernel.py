@@ -149,6 +149,26 @@ def test_ge_shape_and_sequence():
     assert check(bad_rel).reason == SHAPE_MISMATCH
 
 
+def assert_rejects(root, node_id, reason, message):
+    report = check(root)
+    assert (report.accepted, report.node_id, report.reason, report.message) == (False, node_id, reason, message)
+
+
+def test_intro_rules_check_the_premise_formula_and_labels():
+    # The premise b c : p comes from an assumption at another label, so c
+    # is fresh and only the checks under test can reject.
+    falsum = Assume(1, Lwff(("x",), Bottom()))
+    for rule, op in (("GI", Always), ("XI", Next)):
+        prem = Apply(2, "botE", Lwff(("b", "c"), P), (falsum,))
+        assert check(Apply(3, rule, Lwff(("b",), op(P)), (prem,))).accepted
+        assert_rejects(Apply(3, rule, Lwff(("b",), op(Q)), (prem,)), 3, SHAPE_MISMATCH, f"premise of {rule} must prove the operand")
+    prem = Apply(2, "botE", Lwff(("b", "d"), P), (falsum,))
+    assert check(Apply(3, "histI", Lwff(("b", "c"), Hist(P)), (prem,))).accepted
+    assert_rejects(Apply(3, "histI", Lwff(("b", "c"), Hist(Q)), (prem,)), 3, SHAPE_MISMATCH, "premise of histI must prove the operand")
+    # With one label there is no interval to place the new label in.
+    assert_rejects(Apply(3, "histI", Lwff(("c",), Hist(P)), (prem,)), 3, SEQUENCE_MISMATCH, "conclusion of histI needs at least two labels")
+
+
 def test_histE_needs_interval_relations():
     a = Assume(1, Lwff(("b", "c"), Hist(P)))
     r1 = Assume(2, Le("b", "d"))
@@ -157,6 +177,10 @@ def test_histE_needs_interval_relations():
     assert check(good).accepted
     swapped = Apply(5, "histE", Lwff(("b", "d"), P), (a, r2, r1))
     assert check(swapped).reason == SHAPE_MISMATCH
+    message = "major premise of histE must prove the history of the conclusion formula"
+    assert_rejects(Apply(6, "histE", Lwff(("b", "d"), Q), (a, r1, r2)), 6, SHAPE_MISMATCH, message)
+    always = Assume(7, Lwff(("b", "c"), Always(P)))
+    assert_rejects(Apply(8, "histE", Lwff(("b", "d"), P), (always, r1, r2)), 8, SHAPE_MISMATCH, message)
 
 
 def test_trans_chain_mismatch():
@@ -414,7 +438,10 @@ def test_ind_shape_rejections():
         (base, rel, hyp),
         (Assume(9, Le("b0", "u1")), Assume(10, Succ("u2", "bj"))),
     )
-    assert check(mixed_bi).reason == BAD_DISCHARGE
+    assert_rejects(mixed_bi, 8, BAD_DISCHARGE, "ind inductive assumptions name two different fresh labels")
+    moved_step = Apply(14, "botE", Lwff(("c", "bj"), P), hyp.premises)
+    message = "step premise of ind must differ from the conclusion sequence in the last label only"
+    assert_rejects(Apply(15, "ind", Lwff(("a", "b"), P), (base, rel, moved_step), ()), 15, SEQUENCE_MISMATCH, message)
 
 
 # ---------------------------------------------------------------------------

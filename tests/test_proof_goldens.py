@@ -7,14 +7,18 @@ abbreviations and once desugared.  ``proof_taut.json`` holds ``nabla taut``
 on the three A1 instances, ``proof_corpus.json`` the stdout of
 ``nabla corpus --json``, and ``mutation_sweep.json`` the
 ``check(...).to_dict()`` of seeded mutations of corpus and sampled
-derivations.  A refactor of the proof layer keeps all four unchanged.
+derivations, and ``fault_order.json`` the verdict on every single and
+double fault of one accepted node per rule, which pins the order in which
+each validator tests its conditions.  A refactor of the proof layer keeps
+all five unchanged.
 
-``python -m tests.test_proof_goldens`` rewrites the four files from the
+``python -m tests.test_proof_goldens`` rewrites the five files from the
 code as it stands.
 """
 
 import contextlib
 import io
+import itertools
 import json
 import random
 import tempfile
@@ -28,7 +32,7 @@ from nabla.corpus import ENTRIES, TAUTOLOGY_INSTANCES, load_entry
 from nabla.derived import derive_tautology
 from nabla.formulas import Always, Atom, Bottom, Hist, Implies, Next, desugar, format_formula, parse_h, parse_ltl
 from nabla.gen import DerivationSampler
-from nabla.kernel import Apply, Assume, Lwff, check, labels_of_generic
+from nabla.kernel import Apply, Assume, Le, Lwff, Succ, check, labels_of_generic
 
 GOLDEN = Path(__file__).parent / "golden"
 CORPUS = Path(nabla.__file__).parent / "corpus"
@@ -247,6 +251,118 @@ def sweep_outputs() -> list:
     return out
 
 
+# --- fault order -------------------------------------------------------------
+#
+# When one node breaks several side conditions, ``check`` reports the first
+# that its validator tests.  ``fault_order.json`` pins that order: for one
+# accepted node per rule it records the verdict after every single fault
+# and every pair of faults in two different parts of the node.
+
+P, Q = Atom("p"), Atom("q")
+
+
+def _lwff(i, seq, f):
+    return Assume(i, Lwff(tuple(seq.split()), f))
+
+
+def _from_falsum(i, seq, f):
+    """``seq : f`` by botE from an assumption at label ``x``, so that the
+    labels of ``seq`` occur in no open assumption."""
+    return Apply(i, "botE", Lwff(tuple(seq.split()), f), (_lwff(i + 1, "x", Bottom()),))
+
+
+def fault_bases() -> list:
+    """One accepted node per rule, each with id 1."""
+    le, succ = (lambda i, a, b: Assume(i, Le(a, b))), (lambda i, a, b: Assume(i, Succ(a, b)))
+    h, eq_case, lin_hyp = _lwff(2, "b", P), _lwff(4, "b", P), _lwff(5, "b d", P)
+    return [
+        Apply(1, "botE", Lwff(("b",), Q), (_lwff(2, "b", Bottom()),), (_lwff(3, "b", Implies(Q, Bottom())),)),
+        Apply(1, "impI", Lwff(("b",), Implies(P, P)), (h,), (h,)),
+        Apply(1, "impE", Lwff(("b",), Q), (_lwff(2, "b", Implies(P, Q)), _lwff(3, "b", P))),
+        Apply(1, "GI", Lwff(("b",), Always(P)), (_from_falsum(2, "b c", P),), (le(4, "b", "c"),)),
+        Apply(1, "GE", Lwff(("b", "c"), P), (_lwff(2, "b", Always(P)), le(3, "b", "c"))),
+        Apply(1, "XI", Lwff(("b",), Next(P)), (_from_falsum(2, "b c", P),), (succ(4, "b", "c"),)),
+        Apply(1, "XE", Lwff(("b", "c"), P), (_lwff(2, "b", Next(P)), succ(3, "b", "c"))),
+        Apply(1, "histI", Lwff(("b", "c"), Hist(P)), (_from_falsum(2, "b d", P),), (le(4, "b", "d"), le(5, "d", "c"))),
+        Apply(1, "histE", Lwff(("b", "d"), P), (_lwff(2, "b c", Hist(P)), le(3, "b", "d"), le(4, "d", "c"))),
+        Apply(1, "last", Lwff(("c",), P), (_lwff(2, "b c", P),)),
+        Apply(1, "serS", Lwff(("b",), P), (h,), (succ(3, "x", "y"),)),
+        Apply(1, "linS", Lwff(("b", "d"), P), (succ(2, "b", "c"), succ(3, "b", "d"), _lwff(4, "b c", P), lin_hyp), (lin_hyp,), ("c", "d")),
+        Apply(1, "reflLe", Lwff(("b",), P), (h,), (le(3, "x", "x"),)),
+        Apply(1, "transLe", Lwff(("b",), P), (le(2, "x", "y"), le(3, "y", "z"), _lwff(4, "b", P)), (le(5, "x", "z"),)),
+        Apply(1, "eqLe", Lwff(("a", "c"), P), (le(2, "b", "c"), le(3, "c", "b"), _lwff(4, "a b", P))),
+        Apply(
+            1, "splitLe", Lwff(("b",), P), (le(2, "x", "y"), _lwff(3, "b", P), eq_case, _lwff(5, "b", P)),
+            (eq_case, succ(6, "x", "w"), le(7, "w", "y")), ("x", "y"),
+        ),
+        Apply(1, "baseLe", Lwff(("b",), P), (succ(2, "x", "y"), _lwff(3, "b", P)), (le(4, "x", "y"),)),
+        Apply(
+            1, "ind", Lwff(("a", "b"), P), (_lwff(2, "a b0", P), le(3, "b0", "b"), _from_falsum(4, "a bj", P)),
+            (le(6, "b0", "bi"), succ(7, "bi", "bj"), _lwff(8, "a bi", P)),
+        ),
+    ]
+
+
+def swapped_atoms(f):
+    """``f`` with the atoms p and q exchanged: the same operators over a
+    different operand."""
+    if isinstance(f, Atom):
+        return Atom({"p": "q", "q": "p"}.get(f.name, f.name))
+    return type(f)(*(swapped_atoms(x) if not isinstance(x, str) else x for x in vars(f).values()))
+
+
+def judgement_faults(phi) -> dict:
+    """Named ways to break one judgement: its labels, their number and its
+    formula, or for a relational formula its labels and its relation."""
+    if isinstance(phi, Lwff):
+        seq, f = phi.seq, phi.formula
+        return {
+            "last-label": Lwff(seq[:-1] + ("z",), f),
+            "length": Lwff(seq[:1] if len(seq) > 1 else seq + ("z",), f),
+            "formula": Lwff(seq, Implies(f, Bottom())),
+            "atoms": Lwff(seq, swapped_atoms(f)),
+        }
+    other = Succ if isinstance(phi, Le) else Le
+    return {"last-label": type(phi)(phi.a, "z"), "reversed": type(phi)(phi.b, phi.a), "relation": other(phi.a, phi.b)}
+
+
+def node_faults(node) -> list:
+    """Every fault of ``node`` as (part, name, new judgement): a part is a
+    premise index, the conclusion, or the discharges, which gain a class."""
+    faults = []
+    for i, p in enumerate(node.premises):
+        phi = p.conclusion
+        wrong_kind = Le(phi.seq[0], "z") if isinstance(phi, Lwff) else Lwff((phi.a,), P)
+        faults += [(i, name, new) for name, new in {"kind": wrong_kind, **judgement_faults(phi)}.items()]
+    faults += [("conclusion", name, new) for name, new in judgement_faults(node.conclusion).items()]
+    return faults + [("discharges", "unrelated", Lwff(("z",), Atom("r"))), ("discharges", "relation", Le("z", "z"))]
+
+
+def faulty(node, faults):
+    """``node`` with ``faults`` applied; a premise is replaced by a new
+    assumption of its faulty judgement."""
+    premises, conclusion, discharges = list(node.premises), node.conclusion, node.discharges
+    for part, _, new in faults:
+        if part == "conclusion":
+            conclusion = new
+        elif part == "discharges":
+            discharges += (Assume(99, new),)
+        else:
+            premises[part] = Assume(90 + part, new)
+    return Apply(node.id, node.rule, conclusion, tuple(premises), discharges, node.subst)
+
+
+def fault_outputs() -> list:
+    out = []
+    for node in fault_bases():
+        faults = node_faults(node)
+        combos = [(f,) for f in faults] + [(f, g) for f, g in itertools.combinations(faults, 2) if f[0] != g[0]]
+        for combo in combos:
+            names = [f"{'premise ' + str(part + 1) if isinstance(part, int) else part}: {name}" for part, name, _ in combo]
+            out.append({"rule": node.rule, "faults": names, "check": check(faulty(node, combo)).to_dict()})
+    return out
+
+
 def dump(value) -> str:
     if isinstance(value, list):
         return "[\n" + ",\n".join(json.dumps(x, sort_keys=True) for x in value) + "\n]\n"
@@ -258,6 +374,7 @@ PROOF_GOLDENS = {
     "proof_taut": taut_outputs,
     "proof_corpus": lambda: cli("corpus", "--json"),
     "mutation_sweep": sweep_outputs,
+    "fault_order": fault_outputs,
 }
 
 
