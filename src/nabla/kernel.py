@@ -14,7 +14,11 @@ re-checked here.  The rules are one table, ``_VALIDATORS``, that maps each
 rule name to its premise count, whether it may discharge assumptions, and
 the validator of its side conditions; ``check`` tests the count before the
 validator runs, and that a rule which may not discharge discharges
-nothing after it.
+nothing after it.  A validator tests its conditions in a fixed order and
+reports the first that fails.  A condition that several rules share is
+tested in one helper, which raises from one place: ``_same_judgment``,
+``_last_two``, ``_moves_last``, ``_proves``, ``_one_fresh_label`` and
+``_one_relation``.
 
 Each node's set of open assumption classes is built once, in the same
 postorder pass that validates it: the node takes over the largest premise
@@ -400,7 +404,9 @@ def _check_fresh(
             )
 
 
-def _same_judgment(node: Apply, k: _Scope, w: Lwff, where: str) -> None:
+def _same_judgment(node: Apply, k: _Scope, i: int, where: str) -> None:
+    """Premise ``i`` must be a labeled formula stating the conclusion."""
+    w = _need_lwff(node, i)
     c = node.conclusion
     if w.seq != c.seq:
         raise _Err(SEQUENCE_MISMATCH, f"{where} of {node.rule} has sequence {' '.join(w.seq)}, expected {' '.join(c.seq)}")
@@ -414,6 +420,59 @@ def _check_subst(node: Apply, frm: str, to: str) -> None:
             SHAPE_MISMATCH,
             f"substitution annotation {node.subst} does not match the rule instance ({frm} -> {to})",
         )
+
+
+def _last_two(node: Apply) -> tuple[str, str]:
+    """The last two labels of the conclusion, which must have two."""
+    cs = node.conclusion.seq
+    if len(cs) < 2:
+        raise _Err(SEQUENCE_MISMATCH, f"conclusion of {node.rule} needs at least two labels")
+    return cs[-2], cs[-1]
+
+
+def _moves_last(node: Apply, i: int, premise: str) -> Lwff:
+    """Premise ``i``, a labeled formula whose sequence differs from the
+    conclusion's in the last label only; ``premise`` names it in reports."""
+    w = _need_lwff(node, i)
+    cs = node.conclusion.seq
+    if len(w.seq) != len(cs) or w.seq[:-1] != cs[:-1]:
+        raise _Err(SEQUENCE_MISMATCH, f"{premise} must differ from the conclusion sequence in the last label only")
+    return w
+
+
+def _proves(k: _Scope, w: Lwff, f: Formula, message: str) -> None:
+    """The premise judgment ``w`` must prove the desugared formula ``f``."""
+    if k.norm(w.formula) != f:
+        raise _Err(SHAPE_MISMATCH, message)
+
+
+def _one_fresh_label(node: Apply, k: _Scope, label_of, family: str, skip: GenericFormula | None = None) -> str | None:
+    """The one label that all discharged classes but ``skip`` name, read off
+    each by ``label_of``: None marks a class the rule cannot discharge."""
+    fresh: str | None = None
+    for a in node.discharges:
+        g = k.generic(a.formula)
+        if g == skip:
+            continue
+        cand = label_of(g)
+        if cand is None:
+            raise _Err(BAD_DISCHARGE, f"{node.rule} cannot discharge {format_generic(a.formula)}")
+        if fresh is not None and cand != fresh:
+            raise _Err(BAD_DISCHARGE, f"{node.rule} {family} name two different fresh labels")
+        fresh = cand
+    return fresh
+
+
+def _one_relation(node: Apply, k: _Scope, fits, kind: str) -> Le | Succ | None:
+    """The one class, which ``fits``, that all discharged classes equal: the
+    rule's only slot, in its only premise, so none can be misplaced."""
+    pair: Le | Succ | None = None
+    for a in node.discharges:
+        g = k.generic(a.formula)
+        if not fits(g) or (pair is not None and g != pair):
+            raise _Err(BAD_DISCHARGE, f"{node.rule} discharges one {kind}")
+        pair = g
+    return pair
 
 
 def _check_botE(node: Apply, k: _Scope) -> None:
@@ -456,20 +515,16 @@ def _check_univ_intro(node: Apply, k: _Scope, op, rel) -> None:
     cs = node.conclusion.seq
     if len(w.seq) != len(cs) + 1 or w.seq[:-1] != cs:
         raise _Err(SEQUENCE_MISMATCH, f"premise of {node.rule} must extend the conclusion sequence by one label")
-    if k.norm(w.formula) != f.operand:
-        raise _Err(SHAPE_MISMATCH, f"premise of {node.rule} must prove the operand")
+    _proves(k, w, f.operand, f"premise of {node.rule} must prove the operand")
     b1, b2 = cs[-1], w.seq[-1]
     _validate_discharges(node, k, [(rel(b1, b2), 0)])
     _check_fresh(node, b2, (b1,), node.premises[0], k)
 
 
 def _check_univ_elim(node: Apply, k: _Scope, op, rel) -> None:
-    cs = node.conclusion.seq
-    if len(cs) < 2:
-        raise _Err(SEQUENCE_MISMATCH, f"conclusion of {node.rule} needs at least two labels")
-    b1, b2 = cs[-2], cs[-1]
+    b1, b2 = _last_two(node)
     w = _need_lwff(node, 0)
-    if w.seq != cs[:-1]:
+    if w.seq != node.conclusion.seq[:-1]:
         raise _Err(SEQUENCE_MISMATCH, f"premise of {node.rule} must carry the conclusion sequence minus its last label")
     f = k.norm(w.formula)
     if not isinstance(f, op) or f.operand != k.norm(node.conclusion.formula):
@@ -483,28 +538,17 @@ def _check_histI(node: Apply, k: _Scope) -> None:
     f = k.norm(node.conclusion.formula)
     if not isinstance(f, Hist):
         raise _Err(SHAPE_MISMATCH, "conclusion of histI must be a history formula")
-    cs = node.conclusion.seq
-    if len(cs) < 2:
-        raise _Err(SEQUENCE_MISMATCH, "conclusion of histI needs at least two labels")
-    b1, b3 = cs[-2], cs[-1]
-    w = _need_lwff(node, 0)
-    if len(w.seq) != len(cs) or w.seq[:-1] != cs[:-1]:
-        raise _Err(SEQUENCE_MISMATCH, "premise of histI must differ from the conclusion sequence in the last label only")
-    if k.norm(w.formula) != f.operand:
-        raise _Err(SHAPE_MISMATCH, "premise of histI must prove the operand")
+    b1, b3 = _last_two(node)
+    w = _moves_last(node, 0, "premise of histI")
+    _proves(k, w, f.operand, "premise of histI must prove the operand")
     b2 = w.seq[-1]
     _validate_discharges(node, k, [(Le(b1, b2), 0), (Le(b2, b3), 0)])
     _check_fresh(node, b2, (b1, b3), node.premises[0], k)
 
 
 def _check_histE(node: Apply, k: _Scope) -> None:
-    cs = node.conclusion.seq
-    if len(cs) < 2:
-        raise _Err(SEQUENCE_MISMATCH, "conclusion of histE needs at least two labels")
-    b1, b2 = cs[-2], cs[-1]
-    w = _need_lwff(node, 0)
-    if len(w.seq) != len(cs) or w.seq[:-1] != cs[:-1]:
-        raise _Err(SEQUENCE_MISMATCH, "major premise of histE must differ from the conclusion sequence in the last label only")
+    b1, b2 = _last_two(node)
+    w = _moves_last(node, 0, "major premise of histE")
     f = k.norm(w.formula)
     if not isinstance(f, Hist) or f.operand != k.norm(node.conclusion.formula):
         raise _Err(SHAPE_MISMATCH, "major premise of histE must prove the history of the conclusion formula")
@@ -520,22 +564,14 @@ def _check_last(node: Apply, k: _Scope) -> None:
     if w.seq[-1] != node.conclusion.seq[-1]:
         raise _Err(SEQUENCE_MISMATCH, "last must keep the final label")
     fc = k.norm(node.conclusion.formula)
-    if k.norm(w.formula) != fc:
-        raise _Err(SHAPE_MISMATCH, "last must keep the formula")
+    _proves(k, w, fc, "last must keep the formula")
     if not _fold_from(fc, _LOCAL, k.locals):
         raise _Err(NOT_LOCAL_FORMULA, f"last applies to local formulas only, got {format_formula(node.conclusion.formula)}")
 
 
 def _check_serS(node: Apply, k: _Scope) -> None:
-    w = _need_lwff(node, 0)
-    _same_judgment(node, k, w, "premise")
-    pair: Succ | None = None
-    for a in node.discharges:
-        g = k.generic(a.formula)
-        if not isinstance(g, Succ) or (pair is not None and g != pair):
-            raise _Err(BAD_DISCHARGE, "serS discharges one successor assumption")
-        pair = g
-    _validate_discharges(node, k, [(pair, 0)] if pair else [])
+    _same_judgment(node, k, 0, "premise")
+    pair = _one_relation(node, k, lambda g: isinstance(g, Succ), "successor assumption")
     if pair is not None:
         _check_fresh(node, pair.b, (pair.a,), node.premises[0], k)
 
@@ -547,23 +583,15 @@ def _check_linS(node: Apply, k: _Scope) -> None:
         raise _Err(SHAPE_MISMATCH, "linS successor premises must start from one label")
     b2, b3 = r1.b, r2.b
     phi = node.premises[2].conclusion
-    w = _need_lwff(node, 3)
-    _same_judgment(node, k, w, "hypothetical premise")
+    _same_judgment(node, k, 3, "hypothetical premise")
     _check_subst(node, b2, b3)
     slot = subst_label(k.generic(phi), {b2: b3})
     _validate_discharges(node, k, [(slot, 3)])
 
 
 def _check_reflLe(node: Apply, k: _Scope) -> None:
-    w = _need_lwff(node, 0)
-    _same_judgment(node, k, w, "premise")
-    pair: Le | None = None
-    for a in node.discharges:
-        g = k.generic(a.formula)
-        if not isinstance(g, Le) or g.a != g.b or (pair is not None and g != pair):
-            raise _Err(BAD_DISCHARGE, "reflLe discharges one reflexive order assumption")
-        pair = g
-    _validate_discharges(node, k, [(pair, 0)] if pair else [])
+    _same_judgment(node, k, 0, "premise")
+    _one_relation(node, k, lambda g: isinstance(g, Le) and g.a == g.b, "reflexive order assumption")
 
 
 def _check_transLe(node: Apply, k: _Scope) -> None:
@@ -571,19 +599,14 @@ def _check_transLe(node: Apply, k: _Scope) -> None:
     r2 = _need_rwff(node, 1, Le)
     if r1.b != r2.a:
         raise _Err(SHAPE_MISMATCH, "transLe premises must chain")
-    w = _need_lwff(node, 2)
-    _same_judgment(node, k, w, "hypothetical premise")
+    _same_judgment(node, k, 2, "hypothetical premise")
     _validate_discharges(node, k, [(Le(r1.a, r2.b), 2)])
 
 
 def _check_eqLe(node: Apply, k: _Scope) -> None:
-    cs = node.conclusion.seq
-    w = _need_lwff(node, 2)
-    if len(w.seq) != len(cs) or w.seq[:-1] != cs[:-1]:
-        raise _Err(SEQUENCE_MISMATCH, "eqLe premise must differ from the conclusion sequence in the last label only")
-    if k.norm(w.formula) != k.norm(node.conclusion.formula):
-        raise _Err(SHAPE_MISMATCH, "eqLe must keep the formula")
-    b1, b2 = w.seq[-1], cs[-1]
+    w = _moves_last(node, 2, "eqLe premise")
+    _proves(k, w, k.norm(node.conclusion.formula), "eqLe must keep the formula")
+    b1, b2 = w.seq[-1], node.conclusion.seq[-1]
     r1 = _need_rwff(node, 0, Le)
     r2 = _need_rwff(node, 1, Le)
     if r1 != Le(b1, b2) or r2 != Le(b2, b1):
@@ -595,37 +618,28 @@ def _check_splitLe(node: Apply, k: _Scope) -> None:
     r1 = _need_rwff(node, 0, Le)
     b1, b2 = r1.a, r1.b
     phi = node.premises[1].conclusion
-    w_eq = _need_lwff(node, 2)
-    w_lt = _need_lwff(node, 3)
-    _same_judgment(node, k, w_eq, "equality-case premise")
-    _same_judgment(node, k, w_lt, "strict-case premise")
+    # Both case premises are labeled formulas before either is compared.
+    _need_lwff(node, 2)
+    _need_lwff(node, 3)
+    _same_judgment(node, k, 2, "equality-case premise")
+    _same_judgment(node, k, 3, "strict-case premise")
     _check_subst(node, b1, b2)
     eq_slot = subst_label(k.generic(phi), {b1: b2})
-    bp: str | None = None
-    slots: list[tuple[GenericFormula, int]] = [(eq_slot, 2)]
-    for a in node.discharges:
-        g = k.generic(a.formula)
-        if g == eq_slot:
-            continue
+    def strict_label(g: GenericFormula) -> str | None:
         if isinstance(g, Succ) and g.a == b1:
-            cand = g.b
-        elif isinstance(g, Le) and g.b == b2:
-            cand = g.a
-        else:
-            raise _Err(BAD_DISCHARGE, f"splitLe cannot discharge {format_generic(a.formula)}")
-        if bp is not None and cand != bp:
-            raise _Err(BAD_DISCHARGE, "splitLe strict-case assumptions name two different fresh labels")
-        bp = cand
-    if bp is not None:
-        slots += [(Succ(b1, bp), 3), (Le(bp, b2), 3)]
+            return g.b
+        if isinstance(g, Le) and g.b == b2:
+            return g.a
+        return None
+    bp = _one_fresh_label(node, k, strict_label, "strict-case assumptions", skip=eq_slot)
+    slots = [(eq_slot, 2)] if bp is None else [(eq_slot, 2), (Succ(b1, bp), 3), (Le(bp, b2), 3)]
     _validate_discharges(node, k, slots)
     _check_fresh(node, bp, (b1, b2), node.premises[3], k)
 
 
 def _check_baseLe(node: Apply, k: _Scope) -> None:
     r1 = _need_rwff(node, 0, Succ)
-    w = _need_lwff(node, 1)
-    _same_judgment(node, k, w, "hypothetical premise")
+    _same_judgment(node, k, 1, "hypothetical premise")
     _validate_discharges(node, k, [(Le(r1.a, r1.b), 1)])
 
 
@@ -633,43 +647,28 @@ def _check_ind(node: Apply, k: _Scope) -> None:
     cs = node.conclusion.seq
     alpha, b = cs[:-1], cs[-1]
     fc = k.norm(node.conclusion.formula)
-    w0 = _need_lwff(node, 0)
-    if len(w0.seq) != len(cs) or w0.seq[:-1] != alpha:
-        raise _Err(SEQUENCE_MISMATCH, "base premise of ind must differ from the conclusion sequence in the last label only")
-    if k.norm(w0.formula) != fc:
-        raise _Err(SHAPE_MISMATCH, "base premise of ind must prove the conclusion formula")
+    w0 = _moves_last(node, 0, "base premise of ind")
+    _proves(k, w0, fc, "base premise of ind must prove the conclusion formula")
     b0 = w0.seq[-1]
     r = _need_rwff(node, 1, Le)
     if r != Le(b0, b):
         raise _Err(SHAPE_MISMATCH, "relational premise of ind must be le(base, conclusion label)")
-    wh = _need_lwff(node, 2)
-    if len(wh.seq) != len(cs) or wh.seq[:-1] != alpha:
-        raise _Err(SEQUENCE_MISMATCH, "step premise of ind must differ from the conclusion sequence in the last label only")
-    if k.norm(wh.formula) != fc:
-        raise _Err(SHAPE_MISMATCH, "step premise of ind must prove the conclusion formula")
+    wh = _moves_last(node, 2, "step premise of ind")
+    _proves(k, wh, fc, "step premise of ind must prove the conclusion formula")
     bj = wh.seq[-1]
-    bi: str | None = None
-    for a in node.discharges:
-        g = k.generic(a.formula)
+    def inductive_label(g: GenericFormula) -> str | None:
         if isinstance(g, Le) and g.a == b0:
-            cand = g.b
-        elif isinstance(g, Succ) and g.b == bj:
-            cand = g.a
-        elif isinstance(g, Lwff) and len(g.seq) == len(cs) and g.seq[:-1] == alpha and g.formula == fc:
-            cand = g.seq[-1]
-        else:
-            raise _Err(BAD_DISCHARGE, f"ind cannot discharge {format_generic(a.formula)}")
-        if bi is not None and cand != bi:
-            raise _Err(BAD_DISCHARGE, "ind inductive assumptions name two different fresh labels")
-        bi = cand
-    slots: list[tuple[GenericFormula, int]] = []
-    if bi is not None:
-        slots = [(Le(b0, bi), 2), (Succ(bi, bj), 2), (Lwff(alpha + (bi,), fc), 2)]
+            return g.b
+        if isinstance(g, Succ) and g.b == bj:
+            return g.a
+        if isinstance(g, Lwff) and len(g.seq) == len(cs) and g.seq[:-1] == alpha and g.formula == fc:
+            return g.seq[-1]
+        return None
+    bi = _one_fresh_label(node, k, inductive_label, "inductive assumptions")
+    slots = [] if bi is None else [(Le(b0, bi), 2), (Succ(bi, bj), 2), (Lwff(alpha + (bi,), fc), 2)]
     _validate_discharges(node, k, slots)
-    named = (b, b0) if bi is None else (b, b0, bi)
-    _check_fresh(node, bj, named, node.premises[2], k)
-    if bi is not None:
-        _check_fresh(node, bi, (b, b0, bj), node.premises[2], k)
+    _check_fresh(node, bj, (b, b0) if bi is None else (b, b0, bi), node.premises[2], k)
+    _check_fresh(node, bi, (b, b0, bj), node.premises[2], k)
 
 
 # Rule name -> (premise count, may discharge, validator).
