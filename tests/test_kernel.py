@@ -374,6 +374,9 @@ def test_eqLe_moves_the_last_label():
     assert check(swapped).reason == SHAPE_MISMATCH
     moved_prefix = Apply(6, "eqLe", Lwff(("c", "b"), P), (r1, r2, base))
     assert check(moved_prefix).reason == SEQUENCE_MISMATCH
+    assert check(Apply(7, "eqLe", Lwff(("a", "c"), P), (r1, r2, base), (), ("b", "c"))).accepted
+    message = "substitution annotation ('c', 'b') does not match the rule instance (b -> c)"
+    assert_rejects(Apply(8, "eqLe", Lwff(("a", "c"), P), (r1, r2, base), (), ("c", "b")), 8, SHAPE_MISMATCH, message)
 
 
 def test_splitLe_small_instance():
@@ -491,7 +494,10 @@ def test_open_sets_agree_on_corpus_and_mutations():
 def test_open_sets_agree_on_sampled_derivations():
     rng = random.Random(2024)
     for _ in range(300):
-        assert_opens_agree(DerivationSampler(random.Random(rng.randrange(2**32))).sample(steps=rng.randint(2, 9)))
+        root = DerivationSampler(random.Random(rng.randrange(2**32))).sample(steps=rng.randint(2, 9))
+        report = check(root)
+        assert report.accepted, report.message
+        assert_opens_agree(root)
 
 
 def test_premise_referenced_twice_by_one_node():
@@ -578,7 +584,10 @@ def _derivations():
         yield parse_script(serialize(derive_tautology(parse_ltl(text), "b")))
     rng = random.Random(77)
     for _ in range(200):
-        yield DerivationSampler(random.Random(rng.randrange(2**32))).sample(steps=rng.randint(2, 9))
+        root = DerivationSampler(random.Random(rng.randrange(2**32))).sample(steps=rng.randint(2, 9))
+        report = check(root)
+        assert report.accepted, report.message
+        yield root
 
 
 def test_check_agrees_on_shared_and_unshared_formulas():
