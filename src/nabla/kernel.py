@@ -404,9 +404,8 @@ def _check_fresh(
             )
 
 
-def _same_judgment(node: Apply, k: _Scope, i: int, where: str) -> None:
-    """Premise ``i`` must be a labeled formula stating the conclusion."""
-    w = _need_lwff(node, i)
+def _same_judgment(node: Apply, k: _Scope, w: Lwff, where: str) -> None:
+    """The premise judgment ``w`` must state the conclusion."""
     c = node.conclusion
     if w.seq != c.seq:
         raise _Err(SEQUENCE_MISMATCH, f"{where} of {node.rule} has sequence {' '.join(w.seq)}, expected {' '.join(c.seq)}")
@@ -570,7 +569,7 @@ def _check_last(node: Apply, k: _Scope) -> None:
 
 
 def _check_serS(node: Apply, k: _Scope) -> None:
-    _same_judgment(node, k, 0, "premise")
+    _same_judgment(node, k, _need_lwff(node, 0), "premise")
     pair = _one_relation(node, k, lambda g: isinstance(g, Succ), "successor assumption")
     if pair is not None:
         _check_fresh(node, pair.b, (pair.a,), node.premises[0], k)
@@ -583,14 +582,14 @@ def _check_linS(node: Apply, k: _Scope) -> None:
         raise _Err(SHAPE_MISMATCH, "linS successor premises must start from one label")
     b2, b3 = r1.b, r2.b
     phi = node.premises[2].conclusion
-    _same_judgment(node, k, 3, "hypothetical premise")
+    _same_judgment(node, k, _need_lwff(node, 3), "hypothetical premise")
     _check_subst(node, b2, b3)
     slot = subst_label(k.generic(phi), {b2: b3})
     _validate_discharges(node, k, [(slot, 3)])
 
 
 def _check_reflLe(node: Apply, k: _Scope) -> None:
-    _same_judgment(node, k, 0, "premise")
+    _same_judgment(node, k, _need_lwff(node, 0), "premise")
     _one_relation(node, k, lambda g: isinstance(g, Le) and g.a == g.b, "reflexive order assumption")
 
 
@@ -599,7 +598,7 @@ def _check_transLe(node: Apply, k: _Scope) -> None:
     r2 = _need_rwff(node, 1, Le)
     if r1.b != r2.a:
         raise _Err(SHAPE_MISMATCH, "transLe premises must chain")
-    _same_judgment(node, k, 2, "hypothetical premise")
+    _same_judgment(node, k, _need_lwff(node, 2), "hypothetical premise")
     _validate_discharges(node, k, [(Le(r1.a, r2.b), 2)])
 
 
@@ -618,11 +617,10 @@ def _check_splitLe(node: Apply, k: _Scope) -> None:
     r1 = _need_rwff(node, 0, Le)
     b1, b2 = r1.a, r1.b
     phi = node.premises[1].conclusion
-    # Both case premises are labeled formulas before either is compared.
-    _need_lwff(node, 2)
-    _need_lwff(node, 3)
-    _same_judgment(node, k, 2, "equality-case premise")
-    _same_judgment(node, k, 3, "strict-case premise")
+    w_eq = _need_lwff(node, 2)
+    w_lt = _need_lwff(node, 3)
+    _same_judgment(node, k, w_eq, "equality-case premise")
+    _same_judgment(node, k, w_lt, "strict-case premise")
     _check_subst(node, b1, b2)
     eq_slot = subst_label(k.generic(phi), {b1: b2})
     def strict_label(g: GenericFormula) -> str | None:
@@ -639,7 +637,7 @@ def _check_splitLe(node: Apply, k: _Scope) -> None:
 
 def _check_baseLe(node: Apply, k: _Scope) -> None:
     r1 = _need_rwff(node, 0, Succ)
-    _same_judgment(node, k, 1, "hypothetical premise")
+    _same_judgment(node, k, _need_lwff(node, 1), "hypothetical premise")
     _validate_discharges(node, k, [(Le(r1.a, r1.b), 1)])
 
 

@@ -1,22 +1,25 @@
 """Mutation score of the trusted kernel's rejection sites.
 
 Each ``raise _Err(...)`` statement in ``src/nabla/kernel.py`` is one site
-where ``check`` rejects a derivation.  A mutant replaces one such statement
-with ``pass``, so the condition it guards is no longer enforced.  For every
-site this script writes the mutant into a temporary copy of the repository
-and runs the Tier-1 suite there; the mutant is killed when a test fails.
-It prints killed/total, then the line and message of each surviving
-mutant, and exits 1 if any survives.
+where ``check`` rejects a derivation.  A helper that raises guards every
+rule that calls it, so its ``raise`` is killed as soon as one caller's
+condition is tested; a statement that only calls such a helper, like
+``_proves(...)`` or ``_same_judgment(...)``, is therefore a site as well,
+and blanking it drops that one rule's condition.  A mutant replaces one
+site with ``pass``, so the condition it guards is no longer enforced.  For
+every site this script writes the mutant into a temporary copy of the
+repository and runs the Tier-1 suite there, two mutants at a time; the
+mutant is killed when a test fails.  It prints killed/total, then the line
+and source of each surviving mutant, and exits 1 if any survives.
 
 Usage, from the repository root::
 
-    python tools/kernel_mutants.py [--repo DIR] [--jobs N]
+    python tools/kernel_mutants.py [--repo DIR]
 
 ``--repo`` names the checkout to mutate (default: the one holding this
-script), ``--jobs`` how many mutants run at once (1 or 2, default 2).  A
-full run takes Tier-1 once per site, stopping at the first failure: about
-4 minutes for 42 sites with two jobs on a 2-vCPU machine.  It is not part
-of Tier-1.
+script).  A full run takes Tier-1 once per site, stopping at the first
+failure: about 9 minutes for the kernel's 74 sites (42 raise, 32 call) on a
+2-vCPU machine.  It is not part of Tier-1.
 """
 
 from __future__ import annotations
@@ -35,20 +38,37 @@ KERNEL = Path("src/nabla/kernel.py")
 COPIED = ("src", "tests", "perfbench", "pyproject.toml")
 
 
-def sites(source: str) -> list[ast.Raise]:
-    """Every ``raise _Err(...)`` statement, in source order."""
-    found = [
-        node
-        for node in ast.walk(ast.parse(source))
-        if isinstance(node, ast.Raise)
+def _raises(node: ast.AST) -> bool:
+    return (
+        isinstance(node, ast.Raise)
         and isinstance(node.exc, ast.Call)
         and isinstance(node.exc.func, ast.Name)
         and node.exc.func.id == "_Err"
+    )
+
+
+def sites(source: str) -> list[ast.stmt]:
+    """Every ``raise _Err(...)`` statement, and every statement that only
+    calls a top-level function holding one, in source order."""
+    tree = ast.parse(source)
+    helpers = {
+        f.name for f in tree.body if isinstance(f, ast.FunctionDef) and any(_raises(n) for n in ast.walk(f))
+    }
+    found = [
+        node
+        for node in ast.walk(tree)
+        if _raises(node)
+        or (
+            isinstance(node, ast.Expr)
+            and isinstance(node.value, ast.Call)
+            and isinstance(node.value.func, ast.Name)
+            and node.value.func.id in helpers
+        )
     ]
     return sorted(found, key=lambda node: node.lineno)
 
 
-def mutant(source: str, site: ast.Raise) -> str:
+def mutant(source: str, site: ast.stmt) -> str:
     """``source`` with ``site`` replaced by ``pass``; the lines it spanned
     become blank, so every other line keeps its number."""
     lines = source.splitlines(keepends=True)
@@ -59,9 +79,9 @@ def mutant(source: str, site: ast.Raise) -> str:
     return "".join(lines)
 
 
-def message(source: str, site: ast.Raise) -> str:
-    """The message argument of the site, as written."""
-    return ast.get_source_segment(source, site.exc.args[1])
+def describe(source: str, site: ast.stmt) -> str:
+    """The message argument of a raise site, or the call a call site makes."""
+    return ast.get_source_segment(source, site.exc.args[1] if isinstance(site, ast.Raise) else site)
 
 
 def run_tier1(base: Path, work: Path, index: int, text: str) -> bool:
@@ -80,7 +100,6 @@ def run_tier1(base: Path, work: Path, index: int, text: str) -> bool:
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--repo", type=Path, default=Path(__file__).resolve().parents[1])
-    ap.add_argument("--jobs", type=int, choices=(1, 2), default=2)
     args = ap.parse_args(argv)
     source = (args.repo / KERNEL).read_text(encoding="utf-8")
     found = sites(source)
@@ -94,12 +113,12 @@ def main(argv: list[str] | None = None) -> int:
                 shutil.copytree(src, base / name, ignore=ignore)
             elif src.exists():
                 shutil.copy2(src, base / name)
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
+        with ThreadPoolExecutor(max_workers=2) as pool:
             killed = list(pool.map(lambda p: run_tier1(base, work, p[0], mutant(source, p[1])), enumerate(found)))
     survivors = [s for s, k in zip(found, killed) if not k]
     print(f"killed {len(found) - len(survivors)}/{len(found)}")
     for s in survivors:
-        print(f"survived: line {s.lineno}: {message(source, s)}")
+        print(f"survived: line {s.lineno}: {describe(source, s)}")
     return 1 if survivors else 0
 
 
