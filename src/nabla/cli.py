@@ -147,7 +147,10 @@ def cmd_eval(args) -> int:
             value = eval_ltl(model, args.pos, f)
         else:
             f = parse_h(args.formula)
-            seq = tuple(int(x) for x in args.seq.split(","))
+            try:
+                seq = tuple(int(x) for x in args.seq.split(","))
+            except ValueError:
+                raise ValueError(f"--seq must be comma-separated natural numbers, got {args.seq!r}") from None
             value = eval_h(model, seq, f)
     except (ParseError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -6,12 +6,12 @@ Two closely related languages share one node hierarchy:
 * the "history" language: atoms, bot, ``->``, ``G``, ``X``, ``H``.
 
 ``~``, ``|``, ``&`` and ``F`` are definitional abbreviations available in
-both languages; :func:`desugar` expands them.  Each language is defined
-once, by its core table: ``_UNTIL_CORE`` and ``_HISTORY_CORE`` are the
-desugaring rules without the foreign operator (``H`` resp. ``U``), and
-``_fold_checked`` folds a formula with such a table and raises
-``ValueError`` outside its language, so one walk both checks and
-desugars (or translates).  The two parsers reject the foreign operator.
+both languages, defined once, by ``_abbreviations``, as fold rules over
+``->``, bot and ``G``.  The history language is defined by ``_HISTORY_CORE``
+and the until language by the fold tables that lack ``H``; ``_fold_checked``
+folds a formula with such a table and raises ``ValueError`` outside its
+language, so one walk both checks and desugars (or translates, or
+evaluates).  The two parsers reject the foreign operator.
 
 The parsers read the token strings of one compiled pattern, ``_TOKEN``,
 and recover each token's offset only for an error or for where a partial
@@ -386,25 +386,34 @@ def _not(a: Formula) -> Implies:
     return Implies(a, _BOT)
 
 
-_DESUGAR = {
-    **_HOMOMORPHIC,
-    Not: lambda x, a: _not(a),
-    Or: lambda x, a, b: Implies(_not(a), b),
-    And: lambda x, a, b: _not(Implies(_not(_not(a)), _not(b))),
-    Sometime: lambda x, a: _not(Always(_not(a))),
-}
-# An abbreviation counts the nodes of its expansion in _DESUGAR.
+def _abbreviations(imp, bot, always) -> dict:
+    """The abbreviations as fold rules over the values ``imp(a, b)`` of
+    ``a -> b``, ``bot`` of bot and ``always(a)`` of ``G a``."""
+
+    def neg(a):
+        return imp(a, bot)
+
+    return {
+        Not: lambda x, a: neg(a),
+        Or: lambda x, a, b: imp(neg(a), b),
+        And: lambda x, a, b: neg(imp(neg(neg(a)), neg(b))),
+        Sometime: lambda x, a: neg(always(neg(a))),
+    }
+
+
+_DESUGAR = _HOMOMORPHIC | _abbreviations(Implies, _BOT, Always)
+# An abbreviation counts the nodes, and the temporal depth, of its expansion.
 _COMPLEXITY = _table(
     lambda x: 0,
     lambda x, a: a + 1,
     lambda x, a, b: a + b + 1,
-    {Or: lambda x, a, b: a + b + 2, And: lambda x, a, b: a + b + 5, Sometime: lambda x, a: a + 3},
+    _abbreviations(lambda a, b: a + b + 1, 0, lambda a: a + 1),
 )
 _DEPTH = _table(
     lambda x: 0,
     lambda x, a: a + 1,
     lambda x, a, b: max(a, b),
-    {Not: lambda x, a: a, Until: lambda x, a, b: max(a, b) + 1},
+    {Until: lambda x, a, b: max(a, b) + 1} | _abbreviations(max, 0, lambda a: a + 1),
 )
 _FORMAT = _table(
     lambda x: x.name,
@@ -461,17 +470,15 @@ def temporal_depth(f: Formula) -> int:
     return _fold(f, _DEPTH)
 
 
-# A language's core table: _DESUGAR without the other language's operator.
-# A fold over one fails with KeyError on a foreign node and with TypeError
-# on a non-formula.
-_UNTIL_CORE = {cls: rule for cls, rule in _DESUGAR.items() if cls is not Hist}
+# The history language's core table: _DESUGAR without Until.
 _HISTORY_CORE = {cls: rule for cls, rule in _DESUGAR.items() if cls is not Until}
 
 
 def _fold_checked(f: Formula, rules: dict):
     """``_fold(f, rules)`` for a table that lacks ``Hist`` (the until
     language) or ``Until`` (the history language); ``ValueError`` when
-    ``f`` is not a formula of that language."""
+    ``f`` is not a formula of that language.  A rule's ``KeyError`` or
+    ``TypeError`` would read as that, so no rule may raise either."""
     try:
         return _fold(f, rules)
     except (KeyError, TypeError):

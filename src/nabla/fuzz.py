@@ -247,9 +247,12 @@ def _soundness_sides(_, d: _Derivation):
 
 
 def _draw_bound(rng: random.Random, i: int, max_size: int) -> _Case:
-    f = desugar(random_history_formula(rng, rng.randint(0, min(max_size, 6)), max_temporal_depth=3))
+    budget = rng.randint(0, min(max_size, 6))
+    f = random_history_formula(rng, budget)
+    while temporal_depth(f) > 3:
+        f = random_history_formula(rng, budget)
     m = random_lasso(rng, SYMBOLS)
-    return _Case(m, random_obs_sequence(rng, max_len=3, max_value=6), None, f)
+    return _Case(m, random_obs_sequence(rng, max_len=3, max_value=6), None, desugar(f))
 
 
 def _bound_sides(lm: LassoModel, c: _Case):

@@ -23,7 +23,6 @@ from .formulas import (
     Next,
     Until,
     is_local,
-    temporal_depth,
 )
 from .kernel import (
     Apply,
@@ -91,12 +90,8 @@ def random_until_formula(rng: random.Random, budget: int) -> Formula:
     return _draw(rng, "until", budget, SYMBOLS)
 
 
-def random_history_formula(rng: random.Random, budget: int, max_temporal_depth: int | None = None) -> Formula:
-    f = _draw(rng, "history", budget, SYMBOLS)
-    if max_temporal_depth is not None:
-        while temporal_depth(f) > max_temporal_depth:
-            f = _draw(rng, "history", budget, SYMBOLS)
-    return f
+def random_history_formula(rng: random.Random, budget: int) -> Formula:
+    return _draw(rng, "history", budget, SYMBOLS)
 
 
 def random_local_formula(rng: random.Random, budget: int) -> Formula:

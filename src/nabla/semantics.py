@@ -77,7 +77,7 @@ from .formulas import (
     Until,
     _HISTORY_CORE,
     _LOCAL,
-    _UNTIL_CORE,
+    _abbreviations,
     _fold_checked,
     _fold_from,
     atoms_of,
@@ -192,55 +192,46 @@ def format_model(m: LassoModel) -> str:
 def eval_ltl(m: LassoModel, n: int, a: Formula) -> bool:
     """Truth of an until-language formula at position ``n``.
 
-    Positions are canonicalized into the ``s + p`` window and each
-    subformula gets a per-position table; ``G`` and ``U`` are resolved by
-    fixpoint over the window.
+    One fold gives each subformula a table of its truth at the ``s + p``
+    canonical positions; ``G`` and ``U`` are resolved by fixpoint over the
+    window, and the abbreviations by ``_abbreviations`` over the tables.
     """
     if n < 0:
         raise ValueError("positions are natural numbers")
-    g = _fold_checked(a, _UNTIL_CORE)
     s, p = m.stem_len, m.period
     size = s + p
+    vals = m.stem + m.loop
     succ = [i + 1 if i + 1 < size else s for i in range(size)]
-    # Keyed on id, so no node is hashed: g holds every key's object while
-    # the memo lives, and the memo dies with the call.
-    tables: dict[int, list[bool]] = {}
+    bot = [False] * size
 
-    def table(x: Formula) -> list[bool]:
-        t = tables.get(id(x))
-        if t is not None:
-            return t
-        if isinstance(x, Atom):
-            t = [x.name in m.valuation(i) for i in range(size)]
-        elif isinstance(x, Bottom):
-            t = [False] * size
-        elif isinstance(x, Implies):
-            ta, tb = table(x.left), table(x.right)
-            t = [(not ta[i]) or tb[i] for i in range(size)]
-        elif isinstance(x, Next):
-            ta = table(x.operand)
-            t = [ta[succ[i]] for i in range(size)]
-        elif isinstance(x, Always):
-            ta = table(x.operand)
-            loop_all = all(ta[s:])
-            t = [loop_all if i >= s else (all(ta[i:s]) and loop_all) for i in range(size)]
-        elif isinstance(x, Until):
-            ta, tb = table(x.left), table(x.right)
-            t = [False] * size
-            changed = True
-            while changed:
-                changed = False
-                for i in reversed(range(size)):
-                    v = tb[i] or (ta[i] and t[succ[i]])
-                    if v and not t[i]:
-                        t[i] = True
-                        changed = True
-        else:
-            raise TypeError(f"not a core formula: {x!r}")
-        tables[id(x)] = t
+    def implies(ta: list[bool], tb: list[bool]) -> list[bool]:
+        return [(not x) or y for x, y in zip(ta, tb)]
+
+    def always(ta: list[bool]) -> list[bool]:
+        loop_all = all(ta[s:])
+        return [loop_all if i >= s else (all(ta[i:s]) and loop_all) for i in range(size)]
+
+    def until(ta: list[bool], tb: list[bool]) -> list[bool]:
+        t = [False] * size
+        changed = True
+        while changed:
+            changed = False
+            for i in reversed(range(size)):
+                if not t[i] and (tb[i] or (ta[i] and t[succ[i]])):
+                    t[i] = True
+                    changed = True
         return t
 
-    return table(g)[m.canon(n)]
+    tables = {
+        Atom: lambda x: [x.name in v for v in vals],
+        Bottom: lambda x: bot,
+        Implies: lambda x, a, b: implies(a, b),
+        Next: lambda x, a: [a[j] for j in succ],
+        Always: lambda x, a: always(a),
+        Until: lambda x, a, b: until(a, b),
+        **_abbreviations(implies, bot, always),
+    }
+    return _fold_checked(a, tables)[m.canon(n)]
 
 
 def _check_sequence(seq) -> tuple[int, ...]:

@@ -145,6 +145,23 @@ def test_eval_positions_and_sequences(capsys, model_file):
     assert main(["eval", "--model", str(model_file), "--pos", "0", "(H p)"]) == 2
 
 
+@pytest.mark.parametrize("seq", ["1,,2", ",", "", "0,x", "1.5"])
+def test_eval_names_a_malformed_sequence(capsys, model_file, seq):
+    assert main(["eval", "--model", str(model_file), "--seq", seq, "(H p)"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --seq must be comma-separated natural numbers, got {seq!r}\n"
+
+
+def test_eval_sequence_elements_keep_their_other_answers(capsys, model_file):
+    # int() reads surrounding blanks, and a negative element is a natural
+    # number error of the evaluator.
+    code, out = run(capsys, "eval", "--model", str(model_file), "--seq", " 0, 2", "(H p)")
+    assert code == 0 and out.strip() == "false"
+    assert main(["eval", "--model", str(model_file), "--seq", "0,-1", "(H p)"]) == 2
+    assert capsys.readouterr().err == "error: observation sequences contain natural numbers\n"
+
+
 def test_eval_hist_across_a_gap_of_a_billion(tmp_path):
     # Each formula holds at (0, n) iff p holds on [0, n] (or [0, n + 1]).
     # Past a few periods the operand of H repeats, so the walk over [0, n]

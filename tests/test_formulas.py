@@ -407,7 +407,8 @@ def test_every_walk_folds_a_table_of_all_node_classes(monkeypatch):
 
 @pytest.mark.parametrize("junk", ["p", 3, None, Implies(P, "q"), Always(Or(P, 3))])
 def test_walks_reject_a_non_formula(junk):
-    for walk in (desugar, format_formula, format_length, atoms_of, is_local, translate):
+    m = LassoModel((), (frozenset({"p"}),))
+    for walk in (desugar, format_formula, format_length, atoms_of, is_local, translate, lambda g: eval_ltl(m, 0, g)):
         with pytest.raises(TypeError):
             walk(junk)
 

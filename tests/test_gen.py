@@ -10,7 +10,6 @@ from nabla.formulas import (
     Until,
     complexity,
     is_local,
-    temporal_depth,
 )
 from nabla.gen import DerivationSampler, random_hist_tier_formula, random_history_formula, random_local_formula, random_until_formula
 from nabla.kernel import check
@@ -24,15 +23,14 @@ def test_generators_stay_in_their_tiers():
     for seed in range(150):
         rng = random.Random(seed)
         for budget in range(7):
-            depth = budget % 3
             draws = {
                 "until": random_until_formula(rng, budget),
-                "history": random_history_formula(rng, budget, max_temporal_depth=depth),
+                "history": random_history_formula(rng, budget),
                 "local": random_local_formula(rng, budget),
                 "hist-tier": random_hist_tier_formula(rng, budget),
             }
             assert free_of(draws["until"], Hist)
-            assert free_of(draws["history"], Until) and temporal_depth(draws["history"]) <= depth
+            assert free_of(draws["history"], Until)
             assert is_local(draws["local"])
             assert free_of(draws["hist-tier"], Until)
             for grammar, f in draws.items():

@@ -4,7 +4,7 @@ import pytest
 
 from nabla.corpus import ENTRIES
 from nabla import semantics
-from nabla.formulas import Always, Atom, Bottom, Hist, Implies, Or, Until, desugar, parse_h
+from nabla.formulas import And, Always, Atom, Bottom, Hist, Implies, Next, Not, Or, Sometime, Until, desugar, parse_h, temporal_depth
 from nabla.gen import random_history_formula, random_obs_sequence, random_until_formula
 from nabla.translate import translate
 from nabla.kernel import Le, Lwff, Succ
@@ -34,6 +34,15 @@ def bounded_lasso(rng, symbols, max_stem, max_period):
     s, p = rng.randint(0, max_stem), rng.randint(1, max_period)
     cells = [frozenset(x for x in symbols if rng.random() < 0.5) for _ in range(s + p)]
     return LassoModel(tuple(cells[:s]), tuple(cells[s:]))
+
+
+def history_formula_within(rng, budget, depth):
+    """A history formula of temporal depth at most ``depth``, redrawn at
+    the same budget until one is."""
+    f = random_history_formula(rng, budget)
+    while temporal_depth(f) > depth:
+        f = random_history_formula(rng, budget)
+    return f
 
 
 def until_by_unrolling(m, n, a, b, horizon=10):
@@ -70,6 +79,52 @@ def test_eval_ltl_periodicity():
         a = random_until_formula(rng, rng.randint(0, 5))
         for n in range(m.stem_len, m.stem_len + 4):
             assert eval_ltl(m, n, a) == eval_ltl(m, n + m.period, a)
+
+
+_UNTIL_CLASSES = (Atom, Bottom, Implies, Always, Next, Until, Not, Or, And, Sometime)
+_ABBREVIATIONS = (Not, Or, And, Sometime)
+
+
+def until_formula_with_abbreviations(rng, budget, root):
+    """An until-language formula over p and q with at most ``budget``
+    operators: class ``root`` at the root when ``budget`` allows an
+    operator there, and any class of the language below it."""
+    cls = root if budget else rng.choice((Atom, Bottom))
+    if cls is Atom:
+        return rng.choice((P, Q))
+    if cls is Bottom:
+        return Bottom()
+    if cls in (Implies, Until, Or, And):
+        k = rng.randint(0, budget - 1)
+        return cls(*(until_formula_with_abbreviations(rng, b, rng.choice(_UNTIL_CLASSES)) for b in (k, budget - 1 - k)))
+    return cls(until_formula_with_abbreviations(rng, budget - 1, rng.choice(_UNTIL_CLASSES)))
+
+
+def test_eval_ltl_abbreviations_agree_with_desugaring_and_their_clauses():
+    # Each formula has an abbreviation at its root.  Its truth must match
+    # the desugared formula's, and the truth clause of the root, read off
+    # the operands' truth: a wrong shared definition of an abbreviation
+    # would be repeated on both sides of the first comparison, not the
+    # second.  F a holds at n iff a holds somewhere in [n, max(n, s) + p).
+    rng = random.Random(17)
+    roots = dict.fromkeys(_ABBREVIATIONS, 0)
+    for _ in range(1200):
+        root = rng.choice(_ABBREVIATIONS)
+        f = until_formula_with_abbreviations(rng, rng.randint(1, 6), root)
+        m = random_lasso(rng, ["p", "q"])
+        n = rng.randint(0, 12)
+        got = eval_ltl(m, n, f)
+        assert got == eval_ltl(m, n, desugar(f)), (m, n, f)
+        if root is Sometime:
+            clause = any(eval_ltl(m, k, f.operand) for k in range(n, max(n, m.stem_len) + m.period))
+        elif root is Not:
+            clause = not eval_ltl(m, n, f.operand)
+        else:
+            a, b = eval_ltl(m, n, f.left), eval_ltl(m, n, f.right)
+            clause = (a or b) if root is Or else (a and b)
+        assert got == clause, (m, n, f)
+        roots[root] += 1
+    assert min(roots.values()) >= 250
 
 
 def test_eval_h_hist_frozen_by_direct_recursion():
@@ -145,7 +200,7 @@ def test_oracle_agrees_on_random_grid():
     rng = random.Random(6)
     for _ in range(2000):
         m = random_lasso(rng, ["p", "q", "r"])
-        f = random_history_formula(rng, rng.randint(0, 6), max_temporal_depth=3)
+        f = history_formula_within(rng, rng.randint(0, 6), 3)
         sigma = random_obs_sequence(rng, max_len=3, max_value=6)
         horizon = max(sigma) + 4 * (m.stem_len + m.period)
         assert eval_h(m, sigma, f) == eval_h_oracle(m, sigma, f, horizon)
@@ -159,7 +214,7 @@ def test_oracle_agrees_past_the_loop():
     for _ in range(600):
         m = bounded_lasso(rng, ["p", "q"], 3, 3)
         window = m.stem_len + m.period
-        f = random_history_formula(rng, rng.randint(0, 6), max_temporal_depth=2)
+        f = history_formula_within(rng, rng.randint(0, 6), 2)
         sigma = random_obs_sequence(rng, max_len=5, max_value=window + 8)
         shifted += min(sigma[-2:]) >= window
         horizon = max(sigma) + 3 * window
@@ -187,14 +242,14 @@ def test_oracle_agrees_on_wide_hist_gaps():
     rng = random.Random(8)
     for _ in range(300):
         m = bounded_lasso(rng, ["p", "q"], 3, 3)
-        f = random_history_formula(rng, rng.randint(1, 6), max_temporal_depth=2)
+        f = history_formula_within(rng, rng.randint(1, 6), 2)
         shape = rng.randrange(3)
         if shape == 1:
             f = Hist(Hist(f) if rng.random() < 0.5 else f)
         elif shape == 2:
             # One H object read twice: the second read starts from the
             # memo entries the first walk left, at ends short of its own.
-            h = Hist(random_history_formula(rng, rng.randint(0, 3), max_temporal_depth=1))
+            h = Hist(history_formula_within(rng, rng.randint(0, 3), 1))
             f = Implies(Implies(h, Bottom()), Hist(Implies(h, f)))
         i = rng.randint(0, 8)
         gap = rng.randint(20, 30) if rng.random() < 0.5 else rng.randint(31, 150)
@@ -288,8 +343,10 @@ def test_eval_generic_dispatch():
 
 
 def test_eval_rejects_wrong_language():
-    with pytest.raises(ValueError):
-        eval_ltl(LOOP_P, 0, Hist(P))
+    with pytest.raises(ValueError, match="not an until-language formula"):
+        eval_ltl(LOOP_P, 0, Or(P, Hist(P)))
+    with pytest.raises(ValueError, match="positions are natural numbers"):
+        eval_ltl(LOOP_P, -1, P)
     for seq, f in [((0,), Until(P, Q)), ((), P), ((3, -1), P), ((-2,), Hist(P))]:
         with pytest.raises(ValueError):
             eval_h(LOOP_P, seq, f)

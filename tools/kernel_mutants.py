@@ -3,14 +3,20 @@
 Each ``raise _Err(...)`` statement in ``src/nabla/kernel.py`` is one site
 where ``check`` rejects a derivation.  A helper that raises guards every
 rule that calls it, so its ``raise`` is killed as soon as one caller's
-condition is tested; a statement that only calls such a helper, like
-``_proves(...)`` or ``_same_judgment(...)``, is therefore a site as well,
-and blanking it drops that one rule's condition.  A mutant replaces one
-site with ``pass``, so the condition it guards is no longer enforced.  For
-every site this script writes the mutant into a temporary copy of the
-repository and runs the Tier-1 suite there, two mutants at a time; the
-mutant is killed when a test fails.  It prints killed/total, then the line
-and source of each surviving mutant, and exits 1 if any survives.
+condition is tested; each use of a helper is therefore a site as well.  A
+statement that only calls such a helper, like ``_proves(...)`` or
+``_same_judgment(...)``, is blanked: the mutant replaces it, as it does a
+``raise``, with ``pass``.  A call of a helper that returns the value it
+checks (``_need_lwff``, ``_need_rwff``, ``_moves_last``, ``_last_two``)
+is replaced with that value unchecked: ``node.premises[i].conclusion``,
+or the conclusion's last two labels.  Either way the one condition the
+site guards is no longer enforced; ``_one_fresh_label``, whose result is
+not one value it checks, stays one mutant (its ``raise``) for its two
+callers.  For every site this script writes the mutant into a temporary
+copy of the repository and runs the Tier-1 suite there, two mutants at a
+time; the mutant is killed when a test fails.  It prints killed/total,
+then the line and source of each surviving mutant, and exits 1 if any
+survives.
 
 Usage, from the repository root::
 
@@ -18,8 +24,8 @@ Usage, from the repository root::
 
 ``--repo`` names the checkout to mutate (default: the one holding this
 script).  A full run takes Tier-1 once per site, stopping at the first
-failure: about 9 minutes for the kernel's 74 sites (42 raise, 32 call) on a
-2-vCPU machine.  It is not part of Tier-1.
+failure: about 12 minutes for the kernel's 108 sites (42 raise, 32 blanked
+calls, 34 unchecked values) on a 2-vCPU machine.  It is not part of Tier-1.
 """
 
 from __future__ import annotations
@@ -37,6 +43,15 @@ from pathlib import Path
 KERNEL = Path("src/nabla/kernel.py")
 COPIED = ("src", "tests", "perfbench", "pyproject.toml")
 
+# The value each checking helper returns, unchecked, from the source of the
+# call's arguments.
+UNCHECKED = {
+    "_need_lwff": lambda node, i: f"{node}.premises[{i}].conclusion",
+    "_need_rwff": lambda node, i, kind: f"{node}.premises[{i}].conclusion",
+    "_moves_last": lambda node, i, premise: f"{node}.premises[{i}].conclusion",
+    "_last_two": lambda node: f"{node}.conclusion.seq[-2:]",
+}
+
 
 def _raises(node: ast.AST) -> bool:
     return (
@@ -47,41 +62,50 @@ def _raises(node: ast.AST) -> bool:
     )
 
 
-def sites(source: str) -> list[ast.stmt]:
-    """Every ``raise _Err(...)`` statement, and every statement that only
-    calls a top-level function holding one, in source order."""
+def _calls(node: ast.AST, names) -> bool:
+    return isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id in names
+
+
+def sites(source: str) -> list[ast.stmt | ast.Call]:
+    """Every ``raise _Err(...)`` statement, every statement that only calls
+    a top-level function holding one, and every call of an ``UNCHECKED``
+    helper outside those helpers, in source order."""
     tree = ast.parse(source)
-    helpers = {
-        f.name for f in tree.body if isinstance(f, ast.FunctionDef) and any(_raises(n) for n in ast.walk(f))
-    }
-    found = [
-        node
-        for node in ast.walk(tree)
-        if _raises(node)
-        or (
-            isinstance(node, ast.Expr)
-            and isinstance(node.value, ast.Call)
-            and isinstance(node.value.func, ast.Name)
-            and node.value.func.id in helpers
-        )
-    ]
-    return sorted(found, key=lambda node: node.lineno)
+    functions = [f for f in tree.body if isinstance(f, ast.FunctionDef)]
+    helpers = {f.name for f in functions if any(_raises(n) for n in ast.walk(f))}
+    found = [n for n in ast.walk(tree) if _raises(n) or (isinstance(n, ast.Expr) and _calls(n.value, helpers))]
+    found += [node for f in functions if f.name not in UNCHECKED for node in ast.walk(f) if _calls(node, UNCHECKED)]
+    return sorted(found, key=lambda node: (node.lineno, node.col_offset))
 
 
-def mutant(source: str, site: ast.stmt) -> str:
-    """``source`` with ``site`` replaced by ``pass``; the lines it spanned
-    become blank, so every other line keeps its number."""
+def _unchecked(source: str, call: ast.Call) -> str:
+    return UNCHECKED[call.func.id](*(ast.get_source_segment(source, a) for a in call.args))
+
+
+def mutant(source: str, site: ast.stmt | ast.Call) -> str:
+    """``source`` with ``site`` replaced: a statement by ``pass``, a call by
+    its ``UNCHECKED`` value.  The other lines the site spanned become
+    blank, so every other line keeps its number."""
     lines = source.splitlines(keepends=True)
     first, last = site.lineno - 1, site.end_lineno - 1
-    lines[first] = " " * site.col_offset + "pass\n"
+    if isinstance(site, ast.Call):
+        head, tail = lines[first].encode()[: site.col_offset], lines[last].encode()[site.end_col_offset :]
+        lines[first] = head.decode() + _unchecked(source, site) + tail.decode()
+    else:
+        lines[first] = " " * site.col_offset + "pass\n"
     for i in range(first + 1, last + 1):
         lines[i] = "\n"
     return "".join(lines)
 
 
-def describe(source: str, site: ast.stmt) -> str:
-    """The message argument of a raise site, or the call a call site makes."""
-    return ast.get_source_segment(source, site.exc.args[1] if isinstance(site, ast.Raise) else site)
+def describe(source: str, site: ast.stmt | ast.Call) -> str:
+    """The message argument of a raise site, the call a call site makes, or
+    a call and the unchecked value that replaces it."""
+    if isinstance(site, ast.Raise):
+        return ast.get_source_segment(source, site.exc.args[1])
+    if isinstance(site, ast.Call):
+        return f"{ast.get_source_segment(source, site)} -> {_unchecked(source, site)}"
+    return ast.get_source_segment(source, site)
 
 
 def run_tier1(base: Path, work: Path, index: int, text: str) -> bool:
