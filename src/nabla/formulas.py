@@ -190,6 +190,12 @@ _SYMBOLS = frozenset({"->", "(", ")", "~", "|", "&"})
 _FORMULA_START = frozenset({"identifier", "bot", "("})
 
 
+def _is_name(word: str) -> bool:
+    """Whether the parsers read ``word`` alone as an atom's name: one token
+    that starts with a letter, is an identifier and is not reserved."""
+    return _TOKEN.fullmatch(word) is not None and word[0].isalpha() and word.isidentifier() and word not in RESERVED
+
+
 def _positions(text: str, partial: bool) -> list[tuple[str, int]]:
     """Every token of ``text`` with its offset, then ``("<end>", offset)``.
 
@@ -258,7 +264,7 @@ class _Parser:
                 # The first sight of bot or of an atom's name; any other token fails.
                 if tok == "bot":
                     f = Bottom()
-                elif tok[0].isalpha() and tok.isidentifier() and tok not in RESERVED:
+                elif _is_name(tok):
                     f = Atom(tok)
                 else:
                     raise _Stop(k, _FORMULA_START)

@@ -8,14 +8,16 @@ an observation sequence (a nonempty list of positions, not necessarily
 monotone).
 
 The history-language clause for ``G`` quantifies over all positions beyond
-the last sequence element.  ``eval_h`` truncates that quantifier at
-``max(n_k, s) + 2p``: past the stem, valuations repeat with period ``p``,
-so an interval containing two full periods decides the quantifier.  The
-bound is validated empirically against ``eval_h_oracle``, a literal
-transcription with a caller-chosen horizon.
+the last sequence element.  For a ``G`` whose operand is not local,
+``eval_h`` truncates that quantifier at ``max(n_k, s) + 2p``: past the
+stem, valuations repeat with period ``p``, so an interval containing two
+full periods decides the quantifier.  The bound is validated empirically
+against ``eval_h_oracle``, a literal transcription with a caller-chosen
+horizon.  A ``G`` over a local operand needs no window (the fifth rule
+below).
 
 ``eval_h`` never builds the sequence it recurses on; it evaluates on a
-canonical pair, by four rules:
+canonical pair, by five rules:
 
 * Last-pair locality.  Every truth clause reads at most the last two
   elements of a sequence and extends or replaces only the last one, so by
@@ -44,10 +46,22 @@ canonical pair, by four rules:
   pair of outer position and position.  ``last``, ``corollary`` and the
   local clause of ``last-local`` check it against ``eval_ltl`` and the
   oracle.
+* ``G`` over a local operand reads canonical positions.  By the last
+  rule the operand's truth at ``(n, mm)`` is its truth at ``canon(mm)``,
+  so ``G`` at a loop position is the operand over the loop, one memo
+  entry for every loop position, and ``G`` at a stem position ``n`` is
+  the operand at ``n`` and ``G`` at ``n + 1``.  The stem is walked upward
+  from ``n`` to the first position where the operand fails or ``G`` is
+  memoised, and the answer is written to every stem position passed.  So
+  each such ``G`` evaluates its operand at most once per canonical
+  position, ``s + p`` times in all, and the walk is a loop, not a
+  recursion.  ``quantifier-bound`` and ``last-local`` check it against
+  the oracle.
 
 The memo is keyed on the canonical pair, so the entries per subformula are
 bounded by the lasso's size and the entry pair rather than by the path
-taken, and the cost is polynomial in the nesting depth of ``G``.
+taken, and the cost is polynomial in the nesting depth of ``G``; a level
+of ``G`` over a local operand adds at most ``s + p`` evaluations of it.
 ``eval_h_oracle`` keeps the literal whole-sequence memo.
 
 The public evaluators check their input: ``ValueError`` on an empty
@@ -80,6 +94,7 @@ from .formulas import (
     _abbreviations,
     _fold_checked,
     _fold_from,
+    _is_name,
     atoms_of,
     temporal_depth,
 )
@@ -154,7 +169,8 @@ class LassoModel:
 
 def parse_model(text: str) -> LassoModel:
     """Line format: ``stem <s>``, ``loop <p>``, then ``at <i>: <ident>*``
-    for i in order 0..s+p-1, then ``end``."""
+    for i in order 0..s+p-1, then ``end``.  Each ``<ident>`` is a name the
+    formula parsers read as an atom; ``ModelFormatError`` otherwise."""
     lines = [ln.strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
     if len(lines) < 3 or not lines[0].startswith("stem ") or not lines[1].startswith("loop "):
@@ -177,7 +193,11 @@ def parse_model(text: str) -> LassoModel:
         parts = head.split()
         if len(parts) != 2 or parts[0] != "at" or parts[1] != str(i):
             raise ModelFormatError(f"expected 'at {i}: ...', got {row!r}")
-        table.append(frozenset(syms.split()))
+        cell = syms.split()
+        for name in cell:
+            if not _is_name(name):
+                raise ModelFormatError(f"at {i}: {name!r} is not an atom's name")
+        table.append(frozenset(cell))
     return LassoModel(tuple(table[:s]), tuple(table[s:]))
 
 
@@ -247,8 +267,10 @@ def eval_h(m: LassoModel, seq, a: Formula) -> bool:
     """Truth of a history-language formula at an observation sequence.
 
     Evaluates on the canonical last pair of the sequence (see the module
-    docstring): ``X`` moves ``(i, n)`` to ``(n, n+1)``, ``G`` to ``(n, mm)``
-    for ``mm`` in ``[n, max(n, s) + 2p]``, and ``H`` to ``(i, mm)`` for
+    docstring): ``X`` moves ``(i, n)`` to ``(n, n+1)``; ``G`` over a
+    non-local operand to ``(n, mm)`` for ``mm`` in ``[n, max(n, s) + 2p]``,
+    and over a local one to each canonical position from ``n`` on, the
+    stem positions in ``[n, s)`` and the loop; ``H`` to ``(i, mm)`` for
     ``mm`` in ``[i, n]``, with ``n`` clamped to ``max(i, s+p) + p(k+1)``
     where ``k`` bounds the operand's ``H`` nesting: past
     ``max(i, s+p) + pk`` the operand is periodic in ``mm``, so one more
@@ -270,8 +292,12 @@ def _eval_h(m: LassoModel, sigma: tuple[int, ...], g: Formula) -> bool:
     depth: dict[int, int] = {}
 
     def ev(i: int, n: int, x: Formula) -> bool:
-        if i != n and _fold_from(x, _LOCAL, local):
-            i = n
+        if i != n:
+            loc = local.get(id(x))
+            if loc is None:
+                loc = _fold_from(x, _LOCAL, local)
+            if loc:
+                i = n
         if i >= window and n >= window:
             shift = (min(i, n) - s) // p * p
             i -= shift
@@ -280,19 +306,49 @@ def _eval_h(m: LassoModel, sigma: tuple[int, ...], g: Formula) -> bool:
         cached = memo.get(key)
         if cached is not None:
             return cached
-        if isinstance(x, Atom):
+        cls = type(x)
+        if cls is Implies:
+            v = (not ev(i, n, x.left)) or ev(i, n, x.right)
+        elif cls is Atom:
             # An atom is local, so the period shift above put n below s + p.
             v = x.name in vals[n]
-        elif isinstance(x, Bottom):
-            v = False
-        elif isinstance(x, Implies):
-            v = (not ev(i, n, x.left)) or ev(i, n, x.right)
-        elif isinstance(x, Next):
+        elif cls is Always:
+            # G is local, so n is canonical and i == n.
+            y = x.operand
+            loc = local.get(id(y))
+            if loc is None:
+                loc = _fold_from(y, _LOCAL, local)
+            if loc:
+                # y at (n, mm) is y at canon(mm): G at a stem position is y
+                # there and G one position up, and G at every loop position
+                # is y over the loop, memoised at (s, s).  Walk the stem up
+                # to the first position where y fails or G is memoised, then
+                # write the answer to every stem position passed.
+                j = n
+                while j < s and (id(x), j, j) not in memo and ev(j, j, y):
+                    j += 1
+                if j < s:
+                    v = memo.get((id(x), j, j), False)
+                else:
+                    v = memo.get((id(x), s, s))
+                    if v is None:
+                        v = True
+                        for mm in range(s, window):
+                            if not ev(mm, mm, y):
+                                v = False
+                                break
+                        memo[id(x), s, s] = v
+                for mm in range(n, min(j + 1, s)):
+                    memo[id(x), mm, mm] = v
+            else:
+                v = True
+                for mm in range(n, max(n, s) + 2 * p + 1):
+                    if not ev(n, mm, y):
+                        v = False
+                        break
+        elif cls is Next:
             v = ev(n, n + 1, x.operand)
-        elif isinstance(x, Always):
-            hi = max(n, s) + 2 * p
-            v = all(ev(n, mm, x.operand) for mm in range(n, hi + 1))
-        elif isinstance(x, Hist):
+        elif cls is Hist:
             # H A at (i, mm) is H A at (i, mm - 1) and A at (i, mm): start
             # after the nearest memoised prefix and fill the memo upward, so
             # nested H costs linear in the gap and the recursion stays flat.
@@ -312,6 +368,8 @@ def _eval_h(m: LassoModel, sigma: tuple[int, ...], g: Formula) -> bool:
             for mm in range(max(lo, i), top + 1):
                 v = v and ev(i, mm, x.operand)
                 memo[id(x), i, mm] = v
+        elif cls is Bottom:
+            v = False
         else:
             raise TypeError(f"not a core formula: {x!r}")
         memo[key] = v

@@ -145,6 +145,16 @@ def test_eval_positions_and_sequences(capsys, model_file):
     assert main(["eval", "--model", str(model_file), "--pos", "0", "(H p)"]) == 2
 
 
+@pytest.mark.parametrize("cell", ["p,q", "p bot G"])
+def test_eval_rejects_a_model_cell_no_formula_can_name(capsys, tmp_path, cell):
+    path = tmp_path / "m.lasso"
+    path.write_text(f"stem 0\nloop 1\nat 0: {cell}\nend\n", encoding="utf-8")
+    assert main(["eval", "--model", str(path), "--pos", "0", "p"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: at 0: "), captured.err
+
+
 @pytest.mark.parametrize("seq", ["1,,2", ",", "", "0,x", "1.5"])
 def test_eval_names_a_malformed_sequence(capsys, model_file, seq):
     assert main(["eval", "--model", str(model_file), "--seq", seq, "(H p)"]) == 2

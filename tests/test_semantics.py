@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -275,6 +276,23 @@ def test_oracle_agrees_on_hist_staircases():
         assert eval_h(m, sigma, f) == eval_h_oracle(m, sigma, f, horizon), (m, sigma, f)
 
 
+def negate_first(f, name):
+    """``f`` with the first occurrence of the atom ``name`` negated, and
+    whether there was one."""
+    if isinstance(f, Atom):
+        return (Not(f), True) if f.name == name else (f, False)
+    if isinstance(f, Bottom):
+        return f, False
+    if not hasattr(f, "left"):
+        operand, found = negate_first(f.operand, name)
+        return type(f)(operand), found
+    left, found = negate_first(f.left, name)
+    if found:
+        return type(f)(left, f.right), True
+    right, found = negate_first(f.right, name)
+    return type(f)(left, right), found
+
+
 def test_eval_h_nested_always_on_axioms():
     # G^5 of every translated corpus axiom: valid, so no short-circuit cuts
     # the nested G windows short.
@@ -287,6 +305,77 @@ def test_eval_h_nested_always_on_axioms():
         image = translate(f)
         for sigma in [(0,), (3, 6), (9, 2, 13)]:
             assert eval_h(m, sigma, image) is True, (entry.name, sigma)
+    # The invalid half: each axiom with its first p (q for A8) negated,
+    # under G^k, where the first failing position decides every G.
+    rng = random.Random(18)
+    seen = set()
+    for entry in ENTRIES:
+        source, found = negate_first(entry.source, "q" if entry.name == "A8" else "p")
+        assert found, entry.name
+        for k in (1, 2, 3):
+            source = Always(source)
+            image = translate(source)
+            for _ in range(300):
+                m = bounded_lasso(rng, ["p", "q"], 5, 4)
+                sigma = random_obs_sequence(rng, max_len=3, max_value=10)
+                want = eval_ltl(m, sigma[-1], source)
+                assert eval_h(m, sigma, image) is want, (entry.name, k, m, sigma)
+                seen.add(want)
+    assert seen == {True, False}
+
+
+def count_ev_calls(m, sigma, f):
+    """How many times ``eval_h``'s inner ``ev`` runs on ``f`` at ``sigma``."""
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_code.co_qualname == "_eval_h.<locals>.ev":
+            calls += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        eval_h(m, sigma, f)
+    finally:
+        sys.setprofile(previous)
+    return calls
+
+
+def test_eval_h_nested_always_costs_one_pass_per_level():
+    # d nested (G (X -> X)) over (H p): above the bottom level each G has a
+    # local operand, which it reads at most once per canonical position, at
+    # three calls per read (->, and X twice).  A G that walked its two-period
+    # window at each position cost 215 calls per level here.
+    cells = [frozenset({"p"}) if k % 2 else frozenset() for k in range(16)]
+    m = LassoModel(tuple(cells[:8]), tuple(cells[8:]))
+    f = Hist(P)
+    counts = []
+    for _ in range(8):
+        f = Always(Implies(f, f))
+        counts.append(count_ev_calls(m, (2, 5), f))
+    steps = [b - a for a, b in zip(counts[1:], counts[2:])]
+    assert all(step <= 3 * 16 for step in steps), counts
+
+
+def test_always_read_again_at_a_lower_stem_position():
+    # Parsed formulas share their G objects, so one G is evaluated at a
+    # stem position and then at lower ones, whose walk stops at the
+    # memoised entry above and reads it.
+    a5 = next(e.source for e in ENTRIES if e.name == "A5")
+    formulas = [parse_h("((X (X (G p))) | (X (G p)))"), parse_h("((X (X (X (G p)))) | (G p))"), translate(a5)]
+    cases = 0
+    for size in range(1, 5):
+        for s in range(size):
+            for bits in range(2**size):
+                cells = [frozenset({"p"}) if bits >> k & 1 else frozenset() for k in range(size)]
+                m = LassoModel(tuple(cells[:s]), tuple(cells[s:]))
+                for sigma in [(0,), (1,), (2,), (0, 2), (3, 1)]:
+                    for f in formulas:
+                        horizon = max(sigma) + size * temporal_depth(f) + 1
+                        assert eval_h(m, sigma, f) == eval_h_oracle(m, sigma, f, horizon), (m, sigma, f)
+                        cases += 1
+    assert cases == 98 * 5 * 3
 
 
 def test_oracle_horizon_precondition():
@@ -333,6 +422,11 @@ def test_model_file_errors():
         parse_model("loop 1\nstem 0\nat 0:\nend")
     with pytest.raises(ModelFormatError):
         parse_model("stem 0\nloop 1\nat 0: p\n")
+    # A cell holds only names that the formula parsers read as atoms.
+    for cell in ["p,q", "p bot", "G", "X p", "_p", "1p", "p²", "e\u0301"]:
+        with pytest.raises(ModelFormatError, match="^at 1: "):
+            parse_model(f"stem 1\nloop 1\nat 0: p\nat 1: {cell}\nend")
+    assert parse_model("stem 0\nloop 1\nat 0: p_1 Q x2 é\nend").loop == (frozenset({"p_1", "Q", "x2", "é"}),)
 
 
 def test_eval_generic_dispatch():
