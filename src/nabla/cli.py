@@ -7,15 +7,17 @@ falsified lemma).  ``NABLA_SEED`` overrides the default fuzz seed and must
 be an integer; an explicit ``--seed`` wins over both.  Formulas nested
 deeper than ``formulas.MAX_NESTING`` are parse errors (exit 2), and so is
 a formula whose image ``translate`` would print longer than
-``MAX_IMAGE_LENGTH`` characters (1 MiB), and so is a script or model file
-that cannot be read or is not UTF-8; ``fuzz`` refuses
-``--samples`` below 1, ``--max-size`` below 0 and ``--inject-bug`` with
-``--lemma soundness`` with exit 2, and ``taut`` a ``--label`` that scripts
-cannot read as one label.  ``taut`` checks its proof before
-printing it and exits 4 with nothing on stdout if the kernel rejects it or
-finds it open.  Any other exception that escapes a subcommand is an
-internal error: ``main`` prints ``internal error: <type>: <message>`` to
-stderr and exits 4, never 1, which means rejected.
+``MAX_IMAGE_LENGTH`` characters (1 MiB), and so is a tautology whose
+proof ``taut`` would print with a formula nested deeper than
+``MAX_NESTING``, and so is a script or model file that cannot be read or
+is not UTF-8; ``fuzz`` refuses ``--samples`` below 1, ``--max-size``
+below 0 and ``--inject-bug`` with ``--lemma soundness`` with exit 2, and
+``taut`` a ``--label`` that scripts cannot read as one label.  ``taut``
+checks its proof before printing it and exits 4 with nothing on stdout if
+the kernel rejects it or finds it open.  Any other exception that
+escapes a subcommand is an internal error: ``main`` prints
+``internal error: <type>: <message>`` to stderr and exits 4, never 1,
+which means rejected.
 """
 
 from __future__ import annotations
@@ -28,9 +30,9 @@ from pathlib import Path
 
 from . import corpus as corpus_mod
 from .derived import NotATautology, NotPropositional, SchemaMismatch, derive_tautology, expand
-from .formulas import ParseError, format_formula, format_length, parse_h, parse_ltl
+from .formulas import MAX_NESTING, ParseError, format_formula, format_length, format_nesting, parse_h, parse_ltl
 from .fuzz import LEMMAS, report_to_json, run_lemma
-from .kernel import SHAPE_MISMATCH, CheckReport, check, format_generic
+from .kernel import SHAPE_MISMATCH, CheckReport, all_nodes, check, format_generic
 from .scripts import _LABEL_RE, ScriptError, parse_script, serialize
 from .semantics import ModelFormatError, eval_h, eval_ltl, parse_model
 from .translate import translate
@@ -126,6 +128,13 @@ def cmd_taut(args) -> int:
     except (NotATautology, NotPropositional) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_REJECTED
+    # The proof's formulas nest deeper than the formula typed: (g -> bot) is
+    # one level above its desugared form.  Print none that check cannot read.
+    depth = format_nesting(*(n.conclusion.formula for n in all_nodes(d)))
+    if depth > MAX_NESTING:
+        limit = f"more than the limit of {MAX_NESTING}"
+        print(f"error: the proof would print a formula nested {depth} levels deep, {limit}", file=sys.stderr)
+        return EXIT_PARSE
     report = check(d)
     if not report.accepted or report.open_assumptions:
         why = report.message if not report.accepted else "it has open assumptions"

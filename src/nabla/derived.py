@@ -6,7 +6,12 @@ those applications into primitive derivations, and every expansion is
 re-checked by the kernel downstream.  ``mp_compose``, ``nec_g`` and
 ``nec_x`` make the Hilbert closure rules executable over closed proofs,
 and ``derive_tautology`` builds a closed proof for any classical
-propositional tautology by case-splitting on its atoms.  A branch stops
+propositional tautology by case-splitting.  It splits on one subformula
+alone where one decides the formula: true either way in Kleene's
+three-valued logic, everything else undetermined.  The atoms are tried
+in name order, then the subformulas that occur more than once, outermost
+first; one that occurs once can decide the formula only if nothing needs
+assigning.  Otherwise it splits on the atoms in name order.  A branch stops
 splitting once its partial valuation decides the formula, and each
 subproof is built once and shared by every branch that needs it; its
 three-valued value in a branch is memoised on the same key, so a formula
@@ -15,6 +20,7 @@ that shares subformulas costs time linear in its objects, not its tree.
 
 from __future__ import annotations
 
+import collections
 import itertools
 from collections.abc import Iterator
 from dataclasses import fields
@@ -373,19 +379,100 @@ def _kleene_implies(_: Formula, x: bool | None, y: bool | None) -> bool | None:
     return False if x is True and y is False else None
 
 
+def _kleene(phi: Formula, fixed: dict[int, bool | None], known: dict[int, bool | None]) -> bool | None:
+    """Kleene value of the propositional core formula ``phi``.
+
+    ``fixed`` gives values to objects, which are then leaves, and memoises
+    the value of each object visited, by membership, so that undetermined
+    is memoised too and a shared object is visited once.  ``known`` holds
+    definite values that the values in ``fixed`` cannot change; an atom in
+    neither is undetermined.  An implication whose consequent is true is
+    true without a visit of its antecedent.
+    """
+    i = id(phi)
+    if i in fixed:
+        return fixed[i]
+    v = known.get(i)
+    if v is None:
+        if isinstance(phi, Implies):
+            y = _kleene(phi.right, fixed, known)
+            v = True if y is True else _kleene_implies(phi, _kleene(phi.left, fixed, known), y)
+        elif isinstance(phi, Bottom):
+            v = False
+        fixed[i] = v
+    return v
+
+
+def _split_variable(g: Formula, atoms: list[Atom], objects) -> Formula | None:
+    """The one split variable that decides ``g``: the first candidate ``c``
+    such that ``g`` is Kleene-true both with ``c`` true and with ``c``
+    false, everything else undetermined; None if there is none, or if
+    ``g`` is Kleene-true with nothing assigned.
+
+    ``g`` is interned, so equal subformulas are one object, and
+    ``objects`` holds each of its subformulas once.  The candidates are
+    ``atoms``, in their order, then the implications that occur more than
+    once in ``g`` read as a tree, outermost first: breadth-first from the
+    root, left before right, descending only through implications that
+    occur once.  A subformula that occurs once never decides ``g``: along
+    its one path to the root, each ``->`` whose other side is fixed passes
+    an undetermined value upward, and passes a definite value only when
+    both values of the occurrence give the same one, and then an
+    undetermined occurrence gives it too.  So if a single occurrence
+    decided ``g``, ``g`` would already be decided with nothing assigned.
+
+    A definite value is not enough: in ``((bot & bot) -> bot)`` setting
+    ``(bot -> bot)`` false makes it false.  Setting an undetermined
+    candidate can only turn undetermined values definite, never change a
+    definite one, so each test reads the values with nothing assigned as
+    ``known`` and revisits only what they leave undetermined.  A candidate
+    that is definite with nothing assigned fails the test that gives it
+    that value again.
+    """
+    known: dict[int, bool | None] = {}
+    if _kleene(g, known, {}) is True:
+        return None
+
+    def compound() -> Iterator[Formula]:
+        # Each object's number of occurrences as a side of an implication
+        # of g.  For a side of an implication that occurs once in the tree,
+        # this is its number of occurrences in the tree.
+        sides = collections.Counter(id(s) for x in objects if isinstance(x, Implies) for s in (x.left, x.right))
+        queue, seen = [g], set()
+        for x in queue:
+            for y in (x.left, x.right):
+                if isinstance(y, Implies) and id(y) not in seen:
+                    seen.add(id(y))
+                    if sides[id(y)] == 1:
+                        queue.append(y)
+                    else:
+                        yield y
+
+    def decides(c: Formula) -> bool:
+        return all(_kleene(g, {id(c): holds}, known) is True for holds in (True, False))
+
+    return next(filter(decides, itertools.chain(atoms, compound())), None)
+
+
 def derive_tautology(f: Formula, label: str = "b") -> Node:
     """Closed proof of ``label : f`` for a classical propositional tautology.
 
-    Case-split construction (Kalmár): the atoms are split in name order,
-    each branch assuming a literal for the atom, and a branch stops
-    splitting as soon as its partial valuation decides the formula.  There
-    the formula (or the refuted side of each subformula it needs) is
-    derived from the branch's literal assumptions, and the literals are
-    eliminated atom by atom through excluded-middle reasoning built from
-    botE.  Each subformula is evaluated, and derived, once per choice of
-    literal assumptions for its atoms, and every place and branch that
-    needs it shares that value and subproof.  Output uses only impI, impE
-    and botE.
+    Case-split construction (Kalmár) over split variables.  When one
+    subformula decides the formula alone, true either way in Kleene's
+    three-valued logic with everything else undetermined, it is the only
+    split variable, whatever its size; an instance of Peirce's law, K,
+    excluded middle or double negation thus gets the proof of its schema
+    (see :func:`_split_variable` for which subformulas are tried, and in
+    what order).  Otherwise the atoms are the split variables, in name
+    order.  Each branch assumes a literal for a split variable, ``c`` or
+    ``c -> bot``, and stops splitting as soon as its partial valuation
+    decides the formula.  There the formula (or the refuted side of each
+    subformula it needs) is derived from the branch's literal assumptions,
+    and the literals are eliminated one split variable at a time through
+    excluded-middle reasoning built from botE.  Each subformula is
+    evaluated, and derived, once per choice of literal assumptions for its
+    split variables, and every place and branch that needs it shares that
+    value and subproof.  Output uses only impI, impE and botE.
     """
     if temporal_depth(f) > 0:
         raise NotPropositional(f"temporal operators in {format_formula(f)}")
@@ -420,18 +507,30 @@ def derive_tautology(f: Formula, label: str = "b") -> Node:
         if not _fold_from(g, {Atom: lambda x: v[x.name], Bottom: lambda x: False, Implies: _kleene_implies}, {}):
             raise NotATautology(f"falsified by {v}")
 
+    atoms = [made[a] for a in names]
+    split = _split_variable(g, atoms, made.values())
+    variables = atoms if split is None else [split]
+    if isinstance(split, Implies):
+        # Key its atoms on the split variable, folding _ATOMS with it as a
+        # leaf: what contains it is keyed on its literal, and value and
+        # prove never look inside it.
+        atom_sets = {id(split): frozenset((format_formula(split),))}
+        _fold_from(g, _ATOMS, atom_sets)
+
     # A subformula's value and subproof depend only on the literal
-    # assumptions of its atoms, so both are memoised on its literals key;
-    # env holds an atom's literal exactly where the partial valuation
-    # defines the atom.  An atom is keyed on itself and its literal, and
-    # bot on itself alone; their entries are made where they are known.
-    for a in names:
-        atom_sets[id(made[a])] = frozenset((a,))
+    # assumptions of its split variables, so both are memoised on its
+    # literals key; env holds a split variable's literal, under its printed
+    # form, exactly where the partial valuation defines it.  A split
+    # variable or atom is keyed on itself and its literal, and bot on itself
+    # alone; their entries are made where they are known.
+    values: dict[tuple, bool | None] = {(id(bot),): False}
+    for v in (*atoms, *variables):
+        atom_sets[id(v)] = frozenset((format_formula(v),))
+        values[id(v), None] = None
 
     def literals(phi: Formula, env: dict[str, Assume]) -> tuple:
         return (id(phi), *map(env.get, atom_sets.get(id(phi), ())))
 
-    values: dict[tuple, bool | None] = {(id(bot),): False, **{(id(made[a]), None): None for a in names}}
     proved: dict[tuple, Node] = {}
 
     # value and prove take phi's key from their caller, which builds it
@@ -476,30 +575,29 @@ def derive_tautology(f: Formula, label: str = "b") -> Node:
         n2 = Apply(next(ids), "impE", lw(bot), (dy, n1))
         return Apply(next(ids), "impI", lw(imp(phi, bot)), (n2,), (h,))
 
-    def build(env: dict[str, Assume], remaining: list[str]) -> Node:
+    def build(env: dict[str, Assume], remaining: list[Formula]) -> Node:
         # A tautology is true or undetermined under every partial valuation.
         key = literals(g, env)
         if value(g, key, env):
             return prove(g, key, env)
-        a, rest = remaining[0], remaining[1:]
-        atom = made[a]
-        not_atom = imp(atom, bot)
-        lit_true = Assume(next(ids), lw(atom))
-        lit_false = Assume(next(ids), lw(not_atom))
+        c, rest = remaining[0], remaining[1:]
+        name, not_c = format_formula(c), imp(c, bot)
+        lit_true = Assume(next(ids), lw(c))
+        lit_false = Assume(next(ids), lw(not_c))
         for lit, holds in ((lit_true, True), (lit_false, False)):
-            values[id(atom), lit] = holds
-            proved[id(atom), lit] = lit
-        d_true = build({**env, a: lit_true}, rest)
-        d_false = build({**env, a: lit_false}, rest)
-        d1 = Apply(next(ids), "impI", lw(imp(atom, g)), (d_true,), (lit_true,))
-        d2 = Apply(next(ids), "impI", lw(imp(not_atom, g)), (d_false,), (lit_false,))
+            values[id(c), lit] = holds
+            proved[id(c), lit] = lit
+        d_true = build({**env, name: lit_true}, rest)
+        d_false = build({**env, name: lit_false}, rest)
+        d1 = Apply(next(ids), "impI", lw(imp(c, g)), (d_true,), (lit_true,))
+        d2 = Apply(next(ids), "impI", lw(imp(not_c, g)), (d_false,), (lit_false,))
         hf = Assume(next(ids), lw(imp(g, bot)))
-        ha = Assume(next(ids), lw(atom))
-        m1 = Apply(next(ids), "impE", lw(g), (d1, ha))
+        hc = Assume(next(ids), lw(c))
+        m1 = Apply(next(ids), "impE", lw(g), (d1, hc))
         m2 = Apply(next(ids), "impE", lw(bot), (hf, m1))
-        m3 = Apply(next(ids), "impI", lw(not_atom), (m2,), (ha,))
+        m3 = Apply(next(ids), "impI", lw(not_c), (m2,), (hc,))
         m4 = Apply(next(ids), "impE", lw(g), (d2, m3))
         m5 = Apply(next(ids), "impE", lw(bot), (hf, m4))
         return Apply(next(ids), "botE", lw(g), (m5,), (hf,))
 
-    return build({}, names)
+    return build({}, variables)

@@ -57,6 +57,7 @@ __all__ = [
     "parse_h",
     "format_formula",
     "format_length",
+    "format_nesting",
     "desugar",
     "complexity",
     "temporal_depth",
@@ -433,6 +434,7 @@ _LENGTH = _table(
     lambda x, a, b: a + b + len(_SYMBOL[type(x)]) + 4,
     {Bottom: lambda x: 3},
 )
+_NESTING = _table(lambda x: 0, lambda x, a: a + 1, lambda x, a, b: max(a, b) + 1)
 _ATOMS = _table(lambda x: frozenset((x.name,)), lambda x, a: a, lambda x, a, b: a | b, {Bottom: lambda x: frozenset()})
 
 
@@ -444,6 +446,14 @@ def format_formula(f: Formula) -> str:
 def format_length(f: Formula) -> int:
     """``len(format_formula(f))``, without building the text."""
     return _fold(f, _LENGTH)
+
+
+def format_nesting(*fs: Formula) -> int:
+    """How deep the parentheses of the printed ``fs`` nest, at the deepest:
+    the depth the parsers bound by :data:`MAX_NESTING`.  One walk over the
+    objects of all ``fs``, however many of them they share."""
+    memo: dict[int, object] = {}
+    return max((_fold_from(f, _NESTING, memo) for f in fs), default=0)
 
 
 def desugar(f: Formula) -> Formula:

@@ -137,6 +137,27 @@ def test_taut_refuses_a_label_scripts_cannot_read(capsys, label):
     assert captured.err.startswith("error: ")
 
 
+def test_taut_refuses_a_proof_check_cannot_read(capsys, tmp_path):
+    # Each & desugars four levels deep, and the proof's (g -> bot) is one
+    # level above g: 34 levels for eight & p, 30 for seven.
+    def ladder(k):
+        text = "p"
+        for _ in range(k):
+            text = f"({text} & p)"
+        return f"({text} -> p)"
+
+    assert main(["taut", ladder(8)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: the proof would print a formula nested 34 levels deep, more than the limit of {MAX_NESTING}\n"
+    code, out = run(capsys, "taut", ladder(7))
+    assert code == 0
+    script = tmp_path / "taut.ndp"
+    script.write_text(out, encoding="utf-8")
+    code, out = run(capsys, "check", str(script))
+    assert code == 0 and out.startswith("Accepted, closed\n")
+
+
 def test_eval_positions_and_sequences(capsys, model_file):
     code, out = run(capsys, "eval", "--model", str(model_file), "--pos", "0", "(p U q)")
     assert code == 0 and out.strip() == "true"

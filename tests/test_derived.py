@@ -273,11 +273,55 @@ def test_derive_tautology_proves_tautologies_over_four_atoms(a, b, c):
 
 
 # A 5-atom instance of Peirce's law.  Its proof had 2098 nodes when every
-# branch split every atom and re-derived every subformula; the bound keeps
-# it from growing back.
+# branch split every atom and re-derived every subformula, and 688 when the
+# atoms were the only split variables; split on _A alone, it has the 25
+# nodes of the proof of (((p -> q) -> p) -> p).  The bound keeps it from
+# growing back.
 _A = "(((p & q) | r) -> (s & t))"
 PEIRCE5 = f"((({_A} -> p) -> {_A}) -> {_A})"
-PEIRCE5_NODES = 688
+PEIRCE5_NODES = 25
+
+
+def _nodes(text):
+    root = derive_tautology(parse_ltl(text), "b")
+    report = check(root)
+    assert report.accepted and not report.open_assumptions, report.message
+    assert report.conclusion == Lwff(("b",), desugar(parse_ltl(text)))
+    return len(all_nodes(root))
+
+
+def test_derive_tautology_splits_on_the_subformula_that_decides_it():
+    # Instances of one-variable schemata get the proof of their schema,
+    # whatever is substituted; with the atoms as split variables they had
+    # 634, 706, 692 and 699 nodes.
+    a, b = _A, "(q | (~ t))"
+    instances = {
+        f"({a} -> ({b} -> {a}))": "(p -> (q -> p))",
+        f"((~ (~ {a})) -> {a})": "((~ (~ p)) -> p)",
+        f"((({a} -> {b}) -> {a}) -> {a})": "(((p -> q) -> p) -> p)",
+    }
+    for instance, schema in instances.items():
+        assert _nodes(instance) == _nodes(schema), instance
+    assert [_nodes(text) for text in instances] == [18, 27, 25]
+    # The split variable of excluded middle is (A -> bot), which occurs
+    # twice; the schema's own proof splits on p.
+    assert _nodes(f"({a} | (~ {a}))") == 17
+    # No one subformula decides syllogism or S: the atoms stay the split
+    # variables, as before.
+    assert _nodes(f"(({a} -> {b}) -> (({b} -> p) -> ({a} -> p)))") == 295
+    assert _nodes(f"(({a} -> ({b} -> p)) -> (({a} -> {b}) -> ({a} -> p)))") == 462
+
+
+def test_derive_tautology_needs_a_true_value_either_way():
+    # Decided with nothing assigned: no split.  Setting (bot -> bot), which
+    # occurs twice, false would make ((bot & bot) -> bot) false: a definite
+    # value either way is not enough to split on it.
+    assert _nodes("(bot -> (p -> p))") == 6
+    assert _nodes("((bot & bot) -> bot)") == 15
+    # c occurs three times and no atom decides this formula; c false makes
+    # it false, so its proof splits on the atoms.
+    c = "((p -> q) -> (p -> q))"
+    assert _nodes(f"(({c} -> {c}) -> {c})") == 42
 
 
 def test_derive_tautology_stays_small():
@@ -288,6 +332,8 @@ def test_derive_tautology_stays_small():
 
 
 def test_derive_tautology_is_deterministic():
+    # PEIRCE5's proof splits on one compound subformula, found by a search
+    # over sets and counters keyed on ids and names.
     text = serialize(derive_tautology(parse_ltl(PEIRCE5), "b"))
     assert serialize(derive_tautology(parse_ltl(PEIRCE5), "b")) == text
     # Also under another string hash, which would reorder any set walked.
@@ -297,15 +343,21 @@ def test_derive_tautology_is_deterministic():
 
 
 def _check_shared_tautologies(k=40):
-    """Prove two tautologies of about 2^k tree nodes but few objects: k
-    nested ``(x -> x)`` over one atom, and Peirce's law whose operand is k
-    nested ``(x | x)`` over one atom, one object per level."""
+    """Prove three tautologies of about 2^k tree nodes but few objects: k
+    nested ``(x -> x)`` over one atom, Peirce's law whose operand is k
+    nested ``(x | x)`` over one atom, one object per level, and S over the
+    first with q and r.  S's repeated operand does not decide it, so its
+    proof splits on the atoms."""
     x = a = P
     for _ in range(k):
         x, a = Implies(x, x), Or(a, a)
-    for f in (x, Implies(Implies(Implies(a, Q), a), a)):
-        report = check(derive_tautology(f, "b"))
+    s = Implies(Implies(x, Implies(Q, R)), Implies(Implies(x, Q), Implies(x, R)))
+    for f in (x, Implies(Implies(Implies(a, Q), a), a), s):
+        root = derive_tautology(f, "b")
+        report = check(root)
         assert report.accepted and not report.open_assumptions, report.message
+        if f is s:
+            assert len(all_nodes(root)) == 191
         # == would compare the proof's copy of desugar(f) node by node; the
         # stored hash and the printed length are folds over objects.
         got, want = report.conclusion.formula, desugar(f)

@@ -22,6 +22,7 @@ from nabla.formulas import (
     desugar,
     format_formula,
     format_length,
+    format_nesting,
     is_local,
     parse_h,
     parse_ltl,
@@ -351,6 +352,11 @@ def test_roundtrip_print_parse(f):
     parser = parse_ltl if free_of(f, Hist) else parse_h
     assert parser(text) == f
     assert format_length(f) == len(text)
+    depth = deepest = 0
+    for ch in text:
+        depth += (ch == "(") - (ch == ")")
+        deepest = max(deepest, depth)
+    assert format_nesting(f) == deepest
 
 
 @settings(max_examples=300)
@@ -408,7 +414,7 @@ def test_every_walk_folds_a_table_of_all_node_classes(monkeypatch):
 @pytest.mark.parametrize("junk", ["p", 3, None, Implies(P, "q"), Always(Or(P, 3))])
 def test_walks_reject_a_non_formula(junk):
     m = LassoModel((), (frozenset({"p"}),))
-    for walk in (desugar, format_formula, format_length, atoms_of, is_local, translate, lambda g: eval_ltl(m, 0, g)):
+    for walk in (desugar, format_formula, format_length, format_nesting, atoms_of, is_local, translate, lambda g: eval_ltl(m, 0, g)):
         with pytest.raises(TypeError):
             walk(junk)
 
@@ -424,6 +430,8 @@ def _check_shared_walks():
     g = desugar(x)
     assert desugar(g) is g
     assert format_length(x) == length
+    # A level adds two to x's nesting and six to g's, desugared (F x) & x.
+    assert (format_nesting(x), format_nesting(x, g)) == (2 * 40 + 1, 6 * 40 + 1)
     for f in (x, g):
         assert (complexity(f), temporal_depth(f)) == (size, 41)
         assert atoms_of(f) == {"p"} and free_of(f, Until)
