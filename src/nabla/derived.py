@@ -9,13 +9,14 @@ and ``derive_tautology`` builds a closed proof for any classical
 propositional tautology by case-splitting.  It splits on one subformula
 alone where one decides the formula: true either way in Kleene's
 three-valued logic, everything else undetermined.  The atoms are tried
-in name order, then the subformulas that occur more than once, outermost
-first; one that occurs once can decide the formula only if nothing needs
-assigning.  Otherwise it splits on the atoms in name order.  A branch stops
-splitting once its partial valuation decides the formula, and each
-subproof is built once and shared by every branch that needs it; its
-three-valued value in a branch is memoised on the same key, so a formula
-that shares subformulas costs time linear in its objects, not its tree.
+in name order, then the first four subformulas that occur more than once,
+outermost first; one that occurs once can decide the formula only if
+nothing needs assigning.  Otherwise it splits on the atoms in name
+order.  A branch stops splitting once its partial valuation decides the
+formula, and each subproof is built once and shared by every branch that
+needs it; its three-valued value in a branch is memoised on the same
+key, so a formula that shares subformulas costs time linear in its
+objects, not its tree.
 """
 
 from __future__ import annotations
@@ -403,6 +404,12 @@ def _kleene(phi: Formula, fixed: dict[int, bool | None], known: dict[int, bool |
     return v
 
 
+# At most this many compound candidates are tested.  A test may visit every
+# object of g twice, so the search costs at most atoms + _CANDIDATES walks of
+# g, however many of its subformulas repeat.
+_CANDIDATES = 4
+
+
 def _split_variable(g: Formula, atoms: list[Atom], objects) -> Formula | None:
     """The one split variable that decides ``g``: the first candidate ``c``
     such that ``g`` is Kleene-true both with ``c`` true and with ``c``
@@ -411,15 +418,16 @@ def _split_variable(g: Formula, atoms: list[Atom], objects) -> Formula | None:
 
     ``g`` is interned, so equal subformulas are one object, and
     ``objects`` holds each of its subformulas once.  The candidates are
-    ``atoms``, in their order, then the implications that occur more than
-    once in ``g`` read as a tree, outermost first: breadth-first from the
-    root, left before right, descending only through implications that
-    occur once.  A subformula that occurs once never decides ``g``: along
-    its one path to the root, each ``->`` whose other side is fixed passes
-    an undetermined value upward, and passes a definite value only when
-    both values of the occurrence give the same one, and then an
-    undetermined occurrence gives it too.  So if a single occurrence
-    decided ``g``, ``g`` would already be decided with nothing assigned.
+    ``atoms``, in their order, then the first :data:`_CANDIDATES`
+    implications that occur more than once in ``g`` read as a tree,
+    outermost first: breadth-first from the root, left before right,
+    descending only through implications that occur once.  A subformula
+    that occurs once never decides ``g``: along its one path to the root,
+    each ``->`` whose other side is fixed passes an undetermined value
+    upward, and passes a definite value only when both values of the
+    occurrence give the same one, and then an undetermined occurrence
+    gives it too.  So if a single occurrence decided ``g``, ``g`` would
+    already be decided with nothing assigned.
 
     A definite value is not enough: in ``((bot & bot) -> bot)`` setting
     ``(bot -> bot)`` false makes it false.  Setting an undetermined
@@ -451,7 +459,7 @@ def _split_variable(g: Formula, atoms: list[Atom], objects) -> Formula | None:
     def decides(c: Formula) -> bool:
         return all(_kleene(g, {id(c): holds}, known) is True for holds in (True, False))
 
-    return next(filter(decides, itertools.chain(atoms, compound())), None)
+    return next(filter(decides, itertools.chain(atoms, itertools.islice(compound(), _CANDIDATES))), None)
 
 
 def derive_tautology(f: Formula, label: str = "b") -> Node:
@@ -510,39 +518,46 @@ def derive_tautology(f: Formula, label: str = "b") -> Node:
     atoms = [made[a] for a in names]
     split = _split_variable(g, atoms, made.values())
     variables = atoms if split is None else [split]
+
+    def name(c: Formula) -> str | int:
+        # Where env holds a split variable's literal: under an atom's name,
+        # or under the id of the one compound split variable.  An int is no
+        # name, and the compound's printed form would grow with its tree.
+        return c.name if isinstance(c, Atom) else id(c)
+
     if isinstance(split, Implies):
         # Key its atoms on the split variable, folding _ATOMS with it as a
         # leaf: what contains it is keyed on its literal, and value and
         # prove never look inside it.
-        atom_sets = {id(split): frozenset((format_formula(split),))}
+        atom_sets = {id(split): frozenset((name(split),))}
         _fold_from(g, _ATOMS, atom_sets)
 
     # A subformula's value and subproof depend only on the literal
     # assumptions of its split variables, so both are memoised on its
-    # literals key; env holds a split variable's literal, under its printed
-    # form, exactly where the partial valuation defines it.  A split
-    # variable or atom is keyed on itself and its literal, and bot on itself
-    # alone; their entries are made where they are known.
+    # literals key; env holds a split variable's literal, under its name,
+    # exactly where the partial valuation defines it.  A split variable or
+    # atom is keyed on itself and its literal, and bot on itself alone;
+    # their entries are made where they are known.
     values: dict[tuple, bool | None] = {(id(bot),): False}
     for v in (*atoms, *variables):
-        atom_sets[id(v)] = frozenset((format_formula(v),))
+        atom_sets[id(v)] = frozenset((name(v),))
         values[id(v), None] = None
 
-    def literals(phi: Formula, env: dict[str, Assume]) -> tuple:
+    def literals(phi: Formula, env: dict[str | int, Assume]) -> tuple:
         return (id(phi), *map(env.get, atom_sets.get(id(phi), ())))
 
     proved: dict[tuple, Node] = {}
 
     # value and prove take phi's key from their caller, which builds it
     # once per visit of phi.
-    def value(phi: Formula, key: tuple, env: dict[str, Assume]) -> bool | None:
+    def value(phi: Formula, key: tuple, env: dict[str | int, Assume]) -> bool | None:
         # The Kleene value of phi under the partial valuation.
         if key not in values:
             x, y = phi.left, phi.right
             values[key] = _kleene_implies(phi, value(x, literals(x, env), env), value(y, literals(y, env), env))
         return values[key]
 
-    def prove(phi: Formula, key: tuple, env: dict[str, Assume]) -> Node:
+    def prove(phi: Formula, key: tuple, env: dict[str | int, Assume]) -> Node:
         # Derives `phi` when the valuation makes it true, `phi -> bot` when
         # it makes it false; it decides every formula this is called on, so
         # each atom reached has its literal assumption in env.  The subproof
@@ -553,7 +568,7 @@ def derive_tautology(f: Formula, label: str = "b") -> Node:
             d = proved[key] = derive(phi, env)
         return d
 
-    def derive(phi: Formula, env: dict[str, Assume]) -> Node:
+    def derive(phi: Formula, env: dict[str | int, Assume]) -> Node:
         if isinstance(phi, Bottom):
             hb = Assume(next(ids), lw(bot))
             return Apply(next(ids), "impI", lw(imp(bot, bot)), (hb,), (hb,))
@@ -575,20 +590,20 @@ def derive_tautology(f: Formula, label: str = "b") -> Node:
         n2 = Apply(next(ids), "impE", lw(bot), (dy, n1))
         return Apply(next(ids), "impI", lw(imp(phi, bot)), (n2,), (h,))
 
-    def build(env: dict[str, Assume], remaining: list[Formula]) -> Node:
+    def build(env: dict[str | int, Assume], remaining: list[Formula]) -> Node:
         # A tautology is true or undetermined under every partial valuation.
         key = literals(g, env)
         if value(g, key, env):
             return prove(g, key, env)
         c, rest = remaining[0], remaining[1:]
-        name, not_c = format_formula(c), imp(c, bot)
+        not_c = imp(c, bot)
         lit_true = Assume(next(ids), lw(c))
         lit_false = Assume(next(ids), lw(not_c))
         for lit, holds in ((lit_true, True), (lit_false, False)):
             values[id(c), lit] = holds
             proved[id(c), lit] = lit
-        d_true = build({**env, name: lit_true}, rest)
-        d_false = build({**env, name: lit_false}, rest)
+        d_true = build({**env, name(c): lit_true}, rest)
+        d_false = build({**env, name(c): lit_false}, rest)
         d1 = Apply(next(ids), "impI", lw(imp(c, g)), (d_true,), (lit_true,))
         d2 = Apply(next(ids), "impI", lw(imp(not_c, g)), (d_false,), (lit_false,))
         hf = Assume(next(ids), lw(imp(g, bot)))

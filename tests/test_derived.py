@@ -7,6 +7,7 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from nabla import derived
 from nabla.derived import (
     NonParametricLabel,
     NotATautology,
@@ -324,6 +325,34 @@ def test_derive_tautology_needs_a_true_value_either_way():
     assert _nodes(f"(({c} -> {c}) -> {c})") == 42
 
 
+def test_split_variable_search_is_linear_in_objects(monkeypatch):
+    # A conjunction of m distinct (d -> d) over three atoms: each d occurs
+    # twice and none decides the formula.  The search tests at most
+    # derived._CANDIDATES of them, so its evaluations grow with m; testing
+    # every one would make them grow with m squared.
+    p, q, r = Atom("p"), Atom("q"), Atom("r")
+
+    def d_of(i):
+        # Distinct for distinct i: one level per bit of i + 1.
+        d = p
+        for bit in bin(i + 1)[3:]:
+            d = Implies(d, q) if bit == "1" else Implies(r, d)
+        return d
+
+    def conj(xs):
+        return xs[0] if len(xs) == 1 else And(conj(xs[: len(xs) // 2]), conj(xs[len(xs) // 2 :]))
+
+    kleene, calls = derived._kleene, []
+    monkeypatch.setattr(derived, "_kleene", lambda *a: calls.append(None) or kleene(*a))
+
+    def evaluations(m):
+        calls.clear()
+        derive_tautology(conj([Implies(d, d) for d in map(d_of, range(m))]), "b")
+        return len(calls)
+
+    assert evaluations(128) < 2.5 * evaluations(64)
+
+
 def test_derive_tautology_stays_small():
     root = derive_tautology(parse_ltl(PEIRCE5), "b")
     report = check(root)
@@ -343,21 +372,27 @@ def test_derive_tautology_is_deterministic():
 
 
 def _check_shared_tautologies(k=40):
-    """Prove three tautologies of about 2^k tree nodes but few objects: k
+    """Prove four tautologies of about 2^k tree nodes but few objects: k
     nested ``(x -> x)`` over one atom, Peirce's law whose operand is k
-    nested ``(x | x)`` over one atom, one object per level, and S over the
-    first with q and r.  S's repeated operand does not decide it, so its
-    proof splits on the atoms."""
+    nested ``(x | x)`` over one atom, one object per level, S over the
+    first with q and r, and Peirce's law with r whose operand is k nested
+    ``(x -> x)`` over ``(p -> q)``.  S's repeated operand does not decide
+    it, so its proof splits on the atoms.  No atom decides the last one
+    and its operand does, so its proof splits on that operand alone and is
+    the proof of ``(((p -> r) -> p) -> p)``."""
     x = a = P
+    c = Implies(P, Q)
     for _ in range(k):
-        x, a = Implies(x, x), Or(a, a)
+        x, a, c = Implies(x, x), Or(a, a), Implies(c, c)
     s = Implies(Implies(x, Implies(Q, R)), Implies(Implies(x, Q), Implies(x, R)))
-    for f in (x, Implies(Implies(Implies(a, Q), a), a), s):
+    peirce = Implies(Implies(Implies(c, R), c), c)
+    sizes = {id(s): 191, id(peirce): 25}
+    for f in (x, Implies(Implies(Implies(a, Q), a), a), s, peirce):
         root = derive_tautology(f, "b")
         report = check(root)
         assert report.accepted and not report.open_assumptions, report.message
-        if f is s:
-            assert len(all_nodes(root)) == 191
+        if id(f) in sizes:
+            assert len(all_nodes(root)) == sizes[id(f)]
         # == would compare the proof's copy of desugar(f) node by node; the
         # stored hash and the printed length are folds over objects.
         got, want = report.conclusion.formula, desugar(f)
