@@ -6,17 +6,19 @@ those applications into primitive derivations, and every expansion is
 re-checked by the kernel downstream.  ``mp_compose``, ``nec_g`` and
 ``nec_x`` make the Hilbert closure rules executable over closed proofs,
 and ``derive_tautology`` builds a closed proof for any classical
-propositional tautology by case-splitting.  It splits on one subformula
-alone where one decides the formula: true either way in Kleene's
-three-valued logic, everything else undetermined.  The atoms are tried
-in name order, then the first four subformulas that occur more than once,
-outermost first; one that occurs once can decide the formula only if
-nothing needs assigning.  Otherwise it splits on the atoms in name
-order.  A branch stops splitting once its partial valuation decides the
-formula, and each subproof is built once and shared by every branch that
-needs it; its three-valued value in a branch is memoised on the same
-key, so a formula that shares subformulas costs time linear in its
-objects, not its tree.
+propositional tautology by case-splitting.  One evaluator of Kleene's
+three-valued logic serves its three steps.  It decides validity first,
+by splitting on the atoms in name order for as long as the partial
+valuation leaves the formula undetermined.  It splits its proof on one
+subformula alone where one decides the formula: true either way,
+everything else undetermined.  The atoms are tried in name order, then
+the first four subformulas that occur more than once, outermost first;
+one that occurs once can decide the formula only if nothing needs
+assigning.  Otherwise it splits on the atoms in name order.  A branch
+stops splitting once its partial valuation decides the formula, and
+each subproof is built once and shared by every branch that needs it.
+Each walk visits a shared object once, so a formula that shares
+subformulas costs time linear in its objects, not its tree.
 """
 
 from __future__ import annotations
@@ -36,7 +38,6 @@ from .formulas import (
     Next,
     Or,
     Sometime,
-    _ATOMS,
     _fold,
     _fold_from,
     _not,
@@ -372,16 +373,13 @@ def nec_x(d: Node) -> Node:
 # --- tautology proofs --------------------------------------------------------
 
 
-def _kleene_implies(_: Formula, x: bool | None, y: bool | None) -> bool | None:
-    """Fold rule for ``x -> y`` in Kleene's strong three-valued logic, where
-    ``None`` is undetermined; classical implication on classical values."""
-    if x is False or y is True:
-        return True
-    return False if x is True and y is False else None
-
-
 def _kleene(phi: Formula, fixed: dict[int, bool | None], known: dict[int, bool | None]) -> bool | None:
-    """Kleene value of the propositional core formula ``phi``.
+    """Kleene value of the propositional core formula ``phi``: its value in
+    Kleene's strong three-valued logic, where ``None`` is undetermined and
+    an implication is true if its antecedent is false or its consequent
+    true, false if the one is true and the other false.  The one evaluator
+    of :func:`derive_tautology`: its refutation, its split-variable search
+    and its case split all call it.
 
     ``fixed`` gives values to objects, which are then leaves, and memoises
     the value of each object visited, by membership, so that undetermined
@@ -396,8 +394,10 @@ def _kleene(phi: Formula, fixed: dict[int, bool | None], known: dict[int, bool |
     v = known.get(i)
     if v is None:
         if isinstance(phi, Implies):
-            y = _kleene(phi.right, fixed, known)
-            v = True if y is True else _kleene_implies(phi, _kleene(phi.left, fixed, known), y)
+            v = _kleene(phi.right, fixed, known)
+            if v is not True:
+                x = _kleene(phi.left, fixed, known)
+                v = True if x is False else v if x is True else None
         elif isinstance(phi, Bottom):
             v = False
         fixed[i] = v
@@ -465,7 +465,11 @@ def _split_variable(g: Formula, atoms: list[Atom], objects) -> Formula | None:
 def derive_tautology(f: Formula, label: str = "b") -> Node:
     """Closed proof of ``label : f`` for a classical propositional tautology.
 
-    Case-split construction (Kalmár) over split variables.  When one
+    Validity is decided first, by :func:`_kleene` over the partial
+    valuations of the atoms in name order, false before true, pruned where
+    the formula is decided; ``NotATautology`` names the first falsifying
+    valuation in product order.  Then a case-split construction (Kalmár)
+    over split variables.  When one
     subformula decides the formula alone, true either way in Kleene's
     three-valued logic with everything else undetermined, it is the only
     split variable, whatever its size; an instance of Peirce's law, K,
@@ -477,10 +481,11 @@ def derive_tautology(f: Formula, label: str = "b") -> Node:
     decides the formula.  There the formula (or the refuted side of each
     subformula it needs) is derived from the branch's literal assumptions,
     and the literals are eliminated one split variable at a time through
-    excluded-middle reasoning built from botE.  Each subformula is
-    evaluated, and derived, once per choice of literal assumptions for its
-    split variables, and every place and branch that needs it shares that
-    value and subproof.  Output uses only impI, impE and botE.
+    excluded-middle reasoning built from botE.  The formula is evaluated,
+    by :func:`_kleene`, once per branch; each subformula is derived once
+    per choice of literal assumptions for its split variables, and every
+    place and branch that needs it shares that subproof.  Output uses only
+    impI, impE and botE.
     """
     if temporal_depth(f) > 0:
         raise NotPropositional(f"temporal operators in {format_formula(f)}")
@@ -507,103 +512,86 @@ def derive_tautology(f: Formula, label: str = "b") -> Node:
         return w
 
     g = _fold(desugar(f), {Atom: lambda x: made.setdefault(x.name, x), Bottom: lambda x: bot, Implies: lambda x, a, b: imp(a, b)})
-    atom_sets: dict[int, frozenset[str]] = {}
-    names = sorted(_fold_from(g, _ATOMS, atom_sets))
-    for bits in itertools.product([False, True], repeat=len(names)):
-        v = dict(zip(names, bits))
-        # No value is None here, so _fold_from memoises every object.
-        if not _fold_from(g, {Atom: lambda x: v[x.name], Bottom: lambda x: False, Implies: _kleene_implies}, {}):
-            raise NotATautology(f"falsified by {v}")
+    atoms = [made[a] for a in sorted(k for k in made if isinstance(k, str))]
 
-    atoms = [made[a] for a in names]
+    def refute(assigned: dict[int, bool], rest: list[Atom]) -> None:
+        # Splits on the atoms in name order, false before true, until the
+        # partial valuation decides g.  Where it makes g false, so does
+        # every extension, and the first of them in product order over the
+        # sorted atoms, false before true, sets every unassigned atom
+        # false; no valuation before that one falsifies g, since the
+        # branches walked before it are true or hold none that is false.
+        v = _kleene(g, dict(assigned), {})
+        if v is False:
+            valuation = {a.name: assigned.get(id(a), False) for a in atoms}
+            raise NotATautology(f"falsified by {valuation}")
+        if v is None:
+            for holds in (False, True):
+                refute({**assigned, id(rest[0]): holds}, rest[1:])
+
+    # Before the search, which reads g as an implication.
+    refute({}, atoms)
     split = _split_variable(g, atoms, made.values())
     variables = atoms if split is None else [split]
 
-    def name(c: Formula) -> str | int:
-        # Where env holds a split variable's literal: under an atom's name,
-        # or under the id of the one compound split variable.  An int is no
-        # name, and the compound's printed form would grow with its tree.
-        return c.name if isinstance(c, Atom) else id(c)
-
-    if isinstance(split, Implies):
-        # Key its atoms on the split variable, folding _ATOMS with it as a
-        # leaf: what contains it is keyed on its literal, and value and
-        # prove never look inside it.
-        atom_sets = {id(split): frozenset((name(split),))}
-        _fold_from(g, _ATOMS, atom_sets)
-
     # A subformula's value and subproof depend only on the literal
-    # assumptions of its split variables, so both are memoised on its
-    # literals key; env holds a split variable's literal, under its name,
-    # exactly where the partial valuation defines it.  A split variable or
-    # atom is keyed on itself and its literal, and bot on itself alone;
-    # their entries are made where they are known.
-    values: dict[tuple, bool | None] = {(id(bot),): False}
-    for v in (*atoms, *variables):
-        atom_sets[id(v)] = frozenset((name(v),))
-        values[id(v), None] = None
-
-    def literals(phi: Formula, env: dict[str | int, Assume]) -> tuple:
-        return (id(phi), *map(env.get, atom_sets.get(id(phi), ())))
-
+    # assumptions of its split variables.  keys gives each object the ids
+    # of the split variables below it, by one fold with them as leaves:
+    # what contains a compound split variable is keyed on its literal, and
+    # _kleene and prove never look inside it.  The atoms are seeded too,
+    # since the fold memoises no atom; bot has no entry.
+    keys: dict[int, frozenset[int]] = {id(v): frozenset((id(v),)) for v in (*atoms, *variables)}
+    _fold_from(g, {Atom: lambda x: keys[id(x)], Bottom: lambda x: frozenset(), Implies: lambda x, a, b: a | b}, keys)
     proved: dict[tuple, Node] = {}
 
-    # value and prove take phi's key from their caller, which builds it
-    # once per visit of phi.
-    def value(phi: Formula, key: tuple, env: dict[str | int, Assume]) -> bool | None:
-        # The Kleene value of phi under the partial valuation.
-        if key not in values:
-            x, y = phi.left, phi.right
-            values[key] = _kleene_implies(phi, value(x, literals(x, env), env), value(y, literals(y, env), env))
-        return values[key]
-
-    def prove(phi: Formula, key: tuple, env: dict[str | int, Assume]) -> Node:
+    # env holds a split variable's literal assumption, under its id, and
+    # fixed its value, exactly where the partial valuation defines it;
+    # fixed is also the branch's _kleene memo.
+    def prove(phi: Formula, env: dict[int, Assume], fixed: dict[int, bool | None]) -> Node:
         # Derives `phi` when the valuation makes it true, `phi -> bot` when
         # it makes it false; it decides every formula this is called on, so
-        # each atom reached has its literal assumption in env.  The subproof
-        # is built once per literal classes of phi's atoms and shared: they
-        # are discharged above every use.
+        # each split variable reached has its literal assumption in env.
+        # The subproof is built once per literal assumptions of phi's split
+        # variables and shared: they are discharged above every use.
+        key = (id(phi), *map(env.get, keys.get(id(phi), ())))
         d = proved.get(key)
         if d is None:
-            d = proved[key] = derive(phi, env)
+            d = proved[key] = derive(phi, env, fixed)
         return d
 
-    def derive(phi: Formula, env: dict[str | int, Assume]) -> Node:
+    def derive(phi: Formula, env: dict[int, Assume], fixed: dict[int, bool | None]) -> Node:
         if isinstance(phi, Bottom):
             hb = Assume(next(ids), lw(bot))
             return Apply(next(ids), "impI", lw(imp(bot, bot)), (hb,), (hb,))
         assert isinstance(phi, Implies)
         x, y = phi.left, phi.right
-        ky = literals(y, env)
-        if value(y, ky, env):  # tried first: one node over y's proof
-            return Apply(next(ids), "impI", lw(phi), (prove(y, ky, env),))
-        kx = literals(x, env)
-        if value(x, kx, env) is False:
-            dx = prove(x, kx, env)  # proves x -> bot
+        if _kleene(y, fixed, {}):  # tried first: one node over y's proof
+            return Apply(next(ids), "impI", lw(phi), (prove(y, env, fixed),))
+        if _kleene(x, fixed, {}) is False:
+            dx = prove(x, env, fixed)  # proves x -> bot
             h = Assume(next(ids), lw(x))
             n1 = Apply(next(ids), "impE", lw(bot), (dx, h))
             n2 = Apply(next(ids), "botE", lw(y), (n1,))
             return Apply(next(ids), "impI", lw(phi), (n2,), (h,))
-        dx, dy = prove(x, kx, env), prove(y, ky, env)  # x holds, y -> bot
+        dx, dy = prove(x, env, fixed), prove(y, env, fixed)  # x holds, y -> bot
         h = Assume(next(ids), lw(phi))
         n1 = Apply(next(ids), "impE", lw(y), (h, dx))
         n2 = Apply(next(ids), "impE", lw(bot), (dy, n1))
         return Apply(next(ids), "impI", lw(imp(phi, bot)), (n2,), (h,))
 
-    def build(env: dict[str | int, Assume], remaining: list[Formula]) -> Node:
+    def build(env: dict[int, Assume], assigned: dict[int, bool], remaining: list[Formula]) -> Node:
         # A tautology is true or undetermined under every partial valuation.
-        key = literals(g, env)
-        if value(g, key, env):
-            return prove(g, key, env)
+        fixed = dict(assigned)
+        if _kleene(g, fixed, {}):
+            return prove(g, env, fixed)
         c, rest = remaining[0], remaining[1:]
         not_c = imp(c, bot)
         lit_true = Assume(next(ids), lw(c))
         lit_false = Assume(next(ids), lw(not_c))
-        for lit, holds in ((lit_true, True), (lit_false, False)):
-            values[id(c), lit] = holds
+        for lit in (lit_true, lit_false):
             proved[id(c), lit] = lit
-        d_true = build({**env, name(c): lit_true}, rest)
-        d_false = build({**env, name(c): lit_false}, rest)
+        d_true = build({**env, id(c): lit_true}, {**assigned, id(c): True}, rest)
+        d_false = build({**env, id(c): lit_false}, {**assigned, id(c): False}, rest)
         d1 = Apply(next(ids), "impI", lw(imp(c, g)), (d_true,), (lit_true,))
         d2 = Apply(next(ids), "impI", lw(imp(not_c, g)), (d_false,), (lit_false,))
         hf = Assume(next(ids), lw(imp(g, bot)))
@@ -615,4 +603,4 @@ def derive_tautology(f: Formula, label: str = "b") -> Node:
         m5 = Apply(next(ids), "impE", lw(bot), (hf, m4))
         return Apply(next(ids), "botE", lw(g), (m5,), (hf,))
 
-    return build({}, variables)
+    return build({}, {}, variables)

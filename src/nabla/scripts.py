@@ -31,8 +31,10 @@ from .kernel import Apply, Assume, Le, Lwff, Node, Succ, all_nodes, format_gener
 
 __all__ = ["ScriptError", "parse_script", "serialize"]
 
-_RWFF_RE = re.compile(r"^(le|succ)\(\s*(\w+)\s*,\s*(\w+)\s*\)$")
-_LABEL_RE = re.compile(r"^[A-Za-z][A-Za-z0-9_]*$")
+# One label grammar for label sequences, relational formulas and subst.
+_LABEL = r"[A-Za-z][A-Za-z0-9_]*"
+_RWFF_RE = re.compile(rf"^(le|succ)\(\s*({_LABEL})\s*,\s*({_LABEL})\s*\)$")
+_LABEL_RE = re.compile(rf"^{_LABEL}$")
 
 
 class ScriptError(ValueError):
@@ -174,6 +176,8 @@ def parse_script(text: str) -> Node:
                 if len(fields) - i < 3:
                     raise ScriptError("subst needs two labels", lineno)
                 subst = (fields[i + 1], fields[i + 2])
+                if not all(_LABEL_RE.match(x) for x in subst):
+                    raise ScriptError(f"bad subst labels {' '.join(subst)!r}", lineno)
                 i += 3
             if i != len(fields):
                 raise ScriptError(f"unexpected trailing input {' '.join(fields[i:])!r}", lineno)

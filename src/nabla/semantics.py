@@ -176,10 +176,9 @@ def parse_model(text: str) -> LassoModel:
     if len(lines) < 3 or not lines[0].startswith("stem ") or not lines[1].startswith("loop "):
         raise ModelFormatError("model file must start with 'stem <s>' and 'loop <p>' lines")
     try:
-        s = int(lines[0].split()[1])
-        p = int(lines[1].split()[1])
-    except (IndexError, ValueError) as e:
-        raise ModelFormatError(f"bad stem/loop header: {e}")
+        (s,), (p,) = (map(int, ln.split()[1:]) for ln in lines[:2])
+    except ValueError as e:
+        raise ModelFormatError(f"bad stem/loop header, each takes one number: {e}")
     if s < 0 or p < 1:
         raise ModelFormatError("need stem >= 0 and loop >= 1")
     if lines[-1] != "end":

@@ -327,8 +327,10 @@ def test_derive_tautology_needs_a_true_value_either_way():
 
 def test_split_variable_search_is_linear_in_objects(monkeypatch):
     # A conjunction of m distinct (d -> d) over three atoms: each d occurs
-    # twice and none decides the formula.  The search tests at most
-    # derived._CANDIDATES of them, so its evaluations grow with m; testing
+    # twice and none decides the formula.  The count covers every _kleene
+    # call: the refutation and the case split walk the formula once per
+    # partial valuation of the three atoms, and the search tests at most
+    # derived._CANDIDATES of the d, so the evaluations grow with m; testing
     # every one would make them grow with m squared.
     p, q, r = Atom("p"), Atom("q"), Atom("r")
 
@@ -404,13 +406,42 @@ def test_derive_tautology_is_linear_in_shared_objects(run_in_child):
     run_in_child("test_derived", "_check_shared_tautologies")
 
 
+def _check_decided_by_few_atoms(n=30):
+    """Prove ``((p00 & ... & p29) -> (p15 | z))`` and refute
+    ``((p00 & ... & p29) -> z)``.  A few atoms decide each under most
+    partial valuations, but a walk of all 2^31 valuations cannot finish,
+    and the first falsifying one in product order is the 2^30th."""
+    ps = [Atom(f"p{i:02}") for i in range(n)]
+
+    def conj(xs):
+        return xs[0] if len(xs) == 1 else And(conj(xs[: len(xs) // 2]), conj(xs[len(xs) // 2 :]))
+
+    f = Implies(conj(ps), Or(ps[n // 2], Atom("z")))
+    report = check(derive_tautology(f, "b"))
+    assert report.accepted and not report.open_assumptions, report.message
+    assert report.conclusion == Lwff(("b",), desugar(f))
+    with pytest.raises(NotATautology) as e:
+        derive_tautology(Implies(conj(ps), Atom("z")), "b")
+    assert str(e.value) == f"falsified by {dict.fromkeys((p.name for p in ps), True) | {'z': False}}"
+
+
+def test_derive_tautology_walks_only_undecided_valuations(run_in_child):
+    run_in_child("test_derived", "_check_decided_by_few_atoms")
+
+
 def test_not_a_tautology_names_the_first_falsifying_valuation():
-    # Valuations are tried in product order over the sorted atoms, False
-    # before True; (q -> (p & r)) fails first at p=F, q=T, r=F.
+    # The first valuation in product order over the sorted atoms, False
+    # before True; (q -> (p & r)) fails first at p=F, q=T, r=F.  Where a
+    # partial valuation already falsifies the formula, the atoms it leaves
+    # unassigned are named False: p=F falsifies (p & (q -> q)), and a=F,
+    # z=T falsifies (z -> (a & bot)).
     cases = {
         "(p -> q)": "{'p': True, 'q': False}",
         "(q -> (p & r))": "{'p': False, 'q': True, 'r': False}",
         "bot": "{}",
+        "p": "{'p': False}",
+        "(p & (q -> q))": "{'p': False, 'q': False}",
+        "(z -> (a & bot))": "{'a': False, 'z': True}",
     }
     for text, valuation in cases.items():
         with pytest.raises(NotATautology) as e:

@@ -78,13 +78,35 @@ def test_subst_clause_parses():
     assert serialize(root).count("subst c d") == 1
 
 
+def test_labels_follow_one_grammar(tmp_path):
+    # An ASCII letter, then ASCII letters, digits and '_': in a label
+    # sequence, a relational formula and a subst clause alike.
+    linS = "assume 1 rwff succ(b,c)\nassume 2 rwff succ(b,d)\nassume 3 lwff b c : p\nassume 4 lwff b d : p\n"
+    bad = [
+        "assume 1 lwff 1 : p\nroot 1\n",
+        "assume 1 rwff le(1,_x)\nroot 1\n",
+        "assume 1 rwff le(_x,é)\nroot 1\n",
+        "assume 1 rwff succ(b,c²)\nroot 1\n",
+        linS + "node 5 linS concl b d : p prem 1,2,3,4 disch 4 subst c 1d\nroot 5\n",
+        linS + "node 5 linS concl b d : p prem 1,2,3,4 disch 4 subst _c d\nroot 5\n",
+    ]
+    for i, text in enumerate(bad):
+        with pytest.raises(ScriptError):
+            parse_script(text)
+        assert outcome(parse_script, text) == outcome(reference_parse_script, text)
+        path = tmp_path / f"bad{i}.ndp"
+        path.write_text(text, encoding="utf-8")
+        assert main(["check", str(path)]) == 2
+
+
 # --- formula sharing ---------------------------------------------------------
 #
 # The parser before sharing, kept as the reference: each line's formula is
 # parsed on its own, so equal formulas of a script are separate objects.
 
-_RWFF_RE = re.compile(r"^(le|succ)\(\s*(\w+)\s*,\s*(\w+)\s*\)$")
-_LABEL_RE = re.compile(r"^[A-Za-z][A-Za-z0-9_]*$")
+_LABEL = r"[A-Za-z][A-Za-z0-9_]*"
+_RWFF_RE = re.compile(rf"^(le|succ)\(\s*({_LABEL})\s*,\s*({_LABEL})\s*\)$")
+_LABEL_RE = re.compile(rf"^{_LABEL}$")
 
 
 def _ref_formula_prefix(text, line):
@@ -189,6 +211,8 @@ def reference_parse_script(text):
                 if len(fields) - i < 3:
                     raise ScriptError("subst needs two labels", lineno)
                 subst = (fields[i + 1], fields[i + 2])
+                if not all(_LABEL_RE.match(x) for x in subst):
+                    raise ScriptError(f"bad subst labels {' '.join(subst)!r}", lineno)
                 i += 3
             if i != len(fields):
                 raise ScriptError(f"unexpected trailing input {' '.join(fields[i:])!r}", lineno)

@@ -422,6 +422,10 @@ def test_model_file_errors():
         parse_model("loop 1\nstem 0\nat 0:\nend")
     with pytest.raises(ModelFormatError):
         parse_model("stem 0\nloop 1\nat 0: p\n")
+    # A header takes one value, as an 'at' row takes its one index.
+    for header in ["stem 1 7\nloop 1", "stem 1\nloop 1 junk"]:
+        with pytest.raises(ModelFormatError, match="^bad stem/loop header"):
+            parse_model(f"{header}\nat 0: p\nat 1: q\nend")
     # A cell holds only names that the formula parsers read as atoms.
     for cell in ["p,q", "p bot", "G", "X p", "_p", "1p", "p²", "e\u0301"]:
         with pytest.raises(ModelFormatError, match="^at 1: "):
