@@ -83,11 +83,12 @@ def _reference(m: LassoModel, seq, f: Formula) -> bool:
     """Truth at ``seq`` by a route independent of ``eval_h``'s pair collapse,
     up to ``_ORACLE_DEPTH``.
 
-    ``eval_h`` enters ``seq`` at its canonical last pair, and a local
-    formula at its last element alone, so two ``eval_h`` calls on sequences
-    a lemma equates would start from the same memo entry and could not
-    disagree.  The oracle gets its documented minimum horizon, whose ``G``
-    windows already cover ``s + p`` positions.
+    ``eval_h`` reads ``seq`` only at its normalised last pair, and a local
+    formula only at its last element's canonical position, so two
+    ``eval_h`` calls on sequences a lemma equates would read the same bit of
+    the same truth tables and could not disagree.  The oracle gets its
+    documented minimum horizon, whose ``G`` windows already cover ``s + p``
+    positions.
     """
     if temporal_depth(f) > _ORACLE_DEPTH:
         return _eval_h(m, seq, f)

@@ -1,11 +1,12 @@
 import random
 import sys
+import tracemalloc
 
 import pytest
 
 from nabla.corpus import ENTRIES
 from nabla import semantics
-from nabla.formulas import And, Always, Atom, Bottom, Hist, Implies, Next, Not, Or, Sometime, Until, desugar, parse_h, temporal_depth
+from nabla.formulas import And, Always, Atom, Bottom, Hist, Implies, Next, Not, Or, Sometime, Until, desugar, format_formula, parse_h, temporal_depth
 from nabla.gen import random_history_formula, random_obs_sequence, random_until_formula
 from nabla.translate import translate
 from nabla.kernel import Le, Lwff, Succ
@@ -324,14 +325,21 @@ def test_eval_h_nested_always_on_axioms():
     assert seen == {True, False}
 
 
-def count_ev_calls(m, sigma, f):
-    """How many times ``eval_h``'s inner ``ev`` runs on ``f`` at ``sigma``."""
-    calls = 0
+def count_work(m, sigma, f):
+    """The work ``eval_h`` does on ``f`` at ``sigma``: subformula objects
+    folded to a mask, plus rows computed for the objects that are not local.
+    Callers look an object up before they fold it or compute its rows, so
+    each call of ``_eval_h``'s ``fold`` is one object and each call of
+    ``semantics._rows`` is ``len(rows)`` rows."""
+    work = 0
 
     def profile(frame, event, arg):
-        nonlocal calls
-        if event == "call" and frame.f_code.co_qualname == "_eval_h.<locals>.ev":
-            calls += 1
+        nonlocal work
+        if event == "call":
+            if frame.f_code.co_qualname == "_eval_h.<locals>.fold":
+                work += 1
+            elif frame.f_code is semantics._rows.__code__:
+                work += len(frame.f_locals["rows"])
 
     previous = sys.getprofile()
     sys.setprofile(profile)
@@ -339,23 +347,137 @@ def count_ev_calls(m, sigma, f):
         eval_h(m, sigma, f)
     finally:
         sys.setprofile(previous)
-    return calls
+    return work
 
 
 def test_eval_h_nested_always_costs_one_pass_per_level():
-    # d nested (G (X -> X)) over (H p): above the bottom level each G has a
-    # local operand, which it reads at most once per canonical position, at
-    # three calls per read (->, and X twice).  A G that walked its two-period
-    # window at each position cost 215 calls per level here.
+    # Each level adds a G over an operand that reads the level below twice.
+    # Over a local operand, a level folds two objects (G and ->).  Over
+    # (H X -> H X), which is not local, it folds three (G, -> and H) and
+    # computes two rows per canonical position (-> and H): an evaluator
+    # that recomputed the rows of H X each time -> asked for them would
+    # compute three.  A G that walked its two-period window at each
+    # position cost 215 calls per level here.
     cells = [frozenset({"p"}) if k % 2 else frozenset() for k in range(16)]
     m = LassoModel(tuple(cells[:8]), tuple(cells[8:]))
+
+    def always_twice(f):
+        return Always(Implies(f, f))
+
+    def always_hist_twice(f):
+        h = Hist(f)
+        return Always(Implies(h, h))
+
+    for level, cost in [(always_twice, 2), (always_hist_twice, 3 + 2 * 16)]:
+        f = Hist(P)
+        counts = []
+        for _ in range(8):
+            f = level(f)
+            counts.append(count_work(m, (2, 5), f))
+        steps = [b - a for a, b in zip(counts, counts[1:])]
+        assert counts[0] > 0 and all(0 < step <= cost for step in steps), counts
+    # H levels are not local, so every level computes rows at the entry
+    # pair alone: two objects and two rows per level, where recomputing a
+    # row each time it is asked for would double the count per level.
     f = Hist(P)
     counts = []
     for _ in range(8):
-        f = Always(Implies(f, f))
-        counts.append(count_ev_calls(m, (2, 5), f))
-    steps = [b - a for a, b in zip(counts[1:], counts[2:])]
-    assert all(step <= 3 * 16 for step in steps), counts
+        f = Hist(Implies(f, f))
+        counts.append(count_work(m, (2, 5), f))
+    steps = [b - a for a, b in zip(counts, counts[1:])]
+    assert counts[0] > 0 and all(0 < step <= 4 for step in steps), counts
+
+
+def test_eval_h_agrees_with_the_oracle_past_the_fuzzers_depth():
+    # fuzz compares eval_h with the oracle only up to temporal depth 2
+    # (fuzz._ORACLE_DEPTH).  Here: formulas of depth exactly 3 and 4 on
+    # lassos small enough for the oracle's whole-tuple memo, at its minimum
+    # horizon.
+    rng = random.Random(21)
+    for depth, window, cases in [(3, 4, 300), (4, 3, 300)]:
+        seen = {True: 0, False: 0}
+        for _ in range(cases):
+            f = random_history_formula(rng, rng.randint(depth, 9))
+            while temporal_depth(f) != depth:
+                f = random_history_formula(rng, rng.randint(depth, 9))
+            m = bounded_lasso(rng, ["p", "q"], window - 1, window)
+            while m.stem_len + m.period > window:
+                m = bounded_lasso(rng, ["p", "q"], window - 1, window)
+            sigma = random_obs_sequence(rng, max_len=3, max_value=2 * window)
+            horizon = max(sigma) + (m.stem_len + m.period) * depth + 1
+            want = eval_h_oracle(m, sigma, f, horizon)
+            assert eval_h(m, sigma, f) == want, (m, sigma, f)
+            seen[want] += 1
+        assert min(seen.values()) >= 50, (depth, seen)
+
+
+def folded_pair(m, i, n, f):
+    """The pair ``eval_h`` answers ``(i, n)`` from: ``(n + 1, n)`` when
+    ``i > n``, both shifted back by whole periods while both lie at or past
+    ``s + p``, then the column folded back by periods to at most
+    ``max(i, s + p) + p * (temporal_depth(f) + 1)``."""
+    s, p = m.stem_len, m.period
+    if i > n:
+        i = n + 1
+    if min(i, n) >= s + p:
+        periods = (min(i, n) - s) // p
+        i, n = i - periods * p, n - periods * p
+    bound = max(i, s + p) + p * (temporal_depth(f) + 1)
+    if n > bound:
+        n -= (n - bound + p - 1) // p * p
+    return i, n
+
+
+def test_eval_h_far_positions_fold_back_in_constant_memory():
+    # One column mask per position up to 10**7 would take 1.2 MiB.
+    rng = random.Random(22)
+    far = [(0, 10**7), (3, 10**7), (10**7, 2), (10**7 + 1, 10**7 + 40)]
+    for _ in range(60):
+        m = bounded_lasso(rng, ["p", "q"], 2, 4)
+        f = Hist(history_formula_within(rng, rng.randint(0, 5), 1))
+        shape = rng.randrange(3)
+        if shape == 1:
+            f = Implies(Hist(Implies(Q, f)), f)
+        elif shape == 2:
+            # A staircase (see test_oracle_agrees_on_hist_staircases): the
+            # column where it settles moves out a period per level.
+            for level in range(rng.randint(3, 8)):
+                f = Hist(Implies(Q if level % 2 == 0 else P, f))
+        for i, n in far:
+            small = folded_pair(m, i, n, f)
+            want = eval_h_oracle(m, small, f, max(small) + (m.stem_len + m.period) * temporal_depth(f) + 1)
+            tracemalloc.start()
+            try:
+                got = eval_h(m, (i, n), f)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert got == want, (m, (i, n), small, f)
+            assert peak < 64 * 1024, (m, (i, n), f, peak)
+
+
+def test_eval_h_deep_chains_evaluate_without_recursion_error():
+    # 900 levels, built by constructors: the evaluator takes one frame per
+    # level, as the fold that desugars the formula does.
+    cells = [frozenset({"p", "q"}), frozenset({"p"}), frozenset({"q"})]
+    m = LassoModel(tuple(cells[:1]), tuple(cells[1:]))
+    rng = random.Random(23)
+    wraps = {"H": Hist, "X": Next, "G": Always, "q->": lambda f: Implies(Q, f)}
+    chains = [[name] * 900 for name in wraps] + [[rng.choice(list(wraps)) for _ in range(900)] for _ in range(3)]
+    for chain in chains:
+        f = P
+        for name in chain:
+            f = wraps[name](f)
+        for sigma in [(0,), (2, 5), (6, 1)]:
+            assert eval_h(m, sigma, f) in (True, False)
+    # Where the answer is plain: H^900 p at (0, n) is p on [0, n], and
+    # (q -> ...)^900 p at n is q -> p at n.  p fails first at 2, where q
+    # holds.
+    hist, imp = P, P
+    for _ in range(900):
+        hist, imp = Hist(hist), Implies(Q, imp)
+    assert [eval_h(m, (0, n), hist) for n in range(4)] == [True, True, False, False]
+    assert [eval_h(m, (n,), imp) for n in range(4)] == [True, True, False, True]
 
 
 def test_always_read_again_at_a_lower_stem_position():
@@ -466,27 +588,31 @@ def test_falsify_rejects_a_premise_outside_the_history_language():
 
 
 def test_falsify_evaluates_the_goal_once_per_sample_where_the_premises_hold(monkeypatch):
-    # The goal goes through eval_generic exactly on the samples where every
-    # premise holds; the premises, checked once per call, must agree with the
-    # public route on each sample.  Replaying the draws gives those samples.
+    # The goal is desugared once per call, like the premises, and evaluated
+    # exactly on the samples where every premise holds; the premises must
+    # agree with the public route on each sample.  Replaying the draws gives
+    # those samples.
     premises = [Lwff(("b",), P), Le("b", "c"), Lwff(("b", "c"), Or(Hist(Q), P))]
     goal = Lwff(("b",), Or(Q, P))
-    real = semantics.eval_generic
-    calls = []
+    goal_text = format_formula(desugar(goal.formula))
+    real = semantics._eval_h
+    calls, cores = [], []
 
-    def counting(m, interp, phi):
-        if phi is goal:
-            calls.append((m, dict(interp)))
-        return real(m, interp, phi)
+    def counting(m, sigma, g):
+        if format_formula(g) == goal_text:
+            calls.append((m, sigma))
+            cores.append(g)
+        return real(m, sigma, g)
 
-    monkeypatch.setattr(semantics, "eval_generic", counting)
+    monkeypatch.setattr(semantics, "_eval_h", counting)
     assert falsify_consequence(premises, goal, 300, seed=5) is None
     rng = random.Random(5)
     useful = []
     for _ in range(300):
         m = random_lasso(rng, ["p", "q"])
         interp = {lab: rng.randint(0, 12) for lab in ["b", "c"]}
-        if all(real(m, interp, phi) for phi in premises):
-            useful.append((m, interp))
+        if all(eval_generic(m, interp, phi) for phi in premises):
+            useful.append((m, (interp["b"],)))
     assert 0 < len(useful) < 300
     assert calls == useful
+    assert all(g is cores[0] for g in cores)
