@@ -37,14 +37,14 @@ each one Python ``int`` whose bit ``c`` is the truth at position ``c``:
   ``G`` window included, move with the pair, so it shifts back by whole
   periods until its smaller element lies in ``[s, s + p)``: the
   periodicity that also backs the two-period truncation, which
-  ``quantifier-bound`` checks.  A column ``n`` far past
+  ``quantifier-bound`` checks.  A column ``n`` more than ``_WIDE`` past
+  ``max(i, s + p)`` folds back by whole periods to at most
   ``max(i, s + p) + p * (k + 1)``, with ``k`` the formula's temporal
-  depth, folds back by whole periods to at most that bound: by induction
-  on the formula its truth at ``(i, mm)`` is periodic in ``mm`` past
-  ``max(i, s + p) + pk`` (a local one past ``s``; ``H`` of an operand
-  periodic past ``T`` is constant from ``T + p``, once its range holds a
-  whole period).  This is the ``H`` clamp; with it no table grows with
-  the position.
+  depth: by induction on the formula its truth at ``(i, mm)`` is
+  periodic in ``mm`` past ``max(i, s + p) + pk`` (a local one past
+  ``s``; ``H`` of an operand periodic past ``T`` is constant from
+  ``T + p``, once its range holds a whole period).  This is the ``H``
+  clamp; with it no table grows with the position.
 * Local subformulas fold to one mask over the canonical positions
   ``0 .. s+p-1``.  A local subformula, one where ``H`` occurs only under
   ``G`` or ``X`` (the grammar of ``formulas.is_local``), never reads the
@@ -70,9 +70,10 @@ each one Python ``int`` whose bit ``c`` is the truth at position ``c``:
   ``c + 1`` of row ``c``; ``G`` at ``c`` tests the bits
   ``[c, max(c, s) + 2p]`` of row ``c``, the two-period truncation above.
 
-Each object is folded once and each of its rows computed once, so the
-cost is linear in the distinct objects times the canonical positions, and
-a level of ``G`` adds one fold of its objects, whatever the nesting.
+Each object is folded once, and its rows are computed at most once at the
+entry row and once at the canonical positions, so the cost is linear in
+the distinct objects times the canonical positions, however deeply ``G``
+nests.
 ``eval_h_oracle`` keeps the literal whole-sequence memo.
 
 The public evaluators check their input: ``ValueError`` on an empty
@@ -281,7 +282,7 @@ def eval_h(m: LassoModel, seq, a: Formula) -> bool:
     position.  ``G`` over a local operand reads the canonical positions,
     over any other the window ``[n, max(n, s) + 2p]``; ``H`` at row ``i``
     is the run of ones from column ``i``.  The entry pair shifts back by
-    whole periods, and a far column folds back past the ``H`` clamp
+    whole periods, and a far column folds back to at most the ``H`` clamp
     ``max(i, s+p) + p(k+1)``, ``k`` the formula's temporal depth.
     """
     return _eval_h(m, _check_sequence(seq), _fold_checked(a, _HISTORY_CORE))
