@@ -266,6 +266,57 @@ def outcome(parse, text):
         return ("error", e.line, str(e))
 
 
+# One malformed script per raise site of parse_script, with the line and
+# the message it must report; the reference must report the same.
+_P = "assume 1 lwff b : p\n"
+_N = _P + "node 2 impI concl b : (p -> p) "
+_ERROR_SITES = [
+    ("assume 1\nroot 1\n", 1, "assume needs '<id> lwff|rwff ...'"),
+    (_P + "node 2\nroot 2\n", 2, "node needs '<id> <rule> concl ...'"),
+    ("assume x lwff b : p\nroot 1\n", 1, "bad id 'x'"),
+    (_P + "node 2x impI concl b : (p -> p) prem 1\nroot 2\n", 2, "bad id '2x'"),
+    (_P + "assume 1 rwff le(b,c)\nroot 1\n", 2, "duplicate id 1"),
+    (_N + "prem 1\nnode 2 impI concl b : (p -> p) prem 1\nroot 2\n", 3, "duplicate id 2"),
+    ("assume 1 lwff b p\nroot 1\n", 1, "expected '<label>+ : <formula>'"),
+    ("assume 1 lwff b 1c : p\nroot 1\n", 1, "bad label sequence 'b 1c'"),
+    ("assume 1 lwff b : (p ->\nroot 1\n", 1,
+     "bad formula: unexpected token '<end>' at offset 6 (expected one of: (, bot, identifier)"),
+    ("assume 1 lwff b : p q\nroot 1\n", 1, "trailing input after formula: 'q'"),
+    ("assume 1 rwff le(b)\nroot 1\n", 1, "bad relational formula 'le(b)'"),
+    ("assume 1 xwff b : p\nroot 1\n", 1, "expected 'lwff' or 'rwff', got 'xwff'"),
+    (_P + "node 2 impI conc b : (p -> p) prem 1\nroot 2\n", 2, "expected 'concl' after the rule name"),
+    (_P + "node 2 impI concl b (p -> p) prem 1\nroot 2\n", 2, "expected '<label>+ : <formula>'"),
+    (_P + "node 2 impI concl : (p -> p) prem 1\nroot 2\n", 2, "bad label sequence ''"),
+    (_P + "node 2 impI concl b : (p -> $) prem 1\nroot 2\n", 2,
+     "bad formula: unexpected token '<end>' at offset 7 (expected one of: (, bot, identifier)"),
+    (_N + "prem\nroot 2\n", 2, "prem needs a comma-separated id list"),
+    (_N + "disch 1\nroot 2\n", 2, "node needs a 'prem' clause"),
+    (_N + "prem 1,x disch 1\nroot 2\n", 2, "bad id 'x'"),
+    (_N + "prem 1 disch\nroot 2\n", 2, "disch needs a comma-separated id list"),
+    (_N + "prem 1 disch 1,y subst c\nroot 2\n", 2, "bad id 'y'"),
+    (_N + "prem 1 subst c\nroot 2\n", 2, "subst needs two labels"),
+    (_N + "prem 1 subst c 1d\nroot 2\n", 2, "bad subst labels 'c 1d'"),
+    (_N + "prem 1 disch 1 subst c d e\nroot 2\n", 2, "unexpected trailing input 'e'"),
+    (_N + "prem 1,9 disch 8\nroot 2\n", 2, "premise 9 is not defined yet"),
+    (_N + "prem 1 disch 8\nroot 2\n", 2, "discharged assumption 8 is not defined yet"),
+    (_N + "prem 1\nnode 3 impI concl b : (p -> p) prem 2 disch 2\nroot 3\n", 3, "discharged id 2 is not an assumption"),
+    (_P + "root 1\nroot 1\n", 3, "duplicate root line"),
+    (_P + "root\n", 2, "root needs exactly one id"),
+    (_P + "root 1 1\n", 2, "root needs exactly one id"),
+    (_P + "root one\n", 2, "bad id 'one'"),
+    (_P + "root 5\n", 2, "root 5 is not defined"),
+    (_P + "asume 2 lwff b : p\nroot 1\n", 2, "unknown directive 'asume'"),
+    (_P + "# root 1\n", 3, "missing root line"),
+]
+
+
+@pytest.mark.parametrize("text, line, message", _ERROR_SITES, ids=[m for _, _, m in _ERROR_SITES])
+def test_every_script_error_site(text, line, message):
+    expected = ("error", line, f"line {line}: {message}")
+    assert outcome(parse_script, text) == expected
+    assert outcome(reference_parse_script, text) == expected
+
+
 _CORPUS = [
     resources.files("nabla").joinpath(f"{d}/{name}").read_text(encoding="utf-8")
     for d, names in (("corpus", [e.script for e in ENTRIES]), ("corpus/mutations", [m.script for m in MUTATIONS]))
