@@ -71,7 +71,10 @@ class Formula:
 
     ``==`` is structural and true at identity.  A node computes its hash
     once, from its children's stored hashes, into the ``_hash`` slot,
-    outside the instance ``__dict__``.
+    outside the instance ``__dict__``.  Operator nodes below it that are
+    not hashed yet are hashed first, bottom-up on an explicit stack, so
+    hashing recurses at most one level (into an atom or bot) however deep
+    the formula is.
     """
 
     __slots__ = ("_hash",)
@@ -86,12 +89,34 @@ class Formula:
     def __hash__(self) -> int:
         h = getattr(self, "_hash", None)
         if h is None:
+            for child in self.__dict__.values():
+                if type(child) in _OPERATOR_NODES and not hasattr(child, "_hash"):
+                    _hash_below(self)
+                    break
             h = hash((type(self), *self.__dict__.values()))
             object.__setattr__(self, "_hash", h)
         return h
 
     def __str__(self) -> str:
         return format_formula(self)
+
+
+def _hash_below(f: Formula) -> None:
+    """Store the hash of every operator node below ``f`` that has none,
+    children before parents, so that each one's hash is one tuple hash
+    over children that are hashed or are atoms or bot."""
+    stack = [c for c in f.__dict__.values() if type(c) in _OPERATOR_NODES]
+    while stack:
+        x = stack[-1]
+        if hasattr(x, "_hash"):
+            stack.pop()
+            continue
+        pending = [c for c in x.__dict__.values() if type(c) in _OPERATOR_NODES and not hasattr(c, "_hash")]
+        if pending:
+            stack += pending
+        else:
+            stack.pop()
+            object.__setattr__(x, "_hash", hash((type(x), *x.__dict__.values())))
 
 
 @dataclass(frozen=True, eq=False)
@@ -249,7 +274,7 @@ class _Parser:
         self.pos = 0
         self.depth = 0
         self.foreign = foreign  # the other language's operator, "U" or "H"
-        self.shared: dict[tuple, Formula] = {} if shared is None else shared
+        self.shared: dict[str | tuple, Formula] = {} if shared is None else shared
 
     def error(self, partial: bool, k: int, expected, message: str | None = None) -> ParseError:
         tok, off = _positions(self.text, partial)[k]
@@ -260,16 +285,18 @@ class _Parser:
         tok = tokens[k]
         self.pos = k + 1
         if tok != "(":
-            f = self.shared.get((tok,))
+            f = self.shared.get(tok)
             if f is None:
-                # The first sight of bot or of an atom's name; any other token fails.
+                # The first sight of bot or of an atom's name; any other token
+                # fails.  ``tok`` is one token already, so this is _is_name
+                # without its token match.
                 if tok == "bot":
                     f = Bottom()
-                elif _is_name(tok):
+                elif tok[0].isalpha() and tok.isidentifier() and tok not in RESERVED:
                     f = Atom(tok)
                 else:
                     raise _Stop(k, _FORMULA_START)
-                self.shared[(tok,)] = f
+                self.shared[tok] = f
             return f
         if self.depth == MAX_NESTING:
             raise _Stop(k, {"identifier", "bot"}, f"formula nested deeper than {MAX_NESTING} levels")
@@ -338,6 +365,7 @@ def parse_h(text: str) -> Formula:
 _SYMBOL = {cls: sym for sym, cls in (_UNARY | _BINARY).items()}
 _UNARY_NODES = frozenset(_UNARY.values())
 _BINARY_NODES = frozenset(_BINARY.values())
+_OPERATOR_NODES = _UNARY_NODES | _BINARY_NODES
 
 
 def _fold(f: Formula, rules: dict):

@@ -87,14 +87,25 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+# The judgments and nodes are frozen dataclasses with a hand-written
+# ``__init__`` that binds ``object.__setattr__`` to the new instance once,
+# as ``attrs`` does for its frozen classes: a parsed script builds one of
+# each per line, and the generated ``__init__`` looks the setter up again
+# for every field.
+_bind_setattr = object.__setattr__.__get__
+
+
+@dataclass(frozen=True, init=False)
 class Lwff:
     seq: tuple[str, ...]
     formula: Formula
 
-    def __post_init__(self) -> None:
-        if not self.seq:
+    def __init__(self, seq: tuple[str, ...], formula: Formula) -> None:
+        if not seq:
             raise ValueError("label sequence must be nonempty")
+        set_ = _bind_setattr(self)
+        set_("seq", seq)
+        set_("formula", formula)
 
 
 @dataclass(frozen=True)
@@ -112,12 +123,17 @@ class Succ:
 GenericFormula = Lwff | Le | Succ
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class Assume:
     """An assumption class; occurrences are premise references to this object."""
 
     id: int
     formula: GenericFormula
+
+    def __init__(self, id: int, formula: GenericFormula) -> None:
+        set_ = _bind_setattr(self)
+        set_("id", id)
+        set_("formula", formula)
 
     @property
     def conclusion(self) -> GenericFormula:
@@ -125,7 +141,7 @@ class Assume:
         return self.formula
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class Apply:
     id: int
     rule: str
@@ -133,6 +149,23 @@ class Apply:
     premises: tuple["Node", ...]
     discharges: tuple[Assume, ...] = ()
     subst: tuple[str, str] | None = None
+
+    def __init__(
+        self,
+        id: int,
+        rule: str,
+        conclusion: Lwff,
+        premises: tuple["Node", ...],
+        discharges: tuple[Assume, ...] = (),
+        subst: tuple[str, str] | None = None,
+    ) -> None:
+        set_ = _bind_setattr(self)
+        set_("id", id)
+        set_("rule", rule)
+        set_("conclusion", conclusion)
+        set_("premises", premises)
+        set_("discharges", discharges)
+        set_("subst", subst)
 
 
 Node = Assume | Apply

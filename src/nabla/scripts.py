@@ -15,11 +15,28 @@ names may be primitive or derived (the loader expands derived rules before
 checking).  Exit-code convention for the checker CLI: 0 accepted,
 1 rejected, 2 parse error.
 
+Fields are separated by any run of whitespace (spaces or tabs), and each
+keyword (``assume``, ``lwff``, ``concl``, ``prem``, ...) is a whole field.
+The label sequence ends at the first ``:``, which needs no space around
+it.  An id is one or more ASCII digits (``007`` is 7); ``-1``, ``+1``,
+``1_0`` and other digits than ``0``-``9`` are bad ids.
+
+``parse_script`` reads each line once, in grammar order: the directive,
+the id, the kind or rule name, ``concl``, the label sequence up to ``:``,
+the formula, then the ``prem``, ``disch`` and ``subst`` clauses.  Each
+field is checked where it is read, so an error names the first field that
+is wrong.  A node line's formula is taken to be the text before its last
+`` prem `` (an assumption's, all the text after ``:``); when that text
+parses as a whole formula it is what a parse of the rest of the line
+would read, and only otherwise is the formula's end found by a partial
+parse, which also gives the error.
+
 Every line restates a whole formula, so a script repeats a few large
 formulas many times.  ``parse_script`` parses each distinct formula text
-once and interns every node, so equal formulas and subformulas of one
-script are one object; ``serialize`` prints each formula object once.
-Each memo belongs to one call and is dropped when it returns.
+once, reads each distinct label-sequence text once, and interns every
+node, so equal formulas and subformulas of one script are one object;
+``serialize`` prints each formula object once.  Each memo belongs to one
+call and is dropped when it returns.
 """
 
 from __future__ import annotations
@@ -43,75 +60,6 @@ class ScriptError(ValueError):
         self.line = line
 
 
-class _Formulas:
-    """The formulas of one script: each distinct formula text is parsed
-    once, each distinct label-sequence text is read once, and every node
-    goes through one intern table."""
-
-    def __init__(self) -> None:
-        self.texts: dict[str, Formula] = {}
-        self.labels: dict[str, tuple[str, ...]] = {}
-        self.shared: dict[tuple, Formula] = {}
-
-    def prefix(self, text: str, line: int) -> tuple[Formula, str]:
-        """The formula at the start of ``text`` and the rest of the line.
-
-        The guess is that a node line's formula is everything before its
-        last `` prem `` (an assumption's, everything), stripped.  When the
-        guess parses as a whole formula, a parse of ``text`` would read the
-        same tokens and stop at that `` prem ``, so the guess is the answer,
-        found without the offsets of its tokens; each distinct guess is
-        parsed once.  Otherwise (an atom or a later field named ``prem``, or
-        no formula at all) the partial parse of ``text`` gives the split or
-        the exact error."""
-        head, sep, tail = text.rpartition(" prem ")
-        key = (head if sep else text).strip()
-        f = self.texts.get(key) or self.shared.get((key,))  # an atom or bot seen before
-        if f is None:
-            try:
-                f = self.texts[key] = _Parser(key, "U", self.shared).run()
-            except ParseError:
-                pass
-        if f is not None:
-            return f, "prem " + tail if sep else ""
-        try:
-            f, stop = _Parser(text, "U", self.shared).prefix()
-        except ParseError as e:
-            raise ScriptError(f"bad formula: {e}", line)
-        return f, text[stop:]
-
-    def labelled(self, text: str, line: int) -> tuple[Lwff, str]:
-        head, colon, rest = text.partition(":")
-        if not colon:
-            raise ScriptError("expected '<label>+ : <formula>'", line)
-        labels = self.labels.get(head)
-        if labels is None:
-            labels = tuple(head.split())
-            if not labels or not all(_LABEL_RE.match(x) for x in labels):
-                raise ScriptError(f"bad label sequence {head.strip()!r}", line)
-            self.labels[head] = labels
-        f, tail = self.prefix(rest, line)
-        return Lwff(labels, f), tail
-
-
-def _parse_id(word: str, line: int) -> int:
-    try:
-        return int(word)
-    except ValueError:
-        raise ScriptError(f"bad id {word!r}", line)
-
-
-def _parse_ids(field: str, line: int) -> list[int]:
-    # A field of the node line holds no whitespace, so no part needs stripping.
-    parts = field.split(",")
-    try:
-        return [int(part) for part in parts if part]
-    except ValueError:
-        for part in filter(None, parts):
-            _parse_id(part, line)  # raises at the first bad part
-        raise
-
-
 _USAGE = {"assume": "assume needs '<id> lwff|rwff ...'", "node": "node needs '<id> <rule> concl ...'"}
 
 
@@ -119,93 +67,145 @@ def parse_script(text: str) -> Node:
     """Parse a script into its root derivation node.
 
     Sharing: within one call, structurally equal formulas and subformulas
-    are one object, and each distinct formula text is parsed once.  Both
+    are one object, and each distinct formula text is parsed once.  The
     tables live only for the call; two calls share nothing.
     """
-    formulas = _Formulas()
+    texts: dict[str, Formula] = {}  # formula text -> formula
+    seqs: dict[str, tuple[str, ...]] = {}  # label-sequence text -> labels
+    shared: dict[str | tuple, Formula] = {}  # the parsers' intern table
     nodes: dict[int, Node] = {}
     root_id: int | None = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = (raw.split("#", 1)[0] if "#" in raw else raw).strip()
-        if not line:
+    lines = text.splitlines()
+    for lineno, line in enumerate(lines, start=1):
+        if "#" in line:
+            line = line.partition("#")[0]
+        words = line.split(None, 3)
+        if not words:
             continue
-        words = line.split(None, 2)
-        if words[0] in _USAGE:
-            if len(words) < 3:
-                raise ScriptError(_USAGE[words[0]], lineno)
-            nid = _parse_id(words[1], lineno)
-            if nid in nodes:
-                raise ScriptError(f"duplicate id {nid}", lineno)
-            kind, _, rest = words[2].partition(" ")
-        if words[0] == "assume":
-            if kind == "lwff":
-                w, tail = formulas.labelled(rest, lineno)
-                if tail.strip():
-                    raise ScriptError(f"trailing input after formula: {tail.strip()!r}", lineno)
-                nodes[nid] = Assume(nid, w)
-            elif kind == "rwff":
-                m = _RWFF_RE.match(rest.strip())
-                if not m:
-                    raise ScriptError(f"bad relational formula {rest.strip()!r}", lineno)
-                ctor = Le if m.group(1) == "le" else Succ
-                nodes[nid] = Assume(nid, ctor(m.group(2), m.group(3)))
-            else:
-                raise ScriptError(f"expected 'lwff' or 'rwff', got {kind!r}", lineno)
-        elif words[0] == "node":
-            if not rest.startswith("concl"):
+        directive = words[0]
+        if directive != "node" and directive != "assume":
+            if directive != "root":
+                raise ScriptError(f"unknown directive {directive!r}", lineno)
+            if root_id is not None:
+                raise ScriptError("duplicate root line", lineno)
+            if len(words) != 2:
+                raise ScriptError("root needs exactly one id", lineno)
+            word = words[1]
+            if not (word.isdigit() and word.isascii()):
+                raise ScriptError(f"bad id {word!r}", lineno)
+            root_id = int(word)
+            if root_id not in nodes:
+                raise ScriptError(f"root {root_id} is not defined", lineno)
+            continue
+        if len(words) < 3:
+            raise ScriptError(_USAGE[directive], lineno)
+        word = words[1]
+        if not (word.isdigit() and word.isascii()):
+            raise ScriptError(f"bad id {word!r}", lineno)
+        nid = int(word)
+        if nid in nodes:
+            raise ScriptError(f"duplicate id {nid}", lineno)
+        rest = words[3] if len(words) == 4 else ""
+        if directive == "node":
+            if rest[:5] != "concl" or rest[5:6].strip():
                 raise ScriptError("expected 'concl' after the rule name", lineno)
-            conclusion, tail = formulas.labelled(rest[len("concl") :], lineno)
-            fields = tail.split()
-            prem_ids: list[int] = []
-            disch_ids: list[int] = []
-            subst: tuple[str, str] | None = None
-            i = 0
-            if i < len(fields) and fields[i] == "prem":
-                if i + 1 >= len(fields):
-                    raise ScriptError("prem needs a comma-separated id list", lineno)
-                prem_ids = _parse_ids(fields[i + 1], lineno)
-                i += 2
-            else:
-                raise ScriptError("node needs a 'prem' clause", lineno)
-            if i < len(fields) and fields[i] == "disch":
-                if i + 1 >= len(fields):
+            rest = rest[5:]
+        elif words[2] == "rwff":
+            m = _RWFF_RE.match(rest.strip())
+            if not m:
+                raise ScriptError(f"bad relational formula {rest.strip()!r}", lineno)
+            ctor = Le if m.group(1) == "le" else Succ
+            nodes[nid] = Assume(nid, ctor(m.group(2), m.group(3)))
+            continue
+        elif words[2] != "lwff":
+            raise ScriptError(f"expected 'lwff' or 'rwff', got {words[2]!r}", lineno)
+
+        head, colon, rest = rest.partition(":")
+        if not colon:
+            raise ScriptError("expected '<label>+ : <formula>'", lineno)
+        seq = seqs.get(head)
+        if seq is None:
+            seq = tuple(head.split())
+            if not seq or not all(_LABEL_RE.match(x) for x in seq):
+                raise ScriptError(f"bad label sequence {head.strip()!r}", lineno)
+            seqs[head] = seq
+        # The formula: the guess of the module docstring, checked by parsing
+        # it whole; a tab before 'prem' separates like a space.
+        k = (rest.replace("\t", " ") if "\t" in rest else rest).rfind(" prem ") if directive == "node" else -1
+        key = (rest[:k] if k >= 0 else rest).strip()
+        f = texts.get(key) or shared.get(key)  # an atom or bot seen before
+        if f is None:
+            try:
+                f = texts[key] = _Parser(key, "U", shared).run()
+            except ParseError:
+                pass
+        if f is not None:
+            tail = rest[k + 1 :] if k >= 0 else ""
+        else:
+            rest = rest.rstrip()  # offsets as in the stripped line
+            try:
+                f, stop = _Parser(rest, "U", shared).prefix()
+            except ParseError as e:
+                raise ScriptError(f"bad formula: {e}", lineno) from None
+            tail = rest[stop:]
+        if directive == "assume":
+            if tail.strip():
+                raise ScriptError(f"trailing input after formula: {tail.strip()!r}", lineno)
+            nodes[nid] = Assume(nid, Lwff(seq, f))
+            continue
+
+        fields = tail.split()
+        n = len(fields)
+        if not n or fields[0] != "prem":
+            raise ScriptError("node needs a 'prem' clause", lineno)
+        if n == 1:
+            raise ScriptError("prem needs a comma-separated id list", lineno)
+        # Each premise is looked up as its id is read; an id that is not
+        # defined yet is reported once the whole line has been read.
+        premises = []
+        missing = None
+        for word in fields[1].split(","):
+            if word:
+                if not (word.isdigit() and word.isascii()):
+                    raise ScriptError(f"bad id {word!r}", lineno)
+                node = nodes.get(int(word))
+                if node is None and missing is None:
+                    missing = int(word)
+                premises.append(node)
+        disch_ids = []
+        subst: tuple[str, str] | None = None
+        if n > 2:
+            i = 2
+            if fields[i] == "disch":
+                if i + 1 == n:
                     raise ScriptError("disch needs a comma-separated id list", lineno)
-                disch_ids = _parse_ids(fields[i + 1], lineno)
+                for word in fields[i + 1].split(","):
+                    if word:
+                        if not (word.isdigit() and word.isascii()):
+                            raise ScriptError(f"bad id {word!r}", lineno)
+                        disch_ids.append(int(word))
                 i += 2
-            if i < len(fields) and fields[i] == "subst":
-                if len(fields) - i < 3:
+            if i < n and fields[i] == "subst":
+                if n - i < 3:
                     raise ScriptError("subst needs two labels", lineno)
                 subst = (fields[i + 1], fields[i + 2])
                 if not all(_LABEL_RE.match(x) for x in subst):
                     raise ScriptError(f"bad subst labels {' '.join(subst)!r}", lineno)
                 i += 3
-            if i != len(fields):
+            if i != n:
                 raise ScriptError(f"unexpected trailing input {' '.join(fields[i:])!r}", lineno)
-            try:
-                premises = tuple([nodes[pid] for pid in prem_ids])
-            except KeyError:
-                missing = next(pid for pid in prem_ids if pid not in nodes)
-                raise ScriptError(f"premise {missing} is not defined yet", lineno) from None
-            discharges = []
-            for did in disch_ids:
-                if did not in nodes:
-                    raise ScriptError(f"discharged assumption {did} is not defined yet", lineno)
-                if not isinstance(nodes[did], Assume):
-                    raise ScriptError(f"discharged id {did} is not an assumption", lineno)
-                discharges.append(nodes[did])
-            nodes[nid] = Apply(nid, kind, conclusion, premises, tuple(discharges), subst)
-        elif words[0] == "root":
-            if root_id is not None:
-                raise ScriptError("duplicate root line", lineno)
-            if len(words) != 2:
-                raise ScriptError("root needs exactly one id", lineno)
-            root_id = _parse_id(words[1], lineno)
-            if root_id not in nodes:
-                raise ScriptError(f"root {root_id} is not defined", lineno)
-        else:
-            raise ScriptError(f"unknown directive {words[0]!r}", lineno)
+        if missing is not None:
+            raise ScriptError(f"premise {missing} is not defined yet", lineno)
+        discharges = []
+        for did in disch_ids:
+            if did not in nodes:
+                raise ScriptError(f"discharged assumption {did} is not defined yet", lineno)
+            if not isinstance(nodes[did], Assume):
+                raise ScriptError(f"discharged id {did} is not an assumption", lineno)
+            discharges.append(nodes[did])
+        nodes[nid] = Apply(nid, words[2], Lwff(seq, f), tuple(premises), tuple(discharges), subst)
     if root_id is None:
-        raise ScriptError("missing root line", len(text.splitlines()) + 1)
+        raise ScriptError("missing root line", len(lines) + 1)
     return nodes[root_id]
 
 

@@ -37,6 +37,54 @@ P, Q = Atom("p"), Atom("q")
 NODE_CLASSES = {Atom, Bottom, Implies, Always, Next, Until, Hist, Not, Or, And, Sometime}
 
 
+def _shared_ladder(n: int) -> Formula:
+    x = Hist(P)
+    for i in range(n):
+        x = Always(Implies(x, Next(x))) if i % 2 else Until(x, Or(Q, x))
+    return x
+
+
+def _postorder(f: Formula) -> list[Formula]:
+    out, seen = [], set()
+
+    def walk(x):
+        if id(x) not in seen:
+            seen.add(id(x))
+            for c in vars(x).values():
+                if isinstance(c, Formula):
+                    walk(c)
+            out.append(x)
+
+    walk(f)
+    return out
+
+
+class _Hashed:
+    """Hashes as the given value, as a hashed child does."""
+
+    def __init__(self, h: int):
+        self.h = h
+
+    def __hash__(self) -> int:
+        return self.h
+
+
+def test_hash_is_one_value_in_any_order(monkeypatch):
+    def reference(x):
+        children = (_Hashed(reference(c)) if isinstance(c, Formula) else c for c in vars(x).values())
+        return hash((type(x), *children))
+
+    top_down, bottom_up = _shared_ladder(12), _shared_ladder(12)
+    want = reference(_shared_ladder(12))
+    assert hash(top_down) == want
+    # A node whose children are hashed is hashed from them directly.
+    monkeypatch.setattr(formulas, "_hash_below", lambda f: pytest.fail("children were hashed"))
+    for x in _postorder(bottom_up):
+        hash(x)
+    assert hash(bottom_up) == want
+    assert top_down == bottom_up and top_down is not bottom_up
+
+
 def is_desugared(f: Formula) -> bool:
     """Reference for desugar's output: only the core connectives remain."""
     match f:

@@ -668,6 +668,17 @@ def test_formula_hash_is_linear_in_shared_objects(run_in_child):
     run_in_child("test_kernel", "_check_open_deep_assumption")
 
 
+def test_check_hashes_a_900_level_formula():
+    # The report's open set hashes the formula.  A hash computed recursively
+    # over the children raised RecursionError from about 500 levels on.
+    f = Atom("p")
+    for i in range(900):
+        f = Implies(Atom(f"q{i % 3}"), f) if i % 2 else Always(f)
+    w = Lwff(("b",), f)
+    report = check(Assume(1, w))
+    assert report.accepted and report.open_assumptions == {w}
+
+
 def test_kernel_has_eighteen_rules():
     assert set(kernel._VALIDATORS) == {
         "botE", "impI", "impE", "GI", "GE", "XI", "XE", "histI", "histE",

@@ -99,10 +99,62 @@ def test_labels_follow_one_grammar(tmp_path):
         assert main(["check", str(path)]) == 2
 
 
+def test_any_run_of_spaces_or_tabs_separates_fields(monkeypatch):
+    plain = (
+        "assume 1 lwff b : p\n"
+        "assume 2 lwff b : (p -> q)\n"
+        "node 3 impE concl b : q prem 2,1\n"
+        "root 3\n"
+    )
+    spaced = [
+        plain.replace("assume 1 lwff", "assume 1\tlwff"),
+        plain.replace("impE concl", "impE  concl"),
+        plain.replace("b : q prem", "b : q\tprem"),
+        plain.replace("assume 1 lwff", "assume  1 lwff"),
+        plain.replace("impE concl b", "impE\tconcl\tb"),
+        plain.replace("(p -> q)\n", "(p -> q)\t\n").replace(" prem 2,1", "\tprem\t2,1"),
+    ]
+    want = outcome(parse_script, plain)
+    assert want[0] != "error"
+    for text in spaced:
+        assert outcome(parse_script, text) == outcome(reference_parse_script, text) == want
+    # A tab before 'prem' ends the formula as a space does: no offset scan.
+    scans = []
+    positions = formulas._positions
+    monkeypatch.setattr(formulas, "_positions", lambda text, partial: scans.append(text) or positions(text, partial))
+    for text in spaced:
+        parse_script(text)
+    assert scans == []
+    # A keyword is a whole field.
+    for glued in ("impE conclb : q", "impE concl: q", "impEconcl b : q"):
+        text = plain.replace("impE concl b : q", glued)
+        assert outcome(parse_script, text) == outcome(reference_parse_script, text)
+        assert outcome(parse_script, text)[0] == "error"
+
+
+def test_ids_are_ascii_digits():
+    base = "assume 10 lwff b : p\n"
+    for word in ("1_0", "-1", "+1", "\u0661", "\u00b2", "1.0", "0x1"):
+        for text, line in [
+            (base + f"assume {word} lwff b : q\nroot 10\n", 2),
+            (base + f"node 2 reflLe concl b : p prem 10,{word}\nroot 2\n", 2),
+            (base + f"node 2 impI concl b : (p -> p) prem 10 disch {word}\nroot 2\n", 2),
+            (base + f"root {word}\n", 2),
+        ]:
+            want = ("error", line, f"line {line}: bad id {word!r}")
+            assert outcome(parse_script, text) == outcome(reference_parse_script, text) == want
+    # Leading zeros still read as the number.
+    text = base + "node 2 reflLe concl b : p prem 010\nroot 02\n"
+    assert outcome(parse_script, text) == outcome(reference_parse_script, text)
+    assert parse_script(text).premises[0].id == 10
+
+
 # --- formula sharing ---------------------------------------------------------
 #
 # The parser before sharing, kept as the reference: each line's formula is
 # parsed on its own, so equal formulas of a script are separate objects.
+# Its fields are separated by any run of whitespace, and its ids are ASCII
+# digits, as in parse_script.
 
 _LABEL = r"[A-Za-z][A-Za-z0-9_]*"
 _RWFF_RE = re.compile(rf"^(le|succ)\(\s*({_LABEL})\s*,\s*({_LABEL})\s*\)$")
@@ -130,17 +182,22 @@ def _ref_labelled(text, line):
     return Lwff(labels, f)
 
 
+def _ref_id(word, line):
+    # ASCII digits only: int() would also take '-1', '+1', '1_0' and '١'.
+    if not re.fullmatch(r"[0-9]+", word):
+        raise ScriptError(f"bad id {word!r}", line)
+    return int(word)
+
+
 def _ref_ids(text, line):
-    out = []
-    for part in text.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        try:
-            out.append(int(part))
-        except ValueError:
-            raise ScriptError(f"bad id {part!r}", line)
-    return out
+    return [_ref_id(part.strip(), line) for part in text.split(",") if part.strip()]
+
+
+def _ref_word(text):
+    """The first field of ``text`` and the rest: fields are separated by
+    any run of whitespace."""
+    first, rest = (text.split(None, 1) + ["", ""])[:2]
+    return first, rest
 
 
 def reference_parse_script(text):
@@ -154,13 +211,10 @@ def reference_parse_script(text):
         if words[0] == "assume":
             if len(words) < 3:
                 raise ScriptError("assume needs '<id> lwff|rwff ...'", lineno)
-            try:
-                nid = int(words[1])
-            except ValueError:
-                raise ScriptError(f"bad id {words[1]!r}", lineno)
+            nid = _ref_id(words[1], lineno)
             if nid in nodes:
                 raise ScriptError(f"duplicate id {nid}", lineno)
-            kind, _, rest = words[2].partition(" ")
+            kind, rest = _ref_word(words[2])
             if kind == "lwff":
                 nodes[nid] = Assume(nid, _ref_labelled(rest, lineno))
             elif kind == "rwff":
@@ -174,16 +228,13 @@ def reference_parse_script(text):
         elif words[0] == "node":
             if len(words) < 3:
                 raise ScriptError("node needs '<id> <rule> concl ...'", lineno)
-            try:
-                nid = int(words[1])
-            except ValueError:
-                raise ScriptError(f"bad id {words[1]!r}", lineno)
+            nid = _ref_id(words[1], lineno)
             if nid in nodes:
                 raise ScriptError(f"duplicate id {nid}", lineno)
-            rule, _, rest = words[2].partition(" ")
-            if not rest.startswith("concl"):
+            rule, rest = _ref_word(words[2])
+            concl, rest = _ref_word(rest)
+            if concl != "concl":
                 raise ScriptError("expected 'concl' after the rule name", lineno)
-            rest = rest[len("concl"):]
             head, colon, tail = rest.partition(":")
             if not colon:
                 raise ScriptError("expected '<label>+ : <formula>'", lineno)
@@ -234,10 +285,7 @@ def reference_parse_script(text):
                 raise ScriptError("duplicate root line", lineno)
             if len(words) != 2:
                 raise ScriptError("root needs exactly one id", lineno)
-            try:
-                root_id = int(words[1])
-            except ValueError:
-                raise ScriptError(f"bad id {words[1]!r}", lineno)
+            root_id = _ref_id(words[1], lineno)
             if root_id not in nodes:
                 raise ScriptError(f"root {root_id} is not defined", lineno)
         else:
