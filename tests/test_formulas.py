@@ -78,7 +78,7 @@ def test_hash_is_one_value_in_any_order(monkeypatch):
     want = reference(_shared_ladder(12))
     assert hash(top_down) == want
     # A node whose children are hashed is hashed from them directly.
-    monkeypatch.setattr(formulas, "_hash_below", lambda f: pytest.fail("children were hashed"))
+    monkeypatch.setattr(formulas, "_hash_below", lambda f: pytest.fail("_hash_below called with every child hashed"))
     for x in _postorder(bottom_up):
         hash(x)
     assert hash(bottom_up) == want
