@@ -7,16 +7,19 @@ abbreviations and once desugared.  ``proof_taut.json`` holds ``nabla taut``
 on the three A1 instances, ``proof_corpus.json`` the stdout of
 ``nabla corpus --json``, and ``mutation_sweep.json`` the
 ``check(...).to_dict()`` of seeded mutations of corpus and sampled
-derivations, and ``fault_order.json`` the verdict on every single and
+derivations, ``fault_order.json`` the verdict on every single and
 double fault of one accepted node per rule, which pins the order in which
-each validator tests its conditions.  A refactor of the proof layer keeps
-all five unchanged.
+each validator tests its conditions, and ``taut_batch.json`` the outcome of
+``derive_tautology`` on seeded random propositional formulas: the node count
+and SHA-256 of the serialized proof, or the ``NotATautology`` message.  A
+refactor of the proof layer keeps all six unchanged.
 
-``python -m tests.test_proof_goldens`` rewrites the five files from the
+``python -m tests.test_proof_goldens`` rewrites the six files from the
 code as it stands.
 """
 
 import contextlib
+import hashlib
 import io
 import itertools
 import json
@@ -29,10 +32,11 @@ import pytest
 import nabla
 from nabla.cli import main
 from nabla.corpus import ENTRIES, TAUTOLOGY_INSTANCES, load_entry
-from nabla.derived import derive_tautology
-from nabla.formulas import Always, Atom, Bottom, Hist, Implies, Next, desugar, format_formula, parse_h, parse_ltl
+from nabla.derived import NotATautology, derive_tautology
+from nabla.formulas import And, Always, Atom, Bottom, Hist, Implies, Next, Not, Or, desugar, format_formula, parse_h, parse_ltl
 from nabla.gen import DerivationSampler
-from nabla.kernel import Apply, Assume, Le, Lwff, Succ, check, labels_of_generic
+from nabla.kernel import Apply, Assume, Le, Lwff, Succ, all_nodes, check, labels_of_generic
+from nabla.scripts import serialize
 
 GOLDEN = Path(__file__).parent / "golden"
 CORPUS = Path(nabla.__file__).parent / "corpus"
@@ -363,6 +367,49 @@ def fault_outputs() -> list:
     return out
 
 
+# --- tautology batch ---------------------------------------------------------
+
+TAUT_BATCH = 300
+
+
+def random_prop(rng, atoms, budget):
+    """A formula over ``-> & | ~ bot`` and ``atoms`` with at most ``budget``
+    connectives."""
+    if budget <= 0:
+        return Atom(rng.choice(atoms)) if rng.random() < 0.9 else Bottom()
+    op = rng.choice((Implies, And, Or, Not))
+    if op is Not:
+        return Not(random_prop(rng, atoms, budget - 1))
+    left = rng.randint(0, budget - 1)
+    return op(random_prop(rng, atoms, left), random_prop(rng, atoms, budget - 1 - left))
+
+
+def taut_batch_outputs() -> list:
+    """``derive_tautology`` on seeded formulas of 1-6 atoms and budget
+    0-16: three fifths left as drawn, a fifth the operand of Peirce's law
+    with a second drawn formula and a fifth the operand of excluded middle,
+    so that about half are tautologies."""
+    rng = random.Random(2323)
+    out = []
+    for _ in range(TAUT_BATCH):
+        atoms = [f"a{i}" for i in range(rng.randint(1, 6))]
+        a = random_prop(rng, atoms, rng.randint(0, 16))
+        shape = rng.randrange(5)
+        if shape == 1:
+            a = Implies(Implies(Implies(a, random_prop(rng, atoms, rng.randint(0, 4))), a), a)
+        elif shape == 2:
+            a = Or(a, Not(a))
+        text = format_formula(a)
+        try:
+            root = derive_tautology(parse_ltl(text), "b")
+        except NotATautology as e:
+            out.append({"formula": text, "refused": str(e)})
+        else:
+            digest = hashlib.sha256(serialize(root).encode()).hexdigest()
+            out.append({"formula": text, "nodes": len(all_nodes(root)), "sha256": digest})
+    return out
+
+
 def dump(value) -> str:
     if isinstance(value, list):
         return "[\n" + ",\n".join(json.dumps(x, sort_keys=True) for x in value) + "\n]\n"
@@ -375,6 +422,7 @@ PROOF_GOLDENS = {
     "proof_corpus": lambda: cli("corpus", "--json"),
     "mutation_sweep": sweep_outputs,
     "fault_order": fault_outputs,
+    "taut_batch": taut_batch_outputs,
 }
 
 
