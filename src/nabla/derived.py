@@ -7,18 +7,19 @@ re-checked by the kernel downstream.  ``mp_compose``, ``nec_g`` and
 ``nec_x`` make the Hilbert closure rules executable over closed proofs,
 and ``derive_tautology`` builds a closed proof for any classical
 propositional tautology by case-splitting.  One evaluator of Kleene's
-three-valued logic serves its three steps.  It decides validity first,
-by splitting on the atoms in name order for as long as the partial
-valuation leaves the formula undetermined.  It splits its proof on one
-subformula alone where one decides the formula: true either way,
-everything else undetermined.  The atoms are tried in name order, then
-the first four subformulas that occur more than once, outermost first;
-one that occurs once can decide the formula only if nothing needs
-assigning.  Otherwise it splits on the atoms in name order.  A branch
-stops splitting once its partial valuation decides the formula, and
-each subproof is built once and shared by every branch that needs it.
-Each walk visits a shared object once, so a formula that shares
-subformulas costs time linear in its objects, not its tree.
+three-valued logic serves its two steps.  It first looks for one
+subformula that decides the formula alone: true either way, everything
+else undetermined.  The atoms are tried in name order, then the first
+four subformulas that occur more than once, outermost first; one that
+occurs once can decide the formula only if nothing needs assigning.
+Such a subformula is the only split variable, and the formula is then a
+tautology; otherwise the atoms are, in name order.  One walk of the
+split tree, false branch first, then decides, refutes and builds: a
+branch stops splitting once its partial valuation decides the formula,
+the first false one names the first falsifying valuation, and each
+subproof is built once and shared by every branch that needs it.  Each
+walk visits a shared object once, so a formula that shares subformulas
+costs time linear in its objects, not its tree.
 """
 
 from __future__ import annotations
@@ -378,8 +379,8 @@ def _kleene(phi: Formula, fixed: dict[int, bool | None], known: dict[int, bool |
     Kleene's strong three-valued logic, where ``None`` is undetermined and
     an implication is true if its antecedent is false or its consequent
     true, false if the one is true and the other false.  The one evaluator
-    of :func:`derive_tautology`: its refutation, its split-variable search
-    and its case split all call it.
+    of :func:`derive_tautology`: its split-variable search and its case
+    split, which also refutes, both call it.
 
     ``fixed`` gives values to objects, which are then leaves, and memoises
     the value of each object visited, by membership, so that undetermined
@@ -413,7 +414,8 @@ _CANDIDATES = 4
 def _split_variable(g: Formula, atoms: list[Atom], objects) -> Formula | None:
     """The one split variable that decides ``g``: the first candidate ``c``
     such that ``g`` is Kleene-true both with ``c`` true and with ``c``
-    false, everything else undetermined; None if there is none, or if
+    false, everything else undetermined; None if there is none, if ``g``
+    is not an implication (an atom or bot, which no split decides), or if
     ``g`` is Kleene-true with nothing assigned.
 
     ``g`` is interned, so equal subformulas are one object, and
@@ -438,7 +440,7 @@ def _split_variable(g: Formula, atoms: list[Atom], objects) -> Formula | None:
     that value again.
     """
     known: dict[int, bool | None] = {}
-    if _kleene(g, known, {}) is True:
+    if not isinstance(g, Implies) or _kleene(g, known, {}) is True:
         return None
 
     def compound() -> Iterator[Formula]:
@@ -465,27 +467,26 @@ def _split_variable(g: Formula, atoms: list[Atom], objects) -> Formula | None:
 def derive_tautology(f: Formula, label: str = "b") -> Node:
     """Closed proof of ``label : f`` for a classical propositional tautology.
 
-    Validity is decided first, by :func:`_kleene` over the partial
-    valuations of the atoms in name order, false before true, pruned where
-    the formula is decided; ``NotATautology`` names the first falsifying
-    valuation in product order.  Then a case-split construction (Kalmár)
-    over split variables.  When one
+    A case-split construction (Kalmár) over split variables.  When one
     subformula decides the formula alone, true either way in Kleene's
     three-valued logic with everything else undetermined, it is the only
-    split variable, whatever its size; an instance of Peirce's law, K,
-    excluded middle or double negation thus gets the proof of its schema
-    (see :func:`_split_variable` for which subformulas are tried, and in
-    what order).  Otherwise the atoms are the split variables, in name
-    order.  Each branch assumes a literal for a split variable, ``c`` or
-    ``c -> bot``, and stops splitting as soon as its partial valuation
-    decides the formula.  There the formula (or the refuted side of each
-    subformula it needs) is derived from the branch's literal assumptions,
-    and the literals are eliminated one split variable at a time through
-    excluded-middle reasoning built from botE.  The formula is evaluated,
-    by :func:`_kleene`, once per branch; each subformula is derived once
-    per choice of literal assumptions for its split variables, and every
-    place and branch that needs it shares that subproof.  Output uses only
-    impI, impE and botE.
+    split variable, whatever its size, and the formula is a tautology; an
+    instance of Peirce's law, K, excluded middle or double negation thus
+    gets the proof of its schema (see :func:`_split_variable` for which
+    subformulas are tried, and in what order).  Otherwise the atoms are
+    the split variables, in name order.  Each branch assumes a literal for
+    a split variable, ``c`` or ``c -> bot``, the false branch first, and
+    stops splitting as soon as its partial valuation decides the formula.
+    Where it makes the formula true, the formula (or the refuted side of
+    each subformula it needs) is derived from the branch's literal
+    assumptions, and the literals are eliminated one split variable at a
+    time through excluded-middle reasoning built from botE.  Where it
+    makes the formula false, ``NotATautology`` names the first falsifying
+    valuation in product order over the atoms, false before true.  The
+    formula is evaluated, by :func:`_kleene`, once per branch; each
+    subformula is derived once per choice of literal assumptions for its
+    split variables, and every place and branch that needs it shares that
+    subproof.  Output uses only impI, impE and botE.
     """
     if temporal_depth(f) > 0:
         raise NotPropositional(f"temporal operators in {format_formula(f)}")
@@ -514,23 +515,6 @@ def derive_tautology(f: Formula, label: str = "b") -> Node:
     g = _fold(desugar(f), {Atom: lambda x: made.setdefault(x.name, x), Bottom: lambda x: bot, Implies: lambda x, a, b: imp(a, b)})
     atoms = [made[a] for a in sorted(k for k in made if isinstance(k, str))]
 
-    def refute(assigned: dict[int, bool], rest: list[Atom]) -> None:
-        # Splits on the atoms in name order, false before true, until the
-        # partial valuation decides g.  Where it makes g false, so does
-        # every extension, and the first of them in product order over the
-        # sorted atoms, false before true, sets every unassigned atom
-        # false; no valuation before that one falsifies g, since the
-        # branches walked before it are true or hold none that is false.
-        v = _kleene(g, dict(assigned), {})
-        if v is False:
-            valuation = {a.name: assigned.get(id(a), False) for a in atoms}
-            raise NotATautology(f"falsified by {valuation}")
-        if v is None:
-            for holds in (False, True):
-                refute({**assigned, id(rest[0]): holds}, rest[1:])
-
-    # Before the search, which reads g as an implication.
-    refute({}, atoms)
     split = _split_variable(g, atoms, made.values())
     variables = atoms if split is None else [split]
 
@@ -580,18 +564,27 @@ def derive_tautology(f: Formula, label: str = "b") -> Node:
         return Apply(next(ids), "impI", lw(imp(phi, bot)), (n2,), (h,))
 
     def build(env: dict[int, Assume], assigned: dict[int, bool], remaining: list[Formula]) -> Node:
-        # A tautology is true or undetermined under every partial valuation.
+        # Where the partial valuation makes g false, so does every
+        # extension, and the first of them in product order over the sorted
+        # atoms, false before true, sets every unassigned atom false; no
+        # valuation before it falsifies g, since the branches walked before
+        # it are true or hold none that is false.  A compound split
+        # variable decides g, so it is never false here.
         fixed = dict(assigned)
-        if _kleene(g, fixed, {}):
+        v = _kleene(g, fixed, {})
+        if v:
             return prove(g, env, fixed)
+        if v is False:
+            valuation = {a.name: assigned.get(id(a), False) for a in atoms}
+            raise NotATautology(f"falsified by {valuation}")
         c, rest = remaining[0], remaining[1:]
         not_c = imp(c, bot)
         lit_true = Assume(next(ids), lw(c))
         lit_false = Assume(next(ids), lw(not_c))
         for lit in (lit_true, lit_false):
             proved[id(c), lit] = lit
-        d_true = build({**env, id(c): lit_true}, {**assigned, id(c): True}, rest)
         d_false = build({**env, id(c): lit_false}, {**assigned, id(c): False}, rest)
+        d_true = build({**env, id(c): lit_true}, {**assigned, id(c): True}, rest)
         d1 = Apply(next(ids), "impI", lw(imp(c, g)), (d_true,), (lit_true,))
         d2 = Apply(next(ids), "impI", lw(imp(not_c, g)), (d_false,), (lit_false,))
         hf = Assume(next(ids), lw(imp(g, bot)))

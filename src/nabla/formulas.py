@@ -29,8 +29,8 @@ The parsers reject a formula whose parentheses nest deeper than
 :data:`MAX_NESTING`.  Every operator application is one parenthesized
 level; ``translate`` and :func:`desugar` deepen a formula (one level of
 ``U`` becomes about 9 core levels, ``&`` about 4), and the recursive
-evaluators, comparisons and hashes downstream must stay within Python's
-recursion limit on the result.
+evaluators and comparisons downstream must stay within Python's recursion
+limit on the result.
 """
 
 from __future__ import annotations

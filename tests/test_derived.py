@@ -28,6 +28,7 @@ from nabla.formulas import (
     Hist,
     Implies,
     Next,
+    Not,
     Or,
     Sometime,
     Always,
@@ -328,10 +329,10 @@ def test_derive_tautology_needs_a_true_value_either_way():
 def test_split_variable_search_is_linear_in_objects(monkeypatch):
     # A conjunction of m distinct (d -> d) over three atoms: each d occurs
     # twice and none decides the formula.  The count covers every _kleene
-    # call: the refutation and the case split walk the formula once per
-    # partial valuation of the three atoms, and the search tests at most
-    # derived._CANDIDATES of the d, so the evaluations grow with m; testing
-    # every one would make them grow with m squared.
+    # call: the case split walks the formula once per partial valuation of
+    # the three atoms, and the search tests at most derived._CANDIDATES of
+    # the d, so the evaluations grow with m; testing every one would make
+    # them grow with m squared.
     p, q, r = Atom("p"), Atom("q"), Atom("r")
 
     def d_of(i):
@@ -353,6 +354,41 @@ def test_split_variable_search_is_linear_in_objects(monkeypatch):
         return len(calls)
 
     assert evaluations(128) < 2.5 * evaluations(64)
+
+
+def test_derive_tautology_evaluates_the_root_once_per_partial_valuation(monkeypatch):
+    # Outside the split-variable search, the one walk that decides, refutes
+    # and builds evaluates the root once per partial valuation it splits
+    # on: 2k + 1 of them for a proof of k case splits, each ending in a
+    # botE that discharges the root's negation.  PEIRCE5 splits on a
+    # compound subformula, so no atom ever gets a value.
+    kleene, search = derived._kleene, derived._split_variable
+    calls, searching = [], []
+
+    def counted(phi, fixed, known):
+        if not searching:
+            calls.append((phi, dict(fixed)))
+        return kleene(phi, fixed, known)
+
+    def uncounted(*args):
+        searching.append(None)
+        try:
+            return search(*args)
+        finally:
+            searching.pop()
+
+    monkeypatch.setattr(derived, "_kleene", counted)
+    monkeypatch.setattr(derived, "_split_variable", uncounted)
+    for text in ("((p -> (q -> r)) -> ((p -> q) -> (p -> r)))", "((p & q) -> (q & p))", "(p | (~ p))", PEIRCE5):
+        calls.clear()
+        proof = derive_tautology(parse_ltl(text), "b")
+        root = proof.conclusion.formula
+        splits = sum(1 for n in all_nodes(proof) if isinstance(n, Apply) and n.rule == "botE" and n.discharges)
+        valuations = [frozenset(fixed.items()) for phi, fixed in calls if phi is root]
+        assert len(valuations) == len(set(valuations)) == 2 * splits + 1, text
+    # calls holds PEIRCE5's evaluations, the last of the loop.
+    atoms = {id(phi) for phi, _ in calls if isinstance(phi, Atom)}
+    assert atoms and not any(fixed.get(i) is not None for _, fixed in calls for i in atoms)
 
 
 def test_derive_tautology_stays_small():
@@ -429,12 +465,42 @@ def test_derive_tautology_walks_only_undecided_valuations(run_in_child):
     run_in_child("test_derived", "_check_decided_by_few_atoms")
 
 
+def _check_refused_before_a_large_true_branch(n=20):
+    """Refuse ``(a & B)``, where ``B`` is the iff of a left- and a
+    right-associated xor chain over ``b00..b19``: a tautology that no single
+    subformula decides.  a=F falsifies it at once; a walk that took the true
+    branch first would prove B over all 2^20 valuations before reaching
+    that refusal."""
+    bs = [Atom(f"b{i:02}") for i in range(n)]
+
+    def iff(x, y):
+        return And(Implies(x, y), Implies(y, x))
+
+    def xor(x, y):
+        return Not(iff(x, y))
+
+    left = bs[0]
+    for b in bs[1:]:
+        left = xor(left, b)
+    right = bs[-1]
+    for b in reversed(bs[:-1]):
+        right = xor(b, right)
+    with pytest.raises(NotATautology) as e:
+        derive_tautology(And(Atom("a"), iff(left, right)), "b")
+    assert str(e.value) == f"falsified by {dict.fromkeys(['a', *(b.name for b in bs)], False)}"
+
+
+def test_refusal_comes_before_a_large_true_branch(run_in_child):
+    run_in_child("test_derived", "_check_refused_before_a_large_true_branch")
+
+
 def test_not_a_tautology_names_the_first_falsifying_valuation():
     # The first valuation in product order over the sorted atoms, False
     # before True; (q -> (p & r)) fails first at p=F, q=T, r=F.  Where a
     # partial valuation already falsifies the formula, the atoms it leaves
     # unassigned are named False: p=F falsifies (p & (q -> q)), and a=F,
-    # z=T falsifies (z -> (a & bot)).
+    # z=T falsifies (z -> (a & bot)).  The walk that refuses also builds:
+    # it proves ((p -> q) & (q -> p)) at p=F, q=F before it refuses it.
     cases = {
         "(p -> q)": "{'p': True, 'q': False}",
         "(q -> (p & r))": "{'p': False, 'q': True, 'r': False}",
@@ -442,6 +508,7 @@ def test_not_a_tautology_names_the_first_falsifying_valuation():
         "p": "{'p': False}",
         "(p & (q -> q))": "{'p': False, 'q': False}",
         "(z -> (a & bot))": "{'a': False, 'z': True}",
+        "((p -> q) & (q -> p))": "{'p': False, 'q': True}",
     }
     for text, valuation in cases.items():
         with pytest.raises(NotATautology) as e:
