@@ -238,7 +238,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lemma", required=True, choices=LEMMAS)
     p.add_argument("--samples", type=int, default=1000)
     p.add_argument("--seed", type=int, help="default: NABLA_SEED, else 0")
-    p.add_argument("--max-size", type=int, default=6)
+    p.add_argument(
+        "--max-size",
+        type=int,
+        default=6,
+        help="operator budget of each drawn formula; soundness draws derivations, not formulas, and ignores it",
+    )
     p.add_argument("--json", action="store_true")
     p.add_argument(
         "--inject-bug",

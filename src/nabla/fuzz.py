@@ -294,6 +294,12 @@ def run_lemma(
     max_size: int = 6,
     inject_bug: str | None = None,
 ) -> FuzzReport:
+    """Sample ``lemma`` ``samples`` times from ``seed``; stop at the first
+    falsifying case and shrink it.  ``max_size`` bounds the operator budget
+    of each drawn formula, at most 6 for quantifier-bound.  Soundness draws
+    derivations of 3 to 7 steps, not formulas, and reads ``max_size``
+    nowhere: its report echoes the value and is otherwise the same for every
+    ``max_size``."""
     if lemma not in LEMMAS:
         raise ValueError(f"unknown lemma {lemma!r}; pick one of {', '.join(LEMMAS)}")
     if samples < 1 or max_size < 0:

@@ -84,11 +84,15 @@ sequence, a negative position or a formula of the other language, and
 nonempty tuple of naturals, a formula ``g`` that is a ``_HISTORY_CORE``
 image, and for the oracle that minimum horizon.
 ``fuzz``'s lemma runners and ``falsify_consequence``, which check their
-formulas once, call the bodies directly.
+formulas once, call the bodies directly.  The falsifier compiles its
+premises once per call and decides the relational ones on the drawn label
+positions before it builds a model, so a sample where they fail costs the
+draws alone.
 """
 
 from __future__ import annotations
 
+import operator
 import random
 from dataclasses import dataclass
 
@@ -108,7 +112,7 @@ from .formulas import (
     atoms_of,
     temporal_depth,
 )
-from .kernel import GenericFormula, Le, Lwff, format_generic, labels_of_generic
+from .kernel import GenericFormula, Le, Lwff, Succ, format_generic, labels_of_generic
 
 __all__ = [
     "LassoModel",
@@ -453,29 +457,38 @@ def _eval_h_oracle(m: LassoModel, sigma: tuple[int, ...], g: Formula, horizon: i
         cached = memo.get(key)
         if cached is not None:
             return cached
-        if isinstance(x, Atom):
+        cls = type(x)
+        if cls is Implies:
+            v = (not ev(sig, x.left)) or ev(sig, x.right)
+        elif cls is Atom:
             n = sig[-1]
             v = x.name in vals[n if n < s + p else s + (n - s) % p]
-        elif isinstance(x, Bottom):
+        elif cls is Bottom:
             v = False
-        elif isinstance(x, Implies):
-            v = (not ev(sig, x.left)) or ev(sig, x.right)
-        elif isinstance(x, Next):
+        elif cls is Next:
             v = ev(sig + (sig[-1] + 1,), x.operand)
-        elif isinstance(x, Always):
-            v = all(ev(sig + (mm,), x.operand) for mm in range(sig[-1], sig[-1] + slack + 1))
-        elif isinstance(x, Hist):
-            if len(sig) == 1:
-                v = ev(sig, x.operand)
-            else:
-                prev = sig[:-1]
-                v = all(ev(prev + (mm,), x.operand) for mm in range(sig[-2], sig[-1] + 1))
+        elif cls is Always:
+            v = all_at(sig, sig[-1], sig[-1] + slack, x.operand)
+        elif cls is Hist:
+            v = ev(sig, x.operand) if len(sig) == 1 else all_at(sig[:-1], sig[-2], sig[-1], x.operand)
         else:
             raise TypeError(f"not a core formula: {x!r}")
         memo[key] = v
         return v
 
+    def all_at(prev: tuple[int, ...], lo: int, hi: int, y: Formula) -> bool:
+        """``y`` at ``prev + (mm,)`` for every ``mm`` in ``[lo, hi]``,
+        read up to the first position where it fails."""
+        for mm in range(lo, hi + 1):
+            if not ev(prev + (mm,), y):
+                return False
+        return True
+
     return ev(sigma, g)
+
+
+# The order and successor relations between two positions.
+_RELATIONS = {Le: operator.le, Succ: lambda a, b: b == a + 1}
 
 
 def eval_generic(m: LassoModel, interp: dict[str, int], phi: GenericFormula) -> bool:
@@ -490,7 +503,7 @@ def eval_generic(m: LassoModel, interp: dict[str, int], phi: GenericFormula) -> 
         raise UnboundLabel(str(e))
     if isinstance(phi, Lwff):
         return eval_h(m, at, phi.formula)
-    return at[0] <= at[1] if isinstance(phi, Le) else at[1] == at[0] + 1
+    return _RELATIONS[type(phi)](*at)
 
 
 @dataclass(frozen=True)
@@ -520,11 +533,18 @@ def _symbols_in(formulas) -> list[str]:
 def random_lasso(rng: random.Random, symbols) -> LassoModel:
     """A stem of 0 to 4 cells and a loop of 1 to 3; each valuation cell is
     an independent fair coin per symbol."""
+    return LassoModel(*_draw_lasso(rng, symbols))
+
+
+def _draw_lasso(rng: random.Random, symbols) -> tuple[tuple[frozenset[str], ...], tuple[frozenset[str], ...]]:
+    """``random_lasso``'s draws: the stem and the loop, not yet built into a
+    model."""
     syms = list(symbols) if symbols else ["p"]
+    coin = rng.random
     s = rng.randint(0, 4)
     p = rng.randint(1, 3)
-    cells = [frozenset(x for x in syms if rng.random() < 0.5) for _ in range(s + p)]
-    return LassoModel(tuple(cells[:s]), tuple(cells[s:]))
+    cells = tuple([frozenset([x for x in syms if coin() < 0.5]) for _ in range(s + p)])
+    return cells[:s], cells[s:]
 
 
 # Labels are interpreted as positions in [0, _MAX_LABEL_VALUE].
@@ -535,27 +555,42 @@ def falsify_consequence(premises, goal: GenericFormula, samples: int, seed: int)
     """Search random (model, interpretation) pairs for one satisfying every
     premise but not the goal.  A falsifier, never a prover: finding nothing
     does not establish the consequence.  Deterministic for a fixed seed.
-    The formulas of the premises and of the goal are checked and desugared
-    once per call; the goal is evaluated where every premise holds.
+
+    Each sample draws a lasso as ``random_lasso`` does, then one position
+    per label in name order; the draws do not depend on what the premises
+    say, only on their symbols and labels.  The premises and the goal are
+    compiled once per call, their labels to indices into the drawn
+    positions and their formulas checked and desugared.  The relational
+    premises are decided first, on the positions alone; only where every
+    one holds is the model built, the labelled premises evaluated, and
+    then the goal.
     """
     premises = list(premises)
     every = premises + [goal]
-    labels, symbols = sorted({x for phi in every for x in labels_of_generic(phi)}), _symbols_in(every)
-    rels = [r for r in premises if not isinstance(r, Lwff)]
-    hists = [(w.seq, _fold_checked(w.formula, _HISTORY_CORE)) for w in premises if isinstance(w, Lwff)]
-    goal_core = _fold_checked(goal.formula, _HISTORY_CORE) if isinstance(goal, Lwff) else None
+    labels = sorted({x for phi in every for x in labels_of_generic(phi)})
+    symbols = _symbols_in(every)
+    index = {lab: k for k, lab in enumerate(labels)}
+    rels = [(_RELATIONS[type(r)], index[r.a], index[r.b]) for r in premises if not isinstance(r, Lwff)]
+    hists = [(tuple([index[x] for x in w.seq]), _fold_checked(w.formula, _HISTORY_CORE)) for w in premises if isinstance(w, Lwff)]
+    if isinstance(goal, Lwff):
+        goal_at = tuple([index[x] for x in goal.seq])
+        goal_core, goal_holds = _fold_checked(goal.formula, _HISTORY_CORE), None
+    else:
+        goal_at, goal_core, goal_holds = (index[goal.a], index[goal.b]), None, _RELATIONS[type(goal)]
     rng = random.Random(seed)
+    position = rng.randint
     for i in range(samples):
-        model = random_lasso(rng, symbols)
-        interp = {lab: rng.randint(0, _MAX_LABEL_VALUE) for lab in labels}
-        if (
-            all(eval_generic(model, interp, r) for r in rels)
-            and all(_eval_h(model, tuple(interp[x] for x in seq), g) for seq, g in hists)
-            and not (
-                eval_generic(model, interp, goal)
-                if goal_core is None
-                else _eval_h(model, tuple(interp[x] for x in goal.seq), goal_core)
-            )
-        ):
-            return Counterexample(model, interp, i, format_generic(goal))
+        stem, loop = _draw_lasso(rng, symbols)
+        at = [position(0, _MAX_LABEL_VALUE) for _ in labels]
+        for holds, a, b in rels:
+            if not holds(at[a], at[b]):
+                break
+        else:
+            model = LassoModel(stem, loop)
+            if all(_eval_h(model, tuple([at[k] for k in seq]), g) for seq, g in hists) and not (
+                _eval_h(model, tuple([at[k] for k in goal_at]), goal_core)
+                if goal_holds is None
+                else goal_holds(at[goal_at[0]], at[goal_at[1]])
+            ):
+                return Counterexample(model, dict(zip(labels, at)), i, format_generic(goal))
     return None

@@ -6,10 +6,11 @@ import pytest
 
 from nabla.corpus import ENTRIES
 from nabla import semantics
-from nabla.formulas import And, Always, Atom, Bottom, Hist, Implies, Next, Not, Or, Sometime, Until, desugar, format_formula, parse_h, temporal_depth
+from nabla.formulas import And, Always, Atom, Bottom, Hist, Implies, Next, Not, Or, Sometime, Until, atoms_of, desugar, format_formula, parse_h, temporal_depth
 from nabla.gen import random_history_formula, random_obs_sequence, random_until_formula
 from nabla.translate import translate
-from nabla.kernel import Le, Lwff, Succ
+from nabla.fuzz import _draw_derivation
+from nabla.kernel import Le, Lwff, Succ, format_generic, labels_of_generic
 from nabla.semantics import (
     HorizonTooSmall,
     LassoModel,
@@ -509,6 +510,30 @@ def test_oracle_horizon_precondition():
     with pytest.raises(HorizonTooSmall):
         eval_h_oracle(STEM_P_LOOP_Q, (4, 1), f, 10)
     assert eval_h_oracle(STEM_P_LOOP_Q, (4, 1), f, 11) == eval_h(STEM_P_LOOP_Q, (4, 1), f)
+    # Above the minimum, G still ranges over [n, n + horizon - max(seq)],
+    # and H over [seq[-2], seq[-1]], each up to the first position where
+    # the operand fails.  No truth value shows this on a lasso, where any
+    # window the minimum allows decides G, so the cells read are recorded.
+    read = []
+
+    class Cell(frozenset):
+        def __contains__(self, name):
+            read.append(self.at)
+            return frozenset.__contains__(self, name)
+
+    cells = [Cell({"p"}) for _ in range(7)]
+    for k, cell in enumerate(cells):
+        cell.at = k
+    m = LassoModel(tuple(cells[:4]), tuple(cells[4:]))
+    for seq, f, horizon, want in [
+        ((2,), Always(P), 20, range(2, 21)),
+        ((0, 2), Always(Q), 12, [2]),
+        ((3, 9), Hist(P), 17, range(3, 10)),
+        ((9, 3), Hist(P), 17, []),
+    ]:
+        read.clear()
+        eval_h_oracle(m, seq, f, horizon)
+        assert read == [m.canon(n) for n in want], (seq, f)
 
 
 def test_falsify_examples():
@@ -526,6 +551,44 @@ def test_falsify_deterministic():
     a = falsify_consequence([], goal, 100, seed=13)
     b = falsify_consequence([], goal, 100, seed=13)
     assert a.to_dict() == b.to_dict()
+
+
+def test_falsify_replays_the_literal_draws_and_clauses():
+    # Seeded derivations against their own conclusion, another one's and a
+    # relational goal: each result, counterexample or None, is the one a
+    # literal replay finds, which draws a lasso, then a position per label
+    # in name order, and evaluates every premise and then the goal.
+    rng = random.Random(24)
+    derivations = [_draw_derivation(rng, i, 6) for i in range(100)]
+    cases = []
+    for k, d in enumerate(derivations):
+        premises = sorted(d.open_assumptions, key=format_generic)
+        other = derivations[(k + 1) % len(derivations)].conclusion
+        cases += [(premises, d.conclusion, d.seed), (premises, other, d.seed + 1)]
+        if k % 10 == 0:
+            b, c = sorted(labels_of_generic(d.conclusion) | {"b", "c"})[:2]
+            cases += [(premises, Le(c, b), d.seed + 2), (premises, Succ(b, c), d.seed + 3)]
+
+    def replay(premises, goal, samples, seed):
+        every = premises + [goal]
+        labels = sorted({x for phi in every for x in labels_of_generic(phi)})
+        symbols = sorted({a for phi in every if isinstance(phi, Lwff) for a in atoms_of(phi.formula)})
+        rng = random.Random(seed)
+        for i in range(samples):
+            m = random_lasso(rng, symbols)
+            interp = {lab: rng.randint(0, 12) for lab in labels}
+            if all(eval_generic(m, interp, phi) for phi in premises) and not eval_generic(m, interp, goal):
+                return {"model": m.to_dict(), "interpretation": interp, "sample_index": i, "failing": format_generic(goal)}
+        return None
+
+    found = {"lwff": 0, "rwff": 0}
+    for premises, goal, seed in cases:
+        cx = falsify_consequence(premises, goal, 40, seed)
+        got = None if cx is None else cx.to_dict()
+        assert got == replay(premises, goal, 40, seed), (premises, goal, seed)
+        if got is not None:
+            found["lwff" if isinstance(goal, Lwff) else "rwff"] += 1
+    assert found["lwff"] >= 10 and found["rwff"] >= 2, found
 
 
 def test_model_file_roundtrip():
