@@ -468,21 +468,27 @@ def _eval_h_oracle(m: LassoModel, sigma: tuple[int, ...], g: Formula, horizon: i
         elif cls is Next:
             v = ev(sig + (sig[-1] + 1,), x.operand)
         elif cls is Always:
-            v = all_at(sig, sig[-1], sig[-1] + slack, x.operand)
+            y = x.operand
+            v = True
+            for mm in range(sig[-1], sig[-1] + slack + 1):
+                if not ev(sig + (mm,), y):
+                    v = False
+                    break
         elif cls is Hist:
-            v = ev(sig, x.operand) if len(sig) == 1 else all_at(sig[:-1], sig[-2], sig[-1], x.operand)
+            y = x.operand
+            if len(sig) == 1:
+                v = ev(sig, y)
+            else:
+                prev = sig[:-1]
+                v = True
+                for mm in range(sig[-2], sig[-1] + 1):
+                    if not ev(prev + (mm,), y):
+                        v = False
+                        break
         else:
             raise TypeError(f"not a core formula: {x!r}")
         memo[key] = v
         return v
-
-    def all_at(prev: tuple[int, ...], lo: int, hi: int, y: Formula) -> bool:
-        """``y`` at ``prev + (mm,)`` for every ``mm`` in ``[lo, hi]``,
-        read up to the first position where it fails."""
-        for mm in range(lo, hi + 1):
-            if not ev(prev + (mm,), y):
-                return False
-        return True
 
     return ev(sigma, g)
 
