@@ -1,28 +1,24 @@
 """The ``nabla`` command line.
 
-Subcommands: ``check`` (exit 0 accepted, 1 rejected, 2 parse error),
-``corpus`` (exit 0 iff every bundled expectation holds), ``translate``,
-``taut``, ``eval`` and ``fuzz`` (exit 3 with a counterexample on a
-falsified lemma).  ``NABLA_SEED`` overrides the default fuzz seed and must
-be an integer; an explicit ``--seed`` wins over both.  Formulas nested
-deeper than ``formulas.MAX_NESTING`` are parse errors (exit 2), and so is
-a formula whose image ``translate`` would print longer than
-``MAX_IMAGE_LENGTH`` characters (1 MiB), and so is a tautology whose
-proof ``taut`` would print with a formula nested deeper than
-``MAX_NESTING``, and so is a script or model file that cannot be read or
-is not UTF-8; ``fuzz`` refuses ``--samples`` below 1, ``--max-size``
-below 0 and ``--inject-bug`` with ``--lemma soundness`` with exit 2, and
-``taut`` a ``--label`` that scripts cannot read as one label.  ``taut``
-checks its proof before printing it and exits 4 with nothing on stdout if
-the kernel rejects it or finds it open.  Any other exception that
-escapes a subcommand is an internal error: ``main`` prints
-``internal error: <type>: <message>`` to stderr and exits 4, never 1,
-which means rejected.
+Subcommands: ``check``, ``corpus``, ``translate``, ``taut``, ``eval`` and
+``fuzz``.  A verdict goes to stdout with its exit code: ``check`` exits 0
+on an accepted script and 1 on a rejected one, ``corpus`` 0 iff every
+bundled expectation holds, and ``fuzz`` 3 with a counterexample on a
+falsified lemma.  A ``cmd_*`` function that refuses its input raises
+instead of printing, and ``main`` is the one place that turns the
+exception into ``error: <message>`` on stderr and an exit code, by its
+``except`` clauses: ``ScriptError``, ``ParseError`` and
+``ModelFormatError`` exit 2, ``NotATautology`` and ``NotPropositional``
+exit 1, and :class:`Refused`, the command line's own refusals (an
+unreadable file, a limit, a bad option value), exits with its own code.
+Any other exception is an internal error: ``internal error: <type>:
+<message>`` and exit 4, never 1, which means rejected.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -32,7 +28,7 @@ from . import corpus as corpus_mod
 from .derived import NotATautology, NotPropositional, SchemaMismatch, derive_tautology, expand
 from .formulas import MAX_NESTING, ParseError, format_formula, format_length, format_nesting, parse_h, parse_ltl
 from .fuzz import LEMMAS, report_to_json, run_lemma
-from .kernel import SHAPE_MISMATCH, CheckReport, all_nodes, check, format_generic
+from .kernel import all_nodes, check
 from .scripts import _LABEL_RE, ScriptError, parse_script, serialize
 from .semantics import ModelFormatError, eval_h, eval_ltl, parse_model
 from .translate import translate
@@ -50,31 +46,42 @@ EXIT_INTERNAL = 4
 MAX_IMAGE_LENGTH = 1 << 20
 
 
-def cmd_check(args) -> int:
+class Refused(Exception):
+    """An input the command line refuses: ``main`` prints ``error: <message>``
+    and exits with ``code``, or prints ``internal error: <message>`` if
+    that is ``EXIT_INTERNAL``."""
+
+    def __init__(self, message: str, code: int = EXIT_PARSE):
+        super().__init__(message)
+        self.code = code
+
+
+def _read(path: str) -> str:
     try:
-        text = Path(args.file).read_text(encoding="utf-8")
-        root = parse_script(text)
-    except (OSError, UnicodeDecodeError, ScriptError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_PARSE
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as e:
+        raise Refused(str(e)) from None
+
+
+def cmd_check(args) -> int:
+    root = parse_script(_read(args.file))
     try:
         root = expand(root)
     except SchemaMismatch as e:
-        # A derived rule applied to premises of the wrong shape: the script
-        # parses, its derivation is what is wrong.
-        report = CheckReport(accepted=False, node_id=e.node_id, reason=SHAPE_MISMATCH, message=str(e))
+        report = e.report()
     else:
         if args.emit_primitive:
             print(serialize(root), end="")
             return EXIT_OK
         report = check(root)
+    verdict = report.to_dict()
     if args.json:
-        print(json.dumps(report.to_dict(), sort_keys=True, indent=2))
+        print(json.dumps(verdict, sort_keys=True, indent=2))
     elif report.accepted:
-        opens = sorted(format_generic(a) for a in report.open_assumptions)
+        opens = verdict["open_assumptions"]
         status = "closed" if not opens else f"open assumptions: {'; '.join(opens)}"
         print(f"Accepted, {status}")
-        print(f"conclusion: {format_generic(report.conclusion)}")
+        print(f"conclusion: {verdict['conclusion']}")
     else:
         print(f"Rejected at node {report.node_id}: {report.reason}")
         print(f"  {report.message}")
@@ -96,17 +103,11 @@ def cmd_corpus(args) -> int:
 
 
 def cmd_translate(args) -> int:
-    try:
-        f = parse_ltl(args.formula)
-    except ParseError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_PARSE
+    f = parse_ltl(args.formula)
     image = translate(f)
     length = format_length(image)
     if length > MAX_IMAGE_LENGTH:
-        limit = f"more than the limit of {MAX_IMAGE_LENGTH}"
-        print(f"error: the image would print {length} characters, {limit}", file=sys.stderr)
-        return EXIT_PARSE
+        raise Refused(f"the image would print {length} characters, more than the limit of {MAX_IMAGE_LENGTH}")
     if args.json:
         print(json.dumps({"source": format_formula(f), "image": format_formula(image)}, sort_keys=True))
     else:
@@ -116,54 +117,38 @@ def cmd_translate(args) -> int:
 
 def cmd_taut(args) -> int:
     if not _LABEL_RE.fullmatch(args.label):
-        print(f"error: --label {args.label!r} is not a script label: a letter, then letters, digits or _", file=sys.stderr)
-        return EXIT_PARSE
-    try:
-        f = parse_ltl(args.formula)
-    except ParseError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_PARSE
-    try:
-        d = derive_tautology(f, args.label)
-    except (NotATautology, NotPropositional) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_REJECTED
+        raise Refused(f"--label {args.label!r} is not a script label: a letter, then letters, digits or _")
+    d = derive_tautology(parse_ltl(args.formula), args.label)
     # The proof's formulas nest deeper than the formula typed: (g -> bot) is
     # one level above its desugared form.  Print none that check cannot read.
     depth = format_nesting(*(n.conclusion.formula for n in all_nodes(d)))
     if depth > MAX_NESTING:
-        limit = f"more than the limit of {MAX_NESTING}"
-        print(f"error: the proof would print a formula nested {depth} levels deep, {limit}", file=sys.stderr)
-        return EXIT_PARSE
+        raise Refused(f"the proof would print a formula nested {depth} levels deep, more than the limit of {MAX_NESTING}")
     report = check(d)
     if not report.accepted or report.open_assumptions:
         why = report.message if not report.accepted else "it has open assumptions"
-        print(f"internal error: the tautology proof does not check: {why}", file=sys.stderr)
-        return EXIT_INTERNAL
+        raise Refused(f"the tautology proof does not check: {why}", EXIT_INTERNAL)
     print(serialize(d), end="")
     return EXIT_OK
 
 
+def _sequence(text: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(x) for x in text.split(","))
+    except ValueError:
+        raise Refused(f"--seq must be comma-separated natural numbers, got {text!r}") from None
+
+
 def cmd_eval(args) -> int:
+    model = parse_model(_read(args.model))
+    if args.pos is not None:
+        f, at, evaluate = parse_ltl(args.formula), args.pos, eval_ltl
+    else:
+        f, at, evaluate = parse_h(args.formula), _sequence(args.seq), eval_h
     try:
-        model = parse_model(Path(args.model).read_text(encoding="utf-8"))
-    except (OSError, UnicodeDecodeError, ModelFormatError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_PARSE
-    try:
-        if args.pos is not None:
-            f = parse_ltl(args.formula)
-            value = eval_ltl(model, args.pos, f)
-        else:
-            f = parse_h(args.formula)
-            try:
-                seq = tuple(int(x) for x in args.seq.split(","))
-            except ValueError:
-                raise ValueError(f"--seq must be comma-separated natural numbers, got {args.seq!r}") from None
-            value = eval_h(model, seq, f)
-    except (ParseError, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_PARSE
+        value = evaluate(model, at, f)
+    except ValueError as e:  # a negative position or sequence element
+        raise Refused(str(e)) from None
     if args.json:
         print(json.dumps({"formula": format_formula(f), "value": value}, sort_keys=True))
     else:
@@ -178,15 +163,12 @@ def cmd_fuzz(args) -> int:
         try:
             seed = int(env) if env else 0
         except ValueError:
-            print(f"error: NABLA_SEED must be an integer, got {env!r}", file=sys.stderr)
-            return EXIT_PARSE
+            raise Refused(f"NABLA_SEED must be an integer, got {env!r}") from None
     for flag, value, least in (("--samples", args.samples, 1), ("--max-size", args.max_size, 0)):
         if value < least:
-            print(f"error: {flag} must be at least {least}, got {value}", file=sys.stderr)
-            return EXIT_PARSE
+            raise Refused(f"{flag} must be at least {least}, got {value}")
     if args.inject_bug and args.lemma == "soundness":
-        print("error: --inject-bug breaks the left-hand side of a comparison lemma, not soundness", file=sys.stderr)
-        return EXIT_PARSE
+        raise Refused("--inject-bug breaks the left-hand side of a comparison lemma, not soundness")
     report = run_lemma(args.lemma, args.samples, seed, args.max_size, args.inject_bug)
     if args.json:
         print(report_to_json(report), end="")
@@ -198,6 +180,9 @@ def cmd_fuzz(args) -> int:
     return EXIT_OK if report.ok else EXIT_FALSIFIED
 
 
+# Built once, on first use: a process calls main once, but in-process callers
+# (tests, the benchmark) call it per item.
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="nabla",
@@ -259,9 +244,16 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except (ScriptError, ParseError, ModelFormatError) as e:
+        code, message = EXIT_PARSE, str(e)
+    except (NotATautology, NotPropositional) as e:
+        code, message = EXIT_REJECTED, str(e)
+    except Refused as e:
+        code, message = e.code, str(e)
     except Exception as e:  # SystemExit and KeyboardInterrupt pass through
-        print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
-        return EXIT_INTERNAL
+        code, message = EXIT_INTERNAL, f"{type(e).__name__}: {e}"
+    print(f"{'internal error' if code == EXIT_INTERNAL else 'error'}: {message}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -17,7 +17,7 @@ import random
 from dataclasses import dataclass
 from importlib import resources
 
-from .derived import derive_tautology, expand
+from .derived import check_expanded, derive_tautology, expand
 from .formulas import (
     And,
     Atom,
@@ -168,8 +168,7 @@ class CorpusResult:
 
 
 def _check_entry(entry: CorpusEntry) -> CorpusResult:
-    root = expand(load_script(entry.script))
-    report = check(root)
+    report = check_expanded(load_script(entry.script))
     if not report.accepted:
         return CorpusResult(entry.name, "axiom", False, f"rejected at node {report.node_id}: {report.reason}")
     if report.open_assumptions:
@@ -208,8 +207,7 @@ def _check_tautology(name: str, text: str) -> CorpusResult:
 
 
 def _check_mutation(fix: MutationFixture) -> CorpusResult:
-    root = expand(load_script(fix.script, mutation=True))
-    report = check(root)
+    report = check_expanded(load_script(fix.script, mutation=True))
     if report.accepted:
         return CorpusResult(fix.name, "mutation", False, "mutation was accepted")
     if report.reason != fix.expected_reason:

@@ -48,6 +48,7 @@ from .formulas import (
     temporal_depth,
 )
 from .kernel import (
+    SHAPE_MISMATCH,
     Apply,
     Assume,
     CheckReport,
@@ -71,6 +72,7 @@ __all__ = [
     "NotATautology",
     "NotPropositional",
     "expand",
+    "check_expanded",
     "mp_compose",
     "nec_g",
     "nec_x",
@@ -83,6 +85,11 @@ class SchemaMismatch(ValueError):
     ``node_id`` to the script node that applies the rule."""
 
     node_id: int | None = None
+
+    def report(self) -> CheckReport:
+        """The verdict on the script: it parses, and its derivation is what
+        is wrong, a ``ShapeMismatch`` at the node that applies the rule."""
+        return CheckReport(accepted=False, node_id=self.node_id, reason=SHAPE_MISMATCH, message=str(self))
 
 
 class ShapeMismatch(ValueError):
@@ -321,6 +328,14 @@ def expand(root: Node) -> Node:
     return memo[id(root)]
 
 
+def check_expanded(root: Node) -> CheckReport:
+    """``check(expand(root))``, with a :class:`SchemaMismatch` reported as its rejection."""
+    try:
+        return check(expand(root))
+    except SchemaMismatch as e:
+        return e.report()
+
+
 # --- Hilbert closure transformers -------------------------------------------
 
 
@@ -411,7 +426,7 @@ def _kleene(phi: Formula, fixed: dict[int, bool | None], known: dict[int, bool |
 _CANDIDATES = 4
 
 
-def _split_variable(g: Formula, atoms: list[Atom], objects) -> Formula | None:
+def _split_variable(g: Formula, atoms: list[Atom], objects, known: dict[int, bool | None]) -> Formula | None:
     """The one split variable that decides ``g``: the first candidate ``c``
     such that ``g`` is Kleene-true both with ``c`` true and with ``c``
     false, everything else undetermined; None if there is none, if ``g``
@@ -434,13 +449,12 @@ def _split_variable(g: Formula, atoms: list[Atom], objects) -> Formula | None:
     A definite value is not enough: in ``((bot & bot) -> bot)`` setting
     ``(bot -> bot)`` false makes it false.  Setting an undetermined
     candidate can only turn undetermined values definite, never change a
-    definite one, so each test reads the values with nothing assigned as
-    ``known`` and revisits only what they leave undetermined.  A candidate
-    that is definite with nothing assigned fails the test that gives it
-    that value again.
+    definite one, so each test reads the values with nothing assigned,
+    ``known``, the memo of ``_kleene(g, known, {})``, and revisits only
+    what they leave undetermined.  A candidate that is definite with
+    nothing assigned fails the test that gives it that value again.
     """
-    known: dict[int, bool | None] = {}
-    if not isinstance(g, Implies) or _kleene(g, known, {}) is True:
+    if not isinstance(g, Implies) or known[id(g)] is True:
         return None
 
     def compound() -> Iterator[Formula]:
@@ -515,7 +529,11 @@ def derive_tautology(f: Formula, label: str = "b") -> Node:
     g = _fold(desugar(f), {Atom: lambda x: made.setdefault(x.name, x), Bottom: lambda x: bot, Implies: lambda x, a, b: imp(a, b)})
     atoms = [made[a] for a in sorted(k for k in made if isinstance(k, str))]
 
-    split = _split_variable(g, atoms, made.values())
+    # The values with nothing assigned: the search's known values, and the
+    # root branch's memo.
+    root: dict[int, bool | None] = {}
+    _kleene(g, root, {})
+    split = _split_variable(g, atoms, made.values(), root)
     variables = atoms if split is None else [split]
 
     # A subformula's value and subproof depend only on the literal
@@ -563,15 +581,18 @@ def derive_tautology(f: Formula, label: str = "b") -> Node:
         n2 = Apply(next(ids), "impE", lw(bot), (dy, n1))
         return Apply(next(ids), "impI", lw(imp(phi, bot)), (n2,), (h,))
 
-    def build(env: dict[int, Assume], assigned: dict[int, bool], remaining: list[Formula]) -> Node:
+    def build(env: dict[int, Assume], assigned: dict[int, bool], remaining: list[Formula], fixed: dict[int, bool | None] | None = None) -> Node:
         # Where the partial valuation makes g false, so does every
         # extension, and the first of them in product order over the sorted
         # atoms, false before true, sets every unassigned atom false; no
         # valuation before it falsifies g, since the branches walked before
         # it are true or hold none that is false.  A compound split
-        # variable decides g, so it is never false here.
-        fixed = dict(assigned)
-        v = _kleene(g, fixed, {})
+        # variable decides g, so it is never false here.  fixed, if given,
+        # is the branch's memo with g already evaluated.
+        if fixed is None:
+            fixed = dict(assigned)
+            _kleene(g, fixed, {})
+        v = fixed[id(g)]
         if v:
             return prove(g, env, fixed)
         if v is False:
@@ -596,4 +617,4 @@ def derive_tautology(f: Formula, label: str = "b") -> Node:
         m5 = Apply(next(ids), "impE", lw(bot), (hf, m4))
         return Apply(next(ids), "botE", lw(g), (m5,), (hf,))
 
-    return build({}, {}, variables)
+    return build({}, {}, variables, root)

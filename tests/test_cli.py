@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import resource
@@ -483,3 +484,102 @@ def test_eval_total_on_damaged_model(capsys, tmp_path, model, edits, query):
     path = tmp_path / "damaged.lasso"
     path.write_text(mutate(model, edits), encoding="utf-8")
     assert_total(capsys, ["eval", "--model", str(path), *query], {0, 2})
+
+
+# One row per way a command refuses its input: the argv (with {model},
+# a readable lasso model, and {dir}, a scratch directory), NABLA_SEED, and
+# the exit code.
+_REFUSALS = {
+    "check-missing-file": (["check", "{dir}/missing.ndp"], None, 2),
+    "check-script-error": (["check", "{dir}/garbled.ndp"], None, 2),
+    "translate-parse-error": (["translate", "(p U"], None, 2),
+    "translate-json-parse-error": (["translate", "(H p)", "--json"], None, 2),
+    "taut-label": (["taut", "(p -> p)", "--label", "1x"], None, 2),
+    "taut-parse-error": (["taut", "(p ->"], None, 2),
+    "taut-not-a-tautology": (["taut", "(p -> q)"], None, 1),
+    "taut-not-propositional": (["taut", "(G p)"], None, 1),
+    "taut-too-deep": (["taut", "((((((((((p & p) & p) & p) & p) & p) & p) & p) & p) -> p)"], None, 2),
+    "eval-missing-model": (["eval", "--model", "{dir}/missing.lasso", "--pos", "0", "p"], None, 2),
+    "eval-model-format": (["eval", "--model", "{dir}/garbled.ndp", "--pos", "0", "p"], None, 2),
+    "eval-parse-error": (["eval", "--model", "{model}", "--seq", "0", "(p U q)"], None, 2),
+    "eval-negative-position": (["eval", "--model", "{model}", "--pos", "-1", "p"], None, 2),
+    "eval-malformed-sequence": (["eval", "--model", "{model}", "--seq", "0,x", "(H p)", "--json"], None, 2),
+    "eval-negative-sequence": (["eval", "--model", "{model}", "--seq", "0,-1", "(H p)"], None, 2),
+    "fuzz-nabla-seed": (["fuzz", "--lemma", "last", "--samples", "1"], "abc", 2),
+    "fuzz-samples": (["fuzz", "--lemma", "last", "--samples", "0"], None, 2),
+    "fuzz-max-size": (["fuzz", "--lemma", "last", "--max-size", "-1"], None, 2),
+    "fuzz-inject-bug-soundness": (["fuzz", "--lemma", "soundness", "--inject-bug", "valuation-shift"], None, 2),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_REFUSALS))
+def test_every_refusal_is_one_error_line_and_its_exit_code(capsys, monkeypatch, tmp_path, model_file, kind):
+    argv, seed, want = _REFUSALS[kind]
+    (tmp_path / "garbled.ndp").write_text("assume 1 lwff b ; p\n", encoding="utf-8")
+    if seed is None:
+        monkeypatch.delenv("NABLA_SEED", raising=False)
+    else:
+        monkeypatch.setenv("NABLA_SEED", seed)
+    code = main([a.format(model=model_file, dir=tmp_path) for a in argv])
+    out, err = capsys.readouterr()
+    assert (code, out) == (want, "")
+    assert len(err.splitlines()) == 1 and err.startswith("error: ") and err.endswith("\n"), err
+
+
+def test_a_stray_value_error_is_an_internal_error(capsys, monkeypatch):
+    def boom(f):
+        raise ValueError("boom")
+
+    monkeypatch.setattr("nabla.cli.translate", boom)
+    assert main(["translate", "p"]) == 4
+    assert capsys.readouterr() == ("", "internal error: ValueError: boom\n")
+
+
+def test_json_and_falsified_text_output(capsys, model_file):
+    code, out = run(capsys, "translate", "(p U q)", "--json")
+    assert (code, json.loads(out)) == (0, {"source": "(p U q)", "image": "(q | (F ((X q) & (H p))))"})
+    code, out = run(capsys, "eval", "--model", str(model_file), "--pos", "0", "(p U q)", "--json")
+    assert (code, json.loads(out)) == (0, {"formula": "(p U q)", "value": True})
+    argv = ["fuzz", "--lemma", "translation", "--samples", "200", "--seed", "1", "--inject-bug", "valuation-shift"]
+    code, out = run(capsys, *argv)
+    assert code == 3
+    head, _, rest = out.partition("\n")
+    report = json.loads(run(capsys, *argv, "--json")[1])
+    assert head == f"translation: FALSIFIED after {report['checked']} samples (seed 1)"
+    assert json.loads(rest) == report["counterexample"]
+
+
+def test_main_builds_its_parser_once(capsys, monkeypatch):
+    assert main(["translate", "p"]) == 0
+    made = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        made.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    assert main(["translate", "p"]) == 0
+    assert made == []
+
+
+def test_module_entry_point_matches_main(capsys, tmp_path):
+    # `python -m nabla.cli`, one process per command line as a user runs it,
+    # gives the same stdout, stderr and exit code as main in process.
+    corpus = Path(nabla.__file__).parent / "corpus"
+    argvs = [
+        ["check", str(corpus / "A6.ndp")],
+        ["check", str(corpus / "mutations" / "unknown_rule_name.ndp")],
+        ["check", str(tmp_path / "missing.ndp")],
+        ["fuzz", "--lemma", "translation", "--samples", "200", "--seed", "1", "--inject-bug", "valuation-shift"],
+    ]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(Path(nabla.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
+    children = [
+        subprocess.Popen([sys.executable, "-m", "nabla.cli", *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env)
+        for argv in argvs
+    ]
+    for argv, child, want in zip(argvs, children, [0, 1, 2, 3]):
+        out, err = child.communicate(timeout=30)
+        code = main(argv)
+        assert (child.returncode, out, err) == (want, *capsys.readouterr()), argv
+        assert code == want

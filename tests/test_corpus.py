@@ -1,9 +1,12 @@
 import pytest
 
+from nabla import corpus
 from nabla.corpus import (
     ENTRIES,
     MUTATIONS,
     TAUTOLOGY_INSTANCES,
+    CorpusEntry,
+    MutationFixture,
     entry_by_name,
     load_entry,
     load_script,
@@ -11,7 +14,8 @@ from nabla.corpus import (
 )
 from nabla.derived import expand
 from nabla.formulas import desugar
-from nabla.kernel import check, is_ltl_derivation, normalize_generic
+from nabla.kernel import SHAPE_MISMATCH, check, is_ltl_derivation, normalize_generic
+from nabla.scripts import parse_script
 from nabla.translate import matches_translation, translate
 
 
@@ -66,3 +70,16 @@ def test_a7_simplified_cores_recorded():
 def test_missing_entry_detected():
     with pytest.raises(KeyError):
         entry_by_name("A9")
+
+
+def test_schema_mismatch_is_a_shape_mismatch_in_the_corpus(monkeypatch):
+    # andE1 on an atom, as `nabla check` rejects it: the corpus checks
+    # expand and check the same way, so a fixture may expect it.
+    text = "assume 1 lwff b : p\nnode 2 andE1 concl b : p prem 1\nroot 2\n"
+    monkeypatch.setattr(corpus, "load_script", lambda name, mutation=False: parse_script(text))
+    fix = MutationFixture("andE1_on_an_atom", "A2", "andE1 applied to an atom", SHAPE_MISMATCH, "and_e1.ndp")
+    result = corpus._guard("mutation", fix.name, lambda: corpus._check_mutation(fix))
+    assert (result.ok, result.detail) == (True, "rejected with ShapeMismatch as expected")
+    entry = CorpusEntry("andE1", desugar(parse_script(text).conclusion.formula), "and_e1.ndp")
+    result = corpus._guard("axiom", entry.name, lambda: corpus._check_entry(entry))
+    assert (result.ok, result.detail) == (False, "rejected at node 2: ShapeMismatch")

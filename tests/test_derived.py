@@ -391,6 +391,27 @@ def test_derive_tautology_evaluates_the_root_once_per_partial_valuation(monkeypa
     assert atoms and not any(fixed.get(i) is not None for _, fixed in calls for i in atoms)
 
 
+def test_derive_tautology_walks_the_root_once_with_nothing_assigned(monkeypatch):
+    # The split-variable search reads the root's values with nothing
+    # assigned, and the root branch of the case split starts from them:
+    # one walk serves both.  A walk is a call on the root that finds no
+    # memoised value for it, and nothing assigned means no definite value
+    # in its memo.
+    kleene = derived._kleene
+    walks = []
+
+    def counted(phi, fixed, known):
+        if id(phi) not in fixed and all(v is None for v in fixed.values()):
+            walks.append(phi)
+        return kleene(phi, fixed, known)
+
+    monkeypatch.setattr(derived, "_kleene", counted)
+    for text in ("((p -> (q -> r)) -> ((p -> q) -> (p -> r)))", "((p & q) -> (q & p))", "(p | (~ p))", PEIRCE5):
+        walks.clear()
+        root = derive_tautology(parse_ltl(text), "b").conclusion.formula
+        assert sum(1 for phi in walks if phi is root) == 1, text
+
+
 def test_derive_tautology_stays_small():
     root = derive_tautology(parse_ltl(PEIRCE5), "b")
     report = check(root)
