@@ -45,7 +45,7 @@ from .kernel import (
     normalize_generic,
 )
 from .scripts import parse_script
-from .semantics import eval_h, random_lasso
+from .semantics import _below, eval_h, random_lasso
 from .translate import translate
 
 __all__ = [
@@ -153,6 +153,8 @@ def entry_by_name(name: str) -> CorpusEntry:
 
 
 def load_entry(name: str) -> Node:
+    """The named entry's script, read and expanded to primitive rules.
+    Public API for tests and tools; no code in the package calls it."""
     return expand(load_script(entry_by_name(name).script))
 
 
@@ -189,7 +191,7 @@ def _core_agrees(entry: CorpusEntry) -> bool:
     full = desugar(translate(entry.source))
     for _ in range(60):
         model = random_lasso(rng, ["p", "q"])
-        n = rng.randint(0, 8)
+        n = _below(rng, 9)
         if not eval_h(model, (n,), core) or not eval_h(model, (n,), full):
             return False
     return True

@@ -32,7 +32,7 @@ from .gen import (
     random_until_formula,
 )
 from .kernel import GenericFormula, check, format_generic
-from .semantics import LassoModel, _eval_h, _eval_h_oracle, _min_horizon, eval_ltl, falsify_consequence, random_lasso
+from .semantics import LassoModel, _below, _eval_h, _eval_h_oracle, _min_horizon, eval_ltl, falsify_consequence, random_lasso
 from .translate import translate
 
 __all__ = ["LEMMAS", "FuzzReport", "run_lemma", "report_to_json"]
@@ -90,9 +90,10 @@ def _reference(m: LassoModel, seq, f: Formula) -> bool:
     documented minimum horizon, whose ``G`` windows already cover ``s + p``
     positions.
     """
-    if temporal_depth(f) > _ORACLE_DEPTH:
+    depth = temporal_depth(f)
+    if depth > _ORACLE_DEPTH:
         return _eval_h(m, seq, f)
-    return _eval_h_oracle(m, seq, f, _min_horizon(m, seq, f))
+    return _eval_h_oracle(m, seq, f, _min_horizon(m, seq, depth))
 
 
 class _Case(NamedTuple):
@@ -182,9 +183,9 @@ class _Lemma(NamedTuple):
 
 
 def _draw_translation(rng: random.Random, i: int, max_size: int) -> _Case:
-    a = random_until_formula(rng, rng.randint(0, max_size))
+    a = random_until_formula(rng, _below(rng, max_size + 1))
     m = random_lasso(rng, SYMBOLS)
-    return _Case(m, rng.randint(0, 10), None, a)
+    return _Case(m, _below(rng, 11), None, a)
 
 
 def _translation_sides(lm: LassoModel, c: _Case):
@@ -193,7 +194,7 @@ def _translation_sides(lm: LassoModel, c: _Case):
 
 
 def _draw_last(rng: random.Random, i: int, max_size: int) -> _Case:
-    a = random_until_formula(rng, rng.randint(0, max_size))
+    a = random_until_formula(rng, _below(rng, max_size + 1))
     m = random_lasso(rng, SYMBOLS)
     sigma = random_obs_sequence(rng, max_len=4, max_value=8)
     return _Case(m, sigma, random_obs_sequence(rng, max_len=3, max_value=8, min_len=0), a)
@@ -206,7 +207,7 @@ def _last_sides(lm: LassoModel, c: _Case):
 
 
 def _draw_corollary(rng: random.Random, i: int, max_size: int) -> _Case:
-    a = random_until_formula(rng, rng.randint(0, max_size))
+    a = random_until_formula(rng, _below(rng, max_size + 1))
     m = random_lasso(rng, SYMBOLS)
     return _Case(m, random_obs_sequence(rng, max_len=4, max_value=8), None, a)
 
@@ -219,13 +220,14 @@ def _corollary_sides(lm: LassoModel, c: _Case):
 
 def _draw_last_local(rng: random.Random, i: int, max_size: int) -> _Case:
     """Even samples test clause (i) on the local tier, odd ones clause (ii)
-    on the wider tier."""
+    on the wider tier.  Both grammars build core formulas only, which
+    ``desugar`` would hand back unchanged."""
     m = random_lasso(rng, SYMBOLS)
     prefix = random_obs_sequence(rng, max_len=3, max_value=8, min_len=0)
     if i % 2 == 0:
-        f = desugar(random_local_formula(rng, rng.randint(0, max_size)))
+        f = random_local_formula(rng, _below(rng, max_size + 1))
         return _Case(m, random_obs_sequence(rng, max_len=4, max_value=8), prefix, f, "local")
-    f = desugar(random_hist_tier_formula(rng, rng.randint(0, max_size)))
+    f = random_hist_tier_formula(rng, _below(rng, max_size + 1))
     return _Case(m, random_obs_sequence(rng, max_len=4, max_value=8, min_len=2), prefix, f, "hist-tier")
 
 
@@ -234,10 +236,10 @@ def _last_local_sides(lm: LassoModel, c: _Case):
 
 
 def _draw_derivation(rng: random.Random, i: int, max_size: int) -> _Derivation:
-    sampler = DerivationSampler(random.Random(rng.randrange(2**32)))
-    report = check(sampler.sample(steps=rng.randint(3, 7)))
+    sampler = DerivationSampler(random.Random(_below(rng, 2**32)))
+    report = check(sampler.sample(steps=3 + _below(rng, 5)))
     assert report.accepted, f"the sampler built a derivation the kernel rejects: {report.message}"
-    return _Derivation(report.open_assumptions, report.conclusion, rng.randrange(2**32))
+    return _Derivation(report.open_assumptions, report.conclusion, _below(rng, 2**32))
 
 
 def _soundness_sides(_, d: _Derivation):
@@ -248,17 +250,19 @@ def _soundness_sides(_, d: _Derivation):
 
 
 def _draw_bound(rng: random.Random, i: int, max_size: int) -> _Case:
-    budget = rng.randint(0, min(max_size, 6))
+    """The history grammar builds core formulas only, which the bodies take
+    as drawn."""
+    budget = _below(rng, min(max_size, 6) + 1)
     f = random_history_formula(rng, budget)
     while temporal_depth(f) > 3:
         f = random_history_formula(rng, budget)
     m = random_lasso(rng, SYMBOLS)
-    return _Case(m, random_obs_sequence(rng, max_len=3, max_value=6), None, desugar(f))
+    return _Case(m, random_obs_sequence(rng, max_len=3, max_value=6), None, f)
 
 
 def _bound_sides(lm: LassoModel, c: _Case):
     """The 2p truncation agrees with the oracle at its minimum horizon."""
-    horizon = _min_horizon(c.model, c.at, c.formula)
+    horizon = _min_horizon(c.model, c.at, temporal_depth(c.formula))
     return _eval_h(lm, c.at, c.formula), _eval_h_oracle(c.model, c.at, c.formula, horizon), horizon
 
 

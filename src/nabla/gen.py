@@ -1,11 +1,16 @@
 """Seeded random generators for formulas, models and derivations.
 
 Formula generators draw from one grammar table, picking productions with
-equal weight under a complexity budget.  The derivation generator builds kernel-accepted derivations by
-forward chaining: every rule application satisfies the side conditions by
-construction (eigenlabels come from a global fresh supply).  It does not
-check its result; the soundness lemma asserts that the kernel accepts each
-derivation it draws.
+equal weight under a complexity budget.  The derivation generator builds
+kernel-accepted derivations by forward chaining: every rule application
+satisfies the side conditions by construction (eigenlabels come from a
+global fresh supply).  It does not check its result; the soundness lemma
+asserts that the kernel accepts each derivation it draws.
+
+Every integer draw, here and in the other seeded samplers, goes through
+``semantics._below``, which makes ``random.Random.randrange``'s own
+``getrandbits`` calls: a seed gives the stream of ``random.Random``, the
+one that ``randint``, ``randrange`` and ``choice`` would give.
 """
 
 from __future__ import annotations
@@ -35,6 +40,7 @@ from .kernel import (
     normalize_generic,
     open_assumption_classes,
 )
+from .semantics import _below
 
 __all__ = [
     "random_until_formula",
@@ -49,7 +55,7 @@ SYMBOLS = ("p", "q", "r")  # DerivationSampler draws over the first two
 
 
 def _split(rng: random.Random, budget: int) -> tuple[int, int]:
-    left = rng.randint(0, budget)
+    left = _below(rng, budget + 1)
     return left, budget - left
 
 
@@ -70,14 +76,14 @@ def _draw(rng: random.Random, grammar: str, budget: int, symbols) -> Formula:
     once the budget is spent, else a production of equal weight, a binary
     one splitting the budget left to its operands."""
     if budget <= 0:
-        return Atom(rng.choice(symbols)) if rng.random() < 0.8 else Bottom()
+        return Atom(symbols[_below(rng, len(symbols))]) if rng.random() < 0.8 else Bottom()
     productions = _GRAMMARS[grammar]
-    prod = productions[rng.randrange(len(productions))]
+    prod = productions[_below(rng, len(productions))]
     if type(prod) is str:
         return _draw(rng, prod, budget, symbols)
     cls = prod[0]
     if cls is Atom:
-        return Atom(rng.choice(symbols))
+        return Atom(symbols[_below(rng, len(symbols))])
     if cls is Bottom:
         return Bottom()
     if len(prod) == 3:
@@ -105,7 +111,7 @@ def random_hist_tier_formula(rng: random.Random, budget: int) -> Formula:
 
 
 def random_obs_sequence(rng: random.Random, max_len: int = 4, max_value: int = 10, min_len: int = 1) -> tuple[int, ...]:
-    return tuple(rng.randint(0, max_value) for _ in range(rng.randint(min_len, max_len)))
+    return tuple([_below(rng, max_value + 1) for _ in range(min_len + _below(rng, max_len - min_len + 1))])
 
 
 # The moves of DerivationSampler.sample, one per primitive rule, each drawn
@@ -141,7 +147,7 @@ class DerivationSampler:
     def _some_label(self, node: Node) -> str:
         labs = self._known_labels(node)
         if labs and self.rng.random() < 0.7:
-            return self.rng.choice(labs)
+            return labs[_below(self.rng, len(labs))]
         return self._fresh_label()
 
     def _assume(self, formula) -> Assume:
@@ -153,11 +159,11 @@ class DerivationSampler:
         return tuple(sorted(hits, key=lambda a: a.id))
 
     def _seed(self) -> Node:
-        seq = tuple(self._fresh_label() for _ in range(self.rng.randint(1, 2)))
+        seq = tuple(self._fresh_label() for _ in range(1 + _below(self.rng, 2)))
         return self._assume(Lwff(seq, self._small_formula()))
 
     def _small_formula(self) -> Formula:
-        return _draw(self.rng, "history", self.rng.randint(0, 2), SYMBOLS[:2])
+        return _draw(self.rng, "history", _below(self.rng, 3), SYMBOLS[:2])
 
     def _falsum(self, d: Node, w: Lwff) -> Apply:
         leaf = self._assume(Lwff(w.seq, Implies(w.formula, Bottom())))
@@ -170,7 +176,8 @@ class DerivationSampler:
         opens = open_assumption_classes(d)
         same_seq = [a for a in opens if isinstance(a.formula, Lwff) and a.formula.seq == w.seq]
         if same_seq and self.rng.random() < 0.7:
-            target = self.rng.choice(sorted(same_seq, key=lambda a: a.id))
+            same_seq.sort(key=lambda a: a.id)
+            target = same_seq[_below(self.rng, len(same_seq))]
             ante = target.formula.formula
             disch = self._matching_opens(d, target.formula)
         else:
@@ -186,7 +193,7 @@ class DerivationSampler:
 
     def _step_botE(self, d: Node) -> Node | None:
         falsum = self._falsum(d, d.conclusion)
-        seq = tuple(self._fresh_label() for _ in range(self.rng.randint(1, 2)))
+        seq = tuple(self._fresh_label() for _ in range(1 + _below(self.rng, 2)))
         return Apply(self._id(), "botE", Lwff(seq, self._small_formula()), (falsum,))
 
     # GE and XE, and GI and XI, share one body over (Always, Le) resp.
@@ -244,7 +251,7 @@ class DerivationSampler:
         w = d.conclusion
         if not is_local(w.formula):
             return None
-        prefix = tuple(self._some_label(d) for _ in range(self.rng.randint(0, 2)))
+        prefix = tuple(self._some_label(d) for _ in range(_below(self.rng, 3)))
         return Apply(self._id(), "last", Lwff(prefix + (w.seq[-1],), w.formula), (d,))
 
     def _step_reflLe(self, d: Node) -> Node | None:
@@ -337,7 +344,7 @@ class DerivationSampler:
     def sample(self, steps: int = 6) -> Node:
         d = self._seed()
         for _ in range(steps):
-            out = getattr(self, "_step_" + self.rng.choice(_STEPS))(d)
+            out = getattr(self, "_step_" + _STEPS[_below(self.rng, len(_STEPS))])(d)
             if out is not None:
                 d = out
         return d

@@ -112,7 +112,7 @@ from .formulas import (
     atoms_of,
     temporal_depth,
 )
-from .kernel import GenericFormula, Le, Lwff, Succ, format_generic, labels_of_generic
+from .kernel import GenericFormula, Le, Lwff, Succ, _bind_setattr, format_generic, labels_of_generic
 
 __all__ = [
     "LassoModel",
@@ -143,17 +143,24 @@ class ModelFormatError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class LassoModel:
     """Valuations for positions ``0 .. s+p-1``; position ``n >= s`` reads
-    ``loop[(n - s) % p]``."""
+    ``loop[(n - s) % p]``.
+
+    The constructor is hand-written, as the kernel's judgments' are (see
+    the comment at ``kernel._bind_setattr``): every comparison sample and
+    every falsifier sample whose relational premises hold builds one."""
 
     stem: tuple[frozenset[str], ...]
     loop: tuple[frozenset[str], ...]
 
-    def __post_init__(self) -> None:
-        if not self.loop:
+    def __init__(self, stem: tuple[frozenset[str], ...], loop: tuple[frozenset[str], ...]) -> None:
+        if not loop:
             raise ValueError("loop period must be at least 1")
+        set_ = _bind_setattr(self)
+        set_("stem", stem)
+        set_("loop", loop)
 
     @property
     def stem_len(self) -> int:
@@ -215,6 +222,8 @@ def parse_model(text: str) -> LassoModel:
 
 
 def format_model(m: LassoModel) -> str:
+    """``parse_model``'s line format for ``m``.  Public API for tests and
+    tools; no code in the package calls it."""
     out = [f"stem {m.stem_len}", f"loop {m.period}"]
     for i, v in enumerate(m.stem + m.loop):
         out.append(f"at {i}: {' '.join(sorted(v))}".rstrip())
@@ -435,15 +444,16 @@ def eval_h_oracle(m: LassoModel, seq, a: Formula, horizon: int) -> bool:
     """
     sigma = _check_sequence(seq)
     g = _fold_checked(a, _HISTORY_CORE)
-    need = _min_horizon(m, sigma, g)
+    need = _min_horizon(m, sigma, temporal_depth(g))
     if horizon < need:
         raise HorizonTooSmall(f"horizon {horizon} < required {need}")
     return _eval_h_oracle(m, sigma, g, horizon)
 
 
-def _min_horizon(m: LassoModel, sigma: tuple[int, ...], g: Formula) -> int:
-    """The least horizon ``eval_h_oracle`` accepts for ``g`` at ``sigma``."""
-    return max(sigma) + (m.stem_len + m.period) * temporal_depth(g) + 1
+def _min_horizon(m: LassoModel, sigma: tuple[int, ...], depth: int) -> int:
+    """The least horizon ``eval_h_oracle`` accepts at ``sigma`` for a
+    formula of temporal depth ``depth``."""
+    return max(sigma) + (m.stem_len + m.period) * depth + 1
 
 
 def _eval_h_oracle(m: LassoModel, sigma: tuple[int, ...], g: Formula, horizon: int) -> bool:
@@ -501,7 +511,9 @@ def eval_generic(m: LassoModel, interp: dict[str, int], phi: GenericFormula) -> 
     """Truth of the judgement ``phi`` in ``m`` with its labels read as the
     positions ``interp`` gives them: ``eval_h`` at the label sequence of an
     lwff, the order or successor relation for an rwff.  ``UnboundLabel``
-    for a label that ``interp`` lacks."""
+    for a label that ``interp`` lacks.  Public API for tests and tools; no
+    code in the package calls it (``falsify_consequence`` compiles its
+    judgements instead)."""
     labels = phi.seq if isinstance(phi, Lwff) else (phi.a, phi.b)
     try:
         at = tuple(interp[x] for x in labels)
@@ -547,10 +559,28 @@ def _draw_lasso(rng: random.Random, symbols) -> tuple[tuple[frozenset[str], ...]
     model."""
     syms = list(symbols) if symbols else ["p"]
     coin = rng.random
-    s = rng.randint(0, 4)
-    p = rng.randint(1, 3)
+    s = _below(rng, 5)
+    p = 1 + _below(rng, 3)
     cells = tuple([frozenset([x for x in syms if coin() < 0.5]) for _ in range(s + p)])
     return cells[:s], cells[s:]
+
+
+def _below(rng: random.Random, n: int) -> int:
+    """``rng.randrange(n)``'s exact draw, for ``n >= 1``: the same
+    ``getrandbits`` calls as CPython's ``_randbelow_with_getrandbits``, so
+    the same value and the same generator state after it, without the
+    argument checks and the two or three frames of ``randint``,
+    ``randrange`` and ``choice``.  ``randint(a, b)`` is
+    ``a + _below(rng, b - a + 1)`` and ``choice(seq)`` is
+    ``seq[_below(rng, len(seq))]``.  ``ValueError`` for ``n < 1``, which
+    has nothing to draw (and would never leave the loop)."""
+    if n < 1:
+        raise ValueError(f"nothing to draw below {n}")
+    k = n.bit_length()
+    r = rng.getrandbits(k)
+    while r >= n:
+        r = rng.getrandbits(k)
+    return r
 
 
 # Labels are interpreted as positions in [0, _MAX_LABEL_VALUE].
@@ -584,10 +614,9 @@ def falsify_consequence(premises, goal: GenericFormula, samples: int, seed: int)
     else:
         goal_at, goal_core, goal_holds = (index[goal.a], index[goal.b]), None, _RELATIONS[type(goal)]
     rng = random.Random(seed)
-    position = rng.randint
     for i in range(samples):
         stem, loop = _draw_lasso(rng, symbols)
-        at = [position(0, _MAX_LABEL_VALUE) for _ in labels]
+        at = [_below(rng, _MAX_LABEL_VALUE + 1) for _ in labels]
         for holds, a, b in rels:
             if not holds(at[a], at[b]):
                 break

@@ -9,6 +9,7 @@ from nabla.formulas import (
     Next,
     Until,
     complexity,
+    desugar,
     is_local,
 )
 from nabla.gen import DerivationSampler, random_hist_tier_formula, random_history_formula, random_local_formula, random_until_formula
@@ -43,6 +44,17 @@ def test_generators_stay_in_their_tiers():
         "local": CORE,
         "hist-tier": CORE | {Hist},
     }
+
+
+def test_core_grammars_draw_what_desugar_hands_back():
+    # The fuzz runners pass these draws to the evaluators' bodies without
+    # desugar, which must therefore return the very object.
+    for draw in (random_history_formula, random_local_formula, random_hist_tier_formula):
+        rng = random.Random(26)
+        for budget in range(7):
+            for _ in range(2000):
+                f = draw(rng, budget)
+                assert desugar(f) is f, (draw.__name__, f)
 
 
 def test_sampled_derivations_are_accepted():

@@ -1,3 +1,4 @@
+import ast
 import importlib
 import importlib.util
 import pkgutil
@@ -6,6 +7,7 @@ from pathlib import Path
 import nabla
 
 TRACER = Path(__file__).parents[1] / "perfbench" / "tracer.py"
+SOURCES = Path(nabla.__file__).parent
 
 
 def _resolve(module: str, attr: str):
@@ -32,3 +34,15 @@ def test_every_exported_name_exists():
         module = importlib.import_module(f"nabla.{info.name}")
         for name in getattr(module, "__all__", ()):
             assert hasattr(module, name), (info.name, name)
+
+
+def test_integer_draws_go_through_below():
+    # semantics._below is randrange's exact draw without its overhead.  A
+    # sampler that reached for random.Random's integer draws would keep the
+    # same seeded stream and bring that overhead back unnoticed.
+    found = []
+    for path in sorted(SOURCES.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and node.attr in ("randint", "randrange", "choice"):
+                found.append(f"{path.name}:{node.lineno}: .{node.attr}")
+    assert not found

@@ -575,7 +575,7 @@ def test_falsify_replays_the_literal_draws_and_clauses():
         symbols = sorted({a for phi in every if isinstance(phi, Lwff) for a in atoms_of(phi.formula)})
         rng = random.Random(seed)
         for i in range(samples):
-            m = random_lasso(rng, symbols)
+            m = bounded_lasso(rng, symbols or ["p"], 4, 3)
             interp = {lab: rng.randint(0, 12) for lab in labels}
             if all(eval_generic(m, interp, phi) for phi in premises) and not eval_generic(m, interp, goal):
                 return {"model": m.to_dict(), "interpretation": interp, "sample_index": i, "failing": format_generic(goal)}
@@ -589,6 +589,42 @@ def test_falsify_replays_the_literal_draws_and_clauses():
         if got is not None:
             found["lwff" if isinstance(goal, Lwff) else "rwff"] += 1
     assert found["lwff"] >= 10 and found["rwff"] >= 2, found
+
+
+def test_lasso_model_keeps_its_dataclass_behaviour():
+    # LassoModel's constructor is hand-written; it still refuses an empty
+    # loop, and equality, hashing, repr and immutability are the dataclass's.
+    with pytest.raises(ValueError):
+        LassoModel((frozenset({"p"}),), ())
+    m = LassoModel(stem=(frozenset({"p"}),), loop=(frozenset({"q"}),))
+    assert m == STEM_P_LOOP_Q and hash(m) == hash(STEM_P_LOOP_Q) and m != LOOP_P
+    assert repr(LOOP_P) == "LassoModel(stem=(), loop=(frozenset({'p'}),))"
+    with pytest.raises(AttributeError):
+        m.stem = ()
+
+
+def test_below_is_randranges_draw():
+    # _below makes randrange(n)'s own getrandbits calls: the same values and
+    # the same generator state after them, so every seeded stream stays
+    # random.Random's.  A Python whose randrange draws otherwise fails here
+    # before any golden moves.
+    for n in [*range(1, 71), 2**32]:
+        for seed in range(21):
+            ours, theirs = random.Random(seed), random.Random(seed)
+            assert [semantics._below(ours, n) for _ in range(500)] == [theirs.randrange(n) for _ in range(500)], (n, seed)
+            assert ours.getstate() == theirs.getstate(), (n, seed)
+
+
+def test_below_refuses_an_empty_range():
+    # As randrange does; an empty range would otherwise never leave the loop.
+    rng = random.Random(3)
+    state = rng.getstate()
+    for n in (0, -1, -8):
+        with pytest.raises(ValueError):
+            semantics._below(rng, n)
+    with pytest.raises(ValueError):
+        random_obs_sequence(rng, max_len=1, min_len=2)
+    assert rng.getstate() == state
 
 
 def test_model_file_roundtrip():
