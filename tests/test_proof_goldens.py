@@ -11,10 +11,13 @@ derivations, ``fault_order.json`` the verdict on every single and
 double fault of one accepted node per rule, which pins the order in which
 each validator tests its conditions, and ``taut_batch.json`` the outcome of
 ``derive_tautology`` on seeded random propositional formulas: the node count
-and SHA-256 of the serialized proof, or the ``NotATautology`` message.  A
-refactor of the proof layer keeps all six unchanged.
+and SHA-256 of the serialized proof, or the ``NotATautology`` message.
+``derived_uses.json`` holds seeded applications of every derived rule and
+their wrong-shape variants: the serialized expansion and its verdict, or
+the id of the node that ``expand`` refuses, without the message.  A
+refactor of the proof layer keeps all seven unchanged.
 
-``python -m tests.test_proof_goldens`` rewrites the six files from the
+``python -m tests.test_proof_goldens`` rewrites the seven files from the
 code as it stands.
 """
 
@@ -32,9 +35,9 @@ import pytest
 import nabla
 from nabla.cli import main
 from nabla.corpus import ENTRIES, TAUTOLOGY_INSTANCES, load_entry
-from nabla.derived import NotATautology, derive_tautology
-from nabla.formulas import And, Always, Atom, Bottom, Hist, Implies, Next, Not, Or, desugar, format_formula, parse_h, parse_ltl
-from nabla.gen import DerivationSampler
+from nabla.derived import NotATautology, SchemaMismatch, derive_tautology, expand
+from nabla.formulas import And, Always, Atom, Bottom, Hist, Implies, Next, Not, Or, Sometime, desugar, format_formula, parse_h, parse_ltl
+from nabla.gen import DerivationSampler, _draw
 from nabla.kernel import Apply, Assume, Le, Lwff, Succ, all_nodes, check, labels_of_generic
 from nabla.scripts import serialize
 
@@ -409,6 +412,129 @@ def taut_batch_outputs() -> list:
             out.append({"formula": text, "nodes": len(all_nodes(root)), "sha256": digest})
     return out
 
+# --- derived-rule uses -------------------------------------------------------
+#
+# Each derived rule applied to operands drawn from the history grammar, at
+# sequences of one to three labels, and its wrong-shape variants.  The
+# goal of the case and witness premises of orE and FE is drawn too, and so
+# is whether those premises use the assumptions that the rule discharges.
+
+USES_PER_RULE = 6
+_DERIVED = ("andI", "andE1", "andE2", "orIl", "orIr", "orE", "FI", "FE")
+
+
+def _operand(rng):
+    return _draw(rng, "history", rng.randrange(4), ("p", "q", "r"))
+
+
+def _labels(rng, least=1):
+    return tuple(rng.sample(("a", "b", "c", "d"), rng.randint(least, 3)))
+
+
+def derived_use(rule, rng):
+    """One application of ``rule``: the root node, the node that applies
+    the rule, and whether that node may discharge."""
+    a, b, c = _operand(rng), _operand(rng), _operand(rng)
+    s = _labels(rng)
+    if rule == "andI":
+        return Apply(3, rule, Lwff(s, And(a, b)), (_lwff(1, " ".join(s), a), _lwff(2, " ".join(s), b)))
+    if rule in ("andE1", "andE2"):
+        return Apply(2, rule, Lwff(s, a if rule == "andE1" else b), (Assume(1, Lwff(s, And(a, b))),))
+    if rule in ("orIl", "orIr"):
+        return Apply(2, rule, Lwff(s, Or(a, b)), (Assume(1, Lwff(s, a if rule == "orIl" else b)),))
+    if rule == "orE":
+        major, ha, hb = Assume(1, Lwff(s, Or(a, b))), Assume(2, Lwff(s, a)), Assume(3, Lwff(s, b))
+        if rng.random() < 0.5:
+            t = s
+            case_a = Apply(5, "impE", Lwff(t, c), (Assume(4, Lwff(t, Implies(a, c))), ha))
+            case_b = Apply(7, "impE", Lwff(t, c), (Assume(6, Lwff(t, Implies(b, c))), hb))
+        else:
+            t = _labels(rng)
+            case_a = case_b = Assume(4, Lwff(t, c))
+        return Apply(9, rule, Lwff(t, c), (major, case_a, case_b), (ha, hb))
+    if rule == "FI":
+        c_label = rng.choice(("w", s[-1]))
+        return Apply(3, rule, Lwff(s, Sometime(a)), (Assume(1, Lwff(s + (c_label,), a)), Assume(2, Le(s[-1], c_label))))
+    major, hr, hw = Assume(1, Lwff(s, Sometime(a))), Assume(2, Le(s[-1], "w")), Assume(3, Lwff(s + ("w",), a))
+    if rng.random() < 0.5:
+        t, c, hyp = s, Sometime(a), Apply(4, "FI", Lwff(s, Sometime(a)), (hw, hr))
+    else:
+        t = _labels(rng)
+        hyp = Assume(4, Lwff(t, c))
+    disch = rng.choice([(hr, hw), (hw, hr), (hr,), (hw,)])
+    return Apply(9, rule, Lwff(t, c), (major, hyp), disch)
+
+
+def _rebuilt(root, premises=None, conclusion=None, discharges=None):
+    """``root``, a derived-rule application, with its parts replaced."""
+    return Apply(
+        root.id,
+        root.rule,
+        conclusion or root.conclusion,
+        root.premises if premises is None else premises,
+        root.discharges if discharges is None else discharges,
+    )
+
+
+def use_variants(root, rng) -> dict:
+    """``root`` and its wrong-shape variants, by name."""
+    out = {"ok": root}
+    prems = root.premises
+    if len(prems) > 1:
+        i, j = rng.sample(range(len(prems)), 2)
+        swapped = list(prems)
+        swapped[i], swapped[j] = swapped[j], swapped[i]
+        out["swapped-premise"] = _rebuilt(root, premises=tuple(swapped))
+    seq = root.conclusion.seq
+    wrong = rng.choice([seq + ("z",), seq[1:] or ("z",), seq[:-1] + ("z",)])
+    out["wrong-sequence"] = _rebuilt(root, conclusion=Lwff(wrong, root.conclusion.formula))
+    out["stray-discharge"] = _rebuilt(root, discharges=root.discharges + (Assume(20, Lwff(("z",), Atom("r"))),))
+    out["foreign-discharge"] = _rebuilt(root, discharges=root.discharges + (Assume(21, Succ(seq[-1], "w")),))
+    if root.rule == "FE":
+        out["no-witness"] = _rebuilt(root, discharges=())
+    return out
+
+
+def spelled(root, fn, assumptions_only=False):
+    """The derivation rebuilt with ``fn`` applied to every formula, or to
+    the assumptions' formulas only."""
+    def generic(phi, assumed=True):
+        return Lwff(phi.seq, fn(phi.formula)) if isinstance(phi, Lwff) and (assumed or not assumptions_only) else phi
+
+    memo = {}
+    for n in all_nodes(root):
+        if isinstance(n, Assume):
+            memo[id(n)] = Assume(n.id, generic(n.formula))
+        else:
+            premises, discharges = tuple(memo[id(p)] for p in n.premises), tuple(memo[id(a)] for a in n.discharges)
+            memo[id(n)] = Apply(n.id, n.rule, generic(n.conclusion, False), premises, discharges, n.subst)
+    return memo[id(root)]
+
+
+def derived_uses_outputs() -> list:
+    """Every use written, desugared and, for the correct ones, with only the
+    assumptions desugared, so that premises and conclusion are spelled
+    apart; each expanded and checked, or the refusing node's id."""
+    rng = random.Random(2727)
+    out = []
+    for rule in _DERIVED:
+        for k in range(USES_PER_RULE):
+            for variant, root in use_variants(derived_use(rule, rng), rng).items():
+                spellings = {"written": root, "desugared": spelled(root, desugar)}
+                if variant == "ok":
+                    spellings["mixed"] = spelled(root, desugar, assumptions_only=True)
+                for spelling, d in spellings.items():
+                    entry = {"use": f"{rule}/{k}/{variant}/{spelling}"}
+                    try:
+                        expanded = expand(d)
+                    except SchemaMismatch as e:
+                        entry["refused"] = e.node_id
+                    else:
+                        entry["expanded"] = serialize(expanded)
+                        entry["check"] = check(expanded).to_dict()
+                    out.append(entry)
+    return out
+
 
 def dump(value) -> str:
     if isinstance(value, list):
@@ -423,6 +549,7 @@ PROOF_GOLDENS = {
     "mutation_sweep": sweep_outputs,
     "fault_order": fault_outputs,
     "taut_batch": taut_batch_outputs,
+    "derived_uses": derived_uses_outputs,
 }
 
 
