@@ -1,9 +1,15 @@
-"""Derived rules as expansion templates, plus proof transformers.
+"""Derived rules as checked schemas, plus proof transformers.
 
-The kernel trusts only its 18 primitive rules.  Scripts may use the
-derived names ``andI andE1 andE2 orIl orIr orE FI FE``; ``expand`` rewrites
-those applications into primitive derivations, and every expansion is
-re-checked by the kernel downstream.  ``mp_compose``, ``nec_g`` and
+The kernel trusts only its 18 primitive rules.  Each rule of
+``DERIVED_RULES`` is a schema, ``rules/<rule>.ndp``: a derivation in the
+script grammar, checked by the kernel on first use.  Its atoms are formula
+metavariables; a label in a relational formula stands for one label, any
+other for a label sequence, maybe empty, at most one per judgment.  Its
+open assumptions, in id order, are the rule's premises, and one that it
+discharges but no node uses stands for the classes an application
+discharges there.  ``expand`` matches an application against its schema up
+to desugaring and builds the instance, numbered in schema-id order; the
+kernel re-checks it downstream.  ``mp_compose``, ``nec_g`` and
 ``nec_x`` make the Hilbert closure rules executable over closed proofs,
 and ``derive_tautology`` builds a closed proof for any classical
 propositional tautology by case-splitting.  One evaluator of Kleene's
@@ -25,9 +31,10 @@ costs time linear in its objects, not its tree.
 from __future__ import annotations
 
 import collections
+import functools
 import itertools
 from collections.abc import Iterator
-from dataclasses import fields
+from importlib import resources
 
 from .formulas import (
     And,
@@ -39,9 +46,10 @@ from .formulas import (
     Next,
     Or,
     Sometime,
+    _HOMOMORPHIC,
     _fold,
     _fold_from,
-    _not,
+    atoms_of,
     desugar,
     is_local,
     format_formula,
@@ -52,17 +60,21 @@ from .kernel import (
     Apply,
     Assume,
     CheckReport,
+    GenericFormula,
     Le,
     Lwff,
     Node,
     Succ,
     all_nodes,
     check,
+    format_generic,
     labels_of_derivation,
+    labels_of_generic,
     max_node_id,
-    normalize_generic,
+    open_assumption_classes,
     rename_labels,
 )
+from .scripts import parse_script
 
 __all__ = [
     "SchemaMismatch",
@@ -71,6 +83,7 @@ __all__ = [
     "NonParametricLabel",
     "NotATautology",
     "NotPropositional",
+    "DERIVED_RULES",
     "expand",
     "check_expanded",
     "mp_compose",
@@ -112,193 +125,129 @@ class NotPropositional(ValueError):
     pass
 
 
+DERIVED_RULES = ("andI", "andE1", "andE2", "orIl", "orIr", "orE", "FI", "FE")
+
 _NOUNS = {Or: "disjunction", And: "conjunction", Sometime: "sometime formula"}
 
 
-def _split(f: Formula, cls: type) -> tuple[Formula, ...]:
-    """The operands of ``f`` as an abbreviation ``cls``, written or desugared.
+def _schema_text(rule: str) -> str:
+    return resources.files("nabla").joinpath(f"rules/{rule}.ndp").read_text(encoding="utf-8")
 
-    A desugared ``f`` is matched against ``desugar`` of ``cls`` over fresh
-    placeholder atoms; the placeholders, known by identity, bind to the
-    operands."""
-    if isinstance(f, cls):
-        return tuple(getattr(f, x.name) for x in fields(cls))
-    holes = tuple(Atom(x.name) for x in fields(cls))
-    bound: dict[int, Formula] = {}
 
-    def match(t: Formula, g: Formula) -> bool:
-        if any(t is h for h in holes):
-            bound[id(t)] = g
-            return True
-        if type(t) is not type(g):
+def _match(t: Formula, g: Formula, env: dict[str, Formula]) -> bool:
+    """Bind the metavariables of the schema formula ``t`` in ``env`` so that
+    ``t`` is ``g`` up to desugaring: as written under one connective, else
+    desugared.  A bound metavariable must equal ``g`` up to desugaring."""
+    if type(t) is Atom:
+        old = env.setdefault(t.name, g)
+        return old is g or desugar(old) == desugar(g)
+    if type(t) is type(g):
+        return all(_match(x, y, env) for x, y in zip(t.__dict__.values(), g.__dict__.values()))
+    dt, dg = desugar(t), desugar(g)
+    return (dt is not t or dg is not g) and _match(dt, dg, env)
+
+
+def _fits(pattern: GenericFormula, found: GenericFormula, singles: frozenset[str], labels: dict, formulas: dict) -> bool:
+    """Whether ``found`` is an instance of the schema judgment ``pattern``,
+    binding its labels to label tuples and its metavariables to formulas.
+    A pattern's sequence label takes what its single labels leave."""
+    if type(found) is not type(pattern):
+        return False
+    if isinstance(pattern, Lwff):
+        if not _match(pattern.formula, found.formula, formulas):
             return False
-        return all(match(getattr(t, x.name), getattr(g, x.name)) for x in fields(t))
-
-    if match(desugar(cls(*holes)), desugar(f)):
-        return tuple(bound[id(h)] for h in holes)
-    raise SchemaMismatch(f"not a {_NOUNS[cls]}: {format_formula(f)}")
-
-
-def _concl_of(n: Node) -> Lwff:
-    if not isinstance(n.conclusion, Lwff):
-        raise SchemaMismatch("expected a labeled premise")
-    return n.conclusion
-
-
-def _require(cond: bool, message: str) -> None:
-    if not cond:
-        raise SchemaMismatch(message)
-
-
-# --- templates -------------------------------------------------------------
-
-
-def _expand_andI(node: Apply, prems, ids: Iterator[int]) -> Node:
-    d1, d2 = prems
-    w1, w2 = _concl_of(d1), _concl_of(d2)
-    a, b = _split(node.conclusion.formula, And)
-    seq = node.conclusion.seq
-    _require(w1.seq == seq and w2.seq == seq, "andI premises must share the conclusion sequence")
-    _require(desugar(w1.formula) == desugar(a) and desugar(w2.formula) == desugar(b), "andI premises must prove the conjuncts")
-    phi = Implies(_not(_not(a)), _not(b))
-    h = Assume(next(ids), Lwff(seq, phi))
-    ha = Assume(next(ids), Lwff(seq, _not(a)))
-    n1 = Apply(next(ids), "impE", Lwff(seq, Bottom()), (ha, d1))
-    n2 = Apply(next(ids), "impI", Lwff(seq, _not(_not(a))), (n1,), (ha,))
-    n3 = Apply(next(ids), "impE", Lwff(seq, _not(b)), (h, n2))
-    n4 = Apply(next(ids), "impE", Lwff(seq, Bottom()), (n3, d2))
-    return Apply(next(ids), "impI", node.conclusion, (n4,), (h,))
-
-
-def _expand_andE(node: Apply, prems, ids: Iterator[int], first: bool) -> Node:
-    (d,) = prems
-    w = _concl_of(d)
-    a, b = _split(w.formula, And)
-    seq = node.conclusion.seq
-    _require(w.seq == seq, "andE premise must share the conclusion sequence")
-    want = a if first else b
-    _require(desugar(node.conclusion.formula) == desugar(want), "andE conclusion must be the selected conjunct")
-    if first:
-        hx = Assume(next(ids), Lwff(seq, _not(a)))
-        h1 = Assume(next(ids), Lwff(seq, _not(_not(a))))
-        n1 = Apply(next(ids), "impE", Lwff(seq, Bottom()), (h1, hx))
-        n2 = Apply(next(ids), "impI", Lwff(seq, _not(b)), (n1,))
-        n3 = Apply(next(ids), "impI", Lwff(seq, Implies(_not(_not(a)), _not(b))), (n2,), (h1,))
+        want, have = pattern.seq, found.seq
     else:
-        hx = Assume(next(ids), Lwff(seq, _not(b)))
-        n3 = Apply(next(ids), "impI", Lwff(seq, Implies(_not(_not(a)), _not(b))), (hx,))
-    n4 = Apply(next(ids), "impE", Lwff(seq, Bottom()), (d, n3))
-    return Apply(next(ids), "botE", node.conclusion, (n4,), (hx,))
+        want, have = (pattern.a, pattern.b), (found.a, found.b)
+    sequences = sum(x not in singles for x in want)
+    width, i = len(have) - len(want) + sequences, 0
+    if width < 0 or (width and not sequences):
+        return False
+    for x in want:
+        n = 1 if x in singles else width
+        if labels.setdefault(x, have[i : i + n]) != have[i : i + n]:
+            return False
+        i += n
+    return True
 
 
-def _expand_orIl(node: Apply, prems, ids: Iterator[int]) -> Node:
-    (d,) = prems
-    w = _concl_of(d)
-    a, b = _split(node.conclusion.formula, Or)
-    seq = node.conclusion.seq
-    _require(w.seq == seq, "orIl premise must share the conclusion sequence")
-    _require(desugar(w.formula) == desugar(a), "orIl premise must prove the left disjunct")
-    h = Assume(next(ids), Lwff(seq, _not(a)))
-    n1 = Apply(next(ids), "impE", Lwff(seq, Bottom()), (h, d))
-    n2 = Apply(next(ids), "botE", Lwff(seq, b), (n1,))
-    return Apply(next(ids), "impI", node.conclusion, (n2,), (h,))
+def _misfit(where: str, rule: str, found: GenericFormula) -> SchemaMismatch:
+    return SchemaMismatch(f"{where} of {rule} does not fit its schema: found {format_generic(found)}")
 
 
-def _expand_orIr(node: Apply, prems, ids: Iterator[int]) -> Node:
-    (d,) = prems
-    w = _concl_of(d)
-    a, b = _split(node.conclusion.formula, Or)
-    seq = node.conclusion.seq
-    _require(w.seq == seq, "orIr premise must share the conclusion sequence")
-    _require(desugar(w.formula) == desugar(b), "orIr premise must prove the right disjunct")
-    return Apply(next(ids), "impI", node.conclusion, (d,))
+class _Schema:
+    """One derived rule's schema, read from ``rules/<rule>.ndp`` and checked."""
+
+    def __init__(self, rule: str):
+        self.root = root = parse_script(_schema_text(rule))
+        if not (report := check(root)).accepted:
+            raise ValueError(f"the schema of {rule} does not check: {report.message}")
+        nodes = all_nodes(root)
+        used = {id(p) for n in nodes if isinstance(n, Apply) for p in n.premises}
+        self.premises = sorted(open_assumption_classes(root), key=lambda a: a.id)
+        self.slots = sorted((a for n in nodes if isinstance(n, Apply) for a in n.discharges if id(a) not in used), key=lambda a: a.id)
+        self.order = sorted((n for n in nodes if n not in self.premises and n not in self.slots), key=lambda n: n.id)
+        judgments = [n.conclusion for n in nodes]
+        self.singles = frozenset(x for r in judgments if not isinstance(r, Lwff) for x in (r.a, r.b))
+        self.labels = frozenset(x for w in judgments for x in labels_of_generic(w))
+        self.atoms = frozenset().union(*(atoms_of(w.formula) for w in judgments if isinstance(w, Lwff)))
+        # Matched in order: the connective's judgments (by its noun), the conclusion, the premises.
+        where = [("conclusion", root.conclusion, None)] + [(f"premise {i + 1}", a.formula, i) for i, a in enumerate(self.premises)]
+        where = [(*j, isinstance(j[1], Lwff) and _NOUNS.get(type(j[1].formula))) for j in where]
+        self.judgments = sorted(where, key=lambda j: not j[3])
+
+    def instance(self, node: Apply, prems: tuple[Node, ...], disch: tuple[Assume, ...], ids: Iterator[int]) -> Node:
+        """The instance that ``node`` applies, over ``prems``, discharging
+        ``disch``, its new nodes numbered by ``ids`` in schema-id order."""
+        if len(prems) != len(self.premises):
+            raise SchemaMismatch(f"rule {node.rule} takes {len(self.premises)} premises, got {len(prems)}")
+        labels, formulas = {}, {}  # label -> label tuple, metavariable -> formula
+        for where, pattern, i, noun in self.judgments:
+            found = node.conclusion if i is None else prems[i].conclusion
+            if not _fits(pattern, found, self.singles, labels, formulas):
+                if noun and isinstance(found, Lwff) and not _match(pattern.formula, found.formula, {}):
+                    raise SchemaMismatch(f"not a {noun}: {format_formula(found.formula)}")
+                raise _misfit(where, node.rule, found)
+        bound: dict[int, list[Assume]] = {id(a): [] for a in self.slots}
+        for x in disch:
+            for slot in self.slots:
+                trial = dict(labels), dict(formulas)
+                if _fits(slot.formula, x.formula, self.singles, *trial):
+                    labels, formulas = trial
+                    bound[id(slot)].append(x)
+                    break
+            else:  # andE1 and andE2 report as andE
+                raise _misfit(f"discharged assumption {x.id}", node.rule, x.formula) if self.slots else SchemaMismatch(f"{node.rule.rstrip('12')} discharges nothing")
+        if not (self.labels <= labels.keys() and self.atoms <= formulas.keys()):
+            raise SchemaMismatch(f"{node.rule} discharges no assumption of the form {' or '.join(format_generic(a.formula) for a in self.slots)}")
+        bot = Bottom()  # the instance's own: it keeps no object of the schema
+        rules = _HOMOMORPHIC | {Atom: lambda x: formulas[x.name], Bottom: lambda x: bot}
+        memo: dict[int, Formula] = {}
+
+        def judgment(phi: GenericFormula) -> GenericFormula:
+            if isinstance(phi, Lwff):
+                return Lwff(tuple(y for x in phi.seq for y in labels[x]), _fold_from(phi.formula, rules, memo))
+            return type(phi)(labels[phi.a][0], labels[phi.b][0])
+
+        made: dict[int, Node] = {id(a): p for a, p in zip(self.premises, prems)}
+        for n in self.order:
+            if isinstance(n, Assume):
+                made[id(n)] = Assume(next(ids), judgment(n.formula))
+            else:
+                conclusion = node.conclusion if n is self.root else judgment(n.conclusion)
+                discharges = tuple(x for a in n.discharges for x in (bound[id(a)] if id(a) in bound else (made[id(a)],)))
+                made[id(n)] = Apply(next(ids), n.rule, conclusion, tuple(made[id(p)] for p in n.premises), discharges)
+        return made[id(self.root)]
 
 
-def _expand_orE(node: Apply, prems, ids: Iterator[int]) -> Node:
-    d0, da, db = prems
-    w0 = _concl_of(d0)
-    a, b = _split(w0.formula, Or)
-    goal = node.conclusion
-    _require(desugar(_concl_of(da).formula) == desugar(goal.formula) and _concl_of(da).seq == goal.seq, "orE first case must prove the conclusion")
-    _require(desugar(_concl_of(db).formula) == desugar(goal.formula) and _concl_of(db).seq == goal.seq, "orE second case must prove the conclusion")
-    ha = [x for x in node.discharges if normalize_generic(x.formula) == normalize_generic(Lwff(w0.seq, a))]
-    hb = [x for x in node.discharges if x not in ha and normalize_generic(x.formula) == normalize_generic(Lwff(w0.seq, b))]
-    _require(len(ha) + len(hb) == len(node.discharges), "orE discharges case assumptions only")
-    hc = Assume(next(ids), Lwff(goal.seq, _not(goal.formula)))
-    n1 = Apply(next(ids), "impE", Lwff(goal.seq, Bottom()), (hc, da))
-    n2 = Apply(next(ids), "botE", Lwff(w0.seq, Bottom()), (n1,))
-    n3 = Apply(next(ids), "impI", Lwff(w0.seq, _not(a)), (n2,), tuple(ha))
-    n4 = Apply(next(ids), "impE", Lwff(w0.seq, b), (d0, n3))
-    n5 = Apply(next(ids), "impE", Lwff(goal.seq, Bottom()), (hc, db))
-    n6 = Apply(next(ids), "botE", Lwff(w0.seq, Bottom()), (n5,))
-    n7 = Apply(next(ids), "impI", Lwff(w0.seq, _not(b)), (n6,), tuple(hb))
-    n8 = Apply(next(ids), "impE", Lwff(w0.seq, Bottom()), (n7, n4))
-    return Apply(next(ids), "botE", goal, (n8,), (hc,))
-
-
-def _expand_FI(node: Apply, prems, ids: Iterator[int]) -> Node:
-    d1, r = prems
-    w = _concl_of(d1)
-    (a,) = _split(node.conclusion.formula, Sometime)
-    seq = node.conclusion.seq
-    _require(len(w.seq) == len(seq) + 1 and w.seq[:-1] == seq, "FI premise must extend the conclusion sequence by one label")
-    _require(desugar(w.formula) == desugar(a), "FI premise must prove the operand")
-    _require(r.conclusion == Le(seq[-1], w.seq[-1]), "FI needs le(last, new) as its relational premise")
-    h = Assume(next(ids), Lwff(seq, Always(_not(a))))
-    n1 = Apply(next(ids), "GE", Lwff(w.seq, _not(a)), (h, r))
-    n2 = Apply(next(ids), "impE", Lwff(w.seq, Bottom()), (n1, d1))
-    n3 = Apply(next(ids), "botE", Lwff(seq, Bottom()), (n2,))
-    return Apply(next(ids), "impI", node.conclusion, (n3,), (h,))
-
-
-def _expand_FE(node: Apply, prems, ids: Iterator[int]) -> Node:
-    d0, dh = prems
-    w0 = _concl_of(d0)
-    (a,) = _split(w0.formula, Sometime)
-    goal = node.conclusion
-    wh = _concl_of(dh)
-    _require(wh.seq == goal.seq and desugar(wh.formula) == desugar(goal.formula), "FE hypothetical premise must prove the conclusion")
-    b1 = w0.seq[-1]
-    hr = [x for x in node.discharges if isinstance(x.formula, Le) and x.formula.a == b1]
-    b2s = {x.formula.b for x in hr}
-    hall = [
-        x
-        for x in node.discharges
-        if isinstance(x.formula, Lwff)
-        and len(x.formula.seq) == len(w0.seq) + 1
-        and x.formula.seq[:-1] == w0.seq
-        and desugar(x.formula.formula) == desugar(a)
-    ]
-    b2s |= {x.formula.seq[-1] for x in hall}
-    _require(len(hr) + len(hall) == len(node.discharges), "FE discharges its witness assumptions only")
-    _require(len(b2s) == 1, "FE witness assumptions must name one fresh label")
-    b2 = b2s.pop()
-    hc = Assume(next(ids), Lwff(goal.seq, _not(goal.formula)))
-    n1 = Apply(next(ids), "impE", Lwff(goal.seq, Bottom()), (hc, dh))
-    n2 = Apply(next(ids), "botE", Lwff(w0.seq + (b2,), Bottom()), (n1,))
-    n3 = Apply(next(ids), "impI", Lwff(w0.seq + (b2,), _not(a)), (n2,), tuple(hall))
-    n4 = Apply(next(ids), "GI", Lwff(w0.seq, Always(_not(a))), (n3,), tuple(hr))
-    n5 = Apply(next(ids), "impE", Lwff(w0.seq, Bottom()), (d0, n4))
-    return Apply(next(ids), "botE", goal, (n5,), (hc,))
-
-
-# Derived rule name -> (premise count, whether it may discharge, template).
-_TEMPLATES = {
-    "andI": (2, False, _expand_andI),
-    "andE1": (1, False, lambda n, p, i: _expand_andE(n, p, i, True)),
-    "andE2": (1, False, lambda n, p, i: _expand_andE(n, p, i, False)),
-    "orIl": (1, False, _expand_orIl),
-    "orIr": (1, False, _expand_orIr),
-    "orE": (3, True, _expand_orE),
-    "FI": (2, False, _expand_FI),
-    "FE": (2, True, _expand_FE),
-}
+_schema = functools.cache(_Schema)
 
 
 def expand(root: Node) -> Node:
-    """Rewrite derived-rule applications into primitive derivations; ``root`` itself if it has none."""
+    """Rewrite derived-rule applications into instances of their schemas;
+    ``root`` itself if it has none."""
     order = all_nodes(root)
-    if not any(isinstance(n, Apply) and n.rule in _TEMPLATES for n in order):
+    if not any(isinstance(n, Apply) and n.rule in DERIVED_RULES for n in order):
         return root
     ids = itertools.count(max(n.id for n in order) + 1)
     memo: dict[int, Node] = {}
@@ -308,23 +257,14 @@ def expand(root: Node) -> Node:
             continue
         prems = tuple(memo[id(p)] for p in n.premises)
         disch = tuple(memo[id(a)] for a in n.discharges)
-        if n.rule in _TEMPLATES:
-            arity, may_discharge, template = _TEMPLATES[n.rule]
-            try:
-                if len(prems) != arity:
-                    raise SchemaMismatch(f"rule {n.rule} takes {arity} premises, got {len(prems)}")
-                staged = Apply(n.id, n.rule, n.conclusion, prems, disch, n.subst)
-                memo[id(n)] = template(staged, prems, ids)
-                # After the template, so that a premise fault is reported
-                # first.  andE1 and andE2 report as andE, as in their other
-                # messages.
-                if disch and not may_discharge:
-                    raise SchemaMismatch(f"{n.rule.rstrip('12')} discharges nothing")
-            except SchemaMismatch as e:
-                e.node_id = n.id
-                raise
-        else:
+        if n.rule not in DERIVED_RULES:
             memo[id(n)] = Apply(n.id, n.rule, n.conclusion, prems, disch, n.subst)
+            continue
+        try:
+            memo[id(n)] = _schema(n.rule).instance(n, prems, disch, ids)
+        except SchemaMismatch as e:
+            e.node_id = n.id
+            raise
     return memo[id(root)]
 
 

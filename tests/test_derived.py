@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -132,6 +133,63 @@ def test_expansion_schema_mismatch():
     node = Apply(2, "andE1", Lwff(("b",), P), (d,))
     with pytest.raises(SchemaMismatch):
         expand(node)
+
+
+RULES_DIR = Path(derived.__file__).parent / "rules"
+ARITY = {"andI": 2, "andE1": 1, "andE2": 1, "orIl": 1, "orIr": 1, "orE": 3, "FI": 2, "FE": 2}
+
+
+def test_every_derived_rule_has_one_schema_file():
+    assert sorted(p.stem for p in RULES_DIR.glob("*.ndp")) == sorted(derived.DERIVED_RULES) == sorted(ARITY)
+
+
+@pytest.mark.parametrize("rule", derived.DERIVED_RULES)
+def test_schema_checks_and_is_open_only_in_its_premises(rule):
+    schema = derived._schema(rule)
+    report = check(schema.root)
+    assert report.accepted, report.message
+    assert report.open_assumptions == {normalize_generic(a.formula) for a in schema.premises}
+    assert len(schema.premises) == ARITY[rule]
+    # What the expander relies on: a node's premises and discharges have
+    # smaller ids, and a judgment has at most one sequence label.
+    for n in all_nodes(schema.root):
+        if isinstance(n, Apply):
+            assert all(m.id < n.id for m in n.premises + n.discharges)
+        if isinstance(n.conclusion, Lwff):
+            assert sum(x not in schema.singles for x in n.conclusion.seq) <= 1
+
+
+def test_schema_that_does_not_check_is_refused_at_load(monkeypatch):
+    broken = derived._schema_text("andI").replace("(A & B)", "(A | B)")
+    monkeypatch.setattr(derived, "_schema_text", lambda rule: broken)
+    derived._schema.cache_clear()
+    node = Apply(3, "andI", Lwff(("b",), And(P, Q)), (Assume(1, Lwff(("b",), P)), Assume(2, Lwff(("b",), Q))))
+    try:
+        with pytest.raises(ValueError, match="^the schema of andI does not check: ") as e:
+            expand(node)
+        assert not isinstance(e.value, SchemaMismatch)
+    finally:
+        derived._schema.cache_clear()
+
+
+def test_each_schema_mismatch_names_what_does_not_fit():
+    b = ("b",)
+    p, q, r = (Assume(i, Lwff(b, f)) for i, f in enumerate((P, Q, R), start=1))
+    p_or_q, fp = Assume(4, Lwff(b, Or(P, Q))), Assume(5, Lwff(b, Sometime(P)))
+    cases = [
+        (Apply(9, "andI", Lwff(b, And(P, Q)), (p,)), "rule andI takes 2 premises, got 1"),
+        (Apply(9, "FI", Lwff(b, Always(P)), (p, Assume(6, Le("b", "b")))), "not a sometime formula: (G p)"),
+        (Apply(9, "andI", Lwff(b, And(P, Q)), (q, p)), "premise 1 of andI does not fit its schema: found b : q"),
+        (Apply(9, "FI", Lwff(b, Sometime(P)), (p, r)), "premise 1 of FI does not fit its schema: found b : p"),
+        (Apply(9, "andE1", Lwff(("c",), P), (Assume(6, Lwff(b, And(P, Q))),)), "conclusion of andE1 does not fit its schema: found c : p"),
+        (Apply(9, "orE", Lwff(b, R), (p_or_q, r, r), (p, r)), "discharged assumption 3 of orE does not fit its schema: found b : r"),
+        (Apply(9, "andE2", Lwff(b, Q), (Assume(6, Lwff(b, And(P, Q))),), (q,)), "andE discharges nothing"),
+        (Apply(9, "FE", Lwff(b, R), (fp, r)), "FE discharges no assumption of the form le(b,c) or s b c : A"),
+    ]
+    for node, message in cases:
+        with pytest.raises(SchemaMismatch) as e:
+            expand(node)
+        assert (e.value.node_id, str(e.value)) == (9, message)
 
 
 def test_desugared_connective_patterns_accepted():
