@@ -599,9 +599,11 @@ def falsify_consequence(premises, goal: GenericFormula, samples: int, seed: int)
     positions and their formulas checked and desugared.  The relational
     premises are decided first, on the positions alone; only where every
     one holds is the model built, the labelled premises evaluated, and
-    then the goal.
+    then the goal.  The premises are taken in the order of their printed
+    form, so that the work, not only the result, is the same in every
+    process, whatever order the caller's set iterates in.
     """
-    premises = list(premises)
+    premises = sorted(premises, key=format_generic)
     every = premises + [goal]
     labels = sorted({x for phi in every for x in labels_of_generic(phi)})
     symbols = _symbols_in(every)

@@ -546,6 +546,21 @@ def test_falsify_examples():
     assert falsify_consequence([Lwff(("b",), Bottom())], anything, 200, seed=9) is None
 
 
+def test_falsify_work_does_not_depend_on_the_premise_order(monkeypatch):
+    # The premises are evaluated in one fixed order, so the evaluations
+    # stop at the same false premise whichever order a caller's set
+    # iterates in.  Here p is false in some samples and (p -> p) in none.
+    real, calls = semantics._eval_h, []
+    monkeypatch.setattr(semantics, "_eval_h", lambda *a: calls.append(None) or real(*a))
+    a, b = Lwff(("b",), P), Lwff(("b",), Implies(P, P))
+    counts = []
+    for premises in ([a, b], [b, a]):
+        calls.clear()
+        assert falsify_consequence(premises, Lwff(("b",), Implies(Q, Q)), 50, seed=3) is None
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
+
+
 def test_falsify_deterministic():
     goal = Lwff(("b",), P)
     a = falsify_consequence([], goal, 100, seed=13)
