@@ -125,7 +125,7 @@ class NotPropositional(ValueError):
     pass
 
 
-DERIVED_RULES = ("andI", "andE1", "andE2", "orIl", "orIr", "orE", "FI", "FE")
+DERIVED_RULES = frozenset({"andI", "andE1", "andE2", "orIl", "orIr", "orE", "FI", "FE"})
 
 _NOUNS = {Or: "disjunction", And: "conjunction", Sometime: "sometime formula"}
 

@@ -143,7 +143,7 @@ def test_every_derived_rule_has_one_schema_file():
     assert sorted(p.stem for p in RULES_DIR.glob("*.ndp")) == sorted(derived.DERIVED_RULES) == sorted(ARITY)
 
 
-@pytest.mark.parametrize("rule", derived.DERIVED_RULES)
+@pytest.mark.parametrize("rule", sorted(derived.DERIVED_RULES))
 def test_schema_checks_and_is_open_only_in_its_premises(rule):
     schema = derived._schema(rule)
     report = check(schema.root)
@@ -193,7 +193,7 @@ def test_each_schema_mismatch_names_what_does_not_fit():
 
 
 def test_desugared_connective_patterns_accepted():
-    # the elimination templates also fire on spelled-out abbreviations
+    # the elimination schemas also match spelled-out abbreviations
     spelled = desugar(And(P, Q))
     d = Assume(1, Lwff(("b",), spelled))
     node = Apply(2, "andE2", Lwff(("b",), Q), (d,))

@@ -412,6 +412,7 @@ def taut_batch_outputs() -> list:
             out.append({"formula": text, "nodes": len(all_nodes(root)), "sha256": digest})
     return out
 
+
 # --- derived-rule uses -------------------------------------------------------
 #
 # Each derived rule applied to operands drawn from the history grammar, at
@@ -427,13 +428,12 @@ def _operand(rng):
     return _draw(rng, "history", rng.randrange(4), ("p", "q", "r"))
 
 
-def _labels(rng, least=1):
-    return tuple(rng.sample(("a", "b", "c", "d"), rng.randint(least, 3)))
+def _labels(rng):
+    return tuple(rng.sample(("a", "b", "c", "d"), rng.randint(1, 3)))
 
 
 def derived_use(rule, rng):
-    """One application of ``rule``: the root node, the node that applies
-    the rule, and whether that node may discharge."""
+    """One application of ``rule`` to drawn operands, at a drawn sequence."""
     a, b, c = _operand(rng), _operand(rng), _operand(rng)
     s = _labels(rng)
     if rule == "andI":
