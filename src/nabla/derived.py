@@ -258,7 +258,7 @@ def expand(root: Node) -> Node:
         prems = tuple(memo[id(p)] for p in n.premises)
         disch = tuple(memo[id(a)] for a in n.discharges)
         if n.rule not in DERIVED_RULES:
-            memo[id(n)] = Apply(n.id, n.rule, n.conclusion, prems, disch, n.subst)
+            memo[id(n)] = Apply(n.id, n.rule, n.conclusion, prems, disch)
             continue
         try:
             memo[id(n)] = _schema(n.rule).instance(n, prems, disch, ids)

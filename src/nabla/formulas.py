@@ -417,10 +417,6 @@ _HOMOMORPHIC = _table(
 _BOT = Bottom()
 
 
-def _not(a: Formula) -> Implies:
-    return Implies(a, _BOT)
-
-
 def _abbreviations(imp, bot, always) -> dict:
     """The abbreviations as fold rules over the values ``imp(a, b)`` of
     ``a -> b``, ``bot`` of bot and ``always(a)`` of ``G a``."""

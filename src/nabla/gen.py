@@ -303,14 +303,14 @@ class DerivationSampler:
             used = self._assume(Le(w.seq[-1], z))
             hyp = Apply(self._id(), "GE", Lwff(w.seq + (z,), w.formula.operand), (d, used))
             phi = self._assume(Le(w.seq[-1], y))
-            return Apply(self._id(), "linS", hyp.conclusion, (r1, r2, phi, hyp), (used,), (y, z))
+            return Apply(self._id(), "linS", hyp.conclusion, (r1, r2, phi, hyp), (used,))
         x = self._some_label(d)
         y, z = self._fresh_label(), self._fresh_label()
         r1 = self._assume(Succ(x, y))
         r2 = self._assume(Succ(x, z))
         phi = self._assume(Le(y, x))
         ghost = self._assume(Le(z, x))  # phi with z for y; vacuously discharged
-        return Apply(self._id(), "linS", Lwff(w.seq, w.formula), (r1, r2, phi, d), (ghost,), (y, z))
+        return Apply(self._id(), "linS", Lwff(w.seq, w.formula), (r1, r2, phi, d), (ghost,))
 
     def _step_splitLe(self, d: Node) -> Node | None:
         w = d.conclusion
@@ -321,14 +321,7 @@ class DerivationSampler:
         fresh = self._fresh_label()
         s_ghost = self._assume(Succ(x, fresh))
         l_ghost = self._assume(Le(fresh, y))
-        return Apply(
-            self._id(),
-            "splitLe",
-            Lwff(w.seq, w.formula),
-            (r1, phi, d, d),
-            (eq_ghost, s_ghost, l_ghost),
-            (x, y),
-        )
+        return Apply(self._id(), "splitLe", Lwff(w.seq, w.formula), (r1, phi, d, d), (eq_ghost, s_ghost, l_ghost))
 
     def _step_ind(self, d: Node) -> Node | None:
         w = d.conclusion

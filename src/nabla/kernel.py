@@ -18,7 +18,9 @@ nothing after it.  A validator tests its conditions in a fixed order and
 reports the first that fails.  A condition that several rules share is
 tested in one helper, which raises from one place: ``_same_judgment``,
 ``_last_two``, ``_moves_last``, ``_proves``, ``_one_fresh_label`` and
-``_one_relation``.
+``_one_relation``.  ``linS``, ``eqLe`` and ``splitLe`` substitute one
+label for another; the validator reads the pair off the rule's premises,
+so a node names no substitution of its own.
 
 Each node's set of open assumption classes is built once, in the same
 postorder pass that validates it: the node takes over the largest premise
@@ -148,7 +150,6 @@ class Apply:
     conclusion: Lwff
     premises: tuple["Node", ...]
     discharges: tuple[Assume, ...] = ()
-    subst: tuple[str, str] | None = None
 
     def __init__(
         self,
@@ -157,7 +158,6 @@ class Apply:
         conclusion: Lwff,
         premises: tuple["Node", ...],
         discharges: tuple[Assume, ...] = (),
-        subst: tuple[str, str] | None = None,
     ) -> None:
         set_ = _bind_setattr(self)
         set_("id", id)
@@ -165,7 +165,6 @@ class Apply:
         set_("conclusion", conclusion)
         set_("premises", premises)
         set_("discharges", discharges)
-        set_("subst", subst)
 
 
 Node = Assume | Apply
@@ -359,8 +358,6 @@ def labels_of_derivation(root: Node) -> frozenset[str]:
     labs: set[str] = set()
     for n in all_nodes(root):
         labs |= labels_of_generic(n.conclusion)
-        if isinstance(n, Apply) and n.subst is not None:
-            labs.update(n.subst)
     return frozenset(labs)
 
 
@@ -444,14 +441,6 @@ def _same_judgment(node: Apply, k: _Scope, w: Lwff, where: str) -> None:
         raise _Err(SEQUENCE_MISMATCH, f"{where} of {node.rule} has sequence {' '.join(w.seq)}, expected {' '.join(c.seq)}")
     if k.norm(w.formula) != k.norm(c.formula):
         raise _Err(SHAPE_MISMATCH, f"{where} of {node.rule} proves a different formula than the conclusion")
-
-
-def _check_subst(node: Apply, frm: str, to: str) -> None:
-    if node.subst is not None and node.subst != (frm, to):
-        raise _Err(
-            SHAPE_MISMATCH,
-            f"substitution annotation {node.subst} does not match the rule instance ({frm} -> {to})",
-        )
 
 
 def _last_two(node: Apply) -> tuple[str, str]:
@@ -616,7 +605,6 @@ def _check_linS(node: Apply, k: _Scope) -> None:
     b2, b3 = r1.b, r2.b
     phi = node.premises[2].conclusion
     _same_judgment(node, k, _need_lwff(node, 3), "hypothetical premise")
-    _check_subst(node, b2, b3)
     slot = subst_label(k.generic(phi), {b2: b3})
     _validate_discharges(node, k, [(slot, 3)])
 
@@ -643,7 +631,6 @@ def _check_eqLe(node: Apply, k: _Scope) -> None:
     r2 = _need_rwff(node, 1, Le)
     if r1 != Le(b1, b2) or r2 != Le(b2, b1):
         raise _Err(SHAPE_MISMATCH, "eqLe relational premises must assert equality of the swapped labels")
-    _check_subst(node, b1, b2)
 
 
 def _check_splitLe(node: Apply, k: _Scope) -> None:
@@ -654,7 +641,6 @@ def _check_splitLe(node: Apply, k: _Scope) -> None:
     w_lt = _need_lwff(node, 3)
     _same_judgment(node, k, w_eq, "equality-case premise")
     _same_judgment(node, k, w_lt, "strict-case premise")
-    _check_subst(node, b1, b2)
     eq_slot = subst_label(k.generic(phi), {b1: b2})
     def strict_label(g: GenericFormula) -> str | None:
         if isinstance(g, Succ) and g.a == b1:
@@ -776,14 +762,12 @@ def rename_labels(root: Node, mapping: dict[str, str]) -> Node:
         if isinstance(n, Assume):
             memo[id(n)] = Assume(n.id, subst_label(n.formula, full))
         else:
-            subst = None if n.subst is None else (full[n.subst[0]], full[n.subst[1]])
             memo[id(n)] = Apply(
                 n.id,
                 n.rule,
                 subst_label(n.conclusion, full),
                 tuple(memo[id(p)] for p in n.premises),
                 tuple(memo[id(a)] for a in n.discharges),
-                subst,
             )
     return memo[id(root)]
 

@@ -5,15 +5,15 @@ Grammar (``#`` starts a comment, blank lines are skipped)::
     assume <id> lwff <label>+ : <formula>
     assume <id> rwff le(<label>,<label>)
     assume <id> rwff succ(<label>,<label>)
-    node <id> <rule> concl <label>+ : <formula> prem <id>,...
-         [disch <id>,...] [subst <from> <to>]
+    node <id> <rule> concl <label>+ : <formula> prem <id>,... [disch <id>,...]
     root <id>
 
 Formulas use the history-language concrete syntax.  Premises reference
 earlier lines positionally, in the order the rule schema lists them; rule
 names may be primitive or derived (the loader expands derived rules before
-checking).  Exit-code convention for the checker CLI: 0 accepted,
-1 rejected, 2 parse error.
+checking).  A line names no substitution: ``linS``, ``eqLe`` and
+``splitLe`` substitute the pair their premises name.  Exit-code
+convention for the checker CLI: 0 accepted, 1 rejected, 2 parse error.
 
 Fields are separated by any run of whitespace (spaces or tabs), and each
 keyword (``assume``, ``lwff``, ``concl``, ``prem``, ...) is a whole field.
@@ -23,9 +23,9 @@ it.  An id is one or more ASCII digits (``007`` is 7); ``-1``, ``+1``,
 
 ``parse_script`` reads each line once, in grammar order: the directive,
 the id, the kind or rule name, ``concl``, the label sequence up to ``:``,
-the formula, then the ``prem``, ``disch`` and ``subst`` clauses.  Each
-field is checked where it is read, so an error names the first field that
-is wrong.  A node line's formula is taken to be the text before its last
+the formula, then the ``prem`` and ``disch`` clauses.  Each field is
+checked where it is read, so an error names the first field that is
+wrong.  A node line's formula is taken to be the text before its last
 `` prem `` (an assumption's, all the text after ``:``); when that text
 parses as a whole formula it is what a parse of the rest of the line
 would read, and only otherwise is the formula's end found by a partial
@@ -48,7 +48,7 @@ from .kernel import Apply, Assume, Le, Lwff, Node, Succ, all_nodes, format_gener
 
 __all__ = ["ScriptError", "parse_script", "serialize"]
 
-# One label grammar for label sequences, relational formulas and subst.
+# One label grammar for label sequences and relational formulas.
 _LABEL = r"[A-Za-z][A-Za-z0-9_]*"
 _RWFF_RE = re.compile(rf"^(le|succ)\(\s*({_LABEL})\s*,\s*({_LABEL})\s*\)$")
 _LABEL_RE = re.compile(rf"^{_LABEL}$")
@@ -61,6 +61,13 @@ class ScriptError(ValueError):
 
 
 _USAGE = {"assume": "assume needs '<id> lwff|rwff ...'", "node": "node needs '<id> <rule> concl ...'"}
+
+
+def _read_id(word: str, lineno: int) -> int:
+    """An id: one or more ASCII digits."""
+    if not (word.isdigit() and word.isascii()):
+        raise ScriptError(f"bad id {word!r}", lineno)
+    return int(word)
 
 
 def parse_script(text: str) -> Node:
@@ -90,19 +97,13 @@ def parse_script(text: str) -> Node:
                 raise ScriptError("duplicate root line", lineno)
             if len(words) != 2:
                 raise ScriptError("root needs exactly one id", lineno)
-            word = words[1]
-            if not (word.isdigit() and word.isascii()):
-                raise ScriptError(f"bad id {word!r}", lineno)
-            root_id = int(word)
+            root_id = _read_id(words[1], lineno)
             if root_id not in nodes:
                 raise ScriptError(f"root {root_id} is not defined", lineno)
             continue
         if len(words) < 3:
             raise ScriptError(_USAGE[directive], lineno)
-        word = words[1]
-        if not (word.isdigit() and word.isascii()):
-            raise ScriptError(f"bad id {word!r}", lineno)
-        nid = int(word)
+        nid = _read_id(words[1], lineno)
         if nid in nodes:
             raise ScriptError(f"duplicate id {nid}", lineno)
         rest = words[3] if len(words) == 4 else ""
@@ -166,34 +167,20 @@ def parse_script(text: str) -> Node:
         missing = None
         for word in fields[1].split(","):
             if word:
-                if not (word.isdigit() and word.isascii()):
-                    raise ScriptError(f"bad id {word!r}", lineno)
-                node = nodes.get(int(word))
+                pid = _read_id(word, lineno)
+                node = nodes.get(pid)
                 if node is None and missing is None:
-                    missing = int(word)
+                    missing = pid
                 premises.append(node)
         disch_ids = []
-        subst: tuple[str, str] | None = None
-        if n > 2:
-            i = 2
-            if fields[i] == "disch":
-                if i + 1 == n:
-                    raise ScriptError("disch needs a comma-separated id list", lineno)
-                for word in fields[i + 1].split(","):
-                    if word:
-                        if not (word.isdigit() and word.isascii()):
-                            raise ScriptError(f"bad id {word!r}", lineno)
-                        disch_ids.append(int(word))
-                i += 2
-            if i < n and fields[i] == "subst":
-                if n - i < 3:
-                    raise ScriptError("subst needs two labels", lineno)
-                subst = (fields[i + 1], fields[i + 2])
-                if not all(_LABEL_RE.match(x) for x in subst):
-                    raise ScriptError(f"bad subst labels {' '.join(subst)!r}", lineno)
-                i += 3
-            if i != n:
-                raise ScriptError(f"unexpected trailing input {' '.join(fields[i:])!r}", lineno)
+        i = 2
+        if n > 2 and fields[2] == "disch":
+            if n == 3:
+                raise ScriptError("disch needs a comma-separated id list", lineno)
+            disch_ids = [_read_id(word, lineno) for word in fields[3].split(",") if word]
+            i = 4
+        if i != n:
+            raise ScriptError(f"unexpected trailing input {' '.join(fields[i:])!r}", lineno)
         if missing is not None:
             raise ScriptError(f"premise {missing} is not defined yet", lineno)
         discharges = []
@@ -203,7 +190,7 @@ def parse_script(text: str) -> Node:
             if not isinstance(nodes[did], Assume):
                 raise ScriptError(f"discharged id {did} is not an assumption", lineno)
             discharges.append(nodes[did])
-        nodes[nid] = Apply(nid, words[2], Lwff(seq, f), tuple(premises), tuple(discharges), subst)
+        nodes[nid] = Apply(nid, words[2], Lwff(seq, f), tuple(premises), tuple(discharges))
     if root_id is None:
         raise ScriptError("missing root line", len(lines) + 1)
     return nodes[root_id]
@@ -237,8 +224,6 @@ def serialize(root: Node) -> str:
             parts = [f"node {k} {n.rule} concl {lwff(n.conclusion)}", "prem", ",".join(str(num[id(p)]) for p in n.premises)]
             if n.discharges:
                 parts += ["disch", ",".join(str(num[id(a)]) for a in n.discharges)]
-            if n.subst is not None:
-                parts += ["subst", n.subst[0], n.subst[1]]
             lines.append(" ".join(parts))
     lines.append(f"root {num[id(root)]}")
     return "\n".join(lines) + "\n"

@@ -190,18 +190,22 @@ class LassoModel:
 
 def parse_model(text: str) -> LassoModel:
     """Line format: ``stem <s>``, ``loop <p>``, then ``at <i>: <ident>*``
-    for i in order 0..s+p-1, then ``end``.  Each ``<ident>`` is a name the
-    formula parsers read as an atom; ``ModelFormatError`` otherwise."""
+    for i in order 0..s+p-1, then ``end``.  ``s`` and ``p`` are ASCII
+    digits, as script ids are, and each ``<ident>`` is a name the formula
+    parsers read as an atom; ``ModelFormatError`` otherwise."""
     lines = [ln.strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
     if len(lines) < 3 or not lines[0].startswith("stem ") or not lines[1].startswith("loop "):
         raise ModelFormatError("model file must start with 'stem <s>' and 'loop <p>' lines")
-    try:
-        (s,), (p,) = (map(int, ln.split()[1:]) for ln in lines[:2])
-    except ValueError as e:
-        raise ModelFormatError(f"bad stem/loop header, each takes one number: {e}")
-    if s < 0 or p < 1:
-        raise ModelFormatError("need stem >= 0 and loop >= 1")
+    counts = []
+    for ln in lines[:2]:
+        args = ln.split()[1:]
+        if len(args) != 1 or not (args[0].isdigit() and args[0].isascii()):
+            raise ModelFormatError(f"bad stem/loop header {ln!r}, each takes one number in ASCII digits")
+        counts.append(int(args[0]))
+    s, p = counts
+    if p < 1:
+        raise ModelFormatError("need loop >= 1")
     if lines[-1] != "end":
         raise ModelFormatError("model file must end with 'end'")
     rows = lines[2:-1]

@@ -15,7 +15,7 @@ from nabla.cli import MAX_IMAGE_LENGTH, main
 from nabla.formulas import MAX_NESTING, Implies, desugar, parse_ltl
 from nabla.kernel import Apply, Assume, Lwff, check
 from nabla.scripts import parse_script
-from nabla.semantics import format_model, LassoModel, eval_h, eval_ltl
+from nabla.semantics import format_model, LassoModel, ModelFormatError, eval_h, eval_ltl, parse_model
 from nabla.translate import translate
 from tests.test_fuzz import SHRINK_GOLDENS
 from tests.test_proof_goldens import PROOF_GOLDENS
@@ -175,6 +175,24 @@ def test_eval_rejects_a_model_cell_no_formula_can_name(capsys, tmp_path, cell):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: at 0: "), captured.err
+
+
+@pytest.mark.parametrize(
+    "header, rows",
+    [("stem 1_0\nloop 1", 11), ("stem \u0660\nloop 1", 1), ("stem 0\nloop +1", 1), ("stem -1\nloop 2", 1), ("stem 0\nloop \u00b9", 1)],
+    ids=["underscore", "arabic-indic", "plus", "minus", "superscript"],
+)
+def test_eval_reads_stem_and_loop_as_ascii_digits(capsys, tmp_path, header, rows):
+    # ``rows`` is the row count int() would read off the header.
+    text = header + "\n" + "".join(f"at {i}: p\n" for i in range(rows)) + "end\n"
+    with pytest.raises(ModelFormatError, match="^bad stem/loop header "):
+        parse_model(text)
+    path = tmp_path / "m.lasso"
+    path.write_text(text, encoding="utf-8")
+    assert main(["eval", "--model", str(path), "--pos", "0", "p"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: bad stem/loop header "), captured.err
 
 
 @pytest.mark.parametrize("seq", ["1,,2", ",", "", "0,x", "1.5"])

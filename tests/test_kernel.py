@@ -332,17 +332,19 @@ def test_serS_accepts_and_requires_one_pair():
     assert check(mixed).reason == BAD_DISCHARGE
 
 
-def test_linS_subst_annotation_must_match():
+def test_linS_reads_its_substitution_off_the_premises():
     r1 = Assume(1, Succ("b", "c"))
     r2 = Assume(2, Succ("b", "d"))
     phi = Assume(3, Lwff(("b", "c"), P))
     hyp = Assume(4, Lwff(("b", "d"), P))
-    good = Apply(5, "linS", Lwff(("b", "d"), P), (r1, r2, phi, hyp), (hyp,), ("c", "d"))
+    good = Apply(5, "linS", Lwff(("b", "d"), P), (r1, r2, phi, hyp), (hyp,))
     assert check(good).accepted
-    bad = Apply(6, "linS", Lwff(("b", "d"), P), (r1, r2, phi, hyp), (hyp,), ("d", "c"))
-    assert check(bad).reason == SHAPE_MISMATCH
-    loose = Apply(7, "linS", Lwff(("b", "d"), P), (r1, r2, phi, hyp), (hyp,))
-    assert check(loose).accepted  # annotation is optional; premises fix the roles
+    # c renamed to z in the first and third premises: the pair is z -> d.
+    renamed = (Assume(1, Succ("b", "z")), r2, Assume(3, Lwff(("b", "z"), P)), hyp)
+    assert check(Apply(5, "linS", Lwff(("b", "d"), P), renamed, (hyp,))).accepted
+    # Swapped successor premises name the pair d -> c, so the slot is b c : p.
+    swapped = Apply(6, "linS", Lwff(("b", "d"), P), (r2, r1, phi, hyp), (hyp,))
+    assert_rejects(swapped, 6, BAD_DISCHARGE, "linS cannot discharge b d : p (assumption 4)")
 
 
 def test_linS_rwff_phi_premise():
@@ -352,7 +354,7 @@ def test_linS_rwff_phi_premise():
     hyp_leaf = Assume(4, Le("d", "e"))
     d = Assume(5, Lwff(("b",), Always(P)))
     use = Apply(6, "GE", Lwff(("b", "e"), P), (d, Assume(7, Le("b", "e"))))
-    node = Apply(8, "linS", Lwff(("b", "e"), P), (r1, r2, phi, use), (hyp_leaf,), ("c", "d"))
+    node = Apply(8, "linS", Lwff(("b", "e"), P), (r1, r2, phi, use), (hyp_leaf,))
     # discharged class le(d,e) = phi[d/c]; it has no occurrence (vacuous)
     assert check(node).accepted
 
@@ -374,9 +376,6 @@ def test_eqLe_moves_the_last_label():
     assert check(swapped).reason == SHAPE_MISMATCH
     moved_prefix = Apply(6, "eqLe", Lwff(("c", "b"), P), (r1, r2, base))
     assert check(moved_prefix).reason == SEQUENCE_MISMATCH
-    assert check(Apply(7, "eqLe", Lwff(("a", "c"), P), (r1, r2, base), (), ("b", "c"))).accepted
-    message = "substitution annotation ('c', 'b') does not match the rule instance (b -> c)"
-    assert_rejects(Apply(8, "eqLe", Lwff(("a", "c"), P), (r1, r2, base), (), ("c", "b")), 8, SHAPE_MISMATCH, message)
 
 
 def test_splitLe_small_instance():
@@ -393,7 +392,6 @@ def test_splitLe_small_instance():
         Lwff(("b",), P),
         (r1, phi, eq_case, lt_case),
         (lt1, lt2),
-        ("x", "y"),
     )
     # discharged strict-case relations are vacuous; w is fresh
     assert check(node).accepted
@@ -403,7 +401,6 @@ def test_splitLe_small_instance():
         Lwff(("b",), P),
         (r1, phi, eq_case, lt_case),
         (Assume(9, Succ("x", "x")),),
-        ("x", "y"),
     )
     assert check(clash).reason == FRESHNESS_VIOLATION
 
@@ -572,7 +569,6 @@ def map_formulas(root, fn):
                 generic(n.conclusion),
                 tuple(memo[id(p)] for p in n.premises),
                 tuple(memo[id(a)] for a in n.discharges),
-                n.subst,
             )
     return memo[id(root)]
 

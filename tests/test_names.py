@@ -46,3 +46,28 @@ def test_integer_draws_go_through_below():
             if isinstance(node, ast.Attribute) and node.attr in ("randint", "randrange", "choice"):
                 found.append(f"{path.name}:{node.lineno}: .{node.attr}")
     assert not found
+
+
+def test_every_private_definition_is_used():
+    # A module-level private function or class that no code in the package
+    # names is dead: nothing outside the package may call it either.
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SOURCES.glob("*.py"))}
+    named = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, ast.alias):
+                named.add(node.name)
+    dead = [
+        f"{name}:{node.lineno}: {node.name}"
+        for name, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name.startswith("_")
+        and not node.name.startswith("__")
+        and node.name not in named
+    ]
+    assert not dead

@@ -230,7 +230,7 @@ def mutate(root, rng):
                 concl = changed_labels(concl, labels, rng)
             else:
                 concl = Lwff(concl.seq, changed_formula(concl.formula, rng))
-        memo[id(n)] = Apply(n.id, rule, concl, tuple(prems), tuple(disch), n.subst)
+        memo[id(n)] = Apply(n.id, rule, concl, tuple(prems), tuple(disch))
     return kind, order[i].id, new(root)
 
 
@@ -294,13 +294,13 @@ def fault_bases() -> list:
         Apply(1, "histE", Lwff(("b", "d"), P), (_lwff(2, "b c", Hist(P)), le(3, "b", "d"), le(4, "d", "c"))),
         Apply(1, "last", Lwff(("c",), P), (_lwff(2, "b c", P),)),
         Apply(1, "serS", Lwff(("b",), P), (h,), (succ(3, "x", "y"),)),
-        Apply(1, "linS", Lwff(("b", "d"), P), (succ(2, "b", "c"), succ(3, "b", "d"), _lwff(4, "b c", P), lin_hyp), (lin_hyp,), ("c", "d")),
+        Apply(1, "linS", Lwff(("b", "d"), P), (succ(2, "b", "c"), succ(3, "b", "d"), _lwff(4, "b c", P), lin_hyp), (lin_hyp,)),
         Apply(1, "reflLe", Lwff(("b",), P), (h,), (le(3, "x", "x"),)),
         Apply(1, "transLe", Lwff(("b",), P), (le(2, "x", "y"), le(3, "y", "z"), _lwff(4, "b", P)), (le(5, "x", "z"),)),
         Apply(1, "eqLe", Lwff(("a", "c"), P), (le(2, "b", "c"), le(3, "c", "b"), _lwff(4, "a b", P))),
         Apply(
             1, "splitLe", Lwff(("b",), P), (le(2, "x", "y"), _lwff(3, "b", P), eq_case, _lwff(5, "b", P)),
-            (eq_case, succ(6, "x", "w"), le(7, "w", "y")), ("x", "y"),
+            (eq_case, succ(6, "x", "w"), le(7, "w", "y")),
         ),
         Apply(1, "baseLe", Lwff(("b",), P), (succ(2, "x", "y"), _lwff(3, "b", P)), (le(4, "x", "y"),)),
         Apply(
@@ -356,7 +356,7 @@ def faulty(node, faults):
             discharges += (Assume(99, new),)
         else:
             premises[part] = Assume(90 + part, new)
-    return Apply(node.id, node.rule, conclusion, tuple(premises), discharges, node.subst)
+    return Apply(node.id, node.rule, conclusion, tuple(premises), discharges)
 
 
 def fault_outputs() -> list:
@@ -507,7 +507,7 @@ def spelled(root, fn, assumptions_only=False):
             memo[id(n)] = Assume(n.id, generic(n.formula))
         else:
             premises, discharges = tuple(memo[id(p)] for p in n.premises), tuple(memo[id(a)] for a in n.discharges)
-            memo[id(n)] = Apply(n.id, n.rule, generic(n.conclusion, False), premises, discharges, n.subst)
+            memo[id(n)] = Apply(n.id, n.rule, generic(n.conclusion, False), premises, discharges)
     return memo[id(root)]
 
 

@@ -63,32 +63,55 @@ def test_comments_and_blank_lines():
     assert check(root).accepted
 
 
-def test_subst_clause_parses():
-    text = (
-        "assume 1 rwff succ(b,c)\n"
-        "assume 2 rwff succ(b,d)\n"
-        "assume 3 lwff b c : p\n"
-        "assume 4 lwff b d : p\n"
-        "node 5 linS concl b d : p prem 1,2,3,4 disch 4 subst c d\n"
-        "root 5\n"
-    )
-    root = parse_script(text)
+_LINS = (
+    "assume 1 rwff succ(b,c)\n"
+    "assume 2 rwff succ(b,d)\n"
+    "assume 3 lwff b c : p\n"
+    "assume 4 lwff b d : p\n"
+    "node 5 linS concl b d : p prem 1,2,3,4 disch 4\n"
+    "root 5\n"
+)
+
+
+def test_linS_script_names_no_substitution():
+    root = parse_script(_LINS)
     assert check(root).accepted
     assert check(root).open_assumptions == {Succ("b", "c"), Succ("b", "d"), Lwff(("b", "c"), Atom("p"))}
-    assert serialize(root).count("subst c d") == 1
+    assert check(parse_script(serialize(root))).accepted
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        (_LINS.replace("disch 4", "disch 4 subst c d"), 5),
+        ("assume 1 lwff b : (p -> q)\nassume 2 lwff b : p\nnode 3 impE concl b : q prem 1,2 subst x y\nroot 3\n", 3),
+        ("assume 1 lwff b : p\nassume 2 lwff b : q\nnode 3 andI concl b : (p & q) prem 1,2 subst x y\nroot 3\n", 3),
+    ],
+    ids=["linS", "impE", "andI"],
+)
+def test_a_subst_clause_is_trailing_input(tmp_path, capsys, text, line):
+    # A node line ends after its discharges; a substitution clause on any
+    # rule, primitive or derived, is a parse error.
+    tail = text.splitlines()[line - 1].partition(" subst ")[2]
+    with pytest.raises(ScriptError, match=rf"^line {line}: unexpected trailing input 'subst {tail}'$"):
+        parse_script(text)
+    assert outcome(parse_script, text) == outcome(reference_parse_script, text)
+    path = tmp_path / "subst.ndp"
+    path.write_text(text, encoding="utf-8")
+    for extra in ([], ["--emit-primitive"]):
+        assert main(["check", str(path), *extra]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "unexpected trailing input" in err
 
 
 def test_labels_follow_one_grammar(tmp_path):
     # An ASCII letter, then ASCII letters, digits and '_': in a label
-    # sequence, a relational formula and a subst clause alike.
-    linS = "assume 1 rwff succ(b,c)\nassume 2 rwff succ(b,d)\nassume 3 lwff b c : p\nassume 4 lwff b d : p\n"
+    # sequence and a relational formula alike.
     bad = [
         "assume 1 lwff 1 : p\nroot 1\n",
         "assume 1 rwff le(1,_x)\nroot 1\n",
         "assume 1 rwff le(_x,é)\nroot 1\n",
         "assume 1 rwff succ(b,c²)\nroot 1\n",
-        linS + "node 5 linS concl b d : p prem 1,2,3,4 disch 4 subst c 1d\nroot 5\n",
-        linS + "node 5 linS concl b d : p prem 1,2,3,4 disch 4 subst _c d\nroot 5\n",
     ]
     for i, text in enumerate(bad):
         with pytest.raises(ScriptError):
@@ -244,7 +267,7 @@ def reference_parse_script(text):
             formula, tail = _ref_formula_prefix(tail, lineno)
             conclusion = Lwff(labels, formula)
             fields = tail.split()
-            prem_ids, disch_ids, subst = [], [], None
+            prem_ids, disch_ids = [], []
             i = 0
             if i < len(fields) and fields[i] == "prem":
                 if i + 1 >= len(fields):
@@ -258,13 +281,6 @@ def reference_parse_script(text):
                     raise ScriptError("disch needs a comma-separated id list", lineno)
                 disch_ids = _ref_ids(fields[i + 1], lineno)
                 i += 2
-            if i < len(fields) and fields[i] == "subst":
-                if len(fields) - i < 3:
-                    raise ScriptError("subst needs two labels", lineno)
-                subst = (fields[i + 1], fields[i + 2])
-                if not all(_LABEL_RE.match(x) for x in subst):
-                    raise ScriptError(f"bad subst labels {' '.join(subst)!r}", lineno)
-                i += 3
             if i != len(fields):
                 raise ScriptError(f"unexpected trailing input {' '.join(fields[i:])!r}", lineno)
             premises = []
@@ -279,7 +295,7 @@ def reference_parse_script(text):
                 if not isinstance(nodes[did], Assume):
                     raise ScriptError(f"discharged id {did} is not an assumption", lineno)
                 discharges.append(nodes[did])
-            nodes[nid] = Apply(nid, rule, conclusion, tuple(premises), tuple(discharges), subst)
+            nodes[nid] = Apply(nid, rule, conclusion, tuple(premises), tuple(discharges))
         elif words[0] == "root":
             if root_id is not None:
                 raise ScriptError("duplicate root line", lineno)
@@ -303,7 +319,7 @@ def derivation_shape(root):
             out.append(("assume", n.id, n.formula))
         else:
             refs = (tuple(p.id for p in n.premises), tuple(a.id for a in n.discharges))
-            out.append(("node", n.id, n.rule, n.conclusion, refs, n.subst))
+            out.append(("node", n.id, n.rule, n.conclusion, refs))
     return out
 
 
@@ -342,9 +358,7 @@ _ERROR_SITES = [
     (_N + "prem 1,x disch 1\nroot 2\n", 2, "bad id 'x'"),
     (_N + "prem 1 disch\nroot 2\n", 2, "disch needs a comma-separated id list"),
     (_N + "prem 1 disch 1,y subst c\nroot 2\n", 2, "bad id 'y'"),
-    (_N + "prem 1 subst c\nroot 2\n", 2, "subst needs two labels"),
-    (_N + "prem 1 subst c 1d\nroot 2\n", 2, "bad subst labels 'c 1d'"),
-    (_N + "prem 1 disch 1 subst c d e\nroot 2\n", 2, "unexpected trailing input 'e'"),
+    (_N + "prem 1 disch 1 subst c d\nroot 2\n", 2, "unexpected trailing input 'subst c d'"),
     (_N + "prem 1,9 disch 8\nroot 2\n", 2, "premise 9 is not defined yet"),
     (_N + "prem 1 disch 8\nroot 2\n", 2, "discharged assumption 8 is not defined yet"),
     (_N + "prem 1\nnode 3 impI concl b : (p -> p) prem 2 disch 2\nroot 3\n", 3, "discharged id 2 is not an assumption"),
@@ -434,7 +448,7 @@ def test_keyword_names_parse_as_before():
         "assume 1 lwff subst : (disch -> prem)\nassume 2 lwff subst : disch\n"
         "node 3 impE concl subst : prem prem 1,2\nroot 3\n",
         "assume 1 rwff succ(prem,subst)\nassume 2 rwff succ(prem,disch)\nassume 3 lwff prem subst : prem\n"
-        "assume 4 lwff prem disch : prem\nnode 5 linS concl prem disch : prem prem 1,2,3,4 disch 4 subst subst disch\nroot 5\n",
+        "assume 4 lwff prem disch : prem\nnode 5 linS concl prem disch : prem prem 1,2,3,4 disch 4\nroot 5\n",
         "assume 1 lwff b : prem\nnode 2 impI concl b : (prem -> prem) prem 1 prem 1\nroot 2\n",
         "assume 1 lwff b : prem\nnode 2 impI concl b : (prem -> prem)\tprem 1\nroot 2\n",
         "assume 1 lwff b : (prem -> (prem -> prem))\nnode 2 impI concl b : prem prem prem 1\nroot 2\n",
@@ -497,16 +511,20 @@ def test_well_formed_scripts_take_the_fast_path(monkeypatch):
         assert scans == []
     assert outcome(parse_script, wide) == outcome(reference_parse_script, wide)
     assert check(parse_script(wide)).accepted
-    # Atoms and labels named like the keywords: where a guess fails, the
-    # partial parse finds the formula's end, and the scan runs.
-    guesses_failed = 0
+    # Atoms and labels named like the keywords take it too: no field after
+    # the last ' prem ' of a well-formed node line is a name.
     for text in _CORPUS:
         renamed = keyword_names(text)
         scans.clear()
         parse_script(renamed)
-        assert bool(scans) == _guess_fails(renamed)
-        guesses_failed += bool(scans)
-    assert guesses_failed
+        assert scans == [] and not _guess_fails(renamed)
+    # Where the guess fails, on a line with trailing input, the partial
+    # parse finds the formula's end, and the scan runs.
+    text = "assume 1 lwff b : prem\nnode 2 impI concl b : (prem -> prem) prem 1 prem 1\nroot 2\n"
+    assert _guess_fails(text)
+    with pytest.raises(ScriptError, match="unexpected trailing input 'prem 1'"):
+        parse_script(text)
+    assert scans
 
 
 def _formula_objects(root):

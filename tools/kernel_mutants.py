@@ -24,7 +24,7 @@ Usage, from the repository root::
 
 ``--repo`` names the checkout to mutate (default: the one holding this
 script).  A full run takes Tier-1 once per site, stopping at the first
-failure: about 12 minutes for the kernel's 108 sites (42 raise, 32 blanked
+failure: about 12 minutes for the kernel's 104 sites (41 raise, 29 blanked
 calls, 34 unchecked values) on a 2-vCPU machine.  It is not part of Tier-1.
 """
 
