@@ -359,6 +359,7 @@ _ERROR_SITES = [
     (_N + "prem 1 disch\nroot 2\n", 2, "disch needs a comma-separated id list"),
     (_N + "prem 1 disch 1,y subst c\nroot 2\n", 2, "bad id 'y'"),
     (_N + "prem 1 disch 1 subst c d\nroot 2\n", 2, "unexpected trailing input 'subst c d'"),
+    (_N + "prem 1 disch 1 e\nroot 2\n", 2, "unexpected trailing input 'e'"),
     (_N + "prem 1,9 disch 8\nroot 2\n", 2, "premise 9 is not defined yet"),
     (_N + "prem 1 disch 8\nroot 2\n", 2, "discharged assumption 8 is not defined yet"),
     (_N + "prem 1\nnode 3 impI concl b : (p -> p) prem 2 disch 2\nroot 3\n", 3, "discharged id 2 is not an assumption"),
