@@ -21,6 +21,7 @@ import argparse
 import functools
 import json
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -132,23 +133,34 @@ def cmd_taut(args) -> int:
     return EXIT_OK
 
 
-def _sequence(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(x) for x in text.split(","))
-    except ValueError:
-        raise Refused(f"--seq must be comma-separated natural numbers, got {text!r}") from None
+# A number in ASCII digits, as script ids and model headers are read, with
+# blanks around it as int() allows them; a minus sign before the digits
+# gets the evaluators' own refusal of a negative position.
+_NUMBER = re.compile(r"\s*(-?)([0-9]+)\s*")
+
+
+def _naturals(texts: list[str], malformed: str, negative: str) -> list[int]:
+    """``texts`` read as natural numbers; ``Refused`` with ``malformed`` if
+    one is not a number in ASCII digits, else with ``negative`` if one has
+    a minus sign."""
+    numbers = [_NUMBER.fullmatch(x) for x in texts]
+    if None in numbers:
+        raise Refused(malformed)
+    if any(x[1] for x in numbers):
+        raise Refused(negative)
+    return [int(x[2]) for x in numbers]
 
 
 def cmd_eval(args) -> int:
     model = parse_model(_read(args.model))
     if args.pos is not None:
-        f, at, evaluate = parse_ltl(args.formula), args.pos, eval_ltl
+        f, evaluate = parse_ltl(args.formula), eval_ltl
+        [at] = _naturals([args.pos], f"--pos must be a natural number, got {args.pos!r}", "positions are natural numbers")
     else:
-        f, at, evaluate = parse_h(args.formula), _sequence(args.seq), eval_h
-    try:
-        value = evaluate(model, at, f)
-    except ValueError as e:  # a negative position or sequence element
-        raise Refused(str(e)) from None
+        f, evaluate = parse_h(args.formula), eval_h
+        malformed = f"--seq must be comma-separated natural numbers, got {args.seq!r}"
+        at = tuple(_naturals(args.seq.split(","), malformed, "observation sequences contain natural numbers"))
+    value = evaluate(model, at, f)
     if args.json:
         print(json.dumps({"formula": format_formula(f), "value": value}, sort_keys=True))
     else:
@@ -213,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="evaluate a formula on a lasso model")
     p.add_argument("--model", required=True)
     group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--pos", type=int, help="position for until-language evaluation")
+    group.add_argument("--pos", help="position for until-language evaluation")
     group.add_argument("--seq", help="comma-separated observation sequence for history-language evaluation")
     p.add_argument("formula")
     p.add_argument("--json", action="store_true")

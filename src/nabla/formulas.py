@@ -11,7 +11,9 @@ both languages, defined once, by ``_abbreviations``, as fold rules over
 and the until language by the fold tables that lack ``H``; ``_fold_checked``
 folds a formula with such a table and raises ``ValueError`` outside its
 language, so one walk both checks and desugars (or translates, or
-evaluates).  The two parsers reject the foreign operator.
+evaluates).  ``semantics.eval_h`` reads the abbreviations through the same
+rules in a fold of its own, which checks the language as it goes.  The
+two parsers reject the foreign operator.
 
 The parsers read the token strings of one compiled pattern, ``_TOKEN``,
 and recover each token's offset only for an error or for where a partial
@@ -522,8 +524,14 @@ def _fold_checked(f: Formula, rules: dict):
     try:
         return _fold(f, rules)
     except (KeyError, TypeError):
-        language = "an until-language" if Hist not in rules else "a history-language"
-        raise ValueError(f"not {language} formula: {format_formula(f)}") from None
+        raise _outside(f, Hist in rules) from None
+
+
+def _outside(f: Formula, history: bool) -> ValueError:
+    """The error for ``f`` outside the history language, or with
+    ``history`` false the until language."""
+    language = "a history-language" if history else "an until-language"
+    return ValueError(f"not {language} formula: {format_formula(f)}")
 
 
 # Local grammar, for desugared history formulas: H may only occur under G or

@@ -190,7 +190,7 @@ def _draw_translation(rng: random.Random, i: int, max_size: int) -> _Case:
 
 def _translation_sides(lm: LassoModel, c: _Case):
     """Position truth equals singleton-sequence truth of the image."""
-    return eval_ltl(lm, c.at, c.formula), _eval_h(c.model, (c.at,), desugar(translate(c.formula)))
+    return eval_ltl(lm, c.at, c.formula), _eval_h(c.model, (c.at,), translate(c.formula))
 
 
 def _draw_last(rng: random.Random, i: int, max_size: int) -> _Case:
@@ -202,7 +202,8 @@ def _draw_last(rng: random.Random, i: int, max_size: int) -> _Case:
 
 def _last_sides(lm: LassoModel, c: _Case):
     """Prefixes do not matter for translated formulas: last-local's
-    comparison, keeping the last element, on the image."""
+    comparison, keeping the last element, on the image, desugared because
+    ``_reference`` may hand it to the oracle."""
     return _last_local_sides(lm, c._replace(formula=desugar(translate(c.formula))))
 
 
@@ -215,7 +216,7 @@ def _draw_corollary(rng: random.Random, i: int, max_size: int) -> _Case:
 def _corollary_sides(lm: LassoModel, c: _Case):
     """Only the last element matters for translated formulas; the right-hand
     side takes the translation lemma's route to ``(sigma[-1],)``."""
-    return _eval_h(lm, c.at, desugar(translate(c.formula))), eval_ltl(c.model, c.at[-1], c.formula)
+    return _eval_h(lm, c.at, translate(c.formula)), eval_ltl(c.model, c.at[-1], c.formula)
 
 
 def _draw_last_local(rng: random.Random, i: int, max_size: int) -> _Case:

@@ -47,11 +47,12 @@ each one Python ``int`` whose bit ``c`` is the truth at position ``c``:
   clamp; with it no table grows with the position.
 * Local subformulas fold to one mask over the canonical positions
   ``0 .. s+p-1``.  A local subformula, one where ``H`` occurs only under
-  ``G`` or ``X`` (the grammar of ``formulas.is_local``), never reads the
-  first element of the pair, so its truth at ``(i, n)`` is its truth at
-  ``canon(n)``: the paper's ``last`` lemma, which ``last``,
-  ``corollary`` and the local clause of ``last-local`` check.  An atom's
-  mask is its cells, ``bot``'s is 0, and ``a -> b`` is ``~a | b``.
+  ``G``, ``X`` or ``F`` (the grammar of ``formulas.is_local``, where
+  ``F`` is ``~G~``), never reads the first element of the pair, so its
+  truth at ``(i, n)`` is its truth at ``canon(n)``: the paper's ``last``
+  lemma, which ``last``, ``corollary`` and the local clause of
+  ``last-local`` check.  An atom's mask is its cells, ``bot``'s is 0, and
+  ``a -> b`` is ``~a | b``.
   ``X`` shifts the mask down by one and wraps the top bit to ``s``, the
   successor of ``s + p - 1``.  ``G`` over a local operand is 0 unless
   the operand holds over the whole loop, and then the loop plus the run of
@@ -59,16 +60,22 @@ each one Python ``int`` whose bit ``c`` is the truth at position ``c``:
   so ``G`` reads each canonical position once and needs no window.
 * Subformulas that are not local fold to one mask over the columns (the
   last element) per row (the element before it), for the rows asked for:
-  the entry row, and every canonical position when a ``G`` or ``X`` sits
-  above.  A local child enters lifted to the columns, its stem and then
-  its loop repeated, and ``->`` is ``~a | b`` row by row.  ``H`` at row
-  ``r`` is the run of ones of its operand that starts at bit ``r``, with
-  the bits below ``r`` set: ``H`` over ``[r, mm]``, true when the range
-  is empty.
-* ``X`` and ``G`` over an operand that is not local read its rows at the
-  canonical positions and fold to a local mask.  ``X`` at ``c`` is bit
-  ``c + 1`` of row ``c``; ``G`` at ``c`` tests the bits
-  ``[c, max(c, s) + 2p]`` of row ``c``, the two-period truncation above.
+  the entry row, and every canonical position when a ``G``, ``X`` or
+  ``F`` sits above.  A local child enters lifted to the columns, its stem
+  and then its loop repeated, and ``->`` is ``~a | b`` row by row.
+  ``H`` at row ``r`` is the run of ones of its operand that starts at bit
+  ``r``, with the bits below ``r`` set: ``H`` over ``[r, mm]``, true when
+  the range is empty.
+* ``X``, ``G`` and ``F`` over an operand that is not local read its rows
+  at the canonical positions and fold to a local mask.  ``X`` at ``c`` is
+  bit ``c + 1`` of row ``c``; ``G`` at ``c`` tests the bits
+  ``[c, max(c, s) + 2p]`` of row ``c``, the two-period truncation above;
+  ``F`` is ``~G~``, the same test on the rows negated, then negated.
+* ``~``, ``|``, ``&`` and ``F`` are read in place, by the rules of
+  ``formulas._abbreviations``: over masks, with the ``->`` and the local
+  ``G`` above, for a local object, and over rows, with the row-by-row
+  ``->``, for any other.  Each clause is written once, for the core node
+  and the abbreviations alike, so no formula is desugared per call.
 
 Each object is folded once, and its rows are computed at most once at the
 entry row and once at the canonical positions, so the cost is linear in
@@ -78,11 +85,14 @@ nests.
 
 The public evaluators check their input: ``ValueError`` on an empty
 sequence, a negative position or a formula of the other language, and
-``HorizonTooSmall`` below the oracle's minimum horizon.  ``eval_h`` and
-``eval_h_oracle`` then pass the desugared formula to the private bodies
-``_eval_h`` and ``_eval_h_oracle``, which check nothing and require a
-nonempty tuple of naturals, a formula ``g`` that is a ``_HISTORY_CORE``
-image, and for the oracle that minimum horizon.
+``HorizonTooSmall`` below the oracle's minimum horizon.  ``eval_h`` passes
+its formula as it is to the private body ``_eval_h``, whose fold raises
+the checked fold's ``ValueError`` at a node outside the history language.
+``eval_h_oracle`` passes the desugared formula to ``_eval_h_oracle``,
+which keeps the literal core clauses, so that the reference does not share
+the in-place reading of the abbreviations.  The bodies check nothing else:
+they require a nonempty tuple of naturals, and the oracle a formula that
+is a ``_HISTORY_CORE`` image and at least its minimum horizon.
 ``fuzz``'s lemma runners and ``falsify_consequence``, which check their
 formulas once, call the bodies directly.  The falsifier compiles its
 premises once per call and decides the relational ones on the drawn label
@@ -98,17 +108,22 @@ from dataclasses import dataclass
 
 from .formulas import (
     Always,
+    And,
     Atom,
     Bottom,
     Formula,
     Hist,
     Implies,
     Next,
+    Not,
+    Or,
+    Sometime,
     Until,
     _HISTORY_CORE,
     _abbreviations,
     _fold_checked,
     _is_name,
+    _outside,
     atoms_of,
     temporal_depth,
 )
@@ -295,14 +310,17 @@ def eval_h(m: LassoModel, seq, a: Formula) -> bool:
     Folds the formula bottom-up to truth tables at the sequence's last pair
     (see the module docstring): a local subformula to one mask over the
     canonical positions; any other to one mask over the columns per row,
-    at the entry row and, under ``G`` or ``X``, at every canonical
+    at the entry row and, under ``G``, ``X`` or ``F``, at every canonical
     position.  ``G`` over a local operand reads the canonical positions,
     over any other the window ``[n, max(n, s) + 2p]``; ``H`` at row ``i``
-    is the run of ones from column ``i``.  The entry pair shifts back by
-    whole periods, and a far column folds back to at most the ``H`` clamp
-    ``max(i, s+p) + p(k+1)``, ``k`` the formula's temporal depth.
+    is the run of ones from column ``i``.  ``~``, ``|``, ``&`` and ``F``
+    are read in place, by ``formulas._abbreviations`` over these tables;
+    the fold raises ``ValueError`` at a node outside the history language.
+    The entry pair shifts back by whole periods, and a far column folds
+    back to at most the ``H`` clamp ``max(i, s+p) + p(k+1)``, ``k`` the
+    formula's temporal depth.
     """
-    return _eval_h(m, _check_sequence(seq), _fold_checked(a, _HISTORY_CORE))
+    return _eval_h(m, _check_sequence(seq), a)
 
 
 # eval_h folds back a column more than this far past the entry row and the
@@ -316,6 +334,7 @@ def _eval_h(m: LassoModel, sigma: tuple[int, ...], g: Formula) -> bool:
     stem, loop = m.stem, m.loop
     s, p = len(stem), len(loop)
     size = s + p
+    full = (1 << size) - 1
     vals = stem + loop
     # The entry pair, normalised as the module docstring says: an empty H
     # range, whole periods, and a far column past the H clamp.
@@ -332,20 +351,27 @@ def _eval_h(m: LassoModel, sigma: tuple[int, ...], g: Formula) -> bool:
             n -= (n - bound + p - 1) // p * p
     # Per object: its mask over the canonical positions if it is local, and
     # -1 if not.  Per object that is not local: its rows at every canonical
-    # position, for a G or X above it.
+    # position, for a G, X or F above it.  The abbreviations' rules over
+    # masks are built at the first abbreviation met.
     memo: dict[int, int] = {}
     every: dict[int, list[int]] = {}
+    rules = None
 
     def fold(x: Formula) -> int:
+        nonlocal rules
         cls = type(x)
-        if cls is Implies:
+        if cls is Implies or cls is Or or cls is And:
             a = memo.get(id(x.left))
             if a is None:
                 a = fold(x.left)
             b = memo.get(id(x.right))
             if b is None:
                 b = fold(x.right)
-            v = (1 << size) - 1 & (~a | b) if a >= 0 and b >= 0 else -1
+            if cls is Implies:
+                v = _imp(a, b, full)
+            else:
+                rules = rules or _mask_rules(s, p)
+                v = rules[cls](x, a, b)
         elif cls is Atom:
             v = 0
             for c in range(size):
@@ -353,45 +379,79 @@ def _eval_h(m: LassoModel, sigma: tuple[int, ...], g: Formula) -> bool:
                     v |= 1 << c
         elif cls is Bottom:
             v = 0
-        elif cls is Always or cls is Next or cls is Hist:
+        elif cls is Always or cls is Next or cls is Hist or cls is Not or cls is Sometime:
             y = x.operand
             a = memo.get(id(y))
             if a is None:
                 a = fold(y)
             if cls is Hist:
                 v = -1
+            elif cls is Not or (cls is Sometime and a >= 0):
+                rules = rules or _mask_rules(s, p)
+                v = rules[cls](x, a)
             elif a >= 0:
-                if cls is Next:
-                    v = a >> 1 | (a >> s & 1) << (size - 1)
-                elif a >> s != (1 << p) - 1:
-                    v = 0
-                else:
-                    # Clear the stem up to its last position where a fails.
-                    low = (~a & (1 << s) - 1).bit_length()
-                    v = (1 << size) - 1 >> low << low
+                v = a >> 1 | (a >> s & 1) << (size - 1) if cls is Next else _always(a, s, p)
             else:
                 # Columns up to the end of the last G window, s + 3p - 1.
                 a = every.get(id(y)) or _rows(y, range(size), every, memo, s, _loops(p, 3))
-                v = 0
                 if cls is Next:
+                    v = 0
                     for c in range(size):
                         v |= (a[c] >> c + 1 & 1) << c
+                elif cls is Always:
+                    v = _window(a, s, p)
                 else:
-                    for c in range(size):
-                        window = (2 << max(c, s) + 2 * p) - (1 << c)
-                        if a[c] & window == window:
-                            v |= 1 << c
+                    # F y is ~G~y, the inner ~ over the rows of y.
+                    v = _imp(_window(_imp_rows(a, 0), s, p), 0, full)
         else:
-            raise TypeError(f"not a core formula: {x!r}")
+            raise _outside(g, True)
         memo[id(x)] = v
         return v
 
     v = fold(g)
+    # fold's closure holds fold: clearing it frees this call's tables now,
+    # not at the garbage collector's next pass.
+    fold = None
     if v >= 0:
         return bool(v >> (n if n < s else s + (n - s) % p) & 1)
     # Columns up to n.
     rows = _rows(g, range(i, i + 1), {}, memo, s, _loops(p, max(1, (n - s) // p + 1)))
     return bool(rows[0] >> n & 1)
+
+
+def _imp(a: int, b: int, full: int) -> int:
+    """``a -> b`` over masks, ``full`` the mask of every canonical position;
+    an operand that is not local (-1) makes it not local."""
+    return full & (~a | b) if a >= 0 and b >= 0 else -1
+
+
+def _always(a: int, s: int, p: int) -> int:
+    """``G`` over a local mask: 0 unless ``a`` holds over the whole loop,
+    and then the loop and the run of ones in the stem that ends at
+    ``s - 1``."""
+    if a >> s != (1 << p) - 1:
+        return 0
+    # Clear the stem up to its last position where a fails.
+    low = (~a & (1 << s) - 1).bit_length()
+    return (1 << s + p) - 1 >> low << low
+
+
+def _window(a: list[int], s: int, p: int) -> int:
+    """``G`` over an operand that is not local, from its rows ``a`` at the
+    canonical positions: the bits ``[c, max(c, s) + 2p]`` of row ``c``."""
+    v = 0
+    for c in range(s + p):
+        w = (2 << max(c, s) + 2 * p) - (1 << c)
+        if a[c] & w == w:
+            v |= 1 << c
+    return v
+
+
+def _mask_rules(s: int, p: int) -> dict:
+    """The abbreviations' rules over the masks of a lasso with stem ``s``
+    and period ``p``."""
+    full = (1 << s + p) - 1
+    return _abbreviations(lambda a, b: _imp(a, b, full), 0, lambda a: _always(a, s, p))
 
 
 def _loops(p: int, copies: int) -> int:
@@ -404,34 +464,46 @@ def _lift(a: int, s: int, loops: int) -> int:
     return (a & (1 << s) - 1) | (a >> s) * loops << s
 
 
+def _imp_rows(a: int | list[int], b: int | list[int]) -> int | list[int]:
+    """``->`` over the columns, row by row.  Each side is a list of rows,
+    or one int: a local operand's mask lifted to the columns, the same at
+    every row."""
+    if type(a) is int:
+        if type(b) is int:
+            return ~a | b
+        a = ~a
+        return [a | t for t in b]
+    if type(b) is int:
+        return [~t | b for t in a]
+    return [~t | u for t, u in zip(a, b)]
+
+
+# The rows of an object that is not local, other than H, over its operands'
+# rows.  F is ~G~, which is local whatever its operand, so its rule, the
+# one that reads the third argument, never runs here.
+_ROW_RULES = {Implies: lambda x, a, b: _imp_rows(a, b)} | _abbreviations(_imp_rows, 0, None)
+
+
 def _rows(x: Formula, rows: range, done: dict[int, list[int]], memo: dict[int, int], s: int, loops: int) -> list[int]:
     """The masks over the columns of ``x``, an object that is not local, at
-    each row of ``rows``: ``_eval_h``'s clauses for ``->`` and ``H``.
-    ``done`` holds the rows already computed over ``rows``, ``memo`` the
-    fold's masks; ``loops`` sets how far a local child is lifted."""
-    if type(x) is Hist:
-        y = x.operand
+    each row of ``rows``: ``_eval_h``'s clauses for ``H``, ``->`` and the
+    abbreviations over it.  ``done`` holds the rows already computed over
+    ``rows``, ``memo`` the fold's masks; ``loops`` sets how far a local
+    child is lifted."""
+    cls = type(x)
+    operands = []
+    for y in (x.operand,) if cls is Hist or cls is Not else (x.left, x.right):
         a = memo[id(y)]
-        if a >= 0:
-            a = _lift(a, s, loops)
+        operands.append(_lift(a, s, loops) if a >= 0 else done.get(id(y)) or _rows(y, rows, done, memo, s, loops))
+    if cls is Hist:
+        a = operands[0]
+        if type(a) is int:
             a = [a] * len(rows)
-        else:
-            a = done.get(id(y)) or _rows(y, rows, done, memo, s, loops)
         # With the bits below r set, t + 1 & ~t is the lowest zero bit of t,
         # and one less is the run of ones below it.
         v = [((t := u | (1 << r) - 1) + 1 & ~t) - 1 for u, r in zip(a, rows)]
     else:
-        y, z = x.left, x.right
-        a, b = memo[id(y)], memo[id(z)]
-        if a >= 0:
-            a = ~_lift(a, s, loops)
-            v = [a | t for t in done.get(id(z)) or _rows(z, rows, done, memo, s, loops)]
-        elif b >= 0:
-            b = _lift(b, s, loops)
-            v = [~t | b for t in done.get(id(y)) or _rows(y, rows, done, memo, s, loops)]
-        else:
-            a = done.get(id(y)) or _rows(y, rows, done, memo, s, loops)
-            v = [~t | u for t, u in zip(a, done.get(id(z)) or _rows(z, rows, done, memo, s, loops))]
+        v = _ROW_RULES[cls](x, *operands)
     done[id(x)] = v
     return v
 

@@ -212,6 +212,21 @@ def test_eval_sequence_elements_keep_their_other_answers(capsys, model_file):
     assert capsys.readouterr().err == "error: observation sequences contain natural numbers\n"
 
 
+@pytest.mark.parametrize(
+    "option, value",
+    [("--pos", "1_0"), ("--pos", "\u0660"), ("--pos", "+1"), ("--seq", "0,1_0"), ("--seq", "\u0660,1"), ("--seq", "+0,1")],
+    ids=["pos-underscore", "pos-arabic-indic", "pos-plus", "seq-underscore", "seq-arabic-indic", "seq-plus"],
+)
+def test_eval_reads_positions_as_ascii_digits(capsys, model_file, option, value):
+    # int() reads each of these; the command line reads numbers as script
+    # ids and model headers are read.
+    formula = "p" if option == "--pos" else "(H p)"
+    assert main(["eval", "--model", str(model_file), option, value, formula]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {option} must be "), captured.err
+
+
 def test_eval_hist_across_a_gap_of_a_billion(tmp_path):
     # Each formula holds at (0, n) iff p holds on [0, n] (or [0, n + 1]).
     # Past a few periods the operand of H repeats, so the walk over [0, n]

@@ -432,6 +432,9 @@ def test_temporal_depth_counts_every_temporal_operator():
 
 def test_every_walk_folds_a_table_of_all_node_classes(monkeypatch):
     # A language entry's table lacks exactly the other language's operator.
+    # eval_h folds no table: its own fold checks the language
+    # (test_eval_rejects_wrong_language and
+    # test_entries_reject_exactly_the_foreign_operator).
     fold, tables = formulas._fold, []
 
     def recording(f, rules):
@@ -445,7 +448,6 @@ def test_every_walk_folds_a_table_of_all_node_classes(monkeypatch):
     until_entries = {"translate": translate, "eval_ltl": lambda g: eval_ltl(m, 0, g)}
     history_entries = {
         "is_local": is_local,
-        "eval_h": lambda g: eval_h(m, (0, 1), g),
         "eval_h_oracle": lambda g: eval_h_oracle(m, (0,), g, 50),
         "falsify_consequence": lambda g: falsify_consequence([Lwff(("b",), g)], Lwff(("b",), Bottom()), 3, 1),
     }

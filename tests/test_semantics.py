@@ -1,4 +1,5 @@
 import random
+import re
 import sys
 import tracemalloc
 
@@ -6,7 +7,7 @@ import pytest
 
 from nabla.corpus import ENTRIES
 from nabla import semantics
-from nabla.formulas import And, Always, Atom, Bottom, Hist, Implies, Next, Not, Or, Sometime, Until, atoms_of, desugar, format_formula, parse_h, temporal_depth
+from nabla.formulas import And, Always, Atom, Bottom, Formula, Hist, Implies, Next, Not, Or, Sometime, Until, atoms_of, desugar, format_formula, is_local, parse_h, temporal_depth
 from nabla.gen import random_history_formula, random_obs_sequence, random_until_formula
 from nabla.translate import translate
 from nabla.fuzz import _draw_derivation
@@ -326,21 +327,27 @@ def test_eval_h_nested_always_on_axioms():
     assert seen == {True, False}
 
 
+# The constructor of every formula node class.
+NODE_INITS = frozenset(cls.__init__.__code__ for cls in (Atom, Bottom, Implies, Always, Next, Until, Hist, Not, Or, And, Sometime))
+
+
 def count_work(m, sigma, f):
-    """The work ``eval_h`` does on ``f`` at ``sigma``: subformula objects
-    folded to a mask, plus rows computed for the objects that are not local.
-    Callers look an object up before they fold it or compute its rows, so
-    each call of ``_eval_h``'s ``fold`` is one object and each call of
-    ``semantics._rows`` is ``len(rows)`` rows."""
-    work = 0
+    """The work ``eval_h`` does on ``f`` at ``sigma``: ``folded``, the
+    subformula objects folded to a mask, ``rows``, the rows computed for
+    the objects that are not local, and ``built``, the formula objects
+    constructed.  Callers look an object up before they fold it or compute
+    its rows, so each call of ``_eval_h``'s ``fold`` is one object and each
+    call of ``semantics._rows`` is ``len(rows)`` rows."""
+    work = dict.fromkeys(("folded", "rows", "built"), 0)
 
     def profile(frame, event, arg):
-        nonlocal work
         if event == "call":
             if frame.f_code.co_qualname == "_eval_h.<locals>.fold":
-                work += 1
+                work["folded"] += 1
             elif frame.f_code is semantics._rows.__code__:
-                work += len(frame.f_locals["rows"])
+                work["rows"] += len(frame.f_locals["rows"])
+            elif frame.f_code in NODE_INITS:
+                work["built"] += 1
 
     previous = sys.getprofile()
     sys.setprofile(profile)
@@ -349,6 +356,38 @@ def count_work(m, sigma, f):
     finally:
         sys.setprofile(previous)
     return work
+
+
+def distinct_objects(f):
+    """How many distinct objects ``f`` is made of."""
+    seen, todo = {}, [f]
+    while todo:
+        x = todo.pop()
+        if id(x) not in seen:
+            seen[id(x)] = x
+            todo += [c for c in x.__dict__.values() if isinstance(c, Formula)]
+    return len(seen)
+
+
+def test_eval_h_reads_the_abbreviations_of_an_image_in_place():
+    # An image of translate carries the |, &, F and ~ of tr(p U q) =
+    # q | F((X q) & (H p)).  eval_h reads them where they stand: it builds
+    # no formula, as desugaring them would, and folds each distinct object
+    # of the image once.
+    cells = [frozenset(), frozenset({"p"}), frozenset({"q"}), frozenset({"p", "q"})]
+    m = LassoModel(tuple(cells), (cells[2], cells[1], cells[3], cells[0]))
+    abbreviated = 0
+    for entry in ENTRIES:
+        f = entry.source
+        for _ in range(3):
+            f = Always(f)
+            image = translate(f)
+            abbreviated += desugar(image) is not image
+            for sigma in [(0,), (3, 6), (9, 2, 13)]:
+                work = count_work(m, sigma, image)
+                assert (work["built"], work["folded"]) == (0, distinct_objects(image)), (entry.name, sigma, work)
+    # A3, A5, A7L, A7R and A8 carry abbreviations.
+    assert abbreviated == 3 * 5
 
 
 def test_eval_h_nested_always_costs_one_pass_per_level():
@@ -374,7 +413,8 @@ def test_eval_h_nested_always_costs_one_pass_per_level():
         counts = []
         for _ in range(8):
             f = level(f)
-            counts.append(count_work(m, (2, 5), f))
+            work = count_work(m, (2, 5), f)
+            counts.append(work["folded"] + work["rows"])
         steps = [b - a for a, b in zip(counts, counts[1:])]
         assert counts[0] > 0 and all(0 < step <= cost for step in steps), counts
     # H levels are not local, so every level computes rows at the entry
@@ -384,7 +424,8 @@ def test_eval_h_nested_always_costs_one_pass_per_level():
     counts = []
     for _ in range(8):
         f = Hist(Implies(f, f))
-        counts.append(count_work(m, (2, 5), f))
+        work = count_work(m, (2, 5), f)
+        counts.append(work["folded"] + work["rows"])
     steps = [b - a for a, b in zip(counts, counts[1:])]
     assert counts[0] > 0 and all(0 < step <= 4 for step in steps), counts
 
@@ -686,6 +727,14 @@ def test_eval_rejects_wrong_language():
             eval_h(LOOP_P, seq, f)
         with pytest.raises(ValueError):
             eval_h_oracle(LOOP_P, seq, f, 100)
+    # eval_h's fold checks the language, under an abbreviation too, with
+    # the message of the checked fold.
+    for f in [Sometime(Until(P, Q)), Not(Until(P, Q)), And(Until(P, Q), Q)]:
+        message = f"^not a history-language formula: {re.escape(format_formula(f))}$"
+        with pytest.raises(ValueError, match=message):
+            eval_h(LOOP_P, (0, 1), f)
+        with pytest.raises(ValueError, match=message):
+            eval_h_oracle(LOOP_P, (0, 1), f, 100)
 
 
 def test_public_evaluators_desugar_abbreviations():
@@ -694,6 +743,44 @@ def test_public_evaluators_desugar_abbreviations():
         want = eval_h(STEM_P_LOOP_Q, seq, desugar(g))
         assert eval_h(STEM_P_LOOP_Q, seq, g) == want
         assert eval_h_oracle(STEM_P_LOOP_Q, seq, g, max(seq) + 10) == want
+
+
+def history_formula_with_abbreviations(rng, budget, drawn):
+    """A history formula of ``budget`` operators over every node class but
+    ``U``.  Every fifth unary node is an ``H``, so operands that are not
+    local fall under each operator, and at times a formula already in
+    ``drawn`` comes back, so that objects are shared."""
+    if budget == 0:
+        return rng.choice([P, Q, Bottom()])
+    if drawn and rng.random() < 0.15:
+        return rng.choice(drawn)
+    if rng.random() < 0.5:
+        f = rng.choice([Not, Sometime, Always, Next, Hist])(history_formula_with_abbreviations(rng, budget - 1, drawn))
+    else:
+        k = rng.randint(0, budget - 1)
+        left = history_formula_with_abbreviations(rng, k, drawn)
+        f = rng.choice([Implies, Or, And])(left, history_formula_with_abbreviations(rng, budget - 1 - k, drawn))
+    drawn.append(f)
+    return f
+
+
+def test_eval_h_reads_abbreviations_as_their_desugaring():
+    # eval_h reads ~, |, & and F in place; the body on the desugared
+    # formula reads the core clauses alone.  Some sequences end past
+    # _WIDE, where the column folds back.
+    rng = random.Random(2029)
+    over_nonlocal = set()
+    for _ in range(20000):
+        f = history_formula_with_abbreviations(rng, rng.randint(1, 9), [])
+        m = bounded_lasso(rng, ["p", "q"], 4, 4)
+        seq = [rng.randint(0, 12) for _ in range(rng.randint(1, 3))]
+        if rng.random() < 0.25:
+            seq[-1] += semantics._WIDE + rng.randint(1, 40)
+        seq = tuple(seq)
+        assert eval_h(m, seq, f) == semantics._eval_h(m, seq, desugar(f)), (format_formula(f), m, seq)
+        if type(f) is not Hist and not all(is_local(y) for y in f.__dict__.values() if isinstance(y, Formula)):
+            over_nonlocal.add(type(f))
+    assert over_nonlocal == {Not, Or, And, Sometime, Always, Next, Implies}
 
 
 def test_falsify_rejects_a_premise_outside_the_history_language():
