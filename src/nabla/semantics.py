@@ -81,7 +81,11 @@ Each object is folded once, and its rows are computed at most once at the
 entry row and once at the canonical positions, so the cost is linear in
 the distinct objects times the canonical positions, however deeply ``G``
 nests.
-``eval_h_oracle`` keeps the literal whole-sequence memo.
+``eval_h_oracle`` keeps the literal whole-sequence memo, keyed by the
+object and the whole sequence, in one module-level recursive function,
+``_oracle``, with its state in arguments: a recursive closure would refer
+to itself, and each call would leave that cycle, with its memo, to the
+garbage collector.
 
 The public evaluators check their input: ``ValueError`` on an empty
 sequence, a negative position or a formula of the other language, and
@@ -97,14 +101,19 @@ is a ``_HISTORY_CORE`` image and at least its minimum horizon.
 formulas once, call the bodies directly.  The falsifier compiles its
 premises once per call and decides the relational ones on the drawn label
 positions before it builds a model, so a sample where they fail costs the
-draws alone.
+draws alone.  A lasso's coins, one per symbol per cell, are one
+``getrandbits`` call that reads the generator's words as one
+``random() < 0.5`` per coin would (``_draw_lasso``), and equal cells are
+one shared frozenset.
 """
 
 from __future__ import annotations
 
+import functools
 import operator
 import random
 from dataclasses import dataclass
+from itertools import compress
 
 from .formulas import (
     Always,
@@ -533,50 +542,48 @@ def _min_horizon(m: LassoModel, sigma: tuple[int, ...], depth: int) -> int:
 
 
 def _eval_h_oracle(m: LassoModel, sigma: tuple[int, ...], g: Formula, horizon: int) -> bool:
-    slack = horizon - max(sigma)
-    s, p = m.stem_len, m.period
-    vals = m.stem + m.loop
-    memo: dict[tuple[int, tuple[int, ...]], bool] = {}
+    return _oracle(sigma, g, m.stem + m.loop, m.stem_len, m.period, horizon - max(sigma), {})
 
-    def ev(sig: tuple[int, ...], x: Formula) -> bool:
-        key = (id(x), sig)
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        cls = type(x)
-        if cls is Implies:
-            v = (not ev(sig, x.left)) or ev(sig, x.right)
-        elif cls is Atom:
-            n = sig[-1]
-            v = x.name in vals[n if n < s + p else s + (n - s) % p]
-        elif cls is Bottom:
-            v = False
-        elif cls is Next:
-            v = ev(sig + (sig[-1] + 1,), x.operand)
-        elif cls is Always:
-            y = x.operand
+
+def _oracle(sig: tuple[int, ...], x: Formula, vals, s: int, p: int, slack: int, memo: dict) -> bool:
+    # State in arguments, as in formulas._fold_from: a recursive closure
+    # would leave a reference cycle per call (the module docstring).
+    key = (id(x), sig)
+    cached = memo.get(key)
+    if cached is not None:
+        return cached
+    cls = type(x)
+    if cls is Implies:
+        v = (not _oracle(sig, x.left, vals, s, p, slack, memo)) or _oracle(sig, x.right, vals, s, p, slack, memo)
+    elif cls is Atom:
+        n = sig[-1]
+        v = x.name in vals[n if n < s + p else s + (n - s) % p]
+    elif cls is Bottom:
+        v = False
+    elif cls is Next:
+        v = _oracle(sig + (sig[-1] + 1,), x.operand, vals, s, p, slack, memo)
+    elif cls is Always:
+        y = x.operand
+        v = True
+        for mm in range(sig[-1], sig[-1] + slack + 1):
+            if not _oracle(sig + (mm,), y, vals, s, p, slack, memo):
+                v = False
+                break
+    elif cls is Hist:
+        y = x.operand
+        if len(sig) == 1:
+            v = _oracle(sig, y, vals, s, p, slack, memo)
+        else:
+            prev = sig[:-1]
             v = True
-            for mm in range(sig[-1], sig[-1] + slack + 1):
-                if not ev(sig + (mm,), y):
+            for mm in range(sig[-2], sig[-1] + 1):
+                if not _oracle(prev + (mm,), y, vals, s, p, slack, memo):
                     v = False
                     break
-        elif cls is Hist:
-            y = x.operand
-            if len(sig) == 1:
-                v = ev(sig, y)
-            else:
-                prev = sig[:-1]
-                v = True
-                for mm in range(sig[-2], sig[-1] + 1):
-                    if not ev(prev + (mm,), y):
-                        v = False
-                        break
-        else:
-            raise TypeError(f"not a core formula: {x!r}")
-        memo[key] = v
-        return v
-
-    return ev(sigma, g)
+    else:
+        raise TypeError(f"not a core formula: {x!r}")
+    memo[key] = v
+    return v
 
 
 # The order and successor relations between two positions.
@@ -626,19 +633,63 @@ def _symbols_in(formulas) -> list[str]:
 
 def random_lasso(rng: random.Random, symbols) -> LassoModel:
     """A stem of 0 to 4 cells and a loop of 1 to 3; each valuation cell is
-    an independent fair coin per symbol."""
+    an independent fair coin per symbol, drawn as ``rng.random() < 0.5``
+    would draw it (see ``_draw_lasso``).  Cells with the same symbols in
+    them are one shared frozenset."""
     return LassoModel(*_draw_lasso(rng, symbols))
 
 
 def _draw_lasso(rng: random.Random, symbols) -> tuple[tuple[frozenset[str], ...], tuple[frozenset[str], ...]]:
     """``random_lasso``'s draws: the stem and the loop, not yet built into a
-    model."""
-    syms = list(symbols) if symbols else ["p"]
-    coin = rng.random
+    model.
+
+    The stem and the period are ``_below`` draws; the ``n`` coins, one per
+    symbol per cell, are one ``getrandbits(64 * n)``.  CPython's
+    ``random()`` reads two 32-bit words ``w1, w2`` of the Mersenne Twister
+    and returns ``((w1 >> 5) * 2**26 + (w2 >> 6)) / 2**53``, so
+    ``random() < 0.5`` holds exactly when bit 31 of ``w1`` is clear.
+    ``getrandbits(64 * n)`` reads the same ``2n`` words, the first one
+    least significant, so coin ``j`` is bit ``64j + 31``: byte ``8j + 3``
+    of the little-endian bytes, below 128.  The values and the generator's
+    state after the call are those of ``n`` calls to ``random()``.  A cell
+    is looked up by its coins in ``_cells(syms)``, so equal cells are one
+    frozenset."""
+    syms = tuple(symbols) if symbols else ("p",)
     s = _below(rng, 5)
     p = 1 + _below(rng, 3)
-    cells = tuple([frozenset([x for x in syms if coin() < 0.5]) for _ in range(s + p)])
-    return cells[:s], cells[s:]
+    k = len(syms)
+    if not k:
+        return (frozenset(),) * s, (frozenset(),) * p
+    n = (s + p) * k
+    coins = rng.getrandbits(64 * n).to_bytes(8 * n, "little")[3::8].translate(_HEADS)
+    memo = _cells(syms)
+    cells = []
+    for c in range(0, n, k):
+        key = coins[c : c + k]
+        cell = memo.get(key)
+        if cell is None:
+            cell = frozenset(compress(syms, key))
+            if len(memo) < _CELLS_KEPT:
+                memo[key] = cell
+        cells.append(cell)
+    return tuple(cells[:s]), tuple(cells[s:])
+
+
+# A coin's byte maps to 1, the symbol is in the cell, when its top bit,
+# bit 31 of the word, is clear.
+_HEADS = bytes([1] * 128 + [0] * 128)
+
+# Each symbol tuple's cells are kept as they are first drawn, up to this
+# many; a tuple of 12 symbols or fewer keeps all its 2**k cells.
+_CELLS_KEPT = 4096
+
+
+@functools.lru_cache(maxsize=64)
+def _cells(syms: tuple[str, ...]) -> dict[bytes, frozenset[str]]:
+    """The cells drawn so far over ``syms``, by their coins; the last 64
+    symbol tuples drawn over are kept.  Every caller shares them: a cell is
+    a function of its symbols and coins alone."""
+    return {}
 
 
 def _below(rng: random.Random, n: int) -> int:

@@ -1,3 +1,5 @@
+import gc
+import random
 from pathlib import Path
 
 import pytest
@@ -5,6 +7,8 @@ import pytest
 from nabla import fuzz, semantics
 from nabla.formulas import Until, desugar, temporal_depth
 from nabla.fuzz import LEMMAS, report_to_json, run_lemma
+from nabla.gen import random_history_formula, random_obs_sequence, random_until_formula
+from nabla.kernel import Le, Lwff
 from tests.test_formulas import free_of
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -142,3 +146,44 @@ def test_runners_meet_the_bodies_precondition(monkeypatch, lemma, inject):
     monkeypatch.setattr(fuzz, "_eval_h_oracle", guard(semantics._eval_h_oracle))
     run_lemma(lemma, samples=10 if lemma == "soundness" else 200, seed=11, inject_bug=inject)
     assert seen
+
+
+def collected_garbage(run) -> int:
+    """The objects in reference cycles that ``run()`` leaves behind: run
+    with the collector off, they are all still there for ``gc.collect``."""
+    gc.collect()
+    gc.disable()
+    try:
+        run()
+        return gc.collect()
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize(
+    "lemma, inject",
+    [(lemma, None) for lemma in LEMMAS] + [(lemma, "valuation-shift") for lemma in COMPARISONS],
+)
+def test_fuzz_samples_leave_no_cyclic_garbage(lemma, inject):
+    # A sample's garbage is freed by reference counting alone, with no
+    # cycle for the collector; the injected bug covers the shrinker.
+    samples = 10 if lemma == "soundness" else 200
+    assert collected_garbage(lambda: run_lemma(lemma, samples=samples, seed=3, inject_bug=inject)) == 0
+
+
+def test_evaluators_leave_no_cyclic_garbage():
+    rng = random.Random(3)
+    cases = []
+    for _ in range(200):
+        m = semantics.random_lasso(rng, ["p", "q", "r"])
+        cases.append((m, random_until_formula(rng, 5), random_obs_sequence(rng), random_history_formula(rng, 5)))
+
+    def evaluate():
+        for m, u, sigma, h in cases:
+            semantics.eval_ltl(m, sigma[-1], u)
+            semantics.eval_h(m, sigma, h)
+
+    assert collected_garbage(evaluate) == 0
+    premises = [Lwff(("b", "c"), cases[0][3]), Le("b", "c")]
+    goal = Lwff(("c",), cases[1][3])
+    assert collected_garbage(lambda: semantics.falsify_consequence(premises, goal, 200, seed=3)) == 0

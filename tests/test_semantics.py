@@ -817,3 +817,23 @@ def test_falsify_evaluates_the_goal_once_per_sample_where_the_premises_hold(monk
     assert 0 < len(useful) < 300
     assert calls == useful
     assert all(g is cores[0] for g in cores)
+
+
+def test_draw_lasso_is_the_coin_per_symbol_draw():
+    # One getrandbits for all the coins reads the words random() would:
+    # the same cells, and the generator left in the same state.
+    for k in range(7):
+        syms = [f"a{j}" for j in range(k)]
+        for seed in range(200):
+            drawn, literal = random.Random(seed), random.Random(seed)
+            for _ in range(20):
+                m = bounded_lasso(literal, syms or ["p"], 4, 3)
+                assert semantics._draw_lasso(drawn, syms) == (m.stem, m.loop)
+            assert drawn.getstate() == literal.getstate()
+
+
+def test_draw_lasso_keeps_only_the_cells_it_drew():
+    syms = tuple(f"a{j}" for j in range(40))
+    stem, loop = semantics._draw_lasso(random.Random(1), syms)
+    assert len(semantics._cells(syms)) <= len(stem) + len(loop)
+    assert all(cell <= set(syms) for cell in stem + loop)
