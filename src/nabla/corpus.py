@@ -18,20 +18,7 @@ from dataclasses import dataclass
 from importlib import resources
 
 from .derived import check_expanded, derive_tautology, expand
-from .formulas import (
-    And,
-    Atom,
-    Formula,
-    Hist,
-    Implies,
-    Next,
-    Or,
-    Sometime,
-    Until,
-    desugar,
-    format_formula,
-    parse_ltl,
-)
+from .formulas import Formula, format_formula, parse_h, parse_ltl
 from .kernel import (
     BAD_DISCHARGE,
     FRESHNESS_VIOLATION,
@@ -61,75 +48,55 @@ __all__ = [
     "CorpusResult",
 ]
 
-_P, _Q = Atom("p"), Atom("q")
-_UNTIL = Until(_P, _Q)
-_UNFOLD = Or(_Q, And(_P, Next(_UNTIL)))
-_TAIL = Sometime(And(Next(_Q), Hist(_P)))
-
 
 @dataclass(frozen=True)
 class CorpusEntry:
     name: str
     source: Formula
     script: str
-    note: str = ""
     simplified_core: Formula | None = None
 
 
 @dataclass(frozen=True)
 class MutationFixture:
     name: str
-    base: str
-    description: str
     expected_reason: str
     script: str
 
 
 ENTRIES: tuple[CorpusEntry, ...] = (
     CorpusEntry("A2", parse_ltl("((G (p -> q)) -> ((G p) -> (G q)))"), "A2.ndp"),
-    CorpusEntry(
-        "A3",
-        parse_ltl("(((X (~ p)) -> (~ (X p))) & ((~ (X p)) -> (X (~ p))))"),
-        "A3.ndp",
-        note="both directions of the biconditional, joined by andI",
-    ),
-    CorpusEntry(
-        "A4",
-        parse_ltl("((X (p -> q)) -> ((X p) -> (X q)))"),
-        "A4.ndp",
-        note="constructed on the plan of A2",
-    ),
+    CorpusEntry("A3", parse_ltl("(((X (~ p)) -> (~ (X p))) & ((~ (X p)) -> (X (~ p))))"), "A3.ndp"),
+    CorpusEntry("A4", parse_ltl("((X (p -> q)) -> ((X p) -> (X q)))"), "A4.ndp"),
     CorpusEntry("A5", parse_ltl("((G p) -> (p & (X (G p))))"), "A5.ndp"),
     CorpusEntry("A6", parse_ltl("((G (p -> (X p))) -> (p -> (G p)))"), "A6.ndp"),
     CorpusEntry(
         "A7L",
-        Implies(_UNTIL, _UNFOLD),
+        parse_ltl("((p U q) -> (q | (p & (X (p U q)))))"),
         "A7L.ndp",
-        note="core proves the simplified implication; wrapper restores the disjunction",
-        simplified_core=Implies(_TAIL, And(_P, Next(Or(_Q, _TAIL)))),
+        parse_h("((F ((X q) & (H p))) -> (p & (X (q | (F ((X q) & (H p)))))))"),
     ),
     CorpusEntry(
         "A7R",
-        Implies(_UNFOLD, _UNTIL),
+        parse_ltl("((q | (p & (X (p U q)))) -> (p U q))"),
         "A7R.ndp",
-        note="core proves the simplified implication; wrapper restores the disjunction",
-        simplified_core=Implies(And(_P, Next(Or(_Q, _TAIL))), _TAIL),
+        parse_h("((p & (X (q | (F ((X q) & (H p)))))) -> (F ((X q) & (H p))))"),
     ),
-    CorpusEntry("A8", Implies(_UNTIL, Sometime(_Q)), "A8.ndp"),
+    CorpusEntry("A8", parse_ltl("((p U q) -> (F q))"), "A8.ndp"),
 )
 
 MUTATIONS: tuple[MutationFixture, ...] = (
-    MutationFixture("gi_eigenlabel_reused", "A2", "GI eigenlabel renamed to b", FRESHNESS_VIOLATION, "gi_eigenlabel_reused.ndp"),
-    MutationFixture("xi_eigenlabel_reused", "A5", "XI eigenlabel renamed to b", FRESHNESS_VIOLATION, "xi_eigenlabel_reused.ndp"),
-    MutationFixture("histI_eigenlabel_reused", "A7R", "histI eigenlabel renamed to b", FRESHNESS_VIOLATION, "histI_eigenlabel_reused.ndp"),
-    MutationFixture("ser_eigenlabel_reused", "A3", "serS eigenlabel renamed to b", FRESHNESS_VIOLATION, "ser_eigenlabel_reused.ndp"),
-    MutationFixture("split_eigenlabel_reused", "A7L", "splitLe fresh label renamed to the witness", FRESHNESS_VIOLATION, "split_eigenlabel_reused.ndp"),
-    MutationFixture("ind_eigenlabel_reused", "A6", "ind eigenlabel bi renamed to b", FRESHNESS_VIOLATION, "ind_eigenlabel_reused.ndp"),
-    MutationFixture("last_on_history_formula", "A7L", "last applied to a bare history formula", NOT_LOCAL_FORMULA, "last_on_history_formula.ndp"),
-    MutationFixture("histE_sequence_swapped", "A7L", "histE conclusion prefix swapped", SEQUENCE_MISMATCH, "histE_sequence_swapped.ndp"),
-    MutationFixture("impI_discharges_wrong_assumption", "A2", "impI discharges the outer assumption", BAD_DISCHARGE, "impI_discharges_wrong_assumption.ndp"),
-    MutationFixture("unknown_rule_name", "A2", "rule name misspelled", UNKNOWN_RULE, "unknown_rule_name.ndp"),
-    MutationFixture("impE_major_not_implication", "A2", "impE applied to two atomic premises", SHAPE_MISMATCH, "impE_major_not_implication.ndp"),
+    MutationFixture("gi_eigenlabel_reused", FRESHNESS_VIOLATION, "gi_eigenlabel_reused.ndp"),
+    MutationFixture("xi_eigenlabel_reused", FRESHNESS_VIOLATION, "xi_eigenlabel_reused.ndp"),
+    MutationFixture("histI_eigenlabel_reused", FRESHNESS_VIOLATION, "histI_eigenlabel_reused.ndp"),
+    MutationFixture("ser_eigenlabel_reused", FRESHNESS_VIOLATION, "ser_eigenlabel_reused.ndp"),
+    MutationFixture("split_eigenlabel_reused", FRESHNESS_VIOLATION, "split_eigenlabel_reused.ndp"),
+    MutationFixture("ind_eigenlabel_reused", FRESHNESS_VIOLATION, "ind_eigenlabel_reused.ndp"),
+    MutationFixture("last_on_history_formula", NOT_LOCAL_FORMULA, "last_on_history_formula.ndp"),
+    MutationFixture("histE_sequence_swapped", SEQUENCE_MISMATCH, "histE_sequence_swapped.ndp"),
+    MutationFixture("impI_discharges_wrong_assumption", BAD_DISCHARGE, "impI_discharges_wrong_assumption.ndp"),
+    MutationFixture("unknown_rule_name", UNKNOWN_RULE, "unknown_rule_name.ndp"),
+    MutationFixture("impE_major_not_implication", SHAPE_MISMATCH, "impE_major_not_implication.ndp"),
 )
 
 TAUTOLOGY_INSTANCES: tuple[tuple[str, str], ...] = (
@@ -187,12 +154,11 @@ def _core_agrees(entry: CorpusEntry) -> bool:
     """Seeded spot check: the simplified core and the full translated axiom
     hold together on 60 random models and positions."""
     rng = random.Random(20240)
-    core = desugar(entry.simplified_core)
-    full = desugar(translate(entry.source))
+    full = translate(entry.source)
     for _ in range(60):
         model = random_lasso(rng, ["p", "q"])
         n = _below(rng, 9)
-        if not eval_h(model, (n,), core) or not eval_h(model, (n,), full):
+        if not eval_h(model, (n,), entry.simplified_core) or not eval_h(model, (n,), full):
             return False
     return True
 

@@ -557,4 +557,10 @@ def derive_tautology(f: Formula, label: str = "b") -> Node:
         m5 = Apply(next(ids), "impE", lw(bot), (hf, m4))
         return Apply(next(ids), "botE", lw(g), (m5,), (hf,))
 
-    return build({}, {}, variables, root)
+    try:
+        return build({}, {}, variables, root)
+    finally:
+        # prove and derive refer to each other and build to itself: clearing
+        # them frees the proof's memos now, on a refusal too, and leaves no
+        # cycle to the garbage collector.
+        prove = derive = build = None

@@ -1,4 +1,5 @@
-"""Seeded random generators for formulas, models and derivations.
+"""Seeded random generators for formulas, observation sequences and
+derivations; lasso models come from ``semantics.random_lasso``.
 
 Formula generators draw from one grammar table, picking productions with
 equal weight under a complexity budget.  The derivation generator builds

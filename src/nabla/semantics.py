@@ -82,16 +82,19 @@ entry row and once at the canonical positions, so the cost is linear in
 the distinct objects times the canonical positions, however deeply ``G``
 nests.
 ``eval_h_oracle`` keeps the literal whole-sequence memo, keyed by the
-object and the whole sequence, in one module-level recursive function,
-``_oracle``, with its state in arguments: a recursive closure would refer
-to itself, and each call would leave that cycle, with its memo, to the
-garbage collector.
+object and the whole sequence (``_oracle``).
+
+Each walk (``_fold_h``, ``_rows``, ``_oracle``) is a module-level
+recursive function with its state in arguments: a recursive closure would
+refer to itself, and each call would leave that cycle, with its memo, to
+the garbage collector.  Each rule table (``_mask_rules``, ``_ltl_rules``)
+is built once per lasso shape ``(s, p)`` and shared by every call.
 
 The public evaluators check their input: ``ValueError`` on an empty
 sequence, a negative position or a formula of the other language, and
 ``HorizonTooSmall`` below the oracle's minimum horizon.  ``eval_h`` passes
-its formula as it is to the private body ``_eval_h``, whose fold raises
-the checked fold's ``ValueError`` at a node outside the history language.
+its formula as it is to the private body ``_eval_h``, which raises the
+checked fold's ``ValueError`` at a node outside the history language.
 ``eval_h_oracle`` passes the desugared formula to ``_eval_h_oracle``,
 which keeps the literal core clauses, so that the reference does not share
 the in-place reading of the abbreviations.  The bodies check nothing else:
@@ -265,12 +268,22 @@ def eval_ltl(m: LassoModel, n: int, a: Formula) -> bool:
     One fold gives each subformula a table of its truth at the ``s + p``
     canonical positions; ``G`` and ``U`` are resolved by fixpoint over the
     window, and the abbreviations by ``_abbreviations`` over the tables.
+    The rules but the atoms' are ``_ltl_rules(s, p)``'s, sharing no clause
+    with ``eval_h``: the translation lemma's independent reference.
     """
     if n < 0:
         raise ValueError("positions are natural numbers")
-    s, p = m.stem_len, m.period
-    size = s + p
     vals = m.stem + m.loop
+    tables = {Atom: lambda x: [x.name in v for v in vals], **_ltl_rules(m.stem_len, m.period)}
+    return _fold_checked(a, tables)[m.canon(n)]
+
+
+@functools.lru_cache(maxsize=64)
+def _ltl_rules(s: int, p: int) -> dict:
+    """``eval_ltl``'s rules but the atoms', for stem ``s`` and period ``p``;
+    the last 64 lasso shapes are kept.  No rule changes a table it is given
+    or returns, so every call shares them."""
+    size = s + p
     succ = [i + 1 if i + 1 < size else s for i in range(size)]
     bot = [False] * size
 
@@ -292,8 +305,7 @@ def eval_ltl(m: LassoModel, n: int, a: Formula) -> bool:
                     changed = True
         return t
 
-    tables = {
-        Atom: lambda x: [x.name in v for v in vals],
+    return {
         Bottom: lambda x: bot,
         Implies: lambda x, a, b: implies(a, b),
         Next: lambda x, a: [a[j] for j in succ],
@@ -301,7 +313,6 @@ def eval_ltl(m: LassoModel, n: int, a: Formula) -> bool:
         Until: lambda x, a, b: until(a, b),
         **_abbreviations(implies, bot, always),
     }
-    return _fold_checked(a, tables)[m.canon(n)]
 
 
 def _check_sequence(seq) -> tuple[int, ...]:
@@ -324,7 +335,7 @@ def eval_h(m: LassoModel, seq, a: Formula) -> bool:
     over any other the window ``[n, max(n, s) + 2p]``; ``H`` at row ``i``
     is the run of ones from column ``i``.  ``~``, ``|``, ``&`` and ``F``
     are read in place, by ``formulas._abbreviations`` over these tables;
-    the fold raises ``ValueError`` at a node outside the history language.
+    ``ValueError`` at a node outside the history language.
     The entry pair shifts back by whole periods, and a far column folds
     back to at most the ``H`` clamp ``max(i, s+p) + p(k+1)``, ``k`` the
     formula's temporal depth.
@@ -343,8 +354,6 @@ def _eval_h(m: LassoModel, sigma: tuple[int, ...], g: Formula) -> bool:
     stem, loop = m.stem, m.loop
     s, p = len(stem), len(loop)
     size = s + p
-    full = (1 << size) - 1
-    vals = stem + loop
     # The entry pair, normalised as the module docstring says: an empty H
     # range, whole periods, and a far column past the H clamp.
     i, n = (sigma[-2] if len(sigma) > 1 else sigma[0]), sigma[-1]
@@ -358,69 +367,11 @@ def _eval_h(m: LassoModel, sigma: tuple[int, ...], g: Formula) -> bool:
         bound = max(i, size) + p * (temporal_depth(g) + 1)
         if n > bound:
             n -= (n - bound + p - 1) // p * p
-    # Per object: its mask over the canonical positions if it is local, and
-    # -1 if not.  Per object that is not local: its rows at every canonical
-    # position, for a G, X or F above it.  The abbreviations' rules over
-    # masks are built at the first abbreviation met.
     memo: dict[int, int] = {}
-    every: dict[int, list[int]] = {}
-    rules = None
-
-    def fold(x: Formula) -> int:
-        nonlocal rules
-        cls = type(x)
-        if cls is Implies or cls is Or or cls is And:
-            a = memo.get(id(x.left))
-            if a is None:
-                a = fold(x.left)
-            b = memo.get(id(x.right))
-            if b is None:
-                b = fold(x.right)
-            if cls is Implies:
-                v = _imp(a, b, full)
-            else:
-                rules = rules or _mask_rules(s, p)
-                v = rules[cls](x, a, b)
-        elif cls is Atom:
-            v = 0
-            for c in range(size):
-                if x.name in vals[c]:
-                    v |= 1 << c
-        elif cls is Bottom:
-            v = 0
-        elif cls is Always or cls is Next or cls is Hist or cls is Not or cls is Sometime:
-            y = x.operand
-            a = memo.get(id(y))
-            if a is None:
-                a = fold(y)
-            if cls is Hist:
-                v = -1
-            elif cls is Not or (cls is Sometime and a >= 0):
-                rules = rules or _mask_rules(s, p)
-                v = rules[cls](x, a)
-            elif a >= 0:
-                v = a >> 1 | (a >> s & 1) << (size - 1) if cls is Next else _always(a, s, p)
-            else:
-                # Columns up to the end of the last G window, s + 3p - 1.
-                a = every.get(id(y)) or _rows(y, range(size), every, memo, s, _loops(p, 3))
-                if cls is Next:
-                    v = 0
-                    for c in range(size):
-                        v |= (a[c] >> c + 1 & 1) << c
-                elif cls is Always:
-                    v = _window(a, s, p)
-                else:
-                    # F y is ~G~y, the inner ~ over the rows of y.
-                    v = _imp(_window(_imp_rows(a, 0), s, p), 0, full)
-        else:
-            raise _outside(g, True)
-        memo[id(x)] = v
-        return v
-
-    v = fold(g)
-    # fold's closure holds fold: clearing it frees this call's tables now,
-    # not at the garbage collector's next pass.
-    fold = None
+    try:
+        v = _fold_h(g, memo, {}, stem + loop, s, p)
+    except TypeError:
+        raise _outside(g, True) from None
     if v >= 0:
         return bool(v >> (n if n < s else s + (n - s) % p) & 1)
     # Columns up to n.
@@ -456,9 +407,10 @@ def _window(a: list[int], s: int, p: int) -> int:
     return v
 
 
+@functools.lru_cache(maxsize=64)
 def _mask_rules(s: int, p: int) -> dict:
     """The abbreviations' rules over the masks of a lasso with stem ``s``
-    and period ``p``."""
+    and period ``p``; the last 64 lasso shapes are kept."""
     full = (1 << s + p) - 1
     return _abbreviations(lambda a, b: _imp(a, b, full), 0, lambda a: _always(a, s, p))
 
@@ -491,6 +443,56 @@ def _imp_rows(a: int | list[int], b: int | list[int]) -> int | list[int]:
 # rows.  F is ~G~, which is local whatever its operand, so its rule, the
 # one that reads the third argument, never runs here.
 _ROW_RULES = {Implies: lambda x, a, b: _imp_rows(a, b)} | _abbreviations(_imp_rows, 0, None)
+
+
+def _fold_h(x: Formula, memo: dict[int, int], every: dict[int, list[int]], vals, s: int, p: int) -> int:
+    """``_eval_h``'s fold: the mask of ``x`` over the canonical positions if
+    it is local, and -1 if not.  ``memo`` holds the masks, ``every`` the
+    rows at every canonical position of the objects that are not local;
+    ``TypeError`` at a node outside the history language."""
+    cls = type(x)
+    if cls is Implies or cls is Or or cls is And:
+        a = memo.get(id(x.left))
+        if a is None:
+            a = _fold_h(x.left, memo, every, vals, s, p)
+        b = memo.get(id(x.right))
+        if b is None:
+            b = _fold_h(x.right, memo, every, vals, s, p)
+        v = _imp(a, b, (1 << s + p) - 1) if cls is Implies else _mask_rules(s, p)[cls](x, a, b)
+    elif cls is Atom:
+        v = 0
+        for c in range(s + p):
+            if x.name in vals[c]:
+                v |= 1 << c
+    elif cls is Bottom:
+        v = 0
+    elif cls is Always or cls is Next or cls is Hist or cls is Not or cls is Sometime:
+        y = x.operand
+        a = memo.get(id(y))
+        if a is None:
+            a = _fold_h(y, memo, every, vals, s, p)
+        if cls is Hist:
+            v = -1
+        elif cls is Not or (cls is Sometime and a >= 0):
+            v = _mask_rules(s, p)[cls](x, a)
+        elif a >= 0:
+            v = a >> 1 | (a >> s & 1) << (s + p - 1) if cls is Next else _always(a, s, p)
+        else:
+            # Columns up to the end of the last G window, s + 3p - 1.
+            a = every.get(id(y)) or _rows(y, range(s + p), every, memo, s, _loops(p, 3))
+            if cls is Next:
+                v = 0
+                for c in range(s + p):
+                    v |= (a[c] >> c + 1 & 1) << c
+            elif cls is Always:
+                v = _window(a, s, p)
+            else:
+                # F y is ~G~y, the inner ~ over the rows of y.
+                v = _imp(_window(_imp_rows(a, 0), s, p), 0, (1 << s + p) - 1)
+    else:
+        raise TypeError(f"not a history-language node: {x!r}")
+    memo[id(x)] = v
+    return v
 
 
 def _rows(x: Formula, rows: range, done: dict[int, list[int]], memo: dict[int, int], s: int, loops: int) -> list[int]:
@@ -654,12 +656,10 @@ def _draw_lasso(rng: random.Random, symbols) -> tuple[tuple[frozenset[str], ...]
     state after the call are those of ``n`` calls to ``random()``.  A cell
     is looked up by its coins in ``_cells(syms)``, so equal cells are one
     frozenset."""
-    syms = tuple(symbols) if symbols else ("p",)
+    syms = tuple(symbols) or ("p",)
     s = _below(rng, 5)
     p = 1 + _below(rng, 3)
     k = len(syms)
-    if not k:
-        return (frozenset(),) * s, (frozenset(),) * p
     n = (s + p) * k
     coins = rng.getrandbits(64 * n).to_bytes(8 * n, "little")[3::8].translate(_HEADS)
     memo = _cells(syms)

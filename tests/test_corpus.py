@@ -13,8 +13,8 @@ from nabla.corpus import (
     run_corpus,
 )
 from nabla.derived import expand
-from nabla.formulas import desugar
-from nabla.kernel import SHAPE_MISMATCH, check, is_ltl_derivation, normalize_generic
+from nabla.formulas import desugar, parse_h, parse_ltl
+from nabla.kernel import FRESHNESS_VIOLATION, SHAPE_MISMATCH, check, is_ltl_derivation, normalize_generic
 from nabla.scripts import parse_script
 from nabla.translate import matches_translation, translate
 
@@ -77,9 +77,41 @@ def test_schema_mismatch_is_a_shape_mismatch_in_the_corpus(monkeypatch):
     # expand and check the same way, so a fixture may expect it.
     text = "assume 1 lwff b : p\nnode 2 andE1 concl b : p prem 1\nroot 2\n"
     monkeypatch.setattr(corpus, "load_script", lambda name, mutation=False: parse_script(text))
-    fix = MutationFixture("andE1_on_an_atom", "A2", "andE1 applied to an atom", SHAPE_MISMATCH, "and_e1.ndp")
+    fix = MutationFixture("andE1_on_an_atom", SHAPE_MISMATCH, "and_e1.ndp")
     result = corpus._guard("mutation", fix.name, lambda: corpus._check_mutation(fix))
     assert (result.ok, result.detail) == (True, "rejected with ShapeMismatch as expected")
     entry = CorpusEntry("andE1", desugar(parse_script(text).conclusion.formula), "and_e1.ndp")
     result = corpus._guard("axiom", entry.name, lambda: corpus._check_entry(entry))
     assert (result.ok, result.detail) == (False, "rejected at node 2: ShapeMismatch")
+
+
+# A closed proof of b : (p -> p), and an open one of b : p.
+CLOSED = "assume 1 lwff b : p\nnode 2 impI concl b : (p -> p) prem 1 disch 1\nroot 2\n"
+OPEN = "assume 1 lwff b : p\nroot 1\n"
+
+
+def verdict(monkeypatch, kind, text, fixture):
+    """The corpus's result for ``fixture``, an entry or a mutation, whose
+    script reads as ``text``."""
+    monkeypatch.setattr(corpus, "load_script", lambda name, mutation=False: parse_script(text))
+    check_one = corpus._check_entry if kind == "axiom" else corpus._check_mutation
+    result = corpus._guard(kind, fixture.name, lambda: check_one(fixture))
+    return result.ok, result.detail
+
+
+def test_every_axiom_verdict_is_reached(monkeypatch):
+    assert verdict(monkeypatch, "axiom", OPEN, CorpusEntry("open", parse_ltl("p"), "x.ndp")) == (False, "proof is not closed")
+    wrong = CorpusEntry("wrong", parse_ltl("(q -> q)"), "x.ndp")
+    assert verdict(monkeypatch, "axiom", CLOSED, wrong) == (False, "conclusion is not the translation of the source")
+    # A core that holds nowhere disagrees with a valid translation.
+    core = CorpusEntry("core", parse_ltl("(p -> p)"), "x.ndp", parse_h("bot"))
+    detail = "simplified core disagrees with the translation semantically"
+    assert verdict(monkeypatch, "axiom", CLOSED, core) == (False, detail)
+
+
+def test_every_mutation_verdict_is_reached(monkeypatch):
+    fix = MutationFixture("accepted", SHAPE_MISMATCH, "x.ndp")
+    assert verdict(monkeypatch, "mutation", CLOSED, fix) == (False, "mutation was accepted")
+    text = "assume 1 lwff b : p\nnode 2 andE1 concl b : p prem 1\nroot 2\n"
+    fix = MutationFixture("other_reason", FRESHNESS_VIOLATION, "x.ndp")
+    assert verdict(monkeypatch, "mutation", text, fix) == (False, "expected FreshnessViolation, got ShapeMismatch")

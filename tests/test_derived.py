@@ -214,6 +214,14 @@ def test_mp_compose_examples():
         mp_compose(derive_tautology(parse_ltl("(q -> q)"), "b"), nec_g(t1))
 
 
+def test_closed_single_label_refuses_a_rejected_derivation():
+    t = derive_tautology(parse_ltl("(p -> p)"), "b")
+    rejected = Apply(1, "mystery", Lwff(("b",), P), (Assume(2, Lwff(("b",), P)),))
+    for make in (lambda: mp_compose(rejected, t), lambda: nec_g(rejected)):
+        with pytest.raises(ShapeMismatch, match="requires an accepted derivation"):
+            make()
+
+
 def test_nec_g_and_nec_x():
     t = derive_tautology(parse_ltl("(p -> p)"), "b")
     for nec, op in ((nec_g, Always), (nec_x, Next)):

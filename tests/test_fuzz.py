@@ -4,11 +4,15 @@ from pathlib import Path
 
 import pytest
 
+import nabla
 from nabla import fuzz, semantics
-from nabla.formulas import Until, desugar, temporal_depth
+from nabla.corpus import run_corpus
+from nabla.derived import NotATautology, derive_tautology, expand
+from nabla.formulas import Until, desugar, parse_ltl, temporal_depth
 from nabla.fuzz import LEMMAS, report_to_json, run_lemma
 from nabla.gen import random_history_formula, random_obs_sequence, random_until_formula
-from nabla.kernel import Le, Lwff
+from nabla.kernel import Le, Lwff, check
+from nabla.scripts import parse_script
 from tests.test_formulas import free_of
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -187,3 +191,22 @@ def test_evaluators_leave_no_cyclic_garbage():
     premises = [Lwff(("b", "c"), cases[0][3]), Le("b", "c")]
     goal = Lwff(("c",), cases[1][3])
     assert collected_garbage(lambda: semantics.falsify_consequence(premises, goal, 200, seed=3)) == 0
+
+
+def test_proofs_leave_no_cyclic_garbage():
+    # Building, reading, expanding and checking a proof, and a tautology's
+    # refusal, free their memos by reference counting alone.
+    def refuse():
+        try:
+            derive_tautology(parse_ltl("((p -> q) -> q)"))
+        except NotATautology:
+            pass
+
+    text = (Path(nabla.__file__).parent / "corpus" / "A7L.ndp").read_text(encoding="utf-8")
+    assert collected_garbage(lambda: derive_tautology(parse_ltl("(((p -> q) -> p) -> p)"))) == 0
+    assert collected_garbage(refuse) == 0
+    assert collected_garbage(lambda: parse_script(text)) == 0
+    root = parse_script(text)
+    assert collected_garbage(lambda: expand(root)) == 0
+    assert collected_garbage(lambda: check(expand(root))) == 0
+    assert collected_garbage(run_corpus) == 0

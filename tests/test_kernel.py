@@ -279,6 +279,18 @@ def test_is_ltl_derivation_rejects_open_rwff():
     assert not is_ltl_derivation(report, sources)
 
 
+def test_is_ltl_derivation_refuses_and_rejects():
+    rejected = check(Apply(2, "mystery", Lwff(("b",), P), (Assume(1, Lwff(("b",), P)),)))
+    with pytest.raises(ValueError, match="requires an accepted derivation"):
+        is_ltl_derivation(rejected, {})
+    # A judgment over two labels, annotated, is still no LTL-derivation.
+    two = Lwff(("b", "c"), P)
+    assert not is_ltl_derivation(check(Assume(1, two)), {normalize_generic(two): P})
+    # Nor is a conclusion that is not its source's image.
+    one = Lwff(("b",), P)
+    assert not is_ltl_derivation(check(Assume(1, one)), {normalize_generic(one): Q})
+
+
 def test_is_ltl_derivation_missing_annotation():
     leaf = Assume(1, Lwff(("b",), P))
     with pytest.raises(MissingAnnotation):

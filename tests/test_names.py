@@ -71,3 +71,34 @@ def test_every_private_definition_is_used():
         and node.name not in named
     ]
     assert not dead
+
+
+def _is_record(node: ast.ClassDef) -> bool:
+    """Whether ``node`` defines a dataclass or a ``NamedTuple``."""
+    for d in node.decorator_list:
+        d = d.func if isinstance(d, ast.Call) else d
+        if (d.id if isinstance(d, ast.Name) else getattr(d, "attr", None)) == "dataclass":
+            return True
+    return any((b.id if isinstance(b, ast.Name) else getattr(b, "attr", None)) == "NamedTuple" for b in node.bases)
+
+
+def test_every_record_field_is_read():
+    # A field of a dataclass or NamedTuple that no code in the package reads
+    # as an attribute is carried for nothing: every record built fills it,
+    # and nothing looks at it.
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SOURCES.glob("*.py"))}
+    read = {
+        node.attr
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    unread = [
+        f"{name}:{field.lineno}: {node.name}.{field.target.id}"
+        for name, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef) and _is_record(node)
+        for field in node.body
+        if isinstance(field, ast.AnnAssign) and isinstance(field.target, ast.Name) and field.target.id not in read
+    ]
+    assert not unread

@@ -336,13 +336,13 @@ def count_work(m, sigma, f):
     subformula objects folded to a mask, ``rows``, the rows computed for
     the objects that are not local, and ``built``, the formula objects
     constructed.  Callers look an object up before they fold it or compute
-    its rows, so each call of ``_eval_h``'s ``fold`` is one object and each
+    its rows, so each call of ``semantics._fold_h`` is one object and each
     call of ``semantics._rows`` is ``len(rows)`` rows."""
     work = dict.fromkeys(("folded", "rows", "built"), 0)
 
     def profile(frame, event, arg):
         if event == "call":
-            if frame.f_code.co_qualname == "_eval_h.<locals>.fold":
+            if frame.f_code is semantics._fold_h.__code__:
                 work["folded"] += 1
             elif frame.f_code is semantics._rows.__code__:
                 work["rows"] += len(frame.f_locals["rows"])
@@ -708,6 +708,11 @@ def test_model_file_errors():
         with pytest.raises(ModelFormatError, match="^at 1: "):
             parse_model(f"stem 1\nloop 1\nat 0: p\nat 1: {cell}\nend")
     assert parse_model("stem 0\nloop 1\nat 0: p_1 Q x2 é\nend").loop == (frozenset({"p_1", "Q", "x2", "é"}),)
+
+
+def test_model_file_refuses_an_empty_loop():
+    with pytest.raises(ModelFormatError, match="^need loop >= 1$"):
+        parse_model("stem 0\nloop 0\nend")
 
 
 def test_eval_generic_dispatch():
