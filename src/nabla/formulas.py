@@ -534,9 +534,12 @@ def _outside(f: Formula, history: bool) -> ValueError:
     return ValueError(f"not {language} formula: {format_formula(f)}")
 
 
-# Local grammar, for desugared history formulas: H may only occur under G or
-# X, whose bodies are unconstrained.  Callers may fold it with their own memo.
-_LOCAL = _table(lambda x: True, lambda x, a: True, lambda x, a, b: a and b, {Hist: lambda x, a: False})
+# Local grammar, for history formulas: H may only occur under G, X or F
+# (~G~), whose bodies are unconstrained; ~ and the binary connectives are
+# local when their operands are.  No rule for U.  Callers may fold it with
+# their own memo.
+_LOCAL = _table(lambda x: True, lambda x, a: True, lambda x, a, b: a and b, {Hist: lambda x, a: False, Not: lambda x, a: a})
+del _LOCAL[Until]
 
 
 def is_local(f: Formula) -> bool:
@@ -546,7 +549,7 @@ def is_local(f: Formula) -> bool:
     observation-sequence element but the last; any other history-language
     formula may need the last two.  ``ValueError`` outside that language.
     """
-    return _fold(_fold_checked(f, _HISTORY_CORE), _LOCAL)
+    return _fold_checked(f, _LOCAL)
 
 
 def atoms_of(f: Formula) -> frozenset[str]:

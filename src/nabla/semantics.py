@@ -59,10 +59,12 @@ each one Python ``int`` whose bit ``c`` is the truth at position ``c``:
   ones in the stem that ends at ``s - 1``: past the stem the loop repeats,
   so ``G`` reads each canonical position once and needs no window.
 * Subformulas that are not local fold to one mask over the columns (the
-  last element) per row (the element before it), for the rows asked for:
-  the entry row, and every canonical position when a ``G``, ``X`` or
-  ``F`` sits above.  A local child enters lifted to the columns, its stem
-  and then its loop repeated, and ``->`` is ``~a | b`` row by row.
+  last element) per row (the element before it), at every row
+  ``0 .. s+p``: the normalised entry row is at most ``s + p``, and a
+  ``G``, ``X`` or ``F`` above reads the rows at the canonical positions.
+  A local child enters lifted to the columns, its stem and then its loop
+  repeated, far enough for the entry column and the last ``G`` window,
+  and ``->`` is ``~a | b`` row by row.
   ``H`` at row ``r`` is the run of ones of its operand that starts at bit
   ``r``, with the bits below ``r`` set: ``H`` over ``[r, mm]``, true when
   the range is empty.
@@ -77,14 +79,14 @@ each one Python ``int`` whose bit ``c`` is the truth at position ``c``:
   ``->``, for any other.  Each clause is written once, for the core node
   and the abbreviations alike, so no formula is desugared per call.
 
-Each object is folded once, and its rows are computed at most once at the
-entry row and once at the canonical positions, so the cost is linear in
-the distinct objects times the canonical positions, however deeply ``G``
-nests.
+Each object is folded once, to its mask or to its ``s + p + 1`` rows, so
+the cost is linear in the distinct objects times the canonical positions,
+however deeply ``G`` nests; a formula that is not local at the top
+computes every row, though the entry pair reads one.
 ``eval_h_oracle`` keeps the literal whole-sequence memo, keyed by the
 object and the whole sequence (``_oracle``).
 
-Each walk (``_fold_h``, ``_rows``, ``_oracle``) is a module-level
+Each walk (``_fold_h``, ``_oracle``) is a module-level
 recursive function with its state in arguments: a recursive closure would
 refer to itself, and each call would leave that cycle, with its memo, to
 the garbage collector.  Each rule table (``_mask_rules``, ``_ltl_rules``)
@@ -217,16 +219,17 @@ class LassoModel:
 
 def parse_model(text: str) -> LassoModel:
     """Line format: ``stem <s>``, ``loop <p>``, then ``at <i>: <ident>*``
-    for i in order 0..s+p-1, then ``end``.  ``s`` and ``p`` are ASCII
-    digits, as script ids are, and each ``<ident>`` is a name the formula
-    parsers read as an atom; ``ModelFormatError`` otherwise."""
+    for i in order 0..s+p-1, then ``end``; fields are separated by any run
+    of whitespace.  ``s`` and ``p`` are ASCII digits, as script ids are,
+    and each ``<ident>`` is a name the formula parsers read as an atom;
+    ``ModelFormatError`` otherwise."""
     lines = [ln.strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
-    if len(lines) < 3 or not lines[0].startswith("stem ") or not lines[1].startswith("loop "):
+    heads = [ln.split() for ln in lines[:2]]
+    if len(lines) < 3 or [h[0] for h in heads] != ["stem", "loop"]:
         raise ModelFormatError("model file must start with 'stem <s>' and 'loop <p>' lines")
     counts = []
-    for ln in lines[:2]:
-        args = ln.split()[1:]
+    for ln, (_, *args) in zip(lines, heads):
         if len(args) != 1 or not (args[0].isdigit() and args[0].isascii()):
             raise ModelFormatError(f"bad stem/loop header {ln!r}, each takes one number in ASCII digits")
         counts.append(int(args[0]))
@@ -329,9 +332,8 @@ def eval_h(m: LassoModel, seq, a: Formula) -> bool:
 
     Folds the formula bottom-up to truth tables at the sequence's last pair
     (see the module docstring): a local subformula to one mask over the
-    canonical positions; any other to one mask over the columns per row,
-    at the entry row and, under ``G``, ``X`` or ``F``, at every canonical
-    position.  ``G`` over a local operand reads the canonical positions,
+    canonical positions; any other to one mask over the columns per row
+    ``0 .. s+p``.  ``G`` over a local operand reads the canonical positions,
     over any other the window ``[n, max(n, s) + 2p]``; ``H`` at row ``i``
     is the run of ones from column ``i``.  ``~``, ``|``, ``&`` and ``F``
     are read in place, by ``formulas._abbreviations`` over these tables;
@@ -367,22 +369,20 @@ def _eval_h(m: LassoModel, sigma: tuple[int, ...], g: Formula) -> bool:
         bound = max(i, size) + p * (temporal_depth(g) + 1)
         if n > bound:
             n -= (n - bound + p - 1) // p * p
-    memo: dict[int, int] = {}
+    # Columns up to n, and at least to the end of the last G window, s + 3p - 1.
+    loops = _loops(p, max(3, (n - s) // p + 1))
     try:
-        v = _fold_h(g, memo, {}, stem + loop, s, p)
+        v = _fold_h(g, {}, stem + loop, s, p, loops)
     except TypeError:
         raise _outside(g, True) from None
-    if v >= 0:
+    if type(v) is int:
         return bool(v >> (n if n < s else s + (n - s) % p) & 1)
-    # Columns up to n.
-    rows = _rows(g, range(i, i + 1), {}, memo, s, _loops(p, max(1, (n - s) // p + 1)))
-    return bool(rows[0] >> n & 1)
+    return bool(v[i] >> n & 1)
 
 
 def _imp(a: int, b: int, full: int) -> int:
-    """``a -> b`` over masks, ``full`` the mask of every canonical position;
-    an operand that is not local (-1) makes it not local."""
-    return full & (~a | b) if a >= 0 and b >= 0 else -1
+    """``a -> b`` over masks, ``full`` the mask of every canonical position."""
+    return full & (~a | b)
 
 
 def _always(a: int, s: int, p: int) -> int:
@@ -445,20 +445,24 @@ def _imp_rows(a: int | list[int], b: int | list[int]) -> int | list[int]:
 _ROW_RULES = {Implies: lambda x, a, b: _imp_rows(a, b)} | _abbreviations(_imp_rows, 0, None)
 
 
-def _fold_h(x: Formula, memo: dict[int, int], every: dict[int, list[int]], vals, s: int, p: int) -> int:
+def _fold_h(x: Formula, memo: dict[int, int | list[int]], vals, s: int, p: int, loops: int) -> int | list[int]:
     """``_eval_h``'s fold: the mask of ``x`` over the canonical positions if
-    it is local, and -1 if not.  ``memo`` holds the masks, ``every`` the
-    rows at every canonical position of the objects that are not local;
+    it is local, and if not the list of its masks over the columns at the
+    rows ``0 .. s+p``.  ``memo`` holds each object's value; ``loops`` sets
+    how far a local operand of an object that is not local is lifted.
     ``TypeError`` at a node outside the history language."""
     cls = type(x)
     if cls is Implies or cls is Or or cls is And:
         a = memo.get(id(x.left))
         if a is None:
-            a = _fold_h(x.left, memo, every, vals, s, p)
+            a = _fold_h(x.left, memo, vals, s, p, loops)
         b = memo.get(id(x.right))
         if b is None:
-            b = _fold_h(x.right, memo, every, vals, s, p)
-        v = _imp(a, b, (1 << s + p) - 1) if cls is Implies else _mask_rules(s, p)[cls](x, a, b)
+            b = _fold_h(x.right, memo, vals, s, p, loops)
+        if type(a) is int and type(b) is int:
+            v = _imp(a, b, (1 << s + p) - 1) if cls is Implies else _mask_rules(s, p)[cls](x, a, b)
+        else:
+            v = _ROW_RULES[cls](x, _lift(a, s, loops) if type(a) is int else a, _lift(b, s, loops) if type(b) is int else b)
     elif cls is Atom:
         v = 0
         for c in range(s + p):
@@ -470,52 +474,34 @@ def _fold_h(x: Formula, memo: dict[int, int], every: dict[int, list[int]], vals,
         y = x.operand
         a = memo.get(id(y))
         if a is None:
-            a = _fold_h(y, memo, every, vals, s, p)
+            a = _fold_h(y, memo, vals, s, p, loops)
         if cls is Hist:
-            v = -1
-        elif cls is Not or (cls is Sometime and a >= 0):
-            v = _mask_rules(s, p)[cls](x, a)
-        elif a >= 0:
-            v = a >> 1 | (a >> s & 1) << (s + p - 1) if cls is Next else _always(a, s, p)
-        else:
-            # Columns up to the end of the last G window, s + 3p - 1.
-            a = every.get(id(y)) or _rows(y, range(s + p), every, memo, s, _loops(p, 3))
+            if type(a) is int:
+                a = [_lift(a, s, loops)] * (s + p + 1)
+            # With the bits below r set, t + 1 & ~t is the lowest zero bit of t,
+            # and one less is the run of ones below it.
+            v = [((t := u | (1 << r) - 1) + 1 & ~t) - 1 for r, u in enumerate(a)]
+        elif type(a) is int:
             if cls is Next:
-                v = 0
-                for c in range(s + p):
-                    v |= (a[c] >> c + 1 & 1) << c
+                v = a >> 1 | (a >> s & 1) << (s + p - 1)
             elif cls is Always:
-                v = _window(a, s, p)
+                v = _always(a, s, p)
             else:
-                # F y is ~G~y, the inner ~ over the rows of y.
-                v = _imp(_window(_imp_rows(a, 0), s, p), 0, (1 << s + p) - 1)
+                v = _mask_rules(s, p)[cls](x, a)
+        elif cls is Next:
+            v = 0
+            for c in range(s + p):
+                v |= (a[c] >> c + 1 & 1) << c
+        elif cls is Always:
+            v = _window(a, s, p)
+        elif cls is Not:
+            v = _ROW_RULES[Not](x, a)
+        else:
+            # F y is ~G~y, the inner ~ over the rows of y.
+            v = _imp(_window(_imp_rows(a, 0), s, p), 0, (1 << s + p) - 1)
     else:
         raise TypeError(f"not a history-language node: {x!r}")
     memo[id(x)] = v
-    return v
-
-
-def _rows(x: Formula, rows: range, done: dict[int, list[int]], memo: dict[int, int], s: int, loops: int) -> list[int]:
-    """The masks over the columns of ``x``, an object that is not local, at
-    each row of ``rows``: ``_eval_h``'s clauses for ``H``, ``->`` and the
-    abbreviations over it.  ``done`` holds the rows already computed over
-    ``rows``, ``memo`` the fold's masks; ``loops`` sets how far a local
-    child is lifted."""
-    cls = type(x)
-    operands = []
-    for y in (x.operand,) if cls is Hist or cls is Not else (x.left, x.right):
-        a = memo[id(y)]
-        operands.append(_lift(a, s, loops) if a >= 0 else done.get(id(y)) or _rows(y, rows, done, memo, s, loops))
-    if cls is Hist:
-        a = operands[0]
-        if type(a) is int:
-            a = [a] * len(rows)
-        # With the bits below r set, t + 1 & ~t is the lowest zero bit of t,
-        # and one less is the run of ones below it.
-        v = [((t := u | (1 << r) - 1) + 1 & ~t) - 1 for u, r in zip(a, rows)]
-    else:
-        v = _ROW_RULES[cls](x, *operands)
-    done[id(x)] = v
     return v
 
 

@@ -1,3 +1,6 @@
+import random
+import re
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -530,6 +533,51 @@ def hist_only_under_g_or_x(f: Formula) -> bool:
 def test_classify_never_neither(f):
     # Every history formula is classified, local or not, as the grammar says.
     assert is_local(f) is hist_only_under_g_or_x(desugar(f))
+
+
+def formula_over_every_class(rng, budget, drawn):
+    """A formula of ``budget`` operators over every node class, with a
+    ``U`` in about one binary node in twenty, and at times a formula
+    already in ``drawn`` again, so that objects are shared."""
+    if budget == 0:
+        return rng.choice([P, Q, Bottom()])
+    if drawn and rng.random() < 0.15:
+        return rng.choice(drawn)
+    if rng.random() < 0.5:
+        f = rng.choice([Not, Sometime, Always, Next, Hist])(formula_over_every_class(rng, budget - 1, drawn))
+    else:
+        k = rng.randint(0, budget - 1)
+        left = formula_over_every_class(rng, k, drawn)
+        binary = Until if rng.random() < 0.05 else rng.choice([Implies, Or, And])
+        f = binary(left, formula_over_every_class(rng, budget - 1 - k, drawn))
+    drawn.append(f)
+    return f
+
+
+def test_is_local_agrees_with_the_fold_of_the_desugared_formula():
+    # is_local folds the formula as it stands, ~ local when its operand is.
+    # The reference is the two-walk definition: desugar, then fold the core
+    # formula with a table that calls any ~ local, which is right only
+    # because a core formula has none.
+    core_local = formulas._table(lambda x: True, lambda x, a: True, lambda x, a, b: a and b, {Hist: lambda x, a: False})
+
+    def reference(f):
+        return formulas._fold(formulas._fold_checked(f, formulas._HISTORY_CORE), core_local)
+
+    rng = random.Random(3202)
+    seen = {True: 0, False: 0, ValueError: 0}
+    for _ in range(4000):
+        f = formula_over_every_class(rng, rng.randint(0, 10), [])
+        try:
+            want = reference(f)
+        except ValueError as e:
+            with pytest.raises(ValueError, match=f"^{re.escape(str(e))}$"):
+                is_local(f)
+            seen[ValueError] += 1
+            continue
+        assert is_local(f) is want, format_formula(f)
+        seen[want] += 1
+    assert min(seen.values()) >= 400, seen
 
 
 @settings(max_examples=200)

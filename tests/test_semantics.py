@@ -333,21 +333,22 @@ NODE_INITS = frozenset(cls.__init__.__code__ for cls in (Atom, Bottom, Implies, 
 
 def count_work(m, sigma, f):
     """The work ``eval_h`` does on ``f`` at ``sigma``: ``folded``, the
-    subformula objects folded to a mask, ``rows``, the rows computed for
-    the objects that are not local, and ``built``, the formula objects
-    constructed.  Callers look an object up before they fold it or compute
-    its rows, so each call of ``semantics._fold_h`` is one object and each
-    call of ``semantics._rows`` is ``len(rows)`` rows."""
+    subformula objects folded, ``rows``, the rows computed for the objects
+    that are not local, and ``built``, the formula objects constructed.
+    Callers look an object up before they fold it, so each call of
+    ``semantics._fold_h`` is one object, and one that returns a list of
+    rows computed that many rows."""
     work = dict.fromkeys(("folded", "rows", "built"), 0)
+    fold = semantics._fold_h.__code__
 
     def profile(frame, event, arg):
         if event == "call":
-            if frame.f_code is semantics._fold_h.__code__:
+            if frame.f_code is fold:
                 work["folded"] += 1
-            elif frame.f_code is semantics._rows.__code__:
-                work["rows"] += len(frame.f_locals["rows"])
             elif frame.f_code in NODE_INITS:
                 work["built"] += 1
+        elif event == "return" and frame.f_code is fold and type(arg) is list:
+            work["rows"] += len(arg)
 
     previous = sys.getprofile()
     sys.setprofile(profile)
@@ -358,15 +359,20 @@ def count_work(m, sigma, f):
     return work
 
 
-def distinct_objects(f):
-    """How many distinct objects ``f`` is made of."""
+def objects_of(f):
+    """The distinct objects ``f`` is made of."""
     seen, todo = {}, [f]
     while todo:
         x = todo.pop()
         if id(x) not in seen:
             seen[id(x)] = x
             todo += [c for c in x.__dict__.values() if isinstance(c, Formula)]
-    return len(seen)
+    return list(seen.values())
+
+
+def distinct_objects(f):
+    """How many distinct objects ``f`` is made of."""
+    return len(objects_of(f))
 
 
 def test_eval_h_reads_the_abbreviations_of_an_image_in_place():
@@ -394,12 +400,13 @@ def test_eval_h_nested_always_costs_one_pass_per_level():
     # Each level adds a G over an operand that reads the level below twice.
     # Over a local operand, a level folds two objects (G and ->).  Over
     # (H X -> H X), which is not local, it folds three (G, -> and H) and
-    # computes two rows per canonical position (-> and H): an evaluator
-    # that recomputed the rows of H X each time -> asked for them would
-    # compute three.  A G that walked its two-period window at each
-    # position cost 215 calls per level here.
+    # computes the rows 0 .. s+p of two (-> and H), 17 each at s+p = 16:
+    # an evaluator that recomputed the rows of H X each time -> asked for
+    # them would compute three sets.  A G that walked its two-period window
+    # at each position cost 215 calls per level here.
     cells = [frozenset({"p"}) if k % 2 else frozenset() for k in range(16)]
     m = LassoModel(tuple(cells[:8]), tuple(cells[8:]))
+    rows = 8 + 8 + 1
 
     def always_twice(f):
         return Always(Implies(f, f))
@@ -408,7 +415,13 @@ def test_eval_h_nested_always_costs_one_pass_per_level():
         h = Hist(f)
         return Always(Implies(h, h))
 
-    for level, cost in [(always_twice, 2), (always_hist_twice, 3 + 2 * 16)]:
+    def hist_twice(f):
+        return Hist(Implies(f, f))
+
+    # H levels are not local, so every level folds two objects and computes
+    # the rows of both, where recomputing a row each time it is asked for
+    # would double the count per level.
+    for level, cost in [(always_twice, 2), (always_hist_twice, 3 + 2 * rows), (hist_twice, 2 + 2 * rows)]:
         f = Hist(P)
         counts = []
         for _ in range(8):
@@ -416,18 +429,40 @@ def test_eval_h_nested_always_costs_one_pass_per_level():
             work = count_work(m, (2, 5), f)
             counts.append(work["folded"] + work["rows"])
         steps = [b - a for a, b in zip(counts, counts[1:])]
-        assert counts[0] > 0 and all(0 < step <= cost for step in steps), counts
-    # H levels are not local, so every level computes rows at the entry
-    # pair alone: two objects and two rows per level, where recomputing a
-    # row each time it is asked for would double the count per level.
-    f = Hist(P)
-    counts = []
-    for _ in range(8):
-        f = Hist(Implies(f, f))
-        work = count_work(m, (2, 5), f)
-        counts.append(work["folded"] + work["rows"])
-    steps = [b - a for a, b in zip(counts, counts[1:])]
-    assert counts[0] > 0 and all(0 < step <= 4 for step in steps), counts
+        assert counts[0] > 0 and steps == [cost] * 7, (level.__name__, counts)
+
+
+def compound_occurrences(f):
+    """How many operator nodes ``f`` has, a shared one at each occurrence."""
+    children = [c for c in f.__dict__.values() if isinstance(c, Formula)]
+    return (1 if children else 0) + sum(compound_occurrences(c) for c in children)
+
+
+def test_eval_h_folds_each_object_once_to_its_mask_or_its_rows():
+    # One walk: each distinct object is folded once, a local one to its mask
+    # and any other to its rows 0 .. s+p, so the rows number s+p+1 per
+    # distinct object that is not local, whatever row the entry pair asks
+    # for, however far its column lies, and however often an object is
+    # shared.  Every top here is not local.
+    rng = random.Random(3201)
+    shared = 0
+    for _ in range(400):
+        f = history_formula_with_abbreviations(rng, rng.randint(2, 12), [])
+        while is_local(f):
+            f = history_formula_with_abbreviations(rng, rng.randint(2, 12), [])
+        m = bounded_lasso(rng, ["p", "q"], 5, 5)
+        seq = list(random_obs_sequence(rng, max_len=3, max_value=14))
+        if rng.random() < 0.25:
+            seq[-1] += semantics._WIDE + rng.randint(1, 40)
+        objects = objects_of(f)
+        work = count_work(m, tuple(seq), f)
+        not_local = sum(not is_local(x) for x in objects)
+        assert work["folded"] == len(objects), (format_formula(f), work)
+        assert work["rows"] == (m.stem_len + m.period + 1) * not_local, (format_formula(f), m, seq, work)
+        compound = [x for x in objects if type(x) not in (Atom, Bottom)]
+        shared += compound_occurrences(f) > len(compound)
+    assert shared >= 100, shared
+
 
 
 def test_eval_h_agrees_with_the_oracle_past_the_fuzzers_depth():
@@ -708,6 +743,19 @@ def test_model_file_errors():
         with pytest.raises(ModelFormatError, match="^at 1: "):
             parse_model(f"stem 1\nloop 1\nat 0: p\nat 1: {cell}\nend")
     assert parse_model("stem 0\nloop 1\nat 0: p_1 Q x2 é\nend").loop == (frozenset({"p_1", "Q", "x2", "é"}),)
+
+
+def test_model_file_header_fields_are_whitespace_separated():
+    # As in an 'at' row, any run of whitespace separates a header's fields.
+    for stem, loop in [("stem\t1", "loop 1"), ("stem 1", "loop\t 1"), ("stem \u00a01", "loop\u20031")]:
+        assert parse_model(f"{stem}\n{loop}\nat\t0:\tp\nat 1: q\nend") == STEM_P_LOOP_Q, (stem, loop)
+    # A keyword that only begins the field is still no header, and a
+    # keyword alone has no number.
+    for header in ["stems 1\nloop 1", "stem 1\nloop1"]:
+        with pytest.raises(ModelFormatError, match="^model file must start with 'stem <s>' and 'loop <p>' lines$"):
+            parse_model(f"{header}\nat 0: p\nat 1: q\nend")
+    with pytest.raises(ModelFormatError, match="^bad stem/loop header 'stem'"):
+        parse_model("stem\nloop 1\nat 0: p\nend")
 
 
 def test_model_file_refuses_an_empty_loop():
