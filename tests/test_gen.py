@@ -12,8 +12,9 @@ from nabla.formulas import (
     desugar,
     is_local,
 )
+from nabla import gen, kernel
 from nabla.gen import DerivationSampler, random_hist_tier_formula, random_history_formula, random_local_formula, random_until_formula
-from nabla.kernel import check
+from nabla.kernel import Apply, all_nodes, check
 from tests.test_formulas import free_of
 
 CORE = {Atom, Bottom, Implies, Always, Next}
@@ -65,3 +66,15 @@ def test_sampled_derivations_are_accepted():
         d = DerivationSampler(random.Random(rng.randrange(2**32))).sample(steps=rng.randint(1, 9))
         report = check(d)
         assert report.accepted, report.message
+
+
+def test_sampler_has_a_move_per_rule_and_draws_each():
+    assert set(gen._STEPS) == set(kernel._VALIDATORS)
+    rng = random.Random(2033)
+    used = set()
+    for _ in range(300):
+        d = DerivationSampler(random.Random(rng.randrange(2**32))).sample(steps=rng.randint(1, 9))
+        report = check(d)
+        assert report.accepted, report.message
+        used |= {n.rule for n in all_nodes(d) if isinstance(n, Apply)}
+    assert used == set(kernel._VALIDATORS)

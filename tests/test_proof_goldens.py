@@ -14,10 +14,13 @@ each validator tests its conditions, and ``taut_batch.json`` the outcome of
 and SHA-256 of the serialized proof, or the ``NotATautology`` message.
 ``derived_uses.json`` holds seeded applications of every derived rule and
 their wrong-shape variants: the serialized expansion and its verdict, or
-the id of the node that ``expand`` refuses, without the message.  A
-refactor of the proof layer keeps all seven unchanged.
+the id of the node that ``expand`` refuses, without the message.
+``sampled_derivations.json`` holds seeded ``DerivationSampler`` draws of
+one to nine steps, each serialized with the next 64 bits of its generator,
+so that it pins every draw the sampler makes.  A refactor of the proof
+layer keeps all eight unchanged.
 
-``python -m tests.test_proof_goldens`` rewrites the seven files from the
+``python -m tests.test_proof_goldens`` rewrites the eight files from the
 code as it stands.
 """
 
@@ -536,6 +539,23 @@ def derived_uses_outputs() -> list:
     return out
 
 
+# --- sampled derivations -----------------------------------------------------
+
+SAMPLED = 60
+
+
+def sampled_outputs() -> list:
+    """``DerivationSampler`` on seeded generators, at 1-9 steps in turn."""
+    rng = random.Random(3131)
+    out = []
+    for k in range(SAMPLED):
+        steps = 1 + k % 9
+        g = random.Random(rng.randrange(2**32))
+        d = DerivationSampler(g).sample(steps=steps)
+        out.append({"steps": steps, "script": serialize(d), "next_bits": g.getrandbits(64)})
+    return out
+
+
 def dump(value) -> str:
     if isinstance(value, list):
         return "[\n" + ",\n".join(json.dumps(x, sort_keys=True) for x in value) + "\n]\n"
@@ -550,6 +570,7 @@ PROOF_GOLDENS = {
     "fault_order": fault_outputs,
     "taut_batch": taut_batch_outputs,
     "derived_uses": derived_uses_outputs,
+    "sampled_derivations": sampled_outputs,
 }
 
 
