@@ -3,10 +3,11 @@ derivations; lasso models come from ``semantics.random_lasso``.
 
 Formula generators draw from one grammar table, picking productions with
 equal weight under a complexity budget.  The derivation generator builds
-kernel-accepted derivations by forward chaining: every rule application
-satisfies the side conditions by construction (eigenlabels come from a
-global fresh supply).  It does not check its result; the soundness lemma
-asserts that the kernel accepts each derivation it draws.
+kernel-accepted derivations by forward chaining, with one walk of the
+derivation per step: every rule application satisfies the side conditions
+by construction (eigenlabels come from a global fresh supply).  It does
+not check its result; the soundness lemma asserts that the kernel accepts
+each derivation it draws.
 
 Every integer draw, here and in the other seeded samplers, goes through
 ``semantics._below``, which makes ``random.Random.randrange``'s own
@@ -33,6 +34,7 @@ from .formulas import (
 from .kernel import (
     Apply,
     Assume,
+    GenericFormula,
     Le,
     Lwff,
     Node,
@@ -124,12 +126,20 @@ _STEPS = (
 
 
 class DerivationSampler:
-    """Forward-chaining generator of small kernel-accepted derivations."""
+    """Forward-chaining generator of small kernel-accepted derivations.
+
+    ``sample`` reads the derivation ``d`` so far once per step, before it
+    draws the move: ``_opens`` holds d's open classes in id order, each with
+    its ``normalize_generic`` form, and ``_known`` the labels of d's
+    conclusion and of those classes, in name order.  Moves share two shapes:
+    ``_mp``, modus ponens, and ``_keep``, a rule that keeps d's judgment."""
 
     def __init__(self, rng: random.Random):
         self.rng = rng
         self._ids = 0
         self._labels = 0
+        self._opens: list[tuple[Assume, GenericFormula]] = []
+        self._known: list[str] = []
 
     def _id(self) -> int:
         self._ids += 1
@@ -139,14 +149,8 @@ class DerivationSampler:
         self._labels += 1
         return f"u{self._labels}"
 
-    def _known_labels(self, node: Node) -> list[str]:
-        labs = set(labels_of_generic(node.conclusion))
-        for a in open_assumption_classes(node):
-            labs |= labels_of_generic(a.formula)
-        return sorted(labs)
-
-    def _some_label(self, node: Node) -> str:
-        labs = self._known_labels(node)
+    def _some_label(self) -> str:
+        labs = self._known
         if labs and self.rng.random() < 0.7:
             return labs[_below(self.rng, len(labs))]
         return self._fresh_label()
@@ -154,10 +158,12 @@ class DerivationSampler:
     def _assume(self, formula) -> Assume:
         return Assume(self._id(), formula)
 
-    def _matching_opens(self, node: Node, target) -> tuple[Assume, ...]:
+    def _matching_opens(self, target) -> tuple[Assume, ...]:
         want = normalize_generic(target)
-        hits = [a for a in open_assumption_classes(node) if normalize_generic(a.formula) == want]
-        return tuple(sorted(hits, key=lambda a: a.id))
+        return tuple(a for a, norm in self._opens if norm == want)
+
+    def _fresh_ok(self, label: str, disch: tuple[Assume, ...]) -> bool:
+        return all(label not in labels_of_generic(a.formula) for a, _ in self._opens if a not in disch)
 
     def _seed(self) -> Node:
         seq = tuple(self._fresh_label() for _ in range(1 + _below(self.rng, 2)))
@@ -166,34 +172,33 @@ class DerivationSampler:
     def _small_formula(self) -> Formula:
         return _draw(self.rng, "history", _below(self.rng, 3), SYMBOLS[:2])
 
-    def _falsum(self, d: Node, w: Lwff) -> Apply:
-        leaf = self._assume(Lwff(w.seq, Implies(w.formula, Bottom())))
-        return Apply(self._id(), "impE", Lwff(w.seq, Bottom()), (leaf, d))
+    def _mp(self, d: Node, target: Formula) -> Apply:
+        """``impE`` from a new assumption ``(formula of d) -> target``."""
+        w = d.conclusion
+        leaf = self._assume(Lwff(w.seq, Implies(w.formula, target)))
+        return Apply(self._id(), "impE", Lwff(w.seq, target), (leaf, d))
+
+    def _keep(self, rule: str, d: Node, rels, target) -> Apply:
+        """``rule`` over new assumptions of ``rels``, then ``d``, keeping d's judgment and discharging ``target``."""
+        leaves = tuple(self._assume(r) for r in rels)
+        return Apply(self._id(), rule, d.conclusion, leaves + (d,), self._matching_opens(target))
 
     # Each step returns a new node or None when the chosen move does not fit.
 
     def _step_impI(self, d: Node) -> Node | None:
         w = d.conclusion
-        opens = open_assumption_classes(d)
-        same_seq = [a for a in opens if isinstance(a.formula, Lwff) and a.formula.seq == w.seq]
+        same_seq = [a for a, _ in self._opens if isinstance(a.formula, Lwff) and a.formula.seq == w.seq]
         if same_seq and self.rng.random() < 0.7:
-            same_seq.sort(key=lambda a: a.id)
-            target = same_seq[_below(self.rng, len(same_seq))]
-            ante = target.formula.formula
-            disch = self._matching_opens(d, target.formula)
+            target = same_seq[_below(self.rng, len(same_seq))].formula
         else:
-            ante = self._small_formula()
-            disch = self._matching_opens(d, Lwff(w.seq, ante))
-        return Apply(self._id(), "impI", Lwff(w.seq, Implies(ante, w.formula)), (d,), disch)
+            target = Lwff(w.seq, self._small_formula())
+        return Apply(self._id(), "impI", Lwff(w.seq, Implies(target.formula, w.formula)), (d,), self._matching_opens(target))
 
     def _step_impE(self, d: Node) -> Node | None:
-        w = d.conclusion
-        target = self._small_formula()
-        leaf = self._assume(Lwff(w.seq, Implies(w.formula, target)))
-        return Apply(self._id(), "impE", Lwff(w.seq, target), (leaf, d))
+        return self._mp(d, self._small_formula())
 
     def _step_botE(self, d: Node) -> Node | None:
-        falsum = self._falsum(d, d.conclusion)
+        falsum = self._mp(d, Bottom())
         seq = tuple(self._fresh_label() for _ in range(1 + _below(self.rng, 2)))
         return Apply(self._id(), "botE", Lwff(seq, self._small_formula()), (falsum,))
 
@@ -203,7 +208,7 @@ class DerivationSampler:
         w = d.conclusion
         if not isinstance(w.formula, op):
             return None
-        b2 = self._some_label(d)
+        b2 = self._some_label()
         leaf = self._assume(rel(w.seq[-1], b2))
         return Apply(self._id(), rule, Lwff(w.seq + (b2,), w.formula.operand), (d, leaf))
 
@@ -215,22 +220,18 @@ class DerivationSampler:
         if not isinstance(w.formula, Hist) or len(w.seq) < 2:
             return None
         b1, b3 = w.seq[-2], w.seq[-1]
-        b2 = self._some_label(d)
+        b2 = self._some_label()
         l1 = self._assume(Le(b1, b2))
         l2 = self._assume(Le(b2, b3))
         return Apply(self._id(), "histE", Lwff(w.seq[:-1] + (b2,), w.formula.operand), (d, l1, l2))
-
-    def _fresh_ok(self, d: Node, label: str, disch: tuple[Assume, ...]) -> bool:
-        rem = open_assumption_classes(d) - set(disch)
-        return all(label not in labels_of_generic(a.formula) for a in rem)
 
     def _univ_intro(self, rule: str, op, rel, d: Node) -> Node | None:
         w = d.conclusion
         if len(w.seq) < 2:
             return None
         b1, b2 = w.seq[-2], w.seq[-1]
-        disch = self._matching_opens(d, rel(b1, b2))
-        if b2 == b1 or not self._fresh_ok(d, b2, disch):
+        disch = self._matching_opens(rel(b1, b2))
+        if b2 == b1 or not self._fresh_ok(b2, disch):
             return None
         return Apply(self._id(), rule, Lwff(w.seq[:-1], op(w.formula)), (d,), disch)
 
@@ -242,9 +243,9 @@ class DerivationSampler:
         if len(w.seq) < 2:
             return None
         b1, b2 = w.seq[-2], w.seq[-1]
-        b3 = self._some_label(d)
-        disch = self._matching_opens(d, Le(b1, b2)) + self._matching_opens(d, Le(b2, b3))
-        if b2 in (b1, b3) or not self._fresh_ok(d, b2, disch):
+        b3 = self._some_label()
+        disch = self._matching_opens(Le(b1, b2)) + self._matching_opens(Le(b2, b3))
+        if b2 in (b1, b3) or not self._fresh_ok(b2, disch):
             return None
         return Apply(self._id(), "histI", Lwff(w.seq[:-1] + (b3,), Hist(w.formula)), (d,), disch)
 
@@ -252,52 +253,41 @@ class DerivationSampler:
         w = d.conclusion
         if not is_local(w.formula):
             return None
-        prefix = tuple(self._some_label(d) for _ in range(_below(self.rng, 3)))
+        prefix = tuple(self._some_label() for _ in range(_below(self.rng, 3)))
         return Apply(self._id(), "last", Lwff(prefix + (w.seq[-1],), w.formula), (d,))
 
     def _step_reflLe(self, d: Node) -> Node | None:
-        w = d.conclusion
-        x = self._some_label(d)
-        disch = self._matching_opens(d, Le(x, x))
-        return Apply(self._id(), "reflLe", Lwff(w.seq, w.formula), (d,), disch)
+        x = self._some_label()
+        return self._keep("reflLe", d, (), Le(x, x))
 
     def _step_transLe(self, d: Node) -> Node | None:
-        w = d.conclusion
-        x, y, z = (self._some_label(d) for _ in range(3))
-        l1 = self._assume(Le(x, y))
-        l2 = self._assume(Le(y, z))
-        disch = self._matching_opens(d, Le(x, z))
-        return Apply(self._id(), "transLe", Lwff(w.seq, w.formula), (l1, l2, d), disch)
+        x, y, z = (self._some_label() for _ in range(3))
+        return self._keep("transLe", d, (Le(x, y), Le(y, z)), Le(x, z))
 
     def _step_baseLe(self, d: Node) -> Node | None:
-        w = d.conclusion
-        x, y = self._some_label(d), self._some_label(d)
-        l1 = self._assume(Succ(x, y))
-        disch = self._matching_opens(d, Le(x, y))
-        return Apply(self._id(), "baseLe", Lwff(w.seq, w.formula), (l1, d), disch)
+        x, y = self._some_label(), self._some_label()
+        return self._keep("baseLe", d, (Succ(x, y),), Le(x, y))
 
     def _step_eqLe(self, d: Node) -> Node | None:
         w = d.conclusion
         b1 = w.seq[-1]
-        b2 = self._some_label(d)
+        b2 = self._some_label()
         l1 = self._assume(Le(b1, b2))
         l2 = self._assume(Le(b2, b1))
         return Apply(self._id(), "eqLe", Lwff(w.seq[:-1] + (b2,), w.formula), (l1, l2, d))
 
     def _step_serS(self, d: Node) -> Node | None:
-        w = d.conclusion
-        x = self._some_label(d)
+        x = self._some_label()
         y = self._fresh_label()
-        leaf = self._assume(Succ(x, y))
-        used = Apply(self._id(), "baseLe", Lwff(w.seq, w.formula), (leaf, d), self._matching_opens(d, Le(x, y)))
-        return Apply(self._id(), "serS", Lwff(w.seq, w.formula), (used,), (leaf,))
+        used = self._keep("baseLe", d, (Succ(x, y),), Le(x, y))
+        return Apply(self._id(), "serS", d.conclusion, (used,), used.premises[:1])
 
     def _step_linS(self, d: Node) -> Node | None:
         w = d.conclusion
         if isinstance(w.formula, Always):
             # uniqueness moves the instantiation point of GE between the
             # two successors of a shared base label
-            base = self._some_label(d)
+            base = self._some_label()
             y, z = self._fresh_label(), self._fresh_label()
             r1 = self._assume(Succ(base, y))
             r2 = self._assume(Succ(base, z))
@@ -305,39 +295,41 @@ class DerivationSampler:
             hyp = Apply(self._id(), "GE", Lwff(w.seq + (z,), w.formula.operand), (d, used))
             phi = self._assume(Le(w.seq[-1], y))
             return Apply(self._id(), "linS", hyp.conclusion, (r1, r2, phi, hyp), (used,))
-        x = self._some_label(d)
+        x = self._some_label()
         y, z = self._fresh_label(), self._fresh_label()
         r1 = self._assume(Succ(x, y))
         r2 = self._assume(Succ(x, z))
         phi = self._assume(Le(y, x))
         ghost = self._assume(Le(z, x))  # phi with z for y; vacuously discharged
-        return Apply(self._id(), "linS", Lwff(w.seq, w.formula), (r1, r2, phi, d), (ghost,))
+        return Apply(self._id(), "linS", w, (r1, r2, phi, d), (ghost,))
 
     def _step_splitLe(self, d: Node) -> Node | None:
-        w = d.conclusion
-        x, y = self._some_label(d), self._some_label(d)
+        x, y = self._some_label(), self._some_label()
         r1 = self._assume(Le(x, y))
         phi = self._assume(Le(x, x))
         eq_ghost = self._assume(Le(y, y))
         fresh = self._fresh_label()
         s_ghost = self._assume(Succ(x, fresh))
         l_ghost = self._assume(Le(fresh, y))
-        return Apply(self._id(), "splitLe", Lwff(w.seq, w.formula), (r1, phi, d, d), (eq_ghost, s_ghost, l_ghost))
+        return Apply(self._id(), "splitLe", d.conclusion, (r1, phi, d, d), (eq_ghost, s_ghost, l_ghost))
 
     def _step_ind(self, d: Node) -> Node | None:
         w = d.conclusion
         alpha, b0 = w.seq[:-1], w.seq[-1]
-        b = self._some_label(d)
+        b = self._some_label()
         bj = self._fresh_label()
         if b == b0 or b == bj:
             return None
         rel = self._assume(Le(b0, b))
-        hyp = Apply(self._id(), "botE", Lwff(alpha + (bj,), w.formula), (self._falsum(d, w),))
+        hyp = Apply(self._id(), "botE", Lwff(alpha + (bj,), w.formula), (self._mp(d, Bottom()),))
         return Apply(self._id(), "ind", Lwff(alpha + (b,), w.formula), (d, rel, hyp), ())
 
     def sample(self, steps: int = 6) -> Node:
         d = self._seed()
         for _ in range(steps):
+            opens = sorted(open_assumption_classes(d), key=lambda a: a.id)
+            self._opens = [(a, normalize_generic(a.formula)) for a in opens]
+            self._known = sorted(labels_of_generic(d.conclusion).union(*(labels_of_generic(a.formula) for a in opens)))
             out = getattr(self, "_step_" + _STEPS[_below(self.rng, len(_STEPS))])(d)
             if out is not None:
                 d = out

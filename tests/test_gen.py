@@ -78,3 +78,19 @@ def test_sampler_has_a_move_per_rule_and_draws_each():
         assert report.accepted, report.message
         used |= {n.rule for n in all_nodes(d) if isinstance(n, Apply)}
     assert used == set(kernel._VALIDATORS)
+
+
+def test_sampler_walks_its_derivation_once_per_step(monkeypatch):
+    calls = []
+
+    def counted(root):
+        calls.append(root)
+        return kernel.open_assumption_classes(root)
+
+    monkeypatch.setattr(gen, "open_assumption_classes", counted)
+    rng = random.Random(33)
+    for _ in range(200):
+        steps = rng.randint(0, 9)
+        calls.clear()
+        DerivationSampler(random.Random(rng.randrange(2**32))).sample(steps=steps)
+        assert len(calls) == steps
