@@ -29,7 +29,7 @@ from . import corpus as corpus_mod
 from .derived import NotATautology, NotPropositional, SchemaMismatch, derive_tautology, expand
 from .formulas import MAX_NESTING, ParseError, format_formula, format_length, format_nesting, parse_h, parse_ltl
 from .fuzz import LEMMAS, report_to_json, run_lemma
-from .kernel import all_nodes, check
+from .kernel import Lwff, all_nodes, check
 from .scripts import _LABEL_RE, ScriptError, parse_script, serialize
 from .semantics import ModelFormatError, eval_h, eval_ltl, parse_model
 from .translate import translate
@@ -64,6 +64,16 @@ def _read(path: str) -> str:
         raise Refused(str(e)) from None
 
 
+def _printable(root) -> None:
+    """Refuse a proof whose script would print a formula that ``check``
+    cannot read.  A proof's formulas nest deeper than the ones typed: a
+    derived rule's expansion and a tautology proof assume ``(g -> bot)``,
+    one level above ``g``."""
+    depth = format_nesting(*(n.conclusion.formula for n in all_nodes(root) if isinstance(n.conclusion, Lwff)))
+    if depth > MAX_NESTING:
+        raise Refused(f"the proof would print a formula nested {depth} levels deep, more than the limit of {MAX_NESTING}")
+
+
 def cmd_check(args) -> int:
     root = parse_script(_read(args.file))
     try:
@@ -72,6 +82,7 @@ def cmd_check(args) -> int:
         report = e.report()
     else:
         if args.emit_primitive:
+            _printable(root)
             print(serialize(root), end="")
             return EXIT_OK
         report = check(root)
@@ -120,11 +131,7 @@ def cmd_taut(args) -> int:
     if not _LABEL_RE.fullmatch(args.label):
         raise Refused(f"--label {args.label!r} is not a script label: a letter, then letters, digits or _")
     d = derive_tautology(parse_ltl(args.formula), args.label)
-    # The proof's formulas nest deeper than the formula typed: (g -> bot) is
-    # one level above its desugared form.  Print none that check cannot read.
-    depth = format_nesting(*(n.conclusion.formula for n in all_nodes(d)))
-    if depth > MAX_NESTING:
-        raise Refused(f"the proof would print a formula nested {depth} levels deep, more than the limit of {MAX_NESTING}")
+    _printable(d)
     report = check(d)
     if not report.accepted or report.open_assumptions:
         why = report.message if not report.accepted else "it has open assumptions"

@@ -159,6 +159,31 @@ def test_taut_refuses_a_proof_check_cannot_read(capsys, tmp_path):
     assert code == 0 and out.startswith("Accepted, closed\n")
 
 
+def test_emit_primitive_refuses_a_script_check_cannot_read(capsys, tmp_path):
+    # andI's expansion assumes (((A -> bot) -> bot) -> (q -> bot)), three
+    # levels above A: 33 levels for A of 30 nested X, 32 for 29.
+    def script(k):
+        a = "p"
+        for _ in range(k):
+            a = f"(X {a})"
+        path = tmp_path / f"x{k}.ndp"
+        path.write_text(f"assume 1 lwff b : {a}\nassume 2 lwff b : q\nnode 3 andI concl b : ({a} & q) prem 1,2\nroot 3\n", encoding="utf-8")
+        return str(path)
+
+    assert main(["check", script(30)]) == 0
+    capsys.readouterr()
+    assert main(["check", script(30), "--emit-primitive"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: the proof would print a formula nested 33 levels deep, more than the limit of {MAX_NESTING}\n"
+    code, out = run(capsys, "check", script(29), "--emit-primitive")
+    assert code == 0
+    emitted = tmp_path / "emitted.ndp"
+    emitted.write_text(out, encoding="utf-8")
+    code, out = run(capsys, "check", str(emitted))
+    assert code == 0 and out.startswith("Accepted, open assumptions: ")
+
+
 def test_eval_positions_and_sequences(capsys, model_file):
     code, out = run(capsys, "eval", "--model", str(model_file), "--pos", "0", "(p U q)")
     assert code == 0 and out.strip() == "true"
