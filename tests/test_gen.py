@@ -1,5 +1,6 @@
 import random
 
+from nabla import gen, kernel
 from nabla.formulas import (
     Always,
     Atom,
@@ -12,7 +13,6 @@ from nabla.formulas import (
     desugar,
     is_local,
 )
-from nabla import gen, kernel
 from nabla.gen import DerivationSampler, random_hist_tier_formula, random_history_formula, random_local_formula, random_until_formula
 from nabla.kernel import Apply, all_nodes, check
 from tests.test_formulas import free_of
