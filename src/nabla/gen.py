@@ -130,8 +130,9 @@ class DerivationSampler:
 
     ``sample`` reads the derivation ``d`` so far once per step, before it
     draws the move: ``_opens`` holds d's open classes in id order, each with
-    its ``normalize_generic`` form, and ``_known`` the labels of d's
-    conclusion and of those classes, in name order.  Moves share two shapes:
+    its ``normalize_generic`` form, computed once, at the first step the
+    class is open, and ``_known`` the labels of d's conclusion and of those
+    classes, in name order.  Moves share two shapes:
     ``_mp``, modus ponens, and ``_keep``, a rule that keeps d's judgment."""
 
     def __init__(self, rng: random.Random):
@@ -318,7 +319,7 @@ class DerivationSampler:
         alpha, b0 = w.seq[:-1], w.seq[-1]
         b = self._some_label()
         bj = self._fresh_label()
-        if b == b0 or b == bj:
+        if b == b0:
             return None
         rel = self._assume(Le(b0, b))
         hyp = Apply(self._id(), "botE", Lwff(alpha + (bj,), w.formula), (self._mp(d, Bottom()),))
@@ -326,9 +327,13 @@ class DerivationSampler:
 
     def sample(self, steps: int = 6) -> Node:
         d = self._seed()
+        norms: dict[Assume, GenericFormula] = {}
         for _ in range(steps):
             opens = sorted(open_assumption_classes(d), key=lambda a: a.id)
-            self._opens = [(a, normalize_generic(a.formula)) for a in opens]
+            for a in opens:
+                if a not in norms:
+                    norms[a] = normalize_generic(a.formula)
+            self._opens = [(a, norms[a]) for a in opens]
             self._known = sorted(labels_of_generic(d.conclusion).union(*(labels_of_generic(a.formula) for a in opens)))
             out = getattr(self, "_step_" + _STEPS[_below(self.rng, len(_STEPS))])(d)
             if out is not None:

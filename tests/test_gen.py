@@ -94,3 +94,26 @@ def test_sampler_walks_its_derivation_once_per_step(monkeypatch):
         calls.clear()
         DerivationSampler(random.Random(rng.randrange(2**32))).sample(steps=steps)
         assert len(calls) == steps
+
+
+def test_sampler_normalises_each_open_class_once(monkeypatch):
+    # A class keeps the normal form it got at the first step it was open:
+    # each step's _opens, read at the next step's walk, hands back the
+    # very object.
+    norms, kept = {}, []
+    sampler = None
+
+    def counted(root):
+        for a, norm in sampler._opens:
+            if a in norms:
+                assert norms[a] is norm
+                kept.append(isinstance(a.formula, kernel.Lwff))
+            norms[a] = norm
+        return kernel.open_assumption_classes(root)
+
+    monkeypatch.setattr(gen, "open_assumption_classes", counted)
+    rng = random.Random(34)
+    for _ in range(200):
+        sampler = DerivationSampler(random.Random(rng.randrange(2**32)))
+        sampler.sample(steps=rng.randint(1, 9))
+    assert sum(kept) > 100
