@@ -83,8 +83,9 @@ Each object is folded once, to its mask or to its ``s + p + 1`` rows, so
 the cost is linear in the distinct objects times the canonical positions,
 however deeply ``G`` nests; a formula that is not local at the top
 computes every row, though the entry pair reads one.
-``eval_h_oracle`` keeps the literal whole-sequence memo, keyed by the
-object and the whole sequence (``_oracle``).
+``eval_h_oracle`` keeps the literal whole-sequence memo, keyed by an
+operator node and the whole sequence; an atom or ``bot`` is answered
+before any key is built (``_oracle``).
 
 Each walk (``_fold_h``, ``_oracle``) is a module-level
 recursive function with its state in arguments: a recursive closure would
@@ -102,14 +103,21 @@ which keeps the literal core clauses, so that the reference does not share
 the in-place reading of the abbreviations.  The bodies check nothing else:
 they require a nonempty tuple of naturals, and the oracle a formula that
 is a ``_HISTORY_CORE`` image and at least its minimum horizon.
-``fuzz``'s lemma runners and ``falsify_consequence``, which check their
-formulas once, call the bodies directly.  The falsifier compiles its
-premises once per call and decides the relational ones on the drawn label
-positions before it builds a model, so a sample where they fail costs the
-draws alone.  A lasso's coins, one per symbol per cell, are one
+``fuzz``'s lemma runners, which check their formulas once, call the
+bodies directly.
+
+``_eval_h`` normalises its entry pair (``_entry``) and reads the fold there
+(``_read_h``).  ``falsify_consequence`` checks its formulas once per call
+and reads each judgment through the same two functions, at the indices of
+its last two labels.  A sample draws its lasso as words first
+(``_lasso_words``): the stem, the period and every coin, one
 ``getrandbits`` call that reads the generator's words as one
-``random() < 0.5`` per coin would (``_draw_lasso``), and equal cells are
-one shared frozenset.
+``random() < 0.5`` per coin would.  The relational premises are decided on
+the drawn label positions, and only where they hold are the cells decoded
+(``_lasso_cells``, shared with ``random_lasso``; equal cells are one shared
+frozenset) and the labelled premises and the goal folded, with one memo
+and one lift width for the sample.  So a sample where they fail costs the
+draws alone, and no object folds twice in a sample.
 """
 
 from __future__ import annotations
@@ -355,10 +363,20 @@ _WIDE = 256
 def _eval_h(m: LassoModel, sigma: tuple[int, ...], g: Formula) -> bool:
     stem, loop = m.stem, m.loop
     s, p = len(stem), len(loop)
+    i, n = _entry(sigma[-2] if len(sigma) > 1 else sigma[0], sigma[-1], s, p, g)
+    # Columns up to n, and at least to the end of the last G window, s + 3p - 1.
+    loops = _loops(p, max(3, (n - s) // p + 1))
+    try:
+        return _read_h(g, {}, stem + loop, s, p, loops, i, n)
+    except TypeError:
+        raise _outside(g, True) from None
+
+
+def _entry(i: int, n: int, s: int, p: int, g: Formula) -> tuple[int, int]:
+    """The entry pair ``(i, n)`` of ``g``, normalised as the module docstring
+    says: an empty ``H`` range, whole periods, and a far column past the
+    ``H`` clamp.  The row is at most ``s + p``, and no position grows."""
     size = s + p
-    # The entry pair, normalised as the module docstring says: an empty H
-    # range, whole periods, and a far column past the H clamp.
-    i, n = (sigma[-2] if len(sigma) > 1 else sigma[0]), sigma[-1]
     if i > n:
         i = n + 1
     if i >= size and n >= size:
@@ -369,12 +387,17 @@ def _eval_h(m: LassoModel, sigma: tuple[int, ...], g: Formula) -> bool:
         bound = max(i, size) + p * (temporal_depth(g) + 1)
         if n > bound:
             n -= (n - bound + p - 1) // p * p
-    # Columns up to n, and at least to the end of the last G window, s + 3p - 1.
-    loops = _loops(p, max(3, (n - s) // p + 1))
-    try:
-        v = _fold_h(g, {}, stem + loop, s, p, loops)
-    except TypeError:
-        raise _outside(g, True) from None
+    return i, n
+
+
+def _read_h(g: Formula, memo: dict[int, int | list[int]], vals, s: int, p: int, loops: int, i: int, n: int) -> bool:
+    """The truth of ``g`` at the normalised entry pair ``(i, n)``: its mask's
+    bit at the canonical position of ``n`` if it is local, else bit ``n``
+    of its row ``i``.  ``g`` is folded by ``_fold_h`` unless ``memo`` holds
+    it; ``loops`` must lift far enough for column ``n``."""
+    v = memo.get(id(g))
+    if v is None:
+        v = _fold_h(g, memo, vals, s, p, loops)
     if type(v) is int:
         return bool(v >> (n if n < s else s + (n - s) % p) & 1)
     return bool(v[i] >> n & 1)
@@ -535,19 +558,20 @@ def _eval_h_oracle(m: LassoModel, sigma: tuple[int, ...], g: Formula, horizon: i
 
 def _oracle(sig: tuple[int, ...], x: Formula, vals, s: int, p: int, slack: int, memo: dict) -> bool:
     # State in arguments, as in formulas._fold_from: a recursive closure
-    # would leave a reference cycle per call (the module docstring).
+    # would leave a reference cycle per call (the module docstring).  A leaf
+    # is answered before the memo key is built, as _fold_from does.
+    cls = type(x)
+    if cls is Atom:
+        n = sig[-1]
+        return x.name in vals[n if n < s + p else s + (n - s) % p]
+    if cls is Bottom:
+        return False
     key = (id(x), sig)
     cached = memo.get(key)
     if cached is not None:
         return cached
-    cls = type(x)
     if cls is Implies:
         v = (not _oracle(sig, x.left, vals, s, p, slack, memo)) or _oracle(sig, x.right, vals, s, p, slack, memo)
-    elif cls is Atom:
-        n = sig[-1]
-        v = x.name in vals[n if n < s + p else s + (n - s) % p]
-    elif cls is Bottom:
-        v = False
     elif cls is Next:
         v = _oracle(sig + (sig[-1] + 1,), x.operand, vals, s, p, slack, memo)
     elif cls is Always:
@@ -622,14 +646,15 @@ def _symbols_in(formulas) -> list[str]:
 def random_lasso(rng: random.Random, symbols) -> LassoModel:
     """A stem of 0 to 4 cells and a loop of 1 to 3; each valuation cell is
     an independent fair coin per symbol, drawn as ``rng.random() < 0.5``
-    would draw it (see ``_draw_lasso``).  Cells with the same symbols in
+    would draw it (see ``_lasso_words``).  Cells with the same symbols in
     them are one shared frozenset."""
-    return LassoModel(*_draw_lasso(rng, symbols))
+    syms = tuple(symbols) or ("p",)
+    return LassoModel(*_lasso_cells(syms, *_lasso_words(rng, len(syms))))
 
 
-def _draw_lasso(rng: random.Random, symbols) -> tuple[tuple[frozenset[str], ...], tuple[frozenset[str], ...]]:
-    """``random_lasso``'s draws: the stem and the loop, not yet built into a
-    model.
+def _lasso_words(rng: random.Random, k: int) -> tuple[int, int, int]:
+    """``random_lasso``'s draws over ``k`` symbols: the stem ``s``, the
+    period ``p`` and the coins, not yet decoded into cells.
 
     The stem and the period are ``_below`` draws; the ``n`` coins, one per
     symbol per cell, are one ``getrandbits(64 * n)``.  CPython's
@@ -637,17 +662,22 @@ def _draw_lasso(rng: random.Random, symbols) -> tuple[tuple[frozenset[str], ...]
     and returns ``((w1 >> 5) * 2**26 + (w2 >> 6)) / 2**53``, so
     ``random() < 0.5`` holds exactly when bit 31 of ``w1`` is clear.
     ``getrandbits(64 * n)`` reads the same ``2n`` words, the first one
-    least significant, so coin ``j`` is bit ``64j + 31``: byte ``8j + 3``
-    of the little-endian bytes, below 128.  The values and the generator's
-    state after the call are those of ``n`` calls to ``random()``.  A cell
-    is looked up by its coins in ``_cells(syms)``, so equal cells are one
-    frozenset."""
-    syms = tuple(symbols) or ("p",)
+    least significant, so coin ``j`` is bit ``64j + 31``.  The values and
+    the generator's state after the call are those of ``n`` calls to
+    ``random()``."""
     s = _below(rng, 5)
     p = 1 + _below(rng, 3)
+    return s, p, rng.getrandbits(64 * (s + p) * k)
+
+
+def _lasso_cells(syms: tuple[str, ...], s: int, p: int, words: int) -> tuple[tuple[frozenset[str], ...], tuple[frozenset[str], ...]]:
+    """The stem and the loop that ``_lasso_words`` drew over ``syms``.  Coin
+    ``j`` is byte ``8j + 3`` of the words' little-endian bytes, heads below
+    128.  A cell is looked up by its coins in ``_cells(syms)``, so equal
+    cells are one frozenset."""
     k = len(syms)
     n = (s + p) * k
-    coins = rng.getrandbits(64 * n).to_bytes(8 * n, "little")[3::8].translate(_HEADS)
+    coins = words.to_bytes(8 * n, "little")[3::8].translate(_HEADS)
     memo = _cells(syms)
     cells = []
     for c in range(0, n, k):
@@ -703,44 +733,75 @@ _MAX_LABEL_VALUE = 12
 def falsify_consequence(premises, goal: GenericFormula, samples: int, seed: int) -> Counterexample | None:
     """Search random (model, interpretation) pairs for one satisfying every
     premise but not the goal.  A falsifier, never a prover: finding nothing
-    does not establish the consequence.  Deterministic for a fixed seed.
+    does not establish the consequence.  Deterministic for a fixed seed;
+    ``ValueError`` for ``samples < 1``, which would test nothing.
 
-    Each sample draws a lasso as ``random_lasso`` does, then one position
-    per label in name order; the draws do not depend on what the premises
-    say, only on their symbols and labels.  The premises and the goal are
-    compiled once per call, their labels to indices into the drawn
-    positions and their formulas checked and desugared.  The relational
-    premises are decided first, on the positions alone; only where every
-    one holds is the model built, the labelled premises evaluated, and
-    then the goal.  The premises are taken in the order of their printed
-    form, so that the work, not only the result, is the same in every
-    process, whatever order the caller's set iterates in.
+    Each sample draws a lasso's words as ``random_lasso`` does, then one
+    position per label in name order; the draws do not depend on what the
+    premises say, only on their symbols and labels.  The premises and the
+    goal are compiled once per call (``_compile``): their formulas checked
+    and desugared, and their labels to the indices of the last two, the
+    only ones a truth clause reads.  The relational premises are decided
+    first, on the positions alone.  Only where every one holds are the
+    cells decoded, and the labelled premises and then the goal read at
+    their entry pairs (``_entry``, ``_read_h``), as ``_eval_h`` reads them,
+    through one memo per sample, so each formula object the sample reaches
+    folds once.
+
+    That memo holds one lift width for every object, wide enough for
+    column ``_MAX_LABEL_VALUE``, which no normalised entry column passes:
+    normalising never moves a position up, and the far-column fold is
+    ``_WIDE`` away.  The bits at columns up to ``n`` do not depend on a
+    wider lift: a lift is exact up to its width, ``->`` is bitwise, ``H``'s
+    bit at column ``c`` reads its operand's bits at columns ``c`` and below,
+    and ``X``, ``G`` and ``F`` over rows read columns below ``s + 3p``, which
+    three loop copies cover.  So each read is the one ``_eval_h`` makes.
+
+    The premises are taken in the order of their printed form, so that the
+    work, not only the result, is the same in every process, whatever order
+    the caller's set iterates in.  The model is built for the
+    counterexample alone.
     """
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
     premises = sorted(premises, key=format_generic)
     every = premises + [goal]
     labels = sorted({x for phi in every for x in labels_of_generic(phi)})
-    symbols = _symbols_in(every)
+    syms = tuple(_symbols_in(every)) or ("p",)
     index = {lab: k for k, lab in enumerate(labels)}
-    rels = [(_RELATIONS[type(r)], index[r.a], index[r.b]) for r in premises if not isinstance(r, Lwff)]
-    hists = [(tuple([index[x] for x in w.seq]), _fold_checked(w.formula, _HISTORY_CORE)) for w in premises if isinstance(w, Lwff)]
-    if isinstance(goal, Lwff):
-        goal_at = tuple([index[x] for x in goal.seq])
-        goal_core, goal_holds = _fold_checked(goal.formula, _HISTORY_CORE), None
-    else:
-        goal_at, goal_core, goal_holds = (index[goal.a], index[goal.b]), None, _RELATIONS[type(goal)]
+    rels = [_compile(r, index) for r in premises if not isinstance(r, Lwff)]
+    hists = [_compile(w, index) for w in premises if isinstance(w, Lwff)]
+    goal_g, goal_a, goal_b = _compile(goal, index)
     rng = random.Random(seed)
     for i in range(samples):
-        stem, loop = _draw_lasso(rng, symbols)
+        s, p, words = _lasso_words(rng, len(syms))
         at = [_below(rng, _MAX_LABEL_VALUE + 1) for _ in labels]
         for holds, a, b in rels:
             if not holds(at[a], at[b]):
                 break
         else:
-            model = LassoModel(stem, loop)
-            if all(_eval_h(model, tuple([at[k] for k in seq]), g) for seq, g in hists) and not (
-                _eval_h(model, tuple([at[k] for k in goal_at]), goal_core)
-                if goal_holds is None
-                else goal_holds(at[goal_at[0]], at[goal_at[1]])
-            ):
-                return Counterexample(model, dict(zip(labels, at)), i, format_generic(goal))
+            stem, loop = _lasso_cells(syms, s, p, words)
+            vals, memo = stem + loop, {}
+            loops = _loops(p, max(3, (_MAX_LABEL_VALUE - s) // p + 1))
+            for g, a, b in hists:
+                if not _read_h(g, memo, vals, s, p, loops, *_entry(at[a], at[b], s, p, g)):
+                    break
+            else:
+                if isinstance(goal, Lwff):
+                    refuted = not _read_h(goal_g, memo, vals, s, p, loops, *_entry(at[goal_a], at[goal_b], s, p, goal_g))
+                else:
+                    refuted = not goal_g(at[goal_a], at[goal_b])
+                if refuted:
+                    return Counterexample(LassoModel(stem, loop), dict(zip(labels, at)), i, format_generic(goal))
     return None
+
+
+def _compile(phi: GenericFormula, index: dict[str, int]) -> tuple:
+    """``falsify_consequence``'s form of ``phi``: ``(g, a, b)`` with ``a`` and
+    ``b`` the indices of its two labels, for an rwff ``g`` its relation and
+    for an lwff the checked core of its formula, ``a`` and ``b`` its last
+    two labels (its one label twice)."""
+    if not isinstance(phi, Lwff):
+        return _RELATIONS[type(phi)], index[phi.a], index[phi.b]
+    seq = phi.seq
+    return _fold_checked(phi.formula, _HISTORY_CORE), index[seq[-2] if len(seq) > 1 else seq[0]], index[seq[-1]]

@@ -145,8 +145,20 @@ def test_runners_meet_the_bodies_precondition(monkeypatch, lemma, inject):
 
         return checked
 
+    # The falsifier, and _eval_h under every runner, read a fold at a
+    # normalised entry pair: a row in 0 .. s+p, a natural column, and a lift
+    # that reaches that column and the last G window.
+    read = semantics._read_h
+
+    def checked_read(g, memo, vals, s, p, loops, i, n):
+        assert 0 <= i <= s + p and n >= 0 and free_of(g, Until)
+        assert (loops.bit_length() - 1) // p + 1 >= max(3, (n - s) // p + 1)
+        seen.append(g)
+        return read(g, memo, vals, s, p, loops, i, n)
+
     monkeypatch.setattr(fuzz, "_eval_h", guard(semantics._eval_h))
     monkeypatch.setattr(semantics, "_eval_h", guard(semantics._eval_h))
+    monkeypatch.setattr(semantics, "_read_h", checked_read)
     monkeypatch.setattr(fuzz, "_eval_h_oracle", guard(semantics._eval_h_oracle))
     run_lemma(lemma, samples=10 if lemma == "soundness" else 200, seed=11, inject_bug=inject)
     assert seen

@@ -626,15 +626,15 @@ def test_falsify_work_does_not_depend_on_the_premise_order(monkeypatch):
     # The premises are evaluated in one fixed order, so the evaluations
     # stop at the same false premise whichever order a caller's set
     # iterates in.  Here p is false in some samples and (p -> p) in none.
-    real, calls = semantics._eval_h, []
-    monkeypatch.setattr(semantics, "_eval_h", lambda *a: calls.append(None) or real(*a))
+    real, calls = semantics._read_h, []
+    monkeypatch.setattr(semantics, "_read_h", lambda *a: calls.append(None) or real(*a))
     a, b = Lwff(("b",), P), Lwff(("b",), Implies(P, P))
     counts = []
     for premises in ([a, b], [b, a]):
         calls.clear()
         assert falsify_consequence(premises, Lwff(("b",), Implies(Q, Q)), 50, seed=3) is None
         counts.append(len(calls))
-    assert counts[0] == counts[1]
+    assert counts[0] == counts[1] > 0
 
 
 def test_falsify_deterministic():
@@ -842,23 +842,24 @@ def test_falsify_rejects_a_premise_outside_the_history_language():
 
 
 def test_falsify_evaluates_the_goal_once_per_sample_where_the_premises_hold(monkeypatch):
-    # The goal is desugared once per call, like the premises, and evaluated
-    # exactly on the samples where every premise holds; the premises must
-    # agree with the public route on each sample.  Replaying the draws gives
-    # those samples.
+    # The goal is desugared once per call, like the premises, and read
+    # exactly on the samples where every premise holds, at the canonical
+    # position of its label; the premises must agree with the public route
+    # on each sample.  Replaying the draws gives those samples.
     premises = [Lwff(("b",), P), Le("b", "c"), Lwff(("b", "c"), Or(Hist(Q), P))]
     goal = Lwff(("b",), Or(Q, P))
     goal_text = format_formula(desugar(goal.formula))
-    real = semantics._eval_h
+    real = semantics._read_h
     calls, cores = [], []
 
-    def counting(m, sigma, g):
+    def counting(g, memo, vals, s, p, loops, i, n):
         if format_formula(g) == goal_text:
-            calls.append((m, sigma))
+            m = LassoModel(vals[:s], vals[s:])
+            calls.append((m, m.canon(n)))
             cores.append(g)
-        return real(m, sigma, g)
+        return real(g, memo, vals, s, p, loops, i, n)
 
-    monkeypatch.setattr(semantics, "_eval_h", counting)
+    monkeypatch.setattr(semantics, "_read_h", counting)
     assert falsify_consequence(premises, goal, 300, seed=5) is None
     rng = random.Random(5)
     useful = []
@@ -866,27 +867,72 @@ def test_falsify_evaluates_the_goal_once_per_sample_where_the_premises_hold(monk
         m = random_lasso(rng, ["p", "q"])
         interp = {lab: rng.randint(0, 12) for lab in ["b", "c"]}
         if all(eval_generic(m, interp, phi) for phi in premises):
-            useful.append((m, (interp["b"],)))
+            useful.append((m, m.canon(interp["b"])))
     assert 0 < len(useful) < 300
     assert calls == useful
     assert all(g is cores[0] for g in cores)
 
 
+def test_falsify_decodes_and_folds_only_what_a_sample_reads(monkeypatch):
+    # A sample whose relational premises fail decodes no cell; a sample
+    # that builds a model folds through one memo, each formula object at
+    # most once, though the premises and the goal share X and (X -> Y).
+    X, Y = Hist(P), Next(Q)
+    XY = Implies(X, Y)
+    premises = [Le("b", "c"), Le("c", "d"), Lwff(("b", "c"), X), Lwff(("c",), XY), Lwff(("b", "d"), Implies(XY, X))]
+    goal = Lwff(("b", "d"), Implies(X, XY))
+    rng = random.Random(8)
+    related = 0
+    for _ in range(400):
+        random_lasso(rng, ["p", "q"])
+        b, c, d = (rng.randint(0, 12) for _ in range(3))
+        related += b <= c <= d
+    decodes, folds = [], {}
+    cells, fold = semantics._lasso_cells, semantics._fold_h
+
+    def decode(*args):
+        decodes.append(None)
+        return cells(*args)
+
+    def counting(x, memo, *rest):
+        seen = folds.setdefault(id(memo), (memo, []))[1]
+        seen.append(id(x))
+        return fold(x, memo, *rest)
+
+    monkeypatch.setattr(semantics, "_lasso_cells", decode)
+    monkeypatch.setattr(semantics, "_fold_h", counting)
+    assert falsify_consequence(premises, goal, 400, seed=8) is None
+    assert 0 < related < 400
+    assert len(decodes) == len(folds) == related
+    assert all(len(ids) == len(set(ids)) for _, ids in folds.values())
+    # Where the goal is read, all seven objects fold: P, Q, X, Y, X -> Y,
+    # and the tops of the last premise and of the goal.
+    assert max(len(ids) for _, ids in folds.values()) == 7
+
+
+def test_falsify_refuses_fewer_than_one_sample():
+    for samples in (0, -3):
+        with pytest.raises(ValueError):
+            falsify_consequence([], Lwff(("b",), P), samples, seed=1)
+
+
 def test_draw_lasso_is_the_coin_per_symbol_draw():
     # One getrandbits for all the coins reads the words random() would:
-    # the same cells, and the generator left in the same state.
+    # the same cells, and the generator left in the same state.  The
+    # falsifier's words decode to random_lasso's cells.
     for k in range(7):
         syms = [f"a{j}" for j in range(k)]
         for seed in range(200):
-            drawn, literal = random.Random(seed), random.Random(seed)
+            drawn, literal, words = random.Random(seed), random.Random(seed), random.Random(seed)
             for _ in range(20):
                 m = bounded_lasso(literal, syms or ["p"], 4, 3)
-                assert semantics._draw_lasso(drawn, syms) == (m.stem, m.loop)
-            assert drawn.getstate() == literal.getstate()
+                assert random_lasso(drawn, syms) == m
+                assert semantics._lasso_cells(tuple(syms or ["p"]), *semantics._lasso_words(words, max(k, 1))) == (m.stem, m.loop)
+            assert drawn.getstate() == literal.getstate() == words.getstate()
 
 
 def test_draw_lasso_keeps_only_the_cells_it_drew():
     syms = tuple(f"a{j}" for j in range(40))
-    stem, loop = semantics._draw_lasso(random.Random(1), syms)
-    assert len(semantics._cells(syms)) <= len(stem) + len(loop)
-    assert all(cell <= set(syms) for cell in stem + loop)
+    m = random_lasso(random.Random(1), syms)
+    assert len(semantics._cells(syms)) <= len(m.stem) + len(m.loop)
+    assert all(cell <= set(syms) for cell in m.stem + m.loop)
