@@ -394,7 +394,8 @@ def _read_h(g: Formula, memo: dict[int, int | list[int]], vals, s: int, p: int, 
     """The truth of ``g`` at the normalised entry pair ``(i, n)``: its mask's
     bit at the canonical position of ``n`` if it is local, else bit ``n``
     of its row ``i``.  ``g`` is folded by ``_fold_h`` unless ``memo`` holds
-    it; ``loops`` must lift far enough for column ``n``."""
+    it; ``loops`` must lift far enough for column ``n`` and the last ``G``
+    window."""
     v = memo.get(id(g))
     if v is None:
         v = _fold_h(g, memo, vals, s, p, loops)

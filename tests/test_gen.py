@@ -103,7 +103,7 @@ def test_sampler_normalises_each_open_class_once(monkeypatch):
     norms, kept = {}, []
     sampler = None
 
-    def counted(root):
+    def watched(root):
         for a, norm in sampler._opens:
             if a in norms:
                 assert norms[a] is norm
@@ -111,7 +111,7 @@ def test_sampler_normalises_each_open_class_once(monkeypatch):
             norms[a] = norm
         return kernel.open_assumption_classes(root)
 
-    monkeypatch.setattr(gen, "open_assumption_classes", counted)
+    monkeypatch.setattr(gen, "open_assumption_classes", watched)
     rng = random.Random(34)
     for _ in range(200):
         sampler = DerivationSampler(random.Random(rng.randrange(2**32)))

@@ -910,6 +910,26 @@ def test_falsify_decodes_and_folds_only_what_a_sample_reads(monkeypatch):
     assert max(len(ids) for _, ids in folds.values()) == 7
 
 
+def test_falsify_reads_each_judgment_at_its_last_two_labels():
+    # With bot as the goal, the counterexample is the first sample where
+    # every premise holds; H reads the range between the last two labels
+    # of a three-label sequence, which the public route reads in full.
+    premises = [Lwff(("b", "c", "d"), Hist(P)), Lwff(("d", "b", "c"), Hist(Implies(Q, P)))]
+    goal = Lwff(("b",), Bottom())
+    found = 0
+    for seed in range(60):
+        cx = falsify_consequence(premises, goal, 8, seed)
+        rng, first = random.Random(seed), None
+        for i in range(8):
+            m = random_lasso(rng, ["p", "q"])
+            interp = {lab: rng.randint(0, 12) for lab in ["b", "c", "d"]}
+            if first is None and all(eval_generic(m, interp, phi) for phi in premises):
+                first = (m, interp, i)
+        assert (None if cx is None else (cx.model, cx.interpretation, cx.sample_index)) == first, seed
+        found += first is not None
+    assert 0 < found < 60
+
+
 def test_falsify_refuses_fewer_than_one_sample():
     for samples in (0, -3):
         with pytest.raises(ValueError):
