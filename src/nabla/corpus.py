@@ -14,11 +14,10 @@ canonical instances are rebuilt by ``derive_tautology`` on every run.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from importlib import resources
 
 from .derived import check_expanded, derive_tautology, expand
-from .formulas import Formula, format_formula, parse_h, parse_ltl
+from .formulas import Formula, _ValueRecord, _bind_setattr, format_formula, parse_h, parse_ltl
 from .kernel import (
     BAD_DISCHARGE,
     FRESHNESS_VIOLATION,
@@ -49,19 +48,25 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CorpusEntry:
-    name: str
-    source: Formula
-    script: str
-    simplified_core: Formula | None = None
+class CorpusEntry(_ValueRecord):
+    __match_args__ = ("name", "source", "script", "simplified_core")
+
+    def __init__(self, name: str, source: Formula, script: str, simplified_core: Formula | None = None) -> None:
+        set_ = _bind_setattr(self)
+        set_("name", name)
+        set_("source", source)
+        set_("script", script)
+        set_("simplified_core", simplified_core)
 
 
-@dataclass(frozen=True)
-class MutationFixture:
-    name: str
-    expected_reason: str
-    script: str
+class MutationFixture(_ValueRecord):
+    __match_args__ = ("name", "expected_reason", "script")
+
+    def __init__(self, name: str, expected_reason: str, script: str) -> None:
+        set_ = _bind_setattr(self)
+        set_("name", name)
+        set_("expected_reason", expected_reason)
+        set_("script", script)
 
 
 ENTRIES: tuple[CorpusEntry, ...] = (
@@ -125,12 +130,15 @@ def load_entry(name: str) -> Node:
     return expand(load_script(entry_by_name(name).script))
 
 
-@dataclass(frozen=True)
-class CorpusResult:
-    name: str
-    kind: str
-    ok: bool
-    detail: str
+class CorpusResult(_ValueRecord):
+    __match_args__ = ("name", "kind", "ok", "detail")
+
+    def __init__(self, name: str, kind: str, ok: bool, detail: str) -> None:
+        set_ = _bind_setattr(self)
+        set_("name", name)
+        set_("kind", kind)
+        set_("ok", ok)
+        set_("detail", detail)
 
     def to_dict(self) -> dict:
         return {"name": self.name, "kind": self.kind, "ok": self.ok, "detail": self.detail}

@@ -38,7 +38,6 @@ limit on the result.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 __all__ = [
     "Formula",
@@ -68,15 +67,65 @@ __all__ = [
 ]
 
 
-class Formula:
-    """Base class; all nodes are immutable and hashable.
+# The value classes of the package are records built on ``_Record``: each
+# lists its fields, in order, in ``__match_args__``, which gives positional
+# ``match`` and the ``repr``.  A record is immutable, so its ``__init__``
+# sets the fields through ``object.__setattr__``.  A constructor of more than
+# one field binds the setter to the new instance once, as ``attrs`` does for
+# its frozen classes, rather than look it up again for every field: a parsed
+# script builds a judgment and a node per line, and a sample builds a model.
+_bind_setattr = object.__setattr__.__get__
+
+
+class _Record:
+    """An immutable record whose fields are its ``__match_args__``.
+
+    Equality is identity unless a subclass defines it; ``_ValueRecord``
+    compares and hashes the fields."""
+
+    __slots__ = ()
+    __match_args__ = ()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}({', '.join(f'{f}={getattr(self, f)!r}' for f in self.__match_args__)})"
+
+
+class _ValueRecord(_Record):
+    """A record equal to a record of its own class with equal fields, and
+    hashed as the tuple of its fields.  The records that are compared in
+    hot loops write both methods out instead."""
+
+    __slots__ = ()
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return _fields(self) == _fields(other)
+
+    def __hash__(self) -> int:
+        return hash(_fields(self))
+
+
+def _fields(r: _Record) -> tuple:
+    return tuple(getattr(r, f) for f in r.__match_args__)
+
+
+class Formula(_Record):
+    """Base class; all nodes are immutable and hashable records.
 
     ``==`` is structural and true at identity.  A node computes its hash
     once, from its children's stored hashes, into the ``_hash`` slot,
     outside the instance ``__dict__``.  Operator nodes below it that are
     not hashed yet are hashed first, bottom-up on an explicit stack, so
     hashing recurses at most one level (into an atom or bot) however deep
-    the formula is.
+    the formula is.  Both read the fields in the instance ``__dict__``,
+    where each constructor stores them in ``__match_args__`` order.
     """
 
     __slots__ = ("_hash",)
@@ -121,68 +170,76 @@ def _hash_below(f: Formula) -> None:
             object.__setattr__(x, "_hash", hash((type(x), *x.__dict__.values())))
 
 
-@dataclass(frozen=True, eq=False)
+def _init_operand(self, operand: Formula) -> None:
+    object.__setattr__(self, "operand", operand)
+
+
+def _init_sides(self, left: Formula, right: Formula) -> None:
+    set_ = _bind_setattr(self)
+    set_("left", left)
+    set_("right", right)
+
+
 class Atom(Formula):
-    name: str
+    __match_args__ = ("name",)
+
+    def __init__(self, name: str) -> None:
+        object.__setattr__(self, "name", name)
 
 
-@dataclass(frozen=True, eq=False)
 class Bottom(Formula):
-    pass
+    def __init__(self) -> None:
+        pass
 
 
-@dataclass(frozen=True, eq=False)
 class Implies(Formula):
-    left: Formula
-    right: Formula
+    __match_args__ = ("left", "right")
+    __init__ = _init_sides
 
 
-@dataclass(frozen=True, eq=False)
 class Always(Formula):
-    operand: Formula
+    __match_args__ = ("operand",)
+    __init__ = _init_operand
 
 
-@dataclass(frozen=True, eq=False)
 class Next(Formula):
-    operand: Formula
+    __match_args__ = ("operand",)
+    __init__ = _init_operand
 
 
-@dataclass(frozen=True, eq=False)
 class Until(Formula):
-    left: Formula
-    right: Formula
+    __match_args__ = ("left", "right")
+    __init__ = _init_sides
 
 
-@dataclass(frozen=True, eq=False)
 class Hist(Formula):
     """The history operator (written ``H`` in concrete syntax)."""
 
-    operand: Formula
+    __match_args__ = ("operand",)
+    __init__ = _init_operand
 
 
 # Abbreviations.  desugar() removes them; printers keep them for readability.
 
 
-@dataclass(frozen=True, eq=False)
 class Not(Formula):
-    operand: Formula
+    __match_args__ = ("operand",)
+    __init__ = _init_operand
 
 
-@dataclass(frozen=True, eq=False)
 class Or(Formula):
-    left: Formula
-    right: Formula
+    __match_args__ = ("left", "right")
+    __init__ = _init_sides
 
 
-@dataclass(frozen=True, eq=False)
 class And(Formula):
-    left: Formula
-    right: Formula
+    __match_args__ = ("left", "right")
+    __init__ = _init_sides
 
 
-@dataclass(frozen=True, eq=False)
 class Sometime(Formula):
-    operand: Formula
+    __match_args__ = ("operand",)
+    __init__ = _init_operand
 
 
 class ParseError(ValueError):

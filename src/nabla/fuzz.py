@@ -18,10 +18,9 @@ from __future__ import annotations
 import json
 import random
 from collections.abc import Callable
-from dataclasses import dataclass
 from typing import NamedTuple
 
-from .formulas import Formula, desugar, format_formula, is_local, temporal_depth
+from .formulas import Formula, _Record, _ValueRecord, desugar, format_formula, is_local, temporal_depth
 from .gen import (
     SYMBOLS,
     DerivationSampler,
@@ -45,15 +44,33 @@ __all__ = ["LEMMAS", "FuzzReport", "run_lemma", "report_to_json"]
 _ORACLE_DEPTH = 2
 
 
-@dataclass
 class FuzzReport:
-    lemma: str
-    samples: int
-    seed: int
-    max_size: int
-    checked: int = 0
-    ok: bool = True
-    counterexample: dict | None = None
+    """A lemma run's report: a record (see ``formulas._Record``) with its
+    ``repr`` and field equality, but mutable, since the run fills it in."""
+
+    __match_args__ = ("lemma", "samples", "seed", "max_size", "checked", "ok", "counterexample")
+
+    def __init__(
+        self,
+        lemma: str,
+        samples: int,
+        seed: int,
+        max_size: int,
+        checked: int = 0,
+        ok: bool = True,
+        counterexample: dict | None = None,
+    ) -> None:
+        self.lemma = lemma
+        self.samples = samples
+        self.seed = seed
+        self.max_size = max_size
+        self.checked = checked
+        self.ok = ok
+        self.counterexample = counterexample
+
+    __repr__ = _Record.__repr__
+    __eq__ = _ValueRecord.__eq__
+    __hash__ = None
 
     def to_dict(self) -> dict:
         return {

@@ -41,7 +41,6 @@ meet identical children and stop there.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass
 
 from .formulas import (
     Always,
@@ -52,6 +51,9 @@ from .formulas import (
     Next,
     _HISTORY_CORE,
     _LOCAL,
+    _Record,
+    _ValueRecord,
+    _bind_setattr,
     _fold_from,
     desugar,
     format_formula,
@@ -89,18 +91,15 @@ __all__ = [
 ]
 
 
-# The judgments and nodes are frozen dataclasses with a hand-written
-# ``__init__`` that binds ``object.__setattr__`` to the new instance once,
-# as ``attrs`` does for its frozen classes: a parsed script builds one of
-# each per line, and the generated ``__init__`` looks the setter up again
-# for every field.
-_bind_setattr = object.__setattr__.__get__
+# The judgments and nodes are records (see ``formulas._Record``).  A
+# judgment is equal to an equal judgment of its own class and is hashed as
+# its fields' tuple; ``Lwff`` and the relations write both methods out, as
+# generated code would, since the rules and the open-assumption sets compare
+# and hash them all the time.  A node is equal only to itself.
 
 
-@dataclass(frozen=True, init=False)
-class Lwff:
-    seq: tuple[str, ...]
-    formula: Formula
+class Lwff(_Record):
+    __match_args__ = ("seq", "formula")
 
     def __init__(self, seq: tuple[str, ...], formula: Formula) -> None:
         if not seq:
@@ -109,28 +108,50 @@ class Lwff:
         set_("seq", seq)
         set_("formula", formula)
 
+    def __eq__(self, other) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.seq, self.formula) == (other.seq, other.formula)
+        return NotImplemented
 
-@dataclass(frozen=True)
-class Le:
-    a: str
-    b: str
+    def __hash__(self) -> int:
+        return hash((self.seq, self.formula))
 
 
-@dataclass(frozen=True)
-class Succ:
-    a: str
-    b: str
+class _Rwff(_Record):
+    """``le(a,b)`` or ``succ(a,b)``: the two relational judgments share
+    their fields and their methods, and differ by class."""
+
+    __match_args__ = ("a", "b")
+
+    def __init__(self, a: str, b: str) -> None:
+        set_ = _bind_setattr(self)
+        set_("a", a)
+        set_("b", b)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.a, self.b) == (other.a, other.b)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.a, self.b))
+
+
+class Le(_Rwff):
+    pass
+
+
+class Succ(_Rwff):
+    pass
 
 
 GenericFormula = Lwff | Le | Succ
 
 
-@dataclass(frozen=True, eq=False, init=False)
-class Assume:
+class Assume(_Record):
     """An assumption class; occurrences are premise references to this object."""
 
-    id: int
-    formula: GenericFormula
+    __match_args__ = ("id", "formula")
 
     def __init__(self, id: int, formula: GenericFormula) -> None:
         set_ = _bind_setattr(self)
@@ -143,13 +164,8 @@ class Assume:
         return self.formula
 
 
-@dataclass(frozen=True, eq=False, init=False)
-class Apply:
-    id: int
-    rule: str
-    conclusion: Lwff
-    premises: tuple["Node", ...]
-    discharges: tuple[Assume, ...] = ()
+class Apply(_Record):
+    __match_args__ = ("id", "rule", "conclusion", "premises", "discharges")
 
     def __init__(
         self,
@@ -176,14 +192,26 @@ BAD_DISCHARGE = "BadDischarge"
 UNKNOWN_RULE = "UnknownRule"
 SEQUENCE_MISMATCH = "SequenceMismatch"
 
-@dataclass(frozen=True)
-class CheckReport:
-    accepted: bool
-    conclusion: Lwff | None = None
-    open_assumptions: frozenset[GenericFormula] = frozenset()
-    node_id: int | None = None
-    reason: str | None = None
-    message: str | None = None
+
+class CheckReport(_ValueRecord):
+    __match_args__ = ("accepted", "conclusion", "open_assumptions", "node_id", "reason", "message")
+
+    def __init__(
+        self,
+        accepted: bool,
+        conclusion: Lwff | None = None,
+        open_assumptions: frozenset[GenericFormula] = frozenset(),
+        node_id: int | None = None,
+        reason: str | None = None,
+        message: str | None = None,
+    ) -> None:
+        set_ = _bind_setattr(self)
+        set_("accepted", accepted)
+        set_("conclusion", conclusion)
+        set_("open_assumptions", open_assumptions)
+        set_("node_id", node_id)
+        set_("reason", reason)
+        set_("message", message)
 
     def to_dict(self) -> dict:
         if self.accepted:

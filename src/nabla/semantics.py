@@ -125,7 +125,6 @@ from __future__ import annotations
 import functools
 import operator
 import random
-from dataclasses import dataclass
 from itertools import compress
 
 from .formulas import (
@@ -142,14 +141,17 @@ from .formulas import (
     Sometime,
     Until,
     _HISTORY_CORE,
+    _Record,
+    _ValueRecord,
     _abbreviations,
+    _bind_setattr,
     _fold_checked,
     _is_name,
     _outside,
     atoms_of,
     temporal_depth,
 )
-from .kernel import GenericFormula, Le, Lwff, Succ, _bind_setattr, format_generic, labels_of_generic
+from .kernel import GenericFormula, Le, Lwff, Succ, format_generic, labels_of_generic
 
 __all__ = [
     "LassoModel",
@@ -180,17 +182,16 @@ class ModelFormatError(ValueError):
     pass
 
 
-@dataclass(frozen=True, init=False)
-class LassoModel:
+class LassoModel(_Record):
     """Valuations for positions ``0 .. s+p-1``; position ``n >= s`` reads
     ``loop[(n - s) % p]``.
 
-    The constructor is hand-written, as the kernel's judgments' are (see
-    the comment at ``kernel._bind_setattr``): every comparison sample and
-    every falsifier sample whose relational premises hold builds one."""
+    A record (see the comment at ``formulas._bind_setattr``) whose
+    constructor, equality and hash are written out, as the kernel's
+    judgments' are: every comparison sample and every falsifier sample
+    whose relational premises hold builds one."""
 
-    stem: tuple[frozenset[str], ...]
-    loop: tuple[frozenset[str], ...]
+    __match_args__ = ("stem", "loop")
 
     def __init__(self, stem: tuple[frozenset[str], ...], loop: tuple[frozenset[str], ...]) -> None:
         if not loop:
@@ -198,6 +199,14 @@ class LassoModel:
         set_ = _bind_setattr(self)
         set_("stem", stem)
         set_("loop", loop)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.stem, self.loop) == (other.stem, other.loop)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.stem, self.loop))
 
     @property
     def stem_len(self) -> int:
@@ -620,12 +629,15 @@ def eval_generic(m: LassoModel, interp: dict[str, int], phi: GenericFormula) -> 
     return _RELATIONS[type(phi)](*at)
 
 
-@dataclass(frozen=True)
-class Counterexample:
-    model: LassoModel
-    interpretation: dict[str, int]
-    sample_index: int
-    failing: str
+class Counterexample(_ValueRecord):
+    __match_args__ = ("model", "interpretation", "sample_index", "failing")
+
+    def __init__(self, model: LassoModel, interpretation: dict[str, int], sample_index: int, failing: str) -> None:
+        set_ = _bind_setattr(self)
+        set_("model", model)
+        set_("interpretation", interpretation)
+        set_("sample_index", sample_index)
+        set_("failing", failing)
 
     def to_dict(self) -> dict:
         return {
