@@ -188,6 +188,8 @@ class Atom(Formula):
 
 
 class Bottom(Formula):
+    # A Python constructor, as every node has, so that a profile hook sees
+    # each node that is built.
     def __init__(self) -> None:
         pass
 
