@@ -2,7 +2,8 @@
 
 Each run starts a fresh ``python -X importtime`` that imports the modules the
 benchmark's measuring process imports, once from each checkout's ``src``;
-the two checkouts alternate, the old one first in odd runs.  Only the
+there are ``RUNS`` runs per checkout, and the two checkouts alternate, the
+old one first in odd runs.  Only the
 imports this statement makes are counted, not those the interpreter made
 before it (``site`` and whatever it loads).  For every module the tool
 prints the median and quartiles (``statistics.quantiles(n=4)``) of its
@@ -13,18 +14,17 @@ import; ``(modules)`` counts them.
 
 Usage, from anywhere::
 
-    python tools/startup.py OLD NEW [--runs N] [--json FILE]
+    python tools/startup.py OLD NEW
 
 ``OLD`` and ``NEW`` are checkout roots (each holds ``src/nabla``).  The
 children inherit the environment: with ``PYTHONDONTWRITEBYTECODE=1`` and no
 ``__pycache__`` each import also compiles its module, as a fresh checkout
-does.  ``--json`` writes the table, with every run's figures, to FILE.
+does.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import statistics
 import subprocess
@@ -33,6 +33,7 @@ from pathlib import Path
 
 MODULES = ("nabla.cli", "nabla.fuzz", "nabla.semantics", "nabla.translate")
 MARK = "startup.py: statement begins"
+RUNS = 20
 
 
 def _import_times(root: Path) -> dict[str, int]:
@@ -52,23 +53,18 @@ def _import_times(root: Path) -> dict[str, int]:
 
 
 def _spread(values: list[float]) -> dict[str, float]:
-    med = statistics.median(values)
-    q1, _, q3 = statistics.quantiles(values, n=4) if len(values) > 1 else (med, med, med)
-    return {"median": med, "q1": q1, "q3": q3}
+    q1, _, q3 = statistics.quantiles(values, n=4)
+    return {"median": statistics.median(values), "q1": q1, "q3": q3}
 
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("old", type=Path)
     ap.add_argument("new", type=Path)
-    ap.add_argument("--runs", type=int, default=10)
-    ap.add_argument("--json", type=Path)
     args = ap.parse_args(argv)
-    if args.runs < 1:
-        ap.error("--runs must be at least 1")
     sides = {"old": args.old.resolve(), "new": args.new.resolve()}
     runs: dict[str, list[dict[str, int]]] = {"old": [], "new": []}
-    for i in range(args.runs):
+    for i in range(RUNS):
         for side in ("old", "new") if i % 2 == 0 else ("new", "old"):
             runs[side].append(_import_times(sides[side]))
     for per_run in runs.values():
@@ -85,15 +81,6 @@ def main(argv=None) -> int:
     for name in order:
         cells = [f"{s['median']:9.0f} [{s['q1']:7.0f}, {s['q3']:7.0f}]" for s in table[name].values()]
         print(f"{name:32s} {cells[0]:>30s} {cells[1]:>30s}")
-    if args.json:
-        record = {
-            "command": "python tools/startup.py OLD NEW --runs " + str(args.runs),
-            "modules_imported": list(MODULES),
-            "unit": "us",
-            "table": {name: table[name] for name in order},
-            "runs": runs,
-        }
-        args.json.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
     return 0
 
 
