@@ -12,6 +12,7 @@ from nabla.corpus import (
     load_script,
     run_corpus,
 )
+from nabla.cli import main
 from nabla.derived import expand
 from nabla.formulas import desugar, parse_h, parse_ltl
 from nabla.kernel import FRESHNESS_VIOLATION, SHAPE_MISMATCH, check, is_ltl_derivation, normalize_generic
@@ -115,3 +116,29 @@ def test_every_mutation_verdict_is_reached(monkeypatch):
     text = "assume 1 lwff b : p\nnode 2 andE1 concl b : p prem 1\nroot 2\n"
     fix = MutationFixture("other_reason", FRESHNESS_VIOLATION, "x.ndp")
     assert verdict(monkeypatch, "mutation", text, fix) == (False, "expected FreshnessViolation, got ShapeMismatch")
+
+
+def test_every_tautology_verdict_is_reached(monkeypatch):
+    name, text = TAUTOLOGY_INSTANCES[1]
+    monkeypatch.setattr(corpus, "derive_tautology", lambda source, label: parse_script(OPEN))
+    result = corpus._check_tautology(name, text)
+    assert (result.ok, result.detail) == (False, "tautology proof rejected or open")
+    # A closed proof of b : (p -> p) is no derivation of the instance's translation.
+    monkeypatch.setattr(corpus, "derive_tautology", lambda source, label: parse_script(CLOSED))
+    result = corpus._check_tautology(name, text)
+    assert (result.ok, result.detail) == (False, "tautology proof is not an LTL-derivation")
+
+
+def test_an_unreadable_fixture_is_a_failed_expectation(monkeypatch, capsys):
+    def missing(name, mutation=False):
+        raise FileNotFoundError(f"no such fixture: {name}")
+
+    monkeypatch.setattr(corpus, "load_script", missing)
+    results = {r.name: r for r in run_corpus()}
+    assert (results["A2"].ok, results["A2"].detail) == (False, "FileNotFoundError: no such fixture: A2.ndp")
+    assert not any(results[f.name].ok for f in MUTATIONS)
+    assert all(results[n].ok for n, _ in TAUTOLOGY_INSTANCES)
+    assert main(["corpus"]) == 1
+    out, err = capsys.readouterr()
+    assert "FAIL [axiom] A2: FileNotFoundError: no such fixture: A2.ndp\n" in out
+    assert "Traceback" not in out + err

@@ -6,6 +6,7 @@ import pytest
 
 import nabla
 from nabla import fuzz, semantics
+from nabla.cli import main
 from nabla.corpus import run_corpus
 from nabla.derived import NotATautology, derive_tautology, expand
 from nabla.formulas import Until, desugar, parse_ltl, temporal_depth
@@ -41,6 +42,33 @@ def test_lemmas_hold_on_modest_samples(lemma):
 def test_soundness_lemma_small():
     report = run_lemma("soundness", samples=8, seed=42)
     assert report.ok, report.counterexample
+
+
+def test_soundness_reports_the_derivation_a_falsifier_breaks(monkeypatch, capsys):
+    # A sound kernel gives the falsifier nothing, so a stand-in that
+    # "falsifies" the third sampled derivation drives the lemma's exit-3
+    # path: the run stops there and reports that derivation.
+    cx = semantics.Counterexample(semantics.LassoModel((), (frozenset(),)), {"b": 0}, 5, "goal")
+
+    def third_falsified():
+        calls = []
+
+        def falsify(premises, goal, samples, seed):
+            calls.append(seed)
+            return cx if len(calls) == 3 else None
+
+        return falsify
+
+    monkeypatch.setattr(fuzz, "falsify_consequence", third_falsified())
+    report = run_lemma("soundness", 10, seed=1)
+    assert (report.ok, report.checked) == (False, 3)
+    got = report.counterexample
+    assert sorted(got) == ["conclusion", "counterexample", "open_assumptions", "sample"]
+    assert (got["sample"], got["counterexample"]) == (2, cx.to_dict())
+    monkeypatch.setattr(fuzz, "falsify_consequence", third_falsified())
+    code = main(["fuzz", "--lemma", "soundness", "--samples", "10", "--seed", "1", "--json"])
+    out, err = capsys.readouterr()
+    assert (code, out, err) == (3, report_to_json(report), "")
 
 
 def test_reports_are_deterministic():

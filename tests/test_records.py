@@ -152,6 +152,15 @@ def test_value_classes_compare_by_value_and_class():
     assert hash(LWFF) == hash((LWFF.seq, LWFF.formula)) and hash(MODEL) == hash((MODEL.stem, MODEL.loop))
 
 
+def test_records_refuse_an_empty_sequence_and_differ_from_their_field_tuple():
+    with pytest.raises(ValueError):
+        Lwff((), P)
+    with pytest.raises(ValueError):
+        LassoModel((frozenset({"p"}),), ())
+    for x in (MODEL, CheckReport(False, reason="R"), FuzzReport("last", 10, 1, 6)):
+        assert x != tuple(getattr(x, f) for f in _fields(x)), type(x)
+
+
 def test_formula_nodes_keep_formulas_own_equality():
     for c in (Atom, Bottom, *BINARY, *UNARY):
         assert c.__eq__ is Formula.__eq__ and c.__hash__ is Formula.__hash__, c
