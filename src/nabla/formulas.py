@@ -98,8 +98,14 @@ class _Record:
 
 class _ValueRecord(_Record):
     """A record equal to a record of its own class with equal fields, and
-    hashed as the tuple of its fields.  The records that are compared in
-    hot loops write both methods out instead."""
+    hashed as the tuple of its fields.
+
+    The records that are compared and hashed in hot loops write both
+    methods out instead: the formula nodes, ``kernel.Lwff``, ``Le`` and
+    ``Succ``.  Measured in process on these generic methods, checking the
+    corpus ran 1-7% slower with ``Le`` and ``Succ`` moved onto them, and
+    parsing and checking the benchmark's ``check-wide`` scripts up to 10%
+    slower with ``Lwff`` moved as well."""
 
     __slots__ = ()
 

@@ -20,7 +20,7 @@ import random
 from collections.abc import Callable
 from typing import NamedTuple
 
-from .formulas import Formula, _Record, _ValueRecord, desugar, format_formula, is_local, temporal_depth
+from .formulas import Formula, _ValueRecord, _bind_setattr, desugar, format_formula, is_local, temporal_depth
 from .gen import (
     SYMBOLS,
     DerivationSampler,
@@ -44,9 +44,8 @@ __all__ = ["LEMMAS", "FuzzReport", "run_lemma", "report_to_json"]
 _ORACLE_DEPTH = 2
 
 
-class FuzzReport:
-    """A lemma run's report: a record (see ``formulas._Record``) with its
-    ``repr`` and field equality, but mutable, since the run fills it in."""
+class FuzzReport(_ValueRecord):
+    """A lemma run's report, built once the run has stopped."""
 
     __match_args__ = ("lemma", "samples", "seed", "max_size", "checked", "ok", "counterexample")
 
@@ -60,17 +59,14 @@ class FuzzReport:
         ok: bool = True,
         counterexample: dict | None = None,
     ) -> None:
-        self.lemma = lemma
-        self.samples = samples
-        self.seed = seed
-        self.max_size = max_size
-        self.checked = checked
-        self.ok = ok
-        self.counterexample = counterexample
-
-    __repr__ = _Record.__repr__
-    __eq__ = _ValueRecord.__eq__
-    __hash__ = None
+        set_ = _bind_setattr(self)
+        set_("lemma", lemma)
+        set_("samples", samples)
+        set_("seed", seed)
+        set_("max_size", max_size)
+        set_("checked", checked)
+        set_("ok", ok)
+        set_("counterexample", counterexample)
 
     def to_dict(self) -> dict:
         return {
@@ -336,14 +332,11 @@ def run_lemma(
     def sides(case):
         return row.sides(_shift_valuation(case.model) if inject_bug else case.model, case)
 
-    report = FuzzReport(lemma, samples, seed, max_size)
     for i in range(samples):
         case = row.draw(rng, i, max_size)
         found = sides(case)
-        report.checked = i + 1
         if found[0] != found[1]:
             case, found = _shrink(case, found, sides)
-            report.ok = False
-            report.counterexample = {"sample": i, **case.shown(), **dict(zip(row.keys, found))}
-            return report
-    return report
+            counterexample = {"sample": i, **case.shown(), **dict(zip(row.keys, found))}
+            return FuzzReport(lemma, samples, seed, max_size, i + 1, False, counterexample)
+    return FuzzReport(lemma, samples, seed, max_size, samples)

@@ -141,7 +141,6 @@ from .formulas import (
     Sometime,
     Until,
     _HISTORY_CORE,
-    _Record,
     _ValueRecord,
     _abbreviations,
     _bind_setattr,
@@ -182,14 +181,13 @@ class ModelFormatError(ValueError):
     pass
 
 
-class LassoModel(_Record):
+class LassoModel(_ValueRecord):
     """Valuations for positions ``0 .. s+p-1``; position ``n >= s`` reads
     ``loop[(n - s) % p]``.
 
     A record (see the comment at ``formulas._bind_setattr``) whose
-    constructor, equality and hash are written out, as the kernel's
-    judgments' are: every comparison sample and every falsifier sample
-    whose relational premises hold builds one."""
+    constructor is written out: every comparison sample and every
+    falsifier sample whose relational premises hold builds one."""
 
     __match_args__ = ("stem", "loop")
 
@@ -199,14 +197,6 @@ class LassoModel(_Record):
         set_ = _bind_setattr(self)
         set_("stem", stem)
         set_("loop", loop)
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is self.__class__:
-            return (self.stem, self.loop) == (other.stem, other.loop)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.stem, self.loop))
 
     @property
     def stem_len(self) -> int:

@@ -104,10 +104,15 @@ def test_every_axiom_verdict_is_reached(monkeypatch):
     assert verdict(monkeypatch, "axiom", OPEN, CorpusEntry("open", parse_ltl("p"), "x.ndp")) == (False, "proof is not closed")
     wrong = CorpusEntry("wrong", parse_ltl("(q -> q)"), "x.ndp")
     assert verdict(monkeypatch, "axiom", CLOSED, wrong) == (False, "conclusion is not the translation of the source")
-    # A core that holds nowhere disagrees with a valid translation.
-    core = CorpusEntry("core", parse_ltl("(p -> p)"), "x.ndp", parse_h("bot"))
-    detail = "simplified core disagrees with the translation semantically"
-    assert verdict(monkeypatch, "axiom", CLOSED, core) == (False, detail)
+    # A core passes only as the conclusion of a closed step, here the root:
+    # not a formula that holds nowhere, nor a valid one that the proof
+    # never concludes, nor the conclusion of the open assumption step.
+    detail = "simplified core is not a closed step of the proof"
+    for text in ("bot", "(q -> q)", "p"):
+        core = CorpusEntry("core", parse_ltl("(p -> p)"), "x.ndp", parse_h(text))
+        assert verdict(monkeypatch, "axiom", CLOSED, core) == (False, detail), text
+    core = CorpusEntry("core", parse_ltl("(p -> p)"), "x.ndp", parse_h("(p -> p)"))
+    assert verdict(monkeypatch, "axiom", CLOSED, core) == (True, "accepted, closed: (p -> p)")
 
 
 def test_every_mutation_verdict_is_reached(monkeypatch):

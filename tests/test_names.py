@@ -48,6 +48,20 @@ def test_integer_draws_go_through_below():
     assert not found
 
 
+def test_only_the_samplers_draw_random_numbers():
+    # The generators, the fuzz runner and the semantics' lassos and
+    # falsifier are the seeded samplers; any other module that sampled
+    # models would be a private copy of one of them.
+    importers = []
+    for path in sorted(SOURCES.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import) and any(a.name == "random" for a in node.names):
+                importers.append(path.name)
+            elif isinstance(node, ast.ImportFrom) and node.module == "random":
+                importers.append(path.name)
+    assert importers == ["fuzz.py", "gen.py", "semantics.py"]
+
+
 def test_every_private_definition_is_used():
     # A module-level private function or class that no code in the package
     # names is dead: nothing outside the package may call it either.
@@ -80,8 +94,7 @@ def _base_name(base: ast.expr) -> str:
 def _record_fields(trees: dict[str, ast.Module]) -> dict[str, tuple[str, list[tuple[int, str]]]]:
     """Every record class in the package, by name, with its module and its
     fields and the lines that list them.  A record is ``formulas._Record``,
-    a class derived from it, a ``NamedTuple`` or ``FuzzReport`` (mutable, so
-    not a ``_Record``).  Its fields are its own ``__match_args__``, which
+    a class derived from it or a ``NamedTuple``.  Its fields are its own ``__match_args__``, which
     must be a literal tuple of names, the annotated names of a
     ``NamedTuple``, or else the fields of its record base."""
     classes = [(module, node) for module, tree in trees.items() for node in ast.walk(tree) if isinstance(node, ast.ClassDef)]
@@ -92,7 +105,7 @@ def _record_fields(trees: dict[str, ast.Module]) -> dict[str, tuple[str, list[tu
         for module, node in classes:
             bases = [_base_name(b) for b in node.bases]
             if node.name in fields or not (
-                node.name in ("_Record", "FuzzReport") or "NamedTuple" in bases or any(b in fields for b in bases)
+                node.name == "_Record" or "NamedTuple" in bases or any(b in fields for b in bases)
             ):
                 continue
             own = [

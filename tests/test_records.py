@@ -117,8 +117,6 @@ def test_positional_match_reads_the_fields_in_order():
 
 def test_frozen_fields_refuse_assignment_and_deletion():
     for x, _ in _values():
-        if isinstance(x, FuzzReport):
-            continue
         for f in _fields(x) or ("anything",):
             with pytest.raises(AttributeError):
                 setattr(x, f, None)
@@ -138,14 +136,16 @@ def test_value_classes_compare_by_value_and_class():
             assert x == y
             with pytest.raises(TypeError):
                 hash(x)
-        elif isinstance(x, FuzzReport):
-            assert x == y
         else:
             assert x == y and hash(x) == hash(y)
     assert Le("a", "b") != Succ("a", "b") and Le("a", "b") != ("a", "b")
     assert Le("a", "b") != Le("a", "c") and Lwff(("a",), P) != Lwff(("a",), Q)
     assert LassoModel((), (frozenset(),)) != LassoModel((), (frozenset({"p"}),))
     assert CheckReport(True) != CheckReport(False)
+    # A falsified report holds its counterexample in a dict, as a
+    # Counterexample holds its interpretation.
+    with pytest.raises(TypeError):
+        hash(FuzzReport("last", 10, 1, 6, 3, False, {"sample": 2}))
     assert Implies(P, Q) != Until(P, Q) and Implies(P, Q) != Implies(Q, P)
     # The generated hashes were the hash of the field tuple, without the class.
     assert hash(Le("a", "b")) == hash(("a", "b")) == hash(Succ("a", "b"))
@@ -164,15 +164,6 @@ def test_records_refuse_an_empty_sequence_and_differ_from_their_field_tuple():
 def test_formula_nodes_keep_formulas_own_equality():
     for c in (Atom, Bottom, *BINARY, *UNARY):
         assert c.__eq__ is Formula.__eq__ and c.__hash__ is Formula.__hash__, c
-
-
-def test_fuzz_report_is_mutable_and_unhashable():
-    r = FuzzReport("last", 10, 1, 6)
-    r.checked += 3
-    r.ok = False
-    assert (r.checked, r.ok) == (3, False) and r != FuzzReport("last", 10, 1, 6)
-    with pytest.raises(TypeError):
-        hash(r)
 
 
 def test_constructor_defaults():
