@@ -100,12 +100,12 @@ class _ValueRecord(_Record):
     """A record equal to a record of its own class with equal fields, and
     hashed as the tuple of its fields.
 
-    The records that are compared and hashed in hot loops write both
+    The records that the rules compare and hash all the time write both
     methods out instead: the formula nodes, ``kernel.Lwff``, ``Le`` and
-    ``Succ``.  Measured in process on these generic methods, checking the
-    corpus ran 1-7% slower with ``Le`` and ``Succ`` moved onto them, and
-    parsing and checking the benchmark's ``check-wide`` scripts up to 10%
-    slower with ``Lwff`` moved as well."""
+    ``Succ``.  Measured on these generic methods, their medians in process
+    were 2-4% slower for checking the corpus and up to 5% slower for
+    parsing and checking ``impE`` chains, within the run-to-run spread
+    (``BENCH_36.json``, ``in_process``)."""
 
     __slots__ = ()
 
