@@ -29,11 +29,11 @@ from .kernel import (
     Node,
     all_nodes,
     check,
-    is_ltl_derivation,
     normalize_generic,
     open_assumption_classes,
 )
 from .scripts import parse_script
+from .translate import is_ltl_derivation
 
 __all__ = [
     "CorpusEntry",

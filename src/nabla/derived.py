@@ -10,9 +10,11 @@ discharges but no node uses stands for the classes an application
 discharges there.  ``expand`` matches an application against its schema up
 to desugaring and builds the instance, numbered in schema-id order; the
 kernel re-checks it downstream.  ``mp_compose``, ``nec_g`` and
-``nec_x`` make the Hilbert closure rules executable over closed proofs,
-and ``derive_tautology`` builds a closed proof for any classical
-propositional tautology by case-splitting.  One evaluator of Kleene's
+``nec_x`` make the Hilbert closure rules executable over closed proofs;
+the helpers they build on, ``rename_labels``, ``labels_of_derivation`` and
+``max_node_id``, live here, not in the trusted kernel, since ``check``
+runs none of them.  ``derive_tautology`` builds a closed proof for any
+classical propositional tautology by case-splitting.  One evaluator of Kleene's
 three-valued logic serves its two steps.  It first looks for one
 subformula that decides the formula alone: true either way, everything
 else undetermined.  The atoms are tried in name order, then the first
@@ -68,11 +70,9 @@ from .kernel import (
     all_nodes,
     check,
     format_generic,
-    labels_of_derivation,
     labels_of_generic,
-    max_node_id,
     open_assumption_classes,
-    rename_labels,
+    subst_label,
 )
 from .scripts import parse_script
 
@@ -83,9 +83,13 @@ __all__ = [
     "NonParametricLabel",
     "NotATautology",
     "NotPropositional",
+    "NonInjectiveRenaming",
     "DERIVED_RULES",
     "expand",
     "check_expanded",
+    "max_node_id",
+    "labels_of_derivation",
+    "rename_labels",
     "mp_compose",
     "nec_g",
     "nec_x",
@@ -122,6 +126,10 @@ class NotATautology(ValueError):
 
 
 class NotPropositional(ValueError):
+    pass
+
+
+class NonInjectiveRenaming(ValueError):
     pass
 
 
@@ -277,6 +285,39 @@ def check_expanded(root: Node) -> CheckReport:
 
 
 # --- Hilbert closure transformers -------------------------------------------
+
+
+def max_node_id(root: Node) -> int:
+    return max((n.id for n in all_nodes(root)), default=0)
+
+
+def labels_of_derivation(root: Node) -> frozenset[str]:
+    labs: set[str] = set()
+    for n in all_nodes(root):
+        labs |= labels_of_generic(n.conclusion)
+    return frozenset(labs)
+
+
+def rename_labels(root: Node, mapping: dict[str, str]) -> Node:
+    """Rebuild the derivation with labels renamed; must be injective on the
+    labels occurring in it.  Preserves node ids and sharing."""
+    present = labels_of_derivation(root)
+    full = {lab: mapping.get(lab, lab) for lab in present}
+    if len(set(full.values())) != len(full):
+        raise NonInjectiveRenaming(f"renaming is not injective on {sorted(present)}")
+    memo: dict[int, Node] = {}
+    for n in all_nodes(root):
+        if isinstance(n, Assume):
+            memo[id(n)] = Assume(n.id, subst_label(n.formula, full))
+        else:
+            memo[id(n)] = Apply(
+                n.id,
+                n.rule,
+                subst_label(n.conclusion, full),
+                tuple(memo[id(p)] for p in n.premises),
+                tuple(memo[id(a)] for a in n.discharges),
+            )
+    return memo[id(root)]
 
 
 def _closed_single_label(report: CheckReport, what: str) -> tuple[str, Formula]:

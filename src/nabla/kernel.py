@@ -36,6 +36,10 @@ call; nothing is cached between calls.  The memo serves the whole call,
 so a subformula object shared by two formulas has one core image, and a
 core formula is its own image; the equality tests of the rules therefore
 meet identical children and stop there.
+
+The module is the trusted core and imports only ``formulas``: the
+LTL-derivation test is ``translate.is_ltl_derivation``, and relabelling a
+derivation is ``derived.rename_labels``.
 """
 
 from __future__ import annotations
@@ -58,7 +62,6 @@ from .formulas import (
     desugar,
     format_formula,
 )
-from .translate import matches_translation
 
 __all__ = [
     "Lwff",
@@ -75,8 +78,6 @@ __all__ = [
     "BAD_DISCHARGE",
     "UNKNOWN_RULE",
     "SEQUENCE_MISMATCH",
-    "NonInjectiveRenaming",
-    "MissingAnnotation",
     "check",
     "subst_label",
     "normalize_generic",
@@ -84,10 +85,6 @@ __all__ = [
     "format_generic",
     "open_assumption_classes",
     "all_nodes",
-    "max_node_id",
-    "rename_labels",
-    "labels_of_derivation",
-    "is_ltl_derivation",
 ]
 
 
@@ -228,14 +225,6 @@ class CheckReport(_ValueRecord):
         }
 
 
-class NonInjectiveRenaming(ValueError):
-    pass
-
-
-class MissingAnnotation(KeyError):
-    pass
-
-
 class _Err(Exception):
     def __init__(self, reason: str, message: str):
         super().__init__(message)
@@ -287,9 +276,7 @@ def labels_of_generic(phi: GenericFormula) -> frozenset[str]:
     return frozenset((phi.a, phi.b))
 
 
-def format_generic(phi: GenericFormula | None) -> str:
-    if phi is None:
-        return "-"
+def format_generic(phi: GenericFormula) -> str:
     if isinstance(phi, Lwff):
         return f"{' '.join(phi.seq)} : {format_formula(phi.formula)}"
     if isinstance(phi, Le):
@@ -376,17 +363,6 @@ def open_assumption_classes(root: Node) -> frozenset[Assume]:
     for _ in _open_sets(all_nodes(root), opens):
         pass
     return frozenset(opens[id(root)])
-
-
-def max_node_id(root: Node) -> int:
-    return max((n.id for n in all_nodes(root)), default=0)
-
-
-def labels_of_derivation(root: Node) -> frozenset[str]:
-    labs: set[str] = set()
-    for n in all_nodes(root):
-        labs |= labels_of_generic(n.conclusion)
-    return frozenset(labs)
 
 
 # ---------------------------------------------------------------------------
@@ -776,53 +752,3 @@ def check(root: Node) -> CheckReport:
             return CheckReport(accepted=False, node_id=n.id, reason=e.reason, message=e.message)
     opens_root = frozenset(k.generic(a.formula) for a in k.opens[id(root)])
     return CheckReport(accepted=True, conclusion=root.conclusion, open_assumptions=opens_root)
-
-
-def rename_labels(root: Node, mapping: dict[str, str]) -> Node:
-    """Rebuild the derivation with labels renamed; must be injective on the
-    labels occurring in it.  Preserves node ids and sharing."""
-    present = labels_of_derivation(root)
-    full = {lab: mapping.get(lab, lab) for lab in present}
-    if len(set(full.values())) != len(full):
-        raise NonInjectiveRenaming(f"renaming is not injective on {sorted(present)}")
-    memo: dict[int, Node] = {}
-    for n in all_nodes(root):
-        if isinstance(n, Assume):
-            memo[id(n)] = Assume(n.id, subst_label(n.formula, full))
-        else:
-            memo[id(n)] = Apply(
-                n.id,
-                n.rule,
-                subst_label(n.conclusion, full),
-                tuple(memo[id(p)] for p in n.premises),
-                tuple(memo[id(a)] for a in n.discharges),
-            )
-    return memo[id(root)]
-
-
-def is_ltl_derivation(report: CheckReport, sources: dict[Lwff, Formula]) -> bool:
-    """True iff the accepted derivation that ``report`` describes has a
-    conclusion and open assumptions that are all ``b : tr(source)`` for one
-    shared label ``b`` and the annotated until-language sources."""
-    if not report.accepted:
-        raise ValueError("is_ltl_derivation requires an accepted derivation")
-    normalized_sources = {normalize_generic(k): v for k, v in sources.items()}
-    judgments = [normalize_generic(report.conclusion)] + sorted(
-        (a for a in report.open_assumptions), key=format_generic
-    )
-    label: str | None = None
-    for phi in judgments:
-        if not isinstance(phi, Lwff):
-            return False
-        if len(phi.seq) != 1:
-            return False
-        if label is None:
-            label = phi.seq[0]
-        elif phi.seq[0] != label:
-            return False
-        src = normalized_sources.get(phi)
-        if src is None:
-            raise MissingAnnotation(format_generic(phi))
-        if not matches_translation(src, phi.formula):
-            return False
-    return True

@@ -11,7 +11,8 @@ from nabla.derived import derive_tautology, expand, mp_compose, nec_g, nec_x
 from nabla.formulas import parse_ltl
 from nabla.fuzz import report_to_json, run_lemma
 from nabla.gen import DerivationSampler
-from nabla.kernel import check, is_ltl_derivation, normalize_generic
+from nabla.kernel import check, normalize_generic
+from nabla.translate import is_ltl_derivation
 from nabla.semantics import falsify_consequence
 
 

@@ -15,9 +15,9 @@ from nabla.corpus import (
 from nabla.cli import main
 from nabla.derived import expand
 from nabla.formulas import desugar, parse_h, parse_ltl
-from nabla.kernel import FRESHNESS_VIOLATION, SHAPE_MISMATCH, check, is_ltl_derivation, normalize_generic
+from nabla.kernel import FRESHNESS_VIOLATION, SHAPE_MISMATCH, check, normalize_generic
 from nabla.scripts import parse_script
-from nabla.translate import matches_translation, translate
+from nabla.translate import is_ltl_derivation, matches_translation, translate
 
 
 def test_every_entry_accepted_closed_and_ltl():

@@ -172,6 +172,27 @@ def test_schema_that_does_not_check_is_refused_at_load(monkeypatch):
         derived._schema.cache_clear()
 
 
+def test_schema_instance_builds_a_discharged_relational_assumption(monkeypatch):
+    # No bundled schema discharges a relational assumption that one of its
+    # nodes also uses, so the instance must build that le(...) itself.
+    text = (
+        "assume 1 lwff s b : (G A)\n"
+        "assume 2 rwff le(b,b)\n"
+        "node 3 GE concl s b b : A prem 1,2\n"
+        "node 4 reflLe concl s b b : A prem 3 disch 2\n"
+        "root 4\n"
+    )
+    monkeypatch.setattr(derived, "_schema_text", lambda rule: text)
+    schema = derived._Schema("reflG")
+    premise = Assume(1, Lwff(("x", "y"), Always(P)))
+    node = Apply(2, "reflG", Lwff(("x", "y", "y"), P), (premise,))
+    inst = schema.instance(node, (premise,), (), itertools.count(3))
+    report = check(inst)
+    assert report.accepted, report.message
+    assert report.open_assumptions == {Lwff(("x", "y"), Always(P))}
+    assert [a.formula for a in inst.discharges] == [Le("y", "y")]
+
+
 def test_each_schema_mismatch_names_what_does_not_fit():
     b = ("b",)
     p, q, r = (Assume(i, Lwff(b, f)) for i, f in enumerate((P, Q, R), start=1))
@@ -241,7 +262,7 @@ def test_nec_rejects_open_or_history_input():
         nec_g(hist_leaf)
     # closed proof whose conclusion carries a sequence, not a single label
     t = derive_tautology(parse_ltl("(p -> p)"), "b")
-    from nabla.kernel import max_node_id
+    from nabla.derived import max_node_id
 
     lifted = Apply(max_node_id(t) + 1, "last", Lwff(("c", "b"), Implies(P, P)), (t,))
     with pytest.raises(NonParametricLabel):

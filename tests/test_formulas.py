@@ -392,6 +392,11 @@ def test_desugar_paper_abbreviations():
     assert desugar(P) == P
 
 
+def test_str_is_the_printed_formula():
+    for f in (parse_h("((H p) -> (X (q & bot)))"), Until(P, Not(Q))):
+        assert str(f) == format_formula(f)
+
+
 def _size(f: Formula) -> int:
     return 1 + sum(_size(getattr(f, name)) for name in ("left", "right", "operand") if hasattr(f, name))
 

@@ -5,7 +5,7 @@ import weakref
 import pytest
 
 from nabla.corpus import ENTRIES, MUTATIONS, TAUTOLOGY_INSTANCES, entry_by_name, load_entry, load_script
-from nabla.derived import derive_tautology, expand
+from nabla.derived import NonInjectiveRenaming, derive_tautology, expand, labels_of_derivation, rename_labels
 from nabla import formulas, kernel
 from nabla.formulas import Always, And, Atom, Bottom, Formula, Hist, Implies, Next, Or, Until, desugar, parse_ltl
 from nabla.gen import DerivationSampler
@@ -20,21 +20,16 @@ from nabla.kernel import (
     Assume,
     Le,
     Lwff,
-    MissingAnnotation,
-    NonInjectiveRenaming,
     Succ,
     _open_sets,
     all_nodes,
     check,
-    is_ltl_derivation,
-    labels_of_derivation,
     normalize_generic,
     open_assumption_classes,
-    rename_labels,
     subst_label,
 )
 from nabla.scripts import parse_script, serialize
-from nabla.translate import translate
+from nabla.translate import MissingAnnotation, is_ltl_derivation, translate
 
 P, Q = Atom("p"), Atom("q")
 

@@ -62,6 +62,23 @@ def test_only_the_samplers_draw_random_numbers():
     assert importers == ["fuzz.py", "gen.py", "semantics.py"]
 
 
+def test_the_kernel_is_the_checker_alone():
+    # The trusted module holds what check runs and imports only the formula
+    # layer.  The LTL-derivation test belongs to the translation, and the
+    # renaming helpers to derived's proof transformers.
+    tree = ast.parse((SOURCES / "kernel.py").read_text(encoding="utf-8"))
+    package_imports = [node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level]
+    assert package_imports == ["formulas"]
+    moved = {
+        "translate": ["MissingAnnotation", "is_ltl_derivation"],
+        "derived": ["NonInjectiveRenaming", "labels_of_derivation", "max_node_id", "rename_labels"],
+    }
+    defined = {node.name for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    for module, names in moved.items():
+        assert not defined & set(names)
+        assert set(names) <= set(importlib.import_module(f"nabla.{module}").__all__), module
+
+
 def test_every_private_definition_is_used():
     # A module-level private function or class that no code in the package
     # names is dead: nothing outside the package may call it either.

@@ -612,6 +612,14 @@ def test_oracle_horizon_precondition():
         assert read == [m.canon(n) for n in want], (seq, f)
 
 
+def test_oracle_refuses_a_formula_outside_the_core():
+    # The oracle reads only the core connectives; eval_h_oracle desugars first.
+    f = Or(P, Q)
+    with pytest.raises(TypeError, match="^not a core formula: "):
+        semantics._eval_h_oracle(LOOP_P, (0,), f, 1)
+    assert eval_h_oracle(LOOP_P, (0,), f, 1) is True
+
+
 def test_falsify_examples():
     goal = Lwff(("b",), P)
     assert falsify_consequence([Lwff(("b",), P)], goal, 200, seed=9) is None
