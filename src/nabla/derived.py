@@ -150,7 +150,8 @@ def _match(t: Formula, g: Formula, env: dict[str, Formula]) -> bool:
         old = env.setdefault(t.name, g)
         return old is g or desugar(old) == desugar(g)
     if type(t) is type(g):
-        return all(_match(x, y, env) for x, y in zip(t.__dict__.values(), g.__dict__.values()))
+        fields = t._fields
+        return all(_match(x, y, env) for x, y in zip(fields(t), fields(g)))
     dt, dg = desugar(t), desugar(g)
     return (dt is not t or dg is not g) and _match(dt, dg, env)
 

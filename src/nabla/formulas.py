@@ -38,6 +38,7 @@ limit on the result.
 from __future__ import annotations
 
 import re
+from operator import attrgetter
 
 __all__ = [
     "Formula",
@@ -60,7 +61,6 @@ __all__ = [
     "format_length",
     "format_nesting",
     "desugar",
-    "complexity",
     "temporal_depth",
     "is_local",
     "atoms_of",
@@ -77,14 +77,32 @@ __all__ = [
 _bind_setattr = object.__setattr__.__get__
 
 
+def _reader(names: tuple[str, ...]):
+    """The tuple of a record's fields named ``names``, in that order."""
+    if len(names) > 1:
+        return attrgetter(*names)
+    if names:
+        get = attrgetter(*names)
+        return lambda r: (get(r),)
+    return lambda r: ()
+
+
 class _Record:
     """An immutable record whose fields are its ``__match_args__``.
 
-    Equality is identity unless a subclass defines it; ``_ValueRecord``
-    compares and hashes the fields."""
+    ``r._fields(r)`` is the tuple of ``r``'s fields, in that order, and the
+    one way the package reads a record's fields as a whole.  Each class
+    builds this reader once, from ``operator.attrgetter``.  Equality is
+    identity unless a subclass defines it; ``_ValueRecord`` compares and
+    hashes the fields."""
 
     __slots__ = ()
     __match_args__ = ()
+    _fields = staticmethod(_reader(()))
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._fields = staticmethod(_reader(cls.__match_args__))
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -93,64 +111,50 @@ class _Record:
         raise AttributeError(f"cannot delete field {name!r}")
 
     def __repr__(self) -> str:
-        return f"{type(self).__qualname__}({', '.join(f'{f}={getattr(self, f)!r}' for f in self.__match_args__)})"
+        fields = zip(self.__match_args__, self._fields(self))
+        return f"{type(self).__qualname__}({', '.join(f'{f}={v!r}' for f, v in fields)})"
 
 
 class _ValueRecord(_Record):
-    """A record equal to a record of its own class with equal fields, and
-    hashed as the tuple of its fields.
-
-    The records that the rules compare and hash all the time write both
-    methods out instead: the formula nodes, ``kernel.Lwff``, ``Le`` and
-    ``Succ``.  Measured on these generic methods, their medians in process
-    were 2-4% slower for checking the corpus and up to 5% slower for
-    parsing and checking ``impE`` chains, within the run-to-run spread
-    (``BENCH_36.json``, ``in_process``)."""
+    """A record equal to itself and to a record of its own class with equal
+    fields, and hashed as the tuple of its fields.  The formula nodes and
+    ``kernel``'s judgments are value records; ``kernel``'s nodes are not."""
 
     __slots__ = ()
 
     def __eq__(self, other) -> bool:
+        if self is other:
+            return True
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return _fields(self) == _fields(other)
+        fields = self._fields
+        return fields(self) == fields(other)
 
     def __hash__(self) -> int:
-        return hash(_fields(self))
+        return hash(self._fields(self))
 
 
-def _fields(r: _Record) -> tuple:
-    return tuple(getattr(r, f) for f in r.__match_args__)
+class Formula(_ValueRecord):
+    """Base class; all nodes are immutable and hashable value records.
 
-
-class Formula(_Record):
-    """Base class; all nodes are immutable and hashable records.
-
-    ``==`` is structural and true at identity.  A node computes its hash
-    once, from its children's stored hashes, into the ``_hash`` slot,
-    outside the instance ``__dict__``.  Operator nodes below it that are
-    not hashed yet are hashed first, bottom-up on an explicit stack, so
-    hashing recurses at most one level (into an atom or bot) however deep
-    the formula is.  Both read the fields in the instance ``__dict__``,
-    where each constructor stores them in ``__match_args__`` order.
+    A node hashes as the tuple of its class and its fields.  It computes
+    that hash once, from its children's stored hashes, into the ``_hash``
+    slot.  Operator nodes below it that are not hashed yet are hashed
+    first, bottom-up on an explicit stack, so hashing recurses at most one
+    level (into an atom or bot) however deep the formula is.
     """
 
     __slots__ = ("_hash",)
 
-    def __eq__(self, other) -> bool:
-        if self is other:
-            return True
-        if type(other) is not type(self):
-            return NotImplemented
-        return self.__dict__ == other.__dict__
-
     def __hash__(self) -> int:
         h = getattr(self, "_hash", None)
         if h is None:
-            for child in self.__dict__.values():
+            fields = self._fields(self)
+            for child in fields:
                 if type(child) in _OPERATOR_NODES and not hasattr(child, "_hash"):
                     _hash_below(self)
                     break
-            h = hash((type(self), *self.__dict__.values()))
+            h = hash((type(self), *fields))
             object.__setattr__(self, "_hash", h)
         return h
 
@@ -162,18 +166,19 @@ def _hash_below(f: Formula) -> None:
     """Store the hash of every operator node below ``f`` that has none,
     children before parents, so that each one's hash is one tuple hash
     over children that are hashed or are atoms or bot."""
-    stack = [c for c in f.__dict__.values() if type(c) in _OPERATOR_NODES]
+    stack = [c for c in f._fields(f) if type(c) in _OPERATOR_NODES]
     while stack:
         x = stack[-1]
         if hasattr(x, "_hash"):
             stack.pop()
             continue
-        pending = [c for c in x.__dict__.values() if type(c) in _OPERATOR_NODES and not hasattr(c, "_hash")]
+        fields = x._fields(x)
+        pending = [c for c in fields if type(c) in _OPERATOR_NODES and not hasattr(c, "_hash")]
         if pending:
             stack += pending
         else:
             stack.pop()
-            object.__setattr__(x, "_hash", hash((type(x), *x.__dict__.values())))
+            object.__setattr__(x, "_hash", hash((type(x), *fields)))
 
 
 def _init_operand(self, operand: Formula) -> None:
@@ -500,13 +505,7 @@ def _abbreviations(imp, bot, always) -> dict:
 
 
 _DESUGAR = _HOMOMORPHIC | _abbreviations(Implies, _BOT, Always)
-# An abbreviation counts the nodes, and the temporal depth, of its expansion.
-_COMPLEXITY = _table(
-    lambda x: 0,
-    lambda x, a: a + 1,
-    lambda x, a, b: a + b + 1,
-    _abbreviations(lambda a, b: a + b + 1, 0, lambda a: a + 1),
-)
+# An abbreviation counts the temporal depth of its expansion.
 _DEPTH = _table(
     lambda x: 0,
     lambda x, a: a + 1,
@@ -560,12 +559,6 @@ def desugar(f: Formula) -> Formula:
     result is kept across calls.
     """
     return _fold(f, _DESUGAR)
-
-
-def complexity(f: Formula) -> int:
-    """Number of connective/temporal-operator nodes of ``desugar(f)``,
-    counting a shared subformula at each of its occurrences."""
-    return _fold(f, _COMPLEXITY)
 
 
 def temporal_depth(f: Formula) -> int:

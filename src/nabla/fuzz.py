@@ -130,9 +130,9 @@ class _Case(NamedTuple):
 
     def moves(self):
         """Smaller cases, in the order the shrinker tries them."""
-        for name in ("left", "right", "operand"):
-            sub = getattr(self.formula, name, None)
-            if sub is not None and (self.clause != "local" or is_local(sub)):
+        f = self.formula
+        for sub in f._fields(f):
+            if isinstance(sub, Formula) and (self.clause != "local" or is_local(sub)):
                 yield self._replace(formula=sub)
         if type(self.at) is int:
             if self.at > 0:

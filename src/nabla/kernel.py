@@ -89,13 +89,11 @@ __all__ = [
 
 
 # The judgments and nodes are records (see ``formulas._Record``).  A
-# judgment is equal to an equal judgment of its own class and is hashed as
-# its fields' tuple; ``Lwff`` and the relations write both methods out, as
-# generated code would, since the rules and the open-assumption sets compare
-# and hash them all the time.  A node is equal only to itself.
+# judgment is a value record: equal to an equal judgment of its own class,
+# and hashed as its fields' tuple.  A node is equal only to itself.
 
 
-class Lwff(_Record):
+class Lwff(_ValueRecord):
     __match_args__ = ("seq", "formula")
 
     def __init__(self, seq: tuple[str, ...], formula: Formula) -> None:
@@ -105,18 +103,10 @@ class Lwff(_Record):
         set_("seq", seq)
         set_("formula", formula)
 
-    def __eq__(self, other) -> bool:
-        if other.__class__ is self.__class__:
-            return (self.seq, self.formula) == (other.seq, other.formula)
-        return NotImplemented
 
-    def __hash__(self) -> int:
-        return hash((self.seq, self.formula))
-
-
-class _Rwff(_Record):
+class _Rwff(_ValueRecord):
     """``le(a,b)`` or ``succ(a,b)``: the two relational judgments share
-    their fields and their methods, and differ by class."""
+    their fields and their constructor, and differ by class."""
 
     __match_args__ = ("a", "b")
 
@@ -124,14 +114,6 @@ class _Rwff(_Record):
         set_ = _bind_setattr(self)
         set_("a", a)
         set_("b", b)
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is self.__class__:
-            return (self.a, self.b) == (other.a, other.b)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.a, self.b))
 
 
 class Le(_Rwff):

@@ -21,7 +21,6 @@ from nabla.formulas import (
     Sometime,
     Until,
     atoms_of,
-    complexity,
     desugar,
     format_formula,
     format_length,
@@ -422,14 +421,8 @@ def test_desugar_idempotent_and_monotone(f):
     assert is_desugared(g)
     assert desugar(g) is g  # a core formula keeps its identity
     assert _size(g) >= _size(f)
-    # Both measures read abbreviations without desugaring them.
-    assert (complexity(f), temporal_depth(f)) == (complexity(g), temporal_depth(g))
-
-
-def test_complexity_examples():
-    assert complexity(P) == 0
-    assert complexity(Implies(Always(P), Next(Until(P, Bottom())))) == 4
-    assert complexity(Hist(P)) == 1
+    # The measure reads abbreviations without desugaring them.
+    assert temporal_depth(f) == temporal_depth(g)
 
 
 def test_temporal_depth_counts_every_temporal_operator():
@@ -459,7 +452,7 @@ def test_every_walk_folds_a_table_of_all_node_classes(monkeypatch):
         "eval_h_oracle": lambda g: eval_h_oracle(m, (0,), g, 50),
         "falsify_consequence": lambda g: falsify_consequence([Lwff(("b",), g)], Lwff(("b",), Bottom()), 3, 1),
     }
-    walks = [(walk.__name__, walk, f, None) for walk in (format_formula, format_length, desugar, complexity, temporal_depth, atoms_of)]
+    walks = [(walk.__name__, walk, f, None) for walk in (format_formula, format_length, desugar, temporal_depth, atoms_of)]
     walks += [(name, walk, f, Hist) for name, walk in until_entries.items()]
     walks += [(name, walk, h, Until) for name, walk in history_entries.items()]
     for name, walk, g, foreign in walks:
@@ -481,30 +474,30 @@ def _check_shared_walks():
     """Walk two formulas of about 2^40 and 2^30 tree nodes but few objects,
     and compare with recurrences over their levels."""
     # x(k+1) = (x(k) & (F x(k))), one object per level.
-    x, length, size = Hist(P), 5, 1
+    x, length = Hist(P), 5
     for _ in range(40):
         x = And(x, Sometime(x))
-        length, size = 2 * length + 9, 2 * size + 8
+        length = 2 * length + 9
     g = desugar(x)
     assert desugar(g) is g
     assert format_length(x) == length
     # A level adds two to x's nesting and six to g's, desugared (F x) & x.
     assert (format_nesting(x), format_nesting(x, g)) == (2 * 40 + 1, 6 * 40 + 1)
     for f in (x, g):
-        assert (complexity(f), temporal_depth(f)) == (size, 41)
+        assert temporal_depth(f) == 41
         assert atoms_of(f) == {"p"} and free_of(f, Until)
     assert not is_local(x)
     # y(k+1) = (q U y(k)); its image is t(k+1) = (t | (F ((X t) & (H q)))),
     # with t = t(k) one object.
-    y, length, size = P, 1, 0
+    y, length = P, 1
     for _ in range(30):
         y = Until(Q, y)
-        length, size = 2 * length + 23, 2 * size + 12
+        length = 2 * length + 23
     t = translate(y)
     g = desugar(t)
     assert desugar(g) is g
     assert temporal_depth(y) == 30 and not free_of(y, Until)
-    assert (format_length(t), complexity(t), temporal_depth(t), complexity(g), temporal_depth(g)) == (length, size, 60, size, 60)
+    assert (format_length(t), temporal_depth(t), temporal_depth(g)) == (length, 60, 60)
     assert atoms_of(t) == {"p", "q"} and free_of(t, Until)
     assert is_local(t)
 

@@ -104,6 +104,20 @@ def test_every_private_definition_is_used():
     assert not dead
 
 
+def test_no_code_reads_an_instance_dict():
+    # A record's fields are read only through its class's ``_fields``, so
+    # nothing depends on the order in which a constructor stores them.
+    reads = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SOURCES.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if (isinstance(node, ast.Attribute) and node.attr == "__dict__")
+        or (isinstance(node, ast.Constant) and node.value == "__dict__")
+        or (isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "vars")
+    ]
+    assert not reads
+
+
 def _base_name(base: ast.expr) -> str:
     return base.id if isinstance(base, ast.Name) else base.attr
 

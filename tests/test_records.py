@@ -152,6 +152,19 @@ def test_value_classes_compare_by_value_and_class():
     assert hash(LWFF) == hash((LWFF.seq, LWFF.formula)) and hash(MODEL) == hash((MODEL.stem, MODEL.loop))
 
 
+def test_one_reader_reads_the_fields_and_keeps_the_hashes():
+    # Each record class reads its fields through one reader, in
+    # ``__match_args__`` order.  Hashes stay the tuple hashes they were: a
+    # formula node's with its class first, another value record's without.
+    for v, _ in _values():
+        fields = tuple(getattr(v, f) for f in v.__match_args__)
+        assert v._fields(v) == fields, type(v)
+        if isinstance(v, Formula):
+            assert hash(v) == hash((type(v), *fields)), type(v)
+        elif not isinstance(v, (Assume, Apply, Counterexample)):
+            assert hash(v) == hash(fields), type(v)
+
+
 def test_records_refuse_an_empty_sequence_and_differ_from_their_field_tuple():
     with pytest.raises(ValueError):
         Lwff((), P)
