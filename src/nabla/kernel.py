@@ -22,12 +22,26 @@ tested in one helper, which raises from one place: ``_same_judgment``,
 label for another; the validator reads the pair off the rule's premises,
 so a node names no substitution of its own.
 
+A derivation is walked once.  The first reader of a root's nodes
+(``all_nodes``, ``check``, ``derived.expand``, ``scripts.serialize``)
+computes, in one pass, the postorder of the nodes below the root and how
+many premise references each of them gets, and keeps both on the root:
+nodes are immutable, so the walk is kept as a formula keeps its hash.  The
+kept walk leaves out the root itself, so it makes no reference cycle.
+
 Each node's set of open assumption classes is built once, in the same
 postorder pass that validates it: the node takes over the largest premise
 set that no other premise reference still needs and unions the others
 into it, copying only sets that are still shared.  An ``impE`` chain over
 N open assumptions thus adds O(1) elements per node instead of copying
 O(N), which keeps ``check`` linear in the number of open assumptions.
+
+An accepted report keeps the root's open judgments, normalised, as a
+tuple (see ``CheckReport``).  ``to_dict`` prints them and deduplicates
+them on their text: printing is injective, so equal judgments print one
+text.  ``check`` and ``to_dict`` therefore hash no formula; the frozenset
+``open_assumptions`` is built, and hashes its judgments, only when it is
+first read.
 
 Formulas are compared up to desugaring.  ``check`` folds each formula
 object once per call, and that one fold both desugars and language-checks
@@ -44,7 +58,8 @@ derivation is ``derived.rename_labels``.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
+from itertools import chain
 
 from .formulas import (
     Always,
@@ -173,13 +188,22 @@ SEQUENCE_MISMATCH = "SequenceMismatch"
 
 
 class CheckReport(_ValueRecord):
+    """The verdict of ``check``: accepted, with the conclusion and the open
+    judgments, or rejected, with the node, the reason and a message.
+
+    The report keeps the open judgments as it is given them, unhashed.
+    ``to_dict`` prints them and lists the distinct texts in text order;
+    printing is injective, so equal judgments print one text.
+    ``open_assumptions`` is their frozenset, built when it is first read
+    and then the same object for every reader."""
+
     __match_args__ = ("accepted", "conclusion", "open_assumptions", "node_id", "reason", "message")
 
     def __init__(
         self,
         accepted: bool,
         conclusion: Lwff | None = None,
-        open_assumptions: frozenset[GenericFormula] = frozenset(),
+        open_assumptions: Iterable[GenericFormula] = frozenset(),
         node_id: int | None = None,
         reason: str | None = None,
         message: str | None = None,
@@ -187,17 +211,24 @@ class CheckReport(_ValueRecord):
         set_ = _bind_setattr(self)
         set_("accepted", accepted)
         set_("conclusion", conclusion)
-        set_("open_assumptions", open_assumptions)
+        set_("_judgments", tuple(open_assumptions))
+        set_("_open", None)
         set_("node_id", node_id)
         set_("reason", reason)
         set_("message", message)
+
+    @property
+    def open_assumptions(self) -> frozenset[GenericFormula]:
+        if self._open is None:
+            _bind_setattr(self)("_open", frozenset(self._judgments))
+        return self._open
 
     def to_dict(self) -> dict:
         if self.accepted:
             return {
                 "verdict": "accepted",
                 "conclusion": format_generic(self.conclusion),
-                "open_assumptions": sorted(format_generic(a) for a in self.open_assumptions),
+                "open_assumptions": sorted({format_generic(g) for g in self._judgments}),
             }
         return {
             "verdict": "rejected",
@@ -249,7 +280,11 @@ class _Scope:
         return hit
 
     def generic(self, phi: GenericFormula) -> GenericFormula:
-        return Lwff(phi.seq, self.norm(phi.formula)) if isinstance(phi, Lwff) else phi
+        """``phi`` with its formula desugared; ``phi`` itself if that is core."""
+        if isinstance(phi, Lwff):
+            f = self.norm(phi.formula)
+            return phi if f is phi.formula else Lwff(phi.seq, f)
+        return phi
 
 
 def labels_of_generic(phi: GenericFormula) -> frozenset[str]:
@@ -273,11 +308,12 @@ def subst_label(phi: GenericFormula, mapping: dict[str, str]) -> GenericFormula:
     return type(phi)(mapping.get(phi.a, phi.a), mapping.get(phi.b, phi.b))
 
 
-def all_nodes(root: Node) -> list[Node]:
-    """Every node reachable through premises or discharge references, once,
-    in postorder: first a node's discharged assumptions (the last listed
-    first), then its premises (in order), then the node; the root last."""
+def _postorder(root: Node) -> tuple[list[Node], dict[int, int]]:
+    """``all_nodes(root)`` without ``root``, and the number of premise
+    references each of those nodes gets, keyed on its ``id``, from one
+    walk.  A reference is counted per listing, so ``prem d,d`` counts two."""
     out: list[Node] = []
+    refs: dict[int, int] = {}
     visited: set[int] = set()
     stack: list[tuple[Node, bool]] = [(root, False)]
     while stack:
@@ -291,28 +327,43 @@ def all_nodes(root: Node) -> list[Node]:
         stack.append((n, True))
         if isinstance(n, Apply):
             for m in reversed(n.premises):
+                k = id(m)
+                refs[k] = refs.get(k, 0) + 1
                 stack.append((m, False))
             for a in n.discharges:
                 stack.append((a, False))
-    return out
+    out.pop()  # the root, which comes last
+    return out, refs
 
 
-def _open_sets(order: list[Node], opens: dict[int, set[Assume]]) -> Iterator[Node]:
-    """Yield each node of the postorder ``order`` while ``opens`` holds the
+def _walk(root: Node) -> tuple[list[Node], dict[int, int]]:
+    """``_postorder(root)``, computed once and kept on ``root``.  It holds
+    every node whose ``id`` it names, and not ``root``: no cycle forms."""
+    kept = getattr(root, "_walk", None)
+    if kept is None:
+        kept = _postorder(root)
+        _bind_setattr(root)("_walk", kept)
+    return kept
+
+
+def all_nodes(root: Node) -> list[Node]:
+    """Every node reachable through premises or discharge references, once,
+    in postorder: first a node's discharged assumptions (the last listed
+    first), then its premises (in order), then the node; the root last."""
+    return [*_walk(root)[0], root]
+
+
+def _open_sets(root: Node, opens: dict[int, set[Assume]]) -> Iterator[Node]:
+    """Yield each node of ``all_nodes(root)`` while ``opens`` holds the
     open classes of its premises, then build the node's own set in ``opens``.
 
     A premise's set is dropped after its last referencing parent (counted
-    per reference, so ``prem d,d`` counts twice); the parent takes over the
-    largest set dropped that way and copies only the rest.  The root's set
-    is kept."""
-    refs: dict[int, int] = {}
-    for n in order:
-        if isinstance(n, Apply):
-            for p in n.premises:
-                k = id(p)
-                refs[k] = refs.get(k, 0) + 1
-    root = order[-1]
-    for n in order:
+    per reference, as ``_postorder`` counts them); the parent takes over
+    the largest set dropped that way and copies only the rest.  The root's
+    set is kept."""
+    order, counts = _walk(root)
+    refs = dict(counts)
+    for n in chain(order, (root,)):
         yield n
         if isinstance(n, Assume):
             acc = {n}
@@ -342,7 +393,7 @@ def _open_sets(order: list[Node], opens: dict[int, set[Assume]]) -> Iterator[Nod
 
 def open_assumption_classes(root: Node) -> frozenset[Assume]:
     opens: dict[int, set[Assume]] = {}
-    for _ in _open_sets(all_nodes(root), opens):
+    for _ in _open_sets(root, opens):
         pass
     return frozenset(opens[id(root)])
 
@@ -411,13 +462,21 @@ def _check_fresh(
                 FRESHNESS_VIOLATION,
                 f"eigenlabel {label!r} of {node.rule} must differ from the rule's label {other!r}",
             )
-    remaining = k.opens[id(hyp)] - set(node.discharges)
-    for a in sorted(remaining, key=lambda x: x.id):
-        if label in labels_of_generic(a.formula):
-            raise _Err(
-                FRESHNESS_VIOLATION,
-                f"label {label!r} of {node.rule} occurs in open assumption {format_generic(a.formula)}",
-            )
+    # The clash reported is the open class, not discharged here, with the lowest id.
+    clash: Assume | None = None
+    for a in k.opens[id(hyp)]:
+        w = a.formula
+        if (
+            (label in w.seq if isinstance(w, Lwff) else label == w.a or label == w.b)
+            and (clash is None or a.id < clash.id)
+            and a not in node.discharges
+        ):
+            clash = a
+    if clash is not None:
+        raise _Err(
+            FRESHNESS_VIOLATION,
+            f"label {label!r} of {node.rule} occurs in open assumption {format_generic(clash.formula)}",
+        )
 
 
 def _same_judgment(node: Apply, k: _Scope, w: Lwff, where: str) -> None:
@@ -706,15 +765,17 @@ def check(root: Node) -> CheckReport:
     """
     k = _Scope()
     discharged_by: dict[int, int] = {}
-    for n in _open_sets(all_nodes(root), k.opens):
+    for n in _open_sets(root, k.opens):
         try:
-            if not isinstance(n.conclusion, Lwff) and (isinstance(n, Apply) or n is root):
+            assumed = isinstance(n, Assume)
+            c = n.formula if assumed else n.conclusion
+            if not isinstance(c, Lwff) and (not assumed or n is root):
                 raise _Err(SHAPE_MISMATCH, "a derivation concludes a labeled formula")
-            if isinstance(n, Assume):
-                if isinstance(n.formula, Lwff) and k.norm(n.formula.formula) is None:
+            if assumed:
+                if isinstance(c, Lwff) and k.norm(c.formula) is None:
                     raise _Err(SHAPE_MISMATCH, "assumption formula is not in the proof language")
                 continue
-            if k.norm(n.conclusion.formula) is None:
+            if k.norm(c.formula) is None:
                 raise _Err(SHAPE_MISMATCH, "conclusion formula is not in the proof language")
             rule = _VALIDATORS.get(n.rule)
             if rule is None:
@@ -732,5 +793,5 @@ def check(root: Node) -> CheckReport:
                 raise _Err(BAD_DISCHARGE, f"rule {n.rule} discharges nothing")
         except _Err as e:
             return CheckReport(accepted=False, node_id=n.id, reason=e.reason, message=e.message)
-    opens_root = frozenset(k.generic(a.formula) for a in k.opens[id(root)])
+    opens_root = tuple(k.generic(a.formula) for a in k.opens[id(root)])
     return CheckReport(accepted=True, conclusion=root.conclusion, open_assumptions=opens_root)

@@ -35,15 +35,16 @@ Every line restates a whole formula, so a script repeats a few large
 formulas many times.  ``parse_script`` parses each distinct formula text
 once, reads each distinct label-sequence text once, and interns every
 node, so equal formulas and subformulas of one script are one object;
-``serialize`` prints each formula object once.  Each memo belongs to one
-call and is dropped when it returns.
+``serialize`` prints each formula and subformula object once, through
+one fold memo for the whole script.  Each memo belongs to one call and
+is dropped when it returns.
 """
 
 from __future__ import annotations
 
 import re
 
-from .formulas import Formula, ParseError, _Parser, format_formula
+from .formulas import Formula, ParseError, _FORMAT, _Parser, _fold_from
 from .kernel import Apply, Assume, Le, Lwff, Node, Succ, all_nodes, format_generic
 
 __all__ = ["ScriptError", "parse_script", "serialize"]
@@ -199,18 +200,17 @@ def parse_script(text: str) -> Node:
 def serialize(root: Node) -> str:
     """Render a derivation as a script (ids renumbered in definition order).
 
-    One postorder walk numbers and prints each node.  Each formula object
-    is printed once per call; the memo is keyed on its ``id`` and holds the
-    object, and is dropped when the call returns.
+    One postorder walk numbers and prints each node.  Every formula is
+    printed through one ``_FORMAT`` fold memo per call, so each formula
+    object, and each subformula object that many lines share, is printed
+    once.  The memo is keyed on ``id``; ``root`` holds every object it
+    names, and it is dropped when the call returns.
     """
-    printed: dict[int, tuple[Formula, str]] = {}
+    memo: dict[int, str] = {}
     num: dict[int, int] = {}
 
     def lwff(w: Lwff) -> str:
-        hit = printed.get(id(w.formula))
-        if hit is None:
-            hit = printed[id(w.formula)] = (w.formula, format_formula(w.formula))
-        return f"{' '.join(w.seq)} : {hit[1]}"
+        return f"{' '.join(w.seq)} : {_fold_from(w.formula, _FORMAT, memo)}"
 
     lines: list[str] = []
     for n in all_nodes(root):

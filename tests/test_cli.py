@@ -11,6 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import nabla
+from nabla import kernel
 from nabla.cli import MAX_IMAGE_LENGTH, main
 from nabla.formulas import MAX_NESTING, Implies, desugar, parse_ltl
 from nabla.kernel import Apply, Assume, Lwff, check
@@ -89,6 +90,34 @@ def test_check_emit_primitive(capsys, tmp_path):
     root = parse_script(out)
     assert check(root).accepted
     assert "FE" not in out and "orE" not in out
+
+
+def test_check_walks_a_derivation_once(capsys, tmp_path, monkeypatch):
+    # The postorder and the premise counts are one walk, kept on the root:
+    # expand, check, the printability test and serialize all read it.
+    walks = []
+    real = kernel._postorder
+    monkeypatch.setattr(kernel, "_postorder", lambda root: walks.append(root) or real(root))
+    path = tmp_path / "chain.ndp"
+    path.write_text(
+        "assume 1 lwff b : p\n"
+        "assume 2 lwff b : (p -> q)\n"
+        "node 3 impE concl b : q prem 2,1\n"
+        "node 4 impI concl b : (p -> q) prem 3 disch 1\n"
+        "root 4\n",
+        encoding="utf-8",
+    )
+    code, out = run(capsys, "check", str(path), "--json")
+    assert code == 0 and json.loads(out)["open_assumptions"] == ["b : (p -> q)"]
+    assert len(walks) == 1
+    code, out = run(capsys, "check", str(path), "--emit-primitive")
+    assert code == 0 and out == path.read_text(encoding="utf-8")
+    assert len(walks) == 2
+    # A derived rule is expanded into a new derivation, which is walked again.
+    path.write_text("assume 1 lwff b : p\nassume 2 lwff b : q\nnode 3 andI concl b : (p & q) prem 1,2\nroot 3\n", encoding="utf-8")
+    code, out = run(capsys, "check", str(path), "--json")
+    assert code == 0 and json.loads(out)["open_assumptions"] == ["b : p", "b : q"]
+    assert len(walks) == 4
 
 
 def test_corpus_exit_code(capsys):

@@ -18,6 +18,7 @@ from nabla.kernel import (
     UNKNOWN_RULE,
     Apply,
     Assume,
+    CheckReport,
     Le,
     Lwff,
     Succ,
@@ -131,6 +132,21 @@ def test_gi_freshness_constructed():
     assert check(closed).reason == BAD_DISCHARGE  # imp does not match the antecedent slot
     shed = Apply(8, "impI", Lwff(("b", "c"), Implies(Q, P)), (use,), (minor,))
     assert check(shed).accepted
+
+
+def test_freshness_names_the_open_class_with_the_lowest_id():
+    # Classes 7 and 9 both name the eigenlabel c; class 2 does too, but GI
+    # discharges it.  The scan reports class 7 however the set is ordered.
+    g, r = Assume(1, Lwff(("b",), Always(P))), Assume(2, Le("b", "c"))
+    ge = Apply(3, "GE", Lwff(("b", "c"), P), (g, r))
+    assert check(Apply(4, "GI", Lwff(("b",), Always(P)), (ge,), (r,))).accepted
+    pp = Implies(P, P)
+    outer, inner = Assume(7, Lwff(("b", "c"), Implies(pp, pp))), Assume(9, Lwff(("b", "c"), pp))
+    same = Apply(5, "impE", Lwff(("b", "c"), pp), (outer, inner))
+    hyp = Apply(6, "impE", Lwff(("b", "c"), P), (same, ge))
+    report = check(Apply(8, "GI", Lwff(("b",), Always(P)), (hyp,), (r,)))
+    assert (report.reason, report.node_id) == (FRESHNESS_VIOLATION, 8)
+    assert report.message == "label 'c' of GI occurs in open assumption b c : ((p -> p) -> (p -> p))"
 
 
 def test_ge_shape_and_sequence():
@@ -474,7 +490,7 @@ def assert_opens_agree(root):
     order = all_nodes(root)
     ref = reference_opens(order)
     opens = {}
-    for n in _open_sets(order, opens):
+    for n in _open_sets(root, opens):
         # What a validator sees of each premise is the reference set.
         for p in getattr(n, "premises", ()):
             assert opens[id(p)] == ref[id(p)], (n.id, p.id)
@@ -657,8 +673,8 @@ def test_check_is_linear_in_shared_formula_objects(run_in_child):
 
 def _check_open_deep_assumption(k=20):
     """Check one open assumption over ``tr(r U (r U ... s))``, ``k`` levels
-    of ``U``: about 4^k tree nodes over a few objects per level.  The
-    report's open set hashes it."""
+    of ``U``: about 4^k tree nodes over a few objects per level.  Reading
+    the report's open set hashes it."""
     y = Atom("s")
     for _ in range(k):
         y = Until(Atom("r"), y)
@@ -672,14 +688,57 @@ def test_formula_hash_is_linear_in_shared_objects(run_in_child):
 
 
 def test_check_hashes_a_900_level_formula():
-    # The report's open set hashes the formula.  A hash computed recursively
-    # over the children raised RecursionError from about 500 levels on.
+    # Reading the report's open set hashes the formula.  A hash computed
+    # recursively over the children raised RecursionError from about 500
+    # levels on.
     f = Atom("p")
     for i in range(900):
         f = Implies(Atom(f"q{i % 3}"), f) if i % 2 else Always(f)
     w = Lwff(("b",), f)
     report = check(Assume(1, w))
     assert report.accepted and report.open_assumptions == {w}
+
+
+def test_check_and_its_report_hash_no_formula(monkeypatch):
+    # The report keeps the open judgments unhashed and to_dict prints them;
+    # only reading open_assumptions builds, and hashes, the frozenset.
+    lines = ["assume 1 lwff b : p0"]
+    for i in range(1, 301):
+        lines += [f"assume {2 * i} lwff b : (p{i - 1} -> p{i})", f"node {2 * i + 1} impE concl b : p{i} prem {2 * i},{2 * i - 1}"]
+    root = parse_script("\n".join(lines + ["root 601"]) + "\n")
+    hashed = []
+    real = Formula.__hash__
+    monkeypatch.setattr(Formula, "__hash__", lambda f: hashed.append(f) or real(f))
+    report = check(root)
+    verdict = report.to_dict()
+    assert report.accepted and len(verdict["open_assumptions"]) == 301 and not hashed
+    assert verdict["open_assumptions"] == sorted(verdict["open_assumptions"])
+    opens = report.open_assumptions
+    assert len(opens) == 301 and hashed and report.open_assumptions is opens
+
+
+def test_equal_open_judgments_print_once():
+    # b : (~ p) and b : (p -> bot) are two classes whose judgments are equal
+    # after desugaring: one text, one element.
+    root = parse_script(
+        "assume 1 lwff b : (~ p)\n"
+        "assume 2 lwff b : (p -> bot)\n"
+        "node 3 impI concl b : ((p -> bot) -> (p -> bot)) prem 2\n"
+        "node 4 impE concl b : (p -> bot) prem 3,1\n"
+        "root 4\n"
+    )
+    report = check(root)
+    assert report.to_dict() == {"verdict": "accepted", "conclusion": "b : (p -> bot)", "open_assumptions": ["b : (p -> bot)"]}
+    assert report.open_assumptions == {Lwff(("b",), Implies(P, Bottom()))}
+    assert len(open_assumption_classes(root)) == 2
+
+
+def test_a_report_built_from_judgments_prints_as_checks_does():
+    w = Lwff(("b",), Implies(P, Q))
+    report = CheckReport(True, Lwff(("b",), Q), [w, Le("b", "c"), Lwff(("b",), Implies(P, Q))])
+    assert report.to_dict()["open_assumptions"] == ["b : (p -> q)", "le(b,c)"]
+    assert report.open_assumptions == {w, Le("b", "c")}
+    assert report == CheckReport(True, Lwff(("b",), Q), frozenset({w, Le("b", "c")}))
 
 
 def test_kernel_has_eighteen_rules():

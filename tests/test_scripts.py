@@ -11,7 +11,7 @@ from nabla.cli import main
 from nabla.corpus import ENTRIES, MUTATIONS, load_script
 from nabla.derived import derive_tautology, expand
 from nabla import formulas
-from nabla.formulas import Atom, Formula, ParseError, format_formula, parse_ltl
+from nabla.formulas import Atom, Formula, Implies, ParseError, format_formula, parse_ltl
 from nabla.kernel import Apply, Assume, Le, Lwff, Succ, all_nodes, check
 from nabla.scripts import ScriptError, parse_script, serialize
 from tests.test_formulas import ReferenceParser, reference_prefix
@@ -39,6 +39,24 @@ def test_serialize_emits_primitive_scripts():
     again = parse_script(text)
     assert check(again).accepted
     assert "orE" not in text and "FI" not in text and "FE" not in text
+
+
+def test_serialize_prints_each_formula_object_once(monkeypatch):
+    # One fold memo serves the whole script: a subformula that many lines
+    # share is printed once, not once per line that restates it.
+    root = derive_tautology(parse_ltl("(((p -> q) -> p) -> p)"), "b")
+    objects, stack = set(), [n.conclusion.formula for n in all_nodes(root) if isinstance(n.conclusion, Lwff)]
+    while stack:
+        f = stack.pop()
+        if type(f) is Implies and id(f) not in objects:
+            objects.add(id(f))
+            stack += [f.left, f.right]
+    printed = []
+    rule = formulas._FORMAT[Implies]
+    monkeypatch.setitem(formulas._FORMAT, Implies, lambda x, a, b: printed.append(x) or rule(x, a, b))
+    text = serialize(root)
+    assert len(printed) == len(objects) and {id(f) for f in printed} == objects
+    assert text.count("->") > 4 * len(printed)  # 38 arrows, 8 printed
 
 
 def test_parse_error_line_numbers():
