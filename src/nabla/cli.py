@@ -13,6 +13,14 @@ exit 1, and :class:`Refused`, the command line's own refusals (an
 unreadable file, a limit, a bad option value), exits with its own code.
 Any other exception is an internal error: ``internal error: <type>:
 <message>`` and exit 4, never 1, which means rejected.
+
+Each command loads only the modules it runs, since a one-shot process
+compiles every module it imports.  The module-level imports are the ones
+that every command or ``build_parser`` needs.  A ``cmd_*`` function imports
+the modules that only it runs: ``check`` and ``taut`` import ``derived``
+and ``scripts``, and ``corpus`` imports ``corpus``.  ``main`` maps their
+exceptions without importing them, because a class whose module was never
+loaded cannot have been raised.
 """
 
 from __future__ import annotations
@@ -25,12 +33,9 @@ import re
 import sys
 from pathlib import Path
 
-from . import corpus as corpus_mod
-from .derived import NotATautology, NotPropositional, SchemaMismatch, derive_tautology, expand
 from .formulas import MAX_NESTING, ParseError, format_formula, format_length, format_nesting, parse_h, parse_ltl
 from .fuzz import LEMMAS, report_to_json, run_lemma
 from .kernel import Lwff, all_nodes, check
-from .scripts import _LABEL_RE, ScriptError, parse_script, serialize
 from .semantics import ModelFormatError, eval_h, eval_ltl, parse_model
 from .translate import translate
 
@@ -75,6 +80,9 @@ def _printable(root) -> None:
 
 
 def cmd_check(args) -> int:
+    from .derived import SchemaMismatch, expand
+    from .scripts import parse_script, serialize
+
     root = parse_script(_read(args.file))
     try:
         root = expand(root)
@@ -101,7 +109,9 @@ def cmd_check(args) -> int:
 
 
 def cmd_corpus(args) -> int:
-    results = corpus_mod.run_corpus()
+    from .corpus import run_corpus
+
+    results = run_corpus()
     ok = all(r.ok for r in results)
     if args.json:
         print(json.dumps({"ok": ok, "results": [r.to_dict() for r in results]}, sort_keys=True, indent=2))
@@ -128,6 +138,9 @@ def cmd_translate(args) -> int:
 
 
 def cmd_taut(args) -> int:
+    from .derived import derive_tautology
+    from .scripts import _LABEL_RE, serialize
+
     if not _LABEL_RE.fullmatch(args.label):
         raise Refused(f"--label {args.label!r} is not a script label: a letter, then letters, digits or _")
     d = derive_tautology(parse_ltl(args.formula), args.label)
@@ -259,13 +272,21 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _loaded(module: str, *names: str) -> tuple[type[Exception], ...]:
+    """The exception classes ``names`` of ``nabla.<module>``, or none if that
+    module was never loaded: then none of them can have been raised."""
+    loaded = sys.modules.get(f"{__package__}.{module}")
+    return tuple(getattr(loaded, name) for name in names) if loaded else ()
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ScriptError, ParseError, ModelFormatError) as e:
+    # An except clause's classes are looked up only when an exception reaches it.
+    except (ParseError, ModelFormatError, *_loaded("scripts", "ScriptError")) as e:
         code, message = EXIT_PARSE, str(e)
-    except (NotATautology, NotPropositional) as e:
+    except _loaded("derived", "NotATautology", "NotPropositional") as e:
         code, message = EXIT_REJECTED, str(e)
     except Refused as e:
         code, message = e.code, str(e)

@@ -467,7 +467,7 @@ def test_taut_refuses_a_proof_the_kernel_does_not_accept(capsys, monkeypatch, ki
         leaf = Assume(1, Lwff((label,), f))
         return leaf if kind == "open" else Apply(2, "impI", Lwff((label,), f), (leaf,))
 
-    monkeypatch.setattr("nabla.cli.derive_tautology", broken)
+    monkeypatch.setattr("nabla.derived.derive_tautology", broken)
     assert main(["taut", "(p -> p)"]) == 4
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -650,6 +650,18 @@ def test_main_builds_its_parser_once(capsys, monkeypatch):
     assert made == []
 
 
+def child_env() -> dict[str, str]:
+    """The environment of a fresh interpreter that imports this nabla."""
+    return dict(os.environ, PYTHONPATH=os.pathsep.join([str(Path(nabla.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
+
+
+def one_shot(argv) -> subprocess.Popen:
+    """`python -m nabla.cli ARGV`, started and not waited for."""
+    return subprocess.Popen(
+        [sys.executable, "-m", "nabla.cli", *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=child_env()
+    )
+
+
 def test_module_entry_point_matches_main(capsys, tmp_path):
     # `python -m nabla.cli`, one process per command line as a user runs it,
     # gives the same stdout, stderr and exit code as main in process.
@@ -660,13 +672,72 @@ def test_module_entry_point_matches_main(capsys, tmp_path):
         ["check", str(tmp_path / "missing.ndp")],
         ["fuzz", "--lemma", "translation", "--samples", "200", "--seed", "1", "--inject-bug", "valuation-shift"],
     ]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(Path(nabla.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
-    children = [
-        subprocess.Popen([sys.executable, "-m", "nabla.cli", *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env)
-        for argv in argvs
-    ]
+    children = [one_shot(argv) for argv in argvs]
     for argv, child, want in zip(argvs, children, [0, 1, 2, 3]):
         out, err = child.communicate(timeout=30)
         code = main(argv)
         assert (child.returncode, out, err) == (want, *capsys.readouterr()), argv
         assert code == want
+
+
+@pytest.mark.parametrize("name", sorted(FUZZ_GOLDENS))
+def test_one_shot_fuzz_report_matches_golden(name):
+    # Record comparisons follow type addresses, which change with the set of
+    # modules a process has loaded; a one-shot `nabla fuzz` loads fewer than
+    # the test process, and its seeded report must not move.
+    child = one_shot(["fuzz", *FUZZ_GOLDENS[name], "--json", "--seed", "1"])
+    out, err = child.communicate(timeout=60)
+    assert (out, err) == ((GOLDEN / f"{name}.json").read_text(encoding="utf-8"), "")
+    assert child.returncode == (3 if "--inject-bug" in FUZZ_GOLDENS[name] else 0)
+
+
+# Each command line, run by main in a fresh interpreter after the given
+# statements, with its exit code and the modules, of those that only some
+# commands run, that it loads.  Every branch of main's exit-code mapping is
+# here, so each still holds when the module that raises was loaded by the
+# command itself.  None runs no command: the import of nabla.cli alone.
+_CHECKER = ["nabla.derived", "nabla.scripts"]
+_BOOM = "def boom(*args):\n    raise ValueError('boom')\n"
+_LOADS = {
+    "import": ("", None, None, []),
+    "eval": ("", ["eval", "--model", "{model}", "--pos", "0", "(p U q)"], 0, []),
+    "eval-parse-error": ("", ["eval", "--model", "{model}", "--pos", "0", "(p U"], 2, []),
+    "eval-model-format": ("", ["eval", "--model", "{dir}/garbled.ndp", "--pos", "0", "p"], 2, []),
+    "translate": ("", ["translate", "(p U q)"], 0, []),
+    "translate-internal": (_BOOM + "nabla.cli.translate = boom\n", ["translate", "p"], 4, []),
+    "fuzz": ("", ["fuzz", "--lemma", "translation", "--samples", "1", "--seed", "1"], 0, []),
+    "check": ("", ["check", "{corpus}/A6.ndp"], 0, _CHECKER),
+    "check-script-error": ("", ["check", "{dir}/garbled.ndp"], 2, _CHECKER),
+    "check-internal": (_BOOM + "nabla.cli.check = boom\n", ["check", "{corpus}/A6.ndp"], 4, _CHECKER),
+    "taut": ("", ["taut", "(p -> p)"], 0, _CHECKER),
+    "taut-not-a-tautology": ("", ["taut", "(p -> q)"], 1, _CHECKER),
+    "taut-not-propositional": ("", ["taut", "(G p)"], 1, _CHECKER),
+    "corpus": ("", ["corpus"], 0, ["nabla.corpus", *_CHECKER]),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_LOADS))
+def test_each_command_loads_only_the_modules_it_runs(tmp_path, model_file, kind):
+    before, argv, want_code, want_loaded = _LOADS[kind]
+    (tmp_path / "garbled.ndp").write_text("assume 1 lwff b ; p\n", encoding="utf-8")
+    corpus = Path(nabla.__file__).parent / "corpus"
+    if argv is not None:
+        argv = [a.format(model=model_file, dir=tmp_path, corpus=corpus) for a in argv]
+    code = (
+        "import contextlib, io, json, sys\n"
+        "import nabla.cli\n"
+        f"{before}"
+        "err = io.StringIO()\n"
+        "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):\n"
+        f"    code = None if {argv!r} is None else nabla.cli.main({argv!r})\n"
+        "lazy = ('nabla.corpus', 'nabla.derived', 'nabla.scripts')\n"
+        "print(json.dumps([code, [m for m in lazy if m in sys.modules], err.getvalue()]))\n"
+    )
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=child_env(), timeout=60)
+    assert done.returncode == 0, done.stderr[-500:]
+    got_code, got_loaded, err = json.loads(done.stdout)
+    assert (got_code, got_loaded) == (want_code, want_loaded)
+    if want_code == 4:
+        assert err == "internal error: ValueError: boom\n"
+    elif want_code:
+        assert err.startswith("error: ") and "internal error" not in err, err
