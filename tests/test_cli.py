@@ -680,15 +680,15 @@ def test_module_entry_point_matches_main(capsys, tmp_path):
         assert code == want
 
 
-@pytest.mark.parametrize("name", sorted(FUZZ_GOLDENS))
-def test_one_shot_fuzz_report_matches_golden(name):
+def test_one_shot_fuzz_reports_match_goldens():
     # Record comparisons follow type addresses, which change with the set of
     # modules a process has loaded; a one-shot `nabla fuzz` loads fewer than
     # the test process, and its seeded report must not move.
-    child = one_shot(["fuzz", *FUZZ_GOLDENS[name], "--json", "--seed", "1"])
-    out, err = child.communicate(timeout=60)
-    assert (out, err) == ((GOLDEN / f"{name}.json").read_text(encoding="utf-8"), "")
-    assert child.returncode == (3 if "--inject-bug" in FUZZ_GOLDENS[name] else 0)
+    children = {name: one_shot(["fuzz", *argv, "--json", "--seed", "1"]) for name, argv in FUZZ_GOLDENS.items()}
+    for name, child in children.items():
+        out, err = child.communicate(timeout=60)
+        assert (out, err) == ((GOLDEN / f"{name}.json").read_text(encoding="utf-8"), ""), name
+        assert child.returncode == (3 if "--inject-bug" in FUZZ_GOLDENS[name] else 0), name
 
 
 # Each command line, run by main in a fresh interpreter after the given
@@ -723,13 +723,14 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path, model_file, kind)
     corpus = Path(nabla.__file__).parent / "corpus"
     if argv is not None:
         argv = [a.format(model=model_file, dir=tmp_path, corpus=corpus) for a in argv]
+    call = "None" if argv is None else f"nabla.cli.main({argv!r})"
     code = (
         "import contextlib, io, json, sys\n"
         "import nabla.cli\n"
         f"{before}"
         "err = io.StringIO()\n"
         "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):\n"
-        f"    code = None if {argv!r} is None else nabla.cli.main({argv!r})\n"
+        f"    code = {call}\n"
         "lazy = ('nabla.corpus', 'nabla.derived', 'nabla.scripts')\n"
         "print(json.dumps([code, [m for m in lazy if m in sys.modules], err.getvalue()]))\n"
     )

@@ -12,6 +12,12 @@ a module that one checkout does not import reads 0 there.  The first row,
 ``(all)``, is the sum over the statement's modules, which is the whole
 import; ``(modules)`` counts them.
 
+The tool prints two tables: one from children started as usual, and one
+from children started with ``python -S``, which skips ``site``.  A ``.pth``
+file in site-packages can import standard modules (``importlib.resources``,
+``typing``, ``pathlib``) before the statement, and the first table then
+leaves them out; the second shows what an interpreter without them pays.
+
 Usage, from anywhere::
 
     python tools/startup.py OLD NEW
@@ -36,12 +42,13 @@ MARK = "startup.py: statement begins"
 RUNS = 20
 
 
-def _import_times(root: Path) -> dict[str, int]:
+def _import_times(root: Path, flags: tuple[str, ...]) -> dict[str, int]:
     """Self time in microseconds of each module the statement imports, in
-    one fresh interpreter that reads nabla from ``root / "src"``."""
+    one fresh interpreter, started with ``flags``, that reads nabla from
+    ``root / "src"``."""
     code = f"import sys\nsys.stderr.write({MARK!r} + '\\n')\nimport {', '.join(MODULES)}\n"
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
-    done = subprocess.run([sys.executable, "-X", "importtime", "-c", code], capture_output=True, text=True, env=env, check=True)
+    done = subprocess.run([sys.executable, *flags, "-X", "importtime", "-c", code], capture_output=True, text=True, env=env, check=True)
     lines = done.stderr.splitlines()
     times: dict[str, int] = {}
     for line in lines[lines.index(MARK) + 1 :]:
@@ -57,16 +64,12 @@ def _spread(values: list[float]) -> dict[str, float]:
     return {"median": statistics.median(values), "q1": q1, "q3": q3}
 
 
-def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("old", type=Path)
-    ap.add_argument("new", type=Path)
-    args = ap.parse_args(argv)
-    sides = {"old": args.old.resolve(), "new": args.new.resolve()}
+def _table(sides: dict[str, Path], flags: tuple[str, ...]) -> None:
+    """Print the table of ``RUNS`` children per side, started with ``flags``."""
     runs: dict[str, list[dict[str, int]]] = {"old": [], "new": []}
     for i in range(RUNS):
         for side in ("old", "new") if i % 2 == 0 else ("new", "old"):
-            runs[side].append(_import_times(sides[side]))
+            runs[side].append(_import_times(sides[side], flags))
     for per_run in runs.values():
         for times in per_run:
             times["(modules)"] = len(times)
@@ -81,6 +84,17 @@ def main(argv=None) -> int:
     for name in order:
         cells = [f"{s['median']:9.0f} [{s['q1']:7.0f}, {s['q3']:7.0f}]" for s in table[name].values()]
         print(f"{name:32s} {cells[0]:>30s} {cells[1]:>30s}")
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("old", type=Path)
+    ap.add_argument("new", type=Path)
+    args = ap.parse_args(argv)
+    sides = {"old": args.old.resolve(), "new": args.new.resolve()}
+    for title, flags in (("python", ()), ("python -S", ("-S",))):
+        print(f"children started as: {title}")
+        _table(sides, flags)
     return 0
 
 
