@@ -18,7 +18,8 @@ two parsers reject the foreign operator.
 The parsers read the token strings of one compiled pattern, ``_TOKEN``,
 and recover each token's offset only for an error or for where a partial
 parse stops (see ``_Parser``).  They intern the nodes of one text, so equal
-subformulas of a parsed formula are one object.  Formulas built by
+subformulas of a parsed formula are one object.  A script's parser also
+reads the names its ``let`` lines define (``scripts``).  Formulas built by
 constructors share only what their builder shares.  The walks here
 (printing, desugaring, the measures, the language checks and locality)
 each fold one table of per-class rules over the formula and visit each
@@ -278,12 +279,15 @@ _BINARY = {"->": Implies, "|": Or, "&": And, "U": Until}
 
 
 # The lexer: each match is one token, ``->``, a one-character operator or
-# parenthesis, a word, or any other non-space character; ``findall`` skips
-# the whitespace between matches.  ``\s`` is ``str.isspace`` and ``\w`` is
-# ``str.isalnum`` or ``_``.  A name starts with a letter (``str.isalpha``):
-# a word that does not (``_x``, ``1``, ``²x``, ``Ⅷ``) and any other lone
-# character are no tokens of the grammar, and a parse fails where they start.
-_TOKEN = re.compile(r"->|[()~|&]|\w+|\S")
+# parenthesis, a word, ``$`` and the word after it, or any other non-space
+# character; ``findall`` skips the whitespace between matches.  ``\s`` is
+# ``str.isspace`` and ``\w`` is ``str.isalnum`` or ``_``.  A name starts
+# with a letter (``str.isalpha``): a word that does not (``_x``, ``1``,
+# ``²x``, ``Ⅷ``) and any other lone character are no tokens of the grammar,
+# and a parse fails where they start.  ``$x`` is a token only of a script's
+# formulas, which may name a formula defined earlier (``scripts``); to
+# every other parse it is a ``$``, which fails there.
+_TOKEN = re.compile(r"->|[()~|&]|\w+|\$\w+|\S")
 _SYMBOLS = frozenset({"->", "(", ")", "~", "|", "&"})
 _FORMULA_START = frozenset({"identifier", "bot", "("})
 
@@ -294,16 +298,16 @@ def _is_name(word: str) -> bool:
     return _TOKEN.fullmatch(word) is not None and word[0].isalpha() and word.isidentifier() and word not in RESERVED
 
 
-def _positions(text: str, partial: bool) -> list[tuple[str, int]]:
+def _positions(text: str, partial: bool, names: bool = False) -> list[tuple[str, int]]:
     """Every token of ``text`` with its offset, then ``("<end>", offset)``.
 
     At the first character that starts no token, a partial scan ends the
     list (so one formula can be parsed out of a longer line) and a whole
-    scan raises ``ParseError``."""
+    scan raises ``ParseError``.  With ``names``, ``$x`` is a token."""
     tokens: list[tuple[str, int]] = []
     for m in _TOKEN.finditer(text):
         tok, off = m.group(), m.start()
-        if tok[0].isalpha() or tok in _SYMBOLS:
+        if tok[0].isalpha() or tok in _SYMBOLS or (names and tok[0] == "$" and len(tok) > 1):
             tokens.append((tok, off))
         elif partial:
             tokens.append(("<end>", off))
@@ -337,9 +341,18 @@ class _Parser:
     subformulas come back as one object.  A caller may pass one table to
     several parsers to share across texts; the table holds every node its
     keys name, so no ``id`` in it can be reused while it lives.
+
+    A script's parser is given ``names``, which maps each name ``$x`` that
+    the script has defined to its formula and to how deep that formula's
+    parentheses nest.  A name reads as that very formula, so its nodes
+    are interned as the formula's are; it is looked up only where a token
+    misses ``shared``, so an atom seen before costs nothing more.  The
+    nesting of a name counts where it is used, so a formula read through
+    names nests at most :data:`MAX_NESTING` levels in all, as its text
+    written out would.
     """
 
-    def __init__(self, text: str, foreign: str, shared=None):
+    def __init__(self, text: str, foreign: str, shared=None, names=None):
         self.text = text
         self.tokens = _TOKEN.findall(text)
         self.tokens.append("<end>")
@@ -347,9 +360,10 @@ class _Parser:
         self.depth = 0
         self.foreign = foreign  # the other language's operator, "U" or "H"
         self.shared: dict[str | tuple, Formula] = {} if shared is None else shared
+        self.names: dict[str, tuple[Formula, int]] | None = names
 
     def error(self, partial: bool, k: int, expected, message: str | None = None) -> ParseError:
-        tok, off = _positions(self.text, partial)[k]
+        tok, off = _positions(self.text, partial, self.names is not None)[k]
         return ParseError(message or f"unexpected token {tok!r}", off, frozenset(expected))
 
     def formula(self) -> Formula:
@@ -366,6 +380,8 @@ class _Parser:
                     f = Bottom()
                 elif tok[0].isalpha() and tok.isidentifier() and tok not in RESERVED:
                     f = Atom(tok)
+                elif tok[0] == "$" and len(tok) > 1 and self.names is not None:
+                    return self.named(k, tok)
                 else:
                     raise _Stop(k, _FORMULA_START)
                 self.shared[tok] = f
@@ -402,6 +418,16 @@ class _Parser:
             f = self.shared[key] = cls(*args)
         return f
 
+    def named(self, k: int, name: str) -> Formula:
+        """The formula defined as ``name``, read at token ``k``."""
+        entry = self.names.get(name)
+        if entry is None:
+            raise _Stop(k, _FORMULA_START, f"name {name!r} is not defined yet")
+        f, nesting = entry
+        if self.depth + nesting > MAX_NESTING:
+            raise _Stop(k, {"identifier", "bot"}, f"formula nested deeper than {MAX_NESTING} levels")
+        return f
+
     def run(self) -> Formula:
         """The formula that is the whole text."""
         try:
@@ -419,7 +445,7 @@ class _Parser:
             f = self.formula()
         except _Stop as stop:
             raise self.error(True, *stop.args) from None
-        return f, _positions(self.text, True)[self.pos][1]
+        return f, _positions(self.text, True, self.names is not None)[self.pos][1]
 
 
 def parse_ltl(text: str) -> Formula:

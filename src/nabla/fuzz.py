@@ -17,8 +17,7 @@ from __future__ import annotations
 
 import json
 import random
-from collections.abc import Callable
-from typing import NamedTuple
+from collections import namedtuple
 
 from .formulas import Formula, _ValueRecord, _bind_setattr, desugar, format_formula, is_local, temporal_depth
 from .gen import (
@@ -30,7 +29,7 @@ from .gen import (
     random_obs_sequence,
     random_until_formula,
 )
-from .kernel import GenericFormula, check, format_generic
+from .kernel import check, format_generic
 from .semantics import LassoModel, _below, _eval_h, _eval_h_oracle, _min_horizon, eval_ltl, falsify_consequence, random_lasso
 from .translate import translate
 
@@ -109,20 +108,21 @@ def _reference(m: LassoModel, seq, f: Formula) -> bool:
     return _eval_h_oracle(m, seq, f, _min_horizon(m, seq, depth))
 
 
-class _Case(NamedTuple):
+# The samples and the lemma table are named tuples from ``collections``,
+# which, unlike ``typing.NamedTuple``, load no ``typing`` at start-up.
+
+
+class _Case(namedtuple("_Case", "model at prefix formula clause", defaults=(None,))):
     """One sample of a comparison lemma.
 
-    ``at`` is a position for translation and an observation sequence for
-    the other lemmas; ``prefix`` is None where a lemma draws none.
-    last-local's ``clause`` is "local" or "hist-tier"; its right-hand side
-    keeps the sequence's last ``keep`` elements.
+    ``model`` is a ``LassoModel`` and ``formula`` a ``Formula``.  ``at`` is
+    a position for translation and an observation sequence for the other
+    lemmas; ``prefix`` is None where a lemma draws none.  last-local's
+    ``clause`` is "local" or "hist-tier" (None for the other lemmas); its
+    right-hand side keeps the sequence's last ``keep`` elements.
     """
 
-    model: LassoModel
-    at: int | tuple[int, ...]
-    prefix: tuple[int, ...] | None
-    formula: Formula
-    clause: str | None = None
+    __slots__ = ()
 
     @property
     def keep(self) -> int:
@@ -161,13 +161,12 @@ class _Case(NamedTuple):
         return out
 
 
-class _Derivation(NamedTuple):
-    """One soundness sample: an accepted derivation and the falsifier's seed."""
+class _Derivation(namedtuple("_Derivation", "open_assumptions conclusion seed")):
+    """One soundness sample: an accepted derivation, given by its open
+    assumptions (a frozenset of ``GenericFormula``) and its conclusion, and
+    the falsifier's seed."""
 
-    open_assumptions: frozenset[GenericFormula]
-    conclusion: GenericFormula
-    seed: int
-
+    __slots__ = ()
     model = None  # nothing to shift
 
     def moves(self):
@@ -180,15 +179,15 @@ class _Derivation(NamedTuple):
         }
 
 
-class _Lemma(NamedTuple):
-    # (rng, sample index, max_size) -> case; each lemma draws in a fixed order
-    draw: Callable
-    # (model for the left-hand side, case) -> (lhs, rhs, *more); the case
-    # falsifies the lemma when lhs != rhs
-    sides: Callable
-    # the report's names for lhs, rhs and more, in order; soundness names
-    # only its lhs, as its rhs is always None
-    keys: tuple[str, ...]
+class _Lemma(namedtuple("_Lemma", "draw sides keys")):
+    """A lemma's runner parts.  ``draw`` maps (rng, sample index, max_size)
+    to a case; each lemma draws in a fixed order.  ``sides`` maps (model for
+    the left-hand side, case) to (lhs, rhs, *more); the case falsifies the
+    lemma when lhs != rhs.  ``keys`` are the report's names for lhs, rhs
+    and more, in order; soundness names only its lhs, as its rhs is always
+    None."""
+
+    __slots__ = ()
 
 
 # The draws and sides read the evaluators and generators as module globals

@@ -119,15 +119,19 @@ def test_no_code_reads_an_instance_dict():
 
 
 def _base_name(base: ast.expr) -> str:
+    if isinstance(base, ast.Call):  # namedtuple("Name", "field ...")
+        return base.func.id
     return base.id if isinstance(base, ast.Name) else base.attr
 
 
 def _record_fields(trees: dict[str, ast.Module]) -> dict[str, tuple[str, list[tuple[int, str]]]]:
     """Every record class in the package, by name, with its module and its
     fields and the lines that list them.  A record is ``formulas._Record``,
-    a class derived from it or a ``NamedTuple``.  Its fields are its own ``__match_args__``, which
-    must be a literal tuple of names, the annotated names of a
-    ``NamedTuple``, or else the fields of its record base."""
+    a class derived from it, a ``NamedTuple`` or a class derived from a
+    ``namedtuple(...)`` call.  Its fields are its own ``__match_args__``,
+    which must be a literal tuple of names, the annotated names of a
+    ``NamedTuple``, the literal field string of the ``namedtuple`` call, or
+    else the fields of its record base."""
     classes = [(module, node) for module, tree in trees.items() for node in ast.walk(tree) if isinstance(node, ast.ClassDef)]
     fields: dict[str, tuple[str, list[tuple[int, str]]]] = {}
     grown = True
@@ -136,7 +140,7 @@ def _record_fields(trees: dict[str, ast.Module]) -> dict[str, tuple[str, list[tu
         for module, node in classes:
             bases = [_base_name(b) for b in node.bases]
             if node.name in fields or not (
-                node.name == "_Record" or "NamedTuple" in bases or any(b in fields for b in bases)
+                node.name == "_Record" or {"NamedTuple", "namedtuple"} & set(bases) or any(b in fields for b in bases)
             ):
                 continue
             own = [
@@ -146,6 +150,9 @@ def _record_fields(trees: dict[str, ast.Module]) -> dict[str, tuple[str, list[tu
             ]
             if own:
                 listed = [(e.lineno, ast.literal_eval(e)) for e in own[0].value.elts]
+            elif "namedtuple" in bases:
+                [call] = [b for b in node.bases if isinstance(b, ast.Call)]
+                listed = [(call.lineno, name) for name in ast.literal_eval(call.args[1]).split()]
             elif "NamedTuple" in bases:
                 listed = [(f.lineno, f.target.id) for f in node.body if isinstance(f, ast.AnnAssign) and isinstance(f.target, ast.Name)]
             else:

@@ -1,20 +1,25 @@
 import gc
+import os
+import random
 import re
+import subprocess
 import sys
 import weakref
 from importlib import resources
+from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from nabla.cli import main
 from nabla.corpus import ENTRIES, MUTATIONS, load_script
 from nabla.derived import derive_tautology, expand
 from nabla import formulas
 from nabla.formulas import Atom, Formula, Implies, ParseError, format_formula, parse_ltl
+from nabla.gen import DerivationSampler
 from nabla.kernel import Apply, Assume, Le, Lwff, Succ, all_nodes, check
 from nabla.scripts import ScriptError, parse_script, serialize
-from tests.test_formulas import ReferenceParser, reference_prefix
+from tests.test_formulas import ReferenceParser, _ref_tokenize
 
 
 def test_serialize_roundtrip_on_corpus():
@@ -162,7 +167,7 @@ def test_any_run_of_spaces_or_tabs_separates_fields(monkeypatch):
     # A tab before 'prem' ends the formula as a space does: no offset scan.
     scans = []
     positions = formulas._positions
-    monkeypatch.setattr(formulas, "_positions", lambda text, partial: scans.append(text) or positions(text, partial))
+    monkeypatch.setattr(formulas, "_positions", lambda text, *mode: scans.append(text) or positions(text, *mode))
     for text in spaced:
         parse_script(text)
     assert scans == []
@@ -195,32 +200,77 @@ def test_ids_are_ascii_digits():
 # The parser before sharing, kept as the reference: each line's formula is
 # parsed on its own, so equal formulas of a script are separate objects.
 # Its fields are separated by any run of whitespace, and its ids are ASCII
-# digits, as in parse_script.
+# digits, as in parse_script.  It reads a name `$x` as one token, found by
+# its own scan, and as the formula of the `let` line that defined it, which
+# nests as deep where it is used as its printed text does.
 
 _LABEL = r"[A-Za-z][A-Za-z0-9_]*"
 _RWFF_RE = re.compile(rf"^(le|succ)\(\s*({_LABEL})\s*,\s*({_LABEL})\s*\)$")
 _LABEL_RE = re.compile(rf"^{_LABEL}$")
+_REF_USE = re.compile(r"\$\w+")
 
 
-def _ref_formula_prefix(text, line):
+def _ref_named_tokens(text, partial):
+    """The reference's tokens of ``text``, with each `$` and the word after
+    it as one more token: the scan runs with the names blanked out, and a
+    name counts if it starts before the scan ends."""
+    uses = [(m.group(), m.start()) for m in _REF_USE.finditer(text)]
+    tokens = _ref_tokenize(_REF_USE.sub(lambda m: " " * len(m.group()), text), partial)
+    end = tokens.pop()
+    return sorted(tokens + [t for t in uses if t[1] < end[1]], key=lambda t: t[1]) + [end]
+
+
+def _ref_printed_nesting(f):
+    depth = deepest = 0
+    for ch in format_formula(f):
+        depth += (ch == "(") - (ch == ")")
+        deepest = max(deepest, depth)
+    return deepest
+
+
+class NamedReferenceParser(ReferenceParser):
+    def __init__(self, text, names):
+        super().__init__("", "U", partial=True)
+        self.tokens = _ref_named_tokens(text, partial=True)
+        self.names = names
+
+    def formula(self):
+        tok, off = self.peek()
+        if not tok.startswith("$"):
+            return super().formula()
+        self.next()
+        if tok not in self.names:
+            raise ParseError(f"name {tok!r} is not defined yet", off, frozenset({"identifier", "bot", "("}))
+        f = self.names[tok]
+        if self.depth + _ref_printed_nesting(f) > formulas.MAX_NESTING:
+            raise ParseError(f"formula nested deeper than {formulas.MAX_NESTING} levels", off, frozenset({"identifier", "bot"}))
+        return f
+
+
+def _ref_formula_prefix(text, line, names):
     try:
-        f, stop = reference_prefix(text, "U")
+        parser = NamedReferenceParser(text, names)
+        f, stop = parser.formula(), parser.peek()[1]
     except ParseError as e:
         raise ScriptError(f"bad formula: {e}", line)
     return f, text[stop:]
 
 
-def _ref_labelled(text, line):
+def _ref_whole_formula(text, line, names):
+    f, tail = _ref_formula_prefix(text, line, names)
+    if tail.strip():
+        raise ScriptError(f"trailing input after formula: {tail.strip()!r}", line)
+    return f
+
+
+def _ref_labelled(text, line, names):
     head, colon, rest = text.partition(":")
     if not colon:
         raise ScriptError("expected '<label>+ : <formula>'", line)
     labels = tuple(head.split())
     if not labels or not all(_LABEL_RE.match(x) for x in labels):
         raise ScriptError(f"bad label sequence {head.strip()!r}", line)
-    f, tail = _ref_formula_prefix(rest, line)
-    if tail.strip():
-        raise ScriptError(f"trailing input after formula: {tail.strip()!r}", line)
-    return Lwff(labels, f)
+    return Lwff(labels, _ref_whole_formula(rest, line, names))
 
 
 def _ref_id(word, line):
@@ -243,6 +293,7 @@ def _ref_word(text):
 
 def reference_parse_script(text):
     nodes = {}
+    names = {}
     root_id = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -257,7 +308,7 @@ def reference_parse_script(text):
                 raise ScriptError(f"duplicate id {nid}", lineno)
             kind, rest = _ref_word(words[2])
             if kind == "lwff":
-                nodes[nid] = Assume(nid, _ref_labelled(rest, lineno))
+                nodes[nid] = Assume(nid, _ref_labelled(rest, lineno, names))
             elif kind == "rwff":
                 m = _RWFF_RE.match(rest.strip())
                 if not m:
@@ -282,7 +333,7 @@ def reference_parse_script(text):
             labels = tuple(head.split())
             if not labels or not all(_LABEL_RE.match(x) for x in labels):
                 raise ScriptError(f"bad label sequence {head.strip()!r}", lineno)
-            formula, tail = _ref_formula_prefix(tail, lineno)
+            formula, tail = _ref_formula_prefix(tail, lineno, names)
             conclusion = Lwff(labels, formula)
             fields = tail.split()
             prem_ids, disch_ids = [], []
@@ -314,6 +365,16 @@ def reference_parse_script(text):
                     raise ScriptError(f"discharged id {did} is not an assumption", lineno)
                 discharges.append(nodes[did])
             nodes[nid] = Apply(nid, rule, conclusion, tuple(premises), tuple(discharges))
+        elif words[0] == "let":
+            fields = line.split(None, 3)
+            if len(fields) != 4 or fields[2] != "=":
+                raise ScriptError("let needs '$<name> = <formula>'", lineno)
+            name = fields[1]
+            if not re.fullmatch(r"\$[0-9A-Za-z_]+", name):
+                raise ScriptError(f"bad name {name!r}", lineno)
+            if name in names:
+                raise ScriptError(f"duplicate name {name}", lineno)
+            names[name] = _ref_whole_formula(fields[3], lineno, names)
         elif words[0] == "root":
             if root_id is not None:
                 raise ScriptError("duplicate root line", lineno)
@@ -389,13 +450,61 @@ _ERROR_SITES = [
     (_P + "asume 2 lwff b : p\nroot 1\n", 2, "unknown directive 'asume'"),
     (_P + "# root 1\n", 3, "missing root line"),
 ]
+# The error sites of names: a let line's own, then a name's use.
+_G20 = "(G " * 20 + "p" + ")" * 20
+_LET_ERROR_SITES = [
+    ("let: no '='", "let $1 (p -> p)\n" + _P + "root 1\n", 1, "let needs '$<name> = <formula>'"),
+    ("let: no formula", "let $1 =\n" + _P + "root 1\n", 1, "let needs '$<name> = <formula>'"),
+    ("let: bad name", "let x = (p -> p)\n" + _P + "root 1\n", 1, "bad name 'x'"),
+    ("let: non-ASCII name", "let $é = (p -> p)\n" + _P + "root 1\n", 1, "bad name '$é'"),
+    ("let: name defined twice", "let $1 = p\nlet $1 = q\n" + _P + "root 1\n", 2, "duplicate name $1"),
+    ("let: bad formula", "let $1 = (p ->\n" + _P + "root 1\n", 1,
+     "bad formula: unexpected token '<end>' at offset 5 (expected one of: (, bot, identifier)"),
+    ("let: trailing input", "let $1 = p q\n" + _P + "root 1\n", 1, "trailing input after formula: 'q'"),
+    ("undefined name", "assume 1 lwff b : ($1 -> p)\nroot 1\n", 1,
+     "bad formula: name '$1' is not defined yet at offset 2 (expected one of: (, bot, identifier)"),
+    ("let: name used before its let line", "let $1 = ($2 -> p)\nlet $2 = (p -> p)\n" + _P + "root 1\n", 1,
+     "bad formula: name '$2' is not defined yet at offset 1 (expected one of: (, bot, identifier)"),
+    ("node: name used before its let line", _P + "node 2 impI concl b : $2 prem 1 disch 1\nlet $2 = (p -> p)\nroot 2\n", 2,
+     "bad formula: name '$2' is not defined yet at offset 1 (expected one of: (, bot, identifier)"),
+    ("let: nested past the limit through a name", f"let $1 = {_G20}\nlet $2 = {'(X ' * 13}$1{')' * 13}\n" + _P + "root 1\n", 2,
+     "bad formula: formula nested deeper than 32 levels at offset 39 (expected one of: bot, identifier)"),
+    ("assume: nested past the limit through a name", f"let $1 = {_G20}\nlet $2 = {'(X ' * 12}$1{')' * 12}\nassume 1 lwff b : (~ $2)\nroot 1\n", 3,
+     "bad formula: formula nested deeper than 32 levels at offset 4 (expected one of: bot, identifier)"),
+    ("a name as an operator", "let $1 = (p -> p)\nassume 1 lwff b : ($1 $1 p)\nroot 1\n", 2,
+     "bad formula: unexpected token '$1' at offset 5 (expected one of: &, ->, |)"),
+]
+_ERROR_IDS = [m for _, _, m in _ERROR_SITES] + [name for name, *_ in _LET_ERROR_SITES]
+_ERROR_SITES += [site for _, *site in _LET_ERROR_SITES]
 
 
-@pytest.mark.parametrize("text, line, message", _ERROR_SITES, ids=[m for _, _, m in _ERROR_SITES])
+@pytest.mark.parametrize("text, line, message", _ERROR_SITES, ids=_ERROR_IDS)
 def test_every_script_error_site(text, line, message):
     expected = ("error", line, f"line {line}: {message}")
     assert outcome(parse_script, text) == expected
     assert outcome(reference_parse_script, text) == expected
+
+
+@pytest.mark.parametrize("text, line, message", [site for _, *site in _LET_ERROR_SITES], ids=[name for name, *_ in _LET_ERROR_SITES])
+def test_a_bad_name_exits_2_through_check(tmp_path, capsys, text, line, message):
+    path = tmp_path / "names.ndp"
+    path.write_text(text, encoding="utf-8")
+    assert main(["check", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"error: line {line}: {message}\n")
+
+
+def test_a_name_reads_as_the_formula_it_defines():
+    # Through a name or written out, a formula is one object, and it nests
+    # as deep: 32 levels through names parse, as 32 written out do.
+    text = f"let $1 = {_G20}\nlet $2 = {'(X ' * 12}$1{')' * 12}\nassume 1 lwff b : $2\n"
+    text += f"assume 2 lwff b : {'(X ' * 12}{_G20}{')' * 12}\nnode 3 reflLe concl b : $2 prem 2\nroot 3\n"
+    root = parse_script(text)
+    assert outcome(parse_script, text) == outcome(reference_parse_script, text)
+    [two] = root.premises
+    f = root.conclusion.formula
+    assert f is two.formula.formula and format_formula(f) == f"{'(X ' * 12}{_G20}{')' * 12}"
+    assert formulas.format_nesting(f) == formulas.MAX_NESTING
+    assert check(root).accepted
 
 
 _CORPUS = [
@@ -521,7 +630,7 @@ def test_well_formed_scripts_take_the_fast_path(monkeypatch):
     # every formula is where the guess puts it needs none.
     scans = []
     positions = formulas._positions
-    monkeypatch.setattr(formulas, "_positions", lambda text, partial: scans.append(text) or positions(text, partial))
+    monkeypatch.setattr(formulas, "_positions", lambda text, *mode: scans.append(text) or positions(text, *mode))
     wide = _wide_chain(2000)
     assert len(_CORPUS) == len(ENTRIES) + len(MUTATIONS) == 19
     for text in _CORPUS + _TAUT + [wide]:
@@ -597,3 +706,75 @@ def test_no_formula_memo_outlives_its_call(tmp_path):
     gc.collect()
     assert refs and all(r() is None for r in refs)
     assert _module_containers() == before
+
+
+# --- names in printed scripts --------------------------------------------------
+
+
+def _props(max_leaves):
+    """Propositional formulas over four atoms and bot."""
+    leaves = st.sampled_from(["p", "q", "r", "s", "bot"])
+    binary = lambda c: st.tuples(c, st.sampled_from(["->", "&", "|"]), c).map(lambda t: f"({t[0]} {t[1]} {t[2]})")
+    return st.recursive(leaves, lambda c: binary(c) | c.map(lambda a: f"(~ {a})"), max_leaves=max_leaves)
+
+
+def _round_trip(d):
+    """A derivation's script read back: the same report, over as many
+    distinct formula objects as ``d`` has distinct formulas."""
+    again = parse_script(serialize(d))
+    assert check(again).to_dict() == check(d).to_dict()
+    assert len(_formula_objects(again)) == len(set(_formula_objects(d)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 9))
+def test_sampled_derivations_print_and_read_back(seed, steps):
+    _round_trip(DerivationSampler(random.Random(seed)).sample(steps=steps))
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+@given(_props(8), st.sampled_from(["p", "q", "(p -> s)"]), st.booleans())
+def test_tautology_proofs_print_and_read_back(a, b, peirce):
+    d = derive_tautology(parse_ltl(f"((({a} -> {b}) -> {a}) -> {a})" if peirce else f"({a} | (~ {a}))"), "b")
+    judged = [n.conclusion.formula for n in all_nodes(d) if isinstance(n.conclusion, Lwff)]
+    assume(formulas.format_nesting(*judged) <= formulas.MAX_NESTING)
+    _round_trip(d)
+
+
+def _and_chain_peirce(n):
+    """Peirce's law over ``a``, the ``&`` of n atoms, nested to the left."""
+    a = "p0"
+    for i in range(1, n):
+        a = f"({a} & p{i})"
+    return f"((({a} -> p0) -> {a}) -> {a})"
+
+
+def test_peirce_scripts_grow_with_distinct_formulas():
+    # Counted work, no timing: at a constant 25 nodes, each added atom adds
+    # about 1,760 bytes to the text written out, because each of its lines
+    # restates a judgment on the whole chain.  With each long formula that
+    # is printed twice defined once, it adds about 44.
+    sizes = []
+    for n in range(2, 9):
+        d = derive_tautology(parse_ltl(_and_chain_peirce(n)), "b")
+        text = serialize(d)
+        assert len(all_nodes(d)) == 25
+        assert check(parse_script(text)).to_dict() == check(d).to_dict()
+        sizes.append(len(text.encode()))
+    growth = [b - a for a, b in zip(sizes, sizes[1:])]
+    assert max(growth) <= 64, growth
+
+
+def test_taut_prints_the_same_names_under_any_string_hash():
+    # Names are numbered in the order of a walk over ids kept in insertion
+    # order, which no string hash reorders.
+    argv = [sys.executable, "-m", "nabla.cli", "taut", _and_chain_peirce(5)]
+    paths = [str(Path(formulas.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    outs = []
+    for seed in ("0", "4242"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=os.pathsep.join(paths))
+        done = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=60)
+        assert (done.returncode, done.stderr) == (0, "")
+        outs.append(done.stdout)
+    assert outs[0] == outs[1] and outs[0].startswith("let $1 = ")
+    assert check(parse_script(outs[0])).accepted
