@@ -31,7 +31,6 @@ import json
 import os
 import re
 import sys
-from pathlib import Path
 
 from .formulas import MAX_NESTING, ParseError, format_formula, format_length, format_nesting, parse_h, parse_ltl
 from .fuzz import LEMMAS, report_to_json, run_lemma
@@ -64,7 +63,8 @@ class Refused(Exception):
 
 def _read(path: str) -> str:
     try:
-        return Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as f:
+            return f.read()
     except (OSError, UnicodeDecodeError) as e:
         raise Refused(str(e)) from None
 

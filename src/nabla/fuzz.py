@@ -35,14 +35,6 @@ from .translate import translate
 
 __all__ = ["LEMMAS", "FuzzReport", "run_lemma", "report_to_json"]
 
-# last and last-local read their right-hand side off eval_h_oracle only up
-# to this temporal depth.  The oracle's whole-tuple memo grows as its window
-# to the power of the G nesting: past depth 2, a sample drawn about once in
-# 30000 took 2 s and 185 MiB, so a run's time and peak memory hung on
-# whether it drew one.  Deeper samples compare two eval_h calls instead.
-_ORACLE_DEPTH = 2
-
-
 class FuzzReport(_ValueRecord):
     """A lemma run's report, built once the run has stopped."""
 
@@ -92,20 +84,18 @@ def _shift_valuation(m: LassoModel) -> LassoModel:
 
 
 def _reference(m: LassoModel, seq, f: Formula) -> bool:
-    """Truth at ``seq`` by a route independent of ``eval_h``'s pair collapse,
-    up to ``_ORACLE_DEPTH``.
+    """Truth at ``seq`` by a route independent of ``eval_h``'s pair collapse:
+    the oracle at its minimum horizon, at every temporal depth.
 
     ``eval_h`` reads ``seq`` only at its normalised last pair, and a local
     formula only at its last element's canonical position, so two
     ``eval_h`` calls on sequences a lemma equates would read the same bit of
-    the same truth tables and could not disagree.  The oracle gets its
-    documented minimum horizon, whose ``G`` windows already cover ``s + p``
-    positions.
+    the same truth tables and could not disagree.  The minimum horizon's
+    slack is proved per formula (``semantics._min_horizon``), so every ``G``
+    window decides its quantifier and the oracle's cost stays small at
+    every depth the lemmas draw.
     """
-    depth = temporal_depth(f)
-    if depth > _ORACLE_DEPTH:
-        return _eval_h(m, seq, f)
-    return _eval_h_oracle(m, seq, f, _min_horizon(m, seq, depth))
+    return _eval_h_oracle(m, seq, f, _min_horizon(m, seq, f))
 
 
 # The samples and the lemma table are named tuples from ``collections``,
@@ -215,7 +205,7 @@ def _draw_last(rng: random.Random, i: int, max_size: int) -> _Case:
 def _last_sides(lm: LassoModel, c: _Case):
     """Prefixes do not matter for translated formulas: last-local's
     comparison, keeping the last element, on the image, desugared because
-    ``_reference`` may hand it to the oracle."""
+    ``_reference`` hands it to the oracle."""
     return _last_local_sides(lm, c._replace(formula=desugar(translate(c.formula))))
 
 
@@ -275,7 +265,7 @@ def _draw_bound(rng: random.Random, i: int, max_size: int) -> _Case:
 
 def _bound_sides(lm: LassoModel, c: _Case):
     """The 2p truncation agrees with the oracle at its minimum horizon."""
-    horizon = _min_horizon(c.model, c.at, temporal_depth(c.formula))
+    horizon = _min_horizon(c.model, c.at, c.formula)
     return _eval_h(lm, c.at, c.formula), _eval_h_oracle(c.model, c.at, c.formula, horizon), horizon
 
 

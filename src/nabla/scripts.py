@@ -228,13 +228,22 @@ def parse_script(text: str) -> Node:
     return nodes[root_id]
 
 
-def _walk(x: Formula, kept: dict[int, Formula]) -> None:
+def _walk(x: Formula, kept: dict[int, tuple[Formula, int]]) -> int:
     """Add ``x`` and the operator objects below it that ``kept`` lacks to
-    ``kept``, children before parents."""
+    ``kept``, children before parents, each with the length of its text
+    written out (``_LENGTH``'s rule over its children's lengths); return
+    the length of ``x``."""
+    sizes = []
     for c in x._fields(x):
-        if type(c) in _OPERATOR_NODES and id(c) not in kept:
-            _walk(c, kept)
-    kept[id(x)] = x
+        if type(c) not in _OPERATOR_NODES:
+            sizes.append(_LENGTH[type(c)](c))
+        elif id(c) in kept:
+            sizes.append(kept[id(c)][1])
+        else:
+            sizes.append(_walk(c, kept))
+    size = _LENGTH[type(x)](x, *sizes)
+    kept[id(x)] = x, size
+    return size
 
 
 # The shortest text that ``serialize`` prints as a definition rather than
@@ -277,7 +286,7 @@ def serialize(root: Node) -> str:
     restates on every line are longer.
     """
     nodes = all_nodes(root)
-    kept: dict[int, Formula] = {}  # the kept walk: id -> object, postorder
+    kept: dict[int, tuple[Formula, int]] = {}  # the kept walk: id -> (object, length), postorder
     lines_of: dict[int, int] = {}  # id -> how many lines' formulas it is
     for n in nodes:
         w = n.conclusion
@@ -287,11 +296,10 @@ def serialize(root: Node) -> str:
                 _walk(w.formula, kept)
             lines_of[k] = lines_of.get(k, 0) + 1
     uses = dict.fromkeys(kept, 0) | lines_of
-    lengths: dict[int, object] = {}
     defined = []
     for k in reversed(kept):
-        x, n = kept[k], uses[k]
-        if n >= 2 and _fold_from(x, _LENGTH, lengths) > _SHARED_LENGTH:
+        (x, size), n = kept[k], uses[k]
+        if n >= 2 and size > _SHARED_LENGTH:
             defined.append(x)
             n = 1
         for c in x._fields(x):

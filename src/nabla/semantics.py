@@ -13,8 +13,9 @@ the last sequence element.  For a ``G`` whose operand is not local,
 stem, valuations repeat with period ``p``, so an interval containing two
 full periods decides the quantifier.  The bound is validated empirically
 against ``eval_h_oracle``, a literal transcription with a caller-chosen
-horizon.  A ``G`` over a local operand needs no window (the local clauses
-below).
+horizon of at least its minimum, whose slack past the sequence is proved
+per formula (``_min_horizon``) to decide every ``G`` window exactly.  A
+``G`` over a local operand needs no window (the local clauses below).
 
 ``eval_h`` never builds the sequence it is given.  It enters at the
 sequence's last pair and folds the formula bottom-up into truth tables,
@@ -85,7 +86,10 @@ however deeply ``G`` nests; a formula that is not local at the top
 computes every row, though the entry pair reads one.
 ``eval_h_oracle`` keeps the literal whole-sequence memo, keyed by an
 operator node and the whole sequence; an atom or ``bot`` is answered
-before any key is built (``_oracle``).
+before any key is built (``_oracle``).  The memo grows as the slack plus
+one to the power of the ``G`` nesting, so the proved slack, a few
+positions where the old ``(s + p) * temporal_depth + 1`` was tens, is
+what lets the lemmas call the oracle at every depth.
 
 Each walk (``_fold_h``, ``_oracle``) is a module-level
 recursive function with its state in arguments: a recursive closure would
@@ -102,7 +106,8 @@ checked fold's ``ValueError`` at a node outside the history language.
 which keeps the literal core clauses, so that the reference does not share
 the in-place reading of the abbreviations.  The bodies check nothing else:
 they require a nonempty tuple of naturals, and the oracle a formula that
-is a ``_HISTORY_CORE`` image and at least its minimum horizon.
+is a ``_HISTORY_CORE`` image and at least its minimum horizon
+(``_min_horizon``).
 ``fuzz``'s lemma runners, which check their formulas once, call the
 bodies directly.
 
@@ -532,28 +537,104 @@ def eval_h_oracle(m: LassoModel, seq, a: Formula, horizon: int) -> bool:
     """Literal transcription of the truth clauses with truncated ``G``;
     test-only reference for ``eval_h``'s two-period bound.
 
-    Requires ``horizon >= max(seq) + (s+p) * temporal_depth(a) + 1``.  The
-    slack ``horizon - max(seq)`` becomes the window of every ``G``
-    quantifier (each ranges over ``[n_k, n_k + slack]``), so a top-level
-    ``G`` is truncated at the horizon and nested quantifiers keep the same
-    generous headroom instead of sharing one absolute cutoff.
+    Requires ``horizon >= _min_horizon(m, seq, desugar(a))``, which is
+    ``max(seq)`` plus a slack proved for the formula (``HorizonTooSmall``
+    below it).  The slack ``horizon - max(seq)`` becomes the window of
+    every ``G`` quantifier (each ranges over ``[n_k, n_k + slack]``), so a
+    top-level ``G`` is truncated at the horizon and nested quantifiers keep
+    the same headroom instead of sharing one absolute cutoff.
     """
     sigma = _check_sequence(seq)
     g = _fold_checked(a, _HISTORY_CORE)
-    need = _min_horizon(m, sigma, temporal_depth(g))
+    need = _min_horizon(m, sigma, g)
     if horizon < need:
         raise HorizonTooSmall(f"horizon {horizon} < required {need}")
     return _eval_h_oracle(m, sigma, g, horizon)
 
 
-def _min_horizon(m: LassoModel, sigma: tuple[int, ...], depth: int) -> int:
-    """The least horizon ``eval_h_oracle`` accepts at ``sigma`` for a
-    formula of temporal depth ``depth``."""
-    return max(sigma) + (m.stem_len + m.period) * depth + 1
+def _slack(x: Formula, memo: dict[int, tuple[int, int, int]]) -> tuple[int, int, int]:
+    """``(c(x), moves(x), k)`` for the core formula ``x``, with ``c`` and
+    ``moves`` as ``_min_horizon`` defines them and ``k`` the largest
+    ``c(y) + moves(y)`` over the ``G y`` in ``x``, or -1 where it has none.
+    State in arguments, as ``_oracle`` keeps it; an atom or bot is answered
+    before the memo is read.  ``TypeError`` at a node outside the core."""
+    cls = type(x)
+    if cls is Atom:
+        return 0, 1, -1
+    if cls is Bottom:
+        return 0, 0, -1
+    v = memo.get(id(x))
+    if v is None:
+        if cls is Implies:
+            c, moves, k = _slack(x.left, memo)
+            c2, moves2, k2 = _slack(x.right, memo)
+            v = max(c, c2), moves | moves2, max(k, k2)
+        elif cls is Hist or cls is Always or cls is Next:
+            c, moves, k = _slack(x.operand, memo)
+            if cls is Hist:
+                v = c + moves, 0, k
+            elif cls is Always:
+                v = 0, 1, max(k, c + moves)
+            else:
+                v = 0, 1, k
+        else:
+            raise TypeError(f"not a core formula: {x!r}")
+        memo[id(x)] = v
+    return v
+
+
+def _min_horizon(m: LassoModel, sigma: tuple[int, ...], g: Formula) -> int:
+    """The least horizon ``eval_h_oracle`` accepts at ``sigma`` for the
+    core formula ``g``: ``max(sigma) + slack``, with ``slack`` 0 if ``g``
+    has no ``G`` and otherwise ``s + (p - 1) * k``.  ``k`` is the fold
+    ``_slack``: the largest ``c(y) + moves(y)`` over the ``G y`` in ``g``.
+    ``c`` counts nested ``H``: 0 at atoms, bot, ``X`` and ``G``, the larger
+    side's at ``->``, and ``c(y) + moves(y)`` at ``H y``.  ``moves(y)`` is
+    0 when ``y`` is eventually constant, as bot and every ``H y`` are, and
+    ``a -> b`` is when both sides are; 1 otherwise.
+
+    At this slack every ``G`` the oracle reaches decides its quantifier,
+    so the oracle answers the truth.  Write ``T(a, b)`` for a formula's
+    truth at a sequence ending in ``a, b``; by last-pair locality it
+    depends on nothing else, and a singleton ``(n)`` is ``(n, n)``.
+
+    1. ``T(a + p, b + p) = T(a, b)`` once ``min(a, b) >= s``, by induction
+       on the formula: an atom reads ``b``, whose cell repeats past the
+       stem; ``X`` reads ``(b, b + 1)``, ``G`` the pairs ``(b, mm)`` with
+       ``mm >= b`` and ``H`` the pairs ``(a, mm)`` with ``a <= mm <= b``,
+       and each range moves with the pair.
+    2. Fix a sequence ending in ``a`` and read a formula ``y`` at it
+       extended by ``mm``, as a function of ``mm``: its point is where it
+       turns periodic.  Atoms, ``X y`` and ``G y`` are periodic from ``s``:
+       an atom by its cells, ``X`` and ``G`` by step 1 on the pairs
+       ``(mm, mm + 1)`` and ``(mm, mm')`` with ``mm' >= mm >= s``.
+       ``H y`` is the conjunction of ``y`` over ``[a, mm]``.  If ``y`` is
+       periodic from its point ``t``, that range holds a whole period past
+       ``max(a, t)`` once ``mm >= max(a, t) + p - 1``, and ``H y`` is
+       constant from there; if ``y`` is constant from ``t``, ``H y`` is
+       constant from ``max(a, t)``.  ``->`` turns periodic, or constant,
+       at the later of its sides' points.  So by induction ``y``'s point
+       is at most ``max(a, s) + (p - 1) * c(y)``, and ``y`` is constant
+       from it when ``moves(y)`` is 0.
+    3. ``G y`` at a sequence ending in ``n`` quantifies over ``mm >= n``
+       of ``y`` at that sequence extended by ``mm``, which ends in ``n``.
+       With ``t`` that point, every value at ``mm >= max(n, t)`` repeats
+       one in ``[max(n, t), max(n, t) + (p - 1) * moves(y)]``, so the
+       window ``[n, n + slack]`` decides ``for all mm >= n`` once it
+       reaches there: at most ``n + s + (p - 1) * (c(y) + moves(y))``.
+       ``X`` and ``H`` read their positions in full, so by induction on
+       the formula every value the oracle computes is the truth.
+
+    The slack is sharp on ``(G (H (q -> (p -> (H q)))))`` over the loop
+    ``{q} {q,p} {}`` at ``(0,)``: 4, where slack 3 answers true and the
+    formula is false (``tests/test_semantics.py``).
+    """
+    k = _slack(g, {})[2]
+    return max(sigma) + (len(m.stem) + (len(m.loop) - 1) * k if k >= 0 else 0)
 
 
 def _eval_h_oracle(m: LassoModel, sigma: tuple[int, ...], g: Formula, horizon: int) -> bool:
-    return _oracle(sigma, g, m.stem + m.loop, m.stem_len, m.period, horizon - max(sigma), {})
+    return _oracle(sigma, g, m.stem + m.loop, len(m.stem), len(m.loop), horizon - max(sigma), {})
 
 
 def _oracle(sig: tuple[int, ...], x: Formula, vals, s: int, p: int, slack: int, memo: dict) -> bool:

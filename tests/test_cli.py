@@ -1,4 +1,5 @@
 import argparse
+import errno
 import json
 import os
 import resource
@@ -611,6 +612,14 @@ def test_every_refusal_is_one_error_line_and_its_exit_code(capsys, monkeypatch, 
     out, err = capsys.readouterr()
     assert (code, out) == (want, "")
     assert len(err.splitlines()) == 1 and err.startswith("error: ") and err.endswith("\n"), err
+
+
+def test_an_unreadable_path_exits_2_with_the_system_error(capsys, tmp_path):
+    # The path is opened as given, so an empty one names no file rather
+    # than the current directory.
+    for path, code in [("", errno.ENOENT), (str(tmp_path), errno.EISDIR), (str(tmp_path / "missing.ndp"), errno.ENOENT)]:
+        assert main(["check", path]) == 2
+        assert capsys.readouterr() == ("", f"error: [Errno {code}] {os.strerror(code)}: {path!r}\n"), path
 
 
 def test_a_stray_value_error_is_an_internal_error(capsys, monkeypatch):

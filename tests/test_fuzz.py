@@ -15,6 +15,7 @@ from nabla.gen import random_history_formula, random_obs_sequence, random_until_
 from nabla.kernel import Le, Lwff, check
 from nabla.scripts import parse_script
 from tests.test_formulas import free_of
+from tests.test_semantics import proved_slack
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -22,6 +23,14 @@ GOLDEN = Path(__file__).parent / "golden"
 def next_position(m, seq, f):
     """A buggy eval_h that reads the position after the sequence's last element."""
     return semantics.eval_h(m, (seq[-1] + 1,), f)
+
+
+def next_position_when_deep(m, seq, f):
+    """A buggy eval_h that reads the position after the sequence's last
+    element, only on formulas of temporal depth 3 or more."""
+    if temporal_depth(f) >= 3:
+        return next_position(m, seq, f)
+    return semantics.eval_h(m, seq, f)
 
 
 def last_only(m, seq, f):
@@ -107,6 +116,11 @@ def test_locality_lemmas_catch_an_evaluator_that_ignores_the_sequence(monkeypatc
     report = run_lemma("last-local", samples=1000, seed=42)
     assert not report.ok
     assert report.counterexample["clause"] == "local"
+    # The right-hand side is the oracle at every temporal depth, so a fault
+    # that only deep formulas reach shows too.
+    monkeypatch.setattr(fuzz, "_eval_h", next_position_when_deep)
+    for lemma in ("last", "last-local"):
+        assert not run_lemma(lemma, samples=1000, seed=42).ok, lemma
 
 
 # tests/golden/<name>.json holds report_to_json(run_lemma(LEMMA, 1000, 42))
@@ -158,7 +172,7 @@ def test_runners_meet_the_bodies_precondition(monkeypatch, lemma, inject):
     # The runners and the falsifier skip the public checks, so every call
     # must hand the bodies a nonempty tuple of naturals and a history
     # formula, and the oracle a desugared one and at least its minimum
-    # horizon.
+    # horizon: max(sigma) plus the slack proved for the formula.
     seen = []
 
     def guard(body):
@@ -167,7 +181,7 @@ def test_runners_meet_the_bodies_precondition(monkeypatch, lemma, inject):
             assert free_of(g, Until)
             if horizon:
                 assert desugar(g) is g
-                assert horizon[0] >= max(sigma) + (m.stem_len + m.period) * temporal_depth(g) + 1
+                assert horizon[0] >= max(sigma) + proved_slack(m, g)
             seen.append(g)
             return body(m, sigma, g, *horizon)
 

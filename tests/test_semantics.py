@@ -466,10 +466,9 @@ def test_eval_h_folds_each_object_once_to_its_mask_or_its_rows():
 
 
 def test_eval_h_agrees_with_the_oracle_past_the_fuzzers_depth():
-    # fuzz compares eval_h with the oracle only up to temporal depth 2
-    # (fuzz._ORACLE_DEPTH).  Here: formulas of depth exactly 3 and 4 on
-    # lassos small enough for the oracle's whole-tuple memo, at its minimum
-    # horizon.
+    # Formulas of depth exactly 3 and 4 at a horizon wider than the proved
+    # minimum, the old max(sigma) + (s + p) * depth + 1, on lassos small
+    # enough for the oracle's whole-tuple memo at that width.
     rng = random.Random(21)
     for depth, window, cases in [(3, 4, 300), (4, 3, 300)]:
         seen = {True: 0, False: 0}
@@ -577,15 +576,96 @@ def test_always_read_again_at_a_lower_stem_position():
     assert cases == 98 * 5 * 3
 
 
+def proved_slack(m, f):
+    """``semantics._min_horizon``'s slack for the core formula ``f``, restated
+    by direct recursion: 0 if ``f`` has no ``G``, else ``s + (p - 1) * k``
+    with ``k`` the largest ``c(y) + moves(y)`` over the ``G y`` in ``f``."""
+
+    def moves(x):
+        # 0 when x is eventually constant in its last element.
+        if type(x) in (Bottom, Hist):
+            return 0
+        if type(x) is Implies:
+            return max(moves(x.left), moves(x.right))
+        return 1
+
+    def c(x):
+        # The nested H that may each put off the point where x turns periodic.
+        if type(x) is Hist:
+            return c(x.operand) + moves(x.operand)
+        if type(x) is Implies:
+            return max(c(x.left), c(x.right))
+        return 0
+
+    ks = [c(y.operand) + moves(y.operand) for y in objects_of(f) if type(y) is Always]
+    return m.stem_len + (m.period - 1) * max(ks) if ks else 0
+
+
+# The loop {q} {q,p} {}, where (G (H (q -> (p -> (H q))))) at (0) needs a
+# G window up to 4: (q -> (p -> (H q))) at (0, n) first fails at n = 4,
+# where q and p hold and q has failed at 2.
+LOOP_3 = LassoModel((), (frozenset({"q"}), frozenset({"q", "p"}), frozenset()))
+STEM_2_LOOP_3 = LassoModel((frozenset(), frozenset({"p"})), LOOP_3.loop)
+
+
+def test_oracle_slack_is_sharp_on_a_nested_hist():
+    # The fold's slack 4 decides the G; slack 3, the candidate s + p + x
+    # (x the most X on one path), answers true on a false formula.
+    f = parse_h("(G (H (q -> (p -> (H q)))))")
+    assert semantics._min_horizon(LOOP_3, (0,), f) == 4
+    assert eval_h(LOOP_3, (0,), f) is False
+    assert eval_h_oracle(LOOP_3, (0,), f, 4) is False
+    assert semantics._eval_h_oracle(LOOP_3, (0,), f, 3) is True
+
+
+def test_oracle_at_its_minimum_horizon_agrees_with_eval_h_on_wide_lassos():
+    # Periods up to 6 and temporal depth 1 to 5: wider lassos than any
+    # lemma draws, whose periods are at most 3.  Half the formulas are a G
+    # over a staircase of H (test_oracle_agrees_on_hist_staircases), where
+    # each level that moves puts the point the window must reach a period
+    # further out, so the slack's every term is read.
+    rng = random.Random(42)
+    seen, ks = {True: 0, False: 0}, set()
+    for case in range(1500):
+        m = bounded_lasso(rng, ["p", "q", "r"], 4, 6)
+        if case % 2:
+            f = history_formula_within(rng, rng.randint(0, 3), 1)
+            for level in range(rng.randint(1, 4)):
+                f = Hist(Implies(Q if level % 2 == 0 else P, f))
+            f = Always(f)
+        else:
+            f = random_history_formula(rng, rng.randint(2, 9))
+            while not 1 <= temporal_depth(f) <= 5:
+                f = random_history_formula(rng, rng.randint(2, 9))
+        sigma = random_obs_sequence(rng, max_len=3, max_value=12)
+        horizon = semantics._min_horizon(m, sigma, f)
+        assert horizon - max(sigma) == proved_slack(m, f)
+        want = eval_h_oracle(m, sigma, f, horizon)
+        assert eval_h(m, sigma, f) == want, (m, sigma, f)
+        seen[want] += 1
+        if m.period > 1 and horizon > max(sigma):
+            ks.add((horizon - max(sigma) - m.stem_len) // (m.period - 1))
+    assert min(seen.values()) >= 300, seen
+    assert ks == {0, 1, 2, 3, 4, 5}, ks
+
+
 def test_oracle_horizon_precondition():
-    f = parse_h("(G (G (G p)))")
-    with pytest.raises(HorizonTooSmall):
-        eval_h_oracle(LOOP_P, (5,), f, 7)
-    # The minimum is max(seq) + (s + p) * depth + 1.
-    f = parse_h("(G (X (H p)))")
-    with pytest.raises(HorizonTooSmall):
-        eval_h_oracle(STEM_P_LOOP_Q, (4, 1), f, 10)
-    assert eval_h_oracle(STEM_P_LOOP_Q, (4, 1), f, 11) == eval_h(STEM_P_LOOP_Q, (4, 1), f)
+    # The minimum is max(seq) plus the proved slack: 0 without G, else
+    # s + (p - 1) * k (semantics._min_horizon).
+    for m, seq, text, need in [
+        (LOOP_P, (5,), "(G (G (G p)))", 5),
+        (STEM_P_LOOP_Q, (4, 1), "(G (X (H p)))", 5),
+        (LOOP_3, (4, 1), "(H p)", 4),
+        (LOOP_3, (4, 1), "(G (X (H p)))", 4 + 2),
+        (LOOP_3, (0,), "(G (H (q -> (p -> (H q)))))", 0 + 2 * 2),
+        (STEM_2_LOOP_3, (0, 3), "(G (q -> (H ((X r) -> (H p)))))", 3 + 2 + 2 * 3),
+        (STEM_2_LOOP_3, (6,), "((G (H bot)) -> (G (H (H (p -> (G q))))))", 6 + 2 + 2 * 1),
+    ]:
+        f = parse_h(text)
+        assert proved_slack(m, f) == need - max(seq), text
+        with pytest.raises(HorizonTooSmall):
+            eval_h_oracle(m, seq, f, need - 1)
+        assert eval_h_oracle(m, seq, f, need) == eval_h(m, seq, f), text
     # Above the minimum, G still ranges over [n, n + horizon - max(seq)],
     # and H over [seq[-2], seq[-1]], each up to the first position where
     # the operand fails.  No truth value shows this on a lasso, where any
@@ -617,6 +697,8 @@ def test_oracle_refuses_a_formula_outside_the_core():
     f = Or(P, Q)
     with pytest.raises(TypeError, match="^not a core formula: "):
         semantics._eval_h_oracle(LOOP_P, (0,), f, 1)
+    with pytest.raises(TypeError, match="^not a core formula: "):
+        semantics._min_horizon(LOOP_P, (0,), Always(Hist(f)))
     assert eval_h_oracle(LOOP_P, (0,), f, 1) is True
 
 
