@@ -123,6 +123,17 @@ the drawn label positions, and only where they hold are the cells decoded
 frozenset) and the labelled premises and the goal folded, with one memo
 and one lift width for the sample.  So a sample where they fail costs the
 draws alone, and no object folds twice in a sample.
+
+Before any draw, ``falsify_consequence`` settles a call that no sample
+could refute (``_settle``): relational premises that no placement in the
+label range satisfies, which a negative cycle in their difference-constraint
+network shows (``_placeable``), and, per pair of last labels, labelled
+premises that are inconsistent or entail the goal by their propositional
+form alone, which one bit-sliced truth table over the group's leaves
+shows (``_leaves``, ``_table``).  Both are exact: the draws place every
+label in that range, and ``->`` and bot read only the pair their judgment
+is read at, so what no assignment of the leaves makes true, no model does.
+The call then returns None, the result its draws would give, without them.
 """
 
 from __future__ import annotations
@@ -817,8 +828,24 @@ _MAX_LABEL_VALUE = 12
 def falsify_consequence(premises, goal: GenericFormula, samples: int, seed: int) -> Counterexample | None:
     """Search random (model, interpretation) pairs for one satisfying every
     premise but not the goal.  A falsifier, never a prover: finding nothing
-    does not establish the consequence.  Deterministic for a fixed seed;
-    ``ValueError`` for ``samples < 1``, which would test nothing.
+    in the draws does not establish the consequence.  Deterministic for a
+    fixed seed; ``ValueError`` for ``samples < 1``, which would test
+    nothing, and then for a premise or goal outside the history language.
+
+    Before its first draw the call is settled where no sample could be a
+    counterexample (``_settle``), and returns None at once.  Two decisions
+    do this, each exact, so the result is the one the draws would give:
+    the relational premises with the label range ``[0,
+    _MAX_LABEL_VALUE]`` as a difference-constraint network
+    (``_placeable``), whose negative cycle means no placement the draws
+    make satisfies them; and per pair of last labels, the labelled premises
+    as one truth table over their leaves, the maximal subformulas that are
+    neither ``->`` nor bot, with the negated goal if it is an lwff read at
+    that pair.  ``->`` and bot read only the pair their judgment is read
+    at, so a table that is 0 means that no model and no placement makes
+    those judgments hold together: the premises are inconsistent, or with
+    the negated goal, entail it.  A settled verdict is exact; only the
+    draws are skipped.
 
     Each sample draws a lasso's words as ``random_lasso`` does, then one
     position per label in name order; the draws do not depend on what the
@@ -849,13 +876,10 @@ def falsify_consequence(premises, goal: GenericFormula, samples: int, seed: int)
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
     premises = sorted(premises, key=format_generic)
-    every = premises + [goal]
-    labels = sorted({x for phi in every for x in labels_of_generic(phi)})
-    syms = tuple(_symbols_in(every)) or ("p",)
-    index = {lab: k for k, lab in enumerate(labels)}
-    rels = [_compile(r, index) for r in premises if not isinstance(r, Lwff)]
-    hists = [_compile(w, index) for w in premises if isinstance(w, Lwff)]
-    goal_g, goal_a, goal_b = _compile(goal, index)
+    settled, labels, rels, hists, (goal_g, goal_a, goal_b) = _settle(premises, goal)
+    if settled is not None:
+        return None
+    syms = tuple(_symbols_in(premises + [goal])) or ("p",)
     rng = random.Random(seed)
     for i in range(samples):
         s, p, words = _lasso_words(rng, len(syms))
@@ -878,6 +902,117 @@ def falsify_consequence(premises, goal: GenericFormula, samples: int, seed: int)
                 if refuted:
                     return Counterexample(LassoModel(stem, loop), dict(zip(labels, at)), i, format_generic(goal))
     return None
+
+
+def _settle(premises: list, goal: GenericFormula) -> tuple:
+    """``falsify_consequence``'s call compiled, and settled where that is
+    exact (see there): ``(settled, labels, rels, hists, goal)``, with the
+    labels in name order, the relational and the labelled premises and the
+    goal as ``_compile`` gives them, and ``settled`` ``"inconsistent"`` (no
+    sample satisfies every premise), ``"entailed"`` (every sample that does
+    satisfies the goal) or None (the call must be sampled).  The labelled
+    premises, and an lwff goal, are grouped by the two labels they are read
+    at; a group of more than ``_MAX_LEAVES`` leaves is left to the draws."""
+    labels = sorted({x for phi in [*premises, goal] for x in labels_of_generic(phi)})
+    index = {lab: k for k, lab in enumerate(labels)}
+    rels = [_compile(r, index) for r in premises if not isinstance(r, Lwff)]
+    hists = [_compile(w, index) for w in premises if isinstance(w, Lwff)]
+    compiled = _compile(goal, index)
+    call = labels, rels, hists, compiled
+    if rels and not _placeable(len(labels), rels):
+        return "inconsistent", *call
+    groups: dict[tuple[int, int], list[Formula]] = {}
+    for g, a, b in hists:
+        groups.setdefault((a, b), []).append(g)
+    goal_g, a, b = compiled
+    pair = (a, b) if isinstance(goal, Lwff) else None
+    if pair is not None:
+        groups.setdefault(pair, [])
+    entailed = False
+    for key, gs in groups.items():
+        leaves: dict[Formula, int] = {}
+        seen: set[int] = set()
+        for g in (*gs, goal_g) if key == pair else gs:
+            _leaves(g, leaves, seen)
+        k = len(leaves)
+        if k > _MAX_LEAVES:
+            continue
+        # Leaf j's table holds at the assignments t with bit j of t set.
+        full = (1 << (1 << k)) - 1
+        masks = {x: _loops(2 << j, 1 << k - j - 1) * ((1 << (1 << j)) - 1 << (1 << j)) for x, j in leaves.items()}
+        memo: dict[int, int] = {}
+        holds = full
+        for g in gs:
+            holds &= _table(g, masks, full, memo)
+        if not holds:
+            return "inconsistent", *call
+        if key == pair and not holds & ~_table(goal_g, masks, full, memo):
+            entailed = True
+    return ("entailed" if entailed else None), *call
+
+
+# A group of labelled judgments with more leaves than this is sampled: a
+# table over k leaves is 2**k bits, 8 KiB at this bound.
+_MAX_LEAVES = 16
+
+
+def _placeable(n: int, rels: list) -> bool:
+    """Whether some placement of ``n`` labels in ``[0, _MAX_LABEL_VALUE]``
+    satisfies every compiled relation in ``rels``.  Each relation is a
+    difference constraint: ``a <= b`` is ``x_a - x_b <= 0``, and ``b`` the
+    successor of ``a`` is ``x_b - x_a <= 1`` and ``x_a - x_b <= -1``; the
+    range is ``x - z <= _MAX_LABEL_VALUE`` and ``z - x <= 0`` for a zero
+    node ``z``.  An integer solution exists exactly when the graph with an
+    edge ``u -> v`` of weight ``w`` per ``x_v - x_u <= w`` has no negative
+    cycle, which Bellman-Ford from every node at once finds: without one
+    a shortest path has at most ``n`` edges, so the distances settle
+    within ``n`` passes, and pass ``n + 1`` changes none."""
+    edges = [(n, v, _MAX_LABEL_VALUE) for v in range(n)] + [(v, n, 0) for v in range(n)]
+    for holds, a, b in rels:
+        if holds is operator.le:
+            edges.append((b, a, 0))
+        else:
+            edges += [(a, b, 1), (b, a, -1)]
+    dist = [0] * (n + 1)
+    for _ in range(n + 1):
+        settled = True
+        for u, v, w in edges:
+            if dist[u] + w < dist[v]:
+                dist[v] = dist[u] + w
+                settled = False
+        if settled:
+            return True
+    return False
+
+
+def _leaves(x: Formula, leaves: dict[Formula, int], seen: set[int]) -> None:
+    """Number in ``leaves``, in order of first occurrence, the maximal
+    subformulas of the core formula ``x`` that are neither ``->`` nor bot:
+    atoms, ``G``, ``X`` and ``H``, equal ones once.  ``seen`` holds the ids
+    of the ``->`` objects walked, so a shared one is walked once."""
+    cls = type(x)
+    if cls is Implies:
+        if id(x) not in seen:
+            seen.add(id(x))
+            _leaves(x.left, leaves, seen)
+            _leaves(x.right, leaves, seen)
+    elif cls is not Bottom:
+        leaves.setdefault(x, len(leaves))
+
+
+def _table(x: Formula, masks: dict[Formula, int], full: int, memo: dict[int, int]) -> int:
+    """The truth table of the core formula ``x`` over its leaves' tables
+    ``masks``, ``full`` the table of every assignment; ``memo`` holds each
+    ``->`` object's table by id."""
+    cls = type(x)
+    if cls is Bottom:
+        return 0
+    if cls is not Implies:
+        return masks[x]
+    v = memo.get(id(x))
+    if v is None:
+        v = memo[id(x)] = _imp(_table(x.left, masks, full, memo), _table(x.right, masks, full, memo), full)
+    return v
 
 
 def _compile(phi: GenericFormula, index: dict[str, int]) -> tuple:

@@ -1,9 +1,11 @@
+import itertools
 import random
 import re
 import sys
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nabla.corpus import ENTRIES
 from nabla import semantics
@@ -716,13 +718,17 @@ def test_falsify_work_does_not_depend_on_the_premise_order(monkeypatch):
     # The premises are evaluated in one fixed order, so the evaluations
     # stop at the same false premise whichever order a caller's set
     # iterates in.  Here p is false in some samples and (p -> p) in none.
+    # The goal holds in every model, but not by its propositional form
+    # (G q and q are two leaves), so every call is sampled.
     real, calls = semantics._read_h, []
     monkeypatch.setattr(semantics, "_read_h", lambda *a: calls.append(None) or real(*a))
     a, b = Lwff(("b",), P), Lwff(("b",), Implies(P, P))
+    goal = Lwff(("b",), Implies(Always(Q), Q))
     counts = []
     for premises in ([a, b], [b, a]):
+        assert semantics._settle(premises, goal)[0] is None
         calls.clear()
-        assert falsify_consequence(premises, Lwff(("b",), Implies(Q, Q)), 50, seed=3) is None
+        assert falsify_consequence(premises, goal, 50, seed=3) is None
         counts.append(len(calls))
     assert counts[0] == counts[1] > 0
 
@@ -732,6 +738,18 @@ def test_falsify_deterministic():
     a = falsify_consequence([], goal, 100, seed=13)
     b = falsify_consequence([], goal, 100, seed=13)
     assert a.to_dict() == b.to_dict()
+
+
+def literal_draws(every, samples, seed):
+    """The falsifier's draws for the judgments ``every``, written out: per
+    sample a lasso over their symbols, then a position per label in name
+    order.  Yields ``(index, model, interpretation)``."""
+    labels = sorted({x for phi in every for x in labels_of_generic(phi)})
+    symbols = sorted({a for phi in every if isinstance(phi, Lwff) for a in atoms_of(phi.formula)})
+    rng = random.Random(seed)
+    for i in range(samples):
+        m = bounded_lasso(rng, symbols or ["p"], 4, 3)
+        yield i, m, {lab: rng.randint(0, 12) for lab in labels}
 
 
 def test_falsify_replays_the_literal_draws_and_clauses():
@@ -751,13 +769,7 @@ def test_falsify_replays_the_literal_draws_and_clauses():
             cases += [(premises, Le(c, b), d.seed + 2), (premises, Succ(b, c), d.seed + 3)]
 
     def replay(premises, goal, samples, seed):
-        every = premises + [goal]
-        labels = sorted({x for phi in every for x in labels_of_generic(phi)})
-        symbols = sorted({a for phi in every if isinstance(phi, Lwff) for a in atoms_of(phi.formula)})
-        rng = random.Random(seed)
-        for i in range(samples):
-            m = bounded_lasso(rng, symbols or ["p"], 4, 3)
-            interp = {lab: rng.randint(0, 12) for lab in labels}
+        for i, m, interp in literal_draws(premises + [goal], samples, seed):
             if all(eval_generic(m, interp, phi) for phi in premises) and not eval_generic(m, interp, goal):
                 return {"model": m.to_dict(), "interpretation": interp, "sample_index": i, "failing": format_generic(goal)}
         return None
@@ -770,6 +782,126 @@ def test_falsify_replays_the_literal_draws_and_clauses():
         if got is not None:
             found["lwff" if isinstance(goal, Lwff) else "rwff"] += 1
     assert found["lwff"] >= 10 and found["rwff"] >= 2, found
+
+
+def test_relational_network_agrees_with_every_placement():
+    # Seeded le/succ sets over at most 4 labels: the network finds a
+    # placement exactly when one of the 13**n in [0, 12] satisfies them all.
+    rng = random.Random(43)
+    seen = {True: 0, False: 0}
+    for _ in range(150):
+        labels = ["b", "c", "d", "e"][: rng.randint(1, 4)]
+        rels = [rng.choice([Le, Succ])(rng.choice(labels), rng.choice(labels)) for _ in range(rng.randint(1, 4))]
+        index = {lab: k for k, lab in enumerate(labels)}
+        compiled = [semantics._compile(r, index) for r in rels]
+        placed = any(
+            all(holds(at[a], at[b]) for holds, a, b in compiled)
+            for at in itertools.product(range(semantics._MAX_LABEL_VALUE + 1), repeat=len(labels))
+        )
+        assert semantics._placeable(len(labels), compiled) == placed, rels
+        seen[placed] += 1
+    assert min(seen.values()) >= 30, seen
+    # succ's upper edge counts: d cannot follow b by one step and by two.
+    rels = [Succ("b", "c"), Succ("c", "d"), Succ("b", "d")]
+    assert not semantics._placeable(3, [semantics._compile(r, {"b": 0, "c": 1, "d": 2}) for r in rels])
+    # The range counts: thirteen successors fit in [0, 12], fourteen do not.
+    for n, placed in ((13, True), (14, False)):
+        chain = [semantics._compile(Succ(f"x{k:02}", f"x{k + 1:02}"), {f"x{j:02}": j for j in range(n)}) for k in range(n - 1)]
+        assert semantics._placeable(n, chain) == placed
+
+
+def leaf_formulas():
+    """Small history formulas over five leaves, each leaf built afresh, so
+    that equal leaves are distinct objects."""
+    leaves = st.sampled_from([lambda: Atom("p"), lambda: Atom("q"), lambda: Always(Atom("p")), lambda: Next(Atom("q")), lambda: Hist(Atom("p"))]).map(lambda make: make())
+    return st.recursive(
+        st.one_of(leaves, st.just(Bottom())),
+        lambda sub: st.one_of(st.builds(Implies, sub, sub), st.builds(Or, sub, sub), st.builds(And, sub, sub), st.builds(Not, sub)),
+        max_leaves=6,
+    )
+
+
+def propositional(f, assignment):
+    """The truth of the core formula ``f`` with its leaves read from
+    ``assignment``, by structure."""
+    if type(f) is Implies:
+        return not propositional(f.left, assignment) or propositional(f.right, assignment)
+    return type(f) is not Bottom and assignment[f]
+
+
+def leaves_of(f):
+    if type(f) is Implies:
+        return leaves_of(f.left) | leaves_of(f.right)
+    return set() if type(f) is Bottom else {f}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from([("b",), ("c",), ("b", "c")]), leaf_formulas()), max_size=4), st.sampled_from([("b",), ("b", "c")]), leaf_formulas())
+def test_truth_tables_agree_with_enumerating_the_leaves(drawn, goal_seq, goal_formula):
+    # Per pair of last labels: inconsistent when no assignment of the
+    # group's leaves makes every premise true, entailed when every one that
+    # does also makes the goal true.  Leaves are equal by structure.
+    premises = [Lwff(seq, f) for seq, f in drawn]
+    goal = Lwff(goal_seq, goal_formula)
+    groups = {}
+    for phi in premises:
+        groups.setdefault((phi.seq * 2)[-2:], []).append(desugar(phi.formula))
+    goal_core = desugar(goal_formula)
+    goal_pair = (goal_seq * 2)[-2:]
+    groups.setdefault(goal_pair, [])
+    want = None
+    for key, fs in groups.items():
+        every = fs + [goal_core] if key == goal_pair else fs
+        leaves = sorted(set().union(*map(leaves_of, every)), key=format_formula)
+        models = [dict(zip(leaves, bits)) for bits in itertools.product([False, True], repeat=len(leaves))]
+        models = [a for a in models if all(propositional(f, a) for f in fs)]
+        if not models:
+            want = "inconsistent"
+            break
+        if every is not fs and all(propositional(goal_core, a) for a in models):
+            want = "entailed"
+    assert semantics._settle(premises, goal)[0] == want
+
+
+def test_truth_tables_admit_every_assignment_of_the_leaves():
+    # Premises that fix each of k leaves have exactly one model, so no
+    # assignment may be missing from the tables: the call is not
+    # inconsistent, it entails each fixed leaf, and it leaves any other
+    # leaf open.
+    leaves = [Atom("p"), Atom("q"), Always(P), Next(Q), Hist(P)]
+    for k in range(1, len(leaves) + 1):
+        for bits in itertools.product([False, True], repeat=k):
+            premises = [Lwff(("b",), x if bit else Not(x)) for x, bit in zip(leaves, bits)]
+            assert semantics._settle(premises, Lwff(("b",), premises[-1].formula))[0] == "entailed", bits
+            assert semantics._settle(premises, Lwff(("b",), Atom("r")))[0] is None, bits
+
+
+def test_truth_tables_leave_a_group_of_many_leaves_to_the_draws():
+    # Seventeen atoms and the negation of one: inconsistent, but past
+    # _MAX_LEAVES, so sampled; sixteen are settled.
+    for k, want in ((semantics._MAX_LEAVES + 1, None), (semantics._MAX_LEAVES, "inconsistent")):
+        atoms = [Atom(f"a{j}") for j in range(k)]
+        premises = [Lwff(("b",), a) for a in atoms] + [Lwff(("b",), Not(atoms[0]))]
+        assert semantics._settle(premises, Lwff(("c",), P))[0] == want
+
+
+def test_settled_calls_hold_on_every_literal_draw():
+    # Seeded soundness derivations: where a call is settled, 2000 literal
+    # draws of its own seed find no sample satisfying every premise if it
+    # is inconsistent, and no counterexample if it is entailed.
+    rng = random.Random(43)
+    verdicts = {"inconsistent": 0, "entailed": 0, None: 0}
+    for i in range(40):
+        d = _draw_derivation(rng, i, 6)
+        premises = sorted(d.open_assumptions, key=format_generic)
+        settled = semantics._settle(premises, d.conclusion)[0]
+        verdicts[settled] += 1
+        if settled is None:
+            continue
+        for _, m, interp in literal_draws(premises + [d.conclusion], 2000, d.seed):
+            if all(eval_generic(m, interp, phi) for phi in premises):
+                assert settled == "entailed" and eval_generic(m, interp, d.conclusion), (premises, d.conclusion, m, interp)
+    assert verdicts["inconsistent"] >= 10 and verdicts["entailed"] >= 5, verdicts
 
 
 def test_lasso_model_keeps_its_dataclass_behaviour():
@@ -935,9 +1067,12 @@ def test_falsify_evaluates_the_goal_once_per_sample_where_the_premises_hold(monk
     # The goal is desugared once per call, like the premises, and read
     # exactly on the samples where every premise holds, at the canonical
     # position of its label; the premises must agree with the public route
-    # on each sample.  Replaying the draws gives those samples.
+    # on each sample.  Replaying the draws gives those samples.  The goal,
+    # q | ~G q, holds in every model, but not by its propositional form
+    # next to the premise p, so the call is sampled.
     premises = [Lwff(("b",), P), Le("b", "c"), Lwff(("b", "c"), Or(Hist(Q), P))]
-    goal = Lwff(("b",), Or(Q, P))
+    goal = Lwff(("b",), Or(Q, Not(Always(Q))))
+    assert semantics._settle(premises, goal)[0] is None
     goal_text = format_formula(desugar(goal.formula))
     real = semantics._read_h
     calls, cores = [], []
